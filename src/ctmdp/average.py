@@ -92,7 +92,6 @@ def solve_average(model: CtmdpModel,
 
     trace = []
     h_prev = None
-    g_prev = None
     h = None
     g = 0.0
     tail = []
@@ -102,8 +101,7 @@ def solve_average(model: CtmdpModel,
         h_change = (weighted_norm(h - h_prev, w)
                     if h_prev is not None else None)
         trace.append({"alpha": alpha, "alpha_J_x0": g, "h_change": h_change})
-        h_prev, g_prev = h.copy(), (trace[-2]["alpha_J_x0"]
-                                    if len(trace) > 1 else None)
+        h_prev = h.copy()
         tail.append(h.copy())
         if len(tail) > 5:
             tail.pop(0)
@@ -315,23 +313,25 @@ def truncation_sensitivity(builder, params: dict, levels,
     """Gain stability of a builtin family across truncation levels.
 
     `builder` maps a params dict (with the level substituted under "N")
-    to a model. The inner-half h comparison aligns 1-D indices.
+    to a model. The h comparison covers the states of the smaller level
+    whose every coordinate lies in its lower half, matched by label.
     """
     levels = sorted(int(N) for N in levels)
-    sols = []
+    runs = []
     for N in levels:
-        p = dict(params)
-        p["N"] = N
-        sols.append(solve_average(builder(p), schedule=schedule, tol=tol))
-    gains = [s.gain for s in sols]
+        model = builder(dict(params, N=N))
+        runs.append((model.states,
+                     solve_average(model, schedule=schedule, tol=tol)))
+    gains = [s.gain for _, s in runs]
     gaps = [abs(b - a) for a, b in zip(gains, gains[1:])]
     h_gaps = []
-    for sa, sb in zip(sols, sols[1:]):
-        inner = len(sa.h) // 2
-        if inner >= 1 and len(sa.h) < len(sb.h):
-            h_gaps.append(float(np.max(np.abs(sa.h[:inner] - sb.h[:inner]))))
-        else:
-            h_gaps.append(0.0)
+    for (space_a, sa), (space_b, sb) in zip(runs, runs[1:]):
+        half = (space_a.truncation_level + 1) // 2
+        h_b = dict(zip(space_b.labels, sb.h))
+        diffs = [abs(h - h_b[lab]) for lab, h in zip(space_a.labels, sa.h)
+                 if max(lab) < half]
+        grows = space_a.size < space_b.size
+        h_gaps.append(float(np.max(diffs)) if diffs and grows else 0.0)
     stable = (not gaps) or gaps[-1] <= stable_gap
     return SensitivityReport(levels=levels, gains=gains, gaps=gaps,
                              h_inner_gaps=h_gaps, stable=stable)

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import families, modelio
+from . import families, modelio, verify
 from .average import (OracleError, VanishingSchedule, brute_force_oracle,
                       solve_average, truncation_sensitivity)
 from .discounted import ConvergenceError, solve_discounted
@@ -270,6 +270,8 @@ def _cmd_verify(args, stdin_text) -> int:
 
 
 def _cmd_martingale(args, stdin_text) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     doc, model = _resolve_model(args, stdin_text)
     model = _require_tabulated(model)
     _validate_or_die(model)
@@ -283,7 +285,7 @@ def _cmd_martingale(args, stdin_text) -> int:
             _parse_json(_read_text(args.policy, stdin_text), "--policy"),
             model)
     checkpoints = _checkpoints_arg(args.checkpoints,
-                                   np.geomspace(1.0, 1000.0, 8))
+                                   verify.DEFAULT_CHECKPOINTS)
     config = _base_config(args, doc)
     config.update({"policy": args.policy, "reps": args.reps,
                    "seed": args.seed, "x0": args.x0,
@@ -296,6 +298,10 @@ def _cmd_martingale(args, stdin_text) -> int:
 
 
 def _cmd_simulate(args, stdin_text) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    if not 0 < args.horizon < np.inf:
+        raise UsageError(f"--horizon must be finite and > 0: {args.horizon}")
     doc, model = _resolve_model(args, stdin_text)
     x0 = _parse_json(args.x0, "--x0")
     pol_doc = _parse_json(_read_text(args.policy, stdin_text), "--policy")

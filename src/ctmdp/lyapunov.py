@@ -1,8 +1,9 @@
 """Exhaustive verification of the drift, bound, and monotonicity conditions.
 
-All checks are pointwise over the finite truncation. Rows touching the
-truncation boundary are distorted by the clamp construction, so their
-worst slack is reported separately alongside the interior result.
+All checks are pointwise over the finite truncation, computed as array
+operations over the (state, action) pairs of the flat CSR kernel. Rows
+touching the truncation boundary are distorted by the clamp construction,
+so their worst slack is reported separately alongside the interior result.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (CtmdpModel, ModelError, StationaryPolicy, boundary_states,
-                    generator_apply)
+from .model import CtmdpModel, ModelError, StationaryPolicy, boundary_states
 
 SLACK_TOL = -1e-10
 
@@ -58,29 +58,30 @@ class DriftReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _pointwise_check(name, model, lhs_fn, rhs_fn, detail=None) -> CheckRecord:
-    """Scan (x, a), record the worst slack rhs - lhs; interior and boundary
-    rows are tracked separately."""
-    boundary = set(boundary_states(model).tolist())
-    worst = (np.inf, None, None, None, None)      # slack, x, a, lhs, rhs
-    worst_boundary = np.inf
-    for x in range(model.n):
-        for a in range(model.n_actions(x)):
-            lhs = lhs_fn(x, a)
-            rhs = rhs_fn(x, a)
-            slack = rhs - lhs
-            if x in boundary:
-                worst_boundary = min(worst_boundary, slack)
-            if slack < worst[0]:
-                worst = (slack, x, a, lhs, rhs)
-    rec = CheckRecord(name=name, passed=worst[0] >= SLACK_TOL,
-                      worst_state=worst[1], worst_action=worst[2],
-                      lhs=worst[3], rhs=worst[4], slack=float(worst[0]),
-                      detail=dict(detail or {}))
-    if boundary:
+def _scan_min(values):
+    """(index, value) of the first strictly smallest entry below +inf, as a
+    scan `if v < worst` from worst = inf finds it: NaN never wins and ties
+    keep the earliest. (None, inf) if no entry qualifies."""
+    masked = np.where(values < np.inf, values, np.inf)
+    i = int(np.argmin(masked))
+    return (i, values[i]) if masked[i] < np.inf else (None, np.inf)
+
+
+def _pointwise_check(name, model, lhs, rhs) -> CheckRecord:
+    """Worst slack rhs - lhs over the (x, a) pairs, from per-pair arrays in
+    pair order; interior and boundary rows are tracked separately."""
+    flat = model.flat()
+    boundary = boundary_states(model)
+    slack = rhs - lhs
+    i, worst = _scan_min(slack)
+    at = [None] * 4 if i is None else [int(flat.x_of_pair[i]),
+                                       int(flat.a_of_pair[i]), lhs[i], rhs[i]]
+    rec = CheckRecord(name, worst >= SLACK_TOL, *at, slack=float(worst))
+    if len(boundary):
+        _, worst_boundary = _scan_min(slack[np.isin(flat.x_of_pair, boundary)])
         rec.detail["boundary_worst_slack"] = (
-            None if worst_boundary is np.inf else float(worst_boundary))
-        rec.detail["boundary_states"] = sorted(boundary)
+            None if worst_boundary == np.inf else float(worst_boundary))
+        rec.detail["boundary_states"] = boundary.tolist()
     return rec
 
 
@@ -90,25 +91,14 @@ def check_assumption_A(model: CtmdpModel) -> DriftReport:
     lyap = model.lyapunov
     if lyap is None:
         raise ModelError("model carries no Lyapunov data")
+    flat = model.flat()
     w, c, b = lyap.w, lyap.c, lyap.b
-
-    drift = _pointwise_check(
-        "drift_w", model,
-        lambda x, a: generator_apply(model, w, x, a),
-        lambda x, a: -c * w[x] + b)
-
-    rate = _pointwise_check(
-        "rate_bound", model,
-        lambda x, a: model.kernel.exit_rate(x, a),
-        lambda x, a: lyap.M_q * w[x])
-
-    b_hat = -np.inf
-    c_hat = np.inf
-    for x in range(model.n):
-        for a in range(model.n_actions(x)):
-            lhs = generator_apply(model, w, x, a)
-            b_hat = max(b_hat, lhs + c * w[x])
-            c_hat = min(c_hat, (b - lhs) / w[x])
+    wx = w[flat.x_of_pair]
+    lhs = flat.Q @ w
+    drift = _pointwise_check("drift_w", model, lhs, -c * wx + b)
+    rate = _pointwise_check("rate_bound", model, flat.exit, lyap.M_q * wx)
+    b_hat = -_scan_min(-(lhs + c * wx))[1]
+    c_hat = _scan_min((b - lhs) / wx)[1]
     return DriftReport(checks=[drift, rate],
                        fitted={"b_hat": float(b_hat), "c_hat": float(c_hat)})
 
@@ -122,22 +112,21 @@ def check_assumption_B(model: CtmdpModel) -> DriftReport:
     lyap = model.lyapunov
     if lyap is None:
         raise ModelError("model carries no Lyapunov data")
-    w = lyap.w
-    checks = [_pointwise_check(
-        "reward_bound", model,
-        lambda x, a: abs(model.rewards.rate(x, a)),
-        lambda x, a: lyap.M * w[x])]
+    flat = model.flat()
+    wx = lyap.w[flat.x_of_pair]
+    checks = [_pointwise_check("reward_bound", model, np.abs(flat.r),
+                               lyap.M * wx)]
     if lyap.wprime is not None:
-        wp = lyap.wprime
+        wpx = lyap.wprime[flat.x_of_pair]
         checks.append(_pointwise_check(
-            "rate_weight_product", model,
-            lambda x, a: model.kernel.exit_rate(x, a) * w[x],
-            lambda x, a: lyap.Mprime * wp[x]))
+            "rate_weight_product", model, flat.exit * wx, lyap.Mprime * wpx))
         checks.append(_pointwise_check(
-            "growth_wprime", model,
-            lambda x, a: generator_apply(model, wp, x, a),
-            lambda x, a: lyap.cprime * wp[x] + lyap.bprime))
+            "growth_wprime", model, flat.Q @ lyap.wprime,
+            lyap.cprime * wpx + lyap.bprime))
     return DriftReport(checks=checks)
+
+
+_TAIL_BLOCK_CELLS = 1 << 18     # tail-sum cells held at once
 
 
 def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
@@ -151,21 +140,22 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
         return DriftReport(checks=[CheckRecord(name="tail_monotone",
                                                passed=True, slack=0.0)])
 
-    tails = np.zeros((n, n))
-    for x in range(n):
-        dense = np.zeros(n)
-        ys, rates = model.kernel.row(x, f[x])
-        dense[ys] = rates
-        tails[x] = np.cumsum(dense[::-1])[::-1]
-
+    flat = model.flat()
+    Qf = flat.Q[flat.starts + f.choice]          # row x is q(.|x, f(x))
+    block = max(1, _TAIL_BLOCK_CELLS // n)
     worst = (np.inf, None, None, None, None)
-    for x in range(n - 1):
-        for k in range(n):
-            if k == x + 1:
-                continue
-            slack = tails[x + 1, k] - tails[x, k]
-            if slack < worst[0]:
-                worst = (slack, x, f[x], tails[x, k], tails[x + 1, k])
+    for x0 in range(0, n - 1, block):
+        rows = Qf[x0:min(x0 + block, n - 1) + 1]
+        dense = np.zeros(rows.shape)             # set, not summed: keeps -0.0
+        dense[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
+              rows.indices] = rows.data
+        tails = np.cumsum(dense[:, ::-1], axis=1)[:, ::-1]
+        slack = tails[1:] - tails[:-1]
+        slack[np.arange(len(slack)), np.arange(len(slack)) + x0 + 1] = np.inf
+        i, s = _scan_min(slack.ravel())
+        if s < worst[0]:
+            dx, k = divmod(i, n)
+            worst = (s, x0 + dx, f[x0 + dx], tails[dx, k], tails[dx + 1, k])
     rec = CheckRecord(name="tail_monotone", passed=worst[0] >= SLACK_TOL,
                       worst_state=worst[1], worst_action=worst[2],
                       lhs=worst[3], rhs=worst[4], slack=float(worst[0]))

@@ -274,20 +274,14 @@ def _flatten(model: CtmdpModel) -> FlatModel:
     n_pairs = int(counts.sum())
     x_of = np.repeat(np.arange(n), counts)
     a_of = np.concatenate([np.arange(c) for c in counts])
-    rows, cols, vals = [], [], []
-    r = np.empty(n_pairs)
-    ex = np.empty(n_pairs)
-    p = 0
-    for x in range(n):
-        for a in range(counts[x]):
-            ys, rates = model.kernel.row(x, a)
-            rows.extend([p] * len(ys))
-            cols.extend(ys.tolist())
-            vals.extend(rates.tolist())
-            r[p] = model.rewards.rate(x, a)
-            ex[p] = model.kernel.exit_rate(x, a)
-            p += 1
-    Q = sp.csr_matrix((vals, (rows, cols)), shape=(n_pairs, n))
+    rows = [row for per_state in model.kernel.rows for row in per_state]
+    indptr = np.cumsum([0] + [len(ys) for ys, _ in rows])
+    Q = sp.csr_matrix((np.concatenate([rates for _, rates in rows]),
+                       np.concatenate([ys for ys, _ in rows]), indptr),
+                      shape=(n_pairs, n))
+    r = np.array([rr for per_state in model.rewards.table for rr in per_state])
+    # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
+    ex = -Q[np.arange(n_pairs), x_of].A1
     qmax = np.zeros(n)
     np.maximum.at(qmax, x_of, ex)
     return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
@@ -309,13 +303,22 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
     Violations are collected and reported rather than raised; only
     structurally malformed input is a hard error (raised at construction).
     """
+    flat = model.flat()
     violations = []
 
     def bad(name, x=None, a=None, y=None, slack=None):
         violations.append({"check": name, "x": x, "a": a, "y": y,
                            "slack": None if slack is None else float(slack)})
 
-    for x in range(model.n):
+    # scan only states with a bad entry (which a non-finite q(x) needs),
+    # row sum (CSR matvec sums left to right from 0.0, as the scan) or reward
+    entry_x = np.repeat(flat.x_of_pair, np.diff(flat.Q.indptr))
+    vals = flat.Q.data
+    bad_entry = ~np.isfinite(vals) | np.where(flat.Q.indices == entry_x,
+                                              vals > 0, vals < 0)
+    bad_pair = ((np.abs(flat.Q @ np.ones(flat.n)) > ROW_SUM_TOL)
+                | ~np.isfinite(flat.r))
+    for x in np.union1d(entry_x[bad_entry], flat.x_of_pair[bad_pair]).tolist():
         for a in range(model.n_actions(x)):
             ys, rates = model.kernel.row(x, a)
             s = 0.0
@@ -337,12 +340,11 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
 
     lyap = model.lyapunov
     if lyap is not None:
-        for x in range(model.n):
-            for a in range(model.n_actions(x)):
-                rr = abs(model.rewards.rate(x, a))
-                bound = lyap.M * lyap.w[x]
-                if rr > bound:
-                    bad("reward_weight_bound", x, a, slack=bound - rr)
+        rr = np.abs(flat.r)
+        bound = lyap.M * lyap.w[flat.x_of_pair]
+        for p in np.flatnonzero(rr > bound).tolist():
+            bad("reward_weight_bound", int(flat.x_of_pair[p]),
+                int(flat.a_of_pair[p]), slack=bound[p] - rr[p])
 
     return ValidationReport(ok=not violations, violations=violations)
 

@@ -137,8 +137,9 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     sub = bool(np.all(diff_means >= -3.0 * diff_ses))
     sup = bool(np.all(diff_means <= 3.0 * diff_ses))
 
-    delta_visited = {x: delta(model, x, f, u, g) for x in sorted(visited)}
-    all_delta = [delta(model, x, f, u, g) for x in range(model.n)]
+    flat = model.flat()     # delta() at every state, from one Q @ u
+    all_delta = (flat.r + flat.Q @ u)[flat.starts + f.choice] - g
+    delta_visited = {x: float(all_delta[x]) for x in sorted(visited)}
     return MartingaleReport(
         checkpoints=checkpoints, means=means, ses=ses, diff_ses=diff_ses,
         submartingale_consistent=sub, supermartingale_consistent=sup,

@@ -104,3 +104,20 @@ def test_truncation_sensitivity_stabilizes():
     assert rep.levels == [10, 20, 40]
     assert rep.stable
     assert rep.gaps[-1] <= 1e-6
+
+
+def test_truncation_sensitivity_aligns_2d_states_by_label():
+    def build(p):
+        return ctmdp.build("tandem", p)
+    rep = truncation_sensitivity(build, {"G": 2}, [4, 6])
+    small, large = build({"N": 4, "G": 2}), build({"N": 6, "G": 2})
+    h_small, h_large = solve_average(small).h, solve_average(large).h
+    index = {lab: i for i, lab in enumerate(large.states.labels)}
+    # inner region: both queue lengths below half the 5-level grid
+    inner = [i for i, (x1, x2) in enumerate(small.states.labels)
+             if x1 < 2 and x2 < 2]
+    assert len(inner) == 4
+    expected = max(abs(h_small[i] - h_large[index[small.states.labels[i]]])
+                   for i in inner)
+    assert rep.h_inner_gaps == [expected]
+    assert expected < 0.1      # flat-index alignment read 3.94 here

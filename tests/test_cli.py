@@ -192,3 +192,35 @@ def test_cli_martingale(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["report"]["submartingale_consistent"]
     assert rep["report"]["supermartingale_consistent"]
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--reps", "0"], "--reps"),
+    (["--reps", "-3"], "--reps"),
+    (["--horizon", "-5"], "--horizon"),
+    (["--horizon", "0"], "--horizon"),
+    (["--horizon", "nan"], "--horizon"),
+    (["--horizon", "inf"], "--horizon"),
+])
+def test_cli_simulate_rejects_bad_reps_and_horizon(tmp_path, capsys, flags,
+                                                   flag):
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    assert run(["simulate", "--builtin", "mmn0", "--params",
+                '{"N":2,"lambda":1,"mu1":2,"mu2":2.5,"G":1}',
+                "--policy", str(pol)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_cli_martingale_rejects_bad_reps(tmp_path, capsys):
+    params = '{"N":2,"lambda":1,"mu1":2,"mu2":2.5,"G":1}'
+    assert run(["solve-average", "--builtin", "mmn0", "--params", params,
+                "--steps", "20", "--out", str(tmp_path / "sol.json")]) == 0
+    assert run(["martingale", "--builtin", "mmn0", "--params", params,
+                "--solution", str(tmp_path / "sol.json"),
+                "--reps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--reps" in captured.err

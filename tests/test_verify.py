@@ -85,6 +85,8 @@ def test_martingale_reports_visited_deltas(solved):
     rep = martingale_diagnostic(m, sol.policy, sol.h, sol.gain, 0,
                                 checkpoints=[1.0, 5.0], reps=20, seed=5)
     assert 0 in rep.delta_visited
+    every = [delta(m, x, sol.policy, sol.h, sol.gain) for x in range(m.n)]
     for x, d in rep.delta_visited.items():
-        assert d == pytest.approx(delta(m, x, sol.policy, sol.h, sol.gain))
+        assert d == every[x]                 # one Q @ u, same sums
+    assert (rep.delta_min, rep.delta_max) == (min(every), max(every))
     assert "policy_coverage" in rep.detail
