@@ -6,8 +6,10 @@ run can be reproduced from its own output. Serialization is byte-stable:
 sorted keys, floats at 17 significant digits.
 
 Exit codes: 0 success, 1 check failure (failed validation or
-certificate, or a numeric failure with the report embedded), 2 usage or
-malformed input.
+certificate) or a numeric failure, 2 usage or malformed input. A numeric
+failure writes {format_version, config, error} where the report would
+have gone; a simulation error names the replication, the jumps taken, the
+time reached and the last state.
 """
 
 from __future__ import annotations
@@ -115,18 +117,36 @@ def _solution_document(args, stdin_text) -> dict:
 def _checkpoints_arg(raw, default):
     if raw is None:
         return list(default)
-    return [float(v) for v in raw.split(",")]
+    try:
+        times = [float(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--checkpoints: {exc}") from exc
+    if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
+        raise UsageError(f"--checkpoints must be finite and non-decreasing: "
+                         f"{raw}")
+    return times
 
 
-def _emit(args, config: dict, report: dict) -> None:
-    payload = {"format_version": FORMAT_VERSION, "config": config,
-               "report": report}
+def _write(args, payload: dict) -> None:
     text = dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, config: dict, report: dict) -> None:
+    _write(args, {"format_version": FORMAT_VERSION, "config": config,
+                  "report": report})
+
+
+def _emit_error(args, exc: Exception) -> None:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, SimulationError):
+        error.update(exc.detail())
+    _write(args, {"format_version": FORMAT_VERSION,
+                  "config": getattr(args, "config", None), "error": error})
 
 
 def _emit_series(path, header, rows) -> None:
@@ -140,11 +160,14 @@ def _emit_series(path, header, rows) -> None:
 
 
 def _base_config(args, model_doc) -> dict:
+    """The resolved options; kept on args as well, so that an error report
+    echoes them with whatever the handler adds."""
     threads = getattr(args, "threads", None)
     if threads is None:
         threads = int(os.environ.get("CTMDP_THREADS", os.cpu_count() or 1))
-    return {"subcommand": args.command, "model": model_doc,
-            "threads": threads}
+    args.config = {"subcommand": args.command, "model": model_doc,
+                   "threads": threads}
+    return args.config
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -237,10 +260,11 @@ def _cmd_sensitivity(args, stdin_text) -> int:
     levels = [int(v) for v in args.levels.split(",")]
     schedule = VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
                                  steps=args.steps, x0=args.x0)
-    config = {"subcommand": "sensitivity", "builtin": args.builtin,
-              "params": params, "levels": levels, "alpha0": args.alpha0,
-              "ratio": args.ratio, "steps": args.steps, "x0": args.x0,
-              "tol": args.tol}
+    config = args.config = {
+        "subcommand": "sensitivity", "builtin": args.builtin,
+        "params": params, "levels": levels, "alpha0": args.alpha0,
+        "ratio": args.ratio, "steps": args.steps, "x0": args.x0,
+        "tol": args.tol}
 
     def builder(p):
         return _require_tabulated(families.build(args.builtin, p))
@@ -484,9 +508,7 @@ def run(argv=None) -> int:
         print(f"ctmdp: error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, OracleError, SimulationError) as exc:
-        sys.stdout.write(dumps({"format_version": FORMAT_VERSION,
-                                "error": {"type": type(exc).__name__,
-                                          "message": str(exc)}}))
+        _emit_error(args, exc)
         return 1
 
 

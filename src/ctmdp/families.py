@@ -448,12 +448,20 @@ class PotlachProcess:
         return gain - self.lam * float(np.sum(x))
 
     def jump(self, x, policy: PotlachPolicy, rng) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).copy()
-        i = int(rng.integers(self.d))
+        i = rng.integers(self.d)
         y = rng.exponential(1.0 / self.lam)
-        moved = y * x[i]
-        x[i] = 0.0
-        x += moved * policy.matrix[i]
+        return self.redistribute(np.asarray(x, dtype=np.float64)[None],
+                                 policy, np.array([i]), np.array([y]))[0]
+
+    def redistribute(self, x, policy: PotlachPolicy, i, y) -> np.ndarray:
+        """The redistribution map on a batch of states x (R, d): in row r,
+        component i[r] fires and its mass y[r] * x[r, i[r]] is spread by
+        row i[r] of the policy matrix."""
+        rows = np.arange(len(x))
+        moved = y * x[rows, i]
+        x = x.copy()
+        x[rows, i] = 0.0
+        x += moved[:, None] * policy.matrix[i]
         return x
 
 

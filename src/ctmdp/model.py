@@ -117,8 +117,9 @@ class RateKernel:
         return -self.rate(x, x, a)
 
     def q_max(self, x: int) -> float:
-        """q(x) = max over actions of the exit rate at x."""
-        return max(self.exit_rate(x, a) for a in range(len(self.rows[x])))
+        """q(x) = max over actions of the exit rate at x; NaN if any is."""
+        return float(np.max([self.exit_rate(x, a)
+                             for a in range(len(self.rows[x]))]))
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,8 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
             rr = model.rewards.rate(x, a)
             if not np.isfinite(rr):
                 bad("finite_reward", x, a)
-        if not np.isfinite(model.kernel.q_max(x)):
+        if not np.all(np.isfinite(
+                flat.exit[flat.starts[x]:flat.starts[x] + model.n_actions(x)])):
             bad("stable_rates", x)
 
     lyap = model.lyapunov

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import CtmdpModel, StationaryPolicy, generator_apply
-from .simulate import _run_tabulated, rng_info, stream
+from .simulate import _checkpoint_run, rng_info
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
 DEFAULT_REPS = 200
@@ -89,6 +89,7 @@ class MartingaleReport:
     delta_min: float
     delta_max: float
     rng: dict
+    jumps: np.ndarray            # per-replication jump counts
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -100,7 +101,8 @@ class MartingaleReport:
                 "delta_visited": {str(k): v for k, v in
                                   self.delta_visited.items()},
                 "delta_min": self.delta_min, "delta_max": self.delta_max,
-                "rng": self.rng, "detail": self.detail}
+                "rng": self.rng, "jumps": self.jumps.tolist(),
+                "detail": self.detail}
 
 
 def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
@@ -115,19 +117,10 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     is the reversed inequality. The pointwise Delta values over visited
     states are the infinitesimal counterpart.
     """
-    model.check_policy(f)
     u = np.asarray(u, dtype=np.float64)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
-    horizon = float(checkpoints[-1]) * (1 + 1e-12)
-    samples = np.empty((reps, len(checkpoints)))
-    visited = set()
-    for rep in range(reps):
-        rng = stream(seed, rep)
-        _, occ, _, vals = _run_tabulated(
-            model, f, x0, horizon, rng, checkpoints=checkpoints,
-            cp_fn=lambda s, ri: ri + u[s])
-        samples[rep] = np.asarray(vals) - checkpoints * g
-        visited.update(np.flatnonzero(occ > 0).tolist())
+    runs = _checkpoint_run(model, f, x0, checkpoints, reps, seed)
+    samples = (runs.cp_rewards + u[runs.cp_states]) - checkpoints * g
 
     means = samples.mean(axis=0)
     ses = samples.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -139,13 +132,14 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
 
     flat = model.flat()     # delta() at every state, from one Q @ u
     all_delta = (flat.r + flat.Q @ u)[flat.starts + f.choice] - g
-    delta_visited = {x: float(all_delta[x]) for x in sorted(visited)}
+    delta_visited = {x: float(all_delta[x])
+                     for x in np.flatnonzero(runs.occupation > 0).tolist()}
     return MartingaleReport(
         checkpoints=checkpoints, means=means, ses=ses, diff_ses=diff_ses,
         submartingale_consistent=sub, supermartingale_consistent=sup,
         delta_visited=delta_visited,
         delta_min=float(np.min(all_delta)), delta_max=float(np.max(all_delta)),
-        rng=rng_info(seed),
+        rng=rng_info(seed), jumps=runs.jumps,
         detail={"policy_coverage": "single policy; pointwise Delta over all "
                                    "states is the exhaustive finite-model "
                                    "substitute"})

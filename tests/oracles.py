@@ -4,12 +4,16 @@ The linear-algebra references go through dense matrices of the
 fixed-policy generator and share no code with the iterative solver path.
 """
 
+import bisect
+import itertools
+
 import numpy as np
 
 from ctmdp import CtmdpModel, StationaryPolicy
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (ROW_SUM_TOL, ModelError, ValidationReport,
                          boundary_states, generator_apply)
+from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
 def dense_generator(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
@@ -93,7 +97,8 @@ def validate_model_loop(model: CtmdpModel) -> ValidationReport:
             rr = model.rewards.rate(x, a)
             if not np.isfinite(rr):
                 bad("finite_reward", x, a)
-        if not np.isfinite(model.kernel.q_max(x)):
+        if not all(np.isfinite(model.kernel.exit_rate(x, a))
+                   for a in range(model.n_actions(x))):
             bad("stable_rates", x)
 
     lyap = model.lyapunov
@@ -205,3 +210,86 @@ def check_monotonicity_loop(model: CtmdpModel,
                       worst_state=worst[1], worst_action=worst[2],
                       lhs=worst[3], rhs=worst[4], slack=float(worst[0]))
     return DriftReport(checks=[rec])
+
+
+# -- scalar reference for the replication-batched simulation stepper --------
+
+def replication_draws(seed: int, rep: int, n_draws: int):
+    """Per-jump draws (E, u[, E']) of one replication, read block by block
+    in the layout documented in ctmdp.simulate."""
+    gen = stream(seed, rep)
+    for k in itertools.count():
+        size = min(FIRST_BLOCK * 2 ** k, LAST_BLOCK)
+        block = [gen.standard_exponential(size), gen.random(size)]
+        if n_draws == 3:
+            block.append(gen.standard_exponential(size))
+        yield from zip(*(b.tolist() for b in block))
+
+
+def reference_path(exit_rate, reward, jump, x0, horizon, draws,
+                   checkpoints=()):
+    """One jump at a time: returns (times, states, reward integral,
+    [(state, reward so far) at each checkpoint <= horizon], jumps)."""
+    x, t, rint = x0, 0.0, 0.0
+    times, states, at_checkpoints = [0.0], [x0], []
+    cps = list(checkpoints)
+    for draw in draws:
+        q = exit_rate(x)
+        t_next = t + draw[0] / q if q > 0 else np.inf
+        end = min(t_next, horizon)
+        while len(at_checkpoints) < len(cps) \
+                and cps[len(at_checkpoints)] <= end:
+            tc = cps[len(at_checkpoints)]
+            at_checkpoints.append((x, rint + reward(x) * (tc - t)))
+        rint += reward(x) * (end - t)
+        if t_next >= horizon:
+            break
+        t = t_next
+        x = jump(x, *draw[1:])
+        times.append(t)
+        states.append(x)
+    return times, states, rint, at_checkpoints, len(times) - 1
+
+
+def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
+                          horizon: float, seed: int, rep: int = 0,
+                          checkpoints=()):
+    """reference_path for a tabulated model: the off-diagonal targets of
+    x in ascending order, chosen by the first normalized running sum of
+    rates >= u."""
+    targets, cums, rates, rewards = [], [], [], []
+    for x in range(model.n):
+        ys, qs = model.kernel.row(x, f[x])
+        off = ys != x
+        running = np.cumsum(qs[off])
+        lam = float(running[-1]) if len(running) else 0.0
+        targets.append(ys[off].tolist())
+        cums.append((running / lam).tolist() if lam > 0 else [])
+        rates.append(lam)
+        rewards.append(model.rewards.rate(x, f[x]))
+
+    def jump(x, u):
+        return targets[x][bisect.bisect_left(cums[x], u)]
+
+    return reference_path(rates.__getitem__, rewards.__getitem__, jump,
+                          int(x0), horizon,
+                          replication_draws(seed, rep, 2), checkpoints)
+
+
+def reference_redistribution_path(proc, policy, x0, horizon: float,
+                                  seed: int, rep: int = 0, checkpoints=()):
+    """reference_path for the redistribution process, one point at a time."""
+    d = proc.d
+
+    def jump(x, u, e):
+        i = min(int(u * d), d - 1)
+        moved = e / proc.lam * x[i]
+        x = x.copy()
+        x[i] = 0.0
+        x += moved * policy.matrix[i]
+        return x
+
+    return reference_path(lambda x: proc.total_rate,
+                          lambda x: proc.reward(x, policy), jump,
+                          np.asarray(x0, dtype=np.float64), horizon,
+                          replication_draws(seed, rep, 3), checkpoints)

@@ -121,3 +121,27 @@ def test_drift_bounds_and_monotonicity_match_loops(case, block_cells):
              check_monotonicity_loop(model, policy))
     finally:
         lyapunov._TAIL_BLOCK_CELLS = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_models(), st.data())
+def test_nonfinite_exit_rate_on_any_action_flags_stable_rates(case, data):
+    model, _ = case
+    multi = [x for x in range(model.n) if model.n_actions(x) > 1]
+    if not multi:
+        return
+    # a finite action 0 used to hide a NaN exit rate on a later action
+    x = data.draw(st.sampled_from(multi))
+    a = data.draw(st.integers(1, model.n_actions(x) - 1))
+    bad = data.draw(st.sampled_from([NAN, INF, -INF]))
+    rows = [[list(zip(*model.kernel.row(s, b))) for b in range(
+        model.n_actions(s))] for s in range(model.n)]
+    rows[x][0] = [(y, r) for y, r in rows[x][0] if y != x] + [(x, -1.0)]
+    rows[x][a] = [(y, r) for y, r in rows[x][a] if y != x] + [(x, bad)]
+    model = CtmdpModel(states=model.states, actions=model.actions,
+                       kernel=RateKernel(rows), rewards=model.rewards,
+                       lyapunov=model.lyapunov)
+    report = validate_model(model)
+    assert {"check": "stable_rates", "x": x, "a": None, "y": None,
+            "slack": None} in report.violations
+    same(report, validate_model_loop(model))

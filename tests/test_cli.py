@@ -224,3 +224,75 @@ def test_cli_martingale_rejects_bad_reps(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--reps" in captured.err
+
+
+MMN0 = '{"N":2,"lambda":1,"mu1":2,"mu2":2.5,"G":1}'
+
+
+def test_cli_monte_carlo_reports_give_jump_counts(tmp_path):
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    model = ["--builtin", "mmn0", "--params", MMN0]
+    assert run(["solve-average"] + model + [
+        "--steps", "20", "--out", str(tmp_path / "sol.json")]) == 0
+    runs = {
+        "average": ["simulate"] + model + ["--policy", str(pol),
+                                           "--horizon", "50", "--reps", "3"],
+        "lyapunov": ["simulate"] + model + ["--policy", str(pol), "--mode",
+                                            "lyapunov", "--reps", "4"],
+        "martingale": ["martingale"] + model + [
+            "--solution", str(tmp_path / "sol.json"), "--reps", "5",
+            "--checkpoints", "1,5,20"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        run(argv + ["--out", str(out)])
+        rep = json.loads(out.read_text())
+        jumps = rep["report"]["jumps"]
+        assert len(jumps) == rep["config"]["reps"]
+        assert all(isinstance(j, int) and j > 0 for j in jumps)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon", "1e4", "--reps", "3"],
+    ["simulate", "--mode", "lyapunov", "--checkpoints", "100,1000"],
+])
+def test_cli_simulation_error_report_goes_to_out(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    from ctmdp import simulate
+    monkeypatch.setattr(simulate, "MAX_JUMPS", 50)
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    out = tmp_path / "err.json"
+    assert run(argv + ["--builtin", "mmn0", "--params", MMN0,
+                       "--policy", str(pol), "--seed", "7",
+                       "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["config"]["subcommand"] == "simulate"
+    assert doc["config"]["seed"] == 7
+    assert doc["config"]["model"]["name"] == "mmn0"
+    err = doc["error"]
+    assert err["type"] == "SimulationError"
+    assert err["replication"] == 0
+    assert err["jumps"] == 51
+    assert 0 < err["time"] < 1e4
+    assert err["last_state"] in (0, 1, 2)
+    assert "jump-count guard (50)" in err["message"]
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--mode", "lyapunov", "--checkpoints", "4,1"], "--checkpoints"),
+    (["--mode", "lyapunov", "--checkpoints", "1,nan"], "--checkpoints"),
+    (["--mode", "lyapunov", "--checkpoints", "1,x"], "--checkpoints"),
+    (["--x0", "7"], "start state 7"),
+])
+def test_cli_simulate_rejects_bad_checkpoints_and_start(tmp_path, capsys,
+                                                        flags, flag):
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    assert run(["simulate", "--builtin", "mmn0", "--params", MMN0,
+                "--policy", str(pol)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err

@@ -1,0 +1,190 @@
+"""Differential tests: the replication-batched simulation stepper against
+the scalar reference in oracles.py, which reads each replication's draws
+in the documented block layout and takes one jump at a time. Visited
+states and jump times must be identical; reward integrals and checkpoint
+values must agree to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ctmdp
+from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, RateKernel,
+                   RewardTable, StateSpace, StationaryPolicy,
+                   estimate_average_reward, simulate_path)
+from ctmdp import simulate
+from ctmdp.simulate import _checkpoint_run, _checkpoint_samples
+from oracles import reference_policy_path, reference_redistribution_path
+
+REL = 1e-12
+# awkward rates make the normalized running sums round below 1
+RATES = st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.0, 2.9, 1e-3])
+
+
+@st.composite
+def explicit_models(draw):
+    n = draw(st.integers(1, 11))
+    rows, rewards = [], []
+    for x in range(n):
+        per_state = []
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(["absorbing", "sparse", "wide"]))
+            others = [y for y in range(n) if y != x]
+            if kind == "absorbing" or not others:
+                ys = []
+            elif kind == "wide":
+                ys = others            # up to 10 targets
+            else:
+                ys = sorted(draw(st.sets(st.sampled_from(others), min_size=1,
+                                         max_size=3)))
+            entries = {y: draw(RATES) for y in ys}
+            entries[x] = -sum(entries.values())
+            per_state.append(sorted(entries.items()))
+        rows.append(per_state)
+        rewards.append(tuple(draw(st.floats(-3.0, 3.0)) for _ in per_state))
+    model = CtmdpModel(
+        states=StateSpace(size=n),
+        actions=ActionSets(sets=tuple(tuple((float(a),) for a in range(
+            len(per_state))) for per_state in rows)),
+        kernel=RateKernel(rows), rewards=RewardTable(table=tuple(rewards)))
+    f = StationaryPolicy(choice=[draw(st.integers(0, len(per_state) - 1))
+                                 for per_state in rows])
+    return model, f
+
+
+def assert_matches(ref, times, states, reward, at_checkpoints_values,
+                   at_checkpoints_states, jumps):
+    ref_times, ref_states, ref_reward, ref_cps, ref_jumps = ref
+    if times is not None:
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(states, ref_states)
+    assert reward == pytest.approx(ref_reward, rel=REL, abs=1e-300)
+    assert jumps == ref_jumps
+    if at_checkpoints_values is None:
+        return
+    assert len(at_checkpoints_values) == len(ref_cps)
+    for value, state, (ref_state, ref_value) in zip(
+            at_checkpoints_values, at_checkpoints_states, ref_cps):
+        assert np.array_equal(state, ref_state)
+        assert value == pytest.approx(ref_value, rel=REL, abs=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_models(), st.integers(0, 3), st.floats(0.5, 300.0),
+       st.integers(1, 5), st.integers(0, 2 ** 40),
+       st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
+                                          fractions):
+    model, f = model_f
+    x0 = x0 % model.n
+    cps = sorted(horizon * p for p in fractions)
+
+    rec = simulate_path(model, f, x0, horizon, seed, checkpoints=cps,
+                        cp_fn=lambda s, ri: ri)
+    ref = reference_policy_path(model, f, x0, horizon, seed, 0, cps)
+    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
+                   rec.checkpoint_values, [s for s, _ in ref[3]],
+                   len(rec.times) - 1)
+
+    avg = estimate_average_reward(model, f, x0, horizon, reps, seed)
+    for rep in range(reps):
+        ref = reference_policy_path(model, f, x0, horizon, seed, rep)
+        assert avg.values[rep] * horizon == pytest.approx(ref[2], rel=REL,
+                                                          abs=1e-300)
+        assert avg.jumps[rep] == ref[4]
+
+    if cps:
+        runs = _checkpoint_run(model, f, x0, cps, reps, seed)
+        for rep in range(reps):
+            ref = reference_policy_path(model, f, x0, cps[-1] * (1 + 1e-12),
+                                        seed, rep, cps)
+            assert_matches(ref, None, None, runs.reward[rep],
+                           runs.cp_rewards[rep], runs.cp_states[rep],
+                           runs.jumps[rep])
+
+
+def test_long_path_crosses_full_blocks():
+    # about 5300 jumps: every block length up to the largest, repeated
+    m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
+                                    "N": 12, "G": 2})
+    f = StationaryPolicy(choice=np.ones(m.n, dtype=np.int64))
+    cps = [1.0, 100.0, 777.7, 2500.0]
+    rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
+                        cp_fn=lambda s, ri: ri)
+    assert len(rec.times) > 4 * simulate.LAST_BLOCK
+    ref = reference_policy_path(m, f, 3, 2500.0, 5, 0, cps)
+    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
+                   rec.checkpoint_values, [s for s, _ in ref[3]],
+                   len(rec.times) - 1)
+
+
+def test_redistribution_matches_scalar_reference():
+    proc = ctmdp.build("potlach", {"d": 3, "lambda": 2.5})
+    pol = PotlachPolicy(matrix=np.array([[0.2, 0.5, 0.3], [0.0, 0.4, 0.6],
+                                         [0.7, 0.1, 0.2]]),
+                        q=np.array([0.3, 0.0, 0.8]))
+    x0 = np.array([1.0, 2.0, 0.5])
+    cps = [0.5, 3.0, 9.0]
+    rec = simulate_path(proc, pol, x0, 40.0, seed=3, checkpoints=cps)
+    ref = reference_redistribution_path(proc, pol, x0, 40.0, 3, 0, cps)
+    assert len(rec.times) > simulate.FIRST_BLOCK * 3
+    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
+                   None, None, len(rec.times) - 1)
+    assert np.array_equal(rec.checkpoint_values,
+                          [proc.weight(s) for s, _ in ref[3]])
+
+    samples = _checkpoint_samples(proc, pol, x0, cps, 4, 9, None)
+    for rep in range(4):
+        ref = reference_redistribution_path(proc, pol, x0, 9.0 * (1 + 1e-12),
+                                            9, rep, cps)
+        assert np.array_equal(samples[rep], [proc.weight(s)
+                                             for s, _ in ref[3]])
+
+
+def test_replication_depends_only_on_seed_and_index(monkeypatch):
+    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 2, "mu2": 2.5, "N": 2,
+                             "G": 1})
+    f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
+    three = estimate_average_reward(m, f, 0, 300.0, 3, seed=4)
+    seven = estimate_average_reward(m, f, 0, 300.0, 7, seed=4)
+    assert np.array_equal(three.values[:3], seven.values[:3])
+    assert np.array_equal(three.jumps, seven.jumps[:3])
+    # groups of 2 replications at the first block length instead of 2048
+    monkeypatch.setattr(simulate, "GROUP_CELLS", 2 * simulate.FIRST_BLOCK)
+    grouped = estimate_average_reward(m, f, 0, 300.0, 7, seed=4)
+    assert np.array_equal(grouped.values, seven.values)
+    assert np.array_equal(grouped.jumps, seven.jumps)
+
+
+def test_guard_names_replication_time_and_state():
+    m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
+                             "G": 1})
+    f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
+    with pytest.raises(ctmdp.SimulationError) as err:
+        simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0,
+                      max_jumps=100)
+    exc = err.value
+    assert exc.rep == 0 and exc.jumps == 101
+    times, states, *_ = reference_policy_path(m, f, 0, 2 * exc.time, 0, 0)
+    assert exc.time == times[101]
+    assert exc.last_state == states[101]
+
+
+def test_top_uniform_draw_lands_on_last_positive_target():
+    # normalized by the pairwise sum these rates end at 1 - 2**-53, so a
+    # top draw would fall off the row; the running sum ends at exactly 1
+    rates = [0.152, 1.532, 1.122, 0.726, 1.598, 0.676, 0.962, 0.355, 0.866]
+    assert (np.cumsum(rates) / np.sum(rates))[-1] < 1.0
+    row = list(enumerate(rates + [0.0], start=1))      # trailing zero rate
+    model = CtmdpModel(
+        states=StateSpace(size=11), actions=ActionSets(sets=(((0.0,),),) * 11),
+        kernel=RateKernel([[[(0, -sum(rates))] + row]]
+                          + [[[(x, 0.0)]] for x in range(1, 11)]),
+        rewards=RewardTable(table=((0.0,),) * 11))
+    chain = simulate._PolicyChain(model, StationaryPolicy(choice=[0] * 11))
+    assert chain.cum[0, -2:].tolist() == [1.0, 1.0]
+    top = np.nextafter(1.0, 0.0)
+    draws = np.array([[[1.0]], [[top]]])
+    assert chain.walk(np.array([0]), draws).tolist() == [[0, 9]]
