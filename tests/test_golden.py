@@ -1,9 +1,15 @@
-"""Golden `validate` reports: the stdout bytes of
-`validate --checks drift,bounds,monotone --threads 1` for each tabulated
-builtin at a small level and for an explicit model that triggers every
-violation kind. The files under tests/golden/ were captured with the
-pointwise loop implementation of the checks; the reports must stay
-byte-identical.
+"""Golden CLI reports: stored stdout bytes and exit status that the
+current code must reproduce exactly.
+
+* `validate --checks drift,bounds,monotone --threads 1` for each tabulated
+  builtin at a small level and for an explicit model that triggers every
+  violation kind (captured with the pointwise loop implementation of the
+  checks);
+* `solve-average`, `verify` (fed that solution), `oracle` and
+  `simulate --mode average --horizon 50 --reps 4 --seed 1` (following the
+  solved policy) for the same builtins and a valid explicit model file
+  (captured with per-row rate storage, before the kernel became one CSR
+  matrix).
 """
 
 import json
@@ -28,22 +34,60 @@ CASES = {
     "violations": ["--model", str(GOLDEN / "violations_model.json")],
 }
 
+PIPELINE_MODELS = {
+    **{name: CASES[name] for name in ("birth_death", "skip_free", "tandem",
+                                      "mmn0")},
+    "explicit": ["--model", str(GOLDEN / "explicit_model.json")],
+}
+PIPELINE_COMMANDS = ("solve_average", "verify", "oracle", "simulate")
+
+
+def golden(stem):
+    return json.loads((GOLDEN / f"{stem}.json").read_text())
+
 
 def validate_argv(name):
     return (["validate"] + CASES[name]
             + ["--checks", "drift,bounds,monotone", "--threads", "1"])
 
 
+def pipeline_argv(command, name, tmp_path):
+    """argv of one pipeline command; verify and simulate read the stored
+    solve-average report (as the solution, and for its policy)."""
+    extra = []
+    if command == "verify":
+        path = tmp_path / "solution.json"
+        path.write_text(golden(f"solve_average_{name}")["stdout"])
+        extra = ["--solution", str(path)]
+    elif command == "simulate":
+        solution = json.loads(golden(f"solve_average_{name}")["stdout"])
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"policy": solution["report"]["policy"]}))
+        extra = ["--policy", str(path), "--mode", "average", "--horizon", "50",
+                 "--reps", "4", "--seed", "1"]
+    return ([command.replace("_", "-")] + PIPELINE_MODELS[name] + extra
+            + ["--threads", "1"])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_validate_report_matches_golden(name, capsys):
-    expected = json.loads((GOLDEN / f"validate_{name}.json").read_text())
+    expected = golden(f"validate_{name}")
     code = run(validate_argv(name))
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
 
 
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+@pytest.mark.parametrize("name", sorted(PIPELINE_MODELS))
+def test_pipeline_report_matches_golden(command, name, tmp_path, capsys):
+    expected = golden(f"{command}_{name}")
+    code = run(pipeline_argv(command, name, tmp_path))
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
 def test_violations_model_covers_every_kind():
-    expected = json.loads((GOLDEN / "validate_violations.json").read_text())
+    expected = golden("validate_violations")
     report = json.loads(expected["stdout"])["report"]
     kinds = {v["check"] for v in report["primitives"]["violations"]}
     assert kinds == {"finite_rate", "offdiagonal_nonnegative",
