@@ -139,12 +139,8 @@ class OracleError(RuntimeError):
 
 
 def _dense_q(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
-    n = model.n
-    Q = np.zeros((n, n))
-    for x in range(n):
-        ys, rates = model.kernel.row(x, f[x])
-        Q[x, ys] = rates
-    return Q
+    flat = model.flat()
+    return flat.dense_rows(flat.starts + f.choice)
 
 
 def _recurrent_class(Q: np.ndarray, start: int = 0):

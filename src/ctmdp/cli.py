@@ -104,6 +104,12 @@ def _validate_or_die(model: CtmdpModel):
                              + dumps(rep.to_dict()).strip())
 
 
+def _valid_tabulated_model(args, stdin_text):
+    doc, model = _resolve_model(args, stdin_text)
+    _validate_or_die(_require_tabulated(model))
+    return doc, model
+
+
 def _solution_document(args, stdin_text) -> dict:
     doc = _parse_json(_read_text(args.solution, stdin_text), "--solution")
     if "gain" not in doc and "report" in doc:
@@ -219,9 +225,7 @@ def _cmd_describe(args, stdin_text) -> int:
 
 
 def _cmd_solve_discounted(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
-    model = _require_tabulated(model)
-    _validate_or_die(model)
+    doc, model = _valid_tabulated_model(args, stdin_text)
     config = _base_config(args, doc)
     config.update({"alpha": args.alpha, "tol": args.tol, "x0": args.x0})
     sol = solve_discounted(model, args.alpha, tol=args.tol, x0=args.x0)
@@ -230,9 +234,7 @@ def _cmd_solve_discounted(args, stdin_text) -> int:
 
 
 def _cmd_solve_average(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
-    model = _require_tabulated(model)
-    _validate_or_die(model)
+    doc, model = _valid_tabulated_model(args, stdin_text)
     schedule = VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
                                  steps=args.steps, x0=args.x0)
     config = _base_config(args, doc)
@@ -244,9 +246,7 @@ def _cmd_solve_average(args, stdin_text) -> int:
 
 
 def _cmd_oracle(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
-    model = _require_tabulated(model)
-    _validate_or_die(model)
+    doc, model = _valid_tabulated_model(args, stdin_text)
     config = _base_config(args, doc)
     result = brute_force_oracle(model)
     _emit(args, config, result.to_dict())
@@ -276,9 +276,7 @@ def _cmd_sensitivity(args, stdin_text) -> int:
 
 
 def _cmd_verify(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
-    model = _require_tabulated(model)
-    _validate_or_die(model)
+    doc, model = _valid_tabulated_model(args, stdin_text)
     sol = _solution_document(args, stdin_text)
     g = float(sol["gain"])
     h = np.asarray(sol["h"], dtype=np.float64)
@@ -296,9 +294,7 @@ def _cmd_verify(args, stdin_text) -> int:
 def _cmd_martingale(args, stdin_text) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    doc, model = _resolve_model(args, stdin_text)
-    model = _require_tabulated(model)
-    _validate_or_die(model)
+    doc, model = _valid_tabulated_model(args, stdin_text)
     sol = _solution_document(args, stdin_text)
     g = float(sol["gain"])
     h = np.asarray(sol["h"], dtype=np.float64)
@@ -343,7 +339,9 @@ def _cmd_simulate(args, stdin_text) -> int:
     else:
         _validate_or_die(model)
         f = modelio.policy_from_dict(pol_doc, model)
-        x0 = int(x0)
+        if isinstance(x0, bool) or not isinstance(x0, int):
+            raise UsageError(f"--x0 must be a JSON integer state index for "
+                             f"a tabulated model: {args.x0}")
 
     config = _base_config(args, doc)
     config.update({"mode": args.mode, "x0": _parse_json(args.x0, "--x0"),

@@ -42,12 +42,12 @@ class UniformizedKernel:
         """Sorted (targets, probabilities) for the row of (x, a)."""
         p = self.flat.pair_index(x, a)
         lo, hi = self.flat.Q.indptr[p], self.flat.Q.indptr[p + 1]
-        ys = self.flat.Q.indices[lo:hi].astype(np.int64)
-        probs = self.flat.Q.data[lo:hi] / self.m[x]
-        out = dict(zip(ys.tolist(), probs.tolist()))
-        out[x] = out.get(x, 0.0) + 1.0
-        ys = np.array(sorted(out), dtype=np.int64)
-        return ys, np.array([out[int(y)] for y in ys])
+        targets = self.flat.Q.indices[lo:hi]
+        ys = np.union1d(targets, [x]).astype(np.int64)
+        probs = np.zeros(len(ys))
+        probs[np.searchsorted(ys, targets)] = self.flat.Q.data[lo:hi] / self.m[x]
+        probs[np.searchsorted(ys, x)] += 1.0
+        return ys, probs
 
 
 def uniformize(model: CtmdpModel) -> UniformizedKernel:
@@ -130,6 +130,8 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     """
     if alpha <= 0:
         raise ModelError("discount rate alpha must be positive")
+    if not 0 <= x0 < model.n:
+        raise ModelError("reference state out of range")
     flat = model.flat()
     w = model.weights()
     g, h, iters, residual = _vi_relative(flat, alpha, x0, tol, max_iter,

@@ -173,14 +173,11 @@ def build_skip_free(params: dict) -> CtmdpModel:
         w = np.array([x + 1.0 for (x,) in labels])
         wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
         c = 0.5 * (mu - lam) if mu > lam else 1e-12
-        return LyapunovData(w=w, c=c, b=max(_fit_b(labels, entries, actions, w, c),
-                                            0.0) + 1e-9,
-                            M=_fit_M(labels, actions, reward, w) + 1e-9,
-                            M_q=_fit_Mq(labels, entries, actions, w) + 1e-9,
-                            wprime=wp,
-                            cprime=_fit_cprime(labels, entries, actions, wp) + 1e-9,
-                            bprime=0.0,
-                            Mprime=_fit_Mprime(labels, entries, actions, w, wp) + 1e-9)
+        b_fit, M, M_q, cprime, Mprime = _fit_constants(
+            labels, actions, entries, reward, w, wp, c)
+        return LyapunovData(w=w, c=c, b=max(b_fit, 0.0) + 1e-9, M=M + 1e-9,
+                            M_q=M_q + 1e-9, wprime=wp, cprime=cprime + 1e-9,
+                            bprime=0.0, Mprime=Mprime + 1e-9)
 
     fam = CountableFamily(
         dim=1, actions=actions, entries=entries, reward=reward,
@@ -195,55 +192,28 @@ def build_skip_free(params: dict) -> CtmdpModel:
     return truncate(fam, N)
 
 
-def _row_drift(lab, act, entries, u_of):
-    """Sum_y u(y) q(y|lab,act) for a raw countable row (diagonal implied)."""
-    total = 0.0
-    ux = u_of(lab)
-    for target, rate in entries(lab, act):
-        total += rate * (u_of(target) - ux)
-    return total
-
-
-def _fit_b(labels, entries, actions, w, c):
-    worst = -np.inf
+def _fit_constants(labels, actions, entries, reward, w, wp, c):
+    """Smallest (b, M, M_q, c', M') satisfying the Lyapunov conditions on
+    the raw (untruncated) 1-D rows, with w = x + 1 and w' = (x+1)(x+2);
+    each row's diagonal is implied by its sum."""
+    b = M = -np.inf
+    M_q, cprime, Mprime = 0.0, 1e-12, 1e-12
     for i, lab in enumerate(labels):
+        (x,) = lab
         for act in actions(lab):
-            lhs = _row_drift(lab, act, entries, lambda t: t[0] + 1.0)
-            worst = max(worst, lhs + c * w[i])
-    return worst
-
-
-def _fit_M(labels, actions, reward, w):
-    return max(abs(reward(lab, act)) / w[i]
-               for i, lab in enumerate(labels) for act in actions(lab))
-
-
-def _fit_Mq(labels, entries, actions, w):
-    worst = 0.0
-    for i, lab in enumerate(labels):
-        for act in actions(lab):
-            q = sum(rate for _, rate in entries(lab, act))
-            worst = max(worst, q / w[i])
-    return worst
-
-
-def _fit_cprime(labels, entries, actions, wp):
-    worst = 1e-12
-    for i, lab in enumerate(labels):
-        for act in actions(lab):
-            lhs = _row_drift(lab, act, entries,
-                             lambda t: (t[0] + 1.0) * (t[0] + 2.0))
-            worst = max(worst, lhs / wp[i])
-    return worst
-
-
-def _fit_Mprime(labels, entries, actions, w, wp):
-    worst = 1e-12
-    for i, lab in enumerate(labels):
-        q = max(sum(rate for _, rate in entries(lab, act))
-                for act in actions(lab))
-        worst = max(worst, q * w[i] / wp[i])
-    return worst
+            row = entries(lab, act)
+            drift_w = drift_wp = 0.0
+            for (t,), rate in row:
+                drift_w += rate * ((t + 1.0) - (x + 1.0))
+                drift_wp += rate * ((t + 1.0) * (t + 2.0)
+                                    - (x + 1.0) * (x + 2.0))
+            q = sum(rate for _, rate in row)
+            b = max(b, drift_w + c * w[i])
+            M = max(M, abs(reward(lab, act)) / w[i])
+            M_q = max(M_q, q / w[i])
+            cprime = max(cprime, drift_wp / wp[i])
+            Mprime = max(Mprime, q * w[i] / wp[i])
+    return b, M, M_q, cprime, Mprime
 
 
 # -- two M/M/1 queues in tandem ----------------------------------------------

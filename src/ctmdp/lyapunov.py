@@ -141,14 +141,11 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
                                                passed=True, slack=0.0)])
 
     flat = model.flat()
-    Qf = flat.Q[flat.starts + f.choice]          # row x is q(.|x, f(x))
+    pairs = flat.starts + f.choice               # row x is q(.|x, f(x))
     block = max(1, _TAIL_BLOCK_CELLS // n)
     worst = (np.inf, None, None, None, None)
     for x0 in range(0, n - 1, block):
-        rows = Qf[x0:min(x0 + block, n - 1) + 1]
-        dense = np.zeros(rows.shape)             # set, not summed: keeps -0.0
-        dense[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)),
-              rows.indices] = rows.data
+        dense = flat.dense_rows(pairs[x0:min(x0 + block, n - 1) + 1])
         tails = np.cumsum(dense[:, ::-1], axis=1)[:, ::-1]
         slack = tails[1:] - tails[:-1]
         slack[np.arange(len(slack)), np.arange(len(slack)) + x0 + 1] = np.inf

@@ -1,14 +1,16 @@
 """Core data types for CTMDP instances on finite state spaces.
 
 A model is the tuple (states, per-state action sets, rate kernel, reward
-table) plus optional Lyapunov weight data. Rate rows are stored sparsely
-per (state, action) with the diagonal entry included; all operations here
+table) plus optional Lyapunov weight data. The rates are stored once, as
+one CSR matrix over the (state, action) pairs with the diagonal entry
+included; every solver and check reads that matrix. All operations here
 are pure functions of their inputs and models are treated as immutable
 once validated.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -79,34 +81,69 @@ class ActionSets:
 class RateKernel:
     """Sparse transition-rate rows q(.|x,a), diagonal entry included.
 
-    Entries for each (x, a) are kept sorted by target state so that sparse
-    dot products have a fixed summation order.
+    The rows are one CSR matrix `Q` over the (state, action) pairs: row
+    starts[x] + a holds the entries of (x, a), sorted by target state so
+    that sparse dot products have a fixed summation order. `row` and
+    `rows` return views of `indices` and `data`; targets are not
+    range-checked here (CtmdpModel does that).
     """
 
     def __init__(self, rows):
         # rows: rows[x][a] = sequence of (target, rate) pairs
-        self.rows = []
-        for x, per_state in enumerate(rows):
-            acts = []
-            for entries in per_state:
-                if len(entries) == 0:
-                    ys = np.empty(0, dtype=np.int64)
-                    rates = np.empty(0, dtype=np.float64)
-                else:
-                    pairs = sorted((int(y), float(r)) for y, r in entries)
-                    ys = np.array([p[0] for p in pairs], dtype=np.int64)
-                    rates = np.array([p[1] for p in pairs], dtype=np.float64)
-                    if len(set(ys.tolist())) != len(ys):
-                        raise ModelError(f"duplicate target in rate row ({x})")
-                acts.append((ys, rates))
-            self.rows.append(acts)
+        pair_rows = [entries for per_state in rows for entries in per_state]
+        self._store([len(per_state) for per_state in rows],
+                    [len(entries) for entries in pair_rows],
+                    [int(y) for entries in pair_rows for y, _ in entries],
+                    [float(r) for entries in pair_rows for _, r in entries])
+
+    @classmethod
+    def from_pairs(cls, counts, lengths, targets, rates) -> "RateKernel":
+        """Kernel from flat lists: state x has counts[x] actions, pair p
+        (state-major order) has lengths[p] entries, and targets/rates hold
+        the entries of all pairs in pair order, in any order within a pair.
+        """
+        kernel = cls.__new__(cls)
+        kernel._store(counts, lengths, targets, rates)
+        return kernel
+
+    def _store(self, counts, lengths, targets, rates):
+        self.counts = np.asarray(counts, dtype=np.int64)   # actions per state
+        self.starts = np.cumsum(self.counts) - self.counts
+        pair = np.repeat(np.arange(len(lengths)), lengths)
+        ys = np.asarray(targets, dtype=np.int64)
+        order = np.lexsort((ys, pair))
+        ys = ys[order]
+        dup = (ys[1:] == ys[:-1]) & (pair[1:] == pair[:-1])
+        if dup.any():
+            x = self.state_of(pair[np.argmax(dup)])
+            raise ModelError(f"duplicate target in rate row ({x})")
+        self.Q = sp.csr_matrix(
+            (np.asarray(rates, dtype=np.float64)[order], ys,
+             np.concatenate(([0], np.cumsum(lengths)))),
+            shape=(len(lengths), len(counts)))
+        self.indptr, self.indices, self.data = self.Q.indptr, self.Q.indices, \
+            self.Q.data
+
+    def state_of(self, p: int) -> int:
+        """State of pair p."""
+        return int(np.searchsorted(self.starts, p, side="right")) - 1
+
+    @property
+    def rows(self) -> tuple:
+        """rows[x][a] = row(x, a), built on each access."""
+        cut = self.indptr[1:-1]
+        pairs = list(zip(np.split(self.indices, cut), np.split(self.data, cut)))
+        return tuple(tuple(pairs[s:s + c]) for s, c in
+                     zip(self.starts.tolist(), self.counts.tolist()))
 
     def row(self, x: int, a: int):
-        """Sorted (targets, rates) arrays for the row of (x, a)."""
-        return self.rows[x][a]
+        """Sorted (targets, rates) views of the row of (x, a)."""
+        p = self.starts[x] + a
+        lo, hi = self.indptr[p], self.indptr[p + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
 
     def rate(self, y: int, x: int, a: int) -> float:
-        ys, rates = self.rows[x][a]
+        ys, rates = self.row(x, a)
         i = np.searchsorted(ys, y)
         if i < len(ys) and ys[i] == y:
             return float(rates[i])
@@ -119,7 +156,7 @@ class RateKernel:
     def q_max(self, x: int) -> float:
         """q(x) = max over actions of the exit rate at x; NaN if any is."""
         return float(np.max([self.exit_rate(x, a)
-                             for a in range(len(self.rows[x]))]))
+                             for a in range(self.counts[x])]))
 
 
 @dataclass(frozen=True)
@@ -206,12 +243,24 @@ class FlatModel:
     a_of_pair: np.ndarray      # action index within the state
     starts: np.ndarray         # first pair index of each state
     Q: sp.csr_matrix           # n_pairs x n sparse rate rows (diagonal included)
+    pair_of_entry: np.ndarray  # row of each stored entry of Q
     r: np.ndarray              # reward per pair
     exit: np.ndarray           # exit rate per pair
     qmax: np.ndarray           # q(x) per state
 
     def pair_index(self, x: int, a: int) -> int:
         return int(self.starts[x]) + a
+
+    def dense_rows(self, pairs) -> np.ndarray:
+        """Rows `pairs` (distinct) of Q as a dense array, filled by
+        assignment (so a stored -0.0 survives)."""
+        row = np.full(self.n_pairs, -1)
+        row[pairs] = np.arange(len(pairs))
+        row = row[self.pair_of_entry]
+        keep = row >= 0
+        dense = np.zeros((len(pairs), self.n))
+        dense[row[keep], self.Q.indices[keep]] = self.Q.data[keep]
+        return dense
 
 
 @dataclass
@@ -228,17 +277,25 @@ class CtmdpModel:
 
     def __post_init__(self):
         n = self.states.size
-        if len(self.actions) != n or len(self.kernel.rows) != n \
+        kernel = self.kernel
+        if len(self.actions) != n or len(kernel.counts) != n \
                 or len(self.rewards.table) != n:
             raise ModelError("component tables disagree on the state count")
-        for x in range(n):
-            na = self.actions.n_actions(x)
-            if len(self.kernel.rows[x]) != na or len(self.rewards[x]) != na:
-                raise ModelError(f"action count mismatch at state {x}")
-            for a in range(na):
-                ys, _ = self.kernel.row(x, a)
-                if len(ys) and (ys[0] < 0 or ys[-1] >= n):
-                    raise ModelError(f"rate target out of range at ({x},{a})")
+        # first offender in state order; at one state the count comes first
+        na = [len(acts) for acts in self.actions.sets]
+        count_bad = np.flatnonzero(
+            (kernel.counts != na)
+            | (np.array([len(rs) for rs in self.rewards.table]) != na))
+        x_count = int(count_bad[0]) if len(count_bad) else n
+        off = np.flatnonzero((kernel.indices < 0) | (kernel.indices >= n))
+        if len(off):
+            p = int(np.searchsorted(kernel.indptr, off[0], side="right")) - 1
+            x = kernel.state_of(p)
+            if x < x_count:
+                raise ModelError(f"rate target out of range at "
+                                 f"({x},{p - int(kernel.starts[x])})")
+        if x_count < n:
+            raise ModelError(f"action count mismatch at state {x_count}")
         if self.lyapunov is not None and len(self.lyapunov.w) != n:
             raise ModelError("Lyapunov weight length mismatch")
 
@@ -269,24 +326,23 @@ class CtmdpModel:
 
 
 def _flatten(model: CtmdpModel) -> FlatModel:
-    n = model.n
-    counts = np.array([model.n_actions(x) for x in range(n)], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    n_pairs = int(counts.sum())
-    x_of = np.repeat(np.arange(n), counts)
-    a_of = np.concatenate([np.arange(c) for c in counts])
-    rows = [row for per_state in model.kernel.rows for row in per_state]
-    indptr = np.cumsum([0] + [len(ys) for ys, _ in rows])
-    Q = sp.csr_matrix((np.concatenate([rates for _, rates in rows]),
-                       np.concatenate([ys for ys, _ in rows]), indptr),
-                      shape=(n_pairs, n))
+    kernel = model.kernel
+    Q, starts = kernel.Q, kernel.starts
+    n_pairs, n = Q.shape
+    x_of = np.repeat(np.arange(n), kernel.counts)
+    a_of = np.arange(n_pairs) - starts[x_of]
     r = np.array([rr for per_state in model.rewards.table for rr in per_state])
     # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
-    ex = -Q[np.arange(n_pairs), x_of].A1
-    qmax = np.zeros(n)
-    np.maximum.at(qmax, x_of, ex)
+    pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
+    diag = Q.indices == x_of[pair_of_entry]
+    ex = np.zeros(n_pairs)
+    ex[pair_of_entry[diag]] = Q.data[diag]
+    ex = -ex
+    # q(x) = max(0, exit rates of x), NaN if any is NaN
+    qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
     return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
-                     starts=starts, Q=Q, r=r, exit=ex, qmax=qmax)
+                     starts=starts, Q=Q, pair_of_entry=pair_of_entry, r=r,
+                     exit=ex, qmax=qmax)
 
 
 @dataclass
@@ -313,7 +369,7 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
 
     # scan only states with a bad entry (which a non-finite q(x) needs),
     # row sum (CSR matvec sums left to right from 0.0, as the scan) or reward
-    entry_x = np.repeat(flat.x_of_pair, np.diff(flat.Q.indptr))
+    entry_x = flat.x_of_pair[flat.pair_of_entry]
     vals = flat.Q.data
     bad_entry = ~np.isfinite(vals) | np.where(flat.Q.indices == entry_x,
                                               vals > 0, vals < 0)
@@ -404,20 +460,16 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     if N < family.min_level:
         raise ModelError(f"truncation level {N} below the minimum "
                          f"{family.min_level} for family {family.name}")
-    if family.dim == 1:
-        labels = [(x,) for x in range(N + 1)]
-    else:
-        grids = np.meshgrid(*[np.arange(N + 1)] * family.dim, indexing="ij")
-        labels = [tuple(int(g[idx]) for g in grids)
-                  for idx in np.ndindex(*grids[0].shape)]
+    labels = list(itertools.product(range(N + 1), repeat=family.dim))
     index = {lab: i for i, lab in enumerate(labels)}
 
-    action_sets, rate_rows, reward_rows = [], [], []
-    for lab in labels:
+    action_sets, reward_rows = [], []
+    lengths, targets, rates = [], [], []
+    for x, lab in enumerate(labels):
         acts = [tuple(a) for a in family.actions(lab)]
-        per_state_rows, per_state_rewards = [], []
+        per_state_rewards = []
         for a in acts:
-            mass = {}
+            mass = {}      # clamped target -> rate, merged in entry order
             for target, rate in family.entries(lab, a):
                 clamped = tuple(min(int(t), N) for t in target)
                 if any(t < 0 for t in clamped):
@@ -425,12 +477,13 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
                 if clamped == lab:
                     continue   # folded into the diagonal
                 mass[index[clamped]] = mass.get(index[clamped], 0.0) + float(rate)
-            diag = -sum(mass.values())
-            mass[index[lab]] = diag
-            per_state_rows.append(sorted(mass.items()))
+            targets.extend(mass)
+            targets.append(x)
+            rates.extend(mass.values())
+            rates.append(-sum(mass.values()))
+            lengths.append(len(mass) + 1)
             per_state_rewards.append(family.reward(lab, a))
         action_sets.append(acts)
-        rate_rows.append(per_state_rows)
         reward_rows.append(per_state_rewards)
 
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
@@ -438,7 +491,8 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
         actions=ActionSets(sets=tuple(action_sets), grid_meta=family.grid_meta),
-        kernel=RateKernel(rate_rows),
+        kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
+                                     lengths, targets, rates),
         rewards=RewardTable(table=tuple(reward_rows)),
         lyapunov=lyap,
         provenance=f"builtin:{family.name}:{family.params}",

@@ -69,6 +69,40 @@ def _need(doc: dict, key: str, where: str = "top level"):
     return doc[key]
 
 
+def _per_pair(doc: dict, key: str, actions: ActionSets, read, what: str):
+    """read(rec, x, where) of each record of doc[key], filed by its (x, a);
+    every (x, a) of the model needs one."""
+    rows = [[None] * len(acts) for acts in actions.sets]
+    for i, rec in enumerate(_need(doc, key)):
+        where = f"{key}[{i}]"
+        x = int(_need(rec, "x", where))
+        a = int(_need(rec, "a", where))
+        if not (0 <= x < len(rows) and 0 <= a < len(rows[x])):
+            raise ModelFileError(f"(x, a) out of range at {where}")
+        rows[x][a] = read(rec, x, where)
+    for x, per_state in enumerate(rows):
+        if None in per_state:
+            raise ModelFileError(f"no {what} supplied for "
+                                 f"({x}, {per_state.index(None)})")
+    return rows
+
+
+def _rate_entries(rec: dict, x: int, where: str) -> dict:
+    """target -> rate of one rate record, the diagonal completed if absent
+    so that the row is conservative."""
+    entries = {}
+    for pair in _need(rec, "entries", where):
+        if len(pair) != 2:
+            raise ModelFileError(f"entry is not a [y, rate] pair at {where}")
+        y, rate = int(pair[0]), float(pair[1])
+        if y in entries:
+            raise ModelFileError(f"duplicate target {y} at {where}")
+        entries[y] = rate
+    if x not in entries:
+        entries[x] = -sum(entries.values())
+    return entries
+
+
 def _explicit_model(doc: dict) -> CtmdpModel:
     n = int(_need(doc, "states"))
     actions_doc = _need(doc, "actions")
@@ -81,42 +115,16 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
 
-    rate_rows = [[None] * actions.n_actions(x) for x in range(n)]
-    for i, rec in enumerate(_need(doc, "rates")):
-        where = f"rates[{i}]"
-        x = int(_need(rec, "x", where))
-        a = int(_need(rec, "a", where))
-        if not (0 <= x < n and 0 <= a < actions.n_actions(x)):
-            raise ModelFileError(f"(x, a) out of range at {where}")
-        entries = {}
-        for pair in _need(rec, "entries", where):
-            if len(pair) != 2:
-                raise ModelFileError(f"entry is not a [y, rate] pair at {where}")
-            y, rate = int(pair[0]), float(pair[1])
-            if y in entries:
-                raise ModelFileError(f"duplicate target {y} at {where}")
-            entries[y] = rate
-        if x not in entries:
-            # auto-complete the diagonal so the row is conservative
-            entries[x] = -sum(entries.values())
-        rate_rows[x][a] = sorted(entries.items())
-    for x in range(n):
-        for a in range(actions.n_actions(x)):
-            if rate_rows[x][a] is None:
-                raise ModelFileError(f"no rate row supplied for ({x}, {a})")
-
-    reward_rows = [[None] * actions.n_actions(x) for x in range(n)]
-    for i, rec in enumerate(_need(doc, "rewards")):
-        where = f"rewards[{i}]"
-        x = int(_need(rec, "x", where))
-        a = int(_need(rec, "a", where))
-        if not (0 <= x < n and 0 <= a < actions.n_actions(x)):
-            raise ModelFileError(f"(x, a) out of range at {where}")
-        reward_rows[x][a] = float(_need(rec, "r", where))
-    for x in range(n):
-        for a in range(actions.n_actions(x)):
-            if reward_rows[x][a] is None:
-                raise ModelFileError(f"no reward supplied for ({x}, {a})")
+    rate_rows = _per_pair(doc, "rates", actions, _rate_entries, "rate row")
+    pair_rows = [entries for per_state in rate_rows for entries in per_state]
+    kernel = RateKernel.from_pairs(
+        [len(per_state) for per_state in rate_rows],
+        [len(entries) for entries in pair_rows],
+        [y for entries in pair_rows for y in entries],
+        [rate for entries in pair_rows for rate in entries.values()])
+    reward_rows = _per_pair(
+        doc, "rewards", actions,
+        lambda rec, x, where: float(_need(rec, "r", where)), "reward")
 
     lyap = None
     if doc.get("lyapunov") is not None:
@@ -143,7 +151,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
                                   tuple(lab) if isinstance(lab, list) else (lab,)
                                   for lab in labels)),
             actions=actions,
-            kernel=RateKernel(rate_rows),
+            kernel=kernel,
             rewards=RewardTable(table=tuple(tuple(row) for row in reward_rows)),
             lyapunov=lyap,
             provenance="explicit")
@@ -190,14 +198,18 @@ def load_model(path: str):
 
 def model_to_dict(model: CtmdpModel) -> dict:
     """Explicit-form document for a tabulated model; round-trips exactly."""
+    kernel = model.kernel
+    ptr, ys, vals = (a.tolist() for a in (kernel.indptr, kernel.indices,
+                                          kernel.data))
     rates, rewards = [], []
+    p = 0
     for x in range(model.n):
         for a in range(model.n_actions(x)):
-            ys, rr = model.kernel.row(x, a)
-            rates.append({"x": x, "a": a,
-                          "entries": [[int(y), float(v)]
-                                      for y, v in zip(ys, rr)]})
+            rates.append({"x": x, "a": a, "entries": [
+                list(e) for e in zip(ys[ptr[p]:ptr[p + 1]],
+                                     vals[ptr[p]:ptr[p + 1]])]})
             rewards.append({"x": x, "a": a, "r": model.rewards.rate(x, a)})
+            p += 1
     doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
            "states": model.n,
            "actions": [[list(a) for a in model.actions[x]]

@@ -286,6 +286,9 @@ def test_cli_simulation_error_report_goes_to_out(tmp_path, capsys,
     (["--mode", "lyapunov", "--checkpoints", "1,nan"], "--checkpoints"),
     (["--mode", "lyapunov", "--checkpoints", "1,x"], "--checkpoints"),
     (["--x0", "7"], "start state 7"),
+    (["--x0", "1.7"], "--x0"),
+    (["--x0", "true"], "--x0"),
+    (["--x0", '"1"'], "--x0"),
 ])
 def test_cli_simulate_rejects_bad_checkpoints_and_start(tmp_path, capsys,
                                                         flags, flag):
@@ -296,3 +299,12 @@ def test_cli_simulate_rejects_bad_checkpoints_and_start(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("x0", ["99", "-1"])
+def test_cli_solve_discounted_rejects_out_of_range_x0(capsys, x0):
+    assert run(["solve-discounted", "--builtin", "mmn0", "--params", MMN0,
+                "--alpha", "0.5", "--x0", x0]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reference state out of range" in captured.err

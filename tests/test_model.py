@@ -96,6 +96,71 @@ def test_mismatched_tables_rejected():
         )
 
 
+def test_kernel_rows_are_views_of_the_pair_csr():
+    m = ctmdp.build("tandem", {"N": 3, "G": 2})
+    flat = m.flat()
+    assert flat.Q is m.kernel.Q
+    rows = m.kernel.rows
+    for x in range(m.n):
+        for a in range(m.n_actions(x)):
+            ys, rates = m.kernel.row(x, a)
+            assert np.shares_memory(rates, flat.Q.data)
+            assert np.shares_memory(ys, flat.Q.indices)
+            assert rows[x][a][0] is not ys
+            assert np.array_equal(rows[x][a][0], ys)
+            assert np.array_equal(rows[x][a][1], rates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.dictionaries(
+    st.integers(0, 5), st.floats(allow_nan=False, width=64), max_size=6),
+    min_size=1, max_size=3), min_size=1, max_size=6), st.randoms())
+def test_kernel_sorts_each_row_by_target(rows, rnd):
+    given_rows = []
+    for per_state in rows:
+        given_rows.append([])
+        for entries in per_state:
+            items = list(entries.items())
+            rnd.shuffle(items)
+            given_rows[-1].append(items)
+    kernel = RateKernel(given_rows)
+    for x, per_state in enumerate(rows):
+        assert kernel.counts[x] == len(per_state)
+        for a, entries in enumerate(per_state):
+            ys, rates = kernel.row(x, a)
+            assert list(zip(ys.tolist(), rates.tolist())) == sorted(
+                entries.items())
+
+
+def test_kernel_rejects_duplicate_target():
+    with pytest.raises(ModelError, match=r"duplicate target in rate row \(1\)"):
+        RateKernel([[[(0, 0.0)]], [[(0, 1.0), (1, -1.0)], [(1, 2.0), (1, 1.0)]],
+                    [[(0, 1.0), (0, 1.0)]]])
+
+
+@pytest.mark.parametrize("rows, rewards, message", [
+    # state 1 has too few rate rows, state 2 an out-of-range target
+    ([[[(0, 0.0)]], [[(1, 0.0)]], [[(2, -1.0), (9, 1.0)]]],
+     ((0.0,), (0.0, 0.0), (0.0,)), "action count mismatch at state 1"),
+    # an out-of-range target comes before a mismatch at a later state
+    ([[[(0, -1.0), (5, 1.0)]], [[(1, 0.0)]], [[(2, 0.0)]]],
+     ((0.0,), (0.0, 0.0), (0.0,)), r"rate target out of range at \(0,0\)"),
+    ([[[(0, 0.0)]], [[(1, 0.0)], [(-1, 1.0), (1, -1.0)]], [[(2, 0.0)]]],
+     ((0.0,), (0.0, 0.0), (0.0, 0.0)), r"rate target out of range at \(1,1\)"),
+    # at one state the count mismatch is named first
+    ([[[(0, 0.0)]], [[(1, 0.0)], [(3, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
+     ((0.0,), (0.0, 0.0), (0.0,)), "action count mismatch at state 1"),
+    ([[[(0, 0.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
+     ((0.0,), (0.0, 0.0), (0.0, 0.0)), "action count mismatch at state 2"),
+])
+def test_model_names_first_structural_offender(rows, rewards, message):
+    with pytest.raises(ModelError, match=message):
+        CtmdpModel(states=StateSpace(size=3),
+                   actions=ActionSets(sets=(((0.0,),), ((0.0,), (1.0,)),
+                                            ((0.0,),))),
+                   kernel=RateKernel(rows), rewards=RewardTable(table=rewards))
+
+
 def test_policy_bounds_checked():
     m = two_state_model()
     with pytest.raises(ModelError):
