@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -168,11 +167,7 @@ def _emit_series(path, header, rows) -> None:
 def _base_config(args, model_doc) -> dict:
     """The resolved options; kept on args as well, so that an error report
     echoes them with whatever the handler adds."""
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = int(os.environ.get("CTMDP_THREADS", os.cpu_count() or 1))
-    args.config = {"subcommand": args.command, "model": model_doc,
-                   "threads": threads}
+    args.config = {"subcommand": args.command, "model": model_doc}
     return args.config
 
 
@@ -393,8 +388,6 @@ def _add_model_args(p):
 
 def _add_common(p):
     p.add_argument("--out", help="write the JSON report here (default stdout)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: CTMDP_THREADS or all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

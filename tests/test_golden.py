@@ -1,7 +1,7 @@
 """Golden CLI reports: stored stdout bytes and exit status that the
 current code must reproduce exactly.
 
-* `validate --checks drift,bounds,monotone --threads 1` for each tabulated
+* `validate --checks drift,bounds,monotone` for each tabulated
   builtin at a small level and for an explicit model that triggers every
   violation kind (captured with the pointwise loop implementation of the
   checks);
@@ -48,7 +48,7 @@ def golden(stem):
 
 def validate_argv(name):
     return (["validate"] + CASES[name]
-            + ["--checks", "drift,bounds,monotone", "--threads", "1"])
+            + ["--checks", "drift,bounds,monotone"])
 
 
 def pipeline_argv(command, name, tmp_path):
@@ -65,8 +65,7 @@ def pipeline_argv(command, name, tmp_path):
         path.write_text(json.dumps({"policy": solution["report"]["policy"]}))
         extra = ["--policy", str(path), "--mode", "average", "--horizon", "50",
                  "--reps", "4", "--seed", "1"]
-    return ([command.replace("_", "-")] + PIPELINE_MODELS[name] + extra
-            + ["--threads", "1"])
+    return [command.replace("_", "-")] + PIPELINE_MODELS[name] + extra
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
