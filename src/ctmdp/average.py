@@ -11,6 +11,7 @@ result.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,14 +265,8 @@ def brute_force_oracle(model: CtmdpModel,
     stationary-distribution / Poisson-equation linear solves and share no
     code with the discounted iteration.
     """
-    n = model.n
-    counts = [model.n_actions(x) for x in range(n)]
-    total = 1
-    for c in counts:
-        total *= c
-        if total > enumeration_limit:
-            break
-    if total > enumeration_limit:
+    counts = model.kernel.counts.tolist()
+    if math.prod(counts) > enumeration_limit:
         gain, f = _policy_iteration(model)
         return OracleResult(gain=gain, policy=f, method="policy_iteration")
 

@@ -78,9 +78,8 @@ def _model_document(args, stdin_text) -> dict:
             doc = doc["config"].get("model", doc)
         return doc
     if getattr(args, "builtin", None):
-        doc = {"kind": "builtin", "name": args.builtin,
-               "params": _params_arg(getattr(args, "params", None))}
-        return doc
+        return {"kind": "builtin", "name": args.builtin,
+                "params": _params_arg(getattr(args, "params", None))}
     raise UsageError("one of --model or --builtin is required")
 
 

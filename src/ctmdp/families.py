@@ -28,16 +28,17 @@ def _grid(lo: float, hi: float, G: int) -> list:
 
 # -- controlled birth-death system -------------------------------------------
 
-def _rc_fn(spec: dict):
+def _rc_fn(spec: dict, mu2: float):
+    """Control cost r_c(x, a) of a named spec and its growth constant M~
+    (r_c <= M~ (x + 1) for kappa >= 0 and actions a <= mu2)."""
     kind = spec.get("kind", "zero")
     kappa = float(spec.get("kappa", 0.0))
     if kind == "zero":
         return (lambda x, a: 0.0), 0.0
     if kind == "linear":
-        # cost kappa * a * x; bounded by kappa*mu2*(x+1)
-        return (lambda x, a: kappa * a * x), None
+        return (lambda x, a: kappa * a * x), kappa * mu2
     if kind == "quadratic":
-        return (lambda x, a: kappa * a * a), None
+        return (lambda x, a: kappa * a * a), kappa * mu2 * mu2
     raise ModelError(f"unknown control-cost spec {kind!r}")
 
 
@@ -59,7 +60,7 @@ def build_birth_death(params: dict) -> CtmdpModel:
     if N < 3:
         raise ModelError("birth-death truncation needs N >= 3")
     p2 = 1.0 - p1
-    rc, _ = _rc_fn(rc_spec)
+    rc, M_tilde = _rc_fn(rc_spec, mu2)
     grid = _grid(mu1, mu2, G)
 
     def entries(lab, act):
@@ -73,15 +74,6 @@ def build_birth_death(params: dict) -> CtmdpModel:
         if p1 > 0:
             out.append(((x - 2,), p1 * a * x))
         return out
-
-    kind = rc_spec.get("kind", "zero")
-    kappa = float(rc_spec.get("kappa", 0.0))
-    if kind == "zero":
-        M_tilde = 0.0
-    elif kind == "linear":
-        M_tilde = kappa * mu2
-    else:
-        M_tilde = kappa * mu2 * mu2
 
     def lyapunov(labels):
         w = np.array([x + 1.0 for (x,) in labels])

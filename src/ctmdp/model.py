@@ -79,13 +79,11 @@ class ActionSets:
 
 
 class RateKernel:
-    """Sparse transition-rate rows q(.|x,a), diagonal entry included.
-
-    The rows are one CSR matrix `Q` over the (state, action) pairs: row
-    starts[x] + a holds the entries of (x, a), sorted by target state so
-    that sparse dot products have a fixed summation order. `row` and
-    `rows` return views of `indices` and `data`; targets are not
-    range-checked here (CtmdpModel does that).
+    """Sparse transition-rate rows q(.|x,a), diagonal entry included, as
+    one CSR matrix `Q` over the (state, action) pairs: row starts[x] + a
+    holds the entries of (x, a), sorted by target state so that sparse dot
+    products have a fixed summation order. `row` and `rows` return views
+    of it. CtmdpModel range-checks the targets.
     """
 
     def __init__(self, rows):
@@ -99,9 +97,8 @@ class RateKernel:
     @classmethod
     def from_pairs(cls, counts, lengths, targets, rates) -> "RateKernel":
         """Kernel from flat lists: state x has counts[x] actions, pair p
-        (state-major order) has lengths[p] entries, and targets/rates hold
-        the entries of all pairs in pair order, in any order within a pair.
-        """
+        (state-major order) lengths[p] entries, and targets/rates hold the
+        entries of all pairs in pair order (any order within a pair)."""
         kernel = cls.__new__(cls)
         kernel._store(counts, lengths, targets, rates)
         return kernel
@@ -251,15 +248,21 @@ class FlatModel:
     def pair_index(self, x: int, a: int) -> int:
         return int(self.starts[x]) + a
 
-    def dense_rows(self, pairs) -> np.ndarray:
-        """Rows `pairs` (distinct) of Q as a dense array, filled by
-        assignment (so a stored -0.0 survives)."""
+    def entries_of(self, pairs):
+        """(i, target, rate) of each stored entry of row pairs[i] of Q, for
+        distinct pairs, in storage order."""
         row = np.full(self.n_pairs, -1)
         row[pairs] = np.arange(len(pairs))
         row = row[self.pair_of_entry]
         keep = row >= 0
+        return row[keep], self.Q.indices[keep], self.Q.data[keep]
+
+    def dense_rows(self, pairs) -> np.ndarray:
+        """Rows `pairs` of Q as a dense array, filled by assignment (so a
+        stored -0.0 survives)."""
         dense = np.zeros((len(pairs), self.n))
-        dense[row[keep], self.Q.indices[keep]] = self.Q.data[keep]
+        i, ys, rates = self.entries_of(pairs)
+        dense[i, ys] = rates
         return dense
 
 
@@ -332,12 +335,10 @@ def _flatten(model: CtmdpModel) -> FlatModel:
     x_of = np.repeat(np.arange(n), kernel.counts)
     a_of = np.arange(n_pairs) - starts[x_of]
     r = np.array([rr for per_state in model.rewards.table for rr in per_state])
-    # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
     pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
     diag = Q.indices == x_of[pair_of_entry]
-    ex = np.zeros(n_pairs)
-    ex[pair_of_entry[diag]] = Q.data[diag]
-    ex = -ex
+    ex = np.full(n_pairs, -0.0)     # where a row has no diagonal entry, as
+    ex[pair_of_entry[diag]] = -Q.data[diag]     # RateKernel.exit_rate gives
     # q(x) = max(0, exit rates of x), NaN if any is NaN
     qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
     return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
@@ -504,5 +505,4 @@ def boundary_states(model: CtmdpModel) -> np.ndarray:
     N = model.states.truncation_level
     if N is None or model.states.labels is None:
         return np.empty(0, dtype=np.int64)
-    return np.array([i for i, lab in enumerate(model.states.labels)
-                     if any(t == N for t in lab)], dtype=np.int64)
+    return np.flatnonzero((np.array(model.states.labels) == N).any(axis=1))

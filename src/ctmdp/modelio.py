@@ -109,9 +109,8 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     if len(actions_doc) != n:
         raise ModelFileError("'actions' length does not match 'states'")
     try:
-        actions = ActionSets(sets=tuple(
-            tuple(tuple(float(v) for v in np.atleast_1d(a)) for a in acts)
-            for acts in actions_doc))
+        actions = ActionSets(sets=tuple(tuple(np.atleast_1d(a) for a in acts)
+                                        for acts in actions_doc))
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
 
@@ -146,10 +145,8 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     labels = doc.get("labels")
     try:
         return CtmdpModel(
-            states=StateSpace(size=n,
-                              labels=None if labels is None else tuple(
-                                  tuple(lab) if isinstance(lab, list) else (lab,)
-                                  for lab in labels)),
+            states=StateSpace(size=n, labels=None if labels is None
+                              else tuple(labels)),
             actions=actions,
             kernel=kernel,
             rewards=RewardTable(table=tuple(tuple(row) for row in reward_rows)),
@@ -198,18 +195,12 @@ def load_model(path: str):
 
 def model_to_dict(model: CtmdpModel) -> dict:
     """Explicit-form document for a tabulated model; round-trips exactly."""
-    kernel = model.kernel
-    ptr, ys, vals = (a.tolist() for a in (kernel.indptr, kernel.indices,
-                                          kernel.data))
     rates, rewards = [], []
-    p = 0
-    for x in range(model.n):
-        for a in range(model.n_actions(x)):
+    for x, per_state in enumerate(model.kernel.rows):
+        for a, (ys, vals) in enumerate(per_state):
             rates.append({"x": x, "a": a, "entries": [
-                list(e) for e in zip(ys[ptr[p]:ptr[p + 1]],
-                                     vals[ptr[p]:ptr[p + 1]])]})
+                list(e) for e in zip(ys.tolist(), vals.tolist())]})
             rewards.append({"x": x, "a": a, "r": model.rewards.rate(x, a)})
-            p += 1
     doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
            "states": model.n,
            "actions": [[list(a) for a in model.actions[x]]

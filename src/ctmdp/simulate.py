@@ -103,11 +103,10 @@ class _PolicyChain:
     def __init__(self, model: CtmdpModel, f: StationaryPolicy):
         model.check_policy(f)
         flat = model.flat()
-        rows = flat.Q[flat.starts + f.choice]
         n = self.n = model.n
-        x_of = np.repeat(np.arange(n), np.diff(rows.indptr))
-        off = rows.indices != x_of
-        x_of, ys, rates = x_of[off], rows.indices[off], rows.data[off]
+        x_of, ys, rates = flat.entries_of(flat.starts + f.choice)
+        off = ys != x_of
+        x_of, ys, rates = x_of[off], ys[off], rates[off]
         counts = np.bincount(x_of, minlength=n)
         K = max(int(counts.max()), 1)
         col = np.arange(len(ys)) - np.repeat(np.cumsum(counts) - counts,
