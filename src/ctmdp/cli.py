@@ -78,8 +78,9 @@ def _model_document(args, stdin_text) -> dict:
             doc = doc["config"].get("model", doc)
         return doc
     if getattr(args, "builtin", None):
-        return {"kind": "builtin", "name": args.builtin,
-                "params": _params_arg(getattr(args, "params", None))}
+        doc = {"kind": "builtin", "name": args.builtin,
+               "params": _params_arg(getattr(args, "params", None))}
+        return doc
     raise UsageError("one of --model or --builtin is required")
 
 

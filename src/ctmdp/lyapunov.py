@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .families import _rc_fn
 from .model import CtmdpModel, ModelError, StationaryPolicy, boundary_states
 
 SLACK_TOL = -1e-10
@@ -175,18 +176,11 @@ def check_example_conditions(name: str, params: dict) -> DriftReport:
         checks = [_cond("E1", mu1 - lam),
                   _cond("E2", mu1 / (2.0 * mu2) - p1)]
         # E3: named control-cost specs are continuous in a; check the
-        # linear-growth envelope of sup_a |r_c(x, a)| on a state sample
-        kind = rc_spec.get("kind", "zero")
-        kappa = float(rc_spec.get("kappa", 0.0))
+        # linear-growth envelope of sup_a |r_c(x, a)| = r_c(x, mu2) on a
+        # state sample
+        rc, _ = _rc_fn(rc_spec, mu2)
         xs = np.arange(0, 201)
-        if kind == "zero":
-            cstar = np.zeros_like(xs, dtype=float)
-        elif kind == "linear":
-            cstar = kappa * mu2 * xs.astype(float)
-        elif kind == "quadratic":
-            cstar = np.full(len(xs), kappa * mu2 * mu2)
-        else:
-            raise ModelError(f"unknown control-cost spec {kind!r}")
+        cstar = np.array([rc(x, mu2) for x in xs.tolist()], dtype=float)
         ratio = float(np.max(cstar / (xs + 1.0)))
         m_tilde = ratio + 1.0   # strict inequality wanted; any larger works
         checks.append(_cond("E3", float(np.min(m_tilde * (xs + 1.0) - cstar)),

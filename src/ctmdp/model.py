@@ -135,6 +135,8 @@ class RateKernel:
 
     def row(self, x: int, a: int):
         """Sorted (targets, rates) views of the row of (x, a)."""
+        if not 0 <= a < self.counts[x]:
+            raise IndexError(f"action {a} out of range at state {x}")
         p = self.starts[x] + a
         lo, hi = self.indptr[p], self.indptr[p + 1]
         return self.indices[lo:hi], self.data[lo:hi]
@@ -337,8 +339,9 @@ def _flatten(model: CtmdpModel) -> FlatModel:
     r = np.array([rr for per_state in model.rewards.table for rr in per_state])
     pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
     diag = Q.indices == x_of[pair_of_entry]
-    ex = np.full(n_pairs, -0.0)     # where a row has no diagonal entry, as
-    ex[pair_of_entry[diag]] = -Q.data[diag]     # RateKernel.exit_rate gives
+    # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
+    ex = np.full(n_pairs, -0.0)
+    ex[pair_of_entry[diag]] = -Q.data[diag]
     # q(x) = max(0, exit rates of x), NaN if any is NaN
     qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
     return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
@@ -505,4 +508,5 @@ def boundary_states(model: CtmdpModel) -> np.ndarray:
     N = model.states.truncation_level
     if N is None or model.states.labels is None:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero((np.array(model.states.labels) == N).any(axis=1))
+    return np.array([i for i, lab in enumerate(model.states.labels)
+                     if any(t == N for t in lab)], dtype=np.int64)

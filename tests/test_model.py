@@ -109,6 +109,8 @@ def test_kernel_rows_are_views_of_the_pair_csr():
             assert rows[x][a][0] is not ys
             assert np.array_equal(rows[x][a][0], ys)
             assert np.array_equal(rows[x][a][1], rates)
+        with pytest.raises(IndexError):
+            m.kernel.row(x, m.n_actions(x))
 
 
 @settings(max_examples=100, deadline=None)
