@@ -9,7 +9,10 @@ current code must reproduce exactly.
   `simulate --mode average --horizon 50 --reps 4 --seed 1` (following the
   solved policy) for the same builtins and a valid explicit model file
   (captured with per-row rate storage, before the kernel became one CSR
-  matrix).
+  matrix);
+* `describe` for each builtin, and `validate` of the continuous-state
+  redistribution process (captured before the family specs were
+  gathered into one `FamilySpec` per builtin).
 """
 
 import json
@@ -40,6 +43,13 @@ PIPELINE_MODELS = {
     "explicit": ["--model", str(GOLDEN / "explicit_model.json")],
 }
 PIPELINE_COMMANDS = ("solve_average", "verify", "oracle", "simulate")
+
+SPEC_REPORTS = {
+    **{f"describe_{name}": ["describe", "--builtin", name]
+       for name in ("birth_death", "skip_free", "tandem", "mmn0", "potlach")},
+    "validate_potlach": ["validate", "--builtin", "potlach", "--params",
+                         '{"d":2,"lambda":2.0}'],
+}
 
 
 def golden(stem):
@@ -81,6 +91,14 @@ def test_validate_report_matches_golden(name, capsys):
 def test_pipeline_report_matches_golden(command, name, tmp_path, capsys):
     expected = golden(f"{command}_{name}")
     code = run(pipeline_argv(command, name, tmp_path))
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
+@pytest.mark.parametrize("stem", sorted(SPEC_REPORTS))
+def test_spec_report_matches_golden(stem, capsys):
+    expected = golden(stem)
+    code = run(SPEC_REPORTS[stem])
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
 
