@@ -27,7 +27,8 @@ from .discounted import ConvergenceError, solve_discounted
 from .families import PotlachPolicy, PotlachProcess
 from .lyapunov import (check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
-from .model import CtmdpModel, ModelError, StationaryPolicy, validate_model
+from .model import (CtmdpModel, ModelError, StationaryPolicy, typed,
+                    validate_model)
 from .modelio import ModelFileError, dumps
 from .simulate import (SimulationError, check_lyapunov_bound,
                        estimate_average_reward, estimate_ergodicity)
@@ -60,14 +61,13 @@ def _parse_json(text: str, what: str):
                          f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _params_arg(raw):
-    """--params accepts inline JSON or a path to a JSON file."""
+def _params_arg(raw, stdin_text):
+    """--params: a JSON object, inline or in a file."""
     if raw is None:
         return {}
-    if raw.strip().startswith("{"):
-        return _parse_json(raw, "--params")
-    with open(raw, "r", encoding="utf-8") as fh:
-        return _parse_json(fh.read(), raw)
+    inline = raw.strip()[:1] in ("{", "[")
+    return typed(_parse_json(raw if inline else _read_text(raw, stdin_text),
+                             "--params"), dict, "--params")
 
 
 def _model_document(args, stdin_text) -> dict:
@@ -78,9 +78,9 @@ def _model_document(args, stdin_text) -> dict:
             doc = doc["config"].get("model", doc)
         return doc
     if getattr(args, "builtin", None):
-        doc = {"kind": "builtin", "name": args.builtin,
-               "params": _params_arg(getattr(args, "params", None))}
-        return doc
+        return {"kind": "builtin", "name": args.builtin,
+                "params": _params_arg(getattr(args, "params", None),
+                                      stdin_text)}
     raise UsageError("one of --model or --builtin is required")
 
 
@@ -109,14 +109,18 @@ def _valid_tabulated_model(args, stdin_text):
     return doc, model
 
 
-def _solution_document(args, stdin_text) -> dict:
-    doc = _parse_json(_read_text(args.solution, stdin_text), "--solution")
+def _solution(args, stdin_text) -> tuple:
+    """Gain, relative values and policy document of --solution."""
+    doc = typed(_parse_json(_read_text(args.solution, stdin_text),
+                            "--solution"), dict, "--solution")
     if "gain" not in doc and "report" in doc:
-        doc = doc["report"]
+        doc = typed(doc["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
         if key not in doc:
             raise UsageError(f"solution document lacks field {key!r}")
-    return doc
+    return (typed(doc["gain"], float, "--solution 'gain'"),
+            np.array(typed(doc["h"], [float], "--solution 'h'")),
+            doc["policy"])
 
 
 def _checkpoints_arg(raw, default):
@@ -251,8 +255,9 @@ def _cmd_oracle(args, stdin_text) -> int:
 def _cmd_sensitivity(args, stdin_text) -> int:
     if not args.builtin:
         raise UsageError("sensitivity requires --builtin")
-    params = _params_arg(args.params)
-    levels = [int(v) for v in args.levels.split(",")]
+    params = _params_arg(args.params, stdin_text)
+    levels = typed(_parse_json(f"[{args.levels}]", "--levels"), [int],
+                   "--levels")
     schedule = VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
                                  steps=args.steps, x0=args.x0)
     config = args.config = {
@@ -272,10 +277,8 @@ def _cmd_sensitivity(args, stdin_text) -> int:
 
 def _cmd_verify(args, stdin_text) -> int:
     doc, model = _valid_tabulated_model(args, stdin_text)
-    sol = _solution_document(args, stdin_text)
-    g = float(sol["gain"])
-    h = np.asarray(sol["h"], dtype=np.float64)
-    f = modelio.policy_from_dict(sol["policy"], model)
+    g, h, pol_doc = _solution(args, stdin_text)
+    f = modelio.policy_from_dict(pol_doc, model)
     upper = certify_upper(model, g, h, tol=args.tol)
     lower = certify_lower(model, g, h, f, tol=args.tol)
     config = _base_config(args, doc)
@@ -290,11 +293,9 @@ def _cmd_martingale(args, stdin_text) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     doc, model = _valid_tabulated_model(args, stdin_text)
-    sol = _solution_document(args, stdin_text)
-    g = float(sol["gain"])
-    h = np.asarray(sol["h"], dtype=np.float64)
+    g, h, pol_doc = _solution(args, stdin_text)
     if args.policy == "star":
-        f = modelio.policy_from_dict(sol["policy"], model)
+        f = modelio.policy_from_dict(pol_doc, model)
     else:
         f = modelio.policy_from_dict(
             _parse_json(_read_text(args.policy, stdin_text), "--policy"),
@@ -321,22 +322,24 @@ def _cmd_simulate(args, stdin_text) -> int:
     x0 = _parse_json(args.x0, "--x0")
     pol_doc = _parse_json(_read_text(args.policy, stdin_text), "--policy")
     if isinstance(model, PotlachProcess):
-        if not isinstance(pol_doc, dict) or "matrix" not in pol_doc:
-            raise UsageError("the continuous-state builtin takes a policy "
-                             "file with 'matrix' and 'q'")
-        f = PotlachPolicy(matrix=np.asarray(pol_doc["matrix"]),
-                          q=np.asarray(pol_doc.get("q",
-                                                   np.zeros(model.d))))
-        x0 = np.asarray(x0, dtype=np.float64)
+        d = model.d
+        pol_doc = typed(pol_doc, dict, "--policy")
+        matrix = typed(pol_doc.get("matrix"), [[float]], "--policy 'matrix'")
+        q = typed(pol_doc.get("q", [0.0] * d), [float], "--policy 'q'")
+        if not families.stochastic(matrix, d) or len(q) != d:
+            raise UsageError(f"--policy needs a {d} x {d} row-stochastic "
+                             f"'matrix' and {d} weights 'q'")
+        f = PotlachPolicy(matrix=matrix, q=q)
+        x0 = np.array(typed(x0, [float], "--x0"))
+        if len(x0) != d:
+            raise UsageError(f"--x0 must list {d} masses, got {args.x0}")
         if args.mode != "lyapunov":
             raise UsageError("the continuous-state builtin supports "
                              "--mode lyapunov only")
     else:
         _validate_or_die(model)
         f = modelio.policy_from_dict(pol_doc, model)
-        if isinstance(x0, bool) or not isinstance(x0, int):
-            raise UsageError(f"--x0 must be a JSON integer state index for "
-                             f"a tabulated model: {args.x0}")
+        x0 = typed(x0, int, "--x0 (a state index)")
 
     config = _base_config(args, doc)
     config.update({"mode": args.mode, "x0": _parse_json(args.x0, "--x0"),
@@ -492,10 +495,7 @@ def run(argv=None) -> int:
     stdin_text = {"text": None}
     try:
         return args.handler(args, stdin_text)
-    except (UsageError, ModelFileError) as exc:
-        print(f"ctmdp: error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
+    except (UsageError, ModelError) as exc:
         print(f"ctmdp: error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, OracleError, SimulationError) as exc:

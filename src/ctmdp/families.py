@@ -1,67 +1,138 @@
-"""Builtin parametric model families.
+"""Builtin parametric model families, one `FamilySpec` each in `BUILTINS`.
 
-Each builder returns a validated `CtmdpModel` on a truncated state space
-(or, for the continuous-state redistribution process, a simulation
-generator), with the Lyapunov data pre-populated.
+`resolve` is the only reader of raw params. A builder takes resolved params
+and returns a validated `CtmdpModel` on a truncated state space (or, for
+the continuous-state redistribution process, a simulation generator), with
+the Lyapunov data pre-populated.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
-                    truncate)
+                    truncate, typed)
 
 DEFAULT_GRID = 11
 
 
+@dataclass(frozen=True)
+class Param:
+    """One parameter: JSON type (as `model.typed` reads it; a nested object
+    lists its `fields`), default (None if required; a function of the params
+    resolved before it) and range (`ok(value, resolved)`, stated by `rule`)."""
+
+    name: str
+    kind: object = float
+    default: object = None
+    ok: Optional[Callable] = None
+    rule: str = ""
+    fields: tuple = ()
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything known about one builtin family."""
+
+    name: str
+    params: tuple              # Param, in resolution order
+    build: Callable            # resolved params -> model (or process)
+    conditions: Callable       # resolved params -> [(name, slack, detail)]
+    condition_text: tuple      # the conditions as `describe` lists them
+    notes: dict = field(default_factory=dict)   # more describe-only text
+
+
+def _cmp(op: str, bound) -> dict:
+    """Range `op bound`: a number, or the value of the param so named."""
+    cmp = operator.gt if op == ">" else operator.ge
+    return {"rule": f"{op} {bound}",
+            "ok": lambda v, s: cmp(v, s.get(bound, bound))}
+
+
+def _one_of(*choices) -> dict:
+    return {"rule": "one of " + ", ".join(choices),
+            "ok": lambda v, s: v in choices}
+
+
+_UNIT = {"rule": "in [0, 1]", "ok": lambda v, s: 0 <= v <= 1}
+
+
+def _grid_params(N: int, N_min: int, G: int) -> tuple:
+    return (Param("N", int, N, **_cmp(">=", N_min)),
+            Param("G", int, G, **_cmp(">=", 1)))
+
+
+def resolve(spec: FamilySpec, params) -> dict:
+    """`params` typed, defaulted and range-checked against `spec`; raises
+    ModelError naming the family and the field."""
+    def walk(fields, raw, prefix, outer):
+        raw = typed(raw, dict, f"{spec.name}: {prefix[:-1] or 'params'}")
+        unknown = [key for key in raw if key not in {p.name for p in fields}]
+        if unknown:
+            raise ModelError(
+                f"{spec.name}: unknown field {prefix}{unknown[0]}")
+        got = ChainMap({}, outer)     # resolved so far, outer levels too
+        for p in fields:
+            where = f"{spec.name}: {prefix}{p.name}"
+            if p.fields:
+                value = walk(p.fields, raw.get(p.name, {}),
+                             f"{prefix}{p.name}.", got)
+            elif p.name in raw:
+                value = typed(raw[p.name], p.kind, where)
+            elif p.default is None:
+                raise ModelError(f"{where} is required")
+            else:
+                value = p.default(got) if callable(p.default) else p.default
+            if p.ok is not None and not p.ok(value, got):
+                raise ModelError(f"{where} must be {p.rule}, got {value!r}")
+            got.maps[0][p.name] = value
+        return got.maps[0]
+    return walk(spec.params, params, "", {})
+
+
 def _grid(lo: float, hi: float, G: int) -> list:
-    if G < 1:
-        raise ModelError("action grid needs at least one point")
-    if G == 1:
-        return [lo]
-    return list(np.linspace(lo, hi, G))
+    return [lo] if G == 1 else list(np.linspace(lo, hi, G))
+
+
+def _linear_lyapunov(lam, mu1, mu2, M):
+    """Lyapunov data of a 1-D queue with arrivals lam and service in
+    [mu1, mu2] per customer, on w = x + 1 and w' = (x + 1)(x + 2)."""
+    def lyapunov(labels):
+        w = np.array([x + 1.0 for (x,) in labels])
+        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
+        return LyapunovData(w=w, c=0.5 * (mu1 - lam) if mu1 > lam else 1e-12,
+                            b=mu1 + lam, M=M, M_q=mu2 + lam, wprime=wp,
+                            cprime=6.0 * lam, bprime=0.0, Mprime=mu2 + lam)
+    return lyapunov
 
 
 # -- controlled birth-death system -------------------------------------------
 
-def _rc_fn(spec: dict, mu2: float):
+RC_KINDS = ("zero", "linear", "quadratic")
+
+
+def _rc_fn(rc: dict, mu2: float):
     """Control cost r_c(x, a) of a named spec and its growth constant M~
     (r_c <= M~ (x + 1) for kappa >= 0 and actions a <= mu2)."""
-    kind = spec.get("kind", "zero")
-    kappa = float(spec.get("kappa", 0.0))
-    if kind == "zero":
-        return (lambda x, a: 0.0), 0.0
-    if kind == "linear":
-        return (lambda x, a: kappa * a * x), kappa * mu2
-    if kind == "quadratic":
-        return (lambda x, a: kappa * a * a), kappa * mu2 * mu2
-    raise ModelError(f"unknown control-cost spec {kind!r}")
+    kappa = rc["kappa"]
+    return {"zero": ((lambda x, a: 0.0), 0.0),
+            "linear": ((lambda x, a: kappa * a * x), kappa * mu2),
+            "quadratic": ((lambda x, a: kappa * a * a), kappa * mu2 * mu2),
+            }[rc["kind"]]
 
 
-def build_birth_death(params: dict) -> CtmdpModel:
+def _birth_death(s: dict) -> CtmdpModel:
     """Controlled birth-death population: constant birth rate, chosen death
     rate a in [mu1, mu2], deaths of size one or two with split (p2, p1)."""
-    lam = float(params["lambda"])
-    mu1 = float(params["mu1"])
-    mu2 = float(params["mu2"])
-    p1 = float(params.get("p1", 0.0))
-    p = float(params.get("p", 1.0))
-    rc_spec = dict(params.get("rc", {"kind": "zero"}))
-    N = int(params.get("N", 30))
-    G = int(params.get("G", DEFAULT_GRID))
-    if not (lam > 0 and mu2 > mu1 > 0):
-        raise ModelError("need lambda > 0 and mu2 > mu1 > 0")
-    if not (0 <= p1 <= 1):
-        raise ModelError("p1 must lie in [0, 1]")
-    if N < 3:
-        raise ModelError("birth-death truncation needs N >= 3")
+    lam, mu1, mu2, p1, p = (s[k] for k in ("lambda", "mu1", "mu2", "p1", "p"))
     p2 = 1.0 - p1
-    rc, M_tilde = _rc_fn(rc_spec, mu2)
-    grid = _grid(mu1, mu2, G)
+    rc, M_tilde = _rc_fn(s["rc"], mu2)
+    grid = _grid(mu1, mu2, s["G"])
 
     def entries(lab, act):
         (x,) = lab
@@ -75,50 +146,38 @@ def build_birth_death(params: dict) -> CtmdpModel:
             out.append(((x - 2,), p1 * a * x))
         return out
 
-    def lyapunov(labels):
-        w = np.array([x + 1.0 for (x,) in labels])
-        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
-        return LyapunovData(w=w, c=0.5 * (mu1 - lam) if mu1 > lam else 1e-12,
-                            b=mu1 + lam, M=p + M_tilde + 1e-12,
-                            M_q=mu2 + lam, wprime=wp, cprime=6.0 * lam,
-                            bprime=0.0, Mprime=mu2 + lam)
-
     fam = CountableFamily(
         dim=1,
         actions=lambda lab: [(a,) for a in grid],
         entries=entries,
         reward=lambda lab, act: p * lab[0] - rc(lab[0], act[0]),
-        name="birth_death",
-        params={"lambda": lam, "mu1": mu1, "mu2": mu2, "p1": p1, "p": p,
-                "rc": rc_spec, "N": N, "G": G},
-        lyapunov=lyapunov,
-        grid_meta={"interval": [mu1, mu2], "G": G},
-        min_level=3,
+        lyapunov=_linear_lyapunov(lam, mu1, mu2, p + M_tilde + 1e-12),
     )
-    return truncate(fam, N)
+    return truncate(fam, s["N"])
+
+
+def _birth_death_conditions(s: dict) -> list:
+    # E3: named control-cost specs are continuous in a; check the
+    # linear-growth envelope of sup_a |r_c(x, a)| = r_c(x, mu2) on a
+    # state sample
+    rc, _ = _rc_fn(s["rc"], s["mu2"])
+    xs = np.arange(0, 201)
+    cstar = np.array([rc(x, s["mu2"]) for x in xs.tolist()], dtype=float)
+    # strict inequality wanted; any larger M~ works
+    m_tilde = float(np.max(cstar / (xs + 1.0))) + 1.0
+    return [("E1", s["mu1"] - s["lambda"], {}),
+            ("E2", s["mu1"] / (2.0 * s["mu2"]) - s["p1"], {}),
+            ("E3", float(np.min(m_tilde * (xs + 1.0) - cstar)),
+             {"M_tilde": m_tilde})]
 
 
 # -- upwardly skip-free process (catastrophes of size one and two) -----------
 
-def build_skip_free(params: dict) -> CtmdpModel:
+def _skip_free(s: dict) -> CtmdpModel:
     """Birth-death process with controlled immigration a1 in [0, b] and
     catastrophe intensity d(x, a2) = 2*a2*x, a2 in [b, beta]."""
-    lam = float(params["lambda"])
-    mu = float(params["mu"])
-    b = float(params["b"])
-    beta = float(params["beta"])
-    tau = float(params.get("tau", 1.0))
-    p = float(params.get("p", 1.0))
-    q1 = float(params.get("q1", 0.5))
-    q2 = float(params.get("q2", 0.5))
-    kappa_c = float(params.get("kappa_c", 0.0))
-    N = int(params.get("N", 30))
-    G = int(params.get("G", DEFAULT_GRID))
-    if not (lam > 0 and mu > 0 and b > 0 and beta > b):
-        raise ModelError("need lambda, mu, b > 0 and beta > b")
-    gamma2 = float(params.get("gamma2", min(1.0, 0.5 + mu / (4.0 * beta))))
-    if not (0 <= gamma2 <= 1):
-        raise ModelError("gamma2 must lie in [0, 1]")
+    lam, mu, tau, p, q1, q2, kappa_c, gamma2 = (s[k] for k in (
+        "lambda", "mu", "tau", "p", "q1", "q2", "kappa_c", "gamma2"))
 
     def gam2(x):
         return 0.0 if x <= 1 else gamma2
@@ -126,8 +185,8 @@ def build_skip_free(params: dict) -> CtmdpModel:
     def d(x, a2):
         return 0.0 if x == 0 else 2.0 * a2 * x
 
-    a1_grid = _grid(0.0, b, G)
-    a2_grid = _grid(b, beta, G)
+    a1_grid = _grid(0.0, s["b"], s["G"])
+    a2_grid = _grid(s["b"], s["beta"], s["G"])
 
     def actions(lab):
         (x,) = lab
@@ -171,17 +230,9 @@ def build_skip_free(params: dict) -> CtmdpModel:
                             M_q=M_q + 1e-9, wprime=wp, cprime=cprime + 1e-9,
                             bprime=0.0, Mprime=Mprime + 1e-9)
 
-    fam = CountableFamily(
-        dim=1, actions=actions, entries=entries, reward=reward,
-        name="skip_free",
-        params={"lambda": lam, "mu": mu, "b": b, "beta": beta, "tau": tau,
-                "p": p, "q1": q1, "q2": q2, "kappa_c": kappa_c,
-                "gamma2": gamma2, "N": N, "G": G},
-        lyapunov=lyapunov,
-        grid_meta={"intervals": [[0.0, b], [b, beta]], "G": G},
-        min_level=3,
-    )
-    return truncate(fam, N)
+    fam = CountableFamily(dim=1, actions=actions, entries=entries,
+                          reward=reward, lyapunov=lyapunov)
+    return truncate(fam, s["N"])
 
 
 def _fit_constants(labels, actions, entries, reward, w, wp, c):
@@ -208,6 +259,22 @@ def _fit_constants(labels, actions, entries, reward, w, wp, c):
     return b, M, M_q, cprime, Mprime
 
 
+def _skip_free_conditions(s: dict) -> list:
+    lam, mu, b, beta, gamma2 = (s[k] for k in (
+        "lambda", "mu", "b", "beta", "gamma2"))
+    # F1 ratio: gamma2_{x+1} <= inf_{a2} (d(x,a2) + mu x)/d(x+1,a2) with
+    # the builtin d(x, a2) = 2 a2 x, for x >= 1 (so gamma2_{x+1} = gamma2)
+    ratio = min((2.0 * a2 * x + mu * x) / (2.0 * a2 * (x + 1))
+                for x in range(1, 201) for a2 in (b, beta))
+    inf_term = min(2.0 * a2 * x * (1.0 + (0.0 if x <= 1 else gamma2))
+                   for x in range(1, 201) for a2 in (b, beta))
+    # F3: named forms are continuous; growth constants exist by
+    # construction (sup_a2 d = 2 beta x <= 2 beta (x+1), same for cost)
+    return [("F1_drift", mu - lam, {}), ("F1_ratio", ratio - gamma2, {}),
+            ("F2", lam - mu + inf_term - b, {}),
+            ("F3", 0.0, {"L1": 2.0 * beta})]
+
+
 # -- two M/M/1 queues in tandem ----------------------------------------------
 
 TANDEM_SIGMA1 = 1.06
@@ -224,41 +291,20 @@ def tandem_weight(x1: int, x2: int) -> float:
             * s2 ** (-TANDEM_BETA2 * (x1 + x2 - 1)))
 
 
-def build_tandem(params: dict) -> CtmdpModel:
+def _tandem(s: dict) -> CtmdpModel:
     """Two exponential queues in series, unit arrival rate, controlled
     service rates (a1, a2); reward must come from a bounded named spec."""
-    mu1 = float(params.get("mu1", 3.0))
-    mu1s = float(params.get("mu1star", mu1 + 1.0))
-    mu2 = float(params.get("mu2", 2.0))
-    mu2s = float(params.get("mu2star", mu2 + 1.0))
-    N = int(params.get("N", 10))
-    G = int(params.get("G", 2))
-    spec = dict(params.get("reward", {"kind": "throughput"}))
-    if not (mu1s > mu1 >= 3.0 and mu2s > mu2 >= 2.0):
-        raise ModelError("need mu1* > mu1 >= 3 and mu2* > mu2 >= 2")
-    if N < 2:
-        raise ModelError("tandem truncation needs N >= 2")
+    throughput = s["reward"]["kind"] == "throughput"
+    c1, c2, cap = (s["reward"][k] for k in ("c1", "c2", "cap"))
 
-    kind = spec.get("kind", "throughput")
-    if kind == "throughput":
-        c1 = float(spec.get("c1", 0.0))
-        c2 = float(spec.get("c2", 0.0))
-
-        def reward(lab, act):
-            x1, x2 = lab
-            a1, a2 = act
+    def reward(lab, act):
+        (x1, x2), (a1, a2) = lab, act
+        if throughput:
             return a2 * (1.0 if x2 > 0 else 0.0) - c1 * a1 - c2 * a2
-    elif kind == "holding_bounded":
-        cap = float(spec.get("cap", 2 * N))
+        return -min(float(x1 + x2), cap)
 
-        def reward(lab, act):
-            x1, x2 = lab
-            return -min(float(x1 + x2), cap)
-    else:
-        raise ModelError(f"unknown tandem reward spec {kind!r}")
-
-    g1 = _grid(mu1, mu1s, G)
-    g2 = _grid(mu2, mu2s, G)
+    g1 = _grid(s["mu1"], s["mu1star"], s["G"])
+    g2 = _grid(s["mu2"], s["mu2star"], s["G"])
 
     def entries(lab, act):
         x1, x2 = lab
@@ -278,40 +324,24 @@ def build_tandem(params: dict) -> CtmdpModel:
         # positive offset is required for the pointwise drift inequality
         return LyapunovData(w=w, c=0.002, b=0.0501,
                             M=max(sup_r, 1e-9) + 1e-9,
-                            M_q=(1.0 + mu1s + mu2s) / float(np.min(w)) + 1e-9)
+                            M_q=(1.0 + s["mu1star"] + s["mu2star"])
+                            / float(np.min(w)) + 1e-9)
 
     fam = CountableFamily(
         dim=2,
         actions=lambda lab: [(a1, a2) for a1 in g1 for a2 in g2],
-        entries=entries, reward=reward,
-        name="tandem",
-        params={"mu1": mu1, "mu1star": mu1s, "mu2": mu2, "mu2star": mu2s,
-                "N": N, "G": G, "reward": spec},
-        lyapunov=lyapunov,
-        grid_meta={"intervals": [[mu1, mu1s], [mu2, mu2s]], "G": G},
-        min_level=2,
-    )
-    return truncate(fam, N)
+        entries=entries, reward=reward, lyapunov=lyapunov)
+    return truncate(fam, s["N"])
 
 
 # -- M/M/N/0 loss system -----------------------------------------------------
 
-def build_mmn0(params: dict) -> CtmdpModel:
+def _mmn0(s: dict) -> CtmdpModel:
     """Erlang loss queue with controlled service rate mu in [mu1, mu2];
     intrinsically finite on {0..N}, no truncation artifact."""
-    lam = float(params["lambda"])
-    mu1 = float(params["mu1"])
-    mu2 = float(params["mu2"])
-    N = int(params.get("N", 2))
-    G = int(params.get("G", DEFAULT_GRID))
-    spec = dict(params.get("reward", {"p": 1.0, "kappa": 0.0}))
-    p = float(spec.get("p", 1.0))
-    kappa = float(spec.get("kappa", 0.0))
-    if not (mu2 > mu1 > 0 and lam > 0):
-        raise ModelError("need mu2 > mu1 > 0 and lambda > 0")
-    if N < 1:
-        raise ModelError("need N >= 1")
-    grid = _grid(mu1, mu2, G)
+    lam, mu1, mu2, N = s["lambda"], s["mu1"], s["mu2"], s["N"]
+    p, kappa = s["reward"]["p"], s["reward"]["kappa"]
+    grid = _grid(mu1, mu2, s["G"])
 
     def actions(lab):
         (x,) = lab
@@ -329,28 +359,22 @@ def build_mmn0(params: dict) -> CtmdpModel:
             out.append(((x - 1,), m * x))
         return out
 
-    def lyapunov(labels):
-        w = np.array([x + 1.0 for (x,) in labels])
-        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
-        return LyapunovData(w=w, c=0.5 * (mu1 - lam) if mu1 > lam else 1e-12,
-                            b=mu1 + lam, M=p + kappa * mu2 + 1e-12,
-                            M_q=mu2 + lam, wprime=wp, cprime=6.0 * lam,
-                            bprime=0.0, Mprime=mu2 + lam)
-
     fam = CountableFamily(
         dim=1, actions=actions, entries=entries,
         reward=lambda lab, act: p * lab[0] - kappa * act[0] * lab[0],
-        name="mmn0",
-        params={"lambda": lam, "mu1": mu1, "mu2": mu2, "N": N, "G": G,
-                "reward": spec},
-        lyapunov=lyapunov,
-        grid_meta={"interval": [mu1, mu2], "G": G},
-        min_level=1,
-    )
+        lyapunov=_linear_lyapunov(lam, mu1, mu2, p + kappa * mu2 + 1e-12))
     return truncate(fam, N)
 
 
 # -- continuous-state mass-redistribution (Potlach) process ------------------
+
+def stochastic(m, d: int) -> bool:
+    """Whether `m` (nested lists or an array) is d x d and row-stochastic."""
+    if len(m) != d or any(len(row) != d for row in m):
+        return False
+    m = np.asarray(m, dtype=np.float64)
+    return not np.any(m < 0) and np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
+
 
 @dataclass(frozen=True)
 class PotlachPolicy:
@@ -365,7 +389,7 @@ class PotlachPolicy:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("redistribution matrix must be square")
-        if np.any(m < 0) or np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
+        if not stochastic(m, len(m)):
             raise ModelError("redistribution matrix must be row-stochastic")
 
 
@@ -379,17 +403,9 @@ class PotlachProcess:
     """
 
     d: int
-    lam: float
+    lam: float               # > 1, for a positive drift constant
     matrices: tuple          # admissible redistribution matrices
-    qstar: np.ndarray        # upper bounds for the cost weights
-
-    def __post_init__(self):
-        object.__setattr__(self, "qstar",
-                           np.asarray(self.qstar, dtype=np.float64))
-        if self.lam <= 1.0:
-            raise ModelError("need lam > 1 for a positive drift constant")
-        if np.any(self.qstar < 0):
-            raise ModelError("cost-weight bounds must be nonnegative")
+    qstar: np.ndarray        # nonnegative upper bounds for the cost weights
 
     @property
     def total_rate(self) -> float:
@@ -427,64 +443,92 @@ class PotlachProcess:
         return x
 
 
-def build_potlach(params: dict) -> PotlachProcess:
-    d = int(params.get("d", 2))
-    lam = float(params["lambda"])
-    mats = params.get("matrices")
-    if mats is None:
-        mats = [np.full((d, d), 1.0 / d)]
-    mats = tuple(np.asarray(m, dtype=np.float64) for m in mats)
-    qstar = np.asarray(params.get("qstar", np.ones(d)), dtype=np.float64)
-    for m in mats:
-        PotlachPolicy(matrix=m, q=np.zeros(d))   # shape/stochasticity check
-    return PotlachProcess(d=d, lam=lam, matrices=mats, qstar=qstar)
+BUILTINS = {spec.name: spec for spec in (
+    FamilySpec(
+        "birth_death",
+        (Param("lambda", **_cmp(">", 0)), Param("mu1", **_cmp(">", 0)),
+         Param("mu2", **_cmp(">", "mu1")), Param("p1", default=0.0, **_UNIT),
+         Param("p", default=1.0),
+         Param("rc", dict, fields=(
+             Param("kind", str, "zero", **_one_of(*RC_KINDS)),
+             Param("kappa", default=0.0))),
+         *_grid_params(30, 3, DEFAULT_GRID)),
+        _birth_death, _birth_death_conditions,
+        ("E1: mu1 > lambda", "E2: p1 <= mu1/(2*mu2)",
+         "E3: control cost bounded by Mtilde*(x+1)"),
+        {"rc_specs": list(RC_KINDS)}),
+    FamilySpec(
+        "skip_free",
+        (Param("lambda", **_cmp(">", 0)), Param("mu", **_cmp(">", 0)),
+         Param("b", **_cmp(">", 0)), Param("beta", **_cmp(">", "b")),
+         Param("tau", default=1.0), Param("p", default=1.0),
+         Param("q1", default=0.5), Param("q2", default=0.5),
+         Param("kappa_c", default=0.0),
+         Param("gamma2", default=lambda s: min(
+             1.0, 0.5 + s["mu"] / (4.0 * s["beta"])), **_UNIT),
+         *_grid_params(30, 3, DEFAULT_GRID)),
+        _skip_free, _skip_free_conditions,
+        ("F1: mu > lambda and catastrophe-split ratio bound",
+         "F2: b <= lambda - mu + inf{d + gamma2*d}",
+         "F3: continuity and linear growth bounds")),
+    FamilySpec(
+        "tandem",
+        (Param("mu1", default=3.0, **_cmp(">=", 3.0)),
+         Param("mu1star", default=lambda s: s["mu1"] + 1.0,
+               **_cmp(">", "mu1")),
+         Param("mu2", default=2.0, **_cmp(">=", 2.0)),
+         Param("mu2star", default=lambda s: s["mu2"] + 1.0,
+               **_cmp(">", "mu2")),
+         *_grid_params(10, 2, 2),
+         Param("reward", dict, fields=(
+             Param("kind", str, "throughput",
+                   **_one_of("throughput", "holding_bounded")),
+             Param("c1", default=0.0), Param("c2", default=0.0),
+             Param("cap", default=lambda s: float(2 * s["N"]))))),
+        _tandem,
+        lambda s: [("service1_floor", s["mu1"] - 3.0, {}),
+                   ("service2_floor", s["mu2"] - 2.0, {})],
+        ("mu1 >= 3", "mu2 >= 2", "bounded reward")),
+    FamilySpec(
+        "mmn0",
+        (Param("lambda", **_cmp(">", 0)), Param("mu1", **_cmp(">", 0)),
+         Param("mu2", **_cmp(">", "mu1")), *_grid_params(2, 1, DEFAULT_GRID),
+         Param("reward", dict, fields=(Param("p", default=1.0),
+                                       Param("kappa", default=0.0)))),
+        _mmn0, lambda s: [("stability", s["mu1"] - s["lambda"], {})],
+        ("mu1 > lambda",)),
+    FamilySpec(
+        "potlach",
+        (Param("d", int, 2, **_cmp(">=", 1)),
+         Param("lambda", **_cmp(">", 1)),
+         Param("matrices", [[[float]]],
+               lambda s: [[[1.0 / s["d"]] * s["d"]] * s["d"]],
+               lambda v, s: all(stochastic(m, s["d"]) for m in v),
+               "a list of d x d row-stochastic matrices"),
+         Param("qstar", [float], lambda s: [1.0] * s["d"],
+               lambda v, s: len(v) == s["d"] and min(v) >= 0,
+               "d nonnegative numbers")),
+        lambda s: PotlachProcess(s["d"], s["lambda"], tuple(
+            np.array(m) for m in s["matrices"]), np.array(s["qstar"])),
+        lambda s: [("drift_positive", s["lambda"] - 1.0, {})],
+        ("lambda > 1",),
+        {"note": "simulation-only; no optimization over its policy class"}),
+)}
 
 
-BUILTINS = {
-    "birth_death": build_birth_death,
-    "skip_free": build_skip_free,
-    "tandem": build_tandem,
-    "mmn0": build_mmn0,
-    "potlach": build_potlach,
-}
+def spec(name: str) -> FamilySpec:
+    if name not in BUILTINS:
+        raise ModelError(f"unknown builtin family {name!r}")
+    return BUILTINS[name]
 
 
 def build(name: str, params: dict):
-    if name not in BUILTINS:
-        raise ModelError(f"unknown builtin family {name!r}")
-    return BUILTINS[name](params)
+    family = spec(name)
+    return family.build(resolve(family, params))
 
 
 def describe(name: str) -> dict:
     """Parameter schema and the lettered conditions checked per family."""
-    schemas = {
-        "birth_death": {
-            "params": ["lambda", "mu1", "mu2", "p1", "p", "rc", "N", "G"],
-            "rc_specs": ["zero", "linear", "quadratic"],
-            "conditions": ["E1: mu1 > lambda", "E2: p1 <= mu1/(2*mu2)",
-                           "E3: control cost bounded by Mtilde*(x+1)"],
-        },
-        "skip_free": {
-            "params": ["lambda", "mu", "b", "beta", "tau", "p", "q1", "q2",
-                       "kappa_c", "gamma2", "N", "G"],
-            "conditions": ["F1: mu > lambda and catastrophe-split ratio bound",
-                           "F2: b <= lambda - mu + inf{d + gamma2*d}",
-                           "F3: continuity and linear growth bounds"],
-        },
-        "tandem": {
-            "params": ["mu1", "mu1star", "mu2", "mu2star", "N", "G", "reward"],
-            "conditions": ["mu1 >= 3", "mu2 >= 2", "bounded reward"],
-        },
-        "mmn0": {
-            "params": ["lambda", "mu1", "mu2", "N", "G", "reward"],
-            "conditions": ["mu1 > lambda"],
-        },
-        "potlach": {
-            "params": ["d", "lambda", "matrices", "qstar"],
-            "conditions": ["lambda > 1"],
-            "note": "simulation-only; no optimization over its policy class",
-        },
-    }
-    if name not in schemas:
-        raise ModelError(f"unknown builtin family {name!r}")
-    return schemas[name]
+    family = spec(name)
+    return {"params": [p.name for p in family.params],
+            "conditions": list(family.condition_text), **family.notes}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import _rc_fn
+from . import families
 from .model import CtmdpModel, ModelError, StationaryPolicy, boundary_states
 
 SLACK_TOL = -1e-10
@@ -160,70 +160,13 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
     return DriftReport(checks=[rec])
 
 
-def _cond(name, slack, detail=None) -> CheckRecord:
+def _cond(name, slack, detail) -> CheckRecord:
     return CheckRecord(name=name, passed=slack >= SLACK_TOL,
-                       slack=float(slack), detail=dict(detail or {}))
+                       slack=float(slack), detail=dict(detail))
 
 
 def check_example_conditions(name: str, params: dict) -> DriftReport:
-    """Evaluate the lettered parameter conditions of the builtin families."""
-    if name == "birth_death":
-        lam = float(params["lambda"])
-        mu1 = float(params["mu1"])
-        mu2 = float(params["mu2"])
-        p1 = float(params.get("p1", 0.0))
-        rc_spec = dict(params.get("rc", {"kind": "zero"}))
-        checks = [_cond("E1", mu1 - lam),
-                  _cond("E2", mu1 / (2.0 * mu2) - p1)]
-        # E3: named control-cost specs are continuous in a; check the
-        # linear-growth envelope of sup_a |r_c(x, a)| = r_c(x, mu2) on a
-        # state sample
-        rc, _ = _rc_fn(rc_spec, mu2)
-        xs = np.arange(0, 201)
-        cstar = np.array([rc(x, mu2) for x in xs.tolist()], dtype=float)
-        ratio = float(np.max(cstar / (xs + 1.0)))
-        m_tilde = ratio + 1.0   # strict inequality wanted; any larger works
-        checks.append(_cond("E3", float(np.min(m_tilde * (xs + 1.0) - cstar)),
-                            detail={"M_tilde": m_tilde}))
-        return DriftReport(checks=checks)
-
-    if name == "skip_free":
-        lam = float(params["lambda"])
-        mu = float(params["mu"])
-        b = float(params["b"])
-        beta = float(params["beta"])
-        gamma2 = float(params.get("gamma2", min(1.0, 0.5 + mu / (4.0 * beta))))
-        checks = [_cond("F1_drift", mu - lam)]
-        # F1 ratio: gamma2_{x+1} <= inf_{a2} (d(x,a2) + mu x)/d(x+1,a2)
-        # with the builtin d(x, a2) = 2 a2 x
-        worst = np.inf
-        for x in range(1, 201):
-            ratio = min((2.0 * a2 * x + mu * x) / (2.0 * a2 * (x + 1))
-                        for a2 in (b, beta))
-            g2_next = 0.0 if x + 1 <= 1 else gamma2
-            worst = min(worst, ratio - g2_next)
-        checks.append(_cond("F1_ratio", worst))
-        inf_term = min(2.0 * a2 * x * (1.0 + (0.0 if x <= 1 else gamma2))
-                       for x in range(1, 201) for a2 in (b, beta))
-        checks.append(_cond("F2", lam - mu + inf_term - b))
-        # F3: named forms are continuous; growth constants exist by
-        # construction (sup_a2 d = 2 beta x <= 2 beta (x+1), same for cost)
-        checks.append(_cond("F3", 0.0, detail={"L1": 2.0 * beta}))
-        return DriftReport(checks=checks)
-
-    if name == "tandem":
-        mu1 = float(params.get("mu1", 3.0))
-        mu2 = float(params.get("mu2", 2.0))
-        return DriftReport(checks=[_cond("service1_floor", mu1 - 3.0),
-                                   _cond("service2_floor", mu2 - 2.0)])
-
-    if name == "mmn0":
-        lam = float(params["lambda"])
-        mu1 = float(params["mu1"])
-        return DriftReport(checks=[_cond("stability", mu1 - lam)])
-
-    if name == "potlach":
-        lam = float(params["lambda"])
-        return DriftReport(checks=[_cond("drift_positive", lam - 1.0)])
-
-    raise ModelError(f"unknown builtin family {name!r}")
+    """Evaluate the lettered parameter conditions of a builtin family."""
+    spec = families.spec(name)
+    return DriftReport(checks=[_cond(*c) for c in spec.conditions(
+        families.resolve(spec, params))])

@@ -11,6 +11,7 @@ once validated.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,6 +23,29 @@ ROW_SUM_TOL = 1e-12
 
 class ModelError(ValueError):
     """Structurally malformed model input (bad index, shape, or sign)."""
+
+
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def typed(value, kind, where: str, error=ModelError):
+    """`value`, as read from JSON, checked against `kind`: float, int (an
+    integral number), str, list, dict, or [k] for a list of k. Bools are
+    never numbers. Raises `error` naming `where` on a mismatch."""
+    if isinstance(kind, list):
+        items = typed(value, list, where, error)
+        if all(type(v) is kind[0] for v in items):   # nothing to convert
+            return items
+        return [typed(v, kind[0], f"{where}[{i}]", error)
+                for i, v in enumerate(items)]
+    if type(value) is kind:
+        return value
+    if (kind is float and type(value) is int
+            and abs(value) <= sys.float_info.max
+            or kind is int and type(value) is float and value.is_integer()):
+        return kind(value)
+    raise error(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +80,6 @@ class ActionSets:
     """Per-state finite action sets; each action is a tuple of parameters."""
 
     sets: tuple
-    grid_meta: Optional[dict] = None
 
     def __post_init__(self):
         sets = tuple(tuple(tuple(float(v) for v in a) for a in acts)
@@ -277,7 +300,6 @@ class CtmdpModel:
     kernel: RateKernel
     rewards: RewardTable
     lyapunov: Optional[LyapunovData] = None
-    provenance: str = "explicit"
     _flat: Optional[FlatModel] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -447,11 +469,7 @@ class CountableFamily:
     actions: Callable[[tuple], Sequence[tuple]]
     entries: Callable[[tuple, tuple], Sequence]
     reward: Callable[[tuple, tuple], float]
-    name: str
-    params: dict = field(default_factory=dict)
     lyapunov: Optional[Callable] = None   # labels -> LyapunovData
-    grid_meta: Optional[dict] = None
-    min_level: int = 1
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:
@@ -461,9 +479,6 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     clamped self-loops are dropped and the diagonal recomputed so every
     row sums to zero exactly.
     """
-    if N < family.min_level:
-        raise ModelError(f"truncation level {N} below the minimum "
-                         f"{family.min_level} for family {family.name}")
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
     index = {lab: i for i, lab in enumerate(labels)}
 
@@ -494,12 +509,11 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
-        actions=ActionSets(sets=tuple(action_sets), grid_meta=family.grid_meta),
+        actions=ActionSets(sets=tuple(action_sets)),
         kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
                                      lengths, targets, rates),
         rewards=RewardTable(table=tuple(reward_rows)),
         lyapunov=lyap,
-        provenance=f"builtin:{family.name}:{family.params}",
     )
 
 

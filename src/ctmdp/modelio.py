@@ -8,6 +8,7 @@ significant digits so identical runs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -15,13 +16,17 @@ import numpy as np
 
 from . import families
 from .model import (ActionSets, CtmdpModel, LyapunovData, ModelError,
-                    RateKernel, RewardTable, StateSpace, StationaryPolicy)
+                    RateKernel, RewardTable, StateSpace, StationaryPolicy,
+                    typed)
 
 FORMAT_VERSION = "1"
 
 
 class ModelFileError(ModelError):
     """Malformed model file; the message names the offending field."""
+
+
+_typed = functools.partial(typed, error=ModelFileError)
 
 
 def _fmt_float(x: float) -> str:
@@ -63,20 +68,27 @@ def dumps(obj) -> str:
     return _render(obj) + "\n"
 
 
-def _need(doc: dict, key: str, where: str = "top level"):
+def _need(doc: dict, key: str, where: str = "", kind=None,
+          required: bool = True):
+    """doc[key] of the object `doc` at `where`, of JSON type `kind` (see
+    `model.typed`) if given; None if absent or null and not `required`."""
+    path = f"{where}.{key}" if where else key
+    if not required and doc.get(key) is None:
+        return None
     if key not in doc:
-        raise ModelFileError(f"missing field {key!r} at {where}")
-    return doc[key]
+        raise ModelFileError(f"missing field {path}")
+    if kind is None or type(doc[key]) is kind:
+        return doc[key]
+    return _typed(doc[key], kind, path)
 
 
 def _per_pair(doc: dict, key: str, actions: ActionSets, read, what: str):
     """read(rec, x, where) of each record of doc[key], filed by its (x, a);
     every (x, a) of the model needs one."""
     rows = [[None] * len(acts) for acts in actions.sets]
-    for i, rec in enumerate(_need(doc, key)):
+    for i, rec in enumerate(_need(doc, key, kind=[dict])):
         where = f"{key}[{i}]"
-        x = int(_need(rec, "x", where))
-        a = int(_need(rec, "a", where))
+        x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
         if not (0 <= x < len(rows) and 0 <= a < len(rows[x])):
             raise ModelFileError(f"(x, a) out of range at {where}")
         rows[x][a] = read(rec, x, where)
@@ -91,10 +103,13 @@ def _rate_entries(rec: dict, x: int, where: str) -> dict:
     """target -> rate of one rate record, the diagonal completed if absent
     so that the row is conservative."""
     entries = {}
-    for pair in _need(rec, "entries", where):
+    for j, pair in enumerate(_need(rec, "entries", where, [list])):
+        at = f"{where}.entries[{j}]"
         if len(pair) != 2:
-            raise ModelFileError(f"entry is not a [y, rate] pair at {where}")
-        y, rate = int(pair[0]), float(pair[1])
+            raise ModelFileError(f"{at} is not a [y, rate] pair")
+        y, rate = pair
+        if type(y) is not int or type(rate) is not float:   # convert, or fail
+            y, rate = _typed(y, int, f"{at}[0]"), _typed(rate, float, f"{at}[1]")
         if y in entries:
             raise ModelFileError(f"duplicate target {y} at {where}")
         entries[y] = rate
@@ -104,14 +119,13 @@ def _rate_entries(rec: dict, x: int, where: str) -> dict:
 
 
 def _explicit_model(doc: dict) -> CtmdpModel:
-    n = int(_need(doc, "states"))
-    actions_doc = _need(doc, "actions")
+    n = _need(doc, "states", kind=int)
+    actions_doc = _need(doc, "actions", kind=[[[float]]])
     if len(actions_doc) != n:
         raise ModelFileError("'actions' length does not match 'states'")
     try:
-        actions = ActionSets(sets=tuple(tuple(np.atleast_1d(a) for a in acts)
-                                        for acts in actions_doc))
-    except (TypeError, ValueError) as exc:
+        actions = ActionSets(sets=actions_doc)
+    except ModelError as exc:
         raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
 
     rate_rows = _per_pair(doc, "rates", actions, _rate_entries, "rate row")
@@ -123,57 +137,42 @@ def _explicit_model(doc: dict) -> CtmdpModel:
         [rate for entries in pair_rows for rate in entries.values()])
     reward_rows = _per_pair(
         doc, "rewards", actions,
-        lambda rec, x, where: float(_need(rec, "r", where)), "reward")
+        lambda rec, x, where: _need(rec, "r", where, float), "reward")
 
-    lyap = None
-    if doc.get("lyapunov") is not None:
-        ld = doc["lyapunov"]
-        try:
-            lyap = LyapunovData(
-                w=np.asarray(_need(ld, "w", "lyapunov"), dtype=np.float64),
-                c=float(_need(ld, "c", "lyapunov")),
-                b=float(_need(ld, "b", "lyapunov")),
-                M=float(_need(ld, "M", "lyapunov")),
-                M_q=float(_need(ld, "Mq", "lyapunov")),
-                wprime=(None if ld.get("wprime") is None
-                        else np.asarray(ld["wprime"], dtype=np.float64)),
-                cprime=ld.get("cprime"), bprime=ld.get("bprime"),
-                Mprime=ld.get("Mprime"))
-        except ModelError as exc:
-            raise ModelFileError(f"bad 'lyapunov' block: {exc}") from exc
+    ld = _need(doc, "lyapunov", kind=dict, required=False)
+    get = functools.partial(_need, ld, where="lyapunov", kind=float)
+    try:
+        lyap = None if ld is None else LyapunovData(
+            w=get("w", kind=[float]), c=get("c"), b=get("b"), M=get("M"),
+            M_q=get("Mq"), wprime=get("wprime", kind=[float], required=False),
+            cprime=get("cprime", required=False),
+            bprime=get("bprime", required=False),
+            Mprime=get("Mprime", required=False))
+    except ModelError as exc:
+        raise ModelFileError(f"bad 'lyapunov' block: {exc}") from exc
 
-    labels = doc.get("labels")
+    labels = _need(doc, "labels", kind=list, required=False)
     try:
         return CtmdpModel(
-            states=StateSpace(size=n, labels=None if labels is None
-                              else tuple(labels)),
+            states=StateSpace(size=n, labels=labels),
             actions=actions,
             kernel=kernel,
             rewards=RewardTable(table=tuple(tuple(row) for row in reward_rows)),
-            lyapunov=lyap,
-            provenance="explicit")
+            lyapunov=lyap)
+    except TypeError as exc:       # an unhashable label
+        raise ModelFileError(f"bad 'labels': {exc}") from exc
     except ModelError as exc:
         raise ModelFileError(str(exc)) from exc
 
 
 def model_from_dict(doc: dict):
     """Build a model (or simulation process) from a parsed model document."""
-    if not isinstance(doc, dict):
-        raise ModelFileError("model document must be a JSON object")
-    kind = _need(doc, "kind")
+    kind = _need(_typed(doc, dict, "model document"), "kind")
     if kind == "explicit":
         return _explicit_model(doc)
     if kind == "builtin":
-        name = _need(doc, "name")
-        params = dict(doc.get("params", {}))
-        if "truncation" in doc:
-            params["N"] = int(doc["truncation"])
-        if "action_grid" in doc:
-            params["G"] = int(doc["action_grid"])
-        try:
-            return families.build(name, params)
-        except KeyError as exc:
-            raise ModelFileError(f"missing builtin parameter {exc}") from exc
+        return families.build(_need(doc, "name", kind=str),
+                              doc.get("params", {}))
     raise ModelFileError(f"unknown model kind {kind!r}")
 
 
@@ -223,10 +222,8 @@ def policy_from_dict(doc, model: CtmdpModel) -> StationaryPolicy:
     """Policy document: either a plain index array or {"policy": [...]}"""
     if isinstance(doc, dict):
         doc = _need(doc, "policy")
-    try:
-        f = StationaryPolicy(choice=np.asarray(doc, dtype=np.int64))
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"bad policy document: {exc}") from exc
+    f = StationaryPolicy(choice=np.array(_typed(doc, [int], "policy"),
+                                         dtype=np.int64))
     try:
         model.check_policy(f)
     except ModelError as exc:

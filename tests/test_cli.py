@@ -308,3 +308,90 @@ def test_cli_solve_discounted_rejects_out_of_range_x0(capsys, x0):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "reference state out of range" in captured.err
+
+
+@pytest.mark.parametrize("name, params, field", [
+    ("birth_death", '{"lambda":"x","mu1":3,"mu2":4}', "lambda"),
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"N":"abc"}', "N"),
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"N":30.9}', "N"),
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"G":true}', "G"),
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"rc":5}', "rc"),
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"lamda":1}', "lamda"),
+    ("tandem", '{"reward":{"cap":"x"}}', "reward.cap"),
+    ("potlach", '{"d":0,"lambda":2}', "d"),
+    ("potlach", '{"d":3,"lambda":2,"matrices":[[[0.5,0.5],[0.5,0.5]]]}',
+     "matrices"),
+    ("mmn0", "[1,2]", "--params"),
+    ("mmn0", "no-such-params.json", "no-such-params.json"),
+])
+def test_cli_malformed_builtin_params_exit_2(tmp_path, monkeypatch, capsys,
+                                             name, params, field):
+    monkeypatch.chdir(tmp_path)
+    assert run(["validate", "--builtin", name, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_cli_params_from_file(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(MMN0)
+    assert run(["validate", "--builtin", "mmn0", "--params", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["ok"]
+
+
+def test_cli_builtin_document_params_must_be_an_object(tmp_path, capsys):
+    path = write_model(tmp_path, {"kind": "builtin", "name": "mmn0",
+                                  "params": [1, 2]})
+    assert run(["validate", "--model", path]) == 2
+    assert "mmn0: params must be an object" in capsys.readouterr().err
+
+
+def test_cli_sensitivity_rejects_bad_levels(capsys):
+    assert run(["sensitivity", "--builtin", "mmn0", "--params", MMN0,
+                "--levels", "a,b"]) == 2
+    assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("rates", 0, "entries"), 5, "rates[0].entries must be a list"),
+    (("rates", 1, "x"), "a", "rates[1].x must be an integer"),
+    (("states",), "abc", "states must be an integer"),
+    (("rewards", 0, "r"), "x", "rewards[0].r must be a number"),
+    (("rewards", 1), 3, "rewards[1] must be an object"),
+    (("rates", 0, "entries", 0), [1, "x"], "rates[0].entries[0]"),
+    (("rates", 0, "entries", 0), [1], "rates[0].entries[0] is not a"),
+    (("actions", 0, 0), [True], "actions[0][0][0] must be a number"),
+    (("lyapunov",), {"w": [1.0, 1.0], "c": "x", "b": 1.0, "M": 1.0,
+                     "Mq": 5.0}, "lyapunov.c must be a number"),
+])
+def test_cli_ill_typed_explicit_model_exits_2(tmp_path, capsys, path, value,
+                                              field):
+    doc = json.loads(json.dumps(EXPLICIT_DOC))
+    host = doc
+    for key in path[:-1]:
+        host = host[key]
+    host[path[-1]] = value
+    assert run(["validate", "--model", write_model(tmp_path, doc)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy, x0, flag", [
+    ({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "[1,1]", "--policy"),
+    ({"matrix": [[1, 0], [0]]}, "[1,1]", "--policy"),
+    ({"matrix": [[1, 0], [0, 1]], "q": [1, 2, 3]}, "[1,1]", "--policy"),
+    ({"matrix": [[1, 0], [0, 1]], "q": ["x", 1]}, "[1,1]", "--policy"),
+    ([[1, 0], [0, 1]], "[1,1]", "--policy"),
+    ({"matrix": [[1, 0], [0, 1]]}, "[1,1,1]", "--x0"),
+    ({"matrix": [[1, 0], [0, 1]]}, "1", "--x0"),
+])
+def test_cli_simulate_redistribution_checks_dimensions(tmp_path, capsys,
+                                                       policy, x0, flag):
+    pol = tmp_path / "policy.json"
+    pol.write_text(json.dumps(policy))
+    assert run(["simulate", "--builtin", "potlach", "--params",
+                '{"d":2,"lambda":2.0}', "--policy", str(pol),
+                "--mode", "lyapunov", "--x0", x0, "--reps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err

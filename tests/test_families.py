@@ -4,7 +4,7 @@ import pytest
 import ctmdp
 from ctmdp import (PotlachPolicy, build, describe, generator_apply,
                    validate_model)
-from ctmdp.families import tandem_weight
+from ctmdp.families import BUILTINS, resolve, tandem_weight
 
 
 def test_unknown_family_rejected():
@@ -17,6 +17,18 @@ def test_describe_lists_schema():
     assert "lambda" in d["params"]
     with pytest.raises(ctmdp.ModelError):
         describe("mystery")
+
+
+def test_resolve_fills_defaults_from_earlier_params():
+    s = resolve(BUILTINS["skip_free"],
+                {"lambda": 1, "mu": 2, "b": 1.0, "beta": 2.0})
+    assert s["gamma2"] == min(1.0, 0.5 + 2.0 / (4.0 * 2.0))
+    assert (s["N"], s["G"], s["tau"]) == (30, 11, 1.0)
+    t = resolve(BUILTINS["tandem"], {"mu1": 3.5, "N": 4})
+    assert t["mu1star"] == 4.5
+    assert t["reward"] == {"kind": "throughput", "c1": 0.0, "c2": 0.0,
+                           "cap": 8.0}
+    assert isinstance(t["N"], int) and isinstance(t["mu2"], float)
 
 
 def test_birth_death_rates_as_specified():
