@@ -74,8 +74,8 @@ def _model_document(args, stdin_text) -> dict:
     if getattr(args, "model", None):
         doc = _parse_json(_read_text(args.model, stdin_text), "--model")
         # a piped report carries the model under config
-        if "kind" not in doc and "config" in doc:
-            doc = doc["config"].get("model", doc)
+        if isinstance(doc, dict) and "kind" not in doc and "config" in doc:
+            doc = typed(doc["config"], dict, "--model config").get("model", doc)
         return doc
     if getattr(args, "builtin", None):
         return {"kind": "builtin", "name": args.builtin,

@@ -72,13 +72,13 @@ def _need(doc: dict, key: str, where: str = "", kind=None,
           required: bool = True):
     """doc[key] of the object `doc` at `where`, of JSON type `kind` (see
     `model.typed`) if given; None if absent or null and not `required`."""
-    path = f"{where}.{key}" if where else key
     if not required and doc.get(key) is None:
         return None
+    if key in doc and (kind is None or type(doc[key]) is kind):
+        return doc[key]
+    path = f"{where}.{key}" if where else key
     if key not in doc:
         raise ModelFileError(f"missing field {path}")
-    if kind is None or type(doc[key]) is kind:
-        return doc[key]
     return _typed(doc[key], kind, path)
 
 
@@ -103,9 +103,9 @@ def _rate_entries(rec: dict, x: int, where: str) -> dict:
     """target -> rate of one rate record, the diagonal completed if absent
     so that the row is conservative."""
     entries = {}
-    for j, pair in enumerate(_need(rec, "entries", where, [list])):
+    for j, pair in enumerate(_need(rec, "entries", where, list)):
         at = f"{where}.entries[{j}]"
-        if len(pair) != 2:
+        if type(pair) is not list or len(pair) != 2:
             raise ModelFileError(f"{at} is not a [y, rate] pair")
         y, rate = pair
         if type(y) is not int or type(rate) is not float:   # convert, or fail

@@ -395,3 +395,14 @@ def test_cli_simulate_redistribution_checks_dimensions(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("text, field", [
+    ('"a config"', "model document must be an object"),
+    ('{"config": 5}', "--model config must be an object"),
+])
+def test_cli_model_document_must_be_an_object(tmp_path, capsys, text, field):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert run(["validate", "--model", str(path)]) == 2
+    assert field in capsys.readouterr().err

@@ -60,7 +60,7 @@ WRONG_TYPES = {"a string": "x", "a bool": True, "a list": [1.0],
 
 def wrong_values(value):
     """JSON values of another type than `value`; 2.5 is wrong for an int."""
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, bool):
         kind = "a bool"
     elif isinstance(value, (int, float)):
         kind = "an integer" if isinstance(value, int) else "a number"
