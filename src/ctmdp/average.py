@@ -1,11 +1,16 @@
-"""Vanishing-discount extraction of the optimal average gain and policy.
+"""Optimal average gain, relative values and policy, with a certified
+gain bracket.
 
-Drives the discounted solver along a geometric schedule alpha_k -> 0,
-reads the gain off alpha_K * J(x0), and keeps the relative values
-h_alpha = J - J(x0). An independent brute-force oracle (policy
-enumeration with stationary-distribution evaluation, or average-reward
-policy iteration when the policy space is too large) cross-checks the
-result.
+The solver is relative value iteration at alpha = 0 (the discounted map
+of `discounted._vi_relative` with alpha = 0), stopped when the span
+bracket [min_x bell, max_x bell], bell(x) = max_a { r + sum_y h q }(x),
+is at most `tol` wide; the gain is its midpoint. The paper's vanishing-
+discount construction, a geometric schedule alpha_k -> 0 that reads the
+gain off alpha_K * J(x0), runs only when a schedule is passed, and then
+warm-starts the alpha = 0 stage. An independent brute-force oracle
+(policy enumeration with stationary-distribution evaluation, or
+average-reward policy iteration when the policy space is too large)
+cross-checks the result.
 """
 
 from __future__ import annotations
@@ -13,13 +18,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .discounted import _vi_relative, extract_policy
+from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
+                         _vi_relative, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 
 ENUMERATION_LIMIT = 10 ** 6
+ENVELOPE_STAGES = 5
 
 
 @dataclass(frozen=True)
@@ -29,7 +37,6 @@ class VanishingSchedule:
     alpha0: float = 0.1
     ratio: float = 0.5
     steps: int = 25
-    x0: int = 0
 
     def __post_init__(self):
         if not (self.alpha0 > 0 and 0 < self.ratio < 1 and self.steps >= 1):
@@ -41,26 +48,33 @@ class VanishingSchedule:
 
 @dataclass
 class AverageSolution:
-    gain: float
+    gain: float                      # midpoint of [gain_lower, gain_upper]
+    gain_lower: float
+    gain_upper: float
+    sweeps: int                      # sweeps of the alpha = 0 stage
     h: np.ndarray
     policy: StationaryPolicy
-    trace: list                      # per-step {alpha, alpha_J_x0, h_change}
+    trace: list                      # per schedule alpha: {alpha, alpha_J_x0,
+                                     # h_change, sweeps}
     residual_upper: float
     residual_lower: float
-    h_lower: np.ndarray
-    h_upper: np.ndarray
-    converged: bool
+    converged: bool                  # gain_upper - gain_lower <= tol
     x0: int
+    h_lower: Optional[np.ndarray] = None   # envelope of h over the last
+    h_upper: Optional[np.ndarray] = None   # stages; scheduled runs only
 
     def to_dict(self) -> dict:
-        return {"gain": self.gain, "h": self.h.tolist(),
-                "policy": self.policy.choice.tolist(),
-                "trace": self.trace,
-                "residual_upper": self.residual_upper,
-                "residual_lower": self.residual_lower,
-                "h_lower": self.h_lower.tolist(),
-                "h_upper": self.h_upper.tolist(),
-                "converged": self.converged, "x0": self.x0}
+        out = {"gain": self.gain, "gain_lower": self.gain_lower,
+               "gain_upper": self.gain_upper, "sweeps": self.sweeps,
+               "h": self.h.tolist(), "policy": self.policy.choice.tolist(),
+               "trace": self.trace,
+               "residual_upper": self.residual_upper,
+               "residual_lower": self.residual_lower,
+               "converged": self.converged, "x0": self.x0}
+        if self.h_lower is not None:
+            out["h_lower"] = self.h_lower.tolist()
+            out["h_upper"] = self.h_upper.tolist()
+        return out
 
 
 def optimality_residuals(model: CtmdpModel, g: float, h,
@@ -76,48 +90,55 @@ def optimality_residuals(model: CtmdpModel, g: float, h,
 
 
 def solve_average(model: CtmdpModel,
-                  schedule: VanishingSchedule = VanishingSchedule(),
-                  tol: float = 1e-8) -> AverageSolution:
-    """Run the discount schedule and extract (gain, relative values, policy).
+                  schedule: Optional[VanishingSchedule] = None,
+                  tol: float = 1e-8, x0: int = 0) -> AverageSolution:
+    """Optimal (gain, relative values, policy) with a gain bracket <= tol.
 
-    Each discounted solve warm-starts from the previous step; convergence
-    is declared when both the gain reading and the relative values have
-    settled to `tol` between the last two steps.
+    Relative value iteration at alpha = 0 with h(x0) = 0 runs until the
+    span bracket closes to `tol`; gain, h and policy are read at the same
+    h, so both optimality residuals are at most tol / 2. A `schedule` first
+    runs the vanishing-discount steps (each to an inner tolerance,
+    warm-started from the previous one) and starts the alpha = 0 stage
+    from their last h. Raises ConvergenceError, carrying the partial trace,
+    when a stage fails or the bracket stalls above `tol`.
     """
     flat = model.flat()
     w = model.weights()
-    x0 = schedule.x0
     if not 0 <= x0 < model.n:
         raise ModelError("reference state out of range")
     inner_tol = max(min(tol / 10.0, 1e-10), 1e-13)
 
     trace = []
-    h_prev = None
-    h = None
-    g = 0.0
     tail = []
-    for alpha in schedule.alphas():
-        g, h, _, _ = _vi_relative(flat, alpha, x0, inner_tol,
-                                  10 ** 6, w, h0=h)
-        h_change = (weighted_norm(h - h_prev, w)
-                    if h_prev is not None else None)
-        trace.append({"alpha": alpha, "alpha_J_x0": g, "h_change": h_change})
-        h_prev = h.copy()
-        tail.append(h.copy())
-        if len(tail) > 5:
-            tail.pop(0)
+    h = None
+    try:
+        for alpha in (schedule.alphas() if schedule is not None else []):
+            h_prev = h
+            g, h, sweeps, _ = _vi_relative(flat, alpha, x0, inner_tol,
+                                           DEFAULT_MAX_ITER, w, h0=h)
+            h_change = (weighted_norm(h - h_prev, w)
+                        if h_prev is not None else None)
+            trace.append({"alpha": alpha, "alpha_J_x0": g,
+                          "h_change": h_change, "sweeps": sweeps})
+            tail = (tail + [h])[-(ENVELOPE_STAGES - 1):]
+        g, h, sweeps, _ = _vi_relative(flat, 0.0, x0, tol, DEFAULT_MAX_ITER,
+                                       w, h0=h)
+    except ConvergenceError as exc:
+        exc.trace = trace
+        raise
 
-    converged = (len(trace) >= 2
-                 and abs(trace[-1]["alpha_J_x0"] - trace[-2]["alpha_J_x0"]) <= tol
-                 and trace[-1]["h_change"] is not None
-                 and trace[-1]["h_change"] <= tol)
+    bell = _state_max(flat.r + flat.Q @ h, flat)
+    lo, hi = float(np.min(bell)), float(np.max(bell))
     policy = extract_policy(model, h)
     upper, lower = optimality_residuals(model, g, h, policy)
-    stack = np.stack(tail)
-    return AverageSolution(gain=g, h=h, policy=policy, trace=trace,
-                           residual_upper=upper, residual_lower=lower,
-                           h_lower=stack.min(axis=0), h_upper=stack.max(axis=0),
-                           converged=converged, x0=x0)
+    sol = AverageSolution(gain=g, gain_lower=lo, gain_upper=hi,
+                          sweeps=sweeps, h=h, policy=policy, trace=trace,
+                          residual_upper=upper, residual_lower=lower,
+                          converged=hi - lo <= tol, x0=x0)
+    if schedule is not None:
+        stack = np.stack(tail + [h])
+        sol.h_lower, sol.h_upper = stack.min(axis=0), stack.max(axis=0)
+    return sol
 
 
 # -- independent oracle ------------------------------------------------------
@@ -298,9 +319,9 @@ class SensitivityReport:
 
 
 def truncation_sensitivity(builder, params: dict, levels,
-                           schedule: VanishingSchedule = VanishingSchedule(),
-                           tol: float = 1e-8,
-                           stable_gap: float = 1e-6) -> SensitivityReport:
+                           schedule: Optional[VanishingSchedule] = None,
+                           tol: float = 1e-8, stable_gap: float = 1e-6,
+                           x0: int = 0) -> SensitivityReport:
     """Gain stability of a builtin family across truncation levels.
 
     `builder` maps a params dict (with the level substituted under "N")
@@ -312,7 +333,7 @@ def truncation_sensitivity(builder, params: dict, levels,
     for N in levels:
         model = builder(dict(params, N=N))
         runs.append((model.states,
-                     solve_average(model, schedule=schedule, tol=tol)))
+                     solve_average(model, schedule=schedule, tol=tol, x0=x0)))
     gains = [s.gain for _, s in runs]
     gaps = [abs(b - a) for a, b in zip(gains, gains[1:])]
     h_gaps = []

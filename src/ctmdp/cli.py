@@ -8,8 +8,12 @@ sorted keys, floats at 17 significant digits.
 Exit codes: 0 success, 1 check failure (failed validation or
 certificate) or a numeric failure, 2 usage or malformed input. A numeric
 failure writes {format_version, config, error} where the report would
-have gone; a simulation error names the replication, the jumps taken, the
-time reached and the last state.
+have gone. `solve-average` exits 1 when it cannot close its gain bracket
+to --tol (a stalled bracket, as on a multichain model, or the sweep
+budget); its error names the stage's alpha, sweeps and residual, and
+carries the running bracket and the partial trace. A simulation error
+names the replication, the jumps taken, the time reached and the last
+state.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ def _emit(args, config: dict, report: dict) -> None:
 
 def _emit_error(args, exc: Exception) -> None:
     error = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SimulationError):
+    if hasattr(exc, "detail"):
         error.update(exc.detail())
     _write(args, {"format_version": FORMAT_VERSION,
                   "config": getattr(args, "config", None), "error": error})
@@ -232,14 +236,22 @@ def _cmd_solve_discounted(args, stdin_text) -> int:
     return 0
 
 
+def _schedule(args):
+    """--steps K > 0 runs the K + 1 discount steps before the alpha = 0
+    stage; the default 0 runs none."""
+    if args.steps == 0:
+        return None
+    return VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
+                             steps=args.steps)
+
+
 def _cmd_solve_average(args, stdin_text) -> int:
     doc, model = _valid_tabulated_model(args, stdin_text)
-    schedule = VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
-                                 steps=args.steps, x0=args.x0)
+    schedule = _schedule(args)
     config = _base_config(args, doc)
     config.update({"alpha0": args.alpha0, "ratio": args.ratio,
                    "steps": args.steps, "x0": args.x0, "tol": args.tol})
-    sol = solve_average(model, schedule=schedule, tol=args.tol)
+    sol = solve_average(model, schedule=schedule, tol=args.tol, x0=args.x0)
     _emit(args, config, sol.to_dict())
     return 0
 
@@ -258,8 +270,7 @@ def _cmd_sensitivity(args, stdin_text) -> int:
     params = _params_arg(args.params, stdin_text)
     levels = typed(_parse_json(f"[{args.levels}]", "--levels"), [int],
                    "--levels")
-    schedule = VanishingSchedule(alpha0=args.alpha0, ratio=args.ratio,
-                                 steps=args.steps, x0=args.x0)
+    schedule = _schedule(args)
     config = args.config = {
         "subcommand": "sensitivity", "builtin": args.builtin,
         "params": params, "levels": levels, "alpha0": args.alpha0,
@@ -270,7 +281,7 @@ def _cmd_sensitivity(args, stdin_text) -> int:
         return _require_tabulated(families.build(args.builtin, p))
 
     rep = truncation_sensitivity(builder, params, levels, schedule=schedule,
-                                 tol=args.tol)
+                                 tol=args.tol, x0=args.x0)
     _emit(args, config, rep.to_dict())
     return 0 if rep.stable else 1
 
@@ -419,11 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_solve_discounted)
 
-    p = sub.add_parser("solve-average", help="vanishing-discount gain")
+    p = sub.add_parser("solve-average", help="optimal average gain, bracketed")
     _add_model_args(p)
     p.add_argument("--alpha0", type=float, default=0.1)
     p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=25)
+    p.add_argument("--steps", type=int, default=0,
+                   help="vanishing-discount steps before the alpha = 0 "
+                        "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_common(p)
@@ -440,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True, help="comma list, e.g. 20,40,80")
     p.add_argument("--alpha0", type=float, default=0.1)
     p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=25)
+    p.add_argument("--steps", type=int, default=0,
+                   help="vanishing-discount steps before the alpha = 0 "
+                        "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_common(p)

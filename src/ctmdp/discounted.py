@@ -7,6 +7,12 @@ The gain is read off the Bellman image at the reference state each sweep
 (exact at the fixed point, where h(x0) = 0), so both components converge
 at the span contraction rate of the uniformized kernel, independent of
 alpha.
+
+At alpha = 0 the same map is relative value iteration for the average-
+reward equation, stopped by the span bounds of Odoni (1969) and Puterman
+(1994, section 8.5): for any h, with bell(x) = max_a { r + sum_y h q }(x),
+every policy's gain lies below max_x bell and the greedy policy's gain
+above min_x bell.
 """
 
 from __future__ import annotations
@@ -19,16 +25,34 @@ from .model import CtmdpModel, FlatModel, ModelError, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
+# alpha = 0: sweeps without progress of the gain bracket after which a
+# pass of the iteration is taken to be stuck
+STALL_SWEEPS = 1000
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before the tolerance was met."""
+    """Iteration budget exhausted, or a stalled gain bracket, before the
+    tolerance was met. `bracket` is the running (lower, upper) gain bracket
+    of an alpha = 0 run; `trace` is the partial trace of the caller."""
 
-    def __init__(self, message, kappa=None, residual=None, iterations=None):
+    def __init__(self, message, kappa=None, residual=None, iterations=None,
+                 alpha=None, bracket=None):
         super().__init__(message)
         self.kappa = kappa
         self.residual = residual
         self.iterations = iterations
+        self.alpha = alpha
+        self.bracket = bracket
+        self.trace = None
+
+    def detail(self) -> dict:
+        out = {"alpha": self.alpha, "sweeps": self.iterations,
+               "residual": self.residual}
+        if self.bracket is not None:
+            out["gain_lower"], out["gain_upper"] = self.bracket
+        if self.trace is not None:
+            out["trace"] = self.trace
+        return out
 
 
 @dataclass
@@ -96,14 +120,16 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     h = J - J(x0) and the w-weighted residual of the optimality equation
     alpha*J(x) = max_a { r(x,a) + sum_y J(y) q(y|x,a) } at the returned
     candidate. The gain estimate is the Bellman image at x0, which equals
-    alpha*J(x0) exactly at the fixed point because h(x0) = 0.
+    alpha*J(x0) exactly at the fixed point because h(x0) = 0. At alpha = 0
+    the stop is the span bracket instead (`_bracket_iteration`).
     """
+    h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
+    if alpha == 0:
+        return _bracket_iteration(flat, x0, tol, max_iter, h)
     m = flat.qmax + 1.0
     m_max = float(np.max(m))
     kappa = m_max / (alpha + m_max)
 
-    h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
-    g = 0.0
     residual = np.inf
     for it in range(max_iter):
         vals = flat.r + flat.Q @ h
@@ -116,7 +142,66 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
         h = delta - delta[x0]
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {residual:.3e})",
-        kappa=kappa, residual=residual, iterations=max_iter)
+        kappa=kappa, residual=residual, iterations=max_iter, alpha=alpha)
+
+
+def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
+                       h: np.ndarray):
+    """Relative value iteration at alpha = 0, stopped by the span bracket.
+
+    Returns (g, h, sweeps, width): the bracket [min_x bell, max_x bell] at
+    the returned h is `width` <= tol wide and g is its midpoint. Both ends
+    are valid at every sweep, so a running bracket [max lo, min hi] is kept.
+    A sweep makes progress when it moves an end of the running bracket or
+    narrows the current bracket below every earlier one (the running
+    bracket alone can close while no single h has yet closed its own).
+
+    The first pass uses the per-state uniformization m(x) = q(x) + 1, which
+    is fast where exit rates differ widely, but the gain read at x0 enters
+    state x with weight m(x0) / m(x) and can make it diverge (a transient x0
+    with a fast exit rate does). When no sweep has made progress for
+    STALL_SWEEPS sweeps, or the bracket is not finite, the iteration
+    restarts from the initial h with the uniform m = max_x q(x) + 1, under
+    which relative value iteration converges on every unichain model
+    (Puterman 1994, section 8.5). A stall of that pass (a multichain
+    model, whose bracket cannot close) raises ConvergenceError.
+    """
+    start = h
+    m = flat.qmax + 1.0
+    uniform = False
+    best = (-np.inf, np.inf)
+    narrowest = np.inf
+    moved = 0
+    width = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            bell = _state_max(flat.r + flat.Q @ h, flat)
+            lo, hi = float(np.min(bell)), float(np.max(bell))
+            width = hi - lo
+            if width <= tol:
+                return 0.5 * (lo + hi), h, it, width
+            finite = np.isfinite(width)
+            if finite and (lo > best[0] or hi < best[1] or width < narrowest):
+                best = (max(lo, best[0]), min(hi, best[1]))
+                narrowest = min(width, narrowest)
+                moved = it
+            elif not finite or it - moved >= STALL_SWEEPS:
+                if uniform:
+                    raise ConvergenceError(
+                        f"gain bracket [{best[0]:.17g}, {best[1]:.17g}] "
+                        f"stalled above tol {tol:.3e}", kappa=1.0,
+                        residual=width, iterations=it, alpha=0.0,
+                        bracket=best)
+                uniform, moved, h = True, it, start
+                m = np.full(flat.n, float(np.max(m)))
+                continue
+            g = bell[x0]
+            delta = (bell + m * h - g) / m
+            h = delta - delta[x0]
+    raise ConvergenceError(
+        f"no convergence after {max_iter} sweeps (residual {width:.3e})",
+        kappa=1.0, residual=width, iterations=max_iter, alpha=0.0,
+        bracket=best)
 
 
 def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,

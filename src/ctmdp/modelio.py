@@ -222,8 +222,12 @@ def policy_from_dict(doc, model: CtmdpModel) -> StationaryPolicy:
     """Policy document: either a plain index array or {"policy": [...]}"""
     if isinstance(doc, dict):
         doc = _need(doc, "policy")
-    f = StationaryPolicy(choice=np.array(_typed(doc, [int], "policy"),
-                                         dtype=np.int64))
+    choice = _typed(doc, [int], "policy")
+    for x, a in enumerate(choice):
+        if not 0 <= a < 2 ** 63:         # beyond int64 before check_policy
+            raise ModelFileError(f"policy action index out of range at "
+                                 f"state {x}: {a}")
+    f = StationaryPolicy(choice=np.array(choice, dtype=np.int64))
     try:
         model.check_policy(f)
     except ModelError as exc:

@@ -57,6 +57,25 @@ def policy_gain(model: CtmdpModel, f: StationaryPolicy) -> float:
     return float(pi @ reward_vector(model, f))
 
 
+def optimal_gains(model: CtmdpModel) -> np.ndarray:
+    """Optimal gain from every start state, multichain models included:
+    the largest (Pi_f r_f)(x) over all deterministic stationary policies f,
+    with Pi_f the limit of the uniformized chain (I + Q_f / Lambda)^(2^k),
+    taken for every policy at once by repeated squaring (rows renormalized
+    after each step, so that rounding cannot compound)."""
+    n = model.n
+    policies = [StationaryPolicy(choice=np.array(c, dtype=np.int64))
+                for c in itertools.product(*[range(model.n_actions(x))
+                                             for x in range(n)])]
+    Q = np.stack([dense_generator(model, f) for f in policies])
+    r = np.stack([reward_vector(model, f) for f in policies])
+    P = np.eye(n) + Q / (np.max(-Q) + 1.0)
+    for _ in range(64):
+        P = P @ P
+        P /= P.sum(axis=2, keepdims=True)
+    return np.max(np.einsum("kxy,ky->kx", P, r), axis=0)
+
+
 def transient_mean(model: CtmdpModel, f: StationaryPolicy, x0: int,
                    u, t: float) -> float:
     """E_x0 u(x(t)) via the matrix exponential of the fixed-policy

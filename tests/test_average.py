@@ -121,3 +121,54 @@ def test_truncation_sensitivity_aligns_2d_states_by_label():
                    for i in inner)
     assert rep.h_inner_gaps == [expected]
     assert expected < 0.1      # flat-index alignment read 3.94 here
+
+
+def test_default_solve_reports_a_closed_bracket():
+    m = ctmdp.build("mmn0", MM20_PARAMS)
+    sol = solve_average(m, tol=1e-9)
+    assert sol.converged
+    assert sol.gain_lower <= sol.gain <= sol.gain_upper
+    assert sol.gain_upper - sol.gain_lower <= 1e-9
+    assert sol.trace == [] and sol.sweeps > 0
+    assert sol.h_lower is None and "h_lower" not in sol.to_dict()
+    # gain, h and policy come from one h: residuals are half the width
+    assert max(sol.residual_upper, sol.residual_lower) <= 0.5e-9 + 1e-15
+
+
+def test_schedule_warm_starts_the_bracket_stage():
+    m = ctmdp.build("mmn0", MM20_PARAMS)
+    cold = solve_average(m)
+    warm = solve_average(m, schedule=VanishingSchedule(steps=10))
+    assert [e["sweeps"] > 0 for e in warm.trace] == [True] * 11
+    assert warm.sweeps < cold.sweeps
+    assert warm.gain == pytest.approx(cold.gain, abs=1e-8)
+
+
+def test_transient_reference_with_fast_exit_converges():
+    # x0 = 0 leaves at rate 4 for the absorbing state 1: the per-state
+    # uniformized iteration diverges here and the uniform pass takes over
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=2),
+        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        kernel=ctmdp.RateKernel([[[(0, -4.0), (1, 4.0)]], [[(1, 0.0)]]]),
+        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,))),
+    )
+    sol = solve_average(m)
+    assert sol.gain == pytest.approx(1.0, abs=1e-8)
+    assert sol.gain_upper - sol.gain_lower <= 1e-8
+    assert sol.h == pytest.approx([0.0, 0.25], abs=1e-8)
+
+
+def test_multichain_model_raises_with_partial_trace():
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=2),
+        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        kernel=ctmdp.RateKernel([[[(0, 0.0)]], [[(1, 0.0)]]]),
+        rewards=ctmdp.RewardTable(table=((1.0,), (2.0,))),
+    )
+    with pytest.raises(ctmdp.ConvergenceError) as info:
+        solve_average(m, schedule=VanishingSchedule(steps=2))
+    exc = info.value
+    assert exc.bracket == (1.0, 2.0)
+    assert [e["alpha"] for e in exc.trace] == [0.1, 0.05, 0.025]
+    assert exc.detail()["trace"] == exc.trace

@@ -406,3 +406,81 @@ def test_cli_model_document_must_be_an_object(tmp_path, capsys, text, field):
     path.write_text(text)
     assert run(["validate", "--model", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_policy_index_beyond_int64(tmp_path, capsys):
+    pol = tmp_path / "policy.json"
+    pol.write_text("[10000000000000000000000, 0, 0]")
+    assert run(["simulate", "--builtin", "mmn0", "--params", MMN0,
+                "--policy", str(pol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "policy" in captured.err
+    assert "Traceback" not in captured.err
+
+
+TWO_ABSORBING = {
+    "kind": "explicit", "states": 3,
+    "actions": [[[0.0]], [[0.0]], [[0.0]]],
+    "rates": [{"x": 0, "a": 0, "entries": [[1, 1.0], [2, 1.0]]},
+              {"x": 1, "a": 0, "entries": []},
+              {"x": 2, "a": 0, "entries": []}],
+    "rewards": [{"x": 0, "a": 0, "r": 0.0}, {"x": 1, "a": 0, "r": 1.0},
+                {"x": 2, "a": 0, "r": 3.0}],
+}
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_cli_solve_average_multichain_exits_1_with_partial_trace(
+        tmp_path, capsys, steps):
+    import time
+    out = tmp_path / "err.json"
+    start = time.perf_counter()
+    assert run(["solve-average", "--model",
+                write_model(tmp_path, TWO_ABSORBING), "--steps", str(steps),
+                "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["config"]["subcommand"] == "solve-average"
+    assert doc["config"]["steps"] == steps
+    err = doc["error"]
+    assert err["type"] == "ConvergenceError"
+    assert err["alpha"] == 0.0
+    assert err["sweeps"] >= ctmdp.discounted.STALL_SWEEPS
+    # the two absorbing states' gains 1 and 3 bound every bracket
+    assert err["gain_lower"] <= 1.0 and err["gain_upper"] >= 3.0
+    assert err["residual"] >= 2.0
+    assert [e["alpha"] for e in err["trace"]] \
+        == ([0.1 * 0.5 ** k for k in range(steps + 1)] if steps else [])
+    assert all(e["sweeps"] > 0 for e in err["trace"])
+
+
+def test_cli_solve_average_tandem_converges(capsys):
+    assert run(["solve-average", "--builtin", "tandem", "--params",
+                '{"N":10,"G":2}']) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rep = doc["report"]
+    assert doc["config"]["steps"] == 0
+    assert rep["converged"] is True
+    assert rep["gain_upper"] - rep["gain_lower"] <= doc["config"]["tol"]
+    assert rep["gain_lower"] <= rep["gain"] <= rep["gain_upper"]
+    assert rep["trace"] == [] and "h_lower" not in rep
+    assert rep["sweeps"] > 0
+
+
+def test_cli_bd500_solution_passes_verify(capsys, monkeypatch):
+    import io
+    import sys
+    params = json.dumps({"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3,
+                         "p": 2.0, "N": 500, "G": 11})
+    assert run(["solve-average", "--builtin", "birth_death", "--params",
+                params]) == 0
+    solved = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(solved))
+    assert run(["verify", "--builtin", "birth_death", "--params", params,
+                "--solution", "-"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["passed"]
+    assert rep["upper"]["max_violation"] <= 5e-9
+    assert rep["lower"]["max_violation"] <= 5e-9

@@ -1,0 +1,70 @@
+"""Property test: the certified-bracket average solver against the
+independent oracle on random small explicit CTMDPs, absorbing and
+reducible ones included. On every model the solver either returns a
+bracket no wider than tol whose midpoint is within tol of
+`brute_force_oracle`, and whose (gain, h, policy) pass both certificates,
+or raises ConvergenceError; it may raise only when the optimal gain
+differs between start states by more than tol, so that no bracket can
+close, and its running bracket must still hold every state's optimal gain.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ctmdp import (ConvergenceError, brute_force_oracle, certify_lower,
+                   certify_upper, model_from_dict, model_to_dict,
+                   solve_average)
+from ctmdp.average import OracleError
+
+import oracles
+
+TOL = 1e-8
+
+
+@st.composite
+def explicit_documents(draw):
+    n = draw(st.integers(1, 6))
+    actions, rates, rewards = [], [], []
+    for x in range(n):
+        k = draw(st.integers(1, 3))
+        actions.append([[float(a)] for a in range(k)])
+        others = [y for y in range(n) if y != x]
+        for a in range(k):
+            absorbing = not others or draw(st.integers(0, 5)) == 0
+            ys = [] if absorbing else sorted(draw(st.sets(
+                st.sampled_from(others), min_size=1, max_size=len(others))))
+            rates.append({"x": x, "a": a, "entries": [
+                [y, draw(st.floats(0.1, 4.0))] for y in ys]})
+            rewards.append({"x": x, "a": a, "r": draw(st.floats(-5.0, 5.0))})
+    return {"kind": "explicit", "states": n, "actions": actions,
+            "rates": rates, "rewards": rewards}
+
+
+@settings(max_examples=200, deadline=None)
+@given(explicit_documents())
+def test_solver_brackets_the_oracle_gain(doc):
+    model = model_from_dict(doc)
+    assert model_to_dict(model_from_dict(model_to_dict(model))) \
+        == model_to_dict(model)
+    try:
+        oracle = brute_force_oracle(model)
+    except OracleError:
+        assume(False)
+    try:
+        sol = solve_average(model, tol=TOL)
+    except ConvergenceError as exc:
+        gains = oracles.optimal_gains(model)
+        assert gains.max() - gains.min() > TOL
+        lower, upper = exc.bracket
+        assert lower <= gains.min() + TOL and gains.max() <= upper + TOL
+        return
+    assert sol.converged
+    assert sol.gain_lower <= sol.gain <= sol.gain_upper
+    assert sol.gain_upper - sol.gain_lower <= TOL
+    assert abs(sol.gain - oracle.gain) <= TOL
+    assert sol.h[sol.x0] == 0.0
+    assert certify_upper(model, sol.gain, sol.h, tol=TOL).passed
+    assert certify_lower(model, sol.gain, sol.h, sol.policy,
+                         tol=TOL).passed
+    assert np.isfinite(sol.h).all()
