@@ -25,8 +25,8 @@ from .model import CtmdpModel, FlatModel, ModelError, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
-# alpha = 0: sweeps without progress of the gain bracket after which a
-# pass of the iteration is taken to be stuck
+# alpha = 0: sweeps without progress after which a pass of the iteration
+# is taken to be stuck
 STALL_SWEEPS = 1000
 
 
@@ -151,20 +151,21 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
 
     Returns (g, h, sweeps, width): the bracket [min_x bell, max_x bell] at
     the returned h is `width` <= tol wide and g is its midpoint. Both ends
-    are valid at every sweep, so a running bracket [max lo, min hi] is kept.
-    A sweep makes progress when it moves an end of the running bracket or
-    narrows the current bracket below every earlier one (the running
-    bracket alone can close while no single h has yet closed its own).
+    are valid at every sweep, so a running bracket [max lo, min hi] is kept
+    for the error report.
 
     The first pass uses the per-state uniformization m(x) = q(x) + 1, which
     is fast where exit rates differ widely, but the gain read at x0 enters
     state x with weight m(x0) / m(x) and can make it diverge (a transient x0
-    with a fast exit rate does). When no sweep has made progress for
-    STALL_SWEEPS sweeps, or the bracket is not finite, the iteration
+    with a fast exit rate does). When its bracket has not narrowed below
+    its narrowest for STALL_SWEEPS sweeps, or is not finite, the iteration
     restarts from the initial h with the uniform m = max_x q(x) + 1, under
     which relative value iteration converges on every unichain model
-    (Puterman 1994, section 8.5). A stall of that pass (a multichain
-    model, whose bracket cannot close) raises ConvergenceError.
+    (Puterman 1994, section 8.5). In that pass the width never grows, but
+    it can stay flat while the states inside the bracket still move, so a
+    sweep that moves some bell(x) by more than tol also counts as progress;
+    STALL_SWEEPS sweeps without either (bell has settled with its bracket
+    open, as on a multichain model) raise ConvergenceError.
     """
     start = h
     m = flat.qmax + 1.0
@@ -172,7 +173,7 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
     best = (-np.inf, np.inf)
     narrowest = np.inf
     moved = 0
-    width = np.inf
+    prev = width = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(max_iter):
             bell = _state_max(flat.r + flat.Q @ h, flat)
@@ -181,27 +182,29 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
             if width <= tol:
                 return 0.5 * (lo + hi), h, it, width
             finite = np.isfinite(width)
-            if finite and (lo > best[0] or hi < best[1] or width < narrowest):
+            if finite:
                 best = (max(lo, best[0]), min(hi, best[1]))
+            if width < narrowest or (uniform
+                                     and np.max(np.abs(bell - prev)) > tol):
                 narrowest = min(width, narrowest)
                 moved = it
             elif not finite or it - moved >= STALL_SWEEPS:
                 if uniform:
                     raise ConvergenceError(
                         f"gain bracket [{best[0]:.17g}, {best[1]:.17g}] "
-                        f"stalled above tol {tol:.3e}", kappa=1.0,
+                        f"stalled above tol {tol:.3e}",
                         residual=width, iterations=it, alpha=0.0,
                         bracket=best)
-                uniform, moved, h = True, it, start
+                uniform, moved, h, narrowest = True, it, start, np.inf
                 m = np.full(flat.n, float(np.max(m)))
                 continue
+            prev = bell
             g = bell[x0]
             delta = (bell + m * h - g) / m
             h = delta - delta[x0]
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
-        kappa=1.0, residual=width, iterations=max_iter, alpha=0.0,
-        bracket=best)
+        residual=width, iterations=max_iter, alpha=0.0, bracket=best)
 
 
 def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
