@@ -8,25 +8,33 @@ is at most `tol` wide; the gain is its midpoint. The paper's vanishing-
 discount construction, a geometric schedule alpha_k -> 0 that reads the
 gain off alpha_K * J(x0), runs only when a schedule is passed, and then
 warm-starts the alpha = 0 stage. An independent brute-force oracle
-(policy enumeration with stationary-distribution evaluation, or
-average-reward policy iteration when the policy space is too large)
-cross-checks the result.
+(every policy's stationary distribution from batched linear solves, or
+Howard's policy iteration with sparse Poisson solves when the policy space
+is too large) cross-checks the result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
                          _vi_relative, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 
 ENUMERATION_LIMIT = 10 ** 6
+# enumeration evaluates policies in chunks of about this many stacked
+# generator entries (chunk policies x n x n), which bounds its memory
+CHUNK_ENTRIES = 2 ** 20
+# enumeration returns the first policy, in itertools.product order, whose
+# gain is this close (relative) to the best: policies that differ only on
+# transient states have the same gain up to rounding
+TIE_RTOL = 1e-12
 ENVELOPE_STAGES = 5
 
 
@@ -157,7 +165,27 @@ class OracleResult:
 
 
 class OracleError(RuntimeError):
-    """Singular or ambiguous stationary system for some policy."""
+    """Singular or ambiguous stationary system for some policy. The route
+    that raises sets `method` and the offending `policy`, with the number of
+    policies `evaluated` before it (enumeration) or the `round` and the best
+    gain so far (policy iteration)."""
+
+    def __init__(self, message, method=None, policy=None, evaluated=None,
+                 round=None, best_gain=None):
+        super().__init__(message)
+        self.method = method
+        self.policy = policy
+        self.evaluated = evaluated
+        self.round = round
+        self.best_gain = best_gain
+
+    def detail(self) -> dict:
+        out = {"method": self.method, "policy": self.policy}
+        if self.method == "enumeration":
+            out["evaluated"] = self.evaluated
+        elif self.method == "policy_iteration":
+            out["round"], out["best_gain"] = self.round, self.best_gain
+        return out
 
 
 def _dense_q(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
@@ -248,24 +276,32 @@ def _stationary_gain(model: CtmdpModel, f: StationaryPolicy):
 
 
 def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
-    """Average-reward policy iteration with exact linear-solve evaluation."""
-    n = model.n
+    """Howard's average-reward policy iteration (Puterman 1994, section
+    8.6). Each policy f is evaluated by a sparse LU solve of its bordered
+    Poisson system [[Q_f, -1], [e_x0^T, 0]] (h, g) = (-r_f, 0)."""
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+    flat = model.flat()
+    n = flat.n
+    border = sp.csr_matrix(np.full((n, 1), -1.0))
+    anchor = sp.csr_matrix(([1.0], ([0], [x0])), shape=(1, n))
     f = StationaryPolicy(choice=np.zeros(n, dtype=np.int64))
     best = None
-    for _ in range(max_rounds):
-        Q = _dense_q(model, f)
-        r_f = np.array([model.rewards.rate(x, f[x]) for x in range(n)])
-        # solve Q h - g*1 = -r with h(x0) = 0
-        A = np.zeros((n + 1, n + 1))
-        A[:n, :n] = Q
-        A[:n, n] = -1.0
-        A[n, x0] = 1.0
-        rhs = np.concatenate([-r_f, [0.0]])
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
+    for rnd in range(1, max_rounds + 1):
+        pairs = flat.starts + f.choice
+        A = sp.bmat([[flat.Q[pairs], border], [anchor, None]], format="csc")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                sol = spsolve(A, np.append(-flat.r[pairs], 0.0))
+            except MatrixRankWarning:
+                sol = np.full(n + 1, np.nan)
+        if not np.all(np.isfinite(sol)):
             raise OracleError(f"singular evaluation system for policy "
-                              f"{f.choice.tolist()}") from exc
+                              f"{f.choice.tolist()}",
+                              method="policy_iteration",
+                              policy=f.choice.tolist(), round=rnd,
+                              best_gain=None if best is None else best[0])
         h, g = sol[:n], float(sol[n])
         improved = extract_policy(model, h)
         if best is not None and g <= best[0] + 1e-13:
@@ -277,6 +313,80 @@ def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
     return best
 
 
+def _reachability(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a stack of boolean adjacency
+    matrices, by repeated squaring."""
+    n = adj.shape[-1]
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        step = reach.astype(np.float32)
+        reach = (step @ step) > 0
+    return reach
+
+
+def _enumeration(model: CtmdpModel) -> OracleResult:
+    """Evaluate every policy, in `itertools.product` order and in chunks of
+    stacked systems, and return the first whose gain is within
+    TIE_RTOL * max(1, |g*|) of the best gain g*.
+
+    Recurrence is structural: in a policy's reachability closure a state is
+    recurrent iff every state it reaches reaches it back. When every
+    recurrent state reaches every other (one closed class), pi solves
+    Q_f^T pi = 0 with its last balance equation replaced by sum(pi) = 1, one
+    batched solve per chunk. The other policies go through
+    `_stationary_gain`, which raises OracleError when more than one closed
+    class is reachable from state 0. `restricted` is set when some policy
+    leaves a state outside the closed class its gain is read on.
+    """
+    flat = model.flat()
+    n = flat.n
+    counts = model.kernel.counts
+    total = math.prod(counts.tolist())
+    # mixed radix of itertools.product: the last state varies fastest
+    stride = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
+    rows = flat.dense_rows(np.arange(flat.n_pairs))
+    chunk = max(1, CHUNK_ENTRIES // (n * n))
+    gains = np.empty(total)
+    restricted_any = False
+    for lo in range(0, total, chunk):
+        ids = np.arange(lo, min(lo + chunk, total))
+        choice = (ids[:, None] // stride) % counts
+        pairs = flat.starts + choice
+        Q = rows[pairs]
+        reach = _reachability(Q > 0)
+        recurrent = np.all(reach <= reach.transpose(0, 2, 1), axis=2)
+        multichain = np.any(recurrent[:, :, None] & recurrent[:, None, :]
+                            & ~reach, axis=(1, 2))
+        uni = np.flatnonzero(~multichain)
+        restricted_any = restricted_any or bool(np.any(~recurrent[uni]))
+        A = Q[uni].transpose(0, 2, 1).copy()
+        A[:, -1, :] = 1.0
+        rhs = np.zeros((len(uni), n, 1))
+        rhs[:, -1] = 1.0
+        pi = np.linalg.solve(A, rhs)[:, :, 0]
+        negative = np.flatnonzero(np.any(pi < -1e-9, axis=1))
+        if len(negative):
+            i = uni[negative[0]]
+            raise OracleError(f"singular stationary system for policy "
+                              f"{choice[i].tolist()}", method="enumeration",
+                              policy=choice[i].tolist(), evaluated=lo + int(i))
+        gains[ids[uni]] = np.einsum("bx,bx->b", pi, flat.r[pairs[uni]])
+        for i in np.flatnonzero(multichain):
+            f = StationaryPolicy(choice=choice[i])
+            try:
+                gains[lo + i], restricted = _stationary_gain(model, f)
+            except OracleError as exc:
+                exc.method, exc.policy = "enumeration", choice[i].tolist()
+                exc.evaluated = lo + int(i)
+                raise
+            restricted_any = restricted_any or restricted
+    top = float(np.max(gains))
+    pid = int(np.argmax(gains >= top - TIE_RTOL * max(1.0, abs(top))))
+    f = StationaryPolicy(choice=(pid // stride) % counts)
+    return OracleResult(gain=float(gains[pid]), policy=f,
+                        method="enumeration", restricted=restricted_any)
+
+
 def brute_force_oracle(model: CtmdpModel,
                        enumeration_limit: int = ENUMERATION_LIMIT) -> OracleResult:
     """Optimal average gain by full policy enumeration when feasible.
@@ -286,21 +396,10 @@ def brute_force_oracle(model: CtmdpModel,
     stationary-distribution / Poisson-equation linear solves and share no
     code with the discounted iteration.
     """
-    counts = model.kernel.counts.tolist()
-    if math.prod(counts) > enumeration_limit:
+    if math.prod(model.kernel.counts.tolist()) > enumeration_limit:
         gain, f = _policy_iteration(model)
         return OracleResult(gain=gain, policy=f, method="policy_iteration")
-
-    best = None
-    restricted_any = False
-    for pid, combo in enumerate(itertools.product(*[range(c) for c in counts])):
-        f = StationaryPolicy(choice=np.array(combo, dtype=np.int64))
-        gain, restricted = _stationary_gain(model, f)
-        restricted_any = restricted_any or restricted
-        if best is None or gain > best[0] + 0.0:
-            best = (gain, f, pid)
-    return OracleResult(gain=best[0], policy=best[1], method="enumeration",
-                        restricted=restricted_any)
+    return _enumeration(model)
 
 
 # -- truncation sensitivity --------------------------------------------------

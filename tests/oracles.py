@@ -6,10 +6,12 @@ fixed-policy generator and share no code with the iterative solver path.
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 
-from ctmdp import CtmdpModel, StationaryPolicy
+from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
+                   average, extract_policy)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (ROW_SUM_TOL, ModelError, ValidationReport,
                          boundary_states, generator_apply)
@@ -74,6 +76,60 @@ def optimal_gains(model: CtmdpModel) -> np.ndarray:
         P = P @ P
         P /= P.sum(axis=2, keepdims=True)
     return np.max(np.einsum("kxy,ky->kx", P, r), axis=0)
+
+
+# -- dense brute-force oracle -------------------------------------------------
+#
+# The routes `brute_force_oracle` took before it became sparse and batched:
+# one lstsq stationary solve per enumerated policy (strict first maximum),
+# and policy iteration with a dense solve of the bordered Poisson system.
+
+def dense_policy_iteration(model: CtmdpModel, x0: int = 0,
+                           max_rounds: int = 200):
+    n = model.n
+    f = StationaryPolicy(choice=np.zeros(n, dtype=np.int64))
+    best = None
+    for _ in range(max_rounds):
+        Q = average._dense_q(model, f)
+        r_f = reward_vector(model, f)
+        A = np.zeros((n + 1, n + 1))
+        A[:n, :n] = Q
+        A[:n, n] = -1.0
+        A[n, x0] = 1.0
+        rhs = np.concatenate([-r_f, [0.0]])
+        try:
+            sol = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(f"singular evaluation system for policy "
+                              f"{f.choice.tolist()}") from exc
+        h, g = sol[:n], float(sol[n])
+        improved = extract_policy(model, h)
+        if best is not None and g <= best[0] + 1e-13:
+            return best
+        best = (g, f)
+        if np.array_equal(improved.choice, f.choice):
+            return best
+        f = improved
+    return best
+
+
+def dense_brute_force_oracle(model: CtmdpModel,
+                             enumeration_limit: int = average.ENUMERATION_LIMIT
+                             ) -> OracleResult:
+    counts = model.kernel.counts.tolist()
+    if math.prod(counts) > enumeration_limit:
+        gain, f = dense_policy_iteration(model)
+        return OracleResult(gain=gain, policy=f, method="policy_iteration")
+    best = None
+    restricted_any = False
+    for combo in itertools.product(*[range(c) for c in counts]):
+        f = StationaryPolicy(choice=np.array(combo, dtype=np.int64))
+        gain, restricted = average._stationary_gain(model, f)
+        restricted_any = restricted_any or restricted
+        if best is None or gain > best[0]:
+            best = (gain, f)
+    return OracleResult(gain=best[0], policy=best[1], method="enumeration",
+                        restricted=restricted_any)
 
 
 def transient_mean(model: CtmdpModel, f: StationaryPolicy, x0: int,

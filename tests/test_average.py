@@ -62,6 +62,76 @@ def test_policy_iteration_fallback_on_large_space():
     assert sol.gain == pytest.approx(orc.gain, abs=1e-6)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "N": 30, "G": 3}),
+    ("tandem", {"N": 10, "G": 2})])
+def test_sparse_policy_iteration_matches_dense_reference(name, params):
+    m = ctmdp.build(name, params)
+    orc = brute_force_oracle(m)
+    ref = oracles.dense_brute_force_oracle(m)
+    assert orc.method == ref.method == "policy_iteration"
+    assert orc.gain == pytest.approx(ref.gain, abs=1e-11)
+    assert oracles.policy_gain(m, orc.policy) == pytest.approx(ref.gain,
+                                                               abs=1e-11)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
+                     "N": 2000, "G": 11}),
+    ("tandem", {"N": 60, "G": 2})])
+def test_oracle_agrees_with_solver_at_model_scale(name, params):
+    m = ctmdp.build(name, params)
+    orc = brute_force_oracle(m)
+    assert orc.method == "policy_iteration"
+    assert solve_average(m).gain == pytest.approx(orc.gain, abs=1e-8)
+
+
+def test_oracle_error_carries_partial_state():
+    # states 1 and 2 each have an absorbing action, and state 0's action 1
+    # leads to both: policy [1, 1, 1] reaches two closed classes from 0
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=3),
+        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)),) * 3),
+        kernel=ctmdp.RateKernel([
+            [[(0, -1.0), (1, 1.0)], [(0, -2.0), (1, 1.0), (2, 1.0)]],
+            [[(0, 1.0), (1, -1.0)], [(1, 0.0)]],
+            [[(0, 1.0), (2, -1.0)], [(2, 0.0)]]]),
+        rewards=ctmdp.RewardTable(table=((0.0, 0.0), (0.0, 1.0),
+                                         (0.0, 3.0))),
+    )
+    with pytest.raises(ctmdp.OracleError) as info:
+        brute_force_oracle(m)
+    assert info.value.detail() == {"method": "enumeration",
+                                   "policy": [1, 1, 1], "evaluated": 7}
+    # round 1 evaluates [0, 0, 0] (gain 0); its greedy improvement
+    # [0, 1, 1] has two closed classes, so its Poisson system is singular
+    with pytest.raises(ctmdp.OracleError) as info:
+        brute_force_oracle(m, enumeration_limit=1)
+    assert info.value.detail() == {"method": "policy_iteration",
+                                   "policy": [0, 1, 1], "round": 2,
+                                   "best_gain": 0.0}
+
+
+def test_enumeration_breaks_rounding_ties_by_product_order():
+    # the action of the transient state 0 leaves the gain unchanged, but
+    # the batched solves give the three policies gains that differ in the
+    # last bits (the second one is largest on x86-64 with OpenBLAS)
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=3),
+        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)), ((0.0,),),
+                                       ((0.0,),))),
+        kernel=ctmdp.RateKernel([
+            [[(0, -q), (1, q)] for q in (2.9, 0.16, 3.06)],
+            [[(1, -2.1), (2, 2.1)]], [[(1, 3.72), (2, -3.72)]]]),
+        rewards=ctmdp.RewardTable(table=((0.0,) * 3, (-4.34,), (3.41,))),
+    )
+    orc = brute_force_oracle(m)
+    assert orc.policy.choice.tolist() == [0, 0, 0]
+    assert orc.restricted
+    assert orc.gain == pytest.approx((-4.34 * 3.72 + 3.41 * 2.1) / 5.82,
+                                     abs=1e-14)
+
+
 def test_oracle_gain_dominates_every_policy():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 2,
                              "G": 2, "reward": {"p": 1.0, "kappa": 0.2}})

@@ -456,6 +456,20 @@ def test_cli_solve_average_multichain_exits_1_with_partial_trace(
     assert all(e["sweeps"] > 0 for e in err["trace"])
 
 
+def test_cli_oracle_multichain_exits_1_with_partial_state(tmp_path, capsys):
+    out = tmp_path / "err.json"
+    assert run(["oracle", "--model", write_model(tmp_path, TWO_ABSORBING),
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["config"]["subcommand"] == "oracle"
+    err = doc["error"]
+    assert err["type"] == "OracleError"
+    assert "2 closed classes" in err["message"]
+    assert (err["method"], err["policy"], err["evaluated"]) \
+        == ("enumeration", [0, 0, 0], 0)
+
+
 def test_cli_solve_average_tandem_converges(capsys):
     assert run(["solve-average", "--builtin", "tandem", "--params",
                 '{"N":10,"G":2}']) == 0

@@ -6,6 +6,9 @@ bracket no wider than tol whose midpoint is within tol of
 or raises ConvergenceError; it may raise only when the optimal gain
 differs between start states by more than tol, so that no bracket can
 close, and its running bracket must still hold every state's optimal gain.
+
+On the same models the batched enumeration of `brute_force_oracle` is
+checked against the per-policy dense reference in oracles.py.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from ctmdp import (ConvergenceError, brute_force_oracle, certify_lower,
                    certify_upper, model_from_dict, model_to_dict,
                    solve_average)
-from ctmdp.average import OracleError
+from ctmdp.average import OracleError, _stationary_gain
 
 import oracles
 
@@ -68,3 +71,24 @@ def test_solver_brackets_the_oracle_gain(doc):
     assert certify_lower(model, sol.gain, sol.h, sol.policy,
                          tol=TOL).passed
     assert np.isfinite(sol.h).all()
+
+
+def _oracle_or_error(oracle, model):
+    try:
+        return oracle(model)
+    except OracleError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(explicit_documents())
+def test_batched_enumeration_matches_dense_reference(doc):
+    model = model_from_dict(doc)
+    new = _oracle_or_error(brute_force_oracle, model)
+    ref = _oracle_or_error(oracles.dense_brute_force_oracle, model)
+    assert isinstance(new, OracleError) == isinstance(ref, OracleError)
+    if isinstance(ref, OracleError):
+        return
+    assert (new.method, new.restricted) == (ref.method, ref.restricted)
+    assert abs(new.gain - ref.gain) <= 1e-11
+    assert abs(_stationary_gain(model, new.policy)[0] - ref.gain) <= 1e-11
