@@ -10,7 +10,8 @@ current code must reproduce exactly.
   solved policy) for the same builtins and a valid explicit model file
   (captured with per-row rate storage, before the kernel became one CSR
   matrix; the `solve-average` and `verify` reports re-captured when the
-  solver became the certified-bracket iteration, with unchanged policies);
+  solver became the certified-bracket iteration, and the `oracle` reports
+  when the oracle became sparse and batched, each with unchanged policies);
 * `describe` for each builtin, and `validate` of the continuous-state
   redistribution process (captured before the family specs were
   gathered into one `FamilySpec` per builtin).
