@@ -25,8 +25,8 @@ from .model import CtmdpModel, FlatModel, ModelError, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
-# alpha = 0: sweeps without progress after which a pass of the iteration
-# is taken to be stuck
+# sweeps without progress after which a pass of the iteration is taken to
+# be stuck
 STALL_SWEEPS = 1000
 
 
@@ -122,24 +122,43 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     candidate. The gain estimate is the Bellman image at x0, which equals
     alpha*J(x0) exactly at the fixed point because h(x0) = 0. At alpha = 0
     the stop is the span bracket instead (`_bracket_iteration`).
+
+    The per-state m(x) = q(x) + 1 feeds the gain read at x0 into state x
+    with weight m(x0) / m(x), which can make the iteration diverge, as at
+    alpha = 0. When the residual is not finite, or has not reached a new
+    minimum for STALL_SWEEPS sweeps, the iteration restarts from the
+    initial h with the uniform m = max_x q(x) + 1. Under a uniform m it is
+    the J iteration J <- T J shifted by J(x0) after each sweep, a
+    contraction of modulus kappa.
     """
     h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
     if alpha == 0:
         return _bracket_iteration(flat, x0, tol, max_iter, h)
+    start = h
     m = flat.qmax + 1.0
     m_max = float(np.max(m))
     kappa = m_max / (alpha + m_max)
 
-    residual = np.inf
-    for it in range(max_iter):
-        vals = flat.r + flat.Q @ h
-        bell = _state_max(vals, flat)            # max_a { r + sum h q }
-        g = float(bell[x0])
-        residual = float(np.max(np.abs(g + alpha * h - bell) / w))
-        if residual <= tol and it > 0:
-            return g, h, it, residual
-        delta = (bell + m * h - g) / (alpha + m)
-        h = delta - delta[x0]
+    uniform = False
+    lowest = residual = np.inf
+    moved = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            vals = flat.r + flat.Q @ h
+            bell = _state_max(vals, flat)            # max_a { r + sum h q }
+            g = float(bell[x0])
+            residual = float(np.max(np.abs(g + alpha * h - bell) / w))
+            if residual <= tol and it > 0:
+                return g, h, it, residual
+            if residual < lowest:
+                lowest, moved = residual, it
+            elif not uniform and (not np.isfinite(residual)
+                                  or it - moved >= STALL_SWEEPS):
+                uniform, h = True, start
+                m = np.full(flat.n, m_max)
+                continue
+            delta = (bell + m * h - g) / (alpha + m)
+            h = delta - delta[x0]
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {residual:.3e})",
         kappa=kappa, residual=residual, iterations=max_iter, alpha=alpha)

@@ -470,6 +470,26 @@ def test_cli_oracle_multichain_exits_1_with_partial_state(tmp_path, capsys):
         == ("enumeration", [0, 0, 0], 0)
 
 
+# x0 = 0 leaves at rate 4 for the absorbing state 1: the per-state
+# uniformized iteration diverges there at every alpha
+FAST_EXIT = {
+    "kind": "explicit", "states": 2, "actions": [[[0.0]], [[0.0]]],
+    "rates": [{"x": 0, "a": 0, "entries": [[1, 4.0]]},
+              {"x": 1, "a": 0, "entries": []}],
+    "rewards": [{"x": 0, "a": 0, "r": 0.0}, {"x": 1, "a": 0, "r": 1.0}],
+}
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["solve-discounted", "--alpha", "0.5"], "J", [16.0 / 9.0, 2.0]),
+    (["solve-average", "--steps", "2"], "gain", 1.0)])
+def test_cli_fast_exit_reference_converges_at_every_alpha(tmp_path, capsys,
+                                                          argv, key, value):
+    assert run(argv + ["--model", write_model(tmp_path, FAST_EXIT)]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep[key] == pytest.approx(value, abs=1e-8)
+
+
 def test_cli_solve_average_tandem_converges(capsys):
     assert run(["solve-average", "--builtin", "tandem", "--params",
                 '{"N":10,"G":2}']) == 0
