@@ -359,7 +359,7 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
                             & ~reach, axis=(1, 2))
         uni = np.flatnonzero(~multichain)
         restricted_any = restricted_any or bool(np.any(~recurrent[uni]))
-        A = Q[uni].transpose(0, 2, 1).copy()
+        A = Q[uni].transpose(0, 2, 1)
         A[:, -1, :] = 1.0
         rhs = np.zeros((len(uni), n, 1))
         rhs[:, -1] = 1.0
