@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -477,44 +478,100 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
 
     Rate mass aimed beyond the boundary is clamped componentwise onto it;
     clamped self-loops are dropped and the diagonal recomputed so every
-    row sums to zero exactly.
+    row sums to zero exactly. The callbacks' entries are collected flat
+    and merged on arrays: the rates of one target of a pair add up in entry
+    order, and the diagonal is minus their sequential sum in order of first
+    appearance (+0.0 for a row without off-diagonal mass).
     """
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
-    index = {lab: i for i, lab in enumerate(labels)}
-
     action_sets, reward_rows = [], []
-    lengths, targets, rates = [], [], []
-    for x, lab in enumerate(labels):
+    coords, rates = [], array("d")   # all entries, in entry order
+    ends = []                        # entry count after each pair
+    for lab in labels:
         acts = [tuple(a) for a in family.actions(lab)]
         per_state_rewards = []
         for a in acts:
-            mass = {}      # clamped target -> rate, merged in entry order
             for target, rate in family.entries(lab, a):
-                clamped = tuple(min(int(t), N) for t in target)
-                if any(t < 0 for t in clamped):
-                    raise ModelError(f"negative target {target} from {lab}")
-                if clamped == lab:
-                    continue   # folded into the diagonal
-                mass[index[clamped]] = mass.get(index[clamped], 0.0) + float(rate)
-            targets.extend(mass)
-            targets.append(x)
-            rates.extend(mass.values())
-            rates.append(-sum(mass.values()))
-            lengths.append(len(mass) + 1)
+                coords.extend(target)
+                rates.append(rate)
+            ends.append(len(rates))
             per_state_rewards.append(family.reward(lab, a))
         action_sets.append(acts)
         reward_rows.append(per_state_rewards)
 
+    clamped = np.minimum(np.asarray(coords, dtype=np.int64)
+                         .reshape(len(rates), family.dim), N)
+    del coords     # free the Python entry list before the array temporaries
+    counts = [len(acts) for acts in action_sets]
+    x_of = np.repeat(np.arange(len(labels)), counts)         # state of a pair
+    negative = np.flatnonzero((clamped < 0).any(axis=1))
+    if len(negative):
+        k = int(negative[0])
+        p = int(np.searchsorted(ends, k, side="right"))
+        x = int(x_of[p])
+        a = action_sets[x][p - int(np.searchsorted(x_of, x))]
+        # the offending target as the (pure) callback gave it
+        target, _ = list(family.entries(labels[x], a))[
+            k - (ends[p - 1] if p else 0)]
+        raise ModelError(f"negative target {target} from {labels[x]}")
+    # target index: mixed radix of the itertools.product grid
+    key = clamped[:, 0].copy()
+    for column in clamped.T[1:]:
+        key *= N + 1
+        key += column
+    del clamped
+    pair = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    keep = key != x_of[pair]                # clamped self-loops are dropped
+    key += pair * len(labels)               # key = pair * n + target
+    del pair
+    key, rates = key[keep], np.frombuffer(rates, dtype=np.float64)[keep]
+    del keep
+    kernel = _merged_kernel(counts, x_of, key, rates)
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
         actions=ActionSets(sets=tuple(action_sets)),
-        kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
-                                     lengths, targets, rates),
+        kernel=kernel,
         rewards=RewardTable(table=tuple(reward_rows)),
         lyapunov=lyap,
     )
+
+
+def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
+    """Kernel of the off-diagonal entries key[k] = pair * n + target with
+    rates rate[k], k in entry order: duplicate targets of a pair summed in
+    entry order from 0.0, and a diagonal entry added to each pair."""
+    n_pairs, n = len(x_of), len(counts)
+    key, first, slot = np.unique(key, return_index=True, return_inverse=True)
+    merged = np.zeros(len(key))
+    np.add.at(merged, slot, rate)
+    del slot
+    owner = key // n                      # pair of each merged entry
+    size = np.bincount(owner, minlength=n_pairs)
+    # the diagonal adds each pair's merged rates one at a time, in order of
+    # first appearance (np.add.reduceat does not add sequentially, so its
+    # rounding differs)
+    ordered = merged[np.argsort(first)]   # pair by pair
+    del first
+    end = np.cumsum(size)
+    at = end - size
+    total = np.zeros(n_pairs)
+    live = np.flatnonzero(size)
+    while len(live):
+        total[live] += ordered[at[live]]
+        at[live] += 1
+        live = live[at[live] < end[live]]
+    del ordered
+    # each pair's merged entries, then its diagonal
+    targets = np.empty(len(key) + n_pairs, dtype=np.int64)
+    values = np.empty(len(key) + n_pairs)
+    at = np.arange(len(key)) + owner
+    targets[at], values[at] = key - owner * n, merged
+    del key, merged, owner
+    at = end + np.arange(n_pairs)
+    targets[at], values[at] = x_of, np.where(size > 0, -total, 0.0)
+    return RateKernel.from_pairs(counts, size + 1, targets, values)
 
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:
@@ -522,5 +579,4 @@ def boundary_states(model: CtmdpModel) -> np.ndarray:
     N = model.states.truncation_level
     if N is None or model.states.labels is None:
         return np.empty(0, dtype=np.int64)
-    return np.array([i for i, lab in enumerate(model.states.labels)
-                     if any(t == N for t in lab)], dtype=np.int64)
+    return np.flatnonzero((np.array(model.states.labels) == N).any(axis=1))

@@ -13,8 +13,9 @@ import numpy as np
 from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
                    average, extract_policy)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
-from ctmdp.model import (ROW_SUM_TOL, ModelError, ValidationReport,
-                         boundary_states, generator_apply)
+from ctmdp.model import (ROW_SUM_TOL, ActionSets, CountableFamily,
+                         ModelError, RateKernel, RewardTable, StateSpace,
+                         ValidationReport, boundary_states, generator_apply)
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
@@ -130,6 +131,51 @@ def dense_brute_force_oracle(model: CtmdpModel,
             best = (gain, f)
     return OracleResult(gain=best[0], policy=best[1], method="enumeration",
                         restricted=restricted_any)
+
+
+# -- truncation ---------------------------------------------------------------
+
+def truncate_loop(family: CountableFamily, N: int) -> CtmdpModel:
+    """`model.truncate` as a per-entry Python merge: each entry is clamped
+    componentwise onto the boundary, clamped self-loops are dropped, the
+    rest is merged per pair in a dict in entry order, and the diagonal is
+    minus the Python sum of the merged rates in first-appearance order."""
+    labels = list(itertools.product(range(N + 1), repeat=family.dim))
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    action_sets, reward_rows = [], []
+    lengths, targets, rates = [], [], []
+    for x, lab in enumerate(labels):
+        acts = [tuple(a) for a in family.actions(lab)]
+        per_state_rewards = []
+        for a in acts:
+            mass = {}      # clamped target -> rate, merged in entry order
+            for target, rate in family.entries(lab, a):
+                clamped = tuple(min(int(t), N) for t in target)
+                if any(t < 0 for t in clamped):
+                    raise ModelError(f"negative target {target} from {lab}")
+                if clamped == lab:
+                    continue   # folded into the diagonal
+                mass[index[clamped]] = mass.get(index[clamped], 0.0) + float(rate)
+            targets.extend(mass)
+            targets.append(x)
+            rates.extend(mass.values())
+            rates.append(-sum(mass.values()))
+            lengths.append(len(mass) + 1)
+            per_state_rewards.append(family.reward(lab, a))
+        action_sets.append(acts)
+        reward_rows.append(per_state_rewards)
+
+    lyap = family.lyapunov(labels) if family.lyapunov is not None else None
+    return CtmdpModel(
+        states=StateSpace(size=len(labels), labels=tuple(labels),
+                          truncation_level=N),
+        actions=ActionSets(sets=tuple(action_sets)),
+        kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
+                                     lengths, targets, rates),
+        rewards=RewardTable(table=tuple(reward_rows)),
+        lyapunov=lyap,
+    )
 
 
 def transient_mean(model: CtmdpModel, f: StationaryPolicy, x0: int,
