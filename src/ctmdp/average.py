@@ -275,10 +275,28 @@ def _stationary_gain(model: CtmdpModel, f: StationaryPolicy):
     return float(pi @ r_f), restricted
 
 
+def _closed_classes(Q_f) -> int:
+    """Number of closed communicating classes of a sparse generator: its
+    strongly connected components that no positive rate leaves."""
+    from scipy.sparse.csgraph import connected_components
+
+    Q_f = Q_f.tocoo()
+    edge = Q_f.data > 0
+    rows, cols = Q_f.row[edge], Q_f.col[edge]
+    k, comp = connected_components(
+        sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=Q_f.shape),
+        directed=True, connection="strong")
+    leaving = comp[rows] != comp[cols]
+    return k - len(np.unique(comp[rows[leaving]]))
+
+
 def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
     """Howard's average-reward policy iteration (Puterman 1994, section
     8.6). Each policy f is evaluated by a sparse LU solve of its bordered
-    Poisson system [[Q_f, -1], [e_x0^T, 0]] (h, g) = (-r_f, 0)."""
+    Poisson system [[Q_f, -1], [e_x0^T, 0]] (h, g) = (-r_f, 0), which has
+    one solution iff Q_f has one closed class; that is checked first, on
+    the graph of Q_f, since rounding can leave a multichain system with a
+    nonzero pivot."""
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     flat = model.flat()
@@ -289,16 +307,21 @@ def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
     best = None
     for rnd in range(1, max_rounds + 1):
         pairs = flat.starts + f.choice
-        A = sp.bmat([[flat.Q[pairs], border], [anchor, None]], format="csc")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            try:
-                sol = spsolve(A, np.append(-flat.r[pairs], 0.0))
-            except MatrixRankWarning:
-                sol = np.full(n + 1, np.nan)
+        Q_f = flat.Q[pairs]
+        closed = _closed_classes(Q_f)
+        sol = np.full(n + 1, np.nan)
+        if closed == 1:
+            A = sp.bmat([[Q_f, border], [anchor, None]], format="csc")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", MatrixRankWarning)
+                try:
+                    sol = spsolve(A, np.append(-flat.r[pairs], 0.0))
+                except MatrixRankWarning:
+                    pass
         if not np.all(np.isfinite(sol)):
-            raise OracleError(f"singular evaluation system for policy "
-                              f"{f.choice.tolist()}",
+            why = (f"{closed} closed classes" if closed > 1
+                   else "singular evaluation system")
+            raise OracleError(f"{why} for policy {f.choice.tolist()}",
                               method="policy_iteration",
                               policy=f.choice.tolist(), round=rnd,
                               best_gain=None if best is None else best[0])

@@ -112,6 +112,30 @@ def test_oracle_error_carries_partial_state():
                                    "best_gain": 0.0}
 
 
+def test_policy_iteration_refuses_a_multichain_policy():
+    # under the all-zeros start policy state 0 is absorbing beside the
+    # closed class {1, 2}; the bordered Poisson system is singular, but its
+    # LU pivots are not exactly zero, so only the structural check sees it
+    # (without it the oracle returns gain -3.3549 for [0, 0, 0], while
+    # action 1 at state 0 leads into {1, 2}, gain about -1.30)
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=3),
+        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)), ((0.0,),),
+                                       ((0.0,),))),
+        kernel=ctmdp.RateKernel([
+            [[(0, 0.0)], [(0, -3.3335), (2, 3.3335)]],
+            [[(1, -0.2977), (2, 0.2977)]], [[(1, 3.3107), (2, -3.3107)]]]),
+        rewards=ctmdp.RewardTable(table=((-3.3549, -3.3549), (-1.2485,),
+                                         (-1.8326,))),
+    )
+    with pytest.raises(ctmdp.OracleError, match="2 closed classes") as info:
+        brute_force_oracle(m, enumeration_limit=0)
+    assert info.value.detail() == {"method": "policy_iteration",
+                                   "policy": [0, 0, 0], "round": 1,
+                                   "best_gain": None}
+    assert max(oracles.optimal_gains(m)) < -1.29
+
+
 def test_enumeration_breaks_rounding_ties_by_product_order():
     # the action of the transient state 0 leaves the gain unchanged, but
     # the batched solves give the three policies gains that differ in the
