@@ -347,6 +347,12 @@ def _cmd_simulate(args, stdin_text) -> int:
         if args.mode != "lyapunov":
             raise UsageError("the continuous-state builtin supports "
                              "--mode lyapunov only")
+        if not any(np.array_equal(f.matrix, m) for m in model.matrices):
+            raise UsageError("--policy 'matrix' must be one of the "
+                             "family's admissible 'matrices'")
+        if not np.all((f.q >= 0) & (f.q <= model.qstar)):
+            raise UsageError(f"--policy 'q' must satisfy 0 <= q <= qstar "
+                             f"= {model.qstar.tolist()}, got {q}")
     else:
         _validate_or_die(model)
         f = modelio.policy_from_dict(pol_doc, model)

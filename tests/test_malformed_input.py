@@ -8,6 +8,7 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,53 @@ def test_mutated_explicit_model_exits_2_naming_the_field(tmp_path_factory,
     code, err = validate(["--model", str(path)])
     assert code == 2, doc
     assert all(text in err for text in expect), (expect, err)
+
+
+# -- redistribution policies -------------------------------------------------
+
+@pytest.mark.parametrize("params, policy", [
+    # a row-stochastic matrix that is not one of the declared 'matrices'
+    ({"d": 2, "lambda": 2.0}, {"matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    ({"d": 2, "lambda": 2.0, "matrices": [[[1.0, 0.0], [0.0, 1.0]]]},
+     {"matrix": [[0.5, 0.5], [0.5, 0.5]]}),
+    # weights outside [0, qstar]
+    ({"d": 2, "lambda": 2.0}, {"matrix": [[0.5, 0.5], [0.5, 0.5]],
+                               "q": [0.5, 1.5]}),
+    ({"d": 2, "lambda": 2.0, "qstar": [2.0, 0.25]},
+     {"matrix": [[0.5, 0.5], [0.5, 0.5]], "q": [-0.5, 0.0]}),
+    ({"d": 2, "lambda": 2.0, "qstar": [2.0, 0.25]},
+     {"matrix": [[0.5, 0.5], [0.5, 0.5]], "q": [1.0, 0.5]}),
+])
+def test_inadmissible_redistribution_policy_exits_2(tmp_path, params,
+                                                    policy):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(["simulate", "--builtin", "potlach", "--params",
+                    json.dumps(params), "--policy", str(path), "--mode",
+                    "lyapunov", "--x0", "[1, 1]", "--reps", "3"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "--policy" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("params, policy", [
+    ({"d": 2, "lambda": 2.0}, {"matrix": [[0.5, 0.5], [0.5, 0.5]],
+                               "q": [0.0, 0.0]}),
+    ({"d": 2, "lambda": 2.0}, {"matrix": [[0.5, 0.5], [0.5, 0.5]],
+                               "q": [1.0, 0.25]}),
+    ({"d": 2, "lambda": 2.0,
+      "matrices": [[[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]},
+     {"matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+])
+def test_admissible_redistribution_policy_runs(tmp_path, params, policy):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["simulate", "--builtin", "potlach", "--params",
+                    json.dumps(params), "--policy", str(path), "--mode",
+                    "lyapunov", "--x0", "[1, 1]", "--reps", "3"])
+    assert code in (0, 1)    # 1 is the simulator's own 3-SE verdict
