@@ -83,14 +83,23 @@ class ActionSets:
     sets: tuple
 
     def __post_init__(self):
-        sets = tuple(tuple(tuple(float(v) for v in a) for a in acts)
-                     for acts in self.sets)
-        object.__setattr__(self, "sets", sets)
-        for x, acts in enumerate(sets):
-            if len(acts) == 0:
-                raise ModelError(f"state {x} has an empty action set")
-            if len(set(acts)) != len(acts):
-                raise ModelError(f"state {x} has duplicate actions")
+        # a truncated family repeats one action list at many states: each
+        # distinct list is converted and checked once and then shared, but
+        # not a list holding a zero, since -0.0 == 0.0
+        shared, sets = {}, []
+        for x, acts in enumerate(self.sets):
+            key = tuple(map(tuple, acts))
+            converted = shared.get(key)
+            if converted is None:
+                converted = tuple(tuple(float(v) for v in a) for a in key)
+                if len(converted) == 0:
+                    raise ModelError(f"state {x} has an empty action set")
+                if len(set(converted)) != len(converted):
+                    raise ModelError(f"state {x} has duplicate actions")
+                if 0 not in itertools.chain.from_iterable(converted):
+                    shared[key] = converted
+            sets.append(converted)
+        object.__setattr__(self, "sets", tuple(sets))
 
     def __len__(self):
         return len(self.sets)

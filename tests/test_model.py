@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
@@ -205,3 +205,29 @@ def test_flat_view_consistent_with_rows():
             p = flat.pair_index(x, a)
             assert flat.r[p] == m.rewards.rate(x, a)
             assert flat.exit[p] == pytest.approx(m.kernel.exit_rate(x, a))
+
+
+ACTION_VALUES = [0.0, -0.0, 0, 1, 1.0, np.float64(1.0), np.float32(0.5), 0.5,
+                 float("nan"), 2.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.lists(st.sampled_from(ACTION_VALUES),
+                                  min_size=1, max_size=2),
+                         max_size=3), min_size=1, max_size=6),
+       st.lists(st.integers(0, 5), max_size=6))
+@example([[[0.0]], [[-0.0]]], [0, 1])
+@example([[[1, 0.0]], [[1.0, -0.0]]], [0, 1, 0])
+def test_action_sets_convert_each_state_as_given(pool, picks):
+    # states repeat lists from a small pool, so that converted lists are
+    # shared; the result must be the plain per-state float conversion,
+    # signed zeros included, and errors must name the same state
+    sets = [pool[i % len(pool)] for i in picks] or pool
+    ref = [tuple(tuple(float(v) for v in a) for a in acts) for acts in sets]
+    bad = [x for x, acts in enumerate(ref) if len(set(acts)) != len(acts)
+           or not acts]
+    if bad:
+        with pytest.raises(ModelError, match=f"state {bad[0]} has"):
+            ActionSets(sets=sets)
+        return
+    assert repr(ActionSets(sets=sets).sets) == repr(tuple(ref))
