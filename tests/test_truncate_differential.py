@@ -108,8 +108,6 @@ def assert_same_model(new, ref):
        N=st.integers(0, 6), max_entries=st.integers(0, 6),
        negative=st.booleans())
 def test_truncate_matches_loop(seed, dim, N, max_entries, negative):
-    if dim == 3:
-        N = min(N, 4)    # at most 125 states
     family = random_family(seed, dim, N, max_entries, negative)
     try:
         ref = truncate_loop(family, N)
