@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
-                         _vi_relative, extract_policy)
+                         _vi_relative, check_positive, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -110,6 +110,7 @@ def solve_average(model: CtmdpModel,
     from their last h. Raises ConvergenceError, carrying the partial trace,
     when a stage fails or the bracket stalls above `tol`.
     """
+    check_positive(tol=tol)
     flat = model.flat()
     w = model.weights()
     if not 0 <= x0 < model.n:
@@ -450,6 +451,7 @@ def truncation_sensitivity(builder, params: dict, levels,
     to a model. The h comparison covers the states of the smaller level
     whose every coordinate lies in its lower half, matched by label.
     """
+    check_positive(tol=tol)
     levels = sorted(int(N) for N in levels)
     runs = []
     for N in levels:

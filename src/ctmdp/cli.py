@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,24 @@ FORMAT_VERSION = modelio.FORMAT_VERSION
 
 class UsageError(Exception):
     pass
+
+
+def _ranged(kind, ok, what):
+    """argparse type: kind(text), refused (argparse names the flag and
+    exits 2) unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = kind.__name__     # "invalid float value: 'x'"
+    return parse
+
+
+_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = _ranged(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "at least 1")
+_SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
 
 def _read_text(path: str, stdin_text: dict) -> str:
@@ -301,8 +320,6 @@ def _cmd_verify(args, stdin_text) -> int:
 
 
 def _cmd_martingale(args, stdin_text) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     doc, model = _valid_tabulated_model(args, stdin_text)
     g, h, pol_doc = _solution(args, stdin_text)
     if args.policy == "star":
@@ -325,10 +342,6 @@ def _cmd_martingale(args, stdin_text) -> int:
 
 
 def _cmd_simulate(args, stdin_text) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    if not 0 < args.horizon < np.inf:
-        raise UsageError(f"--horizon must be finite and > 0: {args.horizon}")
     doc, model = _resolve_model(args, stdin_text)
     x0 = _parse_json(args.x0, "--x0")
     pol_doc = _parse_json(_read_text(args.policy, stdin_text), "--policy")
@@ -430,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-discounted", help="discounted value iteration")
     _add_model_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--alpha", type=_POSITIVE, required=True)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.add_argument("--x0", type=int, default=0)
     _add_common(p)
     p.set_defaults(handler=_cmd_solve_discounted)
@@ -444,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vanishing-discount steps before the alpha = 0 "
                         "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     _add_common(p)
     p.set_defaults(handler=_cmd_solve_average)
 
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vanishing-discount steps before the alpha = 0 "
                         "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-8)
     _add_common(p)
     p.set_defaults(handler=_cmd_sensitivity)
 
@@ -471,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--solution", required=True,
                    help="solve-average report JSON, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-6)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -480,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     p.add_argument("--policy", default="star",
                    help="'star' for the solution policy, or a policy file")
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--reps", type=_AT_LEAST_1, default=200)
+    p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--checkpoints", help="comma list of times")
     _add_common(p)
@@ -495,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", default="0", help="start state (JSON)")
     p.add_argument("--x0b", type=int, default=None,
                    help="second start for ergodicity runs")
-    p.add_argument("--horizon", type=float, default=1e5)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--horizon", type=_POSITIVE, default=1e5)
+    p.add_argument("--reps", type=_AT_LEAST_1, default=20)
+    p.add_argument("--seed", type=_SEED, default=7)
     p.add_argument("--checkpoints", help="comma list of times")
     p.add_argument("--emit-series", dest="emit_series",
                    help="CSV path for the time/replication series")

@@ -226,6 +226,14 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
         residual=width, iterations=max_iter, alpha=0.0, bracket=best)
 
 
+def check_positive(**values) -> None:
+    """ModelError unless every value is finite and > 0; a NaN tolerance or
+    discount rate would otherwise run the whole sweep budget."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ModelError(f"{name} must be finite and > 0, got {value}")
+
+
 def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER,
                      x0: int = 0, h0=None) -> DiscountedSolution:
@@ -235,8 +243,7 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     w-weighted residual at most `tol`; the maximizing policy breaks ties
     by lowest action index.
     """
-    if alpha <= 0:
-        raise ModelError("discount rate alpha must be positive")
+    check_positive(alpha=alpha, tol=tol)
     if not 0 <= x0 < model.n:
         raise ModelError("reference state out of range")
     flat = model.flat()

@@ -64,6 +64,8 @@ class SimulationError(RuntimeError):
 
 def stream(seed: int, rep: int) -> np.random.Generator:
     """Replication RNG: Philox keyed by (seed, rep)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ModelError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(rep)))
 
 

@@ -22,6 +22,16 @@ def test_bad_schedule_rejected():
         VanishingSchedule(alpha0=0.1, ratio=1.5, steps=3)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_tolerance_never_met_rejected(tol):
+    m = ctmdp.build("mmn0", MM20_PARAMS)
+    with pytest.raises(ctmdp.ModelError, match="tol must be finite and > 0"):
+        solve_average(m, tol=tol)
+    # refused before the first level is built
+    with pytest.raises(ctmdp.ModelError, match="tol must be finite and > 0"):
+        truncation_sensitivity(None, MM20_PARAMS, [2, 3], tol=tol)
+
+
 def test_closed_form_gain_mm20():
     # uncontrolled M/M/2/0, lambda=1, mu=2, r(x)=x: pi = (8,4,1)/13
     m = ctmdp.build("mmn0", MM20_PARAMS)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -251,6 +252,39 @@ def test_cli_monte_carlo_reports_give_jump_counts(tmp_path):
         jumps = rep["report"]["jumps"]
         assert len(jumps) == rep["config"]["reps"]
         assert all(isinstance(j, int) and j > 0 for j in jumps)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve-average", "--tol", "-1"], "--tol"),
+    (["solve-average", "--tol", "nan"], "--tol"),
+    (["solve-discounted", "--alpha", "nan"], "--alpha"),
+    (["solve-discounted", "--alpha", "1", "--tol", "0"], "--tol"),
+    (["sensitivity", "--levels", "2,3", "--tol", "inf"], "--tol"),
+    (["verify", "--solution", "-", "--tol", "nan"], "--tol"),
+    (["verify", "--solution", "-", "--tol", "-0.001"], "--tol"),
+    (["simulate", "--policy", "-", "--seed", "-1"], "--seed"),
+    (["simulate", "--policy", "-", "--seed", str(2 ** 64)], "--seed"),
+    (["martingale", "--solution", "-", "--seed", "-1"], "--seed"),
+])
+def test_cli_refuses_unmeetable_tolerance_or_seed(capsys, argv, flag):
+    """Refused before any work: the tolerances used to run the whole sweep
+    budget, the seeds to escape as a ValueError of the random stream."""
+    t0 = time.perf_counter()
+    assert run(argv[:1] + ["--builtin", "mmn0", "--params", MMN0]
+               + argv[1:]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be" in captured.err
+
+
+def test_cli_simulate_accepts_the_largest_seed(tmp_path, capsys):
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    assert run(["simulate", "--builtin", "mmn0", "--params", MMN0,
+                "--policy", str(pol), "--horizon", "5", "--reps", "2",
+                "--seed", str(2 ** 64 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,18 @@ def restrict_to_policy(model, f):
     )
 
 
+@pytest.mark.parametrize("alpha, tol, name", [
+    (np.nan, 1e-10, "alpha"), (0.0, 1e-10, "alpha"), (-0.5, 1e-10, "alpha"),
+    (np.inf, 1e-10, "alpha"), (1.0, 0.0, "tol"), (0.5, -1.0, "tol"),
+    (0.5, np.nan, "tol"),
+])
+def test_unreachable_discount_or_tolerance_rejected(alpha, tol, name):
+    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 2, "mu2": 2.5, "N": 2,
+                             "G": 1})
+    with pytest.raises(ctmdp.ModelError, match=f"{name} must be finite"):
+        solve_discounted(m, alpha, tol=tol)
+
+
 def test_uniformized_rows_are_probabilities():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "p1": 0.3, "N": 10, "G": 3})

@@ -122,6 +122,14 @@ def test_report_names_rng_contract(mm20):
     assert np.array_equal(g1, g2)
 
 
+def test_stream_seed_range():
+    stream(0, 0)
+    stream(2 ** 64 - 1, 3)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ctmdp.ModelError, match="seed must be in"):
+            stream(seed, 0)
+
+
 def test_explosion_guard_raises():
     m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
                              "G": 1})
