@@ -3,7 +3,7 @@
 Every report is a single JSON object {format_version, config, report}
 where config echoes the fully-resolved options (defaults included) so a
 run can be reproduced from its own output. Serialization is byte-stable:
-sorted keys, floats at 17 significant digits.
+sorted keys, shortest round-trip floats (report format 2).
 
 Exit codes: 0 success, 1 check failure (failed validation or
 certificate) or a numeric failure, 2 usage or malformed input. A numeric
@@ -187,7 +187,7 @@ def _emit_series(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v
+            writer.writerow([repr(v) if isinstance(v, float) else v
                              for v in row])
 
 

@@ -2,15 +2,15 @@
 
 A model file is either {"kind": "explicit", ...} with the full tables or
 {"kind": "builtin", "name": ..., "params": {...}} naming a packaged
-family. Reports are serialized with sorted keys and floats printed at 17
-significant digits so identical runs produce byte-identical output.
+family. Reports are serialized with sorted keys and shortest round-trip
+floats (format 2), so identical runs produce byte-identical output and
+every float reads back to the same value.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .model import (ActionSets, CtmdpModel, LyapunovData, ModelError,
                     RateKernel, RewardTable, StateSpace, StationaryPolicy,
                     typed)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 class ModelFileError(ModelError):
@@ -29,43 +29,17 @@ class ModelFileError(ModelError):
 _typed = functools.partial(typed, error=ModelFileError)
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return "%.17g" % x
-
-
-def _render(obj):
-    """Recursively render to a JSON string with fixed float formatting."""
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _fmt_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist())
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        body = ", ".join(f"{json.dumps(str(k))}: {_render(v)}"
-                         for k, v in items)
-        return "{" + body + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+def _plain(obj):
+    """`json.dumps` hook: a numpy scalar or array as plain Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    return _render(obj) + "\n"
+    """Deterministic JSON text: sorted keys, shortest round-trip floats,
+    NaN and +-Infinity spelled as in JavaScript, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, default=_plain) + "\n"
 
 
 def _need(doc: dict, key: str, where: str = "", kind=None,

@@ -1,8 +1,13 @@
 import json
+import math
+import struct
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ctmdp
 from ctmdp import dumps, loads_model, model_from_dict, model_to_dict
@@ -58,13 +63,69 @@ def test_dumps_is_deterministic_and_roundtrip_exact():
     assert text == dumps({"a": 1, "none": None, "flag": True, "b": vals})
     assert text.index('"a"') < text.index('"b"') < text.index('"flag"')
     back = json.loads(text)
-    assert back["b"] == vals                  # 17 digits round-trip float64
+    assert back["b"] == vals                  # shortest repr round-trips
 
 
 def test_dumps_handles_numpy_types():
     doc = json.loads(dumps({"x": np.float64(0.5), "n": np.int64(3),
                             "arr": np.arange(3.0), "flag": np.bool_(True)}))
     assert doc == {"x": 0.5, "n": 3, "arr": [0.0, 1.0, 2.0], "flag": True}
+
+
+def _plain(x):
+    """The plain-Python value that `dumps(x)` must read back as."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return [_plain(v) for v in x] if isinstance(x, list) else x
+
+
+def _reversed_keys(x):
+    if isinstance(x, dict):
+        return {k: _reversed_keys(x[k]) for k in reversed(list(x))}
+    return [_reversed_keys(v) for v in x] if isinstance(x, list) else x
+
+
+def _same_bits(a, b):
+    """Equal with matching types, floats bit for bit (sign of zero kept)
+    except that any NaN equals any NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (
+            struct.pack("<d", a) == struct.pack("<d", b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    return a == b
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072009e-308, math.nan, math.inf, -math.inf])
+_SCALARS = st.one_of(
+    _FLOATS, st.integers(), st.booleans(), st.none(),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0,
+                                                          max_dims=2,
+                                                          max_side=3))))
+_DOCUMENTS = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_dumps_reads_back_the_plain_value_bit_for_bit(doc):
+    text = dumps(doc)
+    assert _same_bits(json.loads(text), _plain(doc))
+    assert text == dumps(_reversed_keys(doc))
+    assert text.endswith("\n") and text.count("\n") == 1
 
 
 def write_model(tmp_path, doc):
@@ -77,7 +138,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert run(["validate", "--model", write_model(tmp_path, EXPLICIT_DOC)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["ok"]
-    assert out["format_version"] == "1"
+    assert out["format_version"] == "2"
     bad = dict(EXPLICIT_DOC)
     bad["rates"] = [
         {"x": 0, "a": 0, "entries": [[0, -1.0], [1, 1.5]]},
