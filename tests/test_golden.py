@@ -15,6 +15,9 @@ current code must reproduce exactly.
 * `describe` for each builtin, and `validate` of the continuous-state
   redistribution process (captured before the family specs were
   gathered into one `FamilySpec` per builtin).
+
+All of them were re-captured in report format 2 (shortest round-trip
+floats); each decodes to the same values as its format-1 version.
 """
 
 import json
@@ -103,6 +106,14 @@ def test_spec_report_matches_golden(stem, capsys):
     code = run(SPEC_REPORTS[stem])
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
+
+
+def test_every_golden_report_is_format_2():
+    docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
+    reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
+    assert len(reports) == (len(CASES) + len(SPEC_REPORTS)
+                            + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS))
+    assert all(rep["format_version"] == "2" for rep in reports)
 
 
 def test_violations_model_covers_every_kind():
