@@ -47,8 +47,10 @@ class VanishingSchedule:
     steps: int = 25
 
     def __post_init__(self):
-        if not (self.alpha0 > 0 and 0 < self.ratio < 1 and self.steps >= 1):
-            raise ModelError("need alpha0 > 0, ratio in (0,1), steps >= 1")
+        if not (0 < self.alpha0 < np.inf and 0 < self.ratio < 1
+                and self.steps >= 1):
+            raise ModelError("need finite alpha0 > 0, ratio in (0,1), "
+                             "steps >= 1")
 
     def alphas(self) -> list:
         return [self.alpha0 * self.ratio ** k for k in range(self.steps + 1)]

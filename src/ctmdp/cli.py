@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,8 +46,7 @@ class UsageError(Exception):
 
 
 def _ranged(kind, ok, what):
-    """argparse type: kind(text), refused (argparse names the flag and
-    exits 2) unless ok(value)."""
+    """argparse type: kind(text), refused unless ok(value) (exit 2)."""
     def parse(text):
         value = kind(text)
         if not ok(value):
@@ -58,8 +56,8 @@ def _ranged(kind, ok, what):
     return parse
 
 
-_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_NONNEGATIVE = _ranged(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_POSITIVE = _ranged(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_NONNEGATIVE = _ranged(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "at least 1")
 _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 

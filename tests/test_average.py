@@ -20,6 +20,8 @@ def test_schedule_is_geometric():
 def test_bad_schedule_rejected():
     with pytest.raises(ctmdp.ModelError):
         VanishingSchedule(alpha0=0.1, ratio=1.5, steps=3)
+    with pytest.raises(ctmdp.ModelError, match="finite alpha0"):
+        VanishingSchedule(alpha0=np.inf, ratio=0.5, steps=3)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
