@@ -454,7 +454,7 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     occ = estimate_average_reward(model, f, int(x0_pair[0]),
                                   horizon=float(checkpoints[-1]) * 10,
-                                  reps=4, seed=seed + 1).occupation
+                                  reps=4, seed=(seed + 1) % 2 ** 64).occupation
     diffs = {}
     pts, vals = [], []
     for pi, u in enumerate(probes):

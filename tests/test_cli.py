@@ -339,12 +339,13 @@ def test_cli_refuses_unmeetable_tolerance_or_seed(capsys, argv, flag):
     assert f"argument {flag}: must be" in captured.err
 
 
-def test_cli_simulate_accepts_the_largest_seed(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["average", "ergodicity"])
+def test_cli_simulate_accepts_the_largest_seed(tmp_path, capsys, mode):
     pol = tmp_path / "policy.json"
     pol.write_text("[0, 0, 0]")
     assert run(["simulate", "--builtin", "mmn0", "--params", MMN0,
                 "--policy", str(pol), "--horizon", "5", "--reps", "2",
-                "--seed", str(2 ** 64 - 1)]) == 0
+                "--mode", mode, "--seed", str(2 ** 64 - 1)]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 2 ** 64 - 1
 
 
