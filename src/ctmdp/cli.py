@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -43,6 +44,18 @@ FORMAT_VERSION = modelio.FORMAT_VERSION
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads "-1e-9", "-inf" or "-nan" after a flag as its value, as it
+    reads "-1" and "-0.5", so that the range check names the flag;
+    argparse takes any other word that starts with "-" for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
 
 
 def _ranged(kind, ok, what):
@@ -422,7 +435,7 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ctmdp",
         description="Average-reward CTMDP solver, verifier, and simulator")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -8,6 +8,7 @@ the Lyapunov data pre-populated.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import ChainMap
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
-                    truncate, typed)
+                    pairs, truncate, typed)
 
 DEFAULT_GRID = 11
 
@@ -67,9 +68,16 @@ def _grid_params(N: int, N_min: int, G: int) -> tuple:
             Param("G", int, G, **_cmp(">=", 1)))
 
 
+def _finite(value) -> bool:
+    """Whether every number in `value`, list elements included, is finite."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def resolve(spec: FamilySpec, params) -> dict:
-    """`params` typed, defaulted and range-checked against `spec`; raises
-    ModelError naming the family and the field."""
+    """`params` typed, defaulted and range-checked against `spec`, every
+    number finite; raises ModelError naming the family and the field."""
     def walk(fields, raw, prefix, outer):
         raw = typed(raw, dict, f"{spec.name}: {prefix[:-1] or 'params'}")
         unknown = [key for key in raw if key not in {p.name for p in fields}]
@@ -88,6 +96,8 @@ def resolve(spec: FamilySpec, params) -> dict:
                 raise ModelError(f"{where} is required")
             else:
                 value = p.default(got) if callable(p.default) else p.default
+            if not _finite(value):
+                raise ModelError(f"{where} must be finite, got {value!r}")
             if p.ok is not None and not p.ok(value, got):
                 raise ModelError(f"{where} must be {p.rule}, got {value!r}")
             got.maps[0][p.name] = value
@@ -126,31 +136,40 @@ def _rc_fn(rc: dict, mu2: float):
             }[rc["kind"]]
 
 
+def _slots(*columns) -> np.ndarray:
+    """The per-pair columns (arrays or scalars) side by side, (P, K)."""
+    return np.stack(np.broadcast_arrays(*columns), axis=1)
+
+
+def _first_max(start, values: np.ndarray):
+    """max(start, *values) as Python folds it: the largest element (a numpy
+    scalar) if one exceeds start, else start; a NaN never wins. (No value
+    passed here is -0.0, so the order of equal maxima does not matter.)"""
+    above = values[values > start]
+    return above.max() if len(above) else start
+
+
 def _birth_death(s: dict) -> CtmdpModel:
     """Controlled birth-death population: constant birth rate, chosen death
     rate a in [mu1, mu2], deaths of size one or two with split (p2, p1)."""
     lam, mu1, mu2, p1, p = (s[k] for k in ("lambda", "mu1", "mu2", "p1", "p"))
     p2 = 1.0 - p1
     rc, M_tilde = _rc_fn(s["rc"], mu2)
-    grid = _grid(mu1, mu2, s["G"])
+    acts = tuple((a,) for a in _grid(mu1, mu2, s["G"]))
 
-    def entries(lab, act):
-        (x,) = lab
-        (a,) = act
-        if x == 0:
-            return [((1,), lam)]
-        if x == 1:
-            return [((0,), a), ((2,), lam)]
-        out = [((x - 1,), p2 * a * x), ((x + 1,), lam * x)]
-        if p1 > 0:
-            out.append(((x - 2,), p1 * a * x))
-        return out
+    def entries(X, A):
+        x, a = X[:, 0], A[:, 0]
+        # a death (the whole rate a from state 1), a birth, a double death
+        return (_slots(x - 1, x + 1, x - 2)[:, :, None],
+                _slots(np.where(x == 1, a, p2 * a * x),
+                       np.where(x == 0, lam, lam * x), p1 * a * x),
+                _slots(x >= 1, True, (x >= 2) & (p1 > 0)))
 
     fam = CountableFamily(
         dim=1,
-        actions=lambda lab: [(a,) for a in grid],
+        actions=lambda lab: acts,
         entries=entries,
-        reward=lambda lab, act: p * lab[0] - rc(lab[0], act[0]),
+        reward=lambda X, A: p * X[:, 0] - rc(X[:, 0], A[:, 0]),
         lyapunov=_linear_lyapunov(lam, mu1, mu2, p + M_tilde + 1e-12),
     )
     return truncate(fam, s["N"])
@@ -178,45 +197,29 @@ def _skip_free(s: dict) -> CtmdpModel:
     catastrophe intensity d(x, a2) = 2*a2*x, a2 in [b, beta]."""
     lam, mu, tau, p, q1, q2, kappa_c, gamma2 = (s[k] for k in (
         "lambda", "mu", "tau", "p", "q1", "q2", "kappa_c", "gamma2"))
-
-    def gam2(x):
-        return 0.0 if x <= 1 else gamma2
-
-    def d(x, a2):
-        return 0.0 if x == 0 else 2.0 * a2 * x
-
     a1_grid = _grid(0.0, s["b"], s["G"])
     a2_grid = _grid(s["b"], s["beta"], s["G"])
+    at_zero = tuple((a1, 0.0) for a1 in a1_grid)
+    acts = tuple((a1, a2) for a1 in a1_grid for a2 in a2_grid)
 
-    def actions(lab):
-        (x,) = lab
-        if x == 0:
-            return [(a1, 0.0) for a1 in a1_grid]
-        return [(a1, a2) for a1 in a1_grid for a2 in a2_grid]
+    def split(X, A):
+        """x, a1, the catastrophe intensity d and gamma2_x of each pair."""
+        x, a1, a2 = X[:, 0], A[:, 0], A[:, 1]
+        return (x, a1, np.where(x == 0, 0.0, 2.0 * a2 * x),
+                np.where(x <= 1, 0.0, gamma2))
 
-    def entries(lab, act):
-        (x,) = lab
-        a1, a2 = act
-        out = []
+    def entries(X, A):
+        x, a1, d, g2 = split(X, A)
         up = lam * x + a1
-        if up > 0:
-            out.append(((x + 1,), up))
-        if x >= 1:
-            g2 = gam2(x)
-            dn1 = mu * x + d(x, a2) * (1.0 - g2)
-            if dn1 > 0:
-                out.append(((x - 1,), dn1))
-            if x >= 2 and g2 > 0:
-                out.append(((x - 2,), d(x, a2) * g2))
-        return out
+        dn1 = mu * x + d * (1.0 - g2)
+        return (_slots(x + 1, x - 1, x - 2)[:, :, None],
+                _slots(up, dn1, d * g2),
+                _slots(up > 0, dn1 > 0, g2 > 0))    # dn1 = 0 at x = 0
 
-    def reward(lab, act):
-        (x,) = lab
-        a1, a2 = act
-        dv = d(x, a2)
-        cost = 0.0 if x == 0 else kappa_c * a2 * x
-        return tau * a1 - cost - p * dv \
-            + q1 * (1.0 - gam2(x)) * dv + q2 * gam2(x) * dv
+    def reward(X, A):
+        x, a1, d, g2 = split(X, A)
+        cost = np.where(x == 0, 0.0, kappa_c * A[:, 1] * x)
+        return tau * a1 - cost - p * d + q1 * (1.0 - g2) * d + q2 * g2 * d
 
     def lyapunov(labels):
         # constants fitted on the truncation: the defining inequalities are
@@ -224,39 +227,38 @@ def _skip_free(s: dict) -> CtmdpModel:
         w = np.array([x + 1.0 for (x,) in labels])
         wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
         c = 0.5 * (mu - lam) if mu > lam else 1e-12
+        _, X, A = pairs(fam, labels)
         b_fit, M, M_q, cprime, Mprime = _fit_constants(
-            labels, actions, entries, reward, w, wp, c)
+            X[:, 0], *entries(X, A), reward(X, A), c)
         return LyapunovData(w=w, c=c, b=max(b_fit, 0.0) + 1e-9, M=M + 1e-9,
                             M_q=M_q + 1e-9, wprime=wp, cprime=cprime + 1e-9,
                             bprime=0.0, Mprime=Mprime + 1e-9)
 
-    fam = CountableFamily(dim=1, actions=actions, entries=entries,
-                          reward=reward, lyapunov=lyapunov)
+    fam = CountableFamily(dim=1, actions=lambda lab: acts if lab[0] else
+                          at_zero, entries=entries, reward=reward,
+                          lyapunov=lyapunov)
     return truncate(fam, s["N"])
 
 
-def _fit_constants(labels, actions, entries, reward, w, wp, c):
+def _fit_constants(x, targets, rates, present, r, c):
     """Smallest (b, M, M_q, c', M') satisfying the Lyapunov conditions on
-    the raw (untruncated) 1-D rows, with w = x + 1 and w' = (x+1)(x+2);
-    each row's diagonal is implied by its sum."""
-    b = M = -np.inf
-    M_q, cprime, Mprime = 0.0, 1e-12, 1e-12
-    for i, lab in enumerate(labels):
-        (x,) = lab
-        for act in actions(lab):
-            row = entries(lab, act)
-            drift_w = drift_wp = 0.0
-            for (t,), rate in row:
-                drift_w += rate * ((t + 1.0) - (x + 1.0))
-                drift_wp += rate * ((t + 1.0) * (t + 2.0)
-                                    - (x + 1.0) * (x + 2.0))
-            q = sum(rate for _, rate in row)
-            b = max(b, drift_w + c * w[i])
-            M = max(M, abs(reward(lab, act)) / w[i])
-            M_q = max(M_q, q / w[i])
-            cprime = max(cprime, drift_wp / wp[i])
-            Mprime = max(Mprime, q * w[i] / wp[i])
-    return b, M, M_q, cprime, Mprime
+    the raw (untruncated) 1-D rows of the pairs at states x, with w = x + 1
+    and w' = (x+1)(x+2); each row's diagonal is implied by its sum. The
+    sums add one slot at a time in entry order, from 0.0, and the maxima
+    fold over the pairs in order, as a scan of the rows would."""
+    w, wp = x + 1.0, (x + 1.0) * (x + 2.0)
+    t = targets[:, :, 0]
+    rates = np.where(present, rates, 0.0)    # an absent slot adds +-0.0
+    step_w = rates * ((t + 1.0) - w[:, None])
+    step_wp = rates * ((t + 1.0) * (t + 2.0) - wp[:, None])
+    drift_w = drift_wp = q = 0.0
+    for k in range(rates.shape[1]):
+        drift_w = drift_w + step_w[:, k]
+        drift_wp = drift_wp + step_wp[:, k]
+        q = q + rates[:, k]
+    return (_first_max(-np.inf, drift_w + c * w),
+            _first_max(-np.inf, np.abs(r) / w), _first_max(0.0, q / w),
+            _first_max(1e-12, drift_wp / wp), _first_max(1e-12, q * w / wp))
 
 
 def _skip_free_conditions(s: dict) -> list:
@@ -297,29 +299,29 @@ def _tandem(s: dict) -> CtmdpModel:
     throughput = s["reward"]["kind"] == "throughput"
     c1, c2, cap = (s["reward"][k] for k in ("c1", "c2", "cap"))
 
-    def reward(lab, act):
-        (x1, x2), (a1, a2) = lab, act
+    def reward(X, A):
         if throughput:
-            return a2 * (1.0 if x2 > 0 else 0.0) - c1 * a1 - c2 * a2
-        return -min(float(x1 + x2), cap)
+            return (A[:, 1] * np.where(X[:, 1] > 0, 1.0, 0.0)
+                    - c1 * A[:, 0] - c2 * A[:, 1])
+        held = (X[:, 0] + X[:, 1]).astype(np.float64)
+        return -np.where(cap < held, cap, held)      # min(held, cap)
 
     g1 = _grid(s["mu1"], s["mu1star"], s["G"])
     g2 = _grid(s["mu2"], s["mu2star"], s["G"])
+    acts = tuple((a1, a2) for a1 in g1 for a2 in g2)
 
-    def entries(lab, act):
-        x1, x2 = lab
-        a1, a2 = act
-        out = [((x1 + 1, x2), 1.0)]
-        if x1 > 0:
-            out.append(((x1 - 1, x2 + 1), a1))
-        if x2 > 0:
-            out.append(((x1, x2 - 1), a2))
-        return out
+    def entries(X, A):
+        # an arrival, a service at queue 1, a service at queue 2
+        return (np.stack([X + (1, 0), X + (-1, 1), X + (0, -1)], axis=1),
+                _slots(1.0, A[:, 0], A[:, 1]),
+                _slots(True, X[:, 0] > 0, X[:, 1] > 0))
 
     def lyapunov(labels):
         w = np.array([tandem_weight(x1, x2) for x1, x2 in labels])
-        sup_r = max(abs(reward(lab, act)) for lab in labels
-                    for act in [(g1[0], g2[0]), (g1[-1], g2[-1])])
+        # |r| at the lowest and the highest action of each state, in turn
+        r = np.abs(reward(np.repeat(np.array(labels), 2, axis=0),
+                          np.tile([acts[0], acts[-1]], (len(labels), 1))))
+        sup_r = float(_first_max(r[0], r[1:]))
         # an arrival at the empty system raises w by ~0.0453, so a small
         # positive offset is required for the pointwise drift inequality
         return LyapunovData(w=w, c=0.002, b=0.0501,
@@ -327,10 +329,8 @@ def _tandem(s: dict) -> CtmdpModel:
                             M_q=(1.0 + s["mu1star"] + s["mu2star"])
                             / float(np.min(w)) + 1e-9)
 
-    fam = CountableFamily(
-        dim=2,
-        actions=lambda lab: [(a1, a2) for a1 in g1 for a2 in g2],
-        entries=entries, reward=reward, lyapunov=lyapunov)
+    fam = CountableFamily(dim=2, actions=lambda lab: acts, entries=entries,
+                          reward=reward, lyapunov=lyapunov)
     return truncate(fam, s["N"])
 
 
@@ -341,27 +341,17 @@ def _mmn0(s: dict) -> CtmdpModel:
     intrinsically finite on {0..N}, no truncation artifact."""
     lam, mu1, mu2, N = s["lambda"], s["mu1"], s["mu2"], s["N"]
     p, kappa = s["reward"]["p"], s["reward"]["kappa"]
-    grid = _grid(mu1, mu2, s["G"])
+    acts = tuple((m,) for m in _grid(mu1, mu2, s["G"]))
 
-    def actions(lab):
-        (x,) = lab
-        if x == 0:
-            return [(0.0,)]
-        return [(m,) for m in grid]
-
-    def entries(lab, act):
-        (x,) = lab
-        (m,) = act
-        out = []
-        if x < N:
-            out.append(((x + 1,), lam))
-        if x > 0:
-            out.append(((x - 1,), m * x))
-        return out
+    def entries(X, A):
+        x = X[:, 0]
+        return (_slots(x + 1, x - 1)[:, :, None], _slots(lam, A[:, 0] * x),
+                _slots(x < N, x > 0))
 
     fam = CountableFamily(
-        dim=1, actions=actions, entries=entries,
-        reward=lambda lab, act: p * lab[0] - kappa * act[0] * lab[0],
+        dim=1, actions=lambda lab: acts if lab[0] else ((0.0,),),
+        entries=entries,
+        reward=lambda X, A: p * X[:, 0] - kappa * A[:, 0] * X[:, 0],
         lyapunov=_linear_lyapunov(lam, mu1, mu2, p + kappa * mu2 + 1e-12))
     return truncate(fam, N)
 

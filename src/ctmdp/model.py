@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -83,21 +82,19 @@ class ActionSets:
     sets: tuple
 
     def __post_init__(self):
-        # a truncated family repeats one action list at many states: each
-        # distinct list is converted and checked once and then shared, but
-        # not a list holding a zero, since -0.0 == 0.0
+        # a truncated family repeats one action list object at many states:
+        # each distinct object is converted and checked once and then shared
+        # (the input holds every list alive, so no id is reused)
         shared, sets = {}, []
-        for x, acts in enumerate(self.sets):
-            key = tuple(map(tuple, acts))
-            converted = shared.get(key)
+        for x, acts in enumerate(tuple(self.sets)):
+            converted = shared.get(id(acts))
             if converted is None:
-                converted = tuple(tuple(float(v) for v in a) for a in key)
+                converted = tuple(tuple(float(v) for v in a) for a in acts)
                 if len(converted) == 0:
                     raise ModelError(f"state {x} has an empty action set")
                 if len(set(converted)) != len(converted):
                     raise ModelError(f"state {x} has duplicate actions")
-                if 0 not in itertools.chain.from_iterable(converted):
-                    shared[key] = converted
+                shared[id(acts)] = converted
             sets.append(converted)
         object.__setattr__(self, "sets", tuple(sets))
 
@@ -198,7 +195,7 @@ class RewardTable:
     table: tuple  # table[x] = tuple of rewards over the actions of x
 
     def __post_init__(self):
-        table = tuple(tuple(float(r) for r in per_state) for per_state in self.table)
+        table = tuple(tuple(map(float, per_state)) for per_state in self.table)
         object.__setattr__(self, "table", table)
 
     def __getitem__(self, x):
@@ -468,81 +465,78 @@ def weighted_norm(u, w) -> float:
 
 @dataclass(frozen=True)
 class CountableFamily:
-    """Description of a countable-state model, supplied row by row.
+    """Description of a countable-state model, supplied on arrays.
 
-    `entries(label, action)` yields the off-diagonal rate mass of the raw
-    (untruncated) model; the diagonal is completed during truncation.
-    Labels are integer tuples of length `dim`.
+    Labels are integer tuples of length `dim`. `actions(label)` lists the
+    actions of one state, each a tuple of k numbers. The other callbacks
+    take P (state, action) pairs at once, as an int array X (P, dim) of
+    labels and a float array A (P, k) of actions. `entries(X, A)` returns
+    `(targets (P, K, dim), rates (P, K), present (P, K))`: the off-diagonal
+    rate mass of the raw (untruncated) model, pair p's entries being the
+    present slots of row p in slot order; the diagonal is completed during
+    truncation. `reward(X, A)` returns the (P,) reward rates.
     """
 
     dim: int
     actions: Callable[[tuple], Sequence[tuple]]
-    entries: Callable[[tuple, tuple], Sequence]
-    reward: Callable[[tuple, tuple], float]
+    entries: Callable[[np.ndarray, np.ndarray], tuple]
+    reward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     lyapunov: Optional[Callable] = None   # labels -> LyapunovData
+
+
+def pairs(family: CountableFamily, labels) -> tuple:
+    """(ActionSets, X, A) of `labels` under `family`: the pairs in
+    state-major order, X (P, dim) their labels and A (P, k) their actions."""
+    sets = ActionSets(sets=tuple(family.actions(lab) for lab in labels))
+    blocks = {}                # one array per distinct (shared) action list
+    for acts in sets.sets:
+        if id(acts) not in blocks:
+            blocks[id(acts)] = np.array(acts, dtype=np.float64)
+    X = np.repeat(np.array(labels, dtype=np.int64).reshape(len(labels), -1),
+                  [len(acts) for acts in sets.sets], axis=0)
+    return sets, X, np.concatenate([blocks[id(acts)] for acts in sets.sets])
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     """Truncate a countable model at level N with boundary redirection.
 
-    Rate mass aimed beyond the boundary is clamped componentwise onto it;
-    clamped self-loops are dropped and the diagonal recomputed so every
-    row sums to zero exactly. The callbacks' entries are collected flat
-    and merged on arrays: the rates of one target of a pair add up in entry
-    order, and the diagonal is minus their sequential sum in order of first
-    appearance (+0.0 for a row without off-diagonal mass).
+    `entries` and `reward` are called once, on all (state, action) pairs of
+    the grid {0..N}^dim in state-major order. Rate mass aimed beyond the
+    boundary is clamped componentwise onto it; clamped self-loops are
+    dropped and the diagonal recomputed so every row sums to zero exactly.
+    The rates of one target of a pair add up in entry order, and the
+    diagonal is minus their sequential sum in order of first appearance
+    (+0.0 for a row without off-diagonal mass).
     """
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
-    action_sets, reward_rows = [], []
-    coords, rates = [], array("d")   # all entries, in entry order
-    ends = []                        # entry count after each pair
-    for lab in labels:
-        acts = [tuple(a) for a in family.actions(lab)]
-        per_state_rewards = []
-        for a in acts:
-            for target, rate in family.entries(lab, a):
-                coords.extend(target)
-                rates.append(rate)
-            ends.append(len(rates))
-            per_state_rewards.append(family.reward(lab, a))
-        action_sets.append(acts)
-        reward_rows.append(per_state_rewards)
-
-    clamped = np.minimum(np.asarray(coords, dtype=np.int64)
-                         .reshape(len(rates), family.dim), N)
-    del coords     # free the Python entry list before the array temporaries
-    counts = [len(acts) for acts in action_sets]
-    x_of = np.repeat(np.arange(len(labels)), counts)         # state of a pair
-    negative = np.flatnonzero((clamped < 0).any(axis=1))
+    action_sets, X, A = pairs(family, labels)
+    targets, rates, present = family.entries(X, A)
+    present = np.asarray(present, dtype=bool)
+    pair = np.nonzero(present)[0]           # pair of each entry, entry order
+    coords = np.asarray(targets, dtype=np.int64)[present]
+    rates = np.asarray(rates, dtype=np.float64)[present]
+    negative = np.flatnonzero((coords < 0).any(axis=1))
     if len(negative):
         k = int(negative[0])
-        p = int(np.searchsorted(ends, k, side="right"))
-        x = int(x_of[p])
-        a = action_sets[x][p - int(np.searchsorted(x_of, x))]
-        # the offending target as the (pure) callback gave it
-        target, _ = list(family.entries(labels[x], a))[
-            k - (ends[p - 1] if p else 0)]
-        raise ModelError(f"negative target {target} from {labels[x]}")
+        raise ModelError(f"negative target {tuple(coords[k].tolist())} "
+                         f"from {tuple(X[pair[k]].tolist())}")
     # target index: mixed radix of the itertools.product grid
-    key = clamped[:, 0].copy()
-    for column in clamped.T[1:]:
-        key *= N + 1
-        key += column
-    del clamped
-    pair = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    key = np.ravel_multi_index(np.minimum(coords, N).T, (N + 1,) * family.dim)
+    counts = [len(acts) for acts in action_sets.sets]
+    x_of = np.repeat(np.arange(len(labels)), counts)         # state of a pair
     keep = key != x_of[pair]                # clamped self-loops are dropped
-    key += pair * len(labels)               # key = pair * n + target
-    del pair
-    key, rates = key[keep], np.frombuffer(rates, dtype=np.float64)[keep]
-    del keep
-    kernel = _merged_kernel(counts, x_of, key, rates)
+    kernel = _merged_kernel(counts, x_of, key[keep] + pair[keep] * len(labels),
+                            rates[keep])
+    reward = np.asarray(family.reward(X, A), dtype=np.float64).tolist()
+    ends = np.cumsum(counts).tolist()
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
-        actions=ActionSets(sets=tuple(action_sets)),
+        actions=action_sets,
         kernel=kernel,
-        rewards=RewardTable(table=tuple(reward_rows)),
+        rewards=RewardTable(table=tuple(
+            reward[end - c:end] for end, c in zip(ends, counts))),
         lyapunov=lyap,
     )
 

@@ -7,14 +7,16 @@ fixed-policy generator and share no code with the iterative solver path.
 import bisect
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
-                   average, extract_policy)
+                   average, extract_policy, families)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
-from ctmdp.model import (ROW_SUM_TOL, ActionSets, CountableFamily,
-                         ModelError, RateKernel, RewardTable, StateSpace,
+from ctmdp.model import (ROW_SUM_TOL, ActionSets, LyapunovData, ModelError,
+                         RateKernel, RewardTable, StateSpace,
                          ValidationReport, boundary_states, generator_apply)
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
@@ -135,13 +137,29 @@ def dense_brute_force_oracle(model: CtmdpModel,
 
 # -- truncation ---------------------------------------------------------------
 
-def truncate_loop(family: CountableFamily, N: int) -> CtmdpModel:
+@dataclass(frozen=True)
+class ScalarFamily:
+    """A countable family supplied row by row: `entries(label, action)`
+    lists the (target, rate) pairs of one raw row and `reward(label,
+    action)` gives one reward rate; `actions` and `lyapunov` are as in
+    `ctmdp.model.CountableFamily`."""
+
+    dim: int
+    actions: Callable
+    entries: Callable
+    reward: Callable
+    lyapunov: Optional[Callable] = None
+
+
+def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
     """`model.truncate` as a per-entry Python merge: each entry is clamped
     componentwise onto the boundary, clamped self-loops are dropped, the
     rest is merged per pair in a dict in entry order, and the diagonal is
-    minus the Python sum of the merged rates in first-appearance order."""
+    minus the Python sum of the merged rates in first-appearance order.
+    The action sets are checked before any row is read."""
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
     index = {lab: i for i, lab in enumerate(labels)}
+    checked = ActionSets(sets=tuple(family.actions(lab) for lab in labels))
 
     action_sets, reward_rows = [], []
     lengths, targets, rates = [], [], []
@@ -153,7 +171,8 @@ def truncate_loop(family: CountableFamily, N: int) -> CtmdpModel:
             for target, rate in family.entries(lab, a):
                 clamped = tuple(min(int(t), N) for t in target)
                 if any(t < 0 for t in clamped):
-                    raise ModelError(f"negative target {target} from {lab}")
+                    raise ModelError(f"negative target "
+                                     f"{tuple(map(int, target))} from {lab}")
                 if clamped == lab:
                     continue   # folded into the diagonal
                 mass[index[clamped]] = mass.get(index[clamped], 0.0) + float(rate)
@@ -170,12 +189,203 @@ def truncate_loop(family: CountableFamily, N: int) -> CtmdpModel:
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
-        actions=ActionSets(sets=tuple(action_sets)),
+        actions=checked,
         kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
                                      lengths, targets, rates),
         rewards=RewardTable(table=tuple(reward_rows)),
         lyapunov=lyap,
     )
+
+
+# -- scalar references of the truncated builtins ------------------------------
+#
+# The row-by-row callbacks the builtins had before `CountableFamily` became
+# array-valued; `truncate_loop` over them must build each builtin's model
+# byte for byte, Lyapunov data included.
+
+def _birth_death(s: dict) -> ScalarFamily:
+    lam, mu1, mu2, p1, p = (s[k] for k in ("lambda", "mu1", "mu2", "p1", "p"))
+    p2 = 1.0 - p1
+    rc, M_tilde = families._rc_fn(s["rc"], mu2)
+    grid = families._grid(mu1, mu2, s["G"])
+
+    def entries(lab, act):
+        (x,) = lab
+        (a,) = act
+        if x == 0:
+            return [((1,), lam)]
+        if x == 1:
+            return [((0,), a), ((2,), lam)]
+        out = [((x - 1,), p2 * a * x), ((x + 1,), lam * x)]
+        if p1 > 0:
+            out.append(((x - 2,), p1 * a * x))
+        return out
+
+    return ScalarFamily(
+        dim=1,
+        actions=lambda lab: [(a,) for a in grid],
+        entries=entries,
+        reward=lambda lab, act: p * lab[0] - rc(lab[0], act[0]),
+        lyapunov=families._linear_lyapunov(lam, mu1, mu2, p + M_tilde + 1e-12),
+    )
+
+
+def _skip_free(s: dict) -> ScalarFamily:
+    lam, mu, tau, p, q1, q2, kappa_c, gamma2 = (s[k] for k in (
+        "lambda", "mu", "tau", "p", "q1", "q2", "kappa_c", "gamma2"))
+
+    def gam2(x):
+        return 0.0 if x <= 1 else gamma2
+
+    def d(x, a2):
+        return 0.0 if x == 0 else 2.0 * a2 * x
+
+    a1_grid = families._grid(0.0, s["b"], s["G"])
+    a2_grid = families._grid(s["b"], s["beta"], s["G"])
+
+    def actions(lab):
+        (x,) = lab
+        if x == 0:
+            return [(a1, 0.0) for a1 in a1_grid]
+        return [(a1, a2) for a1 in a1_grid for a2 in a2_grid]
+
+    def entries(lab, act):
+        (x,) = lab
+        a1, a2 = act
+        out = []
+        up = lam * x + a1
+        if up > 0:
+            out.append(((x + 1,), up))
+        if x >= 1:
+            g2 = gam2(x)
+            dn1 = mu * x + d(x, a2) * (1.0 - g2)
+            if dn1 > 0:
+                out.append(((x - 1,), dn1))
+            if x >= 2 and g2 > 0:
+                out.append(((x - 2,), d(x, a2) * g2))
+        return out
+
+    def reward(lab, act):
+        (x,) = lab
+        a1, a2 = act
+        dv = d(x, a2)
+        cost = 0.0 if x == 0 else kappa_c * a2 * x
+        return tau * a1 - cost - p * dv \
+            + q1 * (1.0 - gam2(x)) * dv + q2 * gam2(x) * dv
+
+    def lyapunov(labels):
+        w = np.array([x + 1.0 for (x,) in labels])
+        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
+        c = 0.5 * (mu - lam) if mu > lam else 1e-12
+        b_fit, M, M_q, cprime, Mprime = _fit_constants(
+            labels, actions, entries, reward, w, wp, c)
+        return LyapunovData(w=w, c=c, b=max(b_fit, 0.0) + 1e-9, M=M + 1e-9,
+                            M_q=M_q + 1e-9, wprime=wp, cprime=cprime + 1e-9,
+                            bprime=0.0, Mprime=Mprime + 1e-9)
+
+    return ScalarFamily(dim=1, actions=actions, entries=entries,
+                        reward=reward, lyapunov=lyapunov)
+
+
+def _fit_constants(labels, actions, entries, reward, w, wp, c):
+    b = M = -np.inf
+    M_q, cprime, Mprime = 0.0, 1e-12, 1e-12
+    for i, lab in enumerate(labels):
+        (x,) = lab
+        for act in actions(lab):
+            row = entries(lab, act)
+            drift_w = drift_wp = 0.0
+            for (t,), rate in row:
+                drift_w += rate * ((t + 1.0) - (x + 1.0))
+                drift_wp += rate * ((t + 1.0) * (t + 2.0)
+                                    - (x + 1.0) * (x + 2.0))
+            q = sum(rate for _, rate in row)
+            b = max(b, drift_w + c * w[i])
+            M = max(M, abs(reward(lab, act)) / w[i])
+            M_q = max(M_q, q / w[i])
+            cprime = max(cprime, drift_wp / wp[i])
+            Mprime = max(Mprime, q * w[i] / wp[i])
+    return b, M, M_q, cprime, Mprime
+
+
+def _tandem(s: dict) -> ScalarFamily:
+    throughput = s["reward"]["kind"] == "throughput"
+    c1, c2, cap = (s["reward"][k] for k in ("c1", "c2", "cap"))
+
+    def reward(lab, act):
+        (x1, x2), (a1, a2) = lab, act
+        if throughput:
+            return a2 * (1.0 if x2 > 0 else 0.0) - c1 * a1 - c2 * a2
+        return -min(float(x1 + x2), cap)
+
+    g1 = families._grid(s["mu1"], s["mu1star"], s["G"])
+    g2 = families._grid(s["mu2"], s["mu2star"], s["G"])
+
+    def entries(lab, act):
+        x1, x2 = lab
+        a1, a2 = act
+        out = [((x1 + 1, x2), 1.0)]
+        if x1 > 0:
+            out.append(((x1 - 1, x2 + 1), a1))
+        if x2 > 0:
+            out.append(((x1, x2 - 1), a2))
+        return out
+
+    def lyapunov(labels):
+        w = np.array([families.tandem_weight(x1, x2) for x1, x2 in labels])
+        sup_r = max(abs(reward(lab, act)) for lab in labels
+                    for act in [(g1[0], g2[0]), (g1[-1], g2[-1])])
+        # a Python float, as the array build gives it (a numpy float64
+        # before, when the grids held numpy values; same value)
+        sup_r = float(sup_r)
+        return LyapunovData(w=w, c=0.002, b=0.0501,
+                            M=max(sup_r, 1e-9) + 1e-9,
+                            M_q=(1.0 + s["mu1star"] + s["mu2star"])
+                            / float(np.min(w)) + 1e-9)
+
+    return ScalarFamily(
+        dim=2,
+        actions=lambda lab: [(a1, a2) for a1 in g1 for a2 in g2],
+        entries=entries, reward=reward, lyapunov=lyapunov)
+
+
+def _mmn0(s: dict) -> ScalarFamily:
+    lam, mu1, mu2, N = s["lambda"], s["mu1"], s["mu2"], s["N"]
+    p, kappa = s["reward"]["p"], s["reward"]["kappa"]
+    grid = families._grid(mu1, mu2, s["G"])
+
+    def actions(lab):
+        (x,) = lab
+        if x == 0:
+            return [(0.0,)]
+        return [(m,) for m in grid]
+
+    def entries(lab, act):
+        (x,) = lab
+        (m,) = act
+        out = []
+        if x < N:
+            out.append(((x + 1,), lam))
+        if x > 0:
+            out.append(((x - 1,), m * x))
+        return out
+
+    return ScalarFamily(
+        dim=1, actions=actions, entries=entries,
+        reward=lambda lab, act: p * lab[0] - kappa * act[0] * lab[0],
+        lyapunov=families._linear_lyapunov(lam, mu1, mu2,
+                                           p + kappa * mu2 + 1e-12))
+
+
+SCALAR_BUILTINS = {"birth_death": _birth_death, "skip_free": _skip_free,
+                   "tandem": _tandem, "mmn0": _mmn0}
+
+
+def build_loop(name: str, params: dict) -> CtmdpModel:
+    """`families.build` of a truncated builtin through its scalar reference
+    family and `truncate_loop`."""
+    s = families.resolve(families.spec(name), params)
+    return truncate_loop(SCALAR_BUILTINS[name](s), s["N"])
 
 
 def transient_mean(model: CtmdpModel, f: StationaryPolicy, x0: int,

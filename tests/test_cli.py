@@ -339,6 +339,29 @@ def test_cli_refuses_unmeetable_tolerance_or_seed(capsys, argv, flag):
     assert f"argument {flag}: must be" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--solution", "-", "--tol", "-1e-9"],
+    ["solve-discounted", "--alpha", "-1e-3"],
+    ["solve-average", "--steps", "2", "--alpha0", "-1e-3"],
+    ["simulate", "--policy", "-", "--horizon", "-1e5"],
+    ["solve-average", "--tol", "-inf"],
+])
+def test_cli_reads_a_negative_exponent_as_the_flag_value(capsys, argv):
+    """`--flag -1e-9` is refused as `--flag=-1e-9` is; argparse used to
+    take the value for an option ("expected one argument")."""
+    def refusal(args):
+        assert run(args[:1] + ["--builtin", "mmn0", "--params", MMN0]
+                   + args[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    err = refusal(argv)
+    assert err == refusal(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    assert "expected one argument" not in err
+    assert argv[-2] in err or "alpha0" in err
+
+
 @pytest.mark.parametrize("mode", ["average", "ergodicity"])
 def test_cli_simulate_accepts_the_largest_seed(tmp_path, capsys, mode):
     pol = tmp_path / "policy.json"

@@ -266,3 +266,28 @@ def test_admissible_redistribution_policy_runs(tmp_path, params, policy):
                     json.dumps(params), "--policy", str(path), "--mode",
                     "lyapunov", "--x0", "[1, 1]", "--reps", "3"])
     assert code in (0, 1)    # 1 is the simulator's own 3-SE verdict
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("tandem", "reward.cap", NAN),     # min(x, nan) is x: the cap was lost
+    ("birth_death", "lambda", INF),    # used to exit 1 with a report
+    ("birth_death", "p", NAN),         # used to blame the reward bound M
+    ("birth_death", "rc.kappa", -INF),
+    ("skip_free", "gamma2", NAN),
+    ("mmn0", "reward.p", INF),
+    ("potlach", "lambda", INF),
+    ("potlach", "qstar", [1.0, NAN]),
+    ("potlach", "matrices", [[[0.5, 0.5], [INF, 0.5]]]),
+])
+def test_non_finite_builtin_params_exit_2_naming_the_field(name, field,
+                                                          value):
+    params = copy.deepcopy(VALID[name])
+    path = field.split(".")
+    get_parent(params, path)[path[-1]] = value
+    code, err = validate(["--builtin", name, "--params", json.dumps(params)])
+    assert code == 2
+    assert f"{name}: {field} must be finite" in err, err
+    assert "Traceback" not in err

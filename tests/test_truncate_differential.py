@@ -1,22 +1,24 @@
 """Differential tests: the array `truncate` against the per-entry loop
 `oracles.truncate_loop`, on random countable families (dim 1-3, N 0-6,
 duplicate targets, targets beyond N and clamped onto the source, rows
-without off-diagonal mass, Python and numpy rates, negative targets) and on
-the benchmark's builtin instances. The kernels must agree byte for byte,
+without off-diagonal mass, absent slots holding negative targets and
+non-finite rates, negative targets) and on the builtins, against their
+scalar references in `oracles`. The kernels must agree byte for byte,
 signs of zero included, and so must rewards, actions, labels and Lyapunov
 data; a negative target must raise the same error in both.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctmdp import families
 from ctmdp.model import CountableFamily, LyapunovData, ModelError, truncate
-from oracles import truncate_loop
+from oracles import ScalarFamily, build_loop, truncate_loop
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -28,52 +30,81 @@ TARGET_TYPES = [tuple, list, lambda t: tuple(np.int64(c) for c in t)]
 TARGET_KINDS = ["near", "beyond", "onto_source", "repeat", "anywhere"]
 
 
+def random_row(r: random.Random, lab: tuple, N: int, max_entries: int,
+               negative: bool) -> list:
+    out = []
+    for _ in range(r.randint(0, max_entries)):
+        kind = r.choice(TARGET_KINDS)
+        if kind == "repeat" and out:
+            t = list(r.choice(out)[0])
+        elif kind == "near":
+            t = [max(c + r.randint(-1, 1), 0) for c in lab]
+        elif kind == "beyond":
+            t = [c + r.randint(0, 3) for c in lab]
+        elif kind == "onto_source":   # clamps back onto lab (or is lab)
+            t = [c + r.randint(1, 2) if c == N else c for c in lab]
+        else:
+            t = [r.randint(0, N + 2) for _ in lab]
+        out.append((r.choice(TARGET_TYPES)(t),
+                    r.choice(RATE_TYPES)(r.choice(RATES))))
+    if negative and r.random() < 0.05:
+        t = list(lab)
+        t[r.randrange(len(lab))] = -r.randint(1, 3)
+        out.insert(r.randint(0, len(out)), (r.choice(TARGET_TYPES)(t), 1.0))
+    return out
+
+
 def random_family(seed: int, dim: int, N: int, max_entries: int,
-                  negative: bool) -> CountableFamily:
-    """A family whose callbacks are deterministic in (seed, label, action)."""
-    def rng(*key):
-        return random.Random(f"{seed}/{key}")
-
-    def actions(lab):
-        r = rng("actions", lab)
+                  negative: bool) -> tuple:
+    """One drawn table of actions, raw rows and rewards, as the array
+    family `truncate` takes and as the scalar family `truncate_loop` takes.
+    The array form spreads each row over more slots than it has entries
+    and fills the absent slots with negative targets and non-finite
+    rates."""
+    r = random.Random(seed)
+    acts_of, rows, rewards = {}, {}, {}
+    for lab in itertools.product(range(N + 1), repeat=dim):
         kind = r.choice([float, np.float64])
-        return [(kind(v), kind(v / 2)) for v in r.sample(range(5),
-                                                          r.randint(1, 3))]
+        acts_of[lab] = [(kind(v), kind(v / 2))
+                        for v in r.sample(range(5), r.randint(1, 3))]
+        for act in acts_of[lab]:
+            key = (lab, tuple(map(float, act)))
+            rows[key] = random_row(r, lab, N, max_entries, negative)
+            rewards[key] = r.choice([float, np.float64])(
+                sum(lab) * act[0] - act[1])
 
-    def entries(lab, act):
-        r = rng("entries", lab, act)
-        out = []
-        for _ in range(r.randint(0, max_entries)):
-            kind = r.choice(TARGET_KINDS)
-            if kind == "repeat" and out:
-                t = list(r.choice(out)[0])
-            elif kind == "near":
-                t = [max(c + r.randint(-1, 1), 0) for c in lab]
-            elif kind == "beyond":
-                t = [c + r.randint(0, 3) for c in lab]
-            elif kind == "onto_source":   # clamps back onto lab (or is lab)
-                t = [c + r.randint(1, 2) if c == N else c for c in lab]
-            else:
-                t = [r.randint(0, N + 2) for _ in lab]
-            out.append((r.choice(TARGET_TYPES)(t),
-                        r.choice(RATE_TYPES)(r.choice(RATES))))
-        if negative and r.random() < 0.05:
-            t = list(lab)
-            t[r.randrange(dim)] = -r.randint(1, 3)
-            out.insert(r.randint(0, len(out)),
-                       (r.choice(TARGET_TYPES)(t), 1.0))
-        return out
+    def keys(X, A):
+        return list(zip(map(tuple, X.tolist()), map(tuple, A.tolist())))
 
-    def reward(lab, act):
-        return rng("reward", lab).choice([float, np.float64])(
-            sum(lab) * act[0] - act[1])
+    def entries(X, A):
+        pad = random.Random(f"{seed}/{len(X)}")
+        K = max(len(rows[key]) for key in keys(X, A)) + pad.randint(0, 2)
+        targets = np.array([[[pad.randint(-3, N + 3) for _ in range(dim)]
+                             for _ in range(K)] for _ in range(len(X))],
+                           dtype=np.int64).reshape(len(X), K, dim)
+        rates = np.array([[pad.choice(RATES) for _ in range(K)]
+                          for _ in range(len(X))]).reshape(len(X), K)
+        present = np.zeros((len(X), K), dtype=bool)
+        for p, key in enumerate(keys(X, A)):
+            slots = sorted(pad.sample(range(K), len(rows[key])))
+            for k, (t, rate) in zip(slots, rows[key]):
+                targets[p, k], rates[p, k], present[p, k] = t, rate, True
+        return targets, rates, present
 
     def lyapunov(labels):
         return LyapunovData(w=np.array([1.0 + sum(lab) for lab in labels]),
                             c=1.0, b=0.0, M=1.0, M_q=1.0)
 
-    return CountableFamily(dim=dim, actions=actions, entries=entries,
-                           reward=reward, lyapunov=lyapunov)
+    return (CountableFamily(dim=dim, actions=acts_of.__getitem__,
+                            entries=entries, lyapunov=lyapunov,
+                            reward=lambda X, A: np.array(
+                                [rewards[key] for key in keys(X, A)])),
+            ScalarFamily(dim=dim, actions=acts_of.__getitem__,
+                         entries=lambda lab, act: rows[
+                             (lab, tuple(map(float, act)))],
+                         reward=lambda lab, act: rewards[
+                             (lab, tuple(map(float, act)))],
+                         lyapunov=lyapunov))
 
 
 def canonical_bytes(a: np.ndarray) -> bytes:
@@ -108,9 +139,9 @@ def assert_same_model(new, ref):
        N=st.integers(0, 6), max_entries=st.integers(0, 6),
        negative=st.booleans())
 def test_truncate_matches_loop(seed, dim, N, max_entries, negative):
-    family = random_family(seed, dim, N, max_entries, negative)
+    family, scalar = random_family(seed, dim, N, max_entries, negative)
     try:
-        ref = truncate_loop(family, N)
+        ref = truncate_loop(scalar, N)
     except ModelError as exc:
         with pytest.raises(ModelError) as info:
             truncate(family, N)
@@ -121,13 +152,16 @@ def test_truncate_matches_loop(seed, dim, N, max_entries, negative):
 
 
 def test_negative_target_names_the_first_offender():
-    def entries(lab, act):
-        (x,) = lab
-        return [((x + 1,), 1.0), ([x - 2], 0.5)] if x >= 1 else [((1,), 1.0)]
+    def entries(X, A):
+        x = X[:, 0]
+        return (np.stack([x + 1, x - 2], axis=1)[:, :, None],
+                np.tile([1.0, 0.5], (len(x), 1)),
+                np.stack([x >= 0, x >= 1], axis=1))
 
     family = CountableFamily(dim=1, actions=lambda lab: [(0.0,), (1.0,)],
-                             entries=entries, reward=lambda lab, act: 0.0)
-    with pytest.raises(ModelError, match=r"^negative target \[-1\] from "
+                             entries=entries,
+                             reward=lambda X, A: np.zeros(len(X)))
+    with pytest.raises(ModelError, match=r"^negative target \(-1,\) from "
                                          r"\(1,\)$"):
         truncate(family, 4)
 
@@ -148,7 +182,82 @@ BENCHMARK_INSTANCES = [
 @pytest.mark.parametrize("name, params", BENCHMARK_INSTANCES,
                          ids=["bd2000", "tandem60", "bd500", "tandem40",
                               "skip30", "mmn7"])
-def test_builtin_instances_match_loop(monkeypatch, name, params):
-    new = families.build(name, params)
-    monkeypatch.setattr(families, "truncate", truncate_loop)
-    assert_same_model(new, families.build(name, params))
+def test_builtin_instances_match_loop(name, params):
+    assert_same_model(families.build(name, params), build_loop(name, params))
+
+
+HUGE = 1e308     # overflows to inf in the rates, and inf * 0 to NaN
+POSITIVE = st.sampled_from([0.5, 1.0, 2.0, 3.5, HUGE]) | st.floats(0.01, 20)
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -2.0]) | st.floats(-20, 20)
+# the linear-Lyapunov families refuse a reward bound p + ... <= 0
+REWARD = st.sampled_from([0.0, 2.0]) | st.floats(0, 20) | SIGNED
+
+
+@st.composite
+def builtin_params(draw):
+    """(name, params) of a truncated builtin, in range, covering p1 = 0,
+    G = 1, every rc kind, gamma2 at 0 and 1 (skip_free's x = 0, a1 = 0 row
+    has no up-rate at every G), tandem holding costs capped below 2N, and
+    rates that overflow."""
+    name = draw(st.sampled_from(["birth_death", "skip_free", "tandem",
+                                 "mmn0"]))
+    s = {"N": draw(st.integers(3, 9)), "G": draw(st.integers(1, 4))}
+
+    def above(lo):
+        return float(max(lo + draw(POSITIVE), np.nextafter(lo, INF)))
+
+    lo = draw(POSITIVE)
+    hi = above(lo)
+    if name == "birth_death":
+        s.update({"lambda": draw(POSITIVE), "mu1": lo, "mu2": hi,
+                  "p1": draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)),
+                  "p": draw(REWARD),
+                  "rc": {"kind": draw(st.sampled_from(families.RC_KINDS)),
+                         "kappa": draw(REWARD)}})
+    elif name == "skip_free":
+        s.update({"lambda": draw(POSITIVE), "mu": draw(POSITIVE), "b": lo,
+                  "beta": hi, "tau": draw(SIGNED), "p": draw(SIGNED),
+                  "q1": draw(SIGNED), "q2": draw(SIGNED),
+                  "kappa_c": draw(SIGNED)})
+        gamma2 = draw(st.sampled_from([0.0, 1.0, None]) | st.floats(0, 1))
+        if gamma2 is not None:
+            s["gamma2"] = gamma2
+    elif name == "tandem":
+        s.update({"mu1": 3.0 + lo, "mu1star": above(3.0 + lo),
+                  "mu2": 2.0 + lo, "mu2star": above(2.0 + lo),
+                  "N": s["N"] - 1, "G": min(s["G"], 3)})
+        if draw(st.booleans()):
+            s["reward"] = {"kind": "throughput", "c1": draw(SIGNED),
+                           "c2": draw(SIGNED)}
+        else:
+            s["reward"] = {"kind": "holding_bounded", "cap": draw(
+                st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(-3, 2 * s["N"]))}
+    else:
+        s.update({"lambda": draw(POSITIVE), "mu1": lo, "mu2": hi,
+                  "reward": {"p": draw(REWARD), "kappa": draw(REWARD)}})
+    return name, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(builtin_params())
+@example(("birth_death", {"lambda": 1.0, "mu1": 3.0, "mu2": 4.0, "p1": 0.0,
+                          "rc": {"kind": "quadratic", "kappa": 0.5},
+                          "N": 6, "G": 1}))
+@example(("skip_free", {"lambda": 1.0, "mu": 2.0, "b": 1.0, "beta": 2.0,
+                        "gamma2": 0.0, "N": 6, "G": 3}))
+@example(("skip_free", {"lambda": 1.0, "mu": 2.0, "b": 1.0, "beta": HUGE,
+                        "gamma2": 1.0, "kappa_c": 0.5, "N": 6, "G": 2}))
+@example(("tandem", {"N": 5, "G": 2, "reward": {"kind": "holding_bounded",
+                                                "cap": 3.5}}))
+@example(("tandem", {"N": 5, "G": 1, "reward": {"kind": "holding_bounded",
+                                                "cap": -0.0}}))
+def test_builtin_array_builds_match_scalar_references(case):
+    name, params = case
+    try:
+        ref = build_loop(name, params)
+    except ModelError as exc:    # e.g. Lyapunov constants that overflowed
+        with pytest.raises(ModelError) as info:
+            families.build(name, params)
+        assert str(info.value) == str(exc)
+        return
+    assert_same_model(families.build(name, params), ref)
