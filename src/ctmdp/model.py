@@ -365,7 +365,8 @@ def _flatten(model: CtmdpModel) -> FlatModel:
     n_pairs, n = Q.shape
     x_of = np.repeat(np.arange(n), kernel.counts)
     a_of = np.arange(n_pairs) - starts[x_of]
-    r = np.array([rr for per_state in model.rewards.table for rr in per_state])
+    r = np.fromiter(itertools.chain.from_iterable(model.rewards.table), float,
+                    count=n_pairs)
     pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
     diag = Q.indices == x_of[pair_of_entry]
     # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
