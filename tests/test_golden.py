@@ -5,7 +5,8 @@ current code must reproduce exactly.
   builtin at a small level and for an explicit model that triggers every
   violation kind (captured with the pointwise loop implementation of the
   checks);
-* `solve-average`, `verify` (fed that solution), `oracle` and
+* `solve-average`, `verify` (fed the solve-average report it was
+  captured with, kept as `verify_solution_<name>.json`), `oracle` and
   `simulate --mode average --horizon 50 --reps 4 --seed 1` (following the
   solved policy) for the same builtins and a valid explicit model file
   (captured with per-row rate storage, before the kernel became one CSR
@@ -17,7 +18,8 @@ current code must reproduce exactly.
   gathered into one `FamilySpec` per builtin).
 
 All of them were re-captured in report format 2 (shortest round-trip
-floats); each decodes to the same values as its format-1 version.
+floats); each decodes to the same values as its format-1 version. Every
+stored `solve-average` report must also pass `verify`.
 """
 
 import json
@@ -67,13 +69,12 @@ def validate_argv(name):
 
 
 def pipeline_argv(command, name, tmp_path):
-    """argv of one pipeline command; verify and simulate read the stored
-    solve-average report (as the solution, and for its policy)."""
+    """argv of one pipeline command; verify reads the solve-average report
+    it was captured with (`verify_solution_<name>.json`), simulate the
+    policy of the stored solve-average report."""
     extra = []
     if command == "verify":
-        path = tmp_path / "solution.json"
-        path.write_text(golden(f"solve_average_{name}")["stdout"])
-        extra = ["--solution", str(path)]
+        extra = ["--solution", str(GOLDEN / f"verify_solution_{name}.json")]
     elif command == "simulate":
         solution = json.loads(golden(f"solve_average_{name}")["stdout"])
         path = tmp_path / "policy.json"
@@ -98,6 +99,15 @@ def test_pipeline_report_matches_golden(command, name, tmp_path, capsys):
     code = run(pipeline_argv(command, name, tmp_path))
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_MODELS))
+def test_stored_solution_passes_verify(name, tmp_path, capsys):
+    path = tmp_path / "solution.json"
+    path.write_text(golden(f"solve_average_{name}")["stdout"])
+    code = run(["verify"] + PIPELINE_MODELS[name] + ["--solution", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["report"]["passed"]
 
 
 @pytest.mark.parametrize("stem", sorted(SPEC_REPORTS))
