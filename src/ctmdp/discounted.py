@@ -12,7 +12,9 @@ At alpha = 0 the same map is relative value iteration for the average-
 reward equation, stopped by the span bounds of Odoni (1969) and Puterman
 (1994, section 8.5): for any h, with bell(x) = max_a { r + sum_y h q }(x),
 every policy's gain lies below max_x bell and the greedy policy's gain
-above min_x bell.
+above min_x bell. Between two such Bellman sweeps, cheaper sweeps over
+the greedy policy's rows alone do most of the work (modified policy
+iteration, Puterman and Shin 1978).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ DEFAULT_MAX_ITER = 10 ** 6
 # sweeps without progress after which a pass of the iteration is taken to
 # be stuck
 STALL_SWEEPS = 1000
+# policy-only sweeps after each Bellman sweep of the alpha = 0 per-state pass
+POLICY_SWEEPS = 30
 
 
 class ConvergenceError(RuntimeError):
@@ -174,28 +178,39 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
     for the error report.
 
     The first pass uses the per-state uniformization m(x) = q(x) + 1, which
-    is fast where exit rates differ widely, but the gain read at x0 enters
-    state x with weight m(x0) / m(x) and can make it diverge (a transient x0
-    with a fast exit rate does). When its bracket has not narrowed below
-    its narrowest for STALL_SWEEPS sweeps, or is not finite, the iteration
-    restarts from the initial h with the uniform m = max_x q(x) + 1, under
-    which relative value iteration converges on every unichain model
-    (Puterman 1994, section 8.5). In that pass the width never grows, but
-    it can stay flat while the states inside the bracket still move, so a
-    sweep that moves some bell(x) by more than tol also counts as progress;
-    STALL_SWEEPS sweeps without either (bell has settled with its bracket
-    open, as on a multichain model) raise ConvergenceError.
+    is fast where exit rates differ widely, and is modified policy
+    iteration (Puterman 1994, section 8.7): each Bellman sweep that leaves
+    the bracket open is followed by up to POLICY_SWEEPS sweeps over the
+    rows of its greedy policy alone (`_policy_sweeps`). The bracket is read
+    at Bellman sweeps only, so it certifies the result as before. The gain
+    read at x0 enters state x with weight m(x0) / m(x) and can make this
+    pass diverge (a transient x0 with a fast exit rate does). Policy sweeps
+    that stop contracting turn themselves off for the rest of the pass,
+    which then goes on as plain relative value iteration. When its
+    bracket has not narrowed below its narrowest for STALL_SWEEPS sweeps,
+    or is not finite, the iteration restarts from the initial h with the
+    uniform m = max_x q(x) + 1 and no policy sweeps: plain relative value
+    iteration, which converges on every unichain model (Puterman 1994,
+    section 8.5). In that pass the width never grows, but it can stay flat
+    while the states inside the bracket still move, so a sweep that moves
+    some bell(x) by more than tol, or shrinks some pair's gap bell(x) -
+    (r + Q h)(x, a) below its state's maximum by more than tol, also counts
+    as progress; STALL_SWEEPS sweeps without any (bell has settled with its
+    bracket open, as on a multichain model) raise ConvergenceError.
+    `sweeps` and STALL_SWEEPS count Bellman and policy sweeps alike.
     """
     start = h
     m = flat.qmax + 1.0
     uniform = False
     best = (-np.inf, np.inf)
     narrowest = np.inf
-    moved = 0
-    prev = width = np.inf
+    it = moved = 0
+    prev = gap = width = np.inf
+    policy, policy_sweeps = None, True
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(max_iter):
-            bell = _state_max(flat.r + flat.Q @ h, flat)
+        while it < max_iter:
+            vals = flat.r + flat.Q @ h
+            bell = _state_max(vals, flat)
             lo, hi = float(np.min(bell)), float(np.max(bell))
             width = hi - lo
             if width <= tol:
@@ -203,8 +218,11 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
             finite = np.isfinite(width)
             if finite:
                 best = (max(lo, best[0]), min(hi, best[1]))
-            if width < narrowest or (uniform
-                                     and np.max(np.abs(bell - prev)) > tol):
+            if uniform:
+                gap, prev_gap = bell[flat.x_of_pair] - vals, gap
+                moving = (np.max(np.abs(bell - prev)) > tol
+                          or np.max(prev_gap - gap) > tol)
+            if width < narrowest or (uniform and moving):
                 narrowest = min(width, narrowest)
                 moved = it
             elif not finite or it - moved >= STALL_SWEEPS:
@@ -215,15 +233,49 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
                         residual=width, iterations=it, alpha=0.0,
                         bracket=best)
                 uniform, moved, h, narrowest = True, it, start, np.inf
+                policy_sweeps = False
                 m = np.full(flat.n, float(np.max(m)))
+                it += 1
                 continue
             prev = bell
             g = bell[x0]
             delta = (bell + m * h - g) / m
             h = delta - delta[x0]
+            it += 1
+            if policy_sweeps:
+                f = _state_argmax(vals, flat)
+                if not np.array_equal(f, policy):
+                    policy, rows = f, flat.starts + f
+                    Qf, rf = flat.Q[rows], flat.r[rows]
+                h, k, policy_sweeps = _policy_sweeps(
+                    Qf, rf, m, h, x0, tol, min(POLICY_SWEEPS, max_iter - it))
+                it += k
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
         residual=width, iterations=max_iter, alpha=0.0, bracket=best)
+
+
+def _policy_sweeps(Qf, rf, m, h, x0, tol, budget):
+    """Relative value iteration on one policy's rows (Qf, rf): up to
+    `budget` sweeps h <- (v + m h - v(x0)) / m with v = rf + Qf h,
+    renormalised to h(x0) = 0.
+
+    Returns (h, sweeps, contracting). The sweeps end early after one that
+    moves h by at most tol, or by more than the sweep before it; then
+    `contracting` is false, since under the per-state m the gain read at
+    x0 can make one policy's iteration diverge.
+    """
+    last = np.inf
+    for k in range(budget):
+        v = rf + Qf @ h
+        delta = (v + m * h - v[x0]) / m
+        new = delta - delta[x0]
+        change = np.max(np.abs(new - h))
+        h = new
+        if change <= tol or change > last:
+            return h, k + 1, change <= last
+        last = change
+    return h, budget, True
 
 
 def check_positive(**values) -> None:

@@ -3,6 +3,7 @@ import pytest
 
 import ctmdp
 from ctmdp import (StationaryPolicy, VanishingSchedule, brute_force_oracle,
+                   certify_lower, certify_upper, discounted,
                    optimality_residuals, solve_average,
                    truncation_sensitivity)
 
@@ -10,6 +11,26 @@ import oracles
 
 
 MM20_PARAMS = {"lambda": 1, "mu1": 2, "mu2": 2.5, "N": 2, "G": 1}
+# the two largest instances of the benchmark's solve ladder
+LADDER = [
+    ("tandem", {"N": 40, "G": 2}),
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
+                     "N": 500, "G": 11})]
+
+
+@pytest.fixture
+def policy_sweep_calls(monkeypatch):
+    """(m, sweeps, contracting) of every `_policy_sweeps` call."""
+    calls = []
+    inner = discounted._policy_sweeps
+
+    def spy(Qf, rf, m, h, x0, tol, budget):
+        out = inner(Qf, rf, m, h, x0, tol, budget)
+        calls.append((m, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(discounted, "_policy_sweeps", spy)
+    return calls
 
 
 def test_schedule_is_geometric():
@@ -278,3 +299,90 @@ def test_multichain_model_raises_with_partial_trace():
     assert exc.bracket == (1.0, 2.0)
     assert [e["alpha"] for e in exc.trace] == [0.1, 0.05, 0.025]
     assert exc.detail()["trace"] == exc.trace
+
+
+def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
+    # the fast-exit model: the per-state pass (m = [5, 1]) diverges and the
+    # uniform pass (m = [5, 5]) is plain relative value iteration from h = 0
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=2),
+        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        kernel=ctmdp.RateKernel([[[(0, -4.0), (1, 4.0)]], [[(1, 0.0)]]]),
+        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,))),
+    )
+    sol = solve_average(m)
+    assert policy_sweep_calls
+    assert all(call[0].tolist() == [5.0, 1.0] for call in policy_sweep_calls)
+    flat, h = m.flat(), np.zeros(2)
+    while True:
+        bell = discounted._state_max(flat.r + flat.Q @ h, flat)
+        if bell.max() - bell.min() <= 1e-8:
+            break
+        delta = (bell + 5.0 * h - bell[0]) / 5.0
+        h = delta - delta[0]
+    assert sol.h.tolist() == h.tolist()
+    assert sol.gain == pytest.approx(1.0, abs=1e-8)
+
+
+def test_multichain_model_runs_policy_sweeps_in_one_pass_only(
+        policy_sweep_calls):
+    # both passes use m = [1, 1] here; the uniform pass makes its own array
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=2),
+        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        kernel=ctmdp.RateKernel([[[(0, 0.0)]], [[(1, 0.0)]]]),
+        rewards=ctmdp.RewardTable(table=((1.0,), (2.0,))),
+    )
+    with pytest.raises(ctmdp.ConvergenceError) as info:
+        solve_average(m)
+    assert info.value.bracket == (1.0, 2.0)
+    assert policy_sweep_calls
+    assert all(call[0] is policy_sweep_calls[0][0]
+               for call in policy_sweep_calls)
+
+
+@pytest.mark.parametrize("name, params", LADDER)
+def test_policy_sweeps_close_the_ladder_brackets(name, params):
+    m = ctmdp.build(name, params)
+    sol = solve_average(m)
+    assert sol.converged and sol.gain_upper - sol.gain_lower <= 1e-8
+    assert sol.gain == pytest.approx(brute_force_oracle(m).gain, abs=1e-8)
+    assert certify_upper(m, sol.gain, sol.h, tol=1e-8).passed
+    assert certify_lower(m, sol.gain, sol.h, sol.policy, tol=1e-8).passed
+
+
+@pytest.mark.parametrize("name, params", LADDER)
+def test_sweeps_count_policy_sweeps(name, params, policy_sweep_calls):
+    sol = solve_average(ctmdp.build(name, params))
+    # each Bellman sweep that left the bracket open ran policy sweeps
+    assert all(call[2] for call in policy_sweep_calls)
+    policy = sum(call[1] for call in policy_sweep_calls)
+    assert sol.sweeps == len(policy_sweep_calls) + policy
+    assert policy > 5 * len(policy_sweep_calls)
+
+
+def test_constant_gain_model_closes_its_bracket():
+    # the optimal gain is 1.125 from every state: action 1 at state 0
+    # reaches the absorbing state 3 (r 1.125), action 0 cycles with state 1
+    # (gain 1.109375). In the uniform pass bell stays flat for over 1000
+    # sweeps while h(3) rises, which only the shrinking gap of (0, 1) below
+    # bell(0) shows; counting bell alone raised "stalled" after 2413 sweeps
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=5),
+        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)),)
+                                 + (((0.0,),),) * 4),
+        kernel=ctmdp.RateKernel([
+            [[(0, -1.0), (1, 1.0)],
+             [(0, -4.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)],
+             [(0, 0.0)]],
+            [[(0, 1.0), (1, -1.0)]], [[(0, 0.5), (2, -0.5)]], [[(3, 0.0)]],
+            [[(0, 1.0), (4, -1.0)]]]),
+        rewards=ctmdp.RewardTable(table=((1.09375, 0.0, 0.0), (1.125,),
+                                         (0.0,), (1.125,), (0.0,))),
+    )
+    sol = solve_average(m)
+    assert sol.converged
+    assert sol.gain == pytest.approx(1.125, abs=1e-8)
+    assert sol.policy.choice.tolist() == [1, 0, 0, 0, 0]
+    assert certify_upper(m, sol.gain, sol.h, tol=1e-8).passed
+    assert certify_lower(m, sol.gain, sol.h, sol.policy, tol=1e-8).passed

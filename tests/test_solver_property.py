@@ -12,7 +12,7 @@ checked against the per-policy dense reference in oracles.py.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ctmdp import (ConvergenceError, brute_force_oracle, certify_lower,
@@ -44,8 +44,28 @@ def explicit_documents(draw):
             "rates": rates, "rewards": rewards}
 
 
+# optimal gain 1.125 from every state; the uniform pass used to stall with
+# bell flat while h(3) still rose (test_average has the same model)
+CONSTANT_GAIN = {
+    "kind": "explicit", "states": 5,
+    "actions": [[[0.0], [1.0], [2.0]], [[0.0]], [[0.0]], [[0.0]], [[0.0]]],
+    "rates": [{"x": 0, "a": 0, "entries": [[1, 1.0]]},
+              {"x": 0, "a": 1, "entries": [[1, 1.0], [2, 1.0], [3, 1.0],
+                                           [4, 1.0]]},
+              {"x": 0, "a": 2, "entries": []},
+              {"x": 1, "a": 0, "entries": [[0, 1.0]]},
+              {"x": 2, "a": 0, "entries": [[0, 0.5]]},
+              {"x": 3, "a": 0, "entries": []},
+              {"x": 4, "a": 0, "entries": [[0, 1.0]]}],
+    "rewards": [{"x": 0, "a": 0, "r": 1.09375}, {"x": 0, "a": 1, "r": 0.0},
+                {"x": 0, "a": 2, "r": 0.0}, {"x": 1, "a": 0, "r": 1.125},
+                {"x": 2, "a": 0, "r": 0.0}, {"x": 3, "a": 0, "r": 1.125},
+                {"x": 4, "a": 0, "r": 0.0}]}
+
+
 @settings(max_examples=200, deadline=None)
 @given(explicit_documents())
+@example(CONSTANT_GAIN)
 def test_solver_brackets_the_oracle_gain(doc):
     model = model_from_dict(doc)
     assert model_to_dict(model_from_dict(model_to_dict(model))) \
