@@ -18,8 +18,12 @@ current code must reproduce exactly.
   gathered into one `FamilySpec` per builtin).
 
 All of them were re-captured in report format 2 (shortest round-trip
-floats); each decodes to the same values as its format-1 version. Every
-stored `solve-average` report must also pass `verify`.
+floats); each decodes to the same values as its format-1 version. The
+`solve-average` reports of explicit, mmn0, skip_free and tandem were
+re-captured again when the alpha = 0 iteration gained policy-only sweeps
+(modified policy iteration), with the same exit codes and policies, gains
+within 8.4e-10 of the old ones and brackets within tol; birth_death kept
+its bytes. Every stored `solve-average` report must also pass `verify`.
 """
 
 import json
