@@ -182,9 +182,9 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
     iteration (Puterman 1994, section 8.7): each Bellman sweep that leaves
     the bracket open is followed by up to POLICY_SWEEPS sweeps over the
     rows of its greedy policy alone (`_policy_sweeps`). The bracket is read
-    at Bellman sweeps only, so it certifies the result as before. The gain
-    read at x0 enters state x with weight m(x0) / m(x) and can make this
-    pass diverge (a transient x0 with a fast exit rate does). Policy sweeps
+    at Bellman sweeps only, so it certifies the result. The gain read at
+    x0 enters state x with weight m(x0) / m(x) and can make this pass
+    diverge (a transient x0 with a fast exit rate does). Policy sweeps
     that stop contracting turn themselves off for the rest of the pass,
     which then goes on as plain relative value iteration. When its
     bracket has not narrowed below its narrowest for STALL_SWEEPS sweeps,
