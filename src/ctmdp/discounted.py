@@ -108,9 +108,10 @@ def _state_max(vals: np.ndarray, flat: FlatModel) -> np.ndarray:
     return np.maximum.reduceat(vals, flat.starts)
 
 
-def _state_argmax(vals: np.ndarray, flat: FlatModel) -> np.ndarray:
-    """Per-state argmax over action values; ties go to the lowest index."""
-    best = _state_max(vals, flat)
+def _state_argmax(vals: np.ndarray, best: np.ndarray,
+                  flat: FlatModel) -> np.ndarray:
+    """Per-state argmax over action values, given their maximum `best` =
+    `_state_max(vals, flat)`; ties go to the lowest index."""
     hit = vals >= best[flat.x_of_pair]
     cand = np.where(hit, flat.a_of_pair, flat.n_pairs + 1)
     return np.minimum.reduceat(cand, flat.starts)
@@ -243,7 +244,7 @@ def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,
             h = delta - delta[x0]
             it += 1
             if policy_sweeps:
-                f = _state_argmax(vals, flat)
+                f = _state_argmax(vals, bell, flat)
                 if not np.array_equal(f, policy):
                     policy, rows = f, flat.starts + f
                     Qf, rf = flat.Q[rows], flat.r[rows]
@@ -320,7 +321,8 @@ def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
     flat = model.flat()
     J = np.asarray(J, dtype=np.float64)
     vals = flat.r + flat.Q @ J
-    return StationaryPolicy(choice=_state_argmax(vals, flat))
+    return StationaryPolicy(
+        choice=_state_argmax(vals, _state_max(vals, flat), flat))
 
 
 def bellman_operator(model: CtmdpModel, alpha: float, u) -> np.ndarray:

@@ -127,12 +127,22 @@ def check_assumption_B(model: CtmdpModel) -> DriftReport:
     return DriftReport(checks=checks)
 
 
-_TAIL_BLOCK_CELLS = 1 << 18     # tail-sum cells held at once
-
-
 def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
     """Tail-sum comparison sum_{y>=k} q(y|x,f(x)) <= sum_{y>=k} q(y|x+1,f(x+1))
-    for all x and all k != x+1, on 1-D ordered state spaces only."""
+    for all x and all k != x+1, on 1-D ordered state spaces only.
+
+    Works on the stored entries of the policy's rows. A row's tail sum
+    T(k) is a step function of k: for k in (y_{j-1}, y_j] it is the sum
+    of the row's entries j, j+1, ..., added one at a time from the last,
+    as a cumulative sum over the reversed dense row adds them (the zero
+    cells in between change only the sign of a zero sum: T(k) is -0.0
+    only where every cell from k to n-1 holds a stored -0.0). The slack
+    T_{x+1}(k) - T_x(k) is then constant on each segment between
+    consecutive targets of rows x and x+1, and is evaluated at the first
+    k of each segment (x+2 in place of the skipped x+1). The worst slack
+    is the first strict minimum over (x, k) in row-major order, as a scan
+    of the dense n x n table finds it.
+    """
     if model.states.dim != 1:
         return DriftReport(checks=[], status="unsupported")
     model.check_policy(f)
@@ -142,21 +152,52 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
                                                passed=True, slack=0.0)])
 
     flat = model.flat()
-    pairs = flat.starts + f.choice               # row x is q(.|x, f(x))
-    block = max(1, _TAIL_BLOCK_CELLS // n)
-    worst = (np.inf, None, None, None, None)
-    for x0 in range(0, n - 1, block):
-        dense = flat.dense_rows(pairs[x0:min(x0 + block, n - 1) + 1])
-        tails = np.cumsum(dense[:, ::-1], axis=1)[:, ::-1]
-        slack = tails[1:] - tails[:-1]
-        slack[np.arange(len(slack)), np.arange(len(slack)) + x0 + 1] = np.inf
-        i, s = _scan_min(slack.ravel())
-        if s < worst[0]:
-            dx, k = divmod(i, n)
-            worst = (s, x0 + dx, f[x0 + dx], tails[dx, k], tails[dx + 1, k])
-    rec = CheckRecord(name="tail_monotone", passed=worst[0] >= SLACK_TOL,
-                      worst_state=worst[1], worst_action=worst[2],
-                      lhs=worst[3], rhs=worst[4], slack=float(worst[0]))
+    # row x is q(.|x, f(x)); its entries in storage order, targets ascending
+    row, ys, rates = flat.entries_of(flat.starts + f.choice)
+    size = np.bincount(row, minlength=n)
+    end = np.cumsum(size)
+    # tail[j]: sum of entries j, j+1, ... of their row; a +0.0 pad at the end
+    tail = np.zeros(len(rates) + 1)
+    acc = np.full(n, -0.0)               # -0.0 + v is v for every v
+    live = np.flatnonzero(size)
+    t = 0
+    while len(live):
+        at = end[live] - 1 - t
+        acc[live] += rates[at]
+        tail[at] = acc[live]
+        t += 1
+        live = live[size[live] > t]
+    # entry j's tail is T(y_j) itself if entries j, ... fill y_j..n-1
+    after = end[row] - 1 - np.arange(len(rates))
+    fills = np.append(ys == n - 1 - after, False)
+    target = np.append(ys, -1)
+    key = row * n + ys
+
+    # segment starts of the pair (x, x+1): 0 and y+1 for the targets y of
+    # both rows, as keys x * n + k in (x, k) order (a merge of three sorted
+    # runs). A start listed twice is read twice, and the first of equal
+    # slacks wins, so repeats change nothing.
+    up = ys + 1 < n
+    starts = np.sort(np.concatenate((
+        np.arange(n - 1) * n,
+        (key + 1)[up & (row < n - 1)],
+        (key - n + 1)[up & (row > 0)])), kind="stable")
+    x, k = np.divmod(starts, n)
+    # the segment from the skipped k = x+1 is read at x+2
+    k += k == x + 1
+    x, k = x[k < n], k[k < n]
+
+    def tails(r):
+        """T_r(k) of the rows r at the segment starts k."""
+        j = np.searchsorted(key, r * n + k)
+        j = np.where(j < end[r], j, len(ys))    # no entry >= k: the pad
+        return np.where((target[j] == k) & fills[j], tail[j], tail[j] + 0.0)
+
+    lhs, rhs = tails(x), tails(x + 1)
+    i, s = _scan_min(rhs - lhs)
+    worst = ([None] * 4 if i is None else
+             [int(x[i]), f[int(x[i])], lhs[i], rhs[i]])
+    rec = CheckRecord("tail_monotone", s >= SLACK_TOL, *worst, slack=float(s))
     return DriftReport(checks=[rec])
 
 

@@ -29,14 +29,26 @@ _JSON_TYPES = {float: "a number", int: "an integer", str: "a string",
                list: "a list", dict: "an object"}
 
 
+def _is_kind(value, kind) -> bool:
+    """Whether `value` is of `kind` exactly, level by level of a nested
+    list kind, so that `typed` has nothing to convert."""
+    values = [value]
+    while isinstance(kind, list):
+        if not set(map(type, values)) <= {list}:
+            return False
+        values = list(itertools.chain.from_iterable(values))
+        kind = kind[0]
+    return set(map(type, values)) <= {kind}
+
+
 def typed(value, kind, where: str, error=ModelError):
     """`value`, as read from JSON, checked against `kind`: float, int (an
     integral number), str, list, dict, or [k] for a list of k. Bools are
     never numbers. Raises `error` naming `where` on a mismatch."""
     if isinstance(kind, list):
+        if _is_kind(value, kind):                    # nothing to convert
+            return value
         items = typed(value, list, where, error)
-        if all(type(v) is kind[0] for v in items):   # nothing to convert
-            return items
         return [typed(v, kind[0], f"{where}[{i}]", error)
                 for i, v in enumerate(items)]
     if type(value) is kind:
@@ -89,7 +101,7 @@ class ActionSets:
         for x, acts in enumerate(tuple(self.sets)):
             converted = shared.get(id(acts))
             if converted is None:
-                converted = tuple(tuple(float(v) for v in a) for a in acts)
+                converted = tuple(tuple(map(float, a)) for a in acts)
                 if len(converted) == 0:
                     raise ModelError(f"state {x} has an empty action set")
                 if len(set(converted)) != len(converted):
@@ -136,9 +148,16 @@ class RateKernel:
     def _store(self, counts, lengths, targets, rates):
         self.counts = np.asarray(counts, dtype=np.int64)   # actions per state
         self.starts = np.cumsum(self.counts) - self.counts
+        n = len(counts)
         pair = np.repeat(np.arange(len(lengths)), lengths)
         ys = np.asarray(targets, dtype=np.int64)
-        order = np.lexsort((ys, pair))
+        # one stable sort by (pair, target) on the int64 key pair * (2B + 1)
+        # + target + B; targets beyond +-B (where CtmdpModel rejects any
+        # outside 0..n-1) tie at +-B, so the key of a pair never reaches
+        # into the next one
+        bound = 2 ** 61 // max(len(lengths), 1)
+        order = np.argsort(pair * (2 * bound + 1) + np.clip(ys, -bound, bound)
+                           + bound, kind="stable")
         ys = ys[order]
         dup = (ys[1:] == ys[:-1]) & (pair[1:] == pair[:-1])
         if dup.any():
@@ -147,7 +166,7 @@ class RateKernel:
         self.Q = sp.csr_matrix(
             (np.asarray(rates, dtype=np.float64)[order], ys,
              np.concatenate(([0], np.cumsum(lengths)))),
-            shape=(len(lengths), len(counts)))
+            shape=(len(lengths), n))
         self.indptr, self.indices, self.data = self.Q.indptr, self.Q.indices, \
             self.Q.data
 
@@ -349,9 +368,10 @@ class CtmdpModel:
     def check_policy(self, f: StationaryPolicy):
         if len(f) != self.n:
             raise ModelError("policy length does not match the state count")
-        for x in range(self.n):
-            if not 0 <= f[x] < self.n_actions(x):
-                raise ModelError(f"policy action index out of range at state {x}")
+        bad = np.flatnonzero((f.choice < 0) | (f.choice >= self.kernel.counts))
+        if len(bad):
+            raise ModelError(f"policy action index out of range at state "
+                             f"{bad[0]}")
 
     def flat(self) -> FlatModel:
         if self._flat is None:

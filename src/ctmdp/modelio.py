@@ -9,8 +9,11 @@ every float reads back to the same value.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
+import operator
 
 import numpy as np
 
@@ -56,40 +59,56 @@ def _need(doc: dict, key: str, where: str = "", kind=None,
     return _typed(doc[key], kind, path)
 
 
-def _per_pair(doc: dict, key: str, actions: ActionSets, read, what: str):
-    """read(rec, x, where) of each record of doc[key], filed by its (x, a);
-    every (x, a) of the model needs one."""
-    rows = [[None] * len(acts) for acts in actions.sets]
+def _per_pair(doc: dict, key: str, starts: list, read, what: str) -> list:
+    """read(rec, x, i) of each record rec = doc[key][i], in pair order: state
+    x has the pairs starts[x] <= p < starts[x + 1]. Every (x, a) needs a
+    record, and a later record of a pair replaces an earlier one. Paths
+    are built for error messages only."""
+    n = len(starts) - 1
+    rows = [None] * starts[-1]
     for i, rec in enumerate(_need(doc, key, kind=[dict])):
-        where = f"{key}[{i}]"
-        x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
-        if not (0 <= x < len(rows) and 0 <= a < len(rows[x])):
-            raise ModelFileError(f"(x, a) out of range at {where}")
-        rows[x][a] = read(rec, x, where)
-    for x, per_state in enumerate(rows):
-        if None in per_state:
-            raise ModelFileError(f"no {what} supplied for "
-                                 f"({x}, {per_state.index(None)})")
+        x, a = rec.get("x"), rec.get("a")
+        if type(x) is not int or type(a) is not int:     # convert, or fail
+            where = f"{key}[{i}]"
+            x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
+        if not (0 <= x < n and 0 <= a < starts[x + 1] - starts[x]):
+            raise ModelFileError(f"(x, a) out of range at {key}[{i}]")
+        rows[starts[x] + a] = read(rec, x, i)
+    if None in rows:
+        p = rows.index(None)
+        x = bisect.bisect_right(starts, p) - 1
+        raise ModelFileError(f"no {what} supplied for ({x}, {p - starts[x]})")
     return rows
 
 
-def _rate_entries(rec: dict, x: int, where: str) -> dict:
-    """target -> rate of one rate record, the diagonal completed if absent
-    so that the row is conservative."""
-    entries = {}
-    for j, pair in enumerate(_need(rec, "entries", where, list)):
-        at = f"{where}.entries[{j}]"
+def _rate_entries(rec: dict, x: int, i: int) -> dict:
+    """target -> rate of the record rates[i] of state x, in file order, the
+    diagonal completed if absent so that the row is conservative: minus
+    the rates added left to right from 0 (`sum` adds floats with
+    compensation from Python 3.12 on, which changes the last bits)."""
+    entries = rec.get("entries")
+    if type(entries) is not list:
+        entries = _need(rec, "entries", f"rates[{i}]", list)
+    row = {}
+    for j, pair in enumerate(entries):
         if type(pair) is not list or len(pair) != 2:
-            raise ModelFileError(f"{at} is not a [y, rate] pair")
+            raise ModelFileError(
+                f"rates[{i}].entries[{j}] is not a [y, rate] pair")
         y, rate = pair
         if type(y) is not int or type(rate) is not float:   # convert, or fail
+            at = f"rates[{i}].entries[{j}]"
             y, rate = _typed(y, int, f"{at}[0]"), _typed(rate, float, f"{at}[1]")
-        if y in entries:
-            raise ModelFileError(f"duplicate target {y} at {where}")
-        entries[y] = rate
-    if x not in entries:
-        entries[x] = -sum(entries.values())
-    return entries
+        if y in row:
+            raise ModelFileError(f"duplicate target {y} at rates[{i}]")
+        row[y] = rate
+    if x not in row:
+        row[x] = -functools.reduce(operator.add, row.values(), 0)
+    return row
+
+
+def _reward(rec: dict, x: int, i: int) -> float:
+    r = rec.get("r")
+    return r if type(r) is float else _need(rec, "r", f"rewards[{i}]", float)
 
 
 def _explicit_model(doc: dict) -> CtmdpModel:
@@ -102,16 +121,14 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     except ModelError as exc:
         raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
 
-    rate_rows = _per_pair(doc, "rates", actions, _rate_entries, "rate row")
-    pair_rows = [entries for per_state in rate_rows for entries in per_state]
+    counts = [len(acts) for acts in actions.sets]
+    starts = list(itertools.accumulate(counts, initial=0))
+    rate_rows = _per_pair(doc, "rates", starts, _rate_entries, "rate row")
     kernel = RateKernel.from_pairs(
-        [len(per_state) for per_state in rate_rows],
-        [len(entries) for entries in pair_rows],
-        [y for entries in pair_rows for y in entries],
-        [rate for entries in pair_rows for rate in entries.values()])
-    reward_rows = _per_pair(
-        doc, "rewards", actions,
-        lambda rec, x, where: _need(rec, "r", where, float), "reward")
+        counts, [len(row) for row in rate_rows],
+        list(itertools.chain.from_iterable(rate_rows)),
+        list(itertools.chain.from_iterable(map(dict.values, rate_rows))))
+    rewards = _per_pair(doc, "rewards", starts, _reward, "reward")
 
     ld = _need(doc, "lyapunov", kind=dict, required=False)
     get = functools.partial(_need, ld, where="lyapunov", kind=float)
@@ -131,7 +148,8 @@ def _explicit_model(doc: dict) -> CtmdpModel:
             states=StateSpace(size=n, labels=labels),
             actions=actions,
             kernel=kernel,
-            rewards=RewardTable(table=tuple(tuple(row) for row in reward_rows)),
+            rewards=RewardTable(table=tuple(
+                rewards[lo:hi] for lo, hi in zip(starts, starts[1:]))),
             lyapunov=lyap)
     except TypeError as exc:       # an unhashable label
         raise ModelFileError(f"bad 'labels': {exc}") from exc

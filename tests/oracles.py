@@ -7,6 +7,7 @@ fixed-policy generator and share no code with the iterative solver path.
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,9 +16,10 @@ import numpy as np
 from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
                    average, extract_policy, families)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
-from ctmdp.model import (ROW_SUM_TOL, ActionSets, LyapunovData, ModelError,
-                         RateKernel, RewardTable, StateSpace,
+from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, ActionSets, LyapunovData,
+                         ModelError, RateKernel, RewardTable, StateSpace,
                          ValidationReport, boundary_states, generator_apply)
+from ctmdp.modelio import ModelFileError
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
@@ -541,6 +543,117 @@ def check_monotonicity_loop(model: CtmdpModel,
                       worst_state=worst[1], worst_action=worst[2],
                       lhs=worst[3], rhs=worst[4], slack=float(worst[0]))
     return DriftReport(checks=[rec])
+
+
+# -- field-by-field reference for the explicit model reader ----------------
+
+def _typed_loop(value, kind, where):
+    """`model.typed` one element at a time, with no fast path."""
+    if isinstance(kind, list):
+        items = _typed_loop(value, list, where)
+        return [_typed_loop(v, kind[0], f"{where}[{i}]")
+                for i, v in enumerate(items)]
+    if type(value) is kind:
+        return value
+    if (kind is float and type(value) is int
+            and abs(value) <= sys.float_info.max
+            or kind is int and type(value) is float and value.is_integer()):
+        return kind(value)
+    raise ModelFileError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _need_loop(doc, key, where="", kind=None, required=True):
+    if not required and doc.get(key) is None:
+        return None
+    path = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ModelFileError(f"missing field {path}")
+    return doc[key] if kind is None else _typed_loop(doc[key], kind, path)
+
+
+def _per_pair_loop(doc, key, actions, read, what):
+    rows = [[None] * len(acts) for acts in actions.sets]
+    for i, rec in enumerate(_need_loop(doc, key, kind=[dict])):
+        where = f"{key}[{i}]"
+        x = _need_loop(rec, "x", where, int)
+        a = _need_loop(rec, "a", where, int)
+        if not (0 <= x < len(rows) and 0 <= a < len(rows[x])):
+            raise ModelFileError(f"(x, a) out of range at {where}")
+        rows[x][a] = read(rec, x, where)
+    for x, per_state in enumerate(rows):
+        if None in per_state:
+            raise ModelFileError(f"no {what} supplied for "
+                                 f"({x}, {per_state.index(None)})")
+    return rows
+
+
+def _rate_entries_loop(rec, x, where):
+    entries = {}
+    for j, pair in enumerate(_need_loop(rec, "entries", where, list)):
+        at = f"{where}.entries[{j}]"
+        if type(pair) is not list or len(pair) != 2:
+            raise ModelFileError(f"{at} is not a [y, rate] pair")
+        y = _typed_loop(pair[0], int, f"{at}[0]")
+        rate = _typed_loop(pair[1], float, f"{at}[1]")
+        if y in entries:
+            raise ModelFileError(f"duplicate target {y} at {where}")
+        entries[y] = rate
+    if x not in entries:
+        total = 0                  # left to right in file order, from 0
+        for rate in entries.values():
+            total = total + rate
+        entries[x] = -total
+    return entries
+
+
+def explicit_model_loop(doc) -> CtmdpModel:
+    """`model_from_dict` on an explicit document, one field at a time:
+    every record and entry through the checked accessors, each row a
+    target -> rate dict sorted by target in Python."""
+    kind = _need_loop(_typed_loop(doc, dict, "model document"), "kind")
+    if kind != "explicit":
+        raise ModelFileError(f"unknown model kind {kind!r}")
+    n = _need_loop(doc, "states", kind=int)
+    actions_doc = _need_loop(doc, "actions", kind=[[[float]]])
+    if len(actions_doc) != n:
+        raise ModelFileError("'actions' length does not match 'states'")
+    try:
+        actions = ActionSets(sets=actions_doc)
+    except ModelError as exc:
+        raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
+    rate_rows = _per_pair_loop(doc, "rates", actions, _rate_entries_loop,
+                               "rate row")
+    kernel = RateKernel([[sorted(entries.items()) for entries in per_state]
+                         for per_state in rate_rows])
+    reward_rows = _per_pair_loop(
+        doc, "rewards", actions,
+        lambda rec, x, where: _need_loop(rec, "r", where, float), "reward")
+
+    ld = _need_loop(doc, "lyapunov", kind=dict, required=False)
+
+    def get(key, kind=float, required=True):
+        return _need_loop(ld, key, "lyapunov", kind, required)
+
+    try:
+        lyap = None if ld is None else LyapunovData(
+            w=get("w", [float]), c=get("c"), b=get("b"), M=get("M"),
+            M_q=get("Mq"), wprime=get("wprime", [float], False),
+            cprime=get("cprime", required=False),
+            bprime=get("bprime", required=False),
+            Mprime=get("Mprime", required=False))
+    except ModelError as exc:
+        raise ModelFileError(f"bad 'lyapunov' block: {exc}") from exc
+    labels = _need_loop(doc, "labels", kind=list, required=False)
+    try:
+        return CtmdpModel(states=StateSpace(size=n, labels=labels),
+                          actions=actions, kernel=kernel,
+                          rewards=RewardTable(table=tuple(
+                              tuple(row) for row in reward_rows)),
+                          lyapunov=lyap)
+    except TypeError as exc:
+        raise ModelFileError(f"bad 'labels': {exc}") from exc
+    except ModelError as exc:
+        raise ModelFileError(str(exc)) from exc
 
 
 # -- scalar reference for the replication-batched simulation stepper --------

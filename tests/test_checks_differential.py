@@ -1,8 +1,9 @@
 """Differential tests: the whole-array model checks against the pointwise
 loop references in oracles.py, on random small models with NaN/inf rates,
 negative off-diagonals, positive diagonals, rows without a diagonal entry,
-slack ties and labelled 1-D/2-D state spaces with a truncation boundary.
-The serialized reports must be byte-identical.
+slack ties and labelled 1-D/2-D state spaces with a truncation boundary,
+and the tail-sum check also on zero-heavy rows and builtins of a few
+hundred states. The serialized reports must be byte-identical.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctmdp import (ActionSets, CtmdpModel, LyapunovData, RateKernel,
-                   RewardTable, StateSpace, StationaryPolicy,
+                   RewardTable, StateSpace, StationaryPolicy, build,
                    check_assumption_A, check_assumption_B, check_monotonicity,
-                   dumps, lyapunov, validate_model)
+                   dumps, validate_model)
 from oracles import (check_assumption_A_loop, check_assumption_B_loop,
                      check_monotonicity_loop, validate_model_loop)
 
@@ -108,19 +109,88 @@ def test_flat_kernel_and_validate_match_loops(case):
 
 
 @settings(max_examples=250, deadline=None)
-@given(small_models(), st.sampled_from([1, 2, 5, 16, 1 << 18]))
-def test_drift_bounds_and_monotonicity_match_loops(case, block_cells):
+@given(small_models())
+def test_drift_bounds_and_monotonicity_match_loops(case):
     model, policy = case
     if model.lyapunov is not None:
         same(check_assumption_A(model), check_assumption_A_loop(model))
         same(check_assumption_B(model), check_assumption_B_loop(model))
-    saved = lyapunov._TAIL_BLOCK_CELLS
-    lyapunov._TAIL_BLOCK_CELLS = block_cells     # several row blocks too
-    try:
-        same(check_monotonicity(model, policy),
-             check_monotonicity_loop(model, policy))
-    finally:
-        lyapunov._TAIL_BLOCK_CELLS = saved
+    same(check_monotonicity(model, policy),
+         check_monotonicity_loop(model, policy))
+
+
+def same_monotonicity(model, choice):
+    policy = StationaryPolicy(choice=choice)
+    same(check_monotonicity(model, policy),
+         check_monotonicity_loop(model, policy))
+
+
+def chain(rows):
+    """1-D model of one action per state, rows[x] its (target, rate) pairs."""
+    n = len(rows)
+    return CtmdpModel(
+        states=StateSpace(size=n, labels=tuple((x,) for x in range(n)),
+                          truncation_level=n - 1),
+        actions=ActionSets(sets=(((0.0,),),) * n),
+        kernel=RateKernel([[row] for row in rows]),
+        rewards=RewardTable(table=((0.0,),) * n))
+
+
+# zero-heavy rows: a tail sum is -0.0 only where every cell from k on holds
+# a stored -0.0, so runs of -0.0 reaching the last state matter
+ZERO_RATES = st.sampled_from([-0.0, -0.0, -0.0, 0.0, 1.0, 2.0, -1.0, NAN,
+                              INF, -INF])
+
+
+@st.composite
+def zero_heavy_chains(draw):
+    n = draw(st.integers(2, 9))
+    return chain([[(y, draw(ZERO_RATES)) for y in sorted(draw(
+        st.sets(st.integers(0, n - 1), max_size=n)))] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_chains())
+def test_monotonicity_matches_loop_on_zero_heavy_rows(model):
+    same_monotonicity(model, [0] * model.n)
+
+
+@pytest.mark.parametrize("rows", [
+    # n = 2
+    [[(1, 1.0)], [(0, 2.0), (1, -2.0)]],
+    [[], []],
+    # a row without off-diagonal mass, and rows of nothing but a diagonal
+    [[(0, 0.0)], [(1, 0.0)], [(0, 1.0), (2, 1.0), (1, -2.0)]],
+    [[(0, -0.0)], [(1, -0.0)], [(2, -0.0)]],
+    # -0.0 cells reaching the last state, with and without a gap
+    [[(1, -0.0), (2, -0.0)], [(0, -0.0), (2, -0.0)], [(1, -0.0)]],
+    [[(0, -0.0), (2, -0.0)], [(1, -0.0), (2, 0.0)], [(2, -0.0)]],
+    # the worst slack tied over several k and several x
+    [[(0, -1.0), (3, 1.0)], [(0, 0.0), (1, 0.0)], [(1, 0.0)], [(0, 0.0)]],
+    [[(1, 2.0), (2, 2.0)], [(0, 1.0)], [(0, 1.0)], [(0, 1.0)]],
+    # the worst slack at k = x+2, inside a segment from the skipped x+1
+    [[(0, -1.0), (3, 1.0)], [(0, 1.0), (2, -1.0)], [(2, 0.0)], [(3, 0.0)]],
+    # NaN and +-inf rates
+    [[(1, NAN)], [(0, 1.0), (2, INF)], [(1, -INF)], [(0, 1.0)]],
+    [[(2, INF)], [(2, INF)], [(0, NAN), (2, 1.0)]],
+])
+def test_monotonicity_matches_loop_on_edge_rows(rows):
+    same_monotonicity(chain(rows), [0] * len(rows))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
+                     "N": 500, "G": 11}),
+    ("skip_free", {"lambda": 1, "mu": 2, "b": 1.0, "beta": 2.0, "N": 400,
+                   "G": 5}),
+])
+def test_monotonicity_matches_loop_at_model_scale(name, params):
+    model = build(name, params)
+    rng = np.random.default_rng(7)
+    counts = np.array([model.n_actions(x) for x in range(model.n)])
+    for choice in (np.zeros(model.n, dtype=np.int64), counts - 1,
+                   rng.integers(0, counts)):
+        same_monotonicity(model, choice)
 
 
 @settings(max_examples=100, deadline=None)

@@ -34,6 +34,20 @@ def test_explicit_load_completes_diagonal():
     assert ctmdp.validate_model(m).ok
 
 
+def test_explicit_diagonal_adds_the_rates_left_to_right():
+    # ((0 + 0.1) + 0.2) + 0.3 in file order; Python >= 3.12 `sum` adds
+    # floats with compensation and gives 0.6
+    doc = {"kind": "explicit", "states": 4, "actions": [[[0.0]]] * 4,
+           "rates": [{"x": 0, "a": 0, "entries": [[1, 0.1], [2, 0.2],
+                                                  [3, 0.3]]}]
+           + [{"x": x, "a": 0, "entries": []} for x in (1, 2, 3)],
+           "rewards": [{"x": x, "a": 0, "r": 0.0} for x in range(4)]}
+    m = model_from_dict(doc)
+    assert repr(m.kernel.rate(0, 0, 0)) == "-0.6000000000000001"
+    # a row of no entries completes to +0.0, as minus the empty sum 0
+    assert repr(m.kernel.rate(1, 1, 0)) == "0.0"
+
+
 def test_model_roundtrip():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
                              "G": 2})
