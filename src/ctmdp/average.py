@@ -196,88 +196,6 @@ def _dense_q(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
     return flat.dense_rows(flat.starts + f.choice)
 
 
-def _recurrent_class(Q: np.ndarray, start: int = 0):
-    """Closed communicating class reached from `start` (Kosaraju on the
-    reachable subgraph); raises if more than one terminal class is hit."""
-    n = Q.shape[0]
-    adj = [np.flatnonzero(Q[x] > 0).tolist() for x in range(n)]
-    reach = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in reach:
-                reach.add(y)
-                stack.append(y)
-    # back-reachability: states in `reach` that every reach-state leads to
-    order = []
-    seen = set()
-
-    def dfs(x):
-        todo = [(x, iter(adj[x]))]
-        seen.add(x)
-        while todo:
-            node, it = todo[-1]
-            adv = False
-            for y in it:
-                if y in reach and y not in seen:
-                    seen.add(y)
-                    todo.append((y, iter(adj[y])))
-                    adv = True
-                    break
-            if not adv:
-                order.append(node)
-                todo.pop()
-
-    for x in reach:
-        if x not in seen:
-            dfs(x)
-    radj = [[] for _ in range(n)]
-    for x in reach:
-        for y in adj[x]:
-            if y in reach:
-                radj[y].append(x)
-    comp = {}
-    terminal = []
-    for x in reversed(order):
-        if x in comp:
-            continue
-        members = []
-        stack = [x]
-        comp[x] = len(terminal)
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in radj[u]:
-                if v in reach and v not in comp:
-                    comp[v] = len(terminal)
-                    stack.append(v)
-        terminal.append(members)
-    closed = [sorted(m) for m in terminal
-              if all(y in set(m) for u in m for y in adj[u])]
-    if len(closed) != 1:
-        raise OracleError(f"{len(closed)} closed classes reachable from "
-                          f"state {start}")
-    return closed[0], len(closed[0]) < len(reach) or len(reach) < n
-
-
-def _stationary_gain(model: CtmdpModel, f: StationaryPolicy):
-    """Gain of the fixed-policy chain via its stationary distribution."""
-    Q = _dense_q(model, f)
-    members, restricted = _recurrent_class(Q)
-    sub = Q[np.ix_(members, members)]
-    k = len(members)
-    A = np.vstack([sub.T, np.ones(k)])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    pi, res, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < k or np.any(pi < -1e-9):
-        raise OracleError(f"singular stationary system for policy "
-                          f"{f.choice.tolist()}")
-    r_f = np.array([model.rewards.rate(x, f[x]) for x in members])
-    return float(pi @ r_f), restricted
-
-
 def _closed_classes(Q_f) -> int:
     """Number of closed communicating classes of a sparse generator: its
     strongly connected components that no positive rate leaves."""
@@ -359,10 +277,11 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
     recurrent iff every state it reaches reaches it back. When every
     recurrent state reaches every other (one closed class), pi solves
     Q_f^T pi = 0 with its last balance equation replaced by sum(pi) = 1, one
-    batched solve per chunk. The other policies go through
-    `_stationary_gain`, which raises OracleError when more than one closed
-    class is reachable from state 0. `restricted` is set when some policy
-    leaves a state outside the closed class its gain is read on.
+    batched solve per chunk. The other policies are evaluated one at a time
+    on the recurrent states that state 0 reaches: OracleError unless these
+    reach each other (one closed class), else pi by least squares on that
+    class's block of Q_f. `restricted` is set when some policy leaves a
+    state outside the closed class its gain is read on.
     """
     flat = model.flat()
     n = flat.n
@@ -398,14 +317,25 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
                               policy=choice[i].tolist(), evaluated=lo + int(i))
         gains[ids[uni]] = np.einsum("bx,bx->b", pi, flat.r[pairs[uni]])
         for i in np.flatnonzero(multichain):
-            f = StationaryPolicy(choice=choice[i])
-            try:
-                gains[lo + i], restricted = _stationary_gain(model, f)
-            except OracleError as exc:
-                exc.method, exc.policy = "enumeration", choice[i].tolist()
-                exc.evaluated = lo + int(i)
-                raise
-            restricted_any = restricted_any or restricted
+            members = np.flatnonzero(recurrent[i] & reach[i, 0])
+            closure = reach[i][np.ix_(members, members)]
+            where = {"method": "enumeration", "policy": choice[i].tolist(),
+                     "evaluated": lo + int(i)}
+            if not closure.all():
+                k = len(np.unique(closure, axis=0))
+                raise OracleError(f"{k} closed classes reachable from "
+                                  f"state 0", **where)
+            Q_f = _dense_q(model, StationaryPolicy(choice=choice[i]))
+            k = len(members)
+            A = np.vstack([Q_f[np.ix_(members, members)].T, np.ones(k)])
+            rhs = np.zeros(k + 1)
+            rhs[-1] = 1.0
+            pi, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+            if rank < k or np.any(pi < -1e-9):
+                raise OracleError(f"singular stationary system for policy "
+                                  f"{where['policy']}", **where)
+            gains[lo + i] = pi @ flat.r[pairs[i, members]]
+            restricted_any = restricted_any or k < n
     top = float(np.max(gains))
     pid = int(np.argmax(gains >= top - TIE_RTOL * max(1.0, abs(top))))
     f = StationaryPolicy(choice=(pid // stride) % counts)

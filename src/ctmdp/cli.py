@@ -144,17 +144,22 @@ def _valid_tabulated_model(args, stdin_text):
 
 
 def _solution(args, stdin_text) -> tuple:
-    """Gain, relative values and policy document of --solution."""
-    doc = typed(_parse_json(_read_text(args.solution, stdin_text),
+    """Model document and model, then the gain, relative values (one per
+    state) and policy document of --solution."""
+    doc, model = _valid_tabulated_model(args, stdin_text)
+    sol = typed(_parse_json(_read_text(args.solution, stdin_text),
                             "--solution"), dict, "--solution")
-    if "gain" not in doc and "report" in doc:
-        doc = typed(doc["report"], dict, "--solution 'report'")
+    if "gain" not in sol and "report" in sol:
+        sol = typed(sol["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
-        if key not in doc:
+        if key not in sol:
             raise UsageError(f"solution document lacks field {key!r}")
-    return (typed(doc["gain"], float, "--solution 'gain'"),
-            np.array(typed(doc["h"], [float], "--solution 'h'")),
-            doc["policy"])
+    h = np.array(typed(sol["h"], [float], "--solution 'h'"))
+    if len(h) != model.n:
+        raise UsageError(f"--solution 'h' has {len(h)} entries for "
+                         f"{model.n} states")
+    return (doc, model, typed(sol["gain"], float, "--solution 'gain'"), h,
+            sol["policy"])
 
 
 def _checkpoints_arg(raw, default):
@@ -317,8 +322,7 @@ def _cmd_sensitivity(args, stdin_text) -> int:
 
 
 def _cmd_verify(args, stdin_text) -> int:
-    doc, model = _valid_tabulated_model(args, stdin_text)
-    g, h, pol_doc = _solution(args, stdin_text)
+    doc, model, g, h, pol_doc = _solution(args, stdin_text)
     f = modelio.policy_from_dict(pol_doc, model)
     upper = certify_upper(model, g, h, tol=args.tol)
     lower = certify_lower(model, g, h, f, tol=args.tol)
@@ -331,8 +335,7 @@ def _cmd_verify(args, stdin_text) -> int:
 
 
 def _cmd_martingale(args, stdin_text) -> int:
-    doc, model = _valid_tabulated_model(args, stdin_text)
-    g, h, pol_doc = _solution(args, stdin_text)
+    doc, model, g, h, pol_doc = _solution(args, stdin_text)
     if args.policy == "star":
         f = modelio.policy_from_dict(pol_doc, model)
     else:

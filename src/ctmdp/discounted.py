@@ -39,10 +39,9 @@ class ConvergenceError(RuntimeError):
     tolerance was met. `bracket` is the running (lower, upper) gain bracket
     of an alpha = 0 run; `trace` is the partial trace of the caller."""
 
-    def __init__(self, message, kappa=None, residual=None, iterations=None,
-                 alpha=None, bracket=None):
+    def __init__(self, message, residual=None, iterations=None, alpha=None,
+                 bracket=None):
         super().__init__(message)
-        self.kappa = kappa
         self.residual = residual
         self.iterations = iterations
         self.alpha = alpha
@@ -134,7 +133,7 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     minimum for STALL_SWEEPS sweeps, the iteration restarts from the
     initial h with the uniform m = max_x q(x) + 1. Under a uniform m it is
     the J iteration J <- T J shifted by J(x0) after each sweep, a
-    contraction of modulus kappa.
+    contraction of modulus m / (alpha + m).
     """
     h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
     if alpha == 0:
@@ -142,7 +141,6 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     start = h
     m = flat.qmax + 1.0
     m_max = float(np.max(m))
-    kappa = m_max / (alpha + m_max)
 
     uniform = False
     lowest = residual = np.inf
@@ -166,7 +164,7 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
             h = delta - delta[x0]
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {residual:.3e})",
-        kappa=kappa, residual=residual, iterations=max_iter, alpha=alpha)
+        residual=residual, iterations=max_iter, alpha=alpha)
 
 
 def _bracket_iteration(flat: FlatModel, x0: int, tol: float, max_iter: int,

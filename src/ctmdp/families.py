@@ -415,12 +415,6 @@ class PotlachProcess:
         gain = float(policy.q @ (policy.matrix @ x))
         return gain - self.lam * float(np.sum(x))
 
-    def jump(self, x, policy: PotlachPolicy, rng) -> np.ndarray:
-        i = rng.integers(self.d)
-        y = rng.exponential(1.0 / self.lam)
-        return self.redistribute(np.asarray(x, dtype=np.float64)[None],
-                                 policy, np.array([i]), np.array([y]))[0]
-
     def redistribute(self, x, policy: PotlachPolicy, i, y) -> np.ndarray:
         """The redistribution map on a batch of states x (R, d): in row r,
         component i[r] fires and its mass y[r] * x[r, i[r]] is spread by

@@ -5,8 +5,10 @@ fixed-policy generator and share no code with the iterative solver path.
 """
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -83,6 +85,41 @@ def optimal_gains(model: CtmdpModel) -> np.ndarray:
     return np.max(np.einsum("kxy,ky->kx", P, r), axis=0)
 
 
+def closed_class_gain(model: CtmdpModel, f: StationaryPolicy):
+    """(gain, restricted) of the fixed-policy chain on the closed class that
+    state 0 reaches, from a reachable-set search out of every state: x is
+    recurrent iff every state it reaches reaches it back, and the class of
+    a recurrent x is the set it reaches. Raises OracleError unless state 0
+    reaches exactly one class; `restricted` is set when the class leaves
+    out some state."""
+    Q = dense_generator(model, f)
+    n = model.n
+    reach = []
+    for x in range(n):
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            new = [z for z in range(n) if Q[y, z] > 0 and z not in seen]
+            seen.update(new)
+            todo.extend(new)
+        reach.append(seen)
+    members = sorted(x for x in reach[0]
+                     if all(x in reach[y] for y in reach[x]))
+    classes = {frozenset(reach[x]) for x in members}
+    if len(classes) != 1:
+        raise OracleError(f"{len(classes)} closed classes reachable from "
+                          f"state 0")
+    k = len(members)
+    A = np.vstack([Q[np.ix_(members, members)].T, np.ones(k)])
+    rhs = np.zeros(k + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    if rank < k or np.any(pi < -1e-9):
+        raise OracleError(f"singular stationary system for policy "
+                          f"{f.choice.tolist()}")
+    return float(pi @ reward_vector(model, f)[members]), k < n
+
+
 # -- dense brute-force oracle -------------------------------------------------
 #
 # The routes `brute_force_oracle` took before it became sparse and batched:
@@ -95,7 +132,7 @@ def dense_policy_iteration(model: CtmdpModel, x0: int = 0,
     f = StationaryPolicy(choice=np.zeros(n, dtype=np.int64))
     best = None
     for _ in range(max_rounds):
-        Q = average._dense_q(model, f)
+        Q = dense_generator(model, f)
         r_f = reward_vector(model, f)
         A = np.zeros((n + 1, n + 1))
         A[:n, :n] = Q
@@ -129,7 +166,7 @@ def dense_brute_force_oracle(model: CtmdpModel,
     restricted_any = False
     for combo in itertools.product(*[range(c) for c in counts]):
         f = StationaryPolicy(choice=np.array(combo, dtype=np.int64))
-        gain, restricted = average._stationary_gain(model, f)
+        gain, restricted = closed_class_gain(model, f)
         restricted_any = restricted_any or restricted
         if best is None or gain > best[0]:
             best = (gain, f)
@@ -157,7 +194,8 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
     """`model.truncate` as a per-entry Python merge: each entry is clamped
     componentwise onto the boundary, clamped self-loops are dropped, the
     rest is merged per pair in a dict in entry order, and the diagonal is
-    minus the Python sum of the merged rates in first-appearance order.
+    minus the merged rates added left to right from 0 in first-appearance
+    order (not `sum`, which compensates from Python 3.12 on).
     The action sets are checked before any row is read."""
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
     index = {lab: i for i, lab in enumerate(labels)}
@@ -181,7 +219,7 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
             targets.extend(mass)
             targets.append(x)
             rates.extend(mass.values())
-            rates.append(-sum(mass.values()))
+            rates.append(-functools.reduce(operator.add, mass.values(), 0))
             lengths.append(len(mass) + 1)
             per_state_rewards.append(family.reward(lab, a))
         action_sets.append(acts)
@@ -301,7 +339,7 @@ def _fit_constants(labels, actions, entries, reward, w, wp, c):
                 drift_w += rate * ((t + 1.0) - (x + 1.0))
                 drift_wp += rate * ((t + 1.0) * (t + 2.0)
                                     - (x + 1.0) * (x + 2.0))
-            q = sum(rate for _, rate in row)
+            q = functools.reduce(operator.add, (rate for _, rate in row), 0)
             b = max(b, drift_w + c * w[i])
             M = max(M, abs(reward(lab, act)) / w[i])
             M_q = max(M_q, q / w[i])

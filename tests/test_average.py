@@ -145,6 +145,26 @@ def test_oracle_error_carries_partial_state():
                                    "best_gain": 0.0}
 
 
+def test_enumeration_counts_the_closed_classes_state_0_reaches():
+    # state 0 leads to the absorbing states 1 and 2 and to the cycle {3, 4}
+    m = ctmdp.CtmdpModel(
+        states=ctmdp.StateSpace(size=5),
+        actions=ctmdp.ActionSets(sets=(((0.0,),),) * 5),
+        kernel=ctmdp.RateKernel([
+            [[(0, -1.75), (1, 1.0), (2, 0.5), (3, 0.25)]], [[(1, 0.0)]],
+            [[(2, 0.0)]], [[(3, -1.5), (4, 1.5)]], [[(3, 2.0), (4, -2.0)]]]),
+        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,), (2.0,), (3.0,),
+                                         (4.0,))),
+    )
+    message = "3 closed classes reachable from state 0"
+    with pytest.raises(ctmdp.OracleError, match=message) as info:
+        brute_force_oracle(m)
+    assert info.value.detail() == {"method": "enumeration",
+                                   "policy": [0, 0, 0, 0, 0], "evaluated": 0}
+    with pytest.raises(ctmdp.OracleError, match=message):
+        oracles.dense_brute_force_oracle(m)
+
+
 def test_policy_iteration_refuses_a_multichain_policy():
     # under the all-zeros start policy state 0 is absorbing beside the
     # closed class {1, 2}; the bordered Poisson system is singular, but its

@@ -3,7 +3,7 @@ import pytest
 
 import ctmdp
 from ctmdp import (PotlachPolicy, build, describe, generator_apply,
-                   validate_model)
+                   simulate_path, validate_model)
 from ctmdp.families import BUILTINS, resolve, tandem_weight
 
 
@@ -161,11 +161,9 @@ def test_potlach_jump_preserves_nonnegativity():
     proc = build("potlach", {"d": 2, "lambda": 2.0})
     pol = PotlachPolicy(matrix=np.array([[0.2, 0.8], [0.7, 0.3]]),
                         q=np.zeros(2))
-    rng = np.random.default_rng(0)
-    x = np.array([1.0, 1.0])
-    for _ in range(200):
-        x = proc.jump(x, pol, rng)
-        assert np.all(x >= 0)
+    rec = simulate_path(proc, pol, np.array([1.0, 1.0]), 100.0, seed=0)
+    assert len(rec.states) > 100
+    assert np.all(rec.states >= 0)
 
 
 def test_monotone_condition_holds_on_truncation():

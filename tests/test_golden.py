@@ -13,6 +13,9 @@ current code must reproduce exactly.
   matrix; the `solve-average` and `verify` reports re-captured when the
   solver became the certified-bracket iteration, and the `oracle` reports
   when the oracle became sparse and batched, each with unchanged policies);
+* `oracle` for a multichain explicit model whose winning policy has a
+  closed class that state 0 cannot reach (captured while the oracle still
+  found each such policy's class with its own graph search);
 * `describe` for each builtin, and `validate` of the continuous-state
   redistribution process (captured before the family specs were
   gathered into one `FamilySpec` per builtin).
@@ -54,6 +57,11 @@ PIPELINE_MODELS = {
     "explicit": ["--model", str(GOLDEN / "explicit_model.json")],
 }
 PIPELINE_COMMANDS = ("solve_average", "verify", "oracle", "simulate")
+# the winning policy [0, 1, 0] has the closed classes {0, 1} and {2}, and
+# only the first is reachable from state 0; 3 of the 4 policies have
+# several closed classes and are evaluated one at a time
+ORACLE_MODELS = {"multichain": ["--model",
+                                str(GOLDEN / "multichain_model.json")]}
 
 SPEC_REPORTS = {
     **{f"describe_{name}": ["describe", "--builtin", name]
@@ -105,6 +113,14 @@ def test_pipeline_report_matches_golden(command, name, tmp_path, capsys):
     assert capsys.readouterr().out == expected["stdout"]
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_oracle_report_matches_golden(name, capsys):
+    expected = golden(f"oracle_{name}")
+    code = run(["oracle"] + ORACLE_MODELS[name])
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINE_MODELS))
 def test_stored_solution_passes_verify(name, tmp_path, capsys):
     path = tmp_path / "solution.json"
@@ -125,7 +141,7 @@ def test_spec_report_matches_golden(stem, capsys):
 def test_every_golden_report_is_format_2():
     docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
-    assert len(reports) == (len(CASES) + len(SPEC_REPORTS)
+    assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
                             + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS))
     assert all(rep["format_version"] == "2" for rep in reports)
 

@@ -291,3 +291,23 @@ def test_non_finite_builtin_params_exit_2_naming_the_field(name, field,
     assert code == 2
     assert f"{name}: {field} must be finite" in err, err
     assert "Traceback" not in err
+
+
+# -- solution documents --------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["verify", "martingale"])
+@pytest.mark.parametrize("h", [[0.0, 0.5, 2.5], [0.0, 0.5, 2.5, 2.75, 1.0]])
+def test_wrong_length_h_exits_2_naming_the_field(tmp_path, command, h):
+    # the explicit golden model has 4 states; a short h used to fail with
+    # an IndexError or a matmul ValueError, a long one with the latter
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"gain": 1.5, "h": h, "policy": [1, 0, 2, 0]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command, "--model", str(GOLDEN / "explicit_model.json"),
+                    "--solution", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "--solution 'h'" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
