@@ -5,8 +5,7 @@ from .average import (AverageSolution, OracleError, OracleResult,
                       brute_force_oracle, optimality_residuals, solve_average,
                       truncation_sensitivity)
 from .discounted import (ConvergenceError, DiscountedSolution,
-                         UniformizedKernel, bellman_operator, extract_policy,
-                         solve_discounted, uniformize)
+                         bellman_operator, extract_policy, solve_discounted)
 from .families import (BUILTINS, PotlachPolicy, PotlachProcess, build,
                        describe)
 from .lyapunov import (DriftReport, check_assumption_A, check_assumption_B,

@@ -1,16 +1,17 @@
 """Optimal average gain, relative values and policy, with a certified
 gain bracket.
 
-The solver is relative value iteration at alpha = 0 (the discounted map
-of `discounted._vi_relative` with alpha = 0), stopped when the span
-bracket [min_x bell, max_x bell], bell(x) = max_a { r + sum_y h q }(x),
-is at most `tol` wide; the gain is its midpoint. The paper's vanishing-
-discount construction, a geometric schedule alpha_k -> 0 that reads the
-gain off alpha_K * J(x0), runs only when a schedule is passed, and then
-warm-starts the alpha = 0 stage. An independent brute-force oracle
-(every policy's stationary distribution from batched linear solves, or
-Howard's policy iteration with sparse Poisson solves when the policy space
-is too large) cross-checks the result.
+The solver is relative value iteration at alpha = 0 (`discounted.
+_vi_relative`), stopped when the span bracket [min_x bell, max_x bell],
+bell(x) = max_a { r + sum_y h q }(x), is at most `tol` wide; the gain is
+its midpoint. The paper's vanishing-discount construction, a geometric
+schedule alpha_k -> 0 that reads the gain off alpha_K * J(x0), runs only
+when a schedule is passed, and then warm-starts the alpha = 0 stage. Each
+of its stages is the same iteration, run on the restart model of its
+alpha. An independent brute-force oracle (every policy's stationary
+distribution from batched linear solves, or Howard's policy iteration
+with sparse Poisson solves when the policy space is too large)
+cross-checks the result.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ CHUNK_ENTRIES = 2 ** 20
 # transient states have the same gain up to rounding
 TIE_RTOL = 1e-12
 ENVELOPE_STAGES = 5
+# truncation_sensitivity calls a family stable when its last gain gap is
+# at most this
+STABLE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -375,8 +379,7 @@ class SensitivityReport:
 
 def truncation_sensitivity(builder, params: dict, levels,
                            schedule: Optional[VanishingSchedule] = None,
-                           tol: float = 1e-8, stable_gap: float = 1e-6,
-                           x0: int = 0) -> SensitivityReport:
+                           tol: float = 1e-8, x0: int = 0) -> SensitivityReport:
     """Gain stability of a builtin family across truncation levels.
 
     `builder` maps a params dict (with the level substituted under "N")
@@ -400,6 +403,6 @@ def truncation_sensitivity(builder, params: dict, levels,
                  if max(lab) < half]
         grows = space_a.size < space_b.size
         h_gaps.append(float(np.max(diffs)) if diffs and grows else 0.0)
-    stable = (not gaps) or gaps[-1] <= stable_gap
+    stable = (not gaps) or gaps[-1] <= STABLE_GAP
     return SensitivityReport(levels=levels, gains=gains, gaps=gaps,
                              h_inner_gaps=h_gaps, stable=stable)

@@ -158,8 +158,11 @@ def _solution(args, stdin_text) -> tuple:
     if len(h) != model.n:
         raise UsageError(f"--solution 'h' has {len(h)} entries for "
                          f"{model.n} states")
-    return (doc, model, typed(sol["gain"], float, "--solution 'gain'"), h,
-            sol["policy"])
+    gain = typed(sol["gain"], float, "--solution 'gain'")
+    for key, value in (("h", h), ("gain", gain)):
+        if not np.all(np.isfinite(value)):
+            raise UsageError(f"--solution {key!r} must be finite")
+    return doc, model, gain, h, sol["policy"]
 
 
 def _checkpoints_arg(raw, default):

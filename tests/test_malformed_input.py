@@ -311,3 +311,26 @@ def test_wrong_length_h_exits_2_naming_the_field(tmp_path, command, h):
     assert out.getvalue() == ""
     assert "--solution 'h'" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["verify", "martingale"])
+@pytest.mark.parametrize("field, solution", [
+    ("h", {"gain": 1.5, "h": [0.0, NAN, 2.5, 2.75], "policy": [1, 0, 2, 0]}),
+    ("gain", {"gain": INF, "h": [0.0, 0.5, 2.5, 2.75],
+              "policy": [1, 0, 2, 0]})])
+def test_non_finite_solution_exits_2_naming_the_field(tmp_path, command,
+                                                      field, solution):
+    # verify used to exit 1 and martingale 0 on these, with a numpy
+    # RuntimeWarning on stderr
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(solution))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command, "--model", str(GOLDEN / "explicit_model.json"),
+                    "--solution", str(path)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert f"--solution '{field}' must be finite" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
