@@ -12,20 +12,20 @@ of the work (modified policy iteration, Puterman and Shin 1978).
 
 At alpha > 0 the discounted equation is the average-reward equation of
 the restart model, in which every (state, action) pair also jumps to x0 at
-rate alpha, and the same iteration solves it; only the stop (a weighted
-residual instead of the span) and the gain read-out differ.
+rate alpha, and the same iteration solves it. Its Bellman sweeps evaluate
+the given model, so the stop is the weighted residual of the discounted
+equation that the solution reports, and its uniform pass, a contraction,
+has no stall rule.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import (CtmdpModel, FlatModel, ModelError, StationaryPolicy,
-                    _exit_rates)
+from .model import CtmdpModel, FlatModel, ModelError, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
@@ -38,9 +38,10 @@ POLICY_SWEEPS = 30
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted, or a stalled gain bracket, before the
-    tolerance was met. `bracket` is the running (lower, upper) bracket of
-    the gain (alpha*J(x0) at alpha > 0); `trace` is the partial trace of
-    the caller."""
+    tolerance was met. `bracket` is a (lower, upper) bracket of the gain:
+    the running one at alpha = 0, that of the last iterate for
+    alpha*J(x0) at alpha > 0; `trace` is the partial trace of the
+    caller."""
 
     def __init__(self, message, residual=None, iterations=None, alpha=None,
                  bracket=None):
@@ -90,23 +91,20 @@ def _state_argmax(vals: np.ndarray, best: np.ndarray,
     return np.minimum.reduceat(cand, flat.starts)
 
 
-def _restart(flat: FlatModel, alpha: float, x0: int) -> FlatModel:
-    """The restart model: every (state, action) pair also jumps to x0 at
-    rate alpha. Each row outside x0 gains alpha at column x0 and -alpha on
-    its diagonal, one addition per entry, and keeps its targets sorted; x0's
-    own rows are left as they are, since adding alpha to them and taking it
-    off again is not exact."""
+def _restart(flat: FlatModel, alpha: float, x0: int) -> sp.csr_matrix:
+    """The pair rows of the restart model, in which every (state, action)
+    pair also jumps to x0 at rate alpha. Each row outside x0 gains alpha at
+    column x0 and -alpha on its diagonal, one addition per entry, and keeps
+    its targets sorted; x0's own rows are left as they are, since adding
+    alpha to them and taking it off again is not exact."""
     pairs = np.flatnonzero(flat.x_of_pair != x0)
     k = len(pairs)
-    Q = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate([flat.Q.data, np.full(k, alpha), np.full(k, -alpha)]),
          (np.concatenate([flat.pair_of_entry, pairs, pairs]),
           np.concatenate([flat.Q.indices, np.full(k, x0),
                           flat.x_of_pair[pairs]]))),
         shape=flat.Q.shape).tocsr()
-    pair_of_entry, ex, qmax = _exit_rates(Q, flat.x_of_pair, flat.starts)
-    return replace(flat, Q=Q, pair_of_entry=pair_of_entry, exit=ex,
-                   qmax=qmax)
 
 
 def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
@@ -122,12 +120,19 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
 
     At alpha > 0 the discounted equation alpha*J(x) = max_a { r(x,a) +
     sum_y J(y) q(y|x,a) } reads g = max_a { r + sum_y h q + alpha (h(x0) -
-    h(x)) }(x): the average-reward equation of the restart model
-    (`_restart`), which is unichain and has the gain alpha*J(x0). The same
-    iteration runs on that model; g is bell(x0), exact at the fixed point
-    because h(x0) = 0, and the stop is the w-weighted residual
-    max_x |bell(x0) - bell(x)| / w(x), since rounding in the unweighted far
-    states can keep the span open above tol.
+    h(x)) }(x): the average-reward equation of the restart model, in which
+    every pair also jumps to x0 at rate alpha. That model is unichain, has
+    the gain alpha*J(x0) and the uniformization m + alpha, and the same
+    iteration runs on it. Since h(x0) = 0, its Bellman image is
+    bell - alpha h, so a Bellman sweep of it, (bell - alpha h + (m + alpha)
+    h - g) / (m + alpha), is computed as (bell + m h - g) / (m + alpha)
+    from the given model's bell. Policy sweeps run on the restart model's
+    rows (`_restart`). g is bell(x0), and the stop is the w-weighted
+    residual max_x |g + alpha h(x) - bell(x)| / w(x) of the discounted
+    equation, the figure `solve_discounted` reports; the span is no stop
+    there, since rounding in the unweighted far states can keep it open
+    above tol. The bracket of an error report is the span of
+    bell - alpha h at the last h.
 
     The first pass uses the per-state uniformization m(x) = q(x) + 1, which
     is fast where exit rates differ widely, and is modified policy
@@ -143,19 +148,22 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     or is not finite, the iteration restarts from the initial h with the
     uniform m = max_x q(x) + 1 and no policy sweeps: plain relative value
     iteration, which converges on every unichain model (Puterman 1994,
-    section 8.5). In that pass the span never grows, but it can stay flat
-    while the states inside the bracket still move, so a sweep that moves
-    some bell(x) by more than tol, or shrinks some pair's gap bell(x) -
-    (r + Q h)(x, a) below its state's maximum by more than tol, also counts
-    as progress; STALL_SWEEPS sweeps without any (bell has settled with its
-    bracket open, as on a multichain model) raise ConvergenceError.
+    section 8.5). At alpha > 0 that pass is the iteration J <- (T J +
+    m J) / (alpha + m) shifted by a constant, a contraction of modulus
+    m / (alpha + m), so it runs until the stop or the sweep budget. At
+    alpha = 0 the span never grows, but it can stay flat while the states
+    inside the bracket still move, so a sweep that moves some bell(x) by
+    more than tol, or shrinks some pair's gap bell(x) - (r + Q h)(x, a)
+    below its state's maximum by more than tol, also counts as progress;
+    STALL_SWEEPS sweeps without any (bell has settled with its bracket
+    open, as on a multichain model) raise ConvergenceError.
     `sweeps` and STALL_SWEEPS count Bellman and policy sweeps alike.
     """
     h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
-    if alpha > 0:
-        flat = _restart(flat, alpha, x0)
+    Q = _restart(flat, alpha, x0) if alpha > 0 else flat.Q
     start = h
     m = flat.qmax + 1.0
+    m_alpha = alpha + m
     uniform = False
     best = (-np.inf, np.inf)
     narrowest = np.inf
@@ -166,23 +174,25 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
         while it < max_iter:
             vals = flat.r + flat.Q @ h
             bell = _state_max(vals, flat)
-            lo, hi = float(bell.min()), float(bell.max())
-            width = (hi - lo if alpha == 0
-                     else float((np.abs(bell[x0] - bell) / w).max()))
+            g = bell[x0]
+            if alpha > 0:
+                width = float((np.abs(g + alpha * h - bell) / w).max())
+            else:
+                lo, hi = float(np.min(bell)), float(np.max(bell))
+                width = hi - lo
             if width <= tol:
-                return (0.5 * (lo + hi) if alpha == 0 else float(bell[x0]),
-                        h, it, width)
-            finite = math.isfinite(width)
-            if finite:
+                return (0.5 * (lo + hi) if alpha == 0 else float(g), h, it,
+                        width)
+            if alpha == 0 and np.isfinite(width):
                 best = (max(lo, best[0]), min(hi, best[1]))
-            if uniform:
+            if uniform and alpha == 0:
                 gap, prev_gap = bell[flat.x_of_pair] - vals, gap
-            if width < narrowest or (uniform and (
-                    np.abs(bell - prev).max() > tol
-                    or (prev_gap - gap).max() > tol)):
+                moving = (np.max(np.abs(bell - prev)) > tol
+                          or np.max(prev_gap - gap) > tol)
+            if width < narrowest or (uniform and (alpha > 0 or moving)):
                 narrowest = min(width, narrowest)
                 moved = it
-            elif not finite or it - moved >= STALL_SWEEPS:
+            elif not np.isfinite(width) or it - moved >= STALL_SWEEPS:
                 if uniform:
                     raise ConvergenceError(
                         f"gain bracket [{best[0]:.17g}, {best[1]:.17g}] "
@@ -192,21 +202,25 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
                 uniform, moved, h, narrowest = True, it, start, np.inf
                 policy_sweeps = False
                 m = np.full(flat.n, float(np.max(m)))
+                m_alpha = alpha + m
                 it += 1
                 continue
             prev = bell
-            g = bell[x0]
-            delta = (bell + m * h - g) / m
+            delta = (bell + m * h - g) / m_alpha
             h = delta - delta[x0]
             it += 1
             if policy_sweeps:
                 f = _state_argmax(vals, bell, flat)
                 if not np.array_equal(f, policy):
                     policy, rows = f, flat.starts + f
-                    Qf, rf = flat.Q[rows], flat.r[rows]
+                    Qf, rf = Q[rows], flat.r[rows]
                 h, k, policy_sweeps = _policy_sweeps(
-                    Qf, rf, m, h, x0, tol, min(POLICY_SWEEPS, max_iter - it))
+                    Qf, rf, m_alpha, h, x0, tol,
+                    min(POLICY_SWEEPS, max_iter - it))
                 it += k
+    if alpha > 0:
+        image = _state_max(flat.r + flat.Q @ h, flat) - alpha * h
+        best = (float(np.min(image)), float(np.max(image)))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
         residual=width, iterations=max_iter, alpha=alpha, bracket=best)
@@ -227,7 +241,7 @@ def _policy_sweeps(Qf, rf, m, h, x0, tol, budget):
         v = rf + Qf @ h
         delta = (v + m * h - v[x0]) / m
         new = delta - delta[x0]
-        change = np.abs(new - h).max()
+        change = np.max(np.abs(new - h))
         h = new
         if change <= tol or change > last:
             return h, k + 1, change <= last
@@ -249,22 +263,21 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
 
     The returned value vector satisfies the fixed-point equation with
     w-weighted residual at most `tol`; the maximizing policy breaks ties
-    by lowest action index. The gain g = alpha*J(x0) and the residual are
-    read off one Bellman evaluation of the given model at the returned h,
-    not of the restart model the iteration ran on.
+    by lowest action index. The iteration runs on the restart model, but
+    its stop, the gain g = alpha*J(x0) and the residual are read off a
+    Bellman evaluation of the given model at the returned h.
     """
     check_positive(alpha=alpha, tol=tol)
     if not 0 <= x0 < model.n:
         raise ModelError("reference state out of range")
     flat = model.flat()
     w = model.weights()
-    _, h, iters, _ = _vi_relative(flat, alpha, x0, tol, DEFAULT_MAX_ITER, w)
-    bell = _state_max(flat.r + flat.Q @ h, flat)
-    g = float(bell[x0])
-    residual = float(np.max(np.abs(g + alpha * h - bell) / w))
+    g, h, iters, residual = _vi_relative(flat, alpha, x0, tol,
+                                         DEFAULT_MAX_ITER, w)
+    J = g / alpha + h
     m = flat.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))
-    return DiscountedSolution(alpha=alpha, values=g / alpha + h,
+    return DiscountedSolution(alpha=alpha, values=J,
                               policy=extract_policy(model, h),
                               iterations=iters, residual=residual,
                               kappa=kappa)

@@ -379,18 +379,6 @@ class CtmdpModel:
         return self._flat
 
 
-def _exit_rates(Q, x_of_pair, starts):
-    """(pair_of_entry, exit, qmax) of the pair rows Q: the row of each
-    stored entry, each pair's exit rate and q(x) per state."""
-    pair_of_entry = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
-    diag = Q.indices == x_of_pair[pair_of_entry]
-    # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
-    ex = np.full(Q.shape[0], -0.0)
-    ex[pair_of_entry[diag]] = -Q.data[diag]
-    # q(x) = max(0, exit rates of x), NaN if any is NaN
-    return pair_of_entry, ex, np.maximum(np.maximum.reduceat(ex, starts), 0.0)
-
-
 def _flatten(model: CtmdpModel) -> FlatModel:
     kernel = model.kernel
     Q, starts = kernel.Q, kernel.starts
@@ -399,7 +387,13 @@ def _flatten(model: CtmdpModel) -> FlatModel:
     a_of = np.arange(n_pairs) - starts[x_of]
     r = np.fromiter(itertools.chain.from_iterable(model.rewards.table), float,
                     count=n_pairs)
-    pair_of_entry, ex, qmax = _exit_rates(Q, x_of, starts)
+    pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
+    diag = Q.indices == x_of[pair_of_entry]
+    # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
+    ex = np.full(n_pairs, -0.0)
+    ex[pair_of_entry[diag]] = -Q.data[diag]
+    # q(x) = max(0, exit rates of x), NaN if any is NaN
+    qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
     return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
                      starts=starts, Q=Q, pair_of_entry=pair_of_entry, r=r,
                      exit=ex, qmax=qmax)

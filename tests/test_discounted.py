@@ -161,11 +161,11 @@ def optimal_values(model, alpha):
 @given(doc=stiff_documents())
 def test_discounted_value_within_residual_of_optimum(alpha, doc):
     # for w = 1, alpha * |J - J*| is at most the sup-norm residual of
-    # alpha*J = max_a { r + Q J }, which solve_discounted recomputes on
-    # the given model, not on the restart model it iterates (so it can
-    # exceed tol by the transform's rounding)
+    # alpha*J = max_a { r + Q J }, which solve_discounted reads off the
+    # given model, not off the restart model it iterates
     model = model_from_dict(doc)
     sol = solve_discounted(model, alpha)
+    assert sol.residual <= DEFAULT_TOL
     err = alpha * np.max(np.abs(sol.values - optimal_values(model, alpha)))
     assert err <= sol.residual + 1e-12
 
