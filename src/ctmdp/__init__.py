@@ -14,8 +14,8 @@ from .model import (ActionSets, CountableFamily, CtmdpModel, LyapunovData,
                     ModelError, RateKernel, RewardTable, StateSpace,
                     StationaryPolicy, ValidationReport, boundary_states,
                     generator_apply, truncate, validate_model, weighted_norm)
-from .modelio import (FORMAT_VERSION, ModelFileError, dumps, load_model,
-                      loads_model, model_from_dict, model_to_dict)
+from .modelio import (FORMAT_VERSION, ModelFileError, dumps, loads_model,
+                      model_from_dict, model_to_dict)
 from .simulate import (CheckpointReport, ErgodicityReport, PathRecorder,
                        SimulationError, SimulationReport,
                        check_lyapunov_bound, estimate_average_reward,

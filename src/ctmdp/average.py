@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
-                         _vi_relative, check_positive, extract_policy)
+                         _vi_relative, check_positive, check_reference,
+                         extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -94,12 +95,10 @@ class AverageSolution:
 def optimality_residuals(model: CtmdpModel, g: float, h,
                          f: StationaryPolicy):
     """Residuals of the two average-optimality inequalities at (g, h, f)."""
-    flat = model.flat()
     h = np.asarray(h, dtype=np.float64)
-    vals = flat.r + flat.Q @ h
-    upper = float(np.max(np.maximum.reduceat(vals, flat.starts)) - g)
-    idx = flat.starts + f.choice
-    lower = float(np.max(g - vals[idx]))
+    vals = model.r + model.kernel.Q @ h
+    upper = float(np.max(_state_max(vals, model)) - g)
+    lower = float(np.max(g - vals[model.kernel.starts + f.choice]))
     return upper, lower
 
 
@@ -117,10 +116,8 @@ def solve_average(model: CtmdpModel,
     when a stage fails or the bracket stalls above `tol`.
     """
     check_positive(tol=tol)
-    flat = model.flat()
+    check_reference(model, x0)
     w = model.weights()
-    if not 0 <= x0 < model.n:
-        raise ModelError("reference state out of range")
     inner_tol = max(min(tol / 10.0, 1e-10), 1e-13)
 
     trace = []
@@ -129,20 +126,20 @@ def solve_average(model: CtmdpModel,
     try:
         for alpha in (schedule.alphas() if schedule is not None else []):
             h_prev = h
-            g, h, sweeps, _ = _vi_relative(flat, alpha, x0, inner_tol,
+            g, h, sweeps, _ = _vi_relative(model, alpha, x0, inner_tol,
                                            DEFAULT_MAX_ITER, w, h0=h)
             h_change = (weighted_norm(h - h_prev, w)
                         if h_prev is not None else None)
             trace.append({"alpha": alpha, "alpha_J_x0": g,
                           "h_change": h_change, "sweeps": sweeps})
             tail = (tail + [h])[-(ENVELOPE_STAGES - 1):]
-        g, h, sweeps, _ = _vi_relative(flat, 0.0, x0, tol, DEFAULT_MAX_ITER,
-                                       w, h0=h)
+        g, h, sweeps, _ = _vi_relative(model, 0.0, x0, tol,
+                                       DEFAULT_MAX_ITER, w, h0=h)
     except ConvergenceError as exc:
         exc.trace = trace
         raise
 
-    bell = _state_max(flat.r + flat.Q @ h, flat)
+    bell = _state_max(model.r + model.kernel.Q @ h, model)
     lo, hi = float(np.min(bell)), float(np.max(bell))
     policy = extract_policy(model, h)
     upper, lower = optimality_residuals(model, g, h, policy)
@@ -164,7 +161,6 @@ class OracleResult:
     policy: StationaryPolicy
     method: str                      # "enumeration" or "policy_iteration"
     restricted: bool = False         # gain evaluated on a proper subclass
-    evaluations: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"gain": self.gain, "policy": self.policy.choice.tolist(),
@@ -196,8 +192,7 @@ class OracleError(RuntimeError):
 
 
 def _dense_q(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
-    flat = model.flat()
-    return flat.dense_rows(flat.starts + f.choice)
+    return model.dense_rows(model.kernel.starts + f.choice)
 
 
 def _closed_classes(Q_f) -> int:
@@ -224,15 +219,14 @@ def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
     nonzero pivot."""
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-    flat = model.flat()
-    n = flat.n
+    n = model.n
     border = sp.csr_matrix(np.full((n, 1), -1.0))
     anchor = sp.csr_matrix(([1.0], ([0], [x0])), shape=(1, n))
     f = StationaryPolicy(choice=np.zeros(n, dtype=np.int64))
     best = None
     for rnd in range(1, max_rounds + 1):
-        pairs = flat.starts + f.choice
-        Q_f = flat.Q[pairs]
+        pairs = model.kernel.starts + f.choice
+        Q_f = model.kernel.Q[pairs]
         closed = _closed_classes(Q_f)
         sol = np.full(n + 1, np.nan)
         if closed == 1:
@@ -240,7 +234,7 @@ def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", MatrixRankWarning)
                 try:
-                    sol = spsolve(A, np.append(-flat.r[pairs], 0.0))
+                    sol = spsolve(A, np.append(-model.r[pairs], 0.0))
                 except MatrixRankWarning:
                     pass
         if not np.all(np.isfinite(sol)):
@@ -287,20 +281,19 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
     class's block of Q_f. `restricted` is set when some policy leaves a
     state outside the closed class its gain is read on.
     """
-    flat = model.flat()
-    n = flat.n
+    n = model.n
     counts = model.kernel.counts
     total = math.prod(counts.tolist())
     # mixed radix of itertools.product: the last state varies fastest
     stride = np.append(np.cumprod(counts[:0:-1])[::-1], 1)
-    rows = flat.dense_rows(np.arange(flat.n_pairs))
+    rows = model.dense_rows(np.arange(model.n_pairs))
     chunk = max(1, CHUNK_ENTRIES // (n * n))
     gains = np.empty(total)
     restricted_any = False
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total))
         choice = (ids[:, None] // stride) % counts
-        pairs = flat.starts + choice
+        pairs = model.kernel.starts + choice
         Q = rows[pairs]
         reach = _reachability(Q > 0)
         recurrent = np.all(reach <= reach.transpose(0, 2, 1), axis=2)
@@ -319,7 +312,7 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
             raise OracleError(f"singular stationary system for policy "
                               f"{choice[i].tolist()}", method="enumeration",
                               policy=choice[i].tolist(), evaluated=lo + int(i))
-        gains[ids[uni]] = np.einsum("bx,bx->b", pi, flat.r[pairs[uni]])
+        gains[ids[uni]] = np.einsum("bx,bx->b", pi, model.r[pairs[uni]])
         for i in np.flatnonzero(multichain):
             members = np.flatnonzero(recurrent[i] & reach[i, 0])
             closure = reach[i][np.ix_(members, members)]
@@ -338,7 +331,7 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
             if rank < k or np.any(pi < -1e-9):
                 raise OracleError(f"singular stationary system for policy "
                                   f"{where['policy']}", **where)
-            gains[lo + i] = pi @ flat.r[pairs[i, members]]
+            gains[lo + i] = pi @ model.r[pairs[i, members]]
             restricted_any = restricted_any or k < n
     top = float(np.max(gains))
     pid = int(np.argmax(gains >= top - TIE_RTOL * max(1.0, abs(top))))

@@ -19,6 +19,7 @@ state.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -71,7 +72,9 @@ def _ranged(kind, ok, what):
 
 _POSITIVE = _ranged(float, lambda v: 0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = _ranged(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+_AT_LEAST_0 = _ranged(int, lambda v: v >= 0, "at least 0")
 _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "at least 1")
+_FRACTION = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
 
@@ -468,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-average", help="optimal average gain, bracketed")
     _add_model_args(p)
-    p.add_argument("--alpha0", type=float, default=0.1)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=0,
+    p.add_argument("--alpha0", type=_POSITIVE, default=0.1)
+    p.add_argument("--ratio", type=_FRACTION, default=0.5)
+    p.add_argument("--steps", type=_AT_LEAST_0, default=0,
                    help="vanishing-discount steps before the alpha = 0 "
                         "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
@@ -487,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", required=True)
     p.add_argument("--params")
     p.add_argument("--levels", required=True, help="comma list, e.g. 20,40,80")
-    p.add_argument("--alpha0", type=float, default=0.1)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=0,
+    p.add_argument("--alpha0", type=_POSITIVE, default=0.1)
+    p.add_argument("--ratio", type=_FRACTION, default=0.5)
+    p.add_argument("--steps", type=_AT_LEAST_0, default=0,
                    help="vanishing-discount steps before the alpha = 0 "
                         "stage (default 0: none)")
     p.add_argument("--x0", type=int, default=0)
@@ -537,10 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process: building it costs milliseconds, parsing reuses it
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     stdin_text = {"text": None}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import CtmdpModel, FlatModel, ModelError, StationaryPolicy
+from .model import CtmdpModel, ModelError, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
@@ -78,36 +78,38 @@ class DiscountedSolution:
                 "kappa": self.kappa}
 
 
-def _state_max(vals: np.ndarray, flat: FlatModel) -> np.ndarray:
-    return np.maximum.reduceat(vals, flat.starts)
+def _state_max(vals: np.ndarray, model: CtmdpModel) -> np.ndarray:
+    """Per-state maximum of the per-pair values `vals`."""
+    return np.maximum.reduceat(vals, model.kernel.starts)
 
 
 def _state_argmax(vals: np.ndarray, best: np.ndarray,
-                  flat: FlatModel) -> np.ndarray:
+                  model: CtmdpModel) -> np.ndarray:
     """Per-state argmax over action values, given their maximum `best` =
-    `_state_max(vals, flat)`; ties go to the lowest index."""
-    hit = vals >= best[flat.x_of_pair]
-    cand = np.where(hit, flat.a_of_pair, flat.n_pairs + 1)
-    return np.minimum.reduceat(cand, flat.starts)
+    `_state_max(vals, model)`; ties go to the lowest index."""
+    hit = vals >= best[model.x_of_pair]
+    cand = np.where(hit, model.a_of_pair, model.n_pairs + 1)
+    return np.minimum.reduceat(cand, model.kernel.starts)
 
 
-def _restart(flat: FlatModel, alpha: float, x0: int) -> sp.csr_matrix:
+def _restart(model: CtmdpModel, alpha: float, x0: int) -> sp.csr_matrix:
     """The pair rows of the restart model, in which every (state, action)
     pair also jumps to x0 at rate alpha. Each row outside x0 gains alpha at
     column x0 and -alpha on its diagonal, one addition per entry, and keeps
     its targets sorted; x0's own rows are left as they are, since adding
     alpha to them and taking it off again is not exact."""
-    pairs = np.flatnonzero(flat.x_of_pair != x0)
+    kernel = model.kernel
+    pairs = np.flatnonzero(model.x_of_pair != x0)
     k = len(pairs)
     return sp.coo_matrix(
-        (np.concatenate([flat.Q.data, np.full(k, alpha), np.full(k, -alpha)]),
-         (np.concatenate([flat.pair_of_entry, pairs, pairs]),
-          np.concatenate([flat.Q.indices, np.full(k, x0),
-                          flat.x_of_pair[pairs]]))),
-        shape=flat.Q.shape).tocsr()
+        (np.concatenate([kernel.data, np.full(k, alpha), np.full(k, -alpha)]),
+         (np.concatenate([model.pair_of_entry, pairs, pairs]),
+          np.concatenate([kernel.indices, np.full(k, x0),
+                          model.x_of_pair[pairs]]))),
+        shape=kernel.Q.shape).tocsr()
 
 
-def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
+def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                  max_iter: int, w: np.ndarray, h0=None):
     """Relative value iteration in (gain, bias) coordinates, g = alpha *
     J(x0) and h = J - J(x0), for every alpha >= 0.
@@ -159,10 +161,10 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     open, as on a multichain model) raise ConvergenceError.
     `sweeps` and STALL_SWEEPS count Bellman and policy sweeps alike.
     """
-    h = np.zeros(flat.n) if h0 is None else np.array(h0, dtype=np.float64)
-    Q = _restart(flat, alpha, x0) if alpha > 0 else flat.Q
+    h = np.zeros(model.n) if h0 is None else np.array(h0, dtype=np.float64)
+    Q = _restart(model, alpha, x0) if alpha > 0 else model.kernel.Q
     start = h
-    m = flat.qmax + 1.0
+    m = model.qmax + 1.0
     m_alpha = alpha + m
     uniform = False
     best = (-np.inf, np.inf)
@@ -172,8 +174,8 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
     policy, policy_sweeps = None, True
     with np.errstate(over="ignore", invalid="ignore"):
         while it < max_iter:
-            vals = flat.r + flat.Q @ h
-            bell = _state_max(vals, flat)
+            vals = model.r + model.kernel.Q @ h
+            bell = _state_max(vals, model)
             g = bell[x0]
             if alpha > 0:
                 width = float((np.abs(g + alpha * h - bell) / w).max())
@@ -186,7 +188,7 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
             if alpha == 0 and np.isfinite(width):
                 best = (max(lo, best[0]), min(hi, best[1]))
             if uniform and alpha == 0:
-                gap, prev_gap = bell[flat.x_of_pair] - vals, gap
+                gap, prev_gap = bell[model.x_of_pair] - vals, gap
                 moving = (np.max(np.abs(bell - prev)) > tol
                           or np.max(prev_gap - gap) > tol)
             if width < narrowest or (uniform and (alpha > 0 or moving)):
@@ -201,7 +203,7 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
                         bracket=best)
                 uniform, moved, h, narrowest = True, it, start, np.inf
                 policy_sweeps = False
-                m = np.full(flat.n, float(np.max(m)))
+                m = np.full(model.n, float(np.max(m)))
                 m_alpha = alpha + m
                 it += 1
                 continue
@@ -210,16 +212,16 @@ def _vi_relative(flat: FlatModel, alpha: float, x0: int, tol: float,
             h = delta - delta[x0]
             it += 1
             if policy_sweeps:
-                f = _state_argmax(vals, bell, flat)
+                f = _state_argmax(vals, bell, model)
                 if not np.array_equal(f, policy):
-                    policy, rows = f, flat.starts + f
-                    Qf, rf = Q[rows], flat.r[rows]
+                    policy, rows = f, model.kernel.starts + f
+                    Qf, rf = Q[rows], model.r[rows]
                 h, k, policy_sweeps = _policy_sweeps(
                     Qf, rf, m_alpha, h, x0, tol,
                     min(POLICY_SWEEPS, max_iter - it))
                 it += k
     if alpha > 0:
-        image = _state_max(flat.r + flat.Q @ h, flat) - alpha * h
+        image = _state_max(model.r + model.kernel.Q @ h, model) - alpha * h
         best = (float(np.min(image)), float(np.max(image)))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
@@ -257,6 +259,13 @@ def check_positive(**values) -> None:
             raise ModelError(f"{name} must be finite and > 0, got {value}")
 
 
+def check_reference(model: CtmdpModel, x0: int) -> None:
+    """ModelError unless x0 is a state of `model`."""
+    if not 0 <= x0 < model.n:
+        raise ModelError(f"reference state out of range: x0 must be in "
+                         f"0..{model.n - 1}, got {x0}")
+
+
 def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
                      x0: int = 0) -> DiscountedSolution:
     """Solve the discounted optimality equation by value iteration.
@@ -268,14 +277,12 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     Bellman evaluation of the given model at the returned h.
     """
     check_positive(alpha=alpha, tol=tol)
-    if not 0 <= x0 < model.n:
-        raise ModelError("reference state out of range")
-    flat = model.flat()
+    check_reference(model, x0)
     w = model.weights()
-    g, h, iters, residual = _vi_relative(flat, alpha, x0, tol,
+    g, h, iters, residual = _vi_relative(model, alpha, x0, tol,
                                          DEFAULT_MAX_ITER, w)
     J = g / alpha + h
-    m = flat.qmax + 1.0
+    m = model.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))
     return DiscountedSolution(alpha=alpha, values=J,
                               policy=extract_policy(model, h),
@@ -289,17 +296,16 @@ def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
     Shifting J by a constant leaves the argmax unchanged (rows sum to
     zero), so the relative value h may be passed instead of J.
     """
-    flat = model.flat()
     J = np.asarray(J, dtype=np.float64)
-    vals = flat.r + flat.Q @ J
+    vals = model.r + model.kernel.Q @ J
     return StationaryPolicy(
-        choice=_state_argmax(vals, _state_max(vals, flat), flat))
+        choice=_state_argmax(vals, _state_max(vals, model), model))
 
 
 def bellman_operator(model: CtmdpModel, alpha: float, u) -> np.ndarray:
     """One application of the uniformized fixed-point map to u."""
-    flat = model.flat()
-    m = flat.qmax + 1.0
+    m = model.qmax + 1.0
     u = np.asarray(u, dtype=np.float64)
-    vals = flat.r + flat.Q @ u + m[flat.x_of_pair] * u[flat.x_of_pair]
-    return _state_max(vals, flat) / (alpha + m)
+    x_of = model.x_of_pair
+    vals = model.r + model.kernel.Q @ u + m[x_of] * u[x_of]
+    return _state_max(vals, model) / (alpha + m)

@@ -1,7 +1,7 @@
 """Exhaustive verification of the drift, bound, and monotonicity conditions.
 
 All checks are pointwise over the finite truncation, computed as array
-operations over the (state, action) pairs of the flat CSR kernel. Rows
+operations over the (state, action) pairs of the model's CSR kernel. Rows
 touching the truncation boundary are distorted by the clamp construction,
 so their worst slack is reported separately alongside the interior result.
 """
@@ -71,15 +71,15 @@ def _scan_min(values):
 def _pointwise_check(name, model, lhs, rhs) -> CheckRecord:
     """Worst slack rhs - lhs over the (x, a) pairs, from per-pair arrays in
     pair order; interior and boundary rows are tracked separately."""
-    flat = model.flat()
     boundary = boundary_states(model)
+    x_of = model.x_of_pair
     slack = rhs - lhs
     i, worst = _scan_min(slack)
-    at = [None] * 4 if i is None else [int(flat.x_of_pair[i]),
-                                       int(flat.a_of_pair[i]), lhs[i], rhs[i]]
+    at = [None] * 4 if i is None else [int(x_of[i]), int(model.a_of_pair[i]),
+                                       lhs[i], rhs[i]]
     rec = CheckRecord(name, worst >= SLACK_TOL, *at, slack=float(worst))
     if len(boundary):
-        _, worst_boundary = _scan_min(slack[np.isin(flat.x_of_pair, boundary)])
+        _, worst_boundary = _scan_min(slack[np.isin(x_of, boundary)])
         rec.detail["boundary_worst_slack"] = (
             None if worst_boundary == np.inf else float(worst_boundary))
         rec.detail["boundary_states"] = boundary.tolist()
@@ -92,12 +92,11 @@ def check_assumption_A(model: CtmdpModel) -> DriftReport:
     lyap = model.lyapunov
     if lyap is None:
         raise ModelError("model carries no Lyapunov data")
-    flat = model.flat()
     w, c, b = lyap.w, lyap.c, lyap.b
-    wx = w[flat.x_of_pair]
-    lhs = flat.Q @ w
+    wx = w[model.x_of_pair]
+    lhs = model.kernel.Q @ w
     drift = _pointwise_check("drift_w", model, lhs, -c * wx + b)
-    rate = _pointwise_check("rate_bound", model, flat.exit, lyap.M_q * wx)
+    rate = _pointwise_check("rate_bound", model, model.exit, lyap.M_q * wx)
     b_hat = -_scan_min(-(lhs + c * wx))[1]
     c_hat = _scan_min((b - lhs) / wx)[1]
     return DriftReport(checks=[drift, rate],
@@ -113,16 +112,15 @@ def check_assumption_B(model: CtmdpModel) -> DriftReport:
     lyap = model.lyapunov
     if lyap is None:
         raise ModelError("model carries no Lyapunov data")
-    flat = model.flat()
-    wx = lyap.w[flat.x_of_pair]
-    checks = [_pointwise_check("reward_bound", model, np.abs(flat.r),
+    wx = lyap.w[model.x_of_pair]
+    checks = [_pointwise_check("reward_bound", model, np.abs(model.r),
                                lyap.M * wx)]
     if lyap.wprime is not None:
-        wpx = lyap.wprime[flat.x_of_pair]
+        wpx = lyap.wprime[model.x_of_pair]
         checks.append(_pointwise_check(
-            "rate_weight_product", model, flat.exit * wx, lyap.Mprime * wpx))
+            "rate_weight_product", model, model.exit * wx, lyap.Mprime * wpx))
         checks.append(_pointwise_check(
-            "growth_wprime", model, flat.Q @ lyap.wprime,
+            "growth_wprime", model, model.kernel.Q @ lyap.wprime,
             lyap.cprime * wpx + lyap.bprime))
     return DriftReport(checks=checks)
 
@@ -151,9 +149,8 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
         return DriftReport(checks=[CheckRecord(name="tail_monotone",
                                                passed=True, slack=0.0)])
 
-    flat = model.flat()
     # row x is q(.|x, f(x)); its entries in storage order, targets ascending
-    row, ys, rates = flat.entries_of(flat.starts + f.choice)
+    row, ys, rates = model.entries_of(model.kernel.starts + f.choice)
     size = np.bincount(row, minlength=n)
     end = np.cumsum(size)
     # tail[j]: sum of entries j, j+1, ... of their row; a +0.0 pad at the end

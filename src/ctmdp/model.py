@@ -3,9 +3,11 @@
 A model is the tuple (states, per-state action sets, rate kernel, reward
 table) plus optional Lyapunov weight data. The rates are stored once, as
 one CSR matrix over the (state, action) pairs with the diagonal entry
-included; every solver and check reads that matrix. All operations here
-are pure functions of their inputs and models are treated as immutable
-once validated.
+included; every solver and check reads that matrix, and the per-pair
+arrays (state, action, reward and exit rate of each pair) that the model
+lays out once, when it is constructed. All operations here are pure
+functions of their inputs and models are treated as immutable once
+validated.
 """
 
 from __future__ import annotations
@@ -201,11 +203,6 @@ class RateKernel:
         """-q({x}|x,a), the total jump rate out of x under action a."""
         return -self.rate(x, x, a)
 
-    def q_max(self, x: int) -> float:
-        """q(x) = max over actions of the exit rate at x; NaN if any is."""
-        return float(np.max([self.exit_rate(x, a)
-                             for a in range(self.counts[x])]))
-
 
 @dataclass(frozen=True)
 class RewardTable:
@@ -281,52 +278,33 @@ class StationaryPolicy:
         return len(self.choice)
 
 
-@dataclass
-class FlatModel:
-    """Flattened (state, action) pair view used by the solvers."""
-
-    n: int
-    n_pairs: int
-    x_of_pair: np.ndarray      # state index of each pair
-    a_of_pair: np.ndarray      # action index within the state
-    starts: np.ndarray         # first pair index of each state
-    Q: sp.csr_matrix           # n_pairs x n sparse rate rows (diagonal included)
-    pair_of_entry: np.ndarray  # row of each stored entry of Q
-    r: np.ndarray              # reward per pair
-    exit: np.ndarray           # exit rate per pair
-    qmax: np.ndarray           # q(x) per state
-
-    def pair_index(self, x: int, a: int) -> int:
-        return int(self.starts[x]) + a
-
-    def entries_of(self, pairs):
-        """(i, target, rate) of each stored entry of row pairs[i] of Q, for
-        distinct pairs, in storage order."""
-        row = np.full(self.n_pairs, -1)
-        row[pairs] = np.arange(len(pairs))
-        row = row[self.pair_of_entry]
-        keep = row >= 0
-        return row[keep], self.Q.indices[keep], self.Q.data[keep]
-
-    def dense_rows(self, pairs) -> np.ndarray:
-        """Rows `pairs` of Q as a dense array, filled by assignment (so a
-        stored -0.0 survives)."""
-        dense = np.zeros((len(pairs), self.n))
-        i, ys, rates = self.entries_of(pairs)
-        dense[i, ys] = rates
-        return dense
+def _pair_field():
+    """A field that `_flatten` sets: not an __init__ parameter, and left
+    out of repr and equality."""
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass
 class CtmdpModel:
-    """A full CTMDP instance; immutable by convention after validation."""
+    """A full CTMDP instance; immutable by convention after validation.
+
+    Construction checks the structure, then lays the (state, action) pairs
+    out once (`_flatten`): pair p = kernel.starts[x] + a is row p of
+    kernel.Q, and the per-pair arrays below are indexed by it.
+    """
 
     states: StateSpace
     actions: ActionSets
     kernel: RateKernel
     rewards: RewardTable
     lyapunov: Optional[LyapunovData] = None
-    _flat: Optional[FlatModel] = field(default=None, repr=False, compare=False)
+    n_pairs: int = _pair_field()
+    x_of_pair: np.ndarray = _pair_field()      # state index of each pair
+    a_of_pair: np.ndarray = _pair_field()      # action index within the state
+    pair_of_entry: np.ndarray = _pair_field()  # pair of each stored Q entry
+    r: np.ndarray = _pair_field()              # reward per pair
+    exit: np.ndarray = _pair_field()           # exit rate per pair
+    qmax: np.ndarray = _pair_field()           # q(x) per state
 
     def __post_init__(self):
         n = self.states.size
@@ -351,6 +329,7 @@ class CtmdpModel:
             raise ModelError(f"action count mismatch at state {x_count}")
         if self.lyapunov is not None and len(self.lyapunov.w) != n:
             raise ModelError("Lyapunov weight length mismatch")
+        _flatten(self)
 
     @property
     def n(self) -> int:
@@ -373,30 +352,45 @@ class CtmdpModel:
             raise ModelError(f"policy action index out of range at state "
                              f"{bad[0]}")
 
-    def flat(self) -> FlatModel:
-        if self._flat is None:
-            self._flat = _flatten(self)
-        return self._flat
+    def pair_index(self, x: int, a: int) -> int:
+        return int(self.kernel.starts[x]) + a
+
+    def entries_of(self, pairs):
+        """(i, target, rate) of each stored entry of row pairs[i] of
+        kernel.Q, for distinct pairs, in storage order."""
+        row = np.full(self.n_pairs, -1)
+        row[pairs] = np.arange(len(pairs))
+        row = row[self.pair_of_entry]
+        keep = row >= 0
+        return row[keep], self.kernel.indices[keep], self.kernel.data[keep]
+
+    def dense_rows(self, pairs) -> np.ndarray:
+        """Rows `pairs` of kernel.Q as a dense array, filled by assignment
+        (so a stored -0.0 survives)."""
+        dense = np.zeros((len(pairs), self.n))
+        i, ys, rates = self.entries_of(pairs)
+        dense[i, ys] = rates
+        return dense
 
 
-def _flatten(model: CtmdpModel) -> FlatModel:
+def _flatten(model: CtmdpModel) -> None:
+    """Set the per-pair arrays of `model` from its kernel and rewards."""
     kernel = model.kernel
     Q, starts = kernel.Q, kernel.starts
     n_pairs, n = Q.shape
     x_of = np.repeat(np.arange(n), kernel.counts)
-    a_of = np.arange(n_pairs) - starts[x_of]
-    r = np.fromiter(itertools.chain.from_iterable(model.rewards.table), float,
-                    count=n_pairs)
     pair_of_entry = np.repeat(np.arange(n_pairs), np.diff(Q.indptr))
     diag = Q.indices == x_of[pair_of_entry]
     # -0.0 where a row has no diagonal entry, as RateKernel.exit_rate gives
     ex = np.full(n_pairs, -0.0)
     ex[pair_of_entry[diag]] = -Q.data[diag]
+    model.n_pairs, model.x_of_pair = n_pairs, x_of
+    model.a_of_pair = np.arange(n_pairs) - starts[x_of]
+    model.pair_of_entry, model.exit = pair_of_entry, ex
+    model.r = np.fromiter(itertools.chain.from_iterable(model.rewards.table),
+                          float, count=n_pairs)
     # q(x) = max(0, exit rates of x), NaN if any is NaN
-    qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
-    return FlatModel(n=n, n_pairs=n_pairs, x_of_pair=x_of, a_of_pair=a_of,
-                     starts=starts, Q=Q, pair_of_entry=pair_of_entry, r=r,
-                     exit=ex, qmax=qmax)
+    model.qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
 
 
 @dataclass
@@ -414,7 +408,6 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
     Violations are collected and reported rather than raised; only
     structurally malformed input is a hard error (raised at construction).
     """
-    flat = model.flat()
     violations = []
 
     def bad(name, x=None, a=None, y=None, slack=None):
@@ -423,15 +416,16 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
 
     # scan only states with a bad entry (which a non-finite q(x) needs),
     # row sum (CSR matvec sums left to right from 0.0, as the scan) or reward
-    entry_x = flat.x_of_pair[flat.pair_of_entry]
-    vals = flat.Q.data
-    bad_entry = ~np.isfinite(vals) | np.where(flat.Q.indices == entry_x,
+    kernel, x_of = model.kernel, model.x_of_pair
+    entry_x = x_of[model.pair_of_entry]
+    vals = kernel.data
+    bad_entry = ~np.isfinite(vals) | np.where(kernel.indices == entry_x,
                                               vals > 0, vals < 0)
-    bad_pair = ((np.abs(flat.Q @ np.ones(flat.n)) > ROW_SUM_TOL)
-                | ~np.isfinite(flat.r))
-    for x in np.union1d(entry_x[bad_entry], flat.x_of_pair[bad_pair]).tolist():
+    bad_pair = ((np.abs(kernel.Q @ np.ones(model.n)) > ROW_SUM_TOL)
+                | ~np.isfinite(model.r))
+    for x in np.union1d(entry_x[bad_entry], x_of[bad_pair]).tolist():
         for a in range(model.n_actions(x)):
-            ys, rates = model.kernel.row(x, a)
+            ys, rates = kernel.row(x, a)
             s = 0.0
             for y, rate in zip(ys.tolist(), rates.tolist()):
                 s += rate
@@ -446,17 +440,18 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
             rr = model.rewards.rate(x, a)
             if not np.isfinite(rr):
                 bad("finite_reward", x, a)
+        start = kernel.starts[x]
         if not np.all(np.isfinite(
-                flat.exit[flat.starts[x]:flat.starts[x] + model.n_actions(x)])):
+                model.exit[start:start + model.n_actions(x)])):
             bad("stable_rates", x)
 
     lyap = model.lyapunov
     if lyap is not None:
-        rr = np.abs(flat.r)
-        bound = lyap.M * lyap.w[flat.x_of_pair]
+        rr = np.abs(model.r)
+        bound = lyap.M * lyap.w[x_of]
         for p in np.flatnonzero(rr > bound).tolist():
-            bad("reward_weight_bound", int(flat.x_of_pair[p]),
-                int(flat.a_of_pair[p]), slack=bound[p] - rr[p])
+            bad("reward_weight_bound", int(x_of[p]),
+                int(model.a_of_pair[p]), slack=bound[p] - rr[p])
 
     return ValidationReport(ok=not violations, violations=violations)
 

@@ -178,12 +178,6 @@ def loads_model(text: str):
     return model_from_dict(doc)
 
 
-def load_model(path: str):
-    """Read a model file; '-' is not handled here (the CLI resolves stdin)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
-
-
 def model_to_dict(model: CtmdpModel) -> dict:
     """Explicit-form document for a tabulated model; round-trips exactly."""
     rates, rewards = [], []

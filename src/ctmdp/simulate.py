@@ -77,11 +77,10 @@ def rng_info(seed: int) -> dict:
 
 @dataclass
 class PathRecorder:
-    """One realized trajectory: jump times, visited states, action path."""
+    """One realized trajectory: jump times and visited states."""
 
     times: np.ndarray          # segment start times, times[0] = 0
     states: np.ndarray         # state at each segment (indices, or points)
-    actions: list              # action vector in force on each segment
     horizon: float
     reward_integral: float
     checkpoint_times: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -104,9 +103,9 @@ class _PolicyChain:
 
     def __init__(self, model: CtmdpModel, f: StationaryPolicy):
         model.check_policy(f)
-        flat = model.flat()
         n = self.n = model.n
-        x_of, ys, rates = flat.entries_of(flat.starts + f.choice)
+        pairs = model.kernel.starts + f.choice
+        x_of, ys, rates = model.entries_of(pairs)
         off = ys != x_of
         x_of, ys, rates = x_of[off], ys[off], rates[off]
         counts = np.bincount(x_of, minlength=n)
@@ -124,7 +123,7 @@ class _PolicyChain:
         targets[~moves] = np.arange(n)[~moves, None]
         self.cum, self.targets = cum, targets.ravel()
         self.row0 = np.arange(n) * K
-        self.reward = flat.r[flat.starts + f.choice]
+        self.reward = model.r[pairs]
 
     def start(self, x0, reps: int) -> np.ndarray:
         x0 = int(x0)
@@ -321,15 +320,13 @@ def simulate_path(model, f, x0, horizon: float, seed: int,
     reached = int(np.searchsorted(cps, horizon, side="right"))
     cp_states = runs.cp_states[0, :reached]
     if isinstance(model, PotlachProcess):
-        actions = [f] * len(states)
         values = cp_states.sum(axis=-1)
     else:
-        actions = [model.actions[s][f[s]] for s in states.tolist()]
         values = (np.array([cp_fn(s, ri) for s, ri in zip(
             cp_states.tolist(), runs.cp_rewards[0, :reached].tolist())])
             if cp_fn else cp_states.astype(np.float64))
-    return PathRecorder(times=times, states=states, actions=actions,
-                        horizon=horizon, reward_integral=float(runs.reward[0]),
+    return PathRecorder(times=times, states=states, horizon=horizon,
+                        reward_integral=float(runs.reward[0]),
                         checkpoint_times=cps, checkpoint_values=values)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discounted import _state_max
 from .model import CtmdpModel, StationaryPolicy, generator_apply
 from .simulate import _checkpoint_run, rng_info
 
@@ -42,10 +43,8 @@ def certify_upper(model: CtmdpModel, g: float, u, tol: float = 1e-6
     gain (up to a model-dependent multiple of tol); only the raw residual
     is reported.
     """
-    flat = model.flat()
     u = np.asarray(u, dtype=np.float64)
-    vals = flat.r + flat.Q @ u
-    residuals = np.maximum.reduceat(vals, flat.starts) - g
+    residuals = _state_max(model.r + model.kernel.Q @ u, model) - g
     worst = float(np.max(residuals))
     return CertificateReport(direction="upper", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -60,10 +59,9 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
     tolerance.
     """
     model.check_policy(f)
-    flat = model.flat()
     u = np.asarray(u, dtype=np.float64)
-    vals = flat.r + flat.Q @ u
-    residuals = g - vals[flat.starts + f.choice]
+    vals = model.r + model.kernel.Q @ u
+    residuals = g - vals[model.kernel.starts + f.choice]
     worst = float(np.max(residuals))
     return CertificateReport(direction="lower", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -130,8 +128,8 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     sub = bool(np.all(diff_means >= -3.0 * diff_ses))
     sup = bool(np.all(diff_means <= 3.0 * diff_ses))
 
-    flat = model.flat()     # delta() at every state, from one Q @ u
-    all_delta = (flat.r + flat.Q @ u)[flat.starts + f.choice] - g
+    vals = model.r + model.kernel.Q @ u    # delta() at every state
+    all_delta = vals[model.kernel.starts + f.choice] - g
     delta_visited = {x: float(all_delta[x])
                      for x in np.flatnonzero(runs.occupation > 0).tolist()}
     return MartingaleReport(

@@ -98,11 +98,10 @@ def test_criterion_03_uniformization_rows_are_probabilities():
     )
     # rows P(.|x,a) = q(.|x,a) / m(x) + I with m(x) = q(x) + 1, the
     # embedding of `bellman_operator` and of the solver's per-state pass
-    flat = m.flat()
-    pairs = np.arange(flat.n_pairs)
-    P = (sp.diags(1.0 / (flat.qmax + 1.0)[flat.x_of_pair]) @ flat.Q
-         + sp.csr_matrix((np.ones(flat.n_pairs), (pairs, flat.x_of_pair)),
-                         shape=flat.Q.shape))
+    pairs = np.arange(m.n_pairs)
+    P = (sp.diags(1.0 / (m.qmax + 1.0)[m.x_of_pair]) @ m.kernel.Q
+         + sp.csr_matrix((np.ones(m.n_pairs), (pairs, m.x_of_pair)),
+                         shape=m.kernel.Q.shape))
     assert P.min() >= 0.0
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
     print("criterion 03 uniformization: PASS")

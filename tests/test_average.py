@@ -333,9 +333,9 @@ def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
     sol = solve_average(m)
     assert policy_sweep_calls
     assert all(call[0].tolist() == [5.0, 1.0] for call in policy_sweep_calls)
-    flat, h = m.flat(), np.zeros(2)
+    h = np.zeros(2)
     while True:
-        bell = discounted._state_max(flat.r + flat.Q @ h, flat)
+        bell = discounted._state_max(m.r + m.kernel.Q @ h, m)
         if bell.max() - bell.min() <= 1e-8:
             break
         delta = (bell + 5.0 * h - bell[0]) / 5.0

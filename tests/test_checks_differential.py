@@ -94,15 +94,15 @@ def same(array_report, loop_report):
 @given(small_models())
 def test_flat_kernel_and_validate_match_loops(case):
     model, _ = case
-    flat = model.flat()
+    Q = model.kernel.Q
     p = 0
     for x in range(model.n):
         for a in range(model.n_actions(x)):
             ys, rates = model.kernel.row(x, a)
-            lo, hi = flat.Q.indptr[p], flat.Q.indptr[p + 1]
-            assert flat.Q.indices[lo:hi].tolist() == ys.tolist()
-            assert flat.Q.data[lo:hi].tobytes() == rates.tobytes()
-            assert (np.float64(flat.exit[p]).tobytes()
+            lo, hi = Q.indptr[p], Q.indptr[p + 1]
+            assert Q.indices[lo:hi].tolist() == ys.tolist()
+            assert Q.data[lo:hi].tobytes() == rates.tobytes()
+            assert (np.float64(model.exit[p]).tobytes()
                     == np.float64(model.kernel.exit_rate(x, a)).tobytes())
             p += 1
     same(validate_model(model), validate_model_loop(model))

@@ -434,6 +434,23 @@ def test_cli_simulate_rejects_bad_checkpoints_and_start(tmp_path, capsys,
     assert flag in captured.err
 
 
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    import ctmdp.cli
+
+    built = []
+    init = ctmdp.cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ctmdp.cli._Parser, "__init__", counting)
+    ctmdp.cli._parser.cache_clear()
+    for _ in range(2):
+        assert run(["describe", "--builtin", "mmn0"]) == 0
+    assert built.count("ctmdp") == 1
+
+
 @pytest.mark.parametrize("x0", ["99", "-1"])
 def test_cli_solve_discounted_rejects_out_of_range_x0(capsys, x0):
     assert run(["solve-discounted", "--builtin", "mmn0", "--params", MMN0,

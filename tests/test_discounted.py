@@ -62,7 +62,7 @@ def test_solver_reports_contraction_modulus():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 2, "mu2": 2.5, "N": 2,
                              "G": 1})
     sol = solve_discounted(m, 0.5)
-    mvec = m.flat().qmax + 1.0
+    mvec = m.qmax + 1.0
     assert sol.kappa == pytest.approx(np.max(mvec / (0.5 + mvec)))
     assert sol.residual <= 1e-10
 
@@ -76,7 +76,7 @@ def test_bellman_operator_is_monotone_contraction():
     v = u + rng.uniform(0.0, 1.0, size=m.n)
     Tu, Tv = bellman_operator(m, alpha, u), bellman_operator(m, alpha, v)
     assert np.all(Tv >= Tu - 1e-12)
-    mvec = m.flat().qmax + 1.0
+    mvec = m.qmax + 1.0
     kappa = np.max(mvec / (alpha + mvec))
     assert np.max(np.abs(Tv - Tu)) <= kappa * np.max(np.abs(v - u)) + 1e-12
 
@@ -175,7 +175,7 @@ def test_discounted_convergence_error_brackets_the_gain():
                              "G": 2})
     alpha = 0.05
     with pytest.raises(ConvergenceError) as info:
-        _vi_relative(m.flat(), alpha, 0, DEFAULT_TOL, 3, m.weights())
+        _vi_relative(m, alpha, 0, DEFAULT_TOL, 3, m.weights())
     exc = info.value
     assert exc.alpha == alpha and exc.iterations == 3
     lower, upper = exc.bracket

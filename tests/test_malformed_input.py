@@ -334,3 +334,29 @@ def test_non_finite_solution_exits_2_naming_the_field(tmp_path, command,
     assert f"--solution '{field}' must be finite" in err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
+
+
+# -- solver flags ---------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["solve-average", "sensitivity"])
+@pytest.mark.parametrize("flags, named", [
+    (["--steps", "2", "--ratio", "2"], "argument --ratio: must be in (0, 1)"),
+    (["--steps", "-3"], "argument --steps: must be at least 0"),
+    (["--steps", "1", "--alpha0", "0"],
+     "argument --alpha0: must be finite and > 0"),
+    (["--steps", "0", "--alpha0", "0"],
+     "argument --alpha0: must be finite and > 0"),
+    (["--x0", "99"], "x0 must be in 0..3, got 99")])
+def test_bad_solver_flag_exits_2_naming_the_flag(command, flags, named):
+    # each used to exit 2 with a message that named no flag
+    model = ["--builtin", "mmn0", "--params", json.dumps(VALID["mmn0"])]
+    if command == "sensitivity":
+        model += ["--levels", "3"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command] + model + flags)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert named in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()

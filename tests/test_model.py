@@ -98,14 +98,12 @@ def test_mismatched_tables_rejected():
 
 def test_kernel_rows_are_views_of_the_pair_csr():
     m = ctmdp.build("tandem", {"N": 3, "G": 2})
-    flat = m.flat()
-    assert flat.Q is m.kernel.Q
     rows = m.kernel.rows
     for x in range(m.n):
         for a in range(m.n_actions(x)):
             ys, rates = m.kernel.row(x, a)
-            assert np.shares_memory(rates, flat.Q.data)
-            assert np.shares_memory(ys, flat.Q.indices)
+            assert np.shares_memory(rates, m.kernel.Q.data)
+            assert np.shares_memory(ys, m.kernel.Q.indices)
             assert rows[x][a][0] is not ys
             assert np.array_equal(rows[x][a][0], ys)
             assert np.array_equal(rows[x][a][1], rates)
@@ -196,15 +194,35 @@ def test_tandem_grid_cardinality():
     assert m.states.labels[-1] == (10, 10)
 
 
-def test_flat_view_consistent_with_rows():
+def test_pair_arrays_consistent_with_rows():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3,
                              "N": 3, "G": 2})
-    flat = m.flat()
     for x in range(m.n):
         for a in range(m.n_actions(x)):
-            p = flat.pair_index(x, a)
-            assert flat.r[p] == m.rewards.rate(x, a)
-            assert flat.exit[p] == pytest.approx(m.kernel.exit_rate(x, a))
+            p = m.pair_index(x, a)
+            assert m.r[p] == m.rewards.rate(x, a)
+            assert m.exit[p] == pytest.approx(m.kernel.exit_rate(x, a))
+
+
+def test_pairs_are_laid_out_once_per_model(monkeypatch):
+    import ctmdp.model
+
+    laid_out = []
+    flatten = ctmdp.model._flatten
+
+    def counting(model):
+        laid_out.append(model)
+        flatten(model)
+
+    monkeypatch.setattr(ctmdp.model, "_flatten", counting)
+    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3,
+                             "N": 3, "G": 2})
+    assert validate_model(m).ok
+    sol = ctmdp.solve_average(m)
+    assert ctmdp.certify_upper(m, sol.gain, sol.h).passed
+    assert ctmdp.certify_lower(m, sol.gain, sol.h, sol.policy).passed
+    assert ctmdp.brute_force_oracle(m).gain == pytest.approx(sol.gain)
+    assert len(laid_out) == 1 and laid_out[0] is m
 
 
 ACTION_VALUES = [0.0, -0.0, 0, 1, 1.0, np.float64(1.0), np.float32(0.5), 0.5,
