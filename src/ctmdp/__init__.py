@@ -11,9 +11,9 @@ from .families import (BUILTINS, PotlachPolicy, PotlachProcess, build,
 from .lyapunov import (DriftReport, check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
 from .model import (ActionSets, CountableFamily, CtmdpModel, LyapunovData,
-                    ModelError, RateKernel, RewardTable, StateSpace,
-                    StationaryPolicy, ValidationReport, boundary_states,
-                    generator_apply, truncate, validate_model, weighted_norm)
+                    ModelError, RateKernel, StateSpace, StationaryPolicy,
+                    ValidationReport, boundary_states, truncate,
+                    validate_model, weighted_norm)
 from .modelio import (FORMAT_VERSION, ModelFileError, dumps, loads_model,
                       model_from_dict, model_to_dict)
 from .simulate import (CheckpointReport, ErgodicityReport, PathRecorder,

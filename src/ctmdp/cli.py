@@ -140,6 +140,13 @@ def _validate_or_die(model: CtmdpModel):
                              + dumps(rep.to_dict()).strip())
 
 
+def _start_state(model: CtmdpModel, x: int, flag: str) -> int:
+    """x, unless it is not a state of `model`: then exit 2 naming `flag`."""
+    if not 0 <= x < model.n:
+        raise UsageError(f"{flag} must be in 0..{model.n - 1}, got {x}")
+    return x
+
+
 def _valid_tabulated_model(args, stdin_text):
     doc, model = _resolve_model(args, stdin_text)
     _validate_or_die(_require_tabulated(model))
@@ -354,7 +361,8 @@ def _cmd_martingale(args, stdin_text) -> int:
     config.update({"policy": args.policy, "reps": args.reps,
                    "seed": args.seed, "x0": args.x0,
                    "checkpoints": checkpoints})
-    rep = martingale_diagnostic(model, f, h, g, args.x0,
+    rep = martingale_diagnostic(model, f, h, g,
+                                _start_state(model, args.x0, "--x0"),
                                 checkpoints=checkpoints, reps=args.reps,
                                 seed=args.seed)
     _emit(args, config, rep.to_dict())
@@ -389,7 +397,8 @@ def _cmd_simulate(args, stdin_text) -> int:
     else:
         _validate_or_die(model)
         f = modelio.policy_from_dict(pol_doc, model)
-        x0 = typed(x0, int, "--x0 (a state index)")
+        x0 = _start_state(model, typed(x0, int, "--x0 (a state index)"),
+                          "--x0")
 
     config = _base_config(args, doc)
     config.update({"mode": args.mode, "x0": _parse_json(args.x0, "--x0"),
@@ -418,7 +427,8 @@ def _cmd_simulate(args, stdin_text) -> int:
     # ergodicity: default probe u = w (or state index), starts (x0, x0 + 1)
     w = model.weights()
     probe = w if model.lyapunov is not None else np.arange(model.n, dtype=float)
-    x0b = args.x0b if args.x0b is not None else min(model.n - 1, x0 + 1)
+    x0b = (min(model.n - 1, x0 + 1) if args.x0b is None
+           else _start_state(model, args.x0b, "--x0b"))
     config["x0b"] = x0b
     rep = estimate_ergodicity(model, f, [probe], (x0, x0b), checkpoints,
                               args.reps, args.seed)

@@ -180,7 +180,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
             if alpha > 0:
                 width = float((np.abs(g + alpha * h - bell) / w).max())
             else:
-                lo, hi = float(np.min(bell)), float(np.max(bell))
+                lo, hi = float(bell.min()), float(bell.max())
                 width = hi - lo
             if width <= tol:
                 return (0.5 * (lo + hi) if alpha == 0 else float(g), h, it,
@@ -189,8 +189,8 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                 best = (max(lo, best[0]), min(hi, best[1]))
             if uniform and alpha == 0:
                 gap, prev_gap = bell[model.x_of_pair] - vals, gap
-                moving = (np.max(np.abs(bell - prev)) > tol
-                          or np.max(prev_gap - gap) > tol)
+                moving = (np.abs(bell - prev).max() > tol
+                          or (prev_gap - gap).max() > tol)
             if width < narrowest or (uniform and (alpha > 0 or moving)):
                 narrowest = min(width, narrowest)
                 moved = it
@@ -222,7 +222,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                 it += k
     if alpha > 0:
         image = _state_max(model.r + model.kernel.Q @ h, model) - alpha * h
-        best = (float(np.min(image)), float(np.max(image)))
+        best = (float(image.min()), float(image.max()))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
         residual=width, iterations=max_iter, alpha=alpha, bracket=best)
@@ -243,7 +243,7 @@ def _policy_sweeps(Qf, rf, m, h, x0, tol, budget):
         v = rf + Qf @ h
         delta = (v + m * h - v[x0]) / m
         new = delta - delta[x0]
-        change = np.max(np.abs(new - h))
+        change = np.abs(new - h).max()
         h = new
         if change <= tol or change > last:
             return h, k + 1, change <= last

@@ -1,13 +1,13 @@
 """Core data types for CTMDP instances on finite state spaces.
 
 A model is the tuple (states, per-state action sets, rate kernel, reward
-table) plus optional Lyapunov weight data. The rates are stored once, as
-one CSR matrix over the (state, action) pairs with the diagonal entry
-included; every solver and check reads that matrix, and the per-pair
-arrays (state, action, reward and exit rate of each pair) that the model
-lays out once, when it is constructed. All operations here are pure
-functions of their inputs and models are treated as immutable once
-validated.
+per pair) plus optional Lyapunov weight data. The rates are stored once,
+as one CSR matrix over the (state, action) pairs with the diagonal entry
+included, and the rewards once, as an array over the same pairs. Every
+solver and check reads these and the per-pair arrays (state, action and
+exit rate of each pair) that the model lays out once, at construction.
+All operations here are pure functions of their inputs and models are
+treated as immutable once validated.
 """
 
 from __future__ import annotations
@@ -130,24 +130,10 @@ class RateKernel:
     of it. CtmdpModel range-checks the targets.
     """
 
-    def __init__(self, rows):
-        # rows: rows[x][a] = sequence of (target, rate) pairs
-        pair_rows = [entries for per_state in rows for entries in per_state]
-        self._store([len(per_state) for per_state in rows],
-                    [len(entries) for entries in pair_rows],
-                    [int(y) for entries in pair_rows for y, _ in entries],
-                    [float(r) for entries in pair_rows for _, r in entries])
-
-    @classmethod
-    def from_pairs(cls, counts, lengths, targets, rates) -> "RateKernel":
-        """Kernel from flat lists: state x has counts[x] actions, pair p
-        (state-major order) lengths[p] entries, and targets/rates hold the
-        entries of all pairs in pair order (any order within a pair)."""
-        kernel = cls.__new__(cls)
-        kernel._store(counts, lengths, targets, rates)
-        return kernel
-
-    def _store(self, counts, lengths, targets, rates):
+    def __init__(self, counts, lengths, targets, rates):
+        """State x has counts[x] actions, pair p (state-major order)
+        lengths[p] entries, and targets/rates hold the entries of all pairs
+        in pair order (any order within a pair)."""
         self.counts = np.asarray(counts, dtype=np.int64)   # actions per state
         self.starts = np.cumsum(self.counts) - self.counts
         n = len(counts)
@@ -202,23 +188,6 @@ class RateKernel:
     def exit_rate(self, x: int, a: int) -> float:
         """-q({x}|x,a), the total jump rate out of x under action a."""
         return -self.rate(x, x, a)
-
-
-@dataclass(frozen=True)
-class RewardTable:
-    """Reward rates r(x, a); signed, units reward per unit time."""
-
-    table: tuple  # table[x] = tuple of rewards over the actions of x
-
-    def __post_init__(self):
-        table = tuple(tuple(map(float, per_state)) for per_state in self.table)
-        object.__setattr__(self, "table", table)
-
-    def __getitem__(self, x):
-        return self.table[x]
-
-    def rate(self, x: int, a: int) -> float:
-        return self.table[x][a]
 
 
 @dataclass(frozen=True)
@@ -290,33 +259,29 @@ class CtmdpModel:
 
     Construction checks the structure, then lays the (state, action) pairs
     out once (`_flatten`): pair p = kernel.starts[x] + a is row p of
-    kernel.Q, and the per-pair arrays below are indexed by it.
+    kernel.Q, and `r` and the per-pair arrays below are indexed by it.
     """
 
     states: StateSpace
     actions: ActionSets
     kernel: RateKernel
-    rewards: RewardTable
+    r: np.ndarray = field(compare=False)       # reward rate per pair
     lyapunov: Optional[LyapunovData] = None
     n_pairs: int = _pair_field()
     x_of_pair: np.ndarray = _pair_field()      # state index of each pair
     a_of_pair: np.ndarray = _pair_field()      # action index within the state
     pair_of_entry: np.ndarray = _pair_field()  # pair of each stored Q entry
-    r: np.ndarray = _pair_field()              # reward per pair
     exit: np.ndarray = _pair_field()           # exit rate per pair
     qmax: np.ndarray = _pair_field()           # q(x) per state
 
     def __post_init__(self):
         n = self.states.size
         kernel = self.kernel
-        if len(self.actions) != n or len(kernel.counts) != n \
-                or len(self.rewards.table) != n:
+        if len(self.actions) != n or len(kernel.counts) != n:
             raise ModelError("component tables disagree on the state count")
         # first offender in state order; at one state the count comes first
-        na = [len(acts) for acts in self.actions.sets]
         count_bad = np.flatnonzero(
-            (kernel.counts != na)
-            | (np.array([len(rs) for rs in self.rewards.table]) != na))
+            kernel.counts != [len(acts) for acts in self.actions.sets])
         x_count = int(count_bad[0]) if len(count_bad) else n
         off = np.flatnonzero((kernel.indices < 0) | (kernel.indices >= n))
         if len(off):
@@ -327,6 +292,11 @@ class CtmdpModel:
                                  f"({x},{p - int(kernel.starts[x])})")
         if x_count < n:
             raise ModelError(f"action count mismatch at state {x_count}")
+        self.r = np.asarray(self.r, dtype=np.float64)
+        if self.r.shape != (kernel.Q.shape[0],):
+            raise ModelError(f"reward count mismatch: r has shape "
+                             f"{self.r.shape} for {kernel.Q.shape[0]} "
+                             f"(state, action) pairs")
         if self.lyapunov is not None and len(self.lyapunov.w) != n:
             raise ModelError("Lyapunov weight length mismatch")
         _flatten(self)
@@ -353,6 +323,9 @@ class CtmdpModel:
                              f"{bad[0]}")
 
     def pair_index(self, x: int, a: int) -> int:
+        """Row of (x, a) in kernel.Q."""
+        if not 0 <= a < self.kernel.counts[x]:
+            raise IndexError(f"action {a} out of range at state {x}")
         return int(self.kernel.starts[x]) + a
 
     def entries_of(self, pairs):
@@ -374,7 +347,7 @@ class CtmdpModel:
 
 
 def _flatten(model: CtmdpModel) -> None:
-    """Set the per-pair arrays of `model` from its kernel and rewards."""
+    """Set the per-pair arrays of `model` from its kernel."""
     kernel = model.kernel
     Q, starts = kernel.Q, kernel.starts
     n_pairs, n = Q.shape
@@ -387,8 +360,6 @@ def _flatten(model: CtmdpModel) -> None:
     model.n_pairs, model.x_of_pair = n_pairs, x_of
     model.a_of_pair = np.arange(n_pairs) - starts[x_of]
     model.pair_of_entry, model.exit = pair_of_entry, ex
-    model.r = np.fromiter(itertools.chain.from_iterable(model.rewards.table),
-                          float, count=n_pairs)
     # q(x) = max(0, exit rates of x), NaN if any is NaN
     model.qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
 
@@ -424,6 +395,7 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
     bad_pair = ((np.abs(kernel.Q @ np.ones(model.n)) > ROW_SUM_TOL)
                 | ~np.isfinite(model.r))
     for x in np.union1d(entry_x[bad_entry], x_of[bad_pair]).tolist():
+        start = kernel.starts[x]
         for a in range(model.n_actions(x)):
             ys, rates = kernel.row(x, a)
             s = 0.0
@@ -437,10 +409,8 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
                     bad("diagonal_nonpositive", x, a, y, slack=-rate)
             if abs(s) > ROW_SUM_TOL:
                 bad("row_sum_zero", x, a, slack=abs(s) - ROW_SUM_TOL)
-            rr = model.rewards.rate(x, a)
-            if not np.isfinite(rr):
+            if not np.isfinite(model.r[start + a]):
                 bad("finite_reward", x, a)
-        start = kernel.starts[x]
         if not np.all(np.isfinite(
                 model.exit[start:start + model.n_actions(x)])):
             bad("stable_rates", x)
@@ -454,20 +424,6 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
                 int(model.a_of_pair[p]), slack=bound[p] - rr[p])
 
     return ValidationReport(ok=not violations, violations=violations)
-
-
-def generator_apply(model: CtmdpModel, u, x: int, a: int) -> float:
-    """Sum_y u(y) q(y|x,a), the generator applied to u at (x, a).
-
-    Summation runs over the sparse row in ascending target order so the
-    result is reproducible bit for bit.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    ys, rates = model.kernel.row(x, a)
-    total = 0.0
-    for y, rate in zip(ys.tolist(), rates.tolist()):
-        total += u[y] * rate
-    return total
 
 
 def weighted_norm(u, w) -> float:
@@ -543,16 +499,13 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     keep = key != x_of[pair]                # clamped self-loops are dropped
     kernel = _merged_kernel(counts, x_of, key[keep] + pair[keep] * len(labels),
                             rates[keep])
-    reward = np.asarray(family.reward(X, A), dtype=np.float64).tolist()
-    ends = np.cumsum(counts).tolist()
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
         actions=action_sets,
         kernel=kernel,
-        rewards=RewardTable(table=tuple(
-            reward[end - c:end] for end, c in zip(ends, counts))),
+        r=family.reward(X, A),
         lyapunov=lyap,
     )
 
@@ -590,7 +543,7 @@ def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
     del key, merged, owner
     at = end + np.arange(n_pairs)
     targets[at], values[at] = x_of, np.where(size > 0, -total, 0.0)
-    return RateKernel.from_pairs(counts, size + 1, targets, values)
+    return RateKernel(counts, size + 1, targets, values)
 
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import families
 from .model import (ActionSets, CtmdpModel, LyapunovData, ModelError,
-                    RateKernel, RewardTable, StateSpace, StationaryPolicy,
-                    typed)
+                    RateKernel, StateSpace, StationaryPolicy, typed)
 
 FORMAT_VERSION = "2"
 
@@ -124,7 +123,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     counts = [len(acts) for acts in actions.sets]
     starts = list(itertools.accumulate(counts, initial=0))
     rate_rows = _per_pair(doc, "rates", starts, _rate_entries, "rate row")
-    kernel = RateKernel.from_pairs(
+    kernel = RateKernel(
         counts, [len(row) for row in rate_rows],
         list(itertools.chain.from_iterable(rate_rows)),
         list(itertools.chain.from_iterable(map(dict.values, rate_rows))))
@@ -148,8 +147,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
             states=StateSpace(size=n, labels=labels),
             actions=actions,
             kernel=kernel,
-            rewards=RewardTable(table=tuple(
-                rewards[lo:hi] for lo, hi in zip(starts, starts[1:]))),
+            r=rewards,
             lyapunov=lyap)
     except TypeError as exc:       # an unhashable label
         raise ModelFileError(f"bad 'labels': {exc}") from exc
@@ -180,12 +178,14 @@ def loads_model(text: str):
 
 def model_to_dict(model: CtmdpModel) -> dict:
     """Explicit-form document for a tabulated model; round-trips exactly."""
-    rates, rewards = [], []
-    for x, per_state in enumerate(model.kernel.rows):
-        for a, (ys, vals) in enumerate(per_state):
-            rates.append({"x": x, "a": a, "entries": [
-                list(e) for e in zip(ys.tolist(), vals.tolist())]})
-            rewards.append({"x": x, "a": a, "r": model.rewards.rate(x, a)})
+    xs, acts = model.x_of_pair.tolist(), model.a_of_pair.tolist()
+    cut = model.kernel.indptr.tolist()
+    ys, vals = model.kernel.indices.tolist(), model.kernel.data.tolist()
+    rates = [{"x": x, "a": a, "entries": list(map(list, zip(ys[lo:hi],
+                                                            vals[lo:hi])))}
+             for x, a, lo, hi in zip(xs, acts, cut, cut[1:])]
+    rewards = [{"x": x, "a": a, "r": r}
+               for x, a, r in zip(xs, acts, model.r.tolist())]
     doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
            "states": model.n,
            "actions": [[list(a) for a in model.actions[x]]

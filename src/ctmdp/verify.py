@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discounted import _state_max
-from .model import CtmdpModel, StationaryPolicy, generator_apply
+from .model import CtmdpModel, StationaryPolicy
 from .simulate import _checkpoint_run, rng_info
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
@@ -72,7 +72,8 @@ def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     """Discrepancy r(x,a) + sum_y u(y) q(y|x,a) - g with a = f(x) or a
     direct action index; its sign sets the sub/supermartingale direction."""
     a = f[x] if isinstance(f, StationaryPolicy) else int(f)
-    return model.rewards.rate(x, a) + generator_apply(model, u, x, a) - g
+    p = model.pair_index(x, a)
+    return model.r[p] + (model.kernel.Q[[p]] @ u)[0] - g
 
 
 @dataclass

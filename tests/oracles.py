@@ -19,10 +19,36 @@ from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
                    average, extract_policy, families)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, ActionSets, LyapunovData,
-                         ModelError, RateKernel, RewardTable, StateSpace,
-                         ValidationReport, boundary_states, generator_apply)
-from ctmdp.modelio import ModelFileError
+                         ModelError, RateKernel, StateSpace, ValidationReport,
+                         boundary_states)
+from ctmdp.modelio import FORMAT_VERSION, ModelFileError
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
+
+
+def kernel_from_rows(rows) -> RateKernel:
+    """Kernel of nested rows: rows[x][a] = sequence of (target, rate)
+    pairs of (x, a)."""
+    pair_rows = [entries for per_state in rows for entries in per_state]
+    return RateKernel([len(per_state) for per_state in rows],
+                      [len(entries) for entries in pair_rows],
+                      [int(y) for entries in pair_rows for y, _ in entries],
+                      [float(r) for entries in pair_rows for _, r in entries])
+
+
+def reward(model: CtmdpModel, x: int, a: int) -> float:
+    """r(x, a) as a Python float."""
+    return float(model.r[model.pair_index(x, a)])
+
+
+def generator_apply_loop(model: CtmdpModel, u, x: int, a: int) -> float:
+    """Sum_y u(y) q(y|x,a), added over the sorted row one entry at a time
+    from 0.0."""
+    u = np.asarray(u, dtype=np.float64)
+    ys, rates = model.kernel.row(x, a)
+    total = 0.0
+    for y, rate in zip(ys.tolist(), rates.tolist()):
+        total += u[y] * rate
+    return total
 
 
 def dense_generator(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
@@ -36,7 +62,7 @@ def dense_generator(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
 
 
 def reward_vector(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
-    return np.array([model.rewards.rate(x, f[x]) for x in range(model.n)])
+    return np.array([reward(model, x, f[x]) for x in range(model.n)])
 
 
 def discounted_value(model: CtmdpModel, f: StationaryPolicy,
@@ -201,11 +227,10 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
     index = {lab: i for i, lab in enumerate(labels)}
     checked = ActionSets(sets=tuple(family.actions(lab) for lab in labels))
 
-    action_sets, reward_rows = [], []
+    action_sets, rewards = [], []
     lengths, targets, rates = [], [], []
     for x, lab in enumerate(labels):
         acts = [tuple(a) for a in family.actions(lab)]
-        per_state_rewards = []
         for a in acts:
             mass = {}      # clamped target -> rate, merged in entry order
             for target, rate in family.entries(lab, a):
@@ -221,18 +246,17 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
             rates.extend(mass.values())
             rates.append(-functools.reduce(operator.add, mass.values(), 0))
             lengths.append(len(mass) + 1)
-            per_state_rewards.append(family.reward(lab, a))
+            rewards.append(family.reward(lab, a))
         action_sets.append(acts)
-        reward_rows.append(per_state_rewards)
 
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
         actions=checked,
-        kernel=RateKernel.from_pairs([len(acts) for acts in action_sets],
-                                     lengths, targets, rates),
-        rewards=RewardTable(table=tuple(reward_rows)),
+        kernel=RateKernel([len(acts) for acts in action_sets], lengths,
+                          targets, rates),
+        r=rewards,
         lyapunov=lyap,
     )
 
@@ -465,8 +489,7 @@ def validate_model_loop(model: CtmdpModel) -> ValidationReport:
                     bad("diagonal_nonpositive", x, a, y, slack=-rate)
             if abs(s) > ROW_SUM_TOL:
                 bad("row_sum_zero", x, a, slack=abs(s) - ROW_SUM_TOL)
-            rr = model.rewards.rate(x, a)
-            if not np.isfinite(rr):
+            if not np.isfinite(reward(model, x, a)):
                 bad("finite_reward", x, a)
         if not all(np.isfinite(model.kernel.exit_rate(x, a))
                    for a in range(model.n_actions(x))):
@@ -476,7 +499,7 @@ def validate_model_loop(model: CtmdpModel) -> ValidationReport:
     if lyap is not None:
         for x in range(model.n):
             for a in range(model.n_actions(x)):
-                rr = abs(model.rewards.rate(x, a))
+                rr = abs(reward(model, x, a))
                 bound = lyap.M * lyap.w[x]
                 if rr > bound:
                     bad("reward_weight_bound", x, a, slack=bound - rr)
@@ -514,7 +537,7 @@ def check_assumption_A_loop(model: CtmdpModel) -> DriftReport:
     w, c, b = lyap.w, lyap.c, lyap.b
     drift = pointwise_check_loop(
         "drift_w", model,
-        lambda x, a: generator_apply(model, w, x, a),
+        lambda x, a: generator_apply_loop(model, w, x, a),
         lambda x, a: -c * w[x] + b)
     rate = pointwise_check_loop(
         "rate_bound", model,
@@ -524,7 +547,7 @@ def check_assumption_A_loop(model: CtmdpModel) -> DriftReport:
     c_hat = np.inf
     for x in range(model.n):
         for a in range(model.n_actions(x)):
-            lhs = generator_apply(model, w, x, a)
+            lhs = generator_apply_loop(model, w, x, a)
             b_hat = max(b_hat, lhs + c * w[x])
             c_hat = min(c_hat, (b - lhs) / w[x])
     return DriftReport(checks=[drift, rate],
@@ -538,7 +561,7 @@ def check_assumption_B_loop(model: CtmdpModel) -> DriftReport:
     w = lyap.w
     checks = [pointwise_check_loop(
         "reward_bound", model,
-        lambda x, a: abs(model.rewards.rate(x, a)),
+        lambda x, a: abs(reward(model, x, a)),
         lambda x, a: lyap.M * w[x])]
     if lyap.wprime is not None:
         wp = lyap.wprime
@@ -548,7 +571,7 @@ def check_assumption_B_loop(model: CtmdpModel) -> DriftReport:
             lambda x, a: lyap.Mprime * wp[x]))
         checks.append(pointwise_check_loop(
             "growth_wprime", model,
-            lambda x, a: generator_apply(model, wp, x, a),
+            lambda x, a: generator_apply_loop(model, wp, x, a),
             lambda x, a: lyap.cprime * wp[x] + lyap.bprime))
     return DriftReport(checks=checks)
 
@@ -661,8 +684,9 @@ def explicit_model_loop(doc) -> CtmdpModel:
         raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
     rate_rows = _per_pair_loop(doc, "rates", actions, _rate_entries_loop,
                                "rate row")
-    kernel = RateKernel([[sorted(entries.items()) for entries in per_state]
-                         for per_state in rate_rows])
+    kernel = kernel_from_rows([[sorted(entries.items())
+                                for entries in per_state]
+                               for per_state in rate_rows])
     reward_rows = _per_pair_loop(
         doc, "rewards", actions,
         lambda rec, x, where: _need_loop(rec, "r", where, float), "reward")
@@ -685,13 +709,40 @@ def explicit_model_loop(doc) -> CtmdpModel:
     try:
         return CtmdpModel(states=StateSpace(size=n, labels=labels),
                           actions=actions, kernel=kernel,
-                          rewards=RewardTable(table=tuple(
-                              tuple(row) for row in reward_rows)),
+                          r=list(itertools.chain.from_iterable(
+                              reward_rows)),
                           lyapunov=lyap)
     except TypeError as exc:
         raise ModelFileError(f"bad 'labels': {exc}") from exc
     except ModelError as exc:
         raise ModelFileError(str(exc)) from exc
+
+
+def model_to_dict_loop(model: CtmdpModel) -> dict:
+    """`model_to_dict`, one (state, action) pair at a time through the
+    kernel's row views."""
+    rates, rewards = [], []
+    for x, per_state in enumerate(model.kernel.rows):
+        for a, (ys, vals) in enumerate(per_state):
+            rates.append({"x": x, "a": a, "entries": [
+                list(e) for e in zip(ys.tolist(), vals.tolist())]})
+            rewards.append({"x": x, "a": a, "r": reward(model, x, a)})
+    doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
+           "states": model.n,
+           "actions": [[list(a) for a in model.actions[x]]
+                       for x in range(model.n)],
+           "rates": rates, "rewards": rewards}
+    if model.states.labels is not None:
+        doc["labels"] = [list(lab) for lab in model.states.labels]
+    lyap = model.lyapunov
+    if lyap is not None:
+        doc["lyapunov"] = {
+            "w": lyap.w.tolist(), "c": lyap.c, "b": lyap.b,
+            "M": lyap.M, "Mq": lyap.M_q,
+            "wprime": None if lyap.wprime is None else lyap.wprime.tolist(),
+            "cprime": lyap.cprime, "bprime": lyap.bprime,
+            "Mprime": lyap.Mprime}
+    return doc
 
 
 # -- scalar reference for the replication-batched simulation stepper --------
@@ -748,7 +799,7 @@ def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
         targets.append(ys[off].tolist())
         cums.append((running / lam).tolist() if lam > 0 else [])
         rates.append(lam)
-        rewards.append(model.rewards.rate(x, f[x]))
+        rewards.append(reward(model, x, f[x]))
 
     def jump(x, u):
         return targets[x][bisect.bisect_left(cums[x], u)]

@@ -13,9 +13,8 @@ import ctmdp
 from ctmdp import (StationaryPolicy, VanishingSchedule, brute_force_oracle,
                    certify_lower, certify_upper, check_assumption_A,
                    check_assumption_B, check_lyapunov_bound, delta,
-                   estimate_average_reward, generator_apply,
-                   martingale_diagnostic, solve_average, solve_discounted,
-                   weighted_norm)
+                   estimate_average_reward, martingale_diagnostic,
+                   solve_average, solve_discounted, weighted_norm)
 
 import oracles
 
@@ -44,16 +43,16 @@ def test_criterion_01_drift_identities_exact():
     for p1 in (0.0, 0.3):
         m = ctmdp.build("birth_death", {"lambda": lam, "mu1": 3, "mu2": 4,
                                         "p1": p1, "N": 12, "G": 5})
-        w = m.lyapunov.w
-        assert generator_apply(m, w, 0, 0) == pytest.approx(lam, abs=1e-12)
+        Qw = m.kernel.Q @ m.lyapunov.w
+        assert Qw[m.pair_index(0, 0)] == pytest.approx(lam, abs=1e-12)
         for ai in range(m.n_actions(1)):
             (a,) = m.actions[1][ai]
-            assert generator_apply(m, w, 1, ai) == pytest.approx(
+            assert Qw[m.pair_index(1, ai)] == pytest.approx(
                 -(a - lam), abs=1e-12)
         for x in range(2, m.n - 1):
             for ai in range(m.n_actions(x)):
                 (a,) = m.actions[x][ai]
-                assert generator_apply(m, w, x, ai) == pytest.approx(
+                assert Qw[m.pair_index(x, ai)] == pytest.approx(
                     -(a + a * p1 - lam) * x, abs=1e-12)
     print("criterion 01 drift identities: PASS")
 
@@ -93,8 +92,8 @@ def test_criterion_03_uniformization_rows_are_probabilities():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=n_rows),
         actions=ctmdp.ActionSets(sets=(((0.0,),),) * n_rows),
-        kernel=ctmdp.RateKernel(rows),
-        rewards=ctmdp.RewardTable(table=((0.0,),) * n_rows),
+        kernel=oracles.kernel_from_rows(rows),
+        r=np.zeros(n_rows),
     )
     # rows P(.|x,a) = q(.|x,a) / m(x) + I with m(x) = q(x) + 1, the
     # embedding of `bellman_operator` and of the solver's per-state pass
@@ -116,9 +115,8 @@ def test_criterion_04_discounted_vs_linear_oracle(bd30, mm20):
             states=m.states,
             actions=ctmdp.ActionSets(sets=tuple(
                 (m.actions[x][f[x]],) for x in range(m.n))),
-            kernel=ctmdp.RateKernel(rows),
-            rewards=ctmdp.RewardTable(table=tuple(
-                (m.rewards.rate(x, f[x]),) for x in range(m.n))),
+            kernel=oracles.kernel_from_rows(rows),
+            r=m.r[m.kernel.starts + f.choice],
             lyapunov=m.lyapunov,
         )
         for alpha in (1.0, 0.1, 0.001):
@@ -251,25 +249,18 @@ def test_criterion_12_equivariance(mm20):
     m = ctmdp.build("mmn0", params)
     base = solve_average(m)
 
-    def with_rewards(table):
+    def with_rewards(r):
         return ctmdp.CtmdpModel(states=m.states, actions=m.actions,
-                                kernel=m.kernel,
-                                rewards=ctmdp.RewardTable(table=table),
-                                lyapunov=m.lyapunov)
+                                kernel=m.kernel, r=r, lyapunov=m.lyapunov)
 
     for s in (0.5, 2.0):
-        scaled = with_rewards(tuple(
-            tuple(s * m.rewards.rate(x, a) for a in range(m.n_actions(x)))
-            for x in range(m.n)))
+        scaled = with_rewards(s * m.r)
         sol = solve_average(scaled)
         assert abs(sol.gain - s * base.gain) <= 1e-8
         assert np.max(np.abs(sol.h - s * base.h)) <= 1e-8
         assert np.array_equal(sol.policy.choice, base.policy.choice)
     for kappa in (-1.0, 3.0):
-        shifted = with_rewards(tuple(
-            tuple(m.rewards.rate(x, a) + kappa
-                  for a in range(m.n_actions(x)))
-            for x in range(m.n)))
+        shifted = with_rewards(m.r + kappa)
         sol = solve_average(shifted)
         assert abs(sol.gain - (base.gain + kappa)) <= 1e-8
         assert np.max(np.abs(sol.h - base.h)) <= 1e-8

@@ -125,12 +125,11 @@ def test_oracle_error_carries_partial_state():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
         actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)),) * 3),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -2.0), (1, 1.0), (2, 1.0)]],
             [[(0, 1.0), (1, -1.0)], [(1, 0.0)]],
             [[(0, 1.0), (2, -1.0)], [(2, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((0.0, 0.0), (0.0, 1.0),
-                                         (0.0, 3.0))),
+        r=[0.0, 0.0, 0.0, 1.0, 0.0, 3.0],
     )
     with pytest.raises(ctmdp.OracleError) as info:
         brute_force_oracle(m)
@@ -150,11 +149,10 @@ def test_enumeration_counts_the_closed_classes_state_0_reaches():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=5),
         actions=ctmdp.ActionSets(sets=(((0.0,),),) * 5),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -1.75), (1, 1.0), (2, 0.5), (3, 0.25)]], [[(1, 0.0)]],
             [[(2, 0.0)]], [[(3, -1.5), (4, 1.5)]], [[(3, 2.0), (4, -2.0)]]]),
-        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,), (2.0,), (3.0,),
-                                         (4.0,))),
+        r=[0.0, 1.0, 2.0, 3.0, 4.0],
     )
     message = "3 closed classes reachable from state 0"
     with pytest.raises(ctmdp.OracleError, match=message) as info:
@@ -175,11 +173,10 @@ def test_policy_iteration_refuses_a_multichain_policy():
         states=ctmdp.StateSpace(size=3),
         actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)), ((0.0,),),
                                        ((0.0,),))),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, 0.0)], [(0, -3.3335), (2, 3.3335)]],
             [[(1, -0.2977), (2, 0.2977)]], [[(1, 3.3107), (2, -3.3107)]]]),
-        rewards=ctmdp.RewardTable(table=((-3.3549, -3.3549), (-1.2485,),
-                                         (-1.8326,))),
+        r=[-3.3549, -3.3549, -1.2485, -1.8326],
     )
     with pytest.raises(ctmdp.OracleError, match="2 closed classes") as info:
         brute_force_oracle(m, enumeration_limit=0)
@@ -197,10 +194,10 @@ def test_enumeration_breaks_rounding_ties_by_product_order():
         states=ctmdp.StateSpace(size=3),
         actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)), ((0.0,),),
                                        ((0.0,),))),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -q), (1, q)] for q in (2.9, 0.16, 3.06)],
             [[(1, -2.1), (2, 2.1)]], [[(1, 3.72), (2, -3.72)]]]),
-        rewards=ctmdp.RewardTable(table=((0.0,) * 3, (-4.34,), (3.41,))),
+        r=[0.0, 0.0, 0.0, -4.34, 3.41],
     )
     orc = brute_force_oracle(m)
     assert orc.policy.choice.tolist() == [0, 0, 0]
@@ -234,9 +231,9 @@ def test_reducible_policy_gain_uses_recurrent_class():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, -1.0), (1, 1.0)]],
-                                 [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((5.0,), (2.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, -1.0), (1, 1.0)]],
+                                         [[(1, 0.0)]]]),
+        r=[5.0, 2.0],
     )
     orc = brute_force_oracle(m)
     assert orc.gain == pytest.approx(2.0)
@@ -297,8 +294,9 @@ def test_transient_reference_with_fast_exit_converges():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, -4.0), (1, 4.0)]], [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
+                                         [[(1, 0.0)]]]),
+        r=[0.0, 1.0],
     )
     sol = solve_average(m)
     assert sol.gain == pytest.approx(1.0, abs=1e-8)
@@ -310,8 +308,8 @@ def test_multichain_model_raises_with_partial_trace():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, 0.0)]], [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((1.0,), (2.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
+        r=[1.0, 2.0],
     )
     with pytest.raises(ctmdp.ConvergenceError) as info:
         solve_average(m, schedule=VanishingSchedule(steps=2))
@@ -327,8 +325,9 @@ def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, -4.0), (1, 4.0)]], [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((0.0,), (1.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
+                                         [[(1, 0.0)]]]),
+        r=[0.0, 1.0],
     )
     sol = solve_average(m)
     assert policy_sweep_calls
@@ -350,8 +349,8 @@ def test_multichain_model_runs_policy_sweeps_in_one_pass_only(
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, 0.0)]], [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((1.0,), (2.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
+        r=[1.0, 2.0],
     )
     with pytest.raises(ctmdp.ConvergenceError) as info:
         solve_average(m)
@@ -391,14 +390,13 @@ def test_constant_gain_model_closes_its_bracket():
         states=ctmdp.StateSpace(size=5),
         actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)),)
                                  + (((0.0,),),) * 4),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)],
              [(0, -4.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)],
              [(0, 0.0)]],
             [[(0, 1.0), (1, -1.0)]], [[(0, 0.5), (2, -0.5)]], [[(3, 0.0)]],
             [[(0, 1.0), (4, -1.0)]]]),
-        rewards=ctmdp.RewardTable(table=((1.09375, 0.0, 0.0), (1.125,),
-                                         (0.0,), (1.125,), (0.0,))),
+        r=[1.09375, 0.0, 0.0, 1.125, 0.0, 1.125, 0.0],
     )
     sol = solve_average(m)
     assert sol.converged

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmdp import (ActionSets, CtmdpModel, LyapunovData, RateKernel,
-                   RewardTable, StateSpace, StationaryPolicy, build,
-                   check_assumption_A, check_assumption_B, check_monotonicity,
-                   dumps, validate_model)
+from ctmdp import (ActionSets, CtmdpModel, LyapunovData, StateSpace,
+                   StationaryPolicy, build, check_assumption_A,
+                   check_assumption_B, check_monotonicity, dumps,
+                   validate_model)
 from oracles import (check_assumption_A_loop, check_assumption_B_loop,
-                     check_monotonicity_loop, validate_model_loop)
+                     check_monotonicity_loop, kernel_from_rows,
+                     validate_model_loop)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -54,7 +55,7 @@ def small_models(draw):
     n_actions = [draw(st.integers(1, 3)) for _ in range(n)]
     rows = [[draw(rate_row(x, n)) for _ in range(k)]
             for x, k in enumerate(n_actions)]
-    rewards = tuple(tuple(draw(REWARDS) for _ in range(k)) for k in n_actions)
+    rewards = [draw(REWARDS) for k in n_actions for _ in range(k)]
     lyap = None
     if draw(st.booleans()):
         weights = st.sampled_from([1.0, 1.5, 2.0, 4.0])
@@ -78,8 +79,7 @@ def small_models(draw):
         states=StateSpace(size=n, labels=labels, truncation_level=level),
         actions=ActionSets(sets=tuple(tuple((float(a),) for a in range(k))
                                       for k in n_actions)),
-        kernel=RateKernel(rows),
-        rewards=RewardTable(table=rewards),
+        kernel=kernel_from_rows(rows), r=rewards,
         lyapunov=lyap)
     policy = StationaryPolicy(choice=[draw(st.integers(0, k - 1))
                                       for k in n_actions])
@@ -132,8 +132,7 @@ def chain(rows):
         states=StateSpace(size=n, labels=tuple((x,) for x in range(n)),
                           truncation_level=n - 1),
         actions=ActionSets(sets=(((0.0,),),) * n),
-        kernel=RateKernel([[row] for row in rows]),
-        rewards=RewardTable(table=((0.0,),) * n))
+        kernel=kernel_from_rows([[row] for row in rows]), r=np.zeros(n))
 
 
 # zero-heavy rows: a tail sum is -0.0 only where every cell from k on holds
@@ -209,7 +208,7 @@ def test_nonfinite_exit_rate_on_any_action_flags_stable_rates(case, data):
     rows[x][0] = [(y, r) for y, r in rows[x][0] if y != x] + [(x, -1.0)]
     rows[x][a] = [(y, r) for y, r in rows[x][a] if y != x] + [(x, bad)]
     model = CtmdpModel(states=model.states, actions=model.actions,
-                       kernel=RateKernel(rows), rewards=model.rewards,
+                       kernel=kernel_from_rows(rows), r=model.r,
                        lyapunov=model.lyapunov)
     report = validate_model(model)
     assert {"check": "stable_rates", "x": x, "a": None, "y": None,

@@ -58,7 +58,7 @@ def test_model_roundtrip():
             ys2, r2 = m2.kernel.row(x, a)
             assert np.array_equal(ys1, ys2)
             assert np.array_equal(r1, r2)
-            assert m.rewards.rate(x, a) == m2.rewards.rate(x, a)
+    assert np.array_equal(m.r, m2.r)
 
 
 def test_malformed_json_names_location():
@@ -418,7 +418,7 @@ def test_cli_simulation_error_report_goes_to_out(tmp_path, capsys,
     (["--mode", "lyapunov", "--checkpoints", "4,1"], "--checkpoints"),
     (["--mode", "lyapunov", "--checkpoints", "1,nan"], "--checkpoints"),
     (["--mode", "lyapunov", "--checkpoints", "1,x"], "--checkpoints"),
-    (["--x0", "7"], "start state 7"),
+    (["--x0", "7"], "--x0 must be in 0..2, got 7"),
     (["--x0", "1.7"], "--x0"),
     (["--x0", "true"], "--x0"),
     (["--x0", '"1"'], "--x0"),

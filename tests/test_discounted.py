@@ -29,9 +29,8 @@ def restrict_to_policy(model, f):
         states=model.states,
         actions=ctmdp.ActionSets(sets=tuple(
             (model.actions[x][f[x]],) for x in range(model.n))),
-        kernel=ctmdp.RateKernel(rows),
-        rewards=ctmdp.RewardTable(table=tuple(
-            (model.rewards.rate(x, f[x]),) for x in range(model.n))),
+        kernel=oracles.kernel_from_rows(rows),
+        r=model.r[model.kernel.starts + f.choice],
         lyapunov=model.lyapunov,
     )
 
@@ -95,11 +94,11 @@ def test_tie_breaking_prefers_lowest_index():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)),) * 2),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -1.0), (1, 1.0)]],
             [[(0, 2.0), (1, -2.0)], [(0, 2.0), (1, -2.0)]],
         ]),
-        rewards=ctmdp.RewardTable(table=((1.0, 1.0), (0.0, 0.0))),
+        r=[1.0, 1.0, 0.0, 0.0],
     )
     sol = solve_discounted(m, 0.2)
     assert sol.policy.choice.tolist() == [0, 0]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import ctmdp
-from ctmdp import (PotlachPolicy, build, describe, generator_apply,
-                   simulate_path, validate_model)
+from ctmdp import (PotlachPolicy, build, describe, simulate_path,
+                   validate_model)
 from ctmdp.families import BUILTINS, resolve, tandem_weight
 
 
@@ -57,7 +57,7 @@ def test_birth_death_reward_shapes():
                               "rc": {"kind": "linear", "kappa": 0.1},
                               "N": 6, "G": 2})
     (a,) = m.actions[3][1]
-    assert m.rewards.rate(3, 1) == pytest.approx(2.0 * 3 - 0.1 * a * 3)
+    assert m.r[m.pair_index(3, 1)] == pytest.approx(2.0 * 3 - 0.1 * a * 3)
     with pytest.raises(ctmdp.ModelError):
         build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                               "rc": {"kind": "cubic"}, "N": 6})
@@ -179,9 +179,9 @@ def test_drift_identity_matches_closed_form():
     lam, p1 = 1.0, 0.3
     m = build("birth_death", {"lambda": lam, "mu1": 3, "mu2": 4, "p1": p1,
                               "N": 10, "G": 3})
-    w = m.lyapunov.w
+    Qw = m.kernel.Q @ m.lyapunov.w
     for x in range(2, m.n - 1):
         for ai in range(m.n_actions(x)):
             (a,) = m.actions[x][ai]
-            assert generator_apply(m, w, x, ai) == pytest.approx(
+            assert Qw[m.pair_index(x, ai)] == pytest.approx(
                 -(a + a * p1 - lam) * x, abs=1e-12)

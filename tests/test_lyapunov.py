@@ -5,6 +5,8 @@ import ctmdp
 from ctmdp import (StationaryPolicy, check_assumption_A, check_assumption_B,
                    check_example_conditions, check_monotonicity)
 
+import oracles
+
 
 BD_PARAMS = {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.0, "p": 2.0,
              "N": 15, "G": 3}
@@ -51,7 +53,7 @@ def test_reward_bound_violation_reported():
     shrunk = ctmdp.LyapunovData(w=lyap.w, c=lyap.c, b=lyap.b, M=1e-6,
                                 M_q=lyap.M_q)
     m2 = ctmdp.CtmdpModel(states=m.states, actions=m.actions, kernel=m.kernel,
-                          rewards=m.rewards, lyapunov=shrunk)
+                          r=m.r, lyapunov=shrunk)
     rep = check_assumption_B(m2)
     assert not rep.check("reward_bound").passed
 
@@ -72,12 +74,12 @@ def test_monotonicity_violation_detected():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
         actions=ctmdp.ActionSets(sets=(((0.0,),),) * 3),
-        kernel=ctmdp.RateKernel([
+        kernel=oracles.kernel_from_rows([
             [[(0, -5.0), (2, 5.0)]],
             [[(0, 1.0), (1, -1.0)]],
             [[(1, 1.0), (2, -1.0)]],
         ]),
-        rewards=ctmdp.RewardTable(table=((0.0,),) * 3),
+        r=np.zeros(3),
     )
     f = StationaryPolicy(choice=np.zeros(3, dtype=np.int64))
     rep = check_monotonicity(m, f)

@@ -360,3 +360,36 @@ def test_bad_solver_flag_exits_2_naming_the_flag(command, flags, named):
     assert out.getvalue() == ""
     assert named in err.getvalue(), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("martingale", ["--x0", "99"], "--x0 must be in 0..3, got 99"),
+    ("martingale", ["--x0", "-1"], "--x0 must be in 0..3, got -1"),
+    ("simulate", ["--x0", "99"], "--x0 must be in 0..3, got 99"),
+    ("simulate", ["--mode", "lyapunov", "--x0", "-2"],
+     "--x0 must be in 0..3, got -2"),
+    ("simulate", ["--mode", "ergodicity", "--x0b", "99"],
+     "--x0b must be in 0..3, got 99"),
+    ("simulate", ["--mode", "ergodicity", "--x0b", "-1"],
+     "--x0b must be in 0..3, got -1")])
+def test_bad_start_state_exits_2_naming_the_flag(tmp_path, command, flags,
+                                                named):
+    # each used to exit 2 with "start state 99 out of range", naming
+    # neither the flag nor the states
+    model = ["--builtin", "mmn0", "--params", json.dumps(VALID["mmn0"])]
+    with contextlib.redirect_stdout(io.StringIO()) as solved:
+        assert run(["solve-average"] + model) == 0
+    solution = tmp_path / "solution.json"
+    solution.write_text(solved.getvalue())
+    policy = tmp_path / "policy.json"
+    policy.write_text("[0, 0, 0, 0]")
+    given = (["--solution", str(solution)] if command == "martingale"
+             else ["--policy", str(policy), "--horizon", "1", "--reps", "1"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command] + model + given + flags)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert named in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -4,18 +4,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (ActionSets, CtmdpModel, ModelError, RateKernel,
-                   RewardTable, StateSpace, StationaryPolicy,
-                   generator_apply, validate_model, weighted_norm)
+from ctmdp import (ActionSets, CtmdpModel, ModelError, StateSpace,
+                   StationaryPolicy, validate_model, weighted_norm)
+
+from oracles import kernel_from_rows
 
 
 def two_state_model(rate01=1.0, rate10=2.0, r0=1.0, r1=0.0):
     return CtmdpModel(
         states=StateSpace(size=2),
         actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=RateKernel([[[(0, -rate01), (1, rate01)]],
-                           [[(0, rate10), (1, -rate10)]]]),
-        rewards=RewardTable(table=((r0,), (r1,))),
+        kernel=kernel_from_rows([[[(0, -rate01), (1, rate01)]],
+                                 [[(0, rate10), (1, -rate10)]]]),
+        r=[r0, r1],
     )
 
 
@@ -27,9 +28,9 @@ def test_validate_rejects_negative_offdiagonal():
     m = CtmdpModel(
         states=StateSpace(size=2),
         actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=RateKernel([[[(0, 1.0), (1, -1.0)]],
-                           [[(0, 2.0), (1, -2.0)]]]),
-        rewards=RewardTable(table=((0.0,), (0.0,))),
+        kernel=kernel_from_rows([[[(0, 1.0), (1, -1.0)]],
+                                 [[(0, 2.0), (1, -2.0)]]]),
+        r=[0.0, 0.0],
     )
     rep = validate_model(m)
     assert not rep.ok
@@ -42,9 +43,9 @@ def test_validate_rejects_nonzero_row_sum():
     m = CtmdpModel(
         states=StateSpace(size=2),
         actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=RateKernel([[[(0, -1.0), (1, 1.5)]],
-                           [[(0, 2.0), (1, -2.0)]]]),
-        rewards=RewardTable(table=((0.0,), (0.0,))),
+        kernel=kernel_from_rows([[[(0, -1.0), (1, 1.5)]],
+                                 [[(0, 2.0), (1, -2.0)]]]),
+        r=[0.0, 0.0],
     )
     rep = validate_model(m)
     assert not rep.ok
@@ -61,11 +62,7 @@ def test_validate_is_idempotent():
 def test_constant_function_is_harmonic():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "N": 8, "G": 3})
-    ones = np.ones(m.n)
-    for x in range(m.n):
-        for a in range(m.n_actions(x)):
-            assert generator_apply(m, ones, x, a) == pytest.approx(0.0,
-                                                                   abs=1e-12)
+    assert m.kernel.Q @ np.ones(m.n) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_generator_apply_birth_death_value():
@@ -74,7 +71,8 @@ def test_generator_apply_birth_death_value():
                                     "p1": 0.0, "N": 8, "G": 1})
     w = np.arange(1.0, m.n + 1)
     assert m.actions[2][0] == (3.0,)
-    assert generator_apply(m, w, 2, 0) == pytest.approx(-4.0, abs=1e-12)
+    assert (m.kernel.Q @ w)[m.pair_index(2, 0)] == pytest.approx(-4.0,
+                                                                abs=1e-12)
 
 
 def test_weighted_norm_cases():
@@ -91,8 +89,8 @@ def test_mismatched_tables_rejected():
         CtmdpModel(
             states=StateSpace(size=2),
             actions=ActionSets(sets=(((0.0,),),)),
-            kernel=RateKernel([[[(0, 0.0)]]]),
-            rewards=RewardTable(table=((0.0,),)),
+            kernel=kernel_from_rows([[[(0, 0.0)]]]),
+            r=[0.0],
         )
 
 
@@ -123,7 +121,7 @@ def test_kernel_sorts_each_row_by_target(rows, rnd):
             items = list(entries.items())
             rnd.shuffle(items)
             given_rows[-1].append(items)
-    kernel = RateKernel(given_rows)
+    kernel = kernel_from_rows(given_rows)
     for x, per_state in enumerate(rows):
         assert kernel.counts[x] == len(per_state)
         for a, entries in enumerate(per_state):
@@ -134,31 +132,45 @@ def test_kernel_sorts_each_row_by_target(rows, rnd):
 
 def test_kernel_rejects_duplicate_target():
     with pytest.raises(ModelError, match=r"duplicate target in rate row \(1\)"):
-        RateKernel([[[(0, 0.0)]], [[(0, 1.0), (1, -1.0)], [(1, 2.0), (1, 1.0)]],
-                    [[(0, 1.0), (0, 1.0)]]])
+        kernel_from_rows([[[(0, 0.0)]],
+                          [[(0, 1.0), (1, -1.0)], [(1, 2.0), (1, 1.0)]],
+                          [[(0, 1.0), (0, 1.0)]]])
 
 
 @pytest.mark.parametrize("rows, rewards, message", [
     # state 1 has too few rate rows, state 2 an out-of-range target
     ([[[(0, 0.0)]], [[(1, 0.0)]], [[(2, -1.0), (9, 1.0)]]],
-     ((0.0,), (0.0, 0.0), (0.0,)), "action count mismatch at state 1"),
-    # an out-of-range target comes before a mismatch at a later state
+     [0.0] * 4, "action count mismatch at state 1"),
+    # an out-of-range target comes before a mismatch at a later state ...
     ([[[(0, -1.0), (5, 1.0)]], [[(1, 0.0)]], [[(2, 0.0)]]],
-     ((0.0,), (0.0, 0.0), (0.0,)), r"rate target out of range at \(0,0\)"),
+     [0.0] * 4, r"rate target out of range at \(0,0\)"),
+    # ... and before a reward count mismatch
     ([[[(0, 0.0)]], [[(1, 0.0)], [(-1, 1.0), (1, -1.0)]], [[(2, 0.0)]]],
-     ((0.0,), (0.0, 0.0), (0.0, 0.0)), r"rate target out of range at \(1,1\)"),
+     [0.0] * 5, r"rate target out of range at \(1,1\)"),
     # at one state the count mismatch is named first
     ([[[(0, 0.0)]], [[(1, 0.0)], [(3, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
-     ((0.0,), (0.0, 0.0), (0.0,)), "action count mismatch at state 1"),
+     [0.0] * 4, "action count mismatch at state 1"),
     ([[[(0, 0.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
-     ((0.0,), (0.0, 0.0), (0.0, 0.0)), "action count mismatch at state 2"),
+     [0.0] * 5, r"reward count mismatch: r has shape \(5,\) for 4 \(state, "
+                r"action\) pairs"),
 ])
 def test_model_names_first_structural_offender(rows, rewards, message):
     with pytest.raises(ModelError, match=message):
         CtmdpModel(states=StateSpace(size=3),
                    actions=ActionSets(sets=(((0.0,),), ((0.0,), (1.0,)),
                                             ((0.0,),))),
-                   kernel=RateKernel(rows), rewards=RewardTable(table=rewards))
+                   kernel=kernel_from_rows(rows), r=rewards)
+
+
+@pytest.mark.parametrize("r", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 0.0])
+def test_rewards_are_one_array_over_the_pairs(r):
+    with pytest.raises(ModelError, match=r"reward count mismatch: r has "
+                       r"shape \(.*\) for 2 \(state, action\) pairs"):
+        CtmdpModel(states=StateSpace(size=2),
+                   actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
+                   kernel=two_state_model().kernel, r=r)
+    m = two_state_model(r0=1, r1=-2)
+    assert m.r.dtype == np.float64 and m.r.tolist() == [1.0, -2.0]
 
 
 def test_policy_bounds_checked():
@@ -200,7 +212,7 @@ def test_pair_arrays_consistent_with_rows():
     for x in range(m.n):
         for a in range(m.n_actions(x)):
             p = m.pair_index(x, a)
-            assert m.r[p] == m.rewards.rate(x, a)
+            assert (m.x_of_pair[p], m.a_of_pair[p]) == (x, a)
             assert m.exit[p] == pytest.approx(m.kernel.exit_rate(x, a))
 
 

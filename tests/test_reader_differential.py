@@ -2,19 +2,24 @@
 reference `explicit_model_loop` in oracles.py. On valid documents (int
 rates, integral-float x and a, omitted and explicit diagonals, shuffled
 and repeated records, -0.0 rates) the two must build byte-identical
-models; on malformed ones they must raise the same error."""
+models; on malformed ones they must raise the same error. The writer
+`model_to_dict` must serialize to the same bytes as the pair-by-pair
+reference `model_to_dict_loop`."""
 
 import copy
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmdp import model_from_dict
-from oracles import explicit_model_loop
-from test_malformed_input import EXPLICIT, mutated_model
+from ctmdp import build, dumps, loads_model, model_from_dict, model_to_dict
+from oracles import explicit_model_loop, model_to_dict_loop
+from test_malformed_input import EXPLICIT, VALID, mutated_model
+
+GOLDEN = Path(__file__).parent / "golden"
 
 RATES = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.5, 1.5, 1e-3, 2.0,
                          1, 2, 0])
@@ -68,7 +73,7 @@ def contents(m):
     lyap = m.lyapunov
     return (m.kernel.indptr.tobytes(), m.kernel.indices.tobytes(),
             m.kernel.data.tobytes(), m.kernel.counts.tobytes(),
-            [np.array(r, dtype=np.float64).tobytes() for r in m.rewards.table],
+            m.r.tobytes(),
             [np.array(a, dtype=np.float64).tobytes() for a in m.actions.sets],
             m.states.labels,
             None if lyap is None else (
@@ -91,6 +96,24 @@ def test_reader_matches_loop_on_valid_documents(doc):
     expected = outcome(explicit_model_loop, doc)
     assert not isinstance(expected[0], type), expected
     assert outcome(model_from_dict, doc) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_docs())
+def test_writer_matches_loop_on_valid_documents(doc):
+    m = model_from_dict(doc)
+    assert dumps(model_to_dict(m)) == dumps(model_to_dict_loop(m))
+
+
+@pytest.mark.parametrize("source", ["birth_death", "skip_free", "tandem",
+                                    "mmn0", "explicit_model.json",
+                                    "multichain_model.json"])
+def test_writer_matches_loop(source):
+    if source in VALID:
+        m = build(source, VALID[source])
+    else:
+        m = loads_model((GOLDEN / source).read_text())
+    assert dumps(model_to_dict(m)) == dumps(model_to_dict_loop(m))
 
 
 @settings(max_examples=200, deadline=None)

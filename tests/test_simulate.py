@@ -41,8 +41,8 @@ def test_absorbing_state_single_segment():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=1),
         actions=ctmdp.ActionSets(sets=(((0.0,),),)),
-        kernel=ctmdp.RateKernel([[[(0, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((3.0,),)),
+        kernel=oracles.kernel_from_rows([[[(0, 0.0)]]]),
+        r=[3.0],
     )
     rec = simulate_path(m, zero_policy(m), 0, 10.0, seed=0)
     assert rec.times.tolist() == [0.0]
@@ -52,7 +52,7 @@ def test_absorbing_state_single_segment():
 def test_reward_integral_matches_segments(mm20):
     f = zero_policy(mm20)
     rec = simulate_path(mm20, f, 0, 200.0, seed=4)
-    r = np.array([mm20.rewards.rate(int(s), 0) for s in rec.states])
+    r = np.array([oracles.reward(mm20, int(s), 0) for s in rec.states])
     ends = np.append(rec.times[1:], rec.horizon)
     assert rec.reward_integral == pytest.approx(float(r @ (ends - rec.times)))
 
@@ -97,7 +97,7 @@ def test_jump_frequencies_match_rates():
 def test_average_reward_constant_is_exact(mm20):
     flat_r = ctmdp.CtmdpModel(
         states=mm20.states, actions=mm20.actions, kernel=mm20.kernel,
-        rewards=ctmdp.RewardTable(table=((2.0,),) * mm20.n),
+        r=np.full(mm20.n_pairs, 2.0),
     )
     rep = estimate_average_reward(flat_r, zero_policy(mm20), 0, 100.0, 5,
                                   seed=1)
@@ -142,7 +142,7 @@ def test_lyapunov_bound_trivial_weight(mm20):
     lyap = ctmdp.LyapunovData(w=np.ones(mm20.n), c=1.0, b=1.0, M=3.0,
                               M_q=5.0)
     m = ctmdp.CtmdpModel(states=mm20.states, actions=mm20.actions,
-                         kernel=mm20.kernel, rewards=mm20.rewards,
+                         kernel=mm20.kernel, r=mm20.r,
                          lyapunov=lyap)
     rep = check_lyapunov_bound(m, zero_policy(m), 0, [0.5, 1.0, 2.0], 10,
                                seed=3)
@@ -174,8 +174,8 @@ def test_ergodicity_no_mixing_flagged():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
         actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
-        kernel=ctmdp.RateKernel([[[(0, 0.0)]], [[(1, 0.0)]]]),
-        rewards=ctmdp.RewardTable(table=((1.0,), (0.0,))),
+        kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
+        r=[1.0, 0.0],
     )
     rep = estimate_ergodicity(m, zero_policy(m), [np.array([0.0, 1.0])],
                               (0, 1), [0.5, 1.0, 2.0], 20, seed=10)

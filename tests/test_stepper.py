@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, RateKernel,
-                   RewardTable, StateSpace, StationaryPolicy,
-                   estimate_average_reward, simulate_path)
+from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, StateSpace,
+                   StationaryPolicy, estimate_average_reward, simulate_path)
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run, _checkpoint_samples
-from oracles import reference_policy_path, reference_redistribution_path
+from oracles import (kernel_from_rows, reference_policy_path,
+                     reference_redistribution_path)
 
 REL = 1e-12
 # awkward rates make the normalized running sums round below 1
@@ -43,12 +43,12 @@ def explicit_models(draw):
             entries[x] = -sum(entries.values())
             per_state.append(sorted(entries.items()))
         rows.append(per_state)
-        rewards.append(tuple(draw(st.floats(-3.0, 3.0)) for _ in per_state))
+        rewards.extend(draw(st.floats(-3.0, 3.0)) for _ in per_state)
     model = CtmdpModel(
         states=StateSpace(size=n),
         actions=ActionSets(sets=tuple(tuple((float(a),) for a in range(
             len(per_state))) for per_state in rows)),
-        kernel=RateKernel(rows), rewards=RewardTable(table=tuple(rewards)))
+        kernel=kernel_from_rows(rows), r=rewards)
     f = StationaryPolicy(choice=[draw(st.integers(0, len(per_state) - 1))
                                  for per_state in rows])
     return model, f
@@ -180,9 +180,9 @@ def test_top_uniform_draw_lands_on_last_positive_target():
     row = list(enumerate(rates + [0.0], start=1))      # trailing zero rate
     model = CtmdpModel(
         states=StateSpace(size=11), actions=ActionSets(sets=(((0.0,),),) * 11),
-        kernel=RateKernel([[[(0, -sum(rates))] + row]]
-                          + [[[(x, 0.0)]] for x in range(1, 11)]),
-        rewards=RewardTable(table=((0.0,),) * 11))
+        kernel=kernel_from_rows([[[(0, -sum(rates))] + row]]
+                                + [[[(x, 0.0)]] for x in range(1, 11)]),
+        r=np.zeros(11))
     chain = simulate._PolicyChain(model, StationaryPolicy(choice=[0] * 11))
     assert chain.cum[0, -2:].tolist() == [1.0, 1.0]
     top = np.nextafter(1.0, 0.0)

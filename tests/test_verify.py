@@ -5,6 +5,8 @@ import ctmdp
 from ctmdp import (StationaryPolicy, certify_lower, certify_upper, delta,
                    martingale_diagnostic, solve_average)
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def solved():
@@ -55,6 +57,26 @@ def test_delta_accepts_action_index(solved):
     a = sol.policy[x]
     assert delta(m, x, a, sol.h, sol.gain) == pytest.approx(
         delta(m, x, sol.policy, sol.h, sol.gain))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
+                     "N": 40, "G": 5}),
+    ("tandem", {"N": 6, "G": 2}),
+    ("skip_free", {"lambda": 1, "mu": 2, "b": 1.0, "beta": 2.0, "N": 30,
+                   "G": 4})])
+def test_delta_matches_loop_bit_for_bit(name, params):
+    # CSR matvec sums each row from 0.0 in target order, as the loop does
+    m = ctmdp.build(name, params)
+    u = np.random.default_rng(7).normal(scale=100.0, size=m.n)
+    for x in range(m.n):
+        for a in range(m.n_actions(x)):
+            ref = (oracles.reward(m, x, a)
+                   + oracles.generator_apply_loop(m, u, x, a) - 0.37)
+            assert np.float64(delta(m, x, a, u, 0.37)).tobytes() == \
+                np.float64(ref).tobytes()
+        with pytest.raises(IndexError, match="out of range"):
+            delta(m, x, m.n_actions(x), u, 0.37)
 
 
 def test_martingale_flat_at_optimum(solved):
