@@ -515,26 +515,22 @@ def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
     rates rate[k], k in entry order: duplicate targets of a pair summed in
     entry order from 0.0, and a diagonal entry added to each pair."""
     n_pairs, n = len(x_of), len(counts)
-    key, first, slot = np.unique(key, return_index=True, return_inverse=True)
-    merged = np.zeros(len(key))
-    np.add.at(merged, slot, rate)
-    del slot
+    # equal keys in runs, each run in entry order
+    order = np.argsort(key, kind="stable")
+    key, rate = key[order], rate[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    head = np.flatnonzero(new)
+    merged = _run_sums(rate, head, np.append(head[1:], len(key)))
+    first = order[head]                   # first entry of each merged key
+    del order, rate, new
+    key = key[head]
     owner = key // n                      # pair of each merged entry
     size = np.bincount(owner, minlength=n_pairs)
-    # the diagonal adds each pair's merged rates one at a time, in order of
-    # first appearance (np.add.reduceat does not add sequentially, so its
-    # rounding differs)
-    ordered = merged[np.argsort(first)]   # pair by pair
-    del first
+    # the diagonal adds each pair's merged rates in order of first appearance
     end = np.cumsum(size)
-    at = end - size
-    total = np.zeros(n_pairs)
-    live = np.flatnonzero(size)
-    while len(live):
-        total[live] += ordered[at[live]]
-        at[live] += 1
-        live = live[at[live] < end[live]]
-    del ordered
+    total = _run_sums(merged[np.argsort(first)], end - size, end)
+    del first
     # each pair's merged entries, then its diagonal
     targets = np.empty(len(key) + n_pairs, dtype=np.int64)
     values = np.empty(len(key) + n_pairs)
@@ -544,6 +540,20 @@ def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
     at = end + np.arange(n_pairs)
     targets[at], values[at] = x_of, np.where(size > 0, -total, 0.0)
     return RateKernel(counts, size + 1, targets, values)
+
+
+def _run_sums(values, start, end) -> np.ndarray:
+    """Sum of each run values[start[i]:end[i]], added one value at a time
+    from 0.0 (np.add.reduceat does not add sequentially, so its rounding
+    differs)."""
+    total = np.zeros(len(start))
+    at = start.copy()
+    live = np.flatnonzero(at < end)
+    while len(live):
+        total[live] += values[at[live]]
+        at[live] += 1
+        live = live[at[live] < end[live]]
+    return total
 
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:

@@ -25,6 +25,16 @@ path (counted from 0 over the concatenated blocks) reads entry j of each:
   u_j < 1 finds one);
 * in the redistribution process q = d, component min(floor(u_j d), d - 1)
   fires and its mass is scaled by E'_j / lambda.
+
+Jump choice by table lookup (Chen and Asau 1974). The cuts of a tabulated
+chain are the distinct normalized running sums of all its states (1 in a
+state that does not move, whose jumps stay put). Once per block each draw
+u is ranked by p = the number of cuts below u. A running sum c is below u
+exactly when fewer than p cuts are below c, so the target the rule above
+selects from x depends only on (x, p): a jump is one gather from a table
+with a row per state and an entry per rank, built once per chain. Where
+that table would exceed JUMP_TABLE_CELLS entries, each jump compares u
+with the running sums of x instead. Both select the same targets.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ RNG_DRAWS = ("blocks k = 0, 1, ... of min(16 * 2**k, 1024) draws: "
              "standard_exponential (mass factor E / lambda)")
 FIRST_BLOCK, LAST_BLOCK = 16, 1024
 GROUP_CELLS = 1 << 15        # replications x block length stepped at once
+JUMP_TABLE_CELLS = 1 << 20   # states x (cuts + 1) of the jump table, at most
 MAX_JUMPS = 10 ** 8
 
 
@@ -96,8 +107,9 @@ class PathRecorder:
 # -- the two jump chains: start states, one block of jumps, per-state rates --
 
 class _PolicyChain:
-    """Embedded chain of a tabulated model under a stationary policy, as
-    padded (n, K) target and cumulative-probability tables."""
+    """Embedded chain of a tabulated model under a stationary policy: a
+    (state, rank) jump table, or padded (n, K) target and cumulative-
+    probability tables where the jump table would exceed JUMP_TABLE_CELLS."""
 
     n_draws = 2
 
@@ -118,12 +130,29 @@ class _PolicyChain:
         self.rate = cum[:, -1].copy()
         moves = self.rate > 0
         cum[moves] /= self.rate[moves, None]     # padding columns read 1
+        cum[~moves] = 1.0                        # so column 0 for every u
         targets = np.repeat(np.arange(n)[:, None], K, axis=1)
         targets[x_of, col] = ys
         targets[~moves] = np.arange(n)[~moves, None]
-        self.cum, self.targets = cum, targets.ravel()
-        self.row0 = np.arange(n) * K
         self.reward = model.r[pairs]
+        self.cuts = np.unique(cum)
+        W = self.width = len(self.cuts) + 1
+        if n * W > JUMP_TABLE_CELLS:
+            self.cum, self.targets = cum, targets.ravel()
+            self.row0 = np.arange(n) * K
+            self.next = None
+            return
+        # c < u exactly when rank(c) < p, p = the cuts below u, so the
+        # first column of x with cum >= u is the number of its columns
+        # ranked below p; count them for every p at once
+        rank = self.cuts.searchsorted(cum)
+        first = np.bincount((rank + 1 + (np.arange(n) * W)[:, None]).ravel(),
+                            minlength=n * W).reshape(n, W)
+        np.cumsum(first, axis=1, out=first)
+        # p = W - 1 has u above every cut (u > 1, never drawn), where the
+        # comparison walk takes column 0
+        first[:, -1] = 0
+        self.next = targets[np.arange(n)[:, None], first].ravel() * W
 
     def start(self, x0, reps: int) -> np.ndarray:
         x0 = int(x0)
@@ -133,15 +162,21 @@ class _PolicyChain:
 
     def walk(self, x, draws) -> np.ndarray:
         """States before and after each jump of a block, (G, L + 1)."""
-        u = np.ascontiguousarray(draws[1].T)[:, :, None]
-        S = np.empty((len(u) + 1, len(x)), dtype=np.int64)
-        S[0] = x
-        for j, uj in enumerate(u):
-            # u < 1 = cum[x, -1] where x moves, so argmin finds the first
-            # cum >= u; in an absorbing x it finds column 0, x itself
-            x = self.targets.take(self.row0.take(x)
-                                  + (self.cum.take(x, 0) < uj).argmin(1))
-            S[j + 1] = x
+        S = np.empty((draws.shape[2] + 1, len(x)), dtype=np.int64)
+        if self.next is None:
+            S[0] = x
+            u = np.ascontiguousarray(draws[1].T)[:, :, None]
+            for j, uj in enumerate(u):
+                # u < 1 = cum[x, -1], so argmin finds the first cum >= u
+                x = self.targets.take(self.row0.take(x)
+                                      + (self.cum.take(x, 0) < uj).argmin(1))
+                S[j + 1] = x
+            return S.T
+        # xW = x * width: row x of the table, entry p = the cuts below u
+        xW = S[0] = x * self.width
+        for j, p in enumerate(self.cuts.searchsorted(draws[1]).T):
+            xW = S[j + 1] = self.next.take(xW + p)
+        S //= self.width
         return S.T
 
     def exit_rate(self, S) -> np.ndarray:

@@ -73,7 +73,13 @@ def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     direct action index; its sign sets the sub/supermartingale direction."""
     a = f[x] if isinstance(f, StationaryPolicy) else int(f)
     p = model.pair_index(x, a)
-    return model.r[p] + (model.kernel.Q[[p]] @ u)[0] - g
+    k = model.kernel
+    lo, hi = k.indptr[p], k.indptr[p + 1]
+    total = 0.0              # from 0.0 in target order, as Q @ u sums a row
+    for term in (np.asarray(u, dtype=np.float64).take(k.indices[lo:hi])
+                 * k.data[lo:hi]).tolist():
+        total += term
+    return model.r[p] + total - g
 
 
 @dataclass

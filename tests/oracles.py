@@ -784,12 +784,11 @@ def reference_path(exit_rate, reward, jump, x0, horizon, draws,
     return times, states, rint, at_checkpoints, len(times) - 1
 
 
-def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
-                          horizon: float, seed: int, rep: int = 0,
-                          checkpoints=()):
-    """reference_path for a tabulated model: the off-diagonal targets of
-    x in ascending order, chosen by the first normalized running sum of
-    rates >= u."""
+def reference_policy_chain(model: CtmdpModel, f: StationaryPolicy):
+    """Per-state exit rates and rewards of a tabulated model under f, and
+    its jump rule (x, u) -> next state: the off-diagonal targets of x in
+    ascending order, chosen by the first normalized running sum of rates
+    >= u (x itself where x does not move)."""
     targets, cums, rates, rewards = [], [], [], []
     for x in range(model.n):
         ys, qs = model.kernel.row(x, f[x])
@@ -802,8 +801,16 @@ def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
         rewards.append(reward(model, x, f[x]))
 
     def jump(x, u):
-        return targets[x][bisect.bisect_left(cums[x], u)]
+        return targets[x][bisect.bisect_left(cums[x], u)] if cums[x] else x
 
+    return rates, rewards, jump
+
+
+def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
+                          horizon: float, seed: int, rep: int = 0,
+                          checkpoints=()):
+    """reference_path for a tabulated model, by reference_policy_chain."""
+    rates, rewards, jump = reference_policy_chain(model, f)
     return reference_path(rates.__getitem__, rewards.__getitem__, jump,
                           int(x0), horizon,
                           replication_draws(seed, rep, 2), checkpoints)

@@ -5,6 +5,9 @@ states and jump times must be identical; reward integrals and checkpoint
 values must agree to 1e-12 relative.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,21 @@ from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, StateSpace,
                    StationaryPolicy, estimate_average_reward, simulate_path)
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run, _checkpoint_samples
-from oracles import (kernel_from_rows, reference_policy_path,
-                     reference_redistribution_path)
+from oracles import (kernel_from_rows, reference_policy_chain,
+                     reference_policy_path, reference_redistribution_path)
 
 REL = 1e-12
 # awkward rates make the normalized running sums round below 1
 RATES = st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.0, 2.9, 1e-3])
+
+
+def comparison_walk():
+    """Force the comparison walk: no jump table fits in 0 cells."""
+    return mock.patch.object(simulate, "JUMP_TABLE_CELLS", 0)
+
+
+# both walk paths of a tabulated chain: the jump table, then the comparison
+WALKS = (contextlib.nullcontext, comparison_walk)
 
 
 @st.composite
@@ -80,7 +92,12 @@ def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
     model, f = model_f
     x0 = x0 % model.n
     cps = sorted(horizon * p for p in fractions)
+    for walk in WALKS:
+        with walk():
+            assert_stepper_matches(model, f, x0, horizon, reps, seed, cps)
 
+
+def assert_stepper_matches(model, f, x0, horizon, reps, seed, cps):
     rec = simulate_path(model, f, x0, horizon, seed, checkpoints=cps,
                         cp_fn=lambda s, ri: ri)
     ref = reference_policy_path(model, f, x0, horizon, seed, 0, cps)
@@ -105,19 +122,43 @@ def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
                            runs.jumps[rep])
 
 
+@settings(max_examples=100, deadline=None)
+@given(explicit_models())
+def test_jumps_on_and_beside_every_cut_match_reference(model_f):
+    # u = 0, each cut, and its neighbours below 1: c < u must select the
+    # same target in the table as in the comparison and the reference
+    model, f = model_f
+    _, _, jump = reference_policy_chain(model, f)
+    cuts = simulate._PolicyChain(model, f).cuts
+    us = np.unique(np.concatenate(([0.0], cuts, np.nextafter(cuts, 0.0),
+                                   np.nextafter(cuts, 2.0))))
+    us = us[(us >= 0.0) & (us < 1.0)]
+    x = np.repeat(np.arange(model.n), len(us))
+    u = np.tile(us, model.n)
+    expected = [jump(xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
+    draws = np.stack([np.ones_like(u), u])[:, :, None]
+    for walk, tabled in zip(WALKS, (True, False)):
+        with walk():
+            chain = simulate._PolicyChain(model, f)
+        assert (chain.next is not None) == tabled
+        assert chain.walk(x, draws)[:, 1].tolist() == expected
+
+
 def test_long_path_crosses_full_blocks():
     # about 5300 jumps: every block length up to the largest, repeated
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "N": 12, "G": 2})
     f = StationaryPolicy(choice=np.ones(m.n, dtype=np.int64))
     cps = [1.0, 100.0, 777.7, 2500.0]
-    rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
-                        cp_fn=lambda s, ri: ri)
-    assert len(rec.times) > 4 * simulate.LAST_BLOCK
     ref = reference_policy_path(m, f, 3, 2500.0, 5, 0, cps)
-    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
-                   rec.checkpoint_values, [s for s, _ in ref[3]],
-                   len(rec.times) - 1)
+    for walk in WALKS:
+        with walk():
+            rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
+                                cp_fn=lambda s, ri: ri)
+        assert len(rec.times) > 4 * simulate.LAST_BLOCK
+        assert_matches(ref, rec.times, rec.states, rec.reward_integral,
+                       rec.checkpoint_values, [s for s, _ in ref[3]],
+                       len(rec.times) - 1)
 
 
 def test_redistribution_matches_scalar_reference():
@@ -162,14 +203,15 @@ def test_guard_names_replication_time_and_state():
     m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
                              "G": 1})
     f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
-    with pytest.raises(ctmdp.SimulationError) as err:
-        simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0,
-                      max_jumps=100)
-    exc = err.value
-    assert exc.rep == 0 and exc.jumps == 101
-    times, states, *_ = reference_policy_path(m, f, 0, 2 * exc.time, 0, 0)
-    assert exc.time == times[101]
-    assert exc.last_state == states[101]
+    for walk in WALKS:
+        with walk(), pytest.raises(ctmdp.SimulationError) as err:
+            simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0,
+                          max_jumps=100)
+        exc = err.value
+        assert exc.rep == 0 and exc.jumps == 101
+        times, states, *_ = reference_policy_path(m, f, 0, 2 * exc.time, 0, 0)
+        assert exc.time == times[101]
+        assert exc.last_state == states[101]
 
 
 def test_top_uniform_draw_lands_on_last_positive_target():
@@ -183,8 +225,21 @@ def test_top_uniform_draw_lands_on_last_positive_target():
         kernel=kernel_from_rows([[[(0, -sum(rates))] + row]]
                                 + [[[(x, 0.0)]] for x in range(1, 11)]),
         r=np.zeros(11))
-    chain = simulate._PolicyChain(model, StationaryPolicy(choice=[0] * 11))
-    assert chain.cum[0, -2:].tolist() == [1.0, 1.0]
+    f = StationaryPolicy(choice=[0] * 11)
     top = np.nextafter(1.0, 0.0)
     draws = np.array([[[1.0]], [[top]]])
-    assert chain.walk(np.array([0]), draws).tolist() == [[0, 9]]
+    for walk in WALKS:
+        with walk():
+            chain = simulate._PolicyChain(model, f)
+        assert chain.walk(np.array([0]), draws).tolist() == [[0, 9]]
+
+
+def test_jump_table_is_capped_by_one_constant(monkeypatch):
+    m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
+                                    "N": 30, "G": 3})
+    f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
+    cells = m.n * simulate._PolicyChain(m, f).width
+    monkeypatch.setattr(simulate, "JUMP_TABLE_CELLS", cells)
+    assert simulate._PolicyChain(m, f).next.size == cells
+    monkeypatch.setattr(simulate, "JUMP_TABLE_CELLS", cells - 1)
+    assert simulate._PolicyChain(m, f).next is None
