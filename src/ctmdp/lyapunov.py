@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .model import CtmdpModel, ModelError, StationaryPolicy, boundary_states
+from .model import (CtmdpModel, ModelError, StationaryPolicy, _run_sums,
+                    boundary_states)
 
 SLACK_TOL = -1e-10
 
@@ -153,17 +154,9 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
     row, ys, rates = model.entries_of(model.kernel.starts + f.choice)
     size = np.bincount(row, minlength=n)
     end = np.cumsum(size)
-    # tail[j]: sum of entries j, j+1, ... of their row; a +0.0 pad at the end
-    tail = np.zeros(len(rates) + 1)
-    acc = np.full(n, -0.0)               # -0.0 + v is v for every v
-    live = np.flatnonzero(size)
-    t = 0
-    while len(live):
-        at = end[live] - 1 - t
-        acc[live] += rates[at]
-        tail[at] = acc[live]
-        t += 1
-        live = live[size[live] > t]
+    # tail[j]: sum of entries j, j+1, ... of their row, added from the last
+    # (running sums of the reversed rows); a +0.0 pad at the end
+    tail = np.append(_run_sums(rates[::-1], size[::-1], -0.0)[::-1], 0.0)
     # entry j's tail is T(y_j) itself if entries j, ... fill y_j..n-1
     after = end[row] - 1 - np.arange(len(rates))
     fills = np.append(ys == n - 1 - after, False)

@@ -521,39 +521,43 @@ def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
     new = np.ones(len(key), dtype=bool)
     new[1:] = key[1:] != key[:-1]
     head = np.flatnonzero(new)
-    merged = _run_sums(rate, head, np.append(head[1:], len(key)))
     first = order[head]                   # first entry of each merged key
-    del order, rate, new
+    del order, new
+    end = np.append(head, len(key))[1:]
+    merged = _run_sums(rate, end - head, 0.0)[end - 1]
+    del rate
     key = key[head]
     owner = key // n                      # pair of each merged entry
     size = np.bincount(owner, minlength=n_pairs)
     # the diagonal adds each pair's merged rates in order of first appearance
     end = np.cumsum(size)
-    total = _run_sums(merged[np.argsort(first)], end - size, end)
+    total = _run_sums(merged[np.argsort(first)], size, 0.0)
     del first
     # each pair's merged entries, then its diagonal
     targets = np.empty(len(key) + n_pairs, dtype=np.int64)
-    values = np.empty(len(key) + n_pairs)
+    values = np.zeros(len(key) + n_pairs)
     at = np.arange(len(key)) + owner
     targets[at], values[at] = key - owner * n, merged
-    del key, merged, owner
     at = end + np.arange(n_pairs)
-    targets[at], values[at] = x_of, np.where(size > 0, -total, 0.0)
+    targets[at], values[at[size > 0]] = x_of, -total[end[size > 0] - 1]
+    del key, merged, owner, total, head
     return RateKernel(counts, size + 1, targets, values)
 
 
-def _run_sums(values, start, end) -> np.ndarray:
-    """Sum of each run values[start[i]:end[i]], added one value at a time
-    from 0.0 (np.add.reduceat does not add sequentially, so its rounding
-    differs)."""
-    total = np.zeros(len(start))
-    at = start.copy()
-    live = np.flatnonzero(at < end)
+def _run_sums(values, size, zero) -> np.ndarray:
+    """`values`, in place, as running sums within consecutive runs of
+    lengths `size`, each added one value at a time from `zero`: -0.0 adds
+    as np.cumsum does (-0.0 + v is v), 0.0 as a CSR matvec does.
+    np.add.reduceat does not add sequentially, so its rounding differs."""
+    start = np.cumsum(size) - size
+    values[start[size > 0]] += zero
+    live, t = np.flatnonzero(size > 1), 1
     while len(live):
-        total[live] += values[at[live]]
-        at[live] += 1
-        live = live[at[live] < end[live]]
-    return total
+        i = start[live] + t
+        values[i] += values[i - 1]
+        t += 1
+        live = live[size[live] > t]
+    return values
 
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:

@@ -26,15 +26,17 @@ path (counted from 0 over the concatenated blocks) reads entry j of each:
 * in the redistribution process q = d, component min(floor(u_j d), d - 1)
   fires and its mass is scaled by E'_j / lambda.
 
-Jump choice by table lookup (Chen and Asau 1974). The cuts of a tabulated
-chain are the distinct normalized running sums of all its states (1 in a
-state that does not move, whose jumps stay put). Once per block each draw
-u is ranked by p = the number of cuts below u. A running sum c is below u
-exactly when fewer than p cuts are below c, so the target the rule above
-selects from x depends only on (x, p): a jump is one gather from a table
-with a row per state and an entry per rank, built once per chain. Where
-that table would exceed JUMP_TABLE_CELLS entries, each jump compares u
-with the running sums of x instead. Both select the same targets.
+Jump choice by rank. The cuts of a tabulated chain are the distinct
+normalized running sums of all its states (1 in a state that does not
+move, whose jumps stay put). Once per block each draw u is ranked by p =
+the number of cuts below u. A running sum c is below u exactly when fewer
+than p cuts are below c, so the rule above selects the first target of x
+whose running sum ranks >= p. The chain keys each stored entry of its
+rows, and a sentinel x at 1 closing row x, by x * width + rank in one
+sorted array: a jump is the target of the first key >= x * width + p,
+found by binary search, or by one gather from a table of every (x, p)
+built once per chain (Chen and Asau 1974) where n * width is at most
+JUMP_TABLE_CELLS. Memory is linear in the stored entries, the table aside.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import PotlachPolicy, PotlachProcess
-from .model import CtmdpModel, ModelError, StationaryPolicy
+from .model import CtmdpModel, ModelError, StationaryPolicy, _run_sums
 
 RNG_FAMILY = "numpy.random.Philox"
 RNG_DRAWS = ("blocks k = 0, 1, ... of min(16 * 2**k, 1024) draws: "
@@ -107,52 +109,56 @@ class PathRecorder:
 # -- the two jump chains: start states, one block of jumps, per-state rates --
 
 class _PolicyChain:
-    """Embedded chain of a tabulated model under a stationary policy: a
-    (state, rank) jump table, or padded (n, K) target and cumulative-
-    probability tables where the jump table would exceed JUMP_TABLE_CELLS."""
+    """Embedded chain of a tabulated model under a stationary policy: the
+    off-diagonal entries of its rows in (state, target) order, each row
+    closed by a sentinel for the state itself at running sum 1 (a row that
+    does not move keeps only its sentinel). to[e] is entry e's target times
+    `width`, key[e] = x * width + the rank of its normalized running sum,
+    and `next` tabulates the first entry of row x ranked >= p for every
+    (x, p), unless that takes more than JUMP_TABLE_CELLS cells."""
 
     n_draws = 2
 
     def __init__(self, model: CtmdpModel, f: StationaryPolicy):
+        if not isinstance(model, CtmdpModel):
+            raise ModelError(f"{type(model).__name__} is not a CtmdpModel; "
+                             f"the redistribution process supports "
+                             f"simulate_path and the lyapunov mode only")
         model.check_policy(f)
         n = self.n = model.n
         pairs = model.kernel.starts + f.choice
         x_of, ys, rates = model.entries_of(pairs)
         off = ys != x_of
         x_of, ys, rates = x_of[off], ys[off], rates[off]
-        counts = np.bincount(x_of, minlength=n)
-        K = max(int(counts.max()), 1)
-        col = np.arange(len(ys)) - np.repeat(np.cumsum(counts) - counts,
-                                             counts)
-        cum = np.zeros((n, K))
-        cum[x_of, col] = rates
-        np.cumsum(cum, axis=1, out=cum)
-        self.rate = cum[:, -1].copy()
-        moves = self.rate > 0
-        cum[moves] /= self.rate[moves, None]     # padding columns read 1
-        cum[~moves] = 1.0                        # so column 0 for every u
-        targets = np.repeat(np.arange(n)[:, None], K, axis=1)
-        targets[x_of, col] = ys
-        targets[~moves] = np.arange(n)[~moves, None]
+        # each row's entries, then its sentinel, at rate 0 in the sums
+        size = np.bincount(x_of, minlength=n) + 1
+        last = np.cumsum(size) - 1
+        rows = np.arange(n).repeat(size)
+        at = np.arange(len(ys)) + x_of
+        to, run = rows.copy(), np.zeros(len(rows))
+        to[at], run[at] = ys, rates
+        _run_sums(run, size, -0.0)
+        self.rate = run[last]
         self.reward = model.r[pairs]
-        self.cuts = np.unique(cum)
+        moves = self.rate > 0
+        run /= np.where(moves, self.rate, 1.0)[rows]
+        run[last] = 1.0
+        keep = moves[rows] | (to == rows)     # rows that move, sentinels
+        rows, to, run = rows[keep], to[keep], run[keep]
+        self.cuts = np.unique(run)
         W = self.width = len(self.cuts) + 1
+        self.to = to * W
+        self.key = rows * W + self.cuts.searchsorted(run)
         if n * W > JUMP_TABLE_CELLS:
-            self.cum, self.targets = cum, targets.ravel()
-            self.row0 = np.arange(n) * K
             self.next = None
             return
-        # c < u exactly when rank(c) < p, p = the cuts below u, so the
-        # first column of x with cum >= u is the number of its columns
-        # ranked below p; count them for every p at once
-        rank = self.cuts.searchsorted(cum)
-        first = np.bincount((rank + 1 + (np.arange(n) * W)[:, None]).ravel(),
-                            minlength=n * W).reshape(n, W)
-        np.cumsum(first, axis=1, out=first)
-        # p = W - 1 has u above every cut (u > 1, never drawn), where the
-        # comparison walk takes column 0
-        first[:, -1] = 0
-        self.next = targets[np.arange(n)[:, None], first].ravel() * W
+        # the first entry of row x ranked >= p follows every entry keyed
+        # below x * W + p; p = W - 1 (u above every cut, never drawn) would
+        # read the next row's first entry: x's own sentinel instead
+        first = np.bincount(self.key + 1, minlength=n * W)
+        np.cumsum(first, out=first)
+        first[W - 1::W] -= 1
+        self.next = self.to[first]
 
     def start(self, x0, reps: int) -> np.ndarray:
         x0 = int(x0)
@@ -163,19 +169,13 @@ class _PolicyChain:
     def walk(self, x, draws) -> np.ndarray:
         """States before and after each jump of a block, (G, L + 1)."""
         S = np.empty((draws.shape[2] + 1, len(x)), dtype=np.int64)
-        if self.next is None:
-            S[0] = x
-            u = np.ascontiguousarray(draws[1].T)[:, :, None]
-            for j, uj in enumerate(u):
-                # u < 1 = cum[x, -1], so argmin finds the first cum >= u
-                x = self.targets.take(self.row0.take(x)
-                                      + (self.cum.take(x, 0) < uj).argmin(1))
-                S[j + 1] = x
-            return S.T
-        # xW = x * width: row x of the table, entry p = the cuts below u
+        lookup = (self.next.take if self.next is not None else
+                  lambda xWp: self.to.take(self.key.searchsorted(xWp)))
+        # xW = x * width, p = the cuts below u: the next state is entry
+        # xW + p of the table, or the target of the first key >= xW + p
         xW = S[0] = x * self.width
         for j, p in enumerate(self.cuts.searchsorted(draws[1]).T):
-            xW = S[j + 1] = self.next.take(xW + p)
+            xW = S[j + 1] = lookup(xW + p)
         S //= self.width
         return S.T
 
@@ -415,18 +415,11 @@ class CheckpointReport:
                 "detail": self.detail}
 
 
-def _checkpoint_run(model, f, x0, checkpoints, reps, seed) -> _Runs:
+def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
     """Replications run just past the last checkpoint."""
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     horizon = float(checkpoints[-1]) * (1 + 1e-12)
-    return _run(_chain(model, f), x0, horizon, reps, seed, checkpoints)
-
-
-def _checkpoint_samples(model, f, x0, checkpoints, reps, seed, value_fn):
-    """value_fn(states) at the checkpoint times, (reps, C); value_fn None
-    gives the weight of the redistribution process."""
-    states = _checkpoint_run(model, f, x0, checkpoints, reps, seed).cp_states
-    return states.sum(axis=-1) if value_fn is None else value_fn(states)
+    return _run(chain, x0, horizon, reps, seed, checkpoints)
 
 
 def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
@@ -442,7 +435,7 @@ def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
         w0 = model.lyapunov.w[int(x0)]
         c, b = model.lyapunov.c, model.lyapunov.b
         weight = model.lyapunov.w.take
-    runs = _checkpoint_run(model, f, x0, checkpoints, reps, seed)
+    runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)
     samples = weight(runs.cp_states)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     means = samples.mean(axis=0)
@@ -483,19 +476,21 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     two-standard-error noise floor. Reported values carry an explicit
     empirical flag; nothing here is a proof.
     """
+    chain = _PolicyChain(model, f)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
-    occ = estimate_average_reward(model, f, int(x0_pair[0]),
-                                  horizon=float(checkpoints[-1]) * 10,
-                                  reps=4, seed=(seed + 1) % 2 ** 64).occupation
+    occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,
+               (seed + 1) % 2 ** 64).occupation
+    occ = occ / occ.sum()
+    states = [_checkpoint_run(chain, x0, checkpoints, reps, seed).cp_states
+              for x0 in x0_pair]
     diffs = {}
     pts, vals = [], []
     for pi, u in enumerate(probes):
         u = np.asarray(u, dtype=np.float64)
         mu_u = float(occ @ u)
         per_start = []
-        for x0 in x0_pair:
-            samples = _checkpoint_samples(model, f, int(x0), checkpoints,
-                                          reps, seed, lambda s: u[s])
+        for cp_states in states:
+            samples = u[cp_states]
             means = samples.mean(axis=0)
             ses = samples.std(axis=0, ddof=1) / np.sqrt(reps)
             gap = np.abs(means - mu_u)

@@ -232,8 +232,9 @@ def test_criterion_11_redistribution_drift_regression():
     pol = ctmdp.PotlachPolicy(matrix=np.full((2, 2), 0.5), q=np.zeros(2))
     x0 = np.array([1.0, 1.0])
     ts = np.linspace(0.01, 0.05, 5)
-    from ctmdp.simulate import _checkpoint_samples
-    samples = _checkpoint_samples(proc, pol, x0, ts, 10 ** 4, 2028, None)
+    from ctmdp.simulate import _chain, _checkpoint_run
+    samples = _checkpoint_run(_chain(proc, pol), x0, ts, 10 ** 4,
+                              2028).cp_states.sum(axis=-1)
     means = samples.mean(axis=0)
     # E w(t) = w(0) * exp(-c t); near zero the slope is -c * w(0)
     slope = np.polyfit(ts, means, 1)[0]

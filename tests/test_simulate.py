@@ -6,6 +6,7 @@ import ctmdp
 from ctmdp import (PotlachPolicy, StationaryPolicy, check_lyapunov_bound,
                    estimate_average_reward, estimate_ergodicity,
                    simulate_path)
+from ctmdp import simulate
 from ctmdp.simulate import MAX_JUMPS, stream
 
 import oracles
@@ -170,6 +171,37 @@ def test_ergodicity_decay_visible(mm20):
     assert rep.rho_hat > 0
 
 
+def test_ergodicity_runs_once_per_start_for_every_probe(mm20, monkeypatch):
+    # one occupation run and one checkpoint run per start, however many
+    # probes; each probe's gaps are those of a one-probe call
+    f = zero_policy(mm20)
+    probes = [np.arange(mm20.n, dtype=float), np.array([1.0, 0.0, 2.0])]
+    args = ((2, 0), [0.25, 0.5, 1.0, 2.0], 50)
+    singles = [estimate_ergodicity(mm20, f, [u], *args, seed=9).diffs[0]
+               for u in probes]
+    calls = []
+    run = simulate._run
+    monkeypatch.setattr(simulate, "_run",
+                        lambda *a, **k: calls.append(a) or run(*a, **k))
+    rep = estimate_ergodicity(mm20, f, probes, *args, seed=9)
+    assert len(calls) == 3
+    assert all(np.array_equal(rep.diffs[i], singles[i]) for i in range(2))
+
+
+def test_redistribution_process_refuses_tabulated_estimates():
+    proc = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
+    pol = PotlachPolicy(matrix=np.full((2, 2), 0.5), q=np.zeros(2))
+    x0 = np.array([1.0, 1.0])
+    calls = [lambda: estimate_average_reward(proc, pol, x0, 1.0, 2, seed=1),
+             lambda: estimate_ergodicity(proc, pol, [np.ones(2)], (x0, x0),
+                                         [0.5, 1.0], 2, seed=1)]
+    for call in calls:
+        with pytest.raises(ctmdp.ModelError,
+                           match="PotlachProcess is not a CtmdpModel.*"
+                                 "simulate_path and the lyapunov mode"):
+            call()
+
+
 def test_ergodicity_no_mixing_flagged():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
@@ -186,9 +218,9 @@ def test_transient_mean_matrix_exponential_crosscheck(mm20):
     # simulated E x(t) against the matrix-exponential oracle
     f = zero_policy(mm20)
     probe = np.arange(mm20.n, dtype=float)
-    from ctmdp.simulate import _checkpoint_samples
-    samples = _checkpoint_samples(mm20, f, 2, [0.5], 600, 17,
-                                  lambda s: probe[s])
+    from ctmdp.simulate import _PolicyChain, _checkpoint_run
+    samples = probe[_checkpoint_run(_PolicyChain(mm20, f), 2, [0.5], 600,
+                                    17).cp_states]
     ref = oracles.transient_mean(mm20, f, 2, probe, 0.5)
     se = samples.std(ddof=1) / np.sqrt(len(samples))
     assert abs(samples.mean() - ref) <= 3 * se + 1e-12

@@ -10,14 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
 from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, StateSpace,
                    StationaryPolicy, estimate_average_reward, simulate_path)
 from ctmdp import simulate
-from ctmdp.simulate import _checkpoint_run, _checkpoint_samples
+from ctmdp.simulate import _checkpoint_run
 from oracles import (kernel_from_rows, reference_policy_chain,
                      reference_policy_path, reference_redistribution_path)
 
@@ -26,13 +26,13 @@ REL = 1e-12
 RATES = st.sampled_from([0.0, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.0, 2.9, 1e-3])
 
 
-def comparison_walk():
-    """Force the comparison walk: no jump table fits in 0 cells."""
+def key_search():
+    """Force the key search: no jump table fits in 0 cells."""
     return mock.patch.object(simulate, "JUMP_TABLE_CELLS", 0)
 
 
-# both walk paths of a tabulated chain: the jump table, then the comparison
-WALKS = (contextlib.nullcontext, comparison_walk)
+# both lookups of a tabulated chain: the jump table, then the key search
+LOOKUPS = (contextlib.nullcontext, key_search)
 
 
 @st.composite
@@ -92,8 +92,8 @@ def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
     model, f = model_f
     x0 = x0 % model.n
     cps = sorted(horizon * p for p in fractions)
-    for walk in WALKS:
-        with walk():
+    for lookup in LOOKUPS:
+        with lookup():
             assert_stepper_matches(model, f, x0, horizon, reps, seed, cps)
 
 
@@ -113,7 +113,8 @@ def assert_stepper_matches(model, f, x0, horizon, reps, seed, cps):
         assert avg.jumps[rep] == ref[4]
 
     if cps:
-        runs = _checkpoint_run(model, f, x0, cps, reps, seed)
+        runs = _checkpoint_run(simulate._PolicyChain(model, f), x0, cps,
+                               reps, seed)
         for rep in range(reps):
             ref = reference_policy_path(model, f, x0, cps[-1] * (1 + 1e-12),
                                         seed, rep, cps)
@@ -122,26 +123,70 @@ def assert_stepper_matches(model, f, x0, horizon, reps, seed, cps):
                            runs.jumps[rep])
 
 
-@settings(max_examples=100, deadline=None)
-@given(explicit_models())
-def test_jumps_on_and_beside_every_cut_match_reference(model_f):
-    # u = 0, each cut, and its neighbours below 1: c < u must select the
-    # same target in the table as in the comparison and the reference
-    model, f = model_f
+def assert_jumps_match_reference(model, f, states):
+    """From each of `states`, draws u = 0, each cut and its neighbours
+    below 1 select the reference target under both lookups: c < u must
+    agree with rank(c) < p."""
     _, _, jump = reference_policy_chain(model, f)
     cuts = simulate._PolicyChain(model, f).cuts
     us = np.unique(np.concatenate(([0.0], cuts, np.nextafter(cuts, 0.0),
                                    np.nextafter(cuts, 2.0))))
     us = us[(us >= 0.0) & (us < 1.0)]
-    x = np.repeat(np.arange(model.n), len(us))
-    u = np.tile(us, model.n)
+    x = np.repeat(states, len(us))
+    u = np.tile(us, len(states))
     expected = [jump(xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
     draws = np.stack([np.ones_like(u), u])[:, :, None]
-    for walk, tabled in zip(WALKS, (True, False)):
-        with walk():
+    for lookup, tabled in zip(LOOKUPS, (True, False)):
+        with lookup():
             chain = simulate._PolicyChain(model, f)
         assert (chain.next is not None) == tabled
         assert chain.walk(x, draws)[:, 1].tolist() == expected
+
+
+def explicit_model(rows):
+    """One action per state, rows[x] = the (target, rate) entries of x."""
+    return (CtmdpModel(states=StateSpace(size=len(rows)),
+                       actions=ActionSets(sets=(((0.0,),),) * len(rows)),
+                       kernel=kernel_from_rows([[row] for row in rows]),
+                       r=np.zeros(len(rows))),
+            StationaryPolicy(choice=[0] * len(rows)))
+
+
+# zero rates stored off the diagonal before, between and after positive
+# ones, and states 2 and 5 whose only off-diagonal entries have rate 0
+ZERO_RATES = explicit_model([
+    [(0, -1.0), (1, 0.0), (2, 0.7), (3, -0.0), (4, 0.3), (5, 0.0)],
+    [(0, 0.0), (1, -2.0), (3, 2.0), (4, 0.0)],
+    [(0, 0.0), (1, -0.0), (2, -0.0)],
+    [(0, -0.0), (2, 1.0 / 3.0), (3, -1.0 / 3.0)],
+    [(4, 0.0)],
+    [(0, 0.0), (4, 0.0)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_models())
+@example(ZERO_RATES)
+def test_jumps_on_and_beside_every_cut_match_reference(model_f):
+    model, f = model_f
+    assert_jumps_match_reference(model, f, np.arange(model.n))
+
+
+def test_wide_row_keeps_the_chain_linear_in_its_entries():
+    # state 0 reaches every other state, where a padded (state, longest
+    # row) layout holds n * (n - 1) cells
+    n = 400
+    wide = [(y, 1.0 + y % 7 / 10) for y in range(1, n)]
+    rows = [[(0, -sum(rate for _, rate in wide))] + wide]
+    rows += [[(x - 1, 2.0), (x, -3.0), (x + 1, 1.0)] for x in range(1, n - 1)]
+    rows += [[(n - 2, 2.0), (n - 1, -2.0)]]
+    model, f = explicit_model(rows)
+    stored = sum(len(row) - 1 for row in rows)
+    with key_search():
+        chain = simulate._PolicyChain(model, f)
+    size = sum(a.size for a in vars(chain).values()
+               if isinstance(a, np.ndarray))
+    assert size <= 5 * (stored + n)
+    assert_jumps_match_reference(model, f, np.array([0, 1, n // 2, n - 1]))
 
 
 def test_long_path_crosses_full_blocks():
@@ -151,8 +196,8 @@ def test_long_path_crosses_full_blocks():
     f = StationaryPolicy(choice=np.ones(m.n, dtype=np.int64))
     cps = [1.0, 100.0, 777.7, 2500.0]
     ref = reference_policy_path(m, f, 3, 2500.0, 5, 0, cps)
-    for walk in WALKS:
-        with walk():
+    for lookup in LOOKUPS:
+        with lookup():
             rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
                                 cp_fn=lambda s, ri: ri)
         assert len(rec.times) > 4 * simulate.LAST_BLOCK
@@ -176,7 +221,8 @@ def test_redistribution_matches_scalar_reference():
     assert np.array_equal(rec.checkpoint_values,
                           [proc.weight(s) for s, _ in ref[3]])
 
-    samples = _checkpoint_samples(proc, pol, x0, cps, 4, 9, None)
+    samples = _checkpoint_run(simulate._chain(proc, pol), x0, cps, 4,
+                              9).cp_states.sum(axis=-1)
     for rep in range(4):
         ref = reference_redistribution_path(proc, pol, x0, 9.0 * (1 + 1e-12),
                                             9, rep, cps)
@@ -203,8 +249,8 @@ def test_guard_names_replication_time_and_state():
     m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
                              "G": 1})
     f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
-    for walk in WALKS:
-        with walk(), pytest.raises(ctmdp.SimulationError) as err:
+    for lookup in LOOKUPS:
+        with lookup(), pytest.raises(ctmdp.SimulationError) as err:
             simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0,
                           max_jumps=100)
         exc = err.value
@@ -228,8 +274,8 @@ def test_top_uniform_draw_lands_on_last_positive_target():
     f = StationaryPolicy(choice=[0] * 11)
     top = np.nextafter(1.0, 0.0)
     draws = np.array([[[1.0]], [[top]]])
-    for walk in WALKS:
-        with walk():
+    for lookup in LOOKUPS:
+        with lookup():
             chain = simulate._PolicyChain(model, f)
         assert chain.walk(np.array([0]), draws).tolist() == [[0, 9]]
 
