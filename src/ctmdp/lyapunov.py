@@ -155,10 +155,12 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
     size = np.bincount(row, minlength=n)
     end = np.cumsum(size)
     # tail[j]: sum of entries j, j+1, ... of their row, added from the last
-    # (running sums of the reversed rows); a +0.0 pad at the end
+    # (running sums of the reversed rows, in place: `rates` is consumed);
+    # a +0.0 pad at the end
     tail = np.append(_run_sums(rates[::-1], size[::-1], -0.0)[::-1], 0.0)
+    del rates
     # entry j's tail is T(y_j) itself if entries j, ... fill y_j..n-1
-    after = end[row] - 1 - np.arange(len(rates))
+    after = end[row] - 1 - np.arange(len(ys))
     fills = np.append(ys == n - 1 - after, False)
     target = np.append(ys, -1)
     key = row * n + ys

@@ -4,17 +4,17 @@ reducible ones included. On every model the solver either returns a
 bracket no wider than tol whose midpoint is within tol of
 `brute_force_oracle`, and whose (gain, h, policy) pass both certificates,
 or raises ConvergenceError; it may raise only when the optimal gain
-differs between start states by at least tol, and its running bracket
-must still hold every state's optimal gain. The span bracket [min bell,
-max bell] holds every state's optimal gain at every h, so it is never
-narrower than their spread; at a spread of exactly tol it closes only at
-an exact solution h, which value iteration approaches without reaching.
+differs between start states by more than tol, so that no bracket can
+close, and its running bracket must still hold every state's optimal gain.
+One model breaks this at a spread of exactly tol (SPREAD_AT_TOL, a known
+failure kept as a strict xfail).
 
 On the same models the batched enumeration of `brute_force_oracle` is
 checked against the per-policy dense reference in oracles.py.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -65,23 +65,10 @@ CONSTANT_GAIN = {
                 {"x": 2, "a": 0, "r": 0.0}, {"x": 3, "a": 0, "r": 1.125},
                 {"x": 4, "a": 0, "r": 0.0}]}
 
-# optimal gains 1e-8, 0 and 1e-8: a spread of exactly TOL. bell(2) = 0.5 -
-# h(2) falls towards 1e-8 from above, and the bracket stalls at
-# [0, 1.0000000105758744e-08]
-SPREAD_AT_TOL = {
-    "kind": "explicit", "states": 3,
-    "actions": [[[0.0]], [[0.0]], [[0.0]]],
-    "rates": [{"x": 0, "a": 0, "entries": []},
-              {"x": 1, "a": 0, "entries": []},
-              {"x": 2, "a": 0, "entries": [[0, 1.0]]}],
-    "rewards": [{"x": 0, "a": 0, "r": 1e-08}, {"x": 1, "a": 0, "r": 0.0},
-                {"x": 2, "a": 0, "r": 0.5}]}
-
 
 @settings(max_examples=200, deadline=None)
 @given(explicit_documents())
 @example(CONSTANT_GAIN)
-@example(SPREAD_AT_TOL)
 def test_solver_brackets_the_oracle_gain(doc):
     model = model_from_dict(doc)
     assert model_to_dict(model_from_dict(model_to_dict(model))) \
@@ -94,7 +81,7 @@ def test_solver_brackets_the_oracle_gain(doc):
         sol = solve_average(model, tol=TOL)
     except ConvergenceError as exc:
         gains = oracles.optimal_gains(model)
-        assert gains.max() - gains.min() >= TOL
+        assert gains.max() - gains.min() > TOL
         lower, upper = exc.bracket
         assert lower <= gains.min() + TOL and gains.max() <= upper + TOL
         return
@@ -107,6 +94,28 @@ def test_solver_brackets_the_oracle_gain(doc):
     assert certify_lower(model, sol.gain, sol.h, sol.policy,
                          tol=TOL).passed
     assert np.isfinite(sol.h).all()
+
+
+# optimal gains 1e-8, 0 and 1e-8: a spread of exactly TOL. bell(2) = 0.5 -
+# h(2) falls towards 1e-8 from above, the bracket stalls at
+# [0, 1.0000000105758744e-08] and the solver raises, which the property's
+# "raise only at a spread > TOL" does not allow. Whether the solver's stop
+# test should allow for rounding or the property should read >= is open.
+SPREAD_AT_TOL = {
+    "kind": "explicit", "states": 3,
+    "actions": [[[0.0]], [[0.0]], [[0.0]]],
+    "rates": [{"x": 0, "a": 0, "entries": []},
+              {"x": 1, "a": 0, "entries": []},
+              {"x": 2, "a": 0, "entries": [[0, 1.0]]}],
+    "rewards": [{"x": 0, "a": 0, "r": 1e-08}, {"x": 1, "a": 0, "r": 0.0},
+                {"x": 2, "a": 0, "r": 0.5}]}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="solve_average raises at a gain spread of exactly "
+                          "tol; the property allows a raise only above it")
+def test_solver_at_a_gain_spread_of_exactly_tol():
+    test_solver_brackets_the_oracle_gain.hypothesis.inner_test(SPREAD_AT_TOL)
 
 
 def _oracle_or_error(oracle, model):
