@@ -2,10 +2,9 @@
 
 from .average import (AverageSolution, OracleError, OracleResult,
                       SensitivityReport, VanishingSchedule,
-                      brute_force_oracle, optimality_residuals, solve_average,
-                      truncation_sensitivity)
+                      brute_force_oracle, solve_average, truncation_sensitivity)
 from .discounted import (ConvergenceError, DiscountedSolution,
-                         bellman_operator, extract_policy, solve_discounted)
+                         extract_policy, solve_discounted)
 from .families import (BUILTINS, PotlachPolicy, PotlachProcess, build,
                        describe)
 from .lyapunov import (DriftReport, check_assumption_A, check_assumption_B,

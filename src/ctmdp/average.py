@@ -28,6 +28,7 @@ from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
                          _vi_relative, check_positive, check_reference,
                          extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
+from .verify import certify_lower, certify_upper
 
 ENUMERATION_LIMIT = 10 ** 6
 # enumeration evaluates policies in chunks of about this many stacked
@@ -92,16 +93,6 @@ class AverageSolution:
         return out
 
 
-def optimality_residuals(model: CtmdpModel, g: float, h,
-                         f: StationaryPolicy):
-    """Residuals of the two average-optimality inequalities at (g, h, f)."""
-    h = np.asarray(h, dtype=np.float64)
-    vals = model.r + model.kernel.Q @ h
-    upper = float(np.max(_state_max(vals, model)) - g)
-    lower = float(np.max(g - vals[model.kernel.starts + f.choice]))
-    return upper, lower
-
-
 def solve_average(model: CtmdpModel,
                   schedule: Optional[VanishingSchedule] = None,
                   tol: float = 1e-8, x0: int = 0) -> AverageSolution:
@@ -142,11 +133,12 @@ def solve_average(model: CtmdpModel,
     bell = _state_max(model.r + model.kernel.Q @ h, model)
     lo, hi = float(np.min(bell)), float(np.max(bell))
     policy = extract_policy(model, h)
-    upper, lower = optimality_residuals(model, g, h, policy)
-    sol = AverageSolution(gain=g, gain_lower=lo, gain_upper=hi,
-                          sweeps=sweeps, h=h, policy=policy, trace=trace,
-                          residual_upper=upper, residual_lower=lower,
-                          converged=hi - lo <= tol, x0=x0)
+    sol = AverageSolution(
+        gain=g, gain_lower=lo, gain_upper=hi, sweeps=sweeps, h=h,
+        policy=policy, trace=trace,
+        residual_upper=certify_upper(model, g, h).max_violation,
+        residual_lower=certify_lower(model, g, h, policy).max_violation,
+        converged=hi - lo <= tol, x0=x0)
     if schedule is not None:
         stack = np.stack(tail + [h])
         sol.h_lower, sol.h_upper = stack.min(axis=0), stack.max(axis=0)
@@ -376,11 +368,15 @@ def truncation_sensitivity(builder, params: dict, levels,
     """Gain stability of a builtin family across truncation levels.
 
     `builder` maps a params dict (with the level substituted under "N")
-    to a model. The h comparison covers the states of the smaller level
-    whose every coordinate lies in its lower half, matched by label.
+    to a model; `levels` must hold two distinct levels at least, and
+    repeats are dropped. The h comparison covers the states of the smaller
+    level whose every coordinate lies in its lower half, matched by label.
     """
     check_positive(tol=tol)
-    levels = sorted(int(N) for N in levels)
+    levels = sorted({int(N) for N in levels})
+    if len(levels) < 2:
+        raise ModelError(f"sensitivity needs at least two distinct "
+                         f"truncation levels, got {levels}")
     runs = []
     for N in levels:
         model = builder(dict(params, N=N))
@@ -394,8 +390,7 @@ def truncation_sensitivity(builder, params: dict, levels,
         h_b = dict(zip(space_b.labels, sb.h))
         diffs = [abs(h - h_b[lab]) for lab, h in zip(space_a.labels, sa.h)
                  if max(lab) < half]
-        grows = space_a.size < space_b.size
-        h_gaps.append(float(np.max(diffs)) if diffs and grows else 0.0)
-    stable = (not gaps) or gaps[-1] <= STABLE_GAP
+        h_gaps.append(float(np.max(diffs)) if diffs else 0.0)
+    stable = gaps[-1] <= STABLE_GAP
     return SensitivityReport(levels=levels, gains=gains, gaps=gaps,
                              h_inner_gaps=h_gaps, stable=stable)

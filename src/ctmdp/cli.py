@@ -74,6 +74,7 @@ _POSITIVE = _ranged(float, lambda v: 0 < v < np.inf, "finite and > 0")
 _NONNEGATIVE = _ranged(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _AT_LEAST_0 = _ranged(int, lambda v: v >= 0, "at least 0")
 _AT_LEAST_1 = _ranged(int, lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = _ranged(int, lambda v: v >= 2, "at least 2")
 _FRACTION = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
@@ -182,9 +183,9 @@ def _checkpoints_arg(raw, default):
         times = [float(v) for v in raw.split(",")]
     except ValueError as exc:
         raise UsageError(f"--checkpoints: {exc}") from exc
-    if not np.all(np.isfinite(times)) or np.any(np.diff(times) < 0):
-        raise UsageError(f"--checkpoints must be finite and non-decreasing: "
-                         f"{raw}")
+    if not np.all(np.isfinite(times)) or np.any(np.diff([0.0] + times) < 0):
+        raise UsageError(f"--checkpoints must be finite, non-negative and "
+                         f"non-decreasing: {raw}")
     return times
 
 
@@ -318,6 +319,9 @@ def _cmd_sensitivity(args, stdin_text) -> int:
     params = _params_arg(args.params, stdin_text)
     levels = typed(_parse_json(f"[{args.levels}]", "--levels"), [int],
                    "--levels")
+    if len(set(levels)) < 2:
+        raise UsageError(f"--levels must list at least two distinct "
+                         f"truncation levels, got {args.levels!r}")
     schedule = _schedule(args)
     config = args.config = {
         "subcommand": "sensitivity", "builtin": args.builtin,
@@ -415,6 +419,16 @@ def _cmd_simulate(args, stdin_text) -> int:
     checkpoints = _checkpoints_arg(args.checkpoints,
                                    np.geomspace(0.25, 16.0, 8))
     config["checkpoints"] = checkpoints
+    if args.mode == "ergodicity":
+        x0b = config["x0b"] = (
+            min(model.n - 1, x0 + 1) if args.x0b is None
+            else _start_state(model, args.x0b, "--x0b"))
+        if checkpoints[-1] == 0:
+            raise UsageError("--checkpoints: the ergodicity mode needs a "
+                             "last time > 0")
+    if args.reps < 2:
+        raise UsageError(f"--reps must be at least 2 in --mode {args.mode}, "
+                         f"got {args.reps}")
     if args.mode == "lyapunov":
         rep = check_lyapunov_bound(model, f, x0, checkpoints, args.reps,
                                    args.seed)
@@ -427,9 +441,6 @@ def _cmd_simulate(args, stdin_text) -> int:
     # ergodicity: default probe u = w (or state index), starts (x0, x0 + 1)
     w = model.weights()
     probe = w if model.lyapunov is not None else np.arange(model.n, dtype=float)
-    x0b = (min(model.n - 1, x0 + 1) if args.x0b is None
-           else _start_state(model, args.x0b, "--x0b"))
-    config["x0b"] = x0b
     rep = estimate_ergodicity(model, f, [probe], (x0, x0b), checkpoints,
                               args.reps, args.seed)
     _emit(args, config, rep.to_dict())
@@ -523,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     p.add_argument("--policy", default="star",
                    help="'star' for the solution policy, or a policy file")
-    p.add_argument("--reps", type=_AT_LEAST_1, default=200)
+    p.add_argument("--reps", type=_AT_LEAST_2, default=200)
     p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--checkpoints", help="comma list of times")

@@ -301,11 +301,3 @@ def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
     return StationaryPolicy(
         choice=_state_argmax(vals, _state_max(vals, model), model))
 
-
-def bellman_operator(model: CtmdpModel, alpha: float, u) -> np.ndarray:
-    """One application of the uniformized fixed-point map to u."""
-    m = model.qmax + 1.0
-    u = np.asarray(u, dtype=np.float64)
-    x_of = model.x_of_pair
-    vals = model.r + model.kernel.Q @ u + m[x_of] * u[x_of]
-    return _state_max(vals, model) / (alpha + m)

@@ -378,51 +378,45 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
 
     Violations are collected and reported rather than raised; only
     structurally malformed input is a hard error (raised at construction).
+    They come in state order; within a state, each action's bad entries
+    in target order, then its row sum and its reward, and after the last
+    action the state's stable_rates. reward_weight_bound comes last.
     """
-    violations = []
-
-    def bad(name, x=None, a=None, y=None, slack=None):
-        violations.append({"check": name, "x": x, "a": a, "y": y,
-                           "slack": None if slack is None else float(slack)})
-
-    # scan only states with a bad entry (which a non-finite q(x) needs),
-    # row sum (CSR matvec sums left to right from 0.0, as the scan) or reward
     kernel, x_of = model.kernel, model.x_of_pair
-    entry_x = x_of[model.pair_of_entry]
-    vals = kernel.data
-    bad_entry = ~np.isfinite(vals) | np.where(kernel.indices == entry_x,
-                                              vals > 0, vals < 0)
-    bad_pair = ((np.abs(kernel.Q @ np.ones(model.n)) > ROW_SUM_TOL)
-                | ~np.isfinite(model.r))
-    for x in np.union1d(entry_x[bad_entry], x_of[bad_pair]).tolist():
-        start = kernel.starts[x]
-        for a in range(model.n_actions(x)):
-            ys, rates = kernel.row(x, a)
-            s = 0.0
-            for y, rate in zip(ys.tolist(), rates.tolist()):
-                s += rate
-                if not np.isfinite(rate):
-                    bad("finite_rate", x, a, y)
-                elif y != x and rate < 0:
-                    bad("offdiagonal_nonnegative", x, a, y, slack=rate)
-                elif y == x and rate > 0:
-                    bad("diagonal_nonpositive", x, a, y, slack=-rate)
-            if abs(s) > ROW_SUM_TOL:
-                bad("row_sum_zero", x, a, slack=abs(s) - ROW_SUM_TOL)
-            if not np.isfinite(model.r[start + a]):
-                bad("finite_reward", x, a)
-        if not np.all(np.isfinite(
-                model.exit[start:start + model.n_actions(x)])):
-            bad("stable_rates", x)
+    pair, ys, rates = model.pair_of_entry, kernel.indices, kernel.data
+    finite, diag = np.isfinite(rates), ys == x_of[pair]
+    found = []           # (pair, step, entry, check, y, slack), scan order
+    for check, mask, slack in (
+            ("finite_rate", ~finite, None),
+            ("offdiagonal_nonnegative", finite & ~diag & (rates < 0), rates),
+            ("diagonal_nonpositive", finite & diag & (rates > 0), -rates)):
+        found += [(int(pair[e]), 0, e, check, int(ys[e]),
+                   None if slack is None else float(slack[e]))
+                  for e in np.flatnonzero(mask).tolist()]
+    # a CSR matvec adds each row from 0.0 in target order
+    row_sum = np.abs(kernel.Q @ np.ones(model.n))
+    found += [(p, 1, 0, "row_sum_zero", None, float(row_sum[p] - ROW_SUM_TOL))
+              for p in np.flatnonzero(row_sum > ROW_SUM_TOL).tolist()]
+    found += [(p, 2, 0, "finite_reward", None, None)
+              for p in np.flatnonzero(~np.isfinite(model.r)).tolist()]
+    last = np.cumsum(kernel.counts) - 1          # last pair of each state
+    found += [(int(last[x]), 3, 0, "stable_rates", None, None)
+              for x in np.unique(x_of[~np.isfinite(model.exit)]).tolist()]
+    found.sort(key=lambda rec: rec[:3])
 
     lyap = model.lyapunov
     if lyap is not None:
         rr = np.abs(model.r)
         bound = lyap.M * lyap.w[x_of]
-        for p in np.flatnonzero(rr > bound).tolist():
-            bad("reward_weight_bound", int(x_of[p]),
-                int(model.a_of_pair[p]), slack=bound[p] - rr[p])
+        found += [(p, 4, 0, "reward_weight_bound", None,
+                   float(bound[p] - rr[p]))
+                  for p in np.flatnonzero(rr > bound).tolist()]
 
+    violations = [{"check": check, "x": int(x_of[p]),
+                   "a": (None if check == "stable_rates"
+                         else int(model.a_of_pair[p])),
+                   "y": y, "slack": slack}
+                  for p, _, _, check, y, slack in found]
     return ValidationReport(ok=not violations, violations=violations)
 
 

@@ -99,12 +99,6 @@ class PathRecorder:
     checkpoint_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     checkpoint_values: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def state_at(self, t: float):
-        if t < 0 or t > self.horizon:
-            raise ValueError("time outside the recorded horizon")
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.states[i]
-
 
 # -- the two jump chains: start states, one block of jumps, per-state rates --
 
@@ -415,6 +409,12 @@ class CheckpointReport:
                 "detail": self.detail}
 
 
+def check_replications(reps: int) -> None:
+    """ModelError unless reps >= 2, as a standard error needs."""
+    if reps < 2:
+        raise ModelError(f"reps must be at least 2, got {reps}")
+
+
 def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
     """Replications run just past the last checkpoint."""
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
@@ -425,6 +425,7 @@ def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
 def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
                          seed: int) -> CheckpointReport:
     """Empirical check of E w(x(t)) <= exp(-c t) w(x0) + b/c at checkpoints."""
+    check_replications(reps)
     if isinstance(model, PotlachProcess):
         w0 = model.weight(x0)
         c, b = model.drift_constant, 0.0
@@ -476,6 +477,7 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     two-standard-error noise floor. Reported values carry an explicit
     empirical flag; nothing here is a proof.
     """
+    check_replications(reps)
     chain = _PolicyChain(model, f)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,

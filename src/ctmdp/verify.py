@@ -13,7 +13,7 @@ import numpy as np
 
 from .discounted import _state_max
 from .model import CtmdpModel, StationaryPolicy
-from .simulate import _chain, _checkpoint_run, rng_info
+from .simulate import _chain, _checkpoint_run, check_replications, rng_info
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
 DEFAULT_REPS = 200
@@ -122,6 +122,7 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     is the reversed inequality. The pointwise Delta values over visited
     states are the infinitesimal counterpart.
     """
+    check_replications(reps)
     u = np.asarray(u, dtype=np.float64)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)

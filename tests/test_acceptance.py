@@ -96,7 +96,7 @@ def test_criterion_03_uniformization_rows_are_probabilities():
         r=np.zeros(n_rows),
     )
     # rows P(.|x,a) = q(.|x,a) / m(x) + I with m(x) = q(x) + 1, the
-    # embedding of `bellman_operator` and of the solver's per-state pass
+    # embedding of the solver's per-state pass
     pairs = np.arange(m.n_pairs)
     P = (sp.diags(1.0 / (m.qmax + 1.0)[m.x_of_pair]) @ m.kernel.Q
          + sp.csr_matrix((np.ones(m.n_pairs), (pairs, m.x_of_pair)),

@@ -1,21 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ctmdp
 from ctmdp import (StationaryPolicy, VanishingSchedule, brute_force_oracle,
-                   certify_lower, certify_upper, discounted,
-                   optimality_residuals, solve_average,
+                   certify_lower, certify_upper, discounted, solve_average,
                    truncation_sensitivity)
 
 import oracles
 
 
 MM20_PARAMS = {"lambda": 1, "mu1": 2, "mu2": 2.5, "N": 2, "G": 1}
+BD = {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.0, "p": 2.0}
+GOLDEN = Path(__file__).parent / "golden"
 # the two largest instances of the benchmark's solve ladder
 LADDER = [
     ("tandem", {"N": 40, "G": 2}),
-    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
-                     "N": 500, "G": 11})]
+    ("birth_death", dict(BD, N=500, G=11, p1=0.3))]
 
 
 @pytest.fixture
@@ -216,14 +218,24 @@ def test_oracle_gain_dominates_every_policy():
             assert oracles.policy_gain(m, f) <= orc.gain + 1e-10
 
 
-def test_optimality_residuals_at_solution():
-    m = ctmdp.build("mmn0", MM20_PARAMS)
+@pytest.mark.parametrize("name, params", [
+    ("mmn0", MM20_PARAMS),
+    ("birth_death", dict(BD, N=30, G=3)),
+    ("skip_free", {"lambda": 1, "mu": 2, "b": 1.0, "beta": 2.0, "N": 30,
+                   "G": 5}),
+    ("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 7, "G": 3}),
+    ("explicit", None)] + LADDER,
+    ids=["mm20", "bd30", "skip30", "mmn7", "explicit", "tandem40", "bd500"])
+def test_solve_average_residuals_are_the_certificates(name, params):
+    # the report's residuals are the two inequalities as `verify` checks them
+    m = (ctmdp.loads_model((GOLDEN / "explicit_model.json").read_text())
+         if params is None else ctmdp.build(name, params))
     sol = solve_average(m)
-    upper, lower = optimality_residuals(m, sol.gain, sol.h, sol.policy)
-    assert upper <= 1e-6
-    assert lower <= 1e-6
-    assert upper == sol.residual_upper
-    assert lower == sol.residual_lower
+    assert sol.residual_upper == certify_upper(m, sol.gain,
+                                               sol.h).max_violation
+    assert sol.residual_lower == certify_lower(m, sol.gain, sol.h,
+                                               sol.policy).max_violation
+    assert max(sol.residual_upper, sol.residual_lower) <= 1e-6
 
 
 def test_reducible_policy_gain_uses_recurrent_class():
@@ -248,6 +260,23 @@ def test_truncation_sensitivity_stabilizes():
     assert rep.levels == [10, 20, 40]
     assert rep.stable
     assert rep.gaps[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("levels", [[30], [], [15, 15]])
+def test_truncation_sensitivity_needs_two_distinct_levels(levels):
+    # each used to report "stable" from no gap, or from a gap of 0.0
+    with pytest.raises(ctmdp.ModelError, match="two distinct"):
+        truncation_sensitivity(lambda p: ctmdp.build("birth_death", p),
+                               {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2},
+                               levels)
+
+
+def test_truncation_sensitivity_drops_repeated_levels():
+    rep = truncation_sensitivity(lambda p: ctmdp.build("birth_death", p),
+                                 {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2},
+                                 [20, 10, 20])
+    assert rep.levels == [10, 20]
+    assert len(rep.gaps) == 1 and rep.gaps[0] > 0
 
 
 def test_truncation_sensitivity_aligns_2d_states_by_label():

@@ -422,6 +422,9 @@ def test_cli_simulation_error_report_goes_to_out(tmp_path, capsys,
     (["--x0", "1.7"], "--x0"),
     (["--x0", "true"], "--x0"),
     (["--x0", '"1"'], "--x0"),
+    (["--mode", "ergodicity", "--checkpoints=0"], "--checkpoints"),
+    (["--mode", "ergodicity", "--checkpoints=-2,-1"], "--checkpoints"),
+    (["--mode", "lyapunov", "--checkpoints=-1,0"], "--checkpoints"),
 ])
 def test_cli_simulate_rejects_bad_checkpoints_and_start(tmp_path, capsys,
                                                         flags, flag):
@@ -497,10 +500,61 @@ def test_cli_builtin_document_params_must_be_an_object(tmp_path, capsys):
     assert "mmn0: params must be an object" in capsys.readouterr().err
 
 
-def test_cli_sensitivity_rejects_bad_levels(capsys):
-    assert run(["sensitivity", "--builtin", "mmn0", "--params", MMN0,
-                "--levels", "a,b"]) == 2
-    assert "--levels" in capsys.readouterr().err
+@pytest.mark.parametrize("levels", ["a,b", "30", "", "15,15"])
+def test_cli_sensitivity_rejects_bad_levels(capsys, levels):
+    # "30", "" and "15,15" used to report "stable" comparing nothing
+    assert run(["sensitivity", "--builtin", "birth_death", "--params",
+                '{"lambda":1,"mu1":3,"mu2":4,"G":2}',
+                f"--levels={levels}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--levels" in captured.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--mode", "lyapunov"]),
+    ("simulate", ["--mode", "ergodicity"]),
+    ("martingale", [])])
+def test_cli_checkpoint_estimates_refuse_one_replication(tmp_path, capsys,
+                                                         command, flags):
+    # each used to exit 0 or 1 with NaN standard errors
+    model = ["--builtin", "mmn0", "--params", MMN0]
+    if command == "martingale":
+        assert run(["solve-average"] + model) == 0
+        sol = tmp_path / "solution.json"
+        sol.write_text(capsys.readouterr().out)
+        flags = ["--solution", str(sol)]
+    else:
+        pol = tmp_path / "policy.json"
+        pol.write_text("[0, 0, 0]")
+        flags = flags + ["--policy", str(pol)]
+    assert run([command] + model + flags + ["--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--reps" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_checkpoints_at_zero_and_one_average_replication(tmp_path,
+                                                            capsys):
+    model = ["--builtin", "mmn0", "--params", MMN0]
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    sim = ["simulate"] + model + ["--policy", str(pol), "--horizon", "20"]
+    assert run(sim + ["--reps", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["se"] == 0.0
+    assert run(sim + ["--mode", "lyapunov", "--reps", "20",
+                      "--checkpoints=0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["checkpoints"][0] == 0
+    assert run(["solve-average"] + model) == 0
+    sol = tmp_path / "solution.json"
+    sol.write_text(capsys.readouterr().out)
+    assert run(["martingale"] + model + ["--solution", str(sol), "--reps",
+                                         "20", "--checkpoints=0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["checkpoints"][0] == 0
+    assert run(["martingale"] + model + ["--solution", str(sol),
+                                         "--checkpoints=-2,-1"]) == 2
+    assert "--checkpoints" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path, value, field", [

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (ConvergenceError, StationaryPolicy, bellman_operator,
-                   extract_policy, model_from_dict, solve_discounted,
-                   weighted_norm)
+from ctmdp import (ConvergenceError, StationaryPolicy, extract_policy,
+                   model_from_dict, solve_discounted, weighted_norm)
 from ctmdp.discounted import DEFAULT_TOL, _vi_relative
 
 import oracles
@@ -64,20 +63,6 @@ def test_solver_reports_contraction_modulus():
     mvec = m.qmax + 1.0
     assert sol.kappa == pytest.approx(np.max(mvec / (0.5 + mvec)))
     assert sol.residual <= 1e-10
-
-
-def test_bellman_operator_is_monotone_contraction():
-    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
-                             "G": 2})
-    alpha = 0.3
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=m.n)
-    v = u + rng.uniform(0.0, 1.0, size=m.n)
-    Tu, Tv = bellman_operator(m, alpha, u), bellman_operator(m, alpha, v)
-    assert np.all(Tv >= Tu - 1e-12)
-    mvec = m.qmax + 1.0
-    kappa = np.max(mvec / (alpha + mvec))
-    assert np.max(np.abs(Tv - Tu)) <= kappa * np.max(np.abs(v - u)) + 1e-12
 
 
 def test_policy_extraction_shift_invariant():

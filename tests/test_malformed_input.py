@@ -351,7 +351,7 @@ def test_bad_solver_flag_exits_2_naming_the_flag(command, flags, named):
     # each used to exit 2 with a message that named no flag
     model = ["--builtin", "mmn0", "--params", json.dumps(VALID["mmn0"])]
     if command == "sensitivity":
-        model += ["--levels", "3"]
+        model += ["--levels", "3,4"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()) as out:

@@ -58,15 +58,6 @@ def test_reward_integral_matches_segments(mm20):
     assert rec.reward_integral == pytest.approx(float(r @ (ends - rec.times)))
 
 
-def test_state_at_reconstruction(mm20):
-    rec = simulate_path(mm20, zero_policy(mm20), 0, 50.0, seed=8)
-    for t in (0.0, 10.0, 49.9):
-        i = np.searchsorted(rec.times, t, side="right") - 1
-        assert rec.state_at(t) == rec.states[i]
-    with pytest.raises(ValueError):
-        rec.state_at(51.0)
-
-
 def test_holding_times_exponential(mm20):
     # holding times in state 0 against Exponential(lambda=1), KS at 1%
     f = zero_policy(mm20)
@@ -148,6 +139,27 @@ def test_lyapunov_bound_trivial_weight(mm20):
     rep = check_lyapunov_bound(m, zero_policy(m), 0, [0.5, 1.0, 2.0], 10,
                                seed=3)
     assert rep.passed
+
+
+def test_checkpoint_estimates_refuse_a_single_replication(mm20):
+    # one replication has no standard error: every ses entry was NaN
+    f, probe = zero_policy(mm20), np.arange(mm20.n, dtype=float)
+    lyap = ctmdp.LyapunovData(w=np.ones(mm20.n), c=1.0, b=1.0, M=3.0,
+                              M_q=5.0)
+    m = ctmdp.CtmdpModel(states=mm20.states, actions=mm20.actions,
+                         kernel=mm20.kernel, r=mm20.r, lyapunov=lyap)
+    for estimate in (
+            lambda reps: check_lyapunov_bound(m, f, 0, [1.0], reps, seed=3),
+            lambda reps: estimate_ergodicity(mm20, f, [probe], (0, 1),
+                                             [1.0, 2.0], reps, seed=3),
+            lambda reps: ctmdp.martingale_diagnostic(
+                mm20, f, np.zeros(mm20.n), 0.0, 0, [1.0, 2.0], reps,
+                seed=3)):
+        for reps in (1, 0):
+            with pytest.raises(ctmdp.ModelError,
+                               match="reps must be at least 2"):
+                estimate(reps)
+        estimate(2)
 
 
 def test_checkpoint_means_ordered_in_start_state():
