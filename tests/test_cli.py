@@ -500,8 +500,14 @@ def test_cli_builtin_document_params_must_be_an_object(tmp_path, capsys):
     assert "mmn0: params must be an object" in capsys.readouterr().err
 
 
+def test_cli_sensitivity_rejects_bad_levels(capsys):
+    assert run(["sensitivity", "--builtin", "mmn0", "--params", MMN0,
+                "--levels", "a,b"]) == 2
+    assert "--levels" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("levels", ["a,b", "30", "", "15,15"])
-def test_cli_sensitivity_rejects_bad_levels(capsys, levels):
+def test_cli_sensitivity_rejects_levels_comparing_nothing(capsys, levels):
     # "30", "" and "15,15" used to report "stable" comparing nothing
     assert run(["sensitivity", "--builtin", "birth_death", "--params",
                 '{"lambda":1,"mu1":3,"mu2":4,"G":2}',
