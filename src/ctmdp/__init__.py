@@ -9,8 +9,8 @@ from .families import (BUILTINS, PotlachPolicy, PotlachProcess, build,
                        describe)
 from .lyapunov import (DriftReport, check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
-from .model import (ActionSets, CountableFamily, CtmdpModel, LyapunovData,
-                    ModelError, RateKernel, StateSpace, StationaryPolicy,
+from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
+                    RateKernel, StateSpace, StationaryPolicy,
                     ValidationReport, boundary_states, truncate,
                     validate_model, weighted_norm)
 from .modelio import (FORMAT_VERSION, ModelFileError, dumps, loads_model,

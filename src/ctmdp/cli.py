@@ -236,6 +236,9 @@ def _cmd_validate(args, stdin_text) -> int:
     for c in checks:
         if c not in ("drift", "bounds", "monotone"):
             raise UsageError(f"unknown check {c!r}")
+    if checks and isinstance(model, PotlachProcess):
+        raise UsageError("--checks: the continuous-state builtin has no "
+                         "drift, bounds or monotone check")
     config = _base_config(args, doc)
     config["checks"] = checks
     report = {}
@@ -361,6 +364,9 @@ def _cmd_martingale(args, stdin_text) -> int:
             model)
     checkpoints = _checkpoints_arg(args.checkpoints,
                                    verify.DEFAULT_CHECKPOINTS)
+    if len(set(checkpoints)) < 2:
+        raise UsageError(f"--checkpoints must list at least two distinct "
+                         f"times, got {args.checkpoints!r}")
     config = _base_config(args, doc)
     config.update({"policy": args.policy, "reps": args.reps,
                    "seed": args.seed, "x0": args.x0,

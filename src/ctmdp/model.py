@@ -1,13 +1,14 @@
 """Core data types for CTMDP instances on finite state spaces.
 
-A model is the tuple (states, per-state action sets, rate kernel, reward
-per pair) plus optional Lyapunov weight data. The rates are stored once,
-as one CSR matrix over the (state, action) pairs with the diagonal entry
-included, and the rewards once, as an array over the same pairs. Every
-solver and check reads these and the per-pair arrays (state, action and
-exit rate of each pair) that the model lays out once, at construction.
-All operations here are pure functions of their inputs and models are
-treated as immutable once validated.
+A model is the tuple (states, actions, rate kernel, reward per pair)
+plus optional Lyapunov weight data. The rates are stored once, as one CSR
+matrix over the (state, action) pairs with the diagonal entry included,
+and the actions and rewards once each, as arrays over the same pairs
+(every action a vector of the same k numbers). Every solver and check
+reads these and the per-pair arrays (state, action and exit rate of each
+pair) that the model lays out once, at construction. All operations here
+are pure functions of their inputs and models are treated as immutable
+once validated.
 """
 
 from __future__ import annotations
@@ -87,39 +88,6 @@ class StateSpace:
         if self.labels is None:
             return 1
         return len(self.labels[0])
-
-
-@dataclass(frozen=True)
-class ActionSets:
-    """Per-state finite action sets; each action is a tuple of parameters."""
-
-    sets: tuple
-
-    def __post_init__(self):
-        # a truncated family repeats one action list object at many states:
-        # each distinct object is converted and checked once and then shared
-        # (the input holds every list alive, so no id is reused)
-        shared, sets = {}, []
-        for x, acts in enumerate(tuple(self.sets)):
-            converted = shared.get(id(acts))
-            if converted is None:
-                converted = tuple(tuple(map(float, a)) for a in acts)
-                if len(converted) == 0:
-                    raise ModelError(f"state {x} has an empty action set")
-                if len(set(converted)) != len(converted):
-                    raise ModelError(f"state {x} has duplicate actions")
-                shared[id(acts)] = converted
-            sets.append(converted)
-        object.__setattr__(self, "sets", tuple(sets))
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __getitem__(self, x):
-        return self.sets[x]
-
-    def n_actions(self, x: int) -> int:
-        return len(self.sets[x])
 
 
 class RateKernel:
@@ -259,11 +227,12 @@ class CtmdpModel:
 
     Construction checks the structure, then lays the (state, action) pairs
     out once (`_flatten`): pair p = kernel.starts[x] + a is row p of
-    kernel.Q, and `r` and the per-pair arrays below are indexed by it.
+    kernel.Q and of `actions`, and `r` and the per-pair arrays below are
+    indexed by it. kernel.counts holds the number of actions of each state.
     """
 
     states: StateSpace
-    actions: ActionSets
+    actions: np.ndarray = field(compare=False)  # (n_pairs, k) action vectors
     kernel: RateKernel
     r: np.ndarray = field(compare=False)       # reward rate per pair
     lyapunov: Optional[LyapunovData] = None
@@ -277,26 +246,38 @@ class CtmdpModel:
     def __post_init__(self):
         n = self.states.size
         kernel = self.kernel
-        if len(self.actions) != n or len(kernel.counts) != n:
+        if len(kernel.counts) != n:
             raise ModelError("component tables disagree on the state count")
-        # first offender in state order; at one state the count comes first
-        count_bad = np.flatnonzero(
-            kernel.counts != [len(acts) for acts in self.actions.sets])
-        x_count = int(count_bad[0]) if len(count_bad) else n
+        n_pairs = kernel.Q.shape[0]
+        acts = self.actions = np.asarray(self.actions, dtype=np.float64)
+        if acts.ndim != 2 or len(acts) != n_pairs:
+            raise ModelError(f"action count mismatch: actions has shape "
+                             f"{acts.shape} for {n_pairs} (state, action) "
+                             f"pairs")
+        # equal actions have equal bits once -0.0 is +0.0 (a NaN equals a
+        # NaN of its bits); sorted by state, then bits, equal actions of a
+        # state are adjacent
+        x_of = np.repeat(np.arange(n), kernel.counts)
+        bits = (acts + 0.0).view(np.int64)
+        order = np.lexsort((*bits.T, x_of))
+        x_of, bits = x_of[order], bits[order]
+        dup = (x_of[1:] == x_of[:-1]) & (bits[1:] == bits[:-1]).all(axis=1)
+        bad = np.append(x_of[1:][dup], np.flatnonzero(kernel.counts == 0))
+        if len(bad):
+            x = int(bad.min())
+            raise ModelError(f"state {x} has " + ("duplicate actions" if
+                             kernel.counts[x] else "an empty action set"))
         off = np.flatnonzero((kernel.indices < 0) | (kernel.indices >= n))
         if len(off):
             p = int(np.searchsorted(kernel.indptr, off[0], side="right")) - 1
             x = kernel.state_of(p)
-            if x < x_count:
-                raise ModelError(f"rate target out of range at "
-                                 f"({x},{p - int(kernel.starts[x])})")
-        if x_count < n:
-            raise ModelError(f"action count mismatch at state {x_count}")
+            raise ModelError(f"rate target out of range at "
+                             f"({x},{p - int(kernel.starts[x])})")
         self.r = np.asarray(self.r, dtype=np.float64)
-        if self.r.shape != (kernel.Q.shape[0],):
+        if self.r.shape != (n_pairs,):
             raise ModelError(f"reward count mismatch: r has shape "
-                             f"{self.r.shape} for {kernel.Q.shape[0]} "
-                             f"(state, action) pairs")
+                             f"{self.r.shape} for {n_pairs} (state, action) "
+                             f"pairs")
         if self.lyapunov is not None and len(self.lyapunov.w) != n:
             raise ModelError("Lyapunov weight length mismatch")
         _flatten(self)
@@ -306,7 +287,7 @@ class CtmdpModel:
         return self.states.size
 
     def n_actions(self, x: int) -> int:
-        return self.actions.n_actions(x)
+        return int(self.kernel.counts[x])
 
     def weights(self) -> np.ndarray:
         """Lyapunov weight vector, defaulting to all-ones."""
@@ -451,16 +432,18 @@ class CountableFamily:
 
 
 def pairs(family: CountableFamily, labels) -> tuple:
-    """(ActionSets, X, A) of `labels` under `family`: the pairs in
-    state-major order, X (P, dim) their labels and A (P, k) their actions."""
-    sets = ActionSets(sets=tuple(family.actions(lab) for lab in labels))
-    blocks = {}                # one array per distinct (shared) action list
-    for acts in sets.sets:
-        if id(acts) not in blocks:
-            blocks[id(acts)] = np.array(acts, dtype=np.float64)
+    """(counts, X, A) of `labels` under `family`: the number of actions of
+    each state, and the pairs in state-major order, X (P, dim) their labels
+    and A (P, k) their actions."""
+    lists = [family.actions(lab) for lab in labels]
+    # one array per distinct (shared) action list
+    blocks = {id(acts): acts for acts in lists if len(acts)}
+    blocks = {i: np.array(a, dtype=np.float64) for i, a in blocks.items()}
+    counts = list(map(len, lists))
     X = np.repeat(np.array(labels, dtype=np.int64).reshape(len(labels), -1),
-                  [len(acts) for acts in sets.sets], axis=0)
-    return sets, X, np.concatenate([blocks[id(acts)] for acts in sets.sets])
+                  counts, axis=0)
+    A = [blocks[id(acts)] for acts in lists if len(acts)]
+    return counts, X, np.concatenate(A) if A else np.empty((0, 0))
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:
@@ -475,7 +458,7 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     (+0.0 for a row without off-diagonal mass).
     """
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
-    action_sets, X, A = pairs(family, labels)
+    counts, X, A = pairs(family, labels)
     targets, rates, present = family.entries(X, A)
     present = np.asarray(present, dtype=bool)
     pair = np.nonzero(present)[0]           # pair of each entry, entry order
@@ -488,7 +471,6 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
                          f"from {tuple(X[pair[k]].tolist())}")
     # target index: mixed radix of the itertools.product grid
     key = np.ravel_multi_index(np.minimum(coords, N).T, (N + 1,) * family.dim)
-    counts = [len(acts) for acts in action_sets.sets]
     x_of = np.repeat(np.arange(len(labels)), counts)         # state of a pair
     keep = key != x_of[pair]                # clamped self-loops are dropped
     kernel = _merged_kernel(counts, x_of, key[keep] + pair[keep] * len(labels),
@@ -497,7 +479,7 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
-        actions=action_sets,
+        actions=A,
         kernel=kernel,
         r=family.reward(X, A),
         lyapunov=lyap,

@@ -18,8 +18,8 @@ import operator
 import numpy as np
 
 from . import families
-from .model import (ActionSets, CtmdpModel, LyapunovData, ModelError,
-                    RateKernel, StateSpace, StationaryPolicy, typed)
+from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
+                    StateSpace, StationaryPolicy, typed)
 
 FORMAT_VERSION = "2"
 
@@ -115,13 +115,17 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     actions_doc = _need(doc, "actions", kind=[[[float]]])
     if len(actions_doc) != n:
         raise ModelFileError("'actions' length does not match 'states'")
-    try:
-        actions = ActionSets(sets=actions_doc)
-    except ModelError as exc:
-        raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
-
-    counts = [len(acts) for acts in actions.sets]
+    counts = list(map(len, actions_doc))
     starts = list(itertools.accumulate(counts, initial=0))
+    flat = list(itertools.chain.from_iterable(actions_doc))
+    k = len(flat[0]) if flat else 0
+    for x, a in ((x, a) for x, acts in enumerate(actions_doc)
+                 for a, act in enumerate(acts) if len(act) != k):
+        raise ModelFileError(
+            f"actions[{x}][{a}] has {len(actions_doc[x][a])} numbers where "
+            f"the first action has {k}: every action must have the same "
+            f"length")
+    actions = np.array(flat, dtype=np.float64).reshape(len(flat), k)
     rate_rows = _per_pair(doc, "rates", starts, _rate_entries, "rate row")
     kernel = RateKernel(
         counts, [len(row) for row in rate_rows],
@@ -186,10 +190,11 @@ def model_to_dict(model: CtmdpModel) -> dict:
              for x, a, lo, hi in zip(xs, acts, cut, cut[1:])]
     rewards = [{"x": x, "a": a, "r": r}
                for x, a, r in zip(xs, acts, model.r.tolist())]
+    actions = model.actions.tolist()
     doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
            "states": model.n,
-           "actions": [[list(a) for a in model.actions[x]]
-                       for x in range(model.n)],
+           "actions": [actions[s:s + c] for s, c in zip(
+               model.kernel.starts.tolist(), model.kernel.counts.tolist())],
            "rates": rates, "rewards": rewards}
     if model.states.labels is not None:
         doc["labels"] = [list(lab) for lab in model.states.labels]

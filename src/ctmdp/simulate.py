@@ -480,6 +480,9 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     check_replications(reps)
     chain = _PolicyChain(model, f)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
+    if not (len(checkpoints) and checkpoints[-1] > 0):
+        raise ModelError(f"the last checkpoint must be > 0, got "
+                         f"{checkpoints.tolist()}")
     occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,
                (seed + 1) % 2 ** 64).occupation
     occ = occ / occ.sum()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discounted import _state_max
-from .model import CtmdpModel, StationaryPolicy
+from .model import CtmdpModel, ModelError, StationaryPolicy
 from .simulate import _chain, _checkpoint_run, check_replications, rng_info
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
@@ -125,6 +125,9 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     check_replications(reps)
     u = np.asarray(u, dtype=np.float64)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
+    if len(np.unique(checkpoints)) < 2:
+        raise ModelError(f"checkpoints must hold at least two distinct "
+                         f"times, got {checkpoints.tolist()}")
     runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)
     samples = (runs.cp_rewards + u[runs.cp_states]) - checkpoints * g
 

@@ -18,8 +18,8 @@ import numpy as np
 from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
                    average, extract_policy, families)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
-from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, ActionSets, LyapunovData,
-                         ModelError, RateKernel, StateSpace, ValidationReport,
+from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, LyapunovData, ModelError,
+                         RateKernel, StateSpace, ValidationReport,
                          boundary_states)
 from ctmdp.modelio import FORMAT_VERSION, ModelFileError
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
@@ -33,6 +33,12 @@ def kernel_from_rows(rows) -> RateKernel:
                       [len(entries) for entries in pair_rows],
                       [int(y) for entries in pair_rows for y, _ in entries],
                       [float(r) for entries in pair_rows for _, r in entries])
+
+
+def index_actions(counts) -> np.ndarray:
+    """The actions (0.0,), (1.0,), ... of states with counts[x] actions,
+    as a model's (pairs, 1) array."""
+    return np.array([[float(a)] for c in counts for a in range(c)])
 
 
 def reward(model: CtmdpModel, x: int, a: int) -> float:
@@ -221,13 +227,12 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
     componentwise onto the boundary, clamped self-loops are dropped, the
     rest is merged per pair in a dict in entry order, and the diagonal is
     minus the merged rates added left to right from 0 in first-appearance
-    order (not `sum`, which compensates from Python 3.12 on).
-    The action sets are checked before any row is read."""
+    order (not `sum`, which compensates from Python 3.12 on). Row p of
+    the action array is the float() conversion of pair p's action."""
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
     index = {lab: i for i, lab in enumerate(labels)}
-    checked = ActionSets(sets=tuple(family.actions(lab) for lab in labels))
 
-    action_sets, rewards = [], []
+    counts, actions, rewards = [], [], []
     lengths, targets, rates = [], [], []
     for x, lab in enumerate(labels):
         acts = [tuple(a) for a in family.actions(lab)]
@@ -247,15 +252,15 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
             rates.append(-functools.reduce(operator.add, mass.values(), 0))
             lengths.append(len(mass) + 1)
             rewards.append(family.reward(lab, a))
-        action_sets.append(acts)
+            actions.append([float(v) for v in a])
+        counts.append(len(acts))
 
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
         states=StateSpace(size=len(labels), labels=tuple(labels),
                           truncation_level=N),
-        actions=checked,
-        kernel=RateKernel([len(acts) for acts in action_sets], lengths,
-                          targets, rates),
+        actions=actions,
+        kernel=RateKernel(counts, lengths, targets, rates),
         r=rewards,
         lyapunov=lyap,
     )
@@ -633,7 +638,7 @@ def _need_loop(doc, key, where="", kind=None, required=True):
 
 
 def _per_pair_loop(doc, key, actions, read, what):
-    rows = [[None] * len(acts) for acts in actions.sets]
+    rows = [[None] * len(acts) for acts in actions]
     for i, rec in enumerate(_need_loop(doc, key, kind=[dict])):
         where = f"{key}[{i}]"
         x = _need_loop(rec, "x", where, int)
@@ -678,17 +683,23 @@ def explicit_model_loop(doc) -> CtmdpModel:
     actions_doc = _need_loop(doc, "actions", kind=[[[float]]])
     if len(actions_doc) != n:
         raise ModelFileError("'actions' length does not match 'states'")
-    try:
-        actions = ActionSets(sets=actions_doc)
-    except ModelError as exc:
-        raise ModelFileError(f"bad 'actions' entry: {exc}") from exc
-    rate_rows = _per_pair_loop(doc, "rates", actions, _rate_entries_loop,
+    first, actions = None, []
+    for x, acts in enumerate(actions_doc):
+        for a, act in enumerate(acts):
+            first = act if first is None else first
+            if len(act) != len(first):
+                raise ModelFileError(
+                    f"actions[{x}][{a}] has {len(act)} numbers where the "
+                    f"first action has {len(first)}: every action must have "
+                    f"the same length")
+            actions.append(act)
+    rate_rows = _per_pair_loop(doc, "rates", actions_doc, _rate_entries_loop,
                                "rate row")
     kernel = kernel_from_rows([[sorted(entries.items())
                                 for entries in per_state]
                                for per_state in rate_rows])
     reward_rows = _per_pair_loop(
-        doc, "rewards", actions,
+        doc, "rewards", actions_doc,
         lambda rec, x, where: _need_loop(rec, "r", where, float), "reward")
 
     ld = _need_loop(doc, "lyapunov", kind=dict, required=False)
@@ -708,7 +719,9 @@ def explicit_model_loop(doc) -> CtmdpModel:
     labels = _need_loop(doc, "labels", kind=list, required=False)
     try:
         return CtmdpModel(states=StateSpace(size=n, labels=labels),
-                          actions=actions, kernel=kernel,
+                          actions=np.array(actions, dtype=np.float64).reshape(
+                              len(actions), len(first or [])),
+                          kernel=kernel,
                           r=list(itertools.chain.from_iterable(
                               reward_rows)),
                           lyapunov=lyap)
@@ -729,7 +742,8 @@ def model_to_dict_loop(model: CtmdpModel) -> dict:
             rewards.append({"x": x, "a": a, "r": reward(model, x, a)})
     doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
            "states": model.n,
-           "actions": [[list(a) for a in model.actions[x]]
+           "actions": [[model.actions[model.pair_index(x, a)].tolist()
+                        for a in range(model.n_actions(x))]
                        for x in range(model.n)],
            "rates": rates, "rewards": rewards}
     if model.states.labels is not None:

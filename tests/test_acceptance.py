@@ -46,12 +46,12 @@ def test_criterion_01_drift_identities_exact():
         Qw = m.kernel.Q @ m.lyapunov.w
         assert Qw[m.pair_index(0, 0)] == pytest.approx(lam, abs=1e-12)
         for ai in range(m.n_actions(1)):
-            (a,) = m.actions[1][ai]
+            (a,) = m.actions[m.pair_index(1, ai)]
             assert Qw[m.pair_index(1, ai)] == pytest.approx(
                 -(a - lam), abs=1e-12)
         for x in range(2, m.n - 1):
             for ai in range(m.n_actions(x)):
-                (a,) = m.actions[x][ai]
+                (a,) = m.actions[m.pair_index(x, ai)]
                 assert Qw[m.pair_index(x, ai)] == pytest.approx(
                     -(a + a * p1 - lam) * x, abs=1e-12)
     print("criterion 01 drift identities: PASS")
@@ -91,7 +91,7 @@ def test_criterion_03_uniformization_rows_are_probabilities():
         rows.append([entries])
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=n_rows),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),) * n_rows),
+        actions=np.zeros((n_rows, 1)),
         kernel=oracles.kernel_from_rows(rows),
         r=np.zeros(n_rows),
     )
@@ -113,8 +113,7 @@ def test_criterion_04_discounted_vs_linear_oracle(bd30, mm20):
                 for x in range(m.n)]
         single = ctmdp.CtmdpModel(
             states=m.states,
-            actions=ctmdp.ActionSets(sets=tuple(
-                (m.actions[x][f[x]],) for x in range(m.n))),
+            actions=m.actions[m.kernel.starts + f.choice],
             kernel=oracles.kernel_from_rows(rows),
             r=m.r[m.kernel.starts + f.choice],
             lyapunov=m.lyapunov,

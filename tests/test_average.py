@@ -126,7 +126,7 @@ def test_oracle_error_carries_partial_state():
     # leads to both: policy [1, 1, 1] reaches two closed classes from 0
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
-        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)),) * 3),
+        actions=[[0.0], [1.0]] * 3,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -2.0), (1, 1.0), (2, 1.0)]],
             [[(0, 1.0), (1, -1.0)], [(1, 0.0)]],
@@ -150,7 +150,7 @@ def test_enumeration_counts_the_closed_classes_state_0_reaches():
     # state 0 leads to the absorbing states 1 and 2 and to the cycle {3, 4}
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=5),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),) * 5),
+        actions=np.zeros((5, 1)),
         kernel=oracles.kernel_from_rows([
             [[(0, -1.75), (1, 1.0), (2, 0.5), (3, 0.25)]], [[(1, 0.0)]],
             [[(2, 0.0)]], [[(3, -1.5), (4, 1.5)]], [[(3, 2.0), (4, -2.0)]]]),
@@ -173,8 +173,7 @@ def test_policy_iteration_refuses_a_multichain_policy():
     # action 1 at state 0 leads into {1, 2}, gain about -1.30)
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
-        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)), ((0.0,),),
-                                       ((0.0,),))),
+        actions=[[0.0], [1.0], [0.0], [0.0]],
         kernel=oracles.kernel_from_rows([
             [[(0, 0.0)], [(0, -3.3335), (2, 3.3335)]],
             [[(1, -0.2977), (2, 0.2977)]], [[(1, 3.3107), (2, -3.3107)]]]),
@@ -194,8 +193,7 @@ def test_enumeration_breaks_rounding_ties_by_product_order():
     # last bits (the second one is largest on x86-64 with OpenBLAS)
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
-        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)), ((0.0,),),
-                                       ((0.0,),))),
+        actions=[[0.0], [1.0], [2.0], [0.0], [0.0]],
         kernel=oracles.kernel_from_rows([
             [[(0, -q), (1, q)] for q in (2.9, 0.16, 3.06)],
             [[(1, -2.1), (2, 2.1)]], [[(1, 3.72), (2, -3.72)]]]),
@@ -242,7 +240,7 @@ def test_reducible_policy_gain_uses_recurrent_class():
     # absorbing state 1: the chain restricted to its closed class
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -1.0), (1, 1.0)]],
                                          [[(1, 0.0)]]]),
         r=[5.0, 2.0],
@@ -322,7 +320,7 @@ def test_transient_reference_with_fast_exit_converges():
     # uniformized iteration diverges here and the uniform pass takes over
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
                                          [[(1, 0.0)]]]),
         r=[0.0, 1.0],
@@ -336,7 +334,7 @@ def test_transient_reference_with_fast_exit_converges():
 def test_multichain_model_raises_with_partial_trace():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 2.0],
     )
@@ -353,7 +351,7 @@ def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
     # uniform pass (m = [5, 5]) is plain relative value iteration from h = 0
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
                                          [[(1, 0.0)]]]),
         r=[0.0, 1.0],
@@ -377,7 +375,7 @@ def test_multichain_model_runs_policy_sweeps_in_one_pass_only(
     # both passes use m = [1, 1] here; the uniform pass makes its own array
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 2.0],
     )
@@ -417,8 +415,7 @@ def test_constant_gain_model_closes_its_bracket():
     # bell(0) shows; counting bell alone raised "stalled" after 2413 sweeps
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=5),
-        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,), (2.0,)),)
-                                 + (((0.0,),),) * 4),
+        actions=[[0.0], [1.0], [2.0]] + [[0.0]] * 4,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)],
              [(0, -4.0), (1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0)],

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmdp import (ActionSets, CtmdpModel, LyapunovData, StateSpace,
+from ctmdp import (CtmdpModel, LyapunovData, StateSpace,
                    StationaryPolicy, build, check_assumption_A,
                    check_assumption_B, check_monotonicity, dumps,
                    validate_model)
 from oracles import (check_assumption_A_loop, check_assumption_B_loop,
-                     check_monotonicity_loop, kernel_from_rows,
+                     check_monotonicity_loop, index_actions, kernel_from_rows,
                      validate_model_loop)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -77,8 +77,7 @@ def small_models(draw):
                 st.sampled_from([1.0, 2.0])))
     model = CtmdpModel(
         states=StateSpace(size=n, labels=labels, truncation_level=level),
-        actions=ActionSets(sets=tuple(tuple((float(a),) for a in range(k))
-                                      for k in n_actions)),
+        actions=index_actions(n_actions),
         kernel=kernel_from_rows(rows), r=rewards,
         lyapunov=lyap)
     policy = StationaryPolicy(choice=[draw(st.integers(0, k - 1))
@@ -131,7 +130,7 @@ def chain(rows):
     return CtmdpModel(
         states=StateSpace(size=n, labels=tuple((x,) for x in range(n)),
                           truncation_level=n - 1),
-        actions=ActionSets(sets=(((0.0,),),) * n),
+        actions=np.zeros((n, 1)),
         kernel=kernel_from_rows([[row] for row in rows]), r=np.zeros(n))
 
 

@@ -563,6 +563,45 @@ def test_cli_checkpoints_at_zero_and_one_average_replication(tmp_path,
     assert "--checkpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checkpoints", ["5", "0,0", "2,2,2"])
+def test_cli_martingale_refuses_checkpoints_comparing_nothing(tmp_path,
+                                                              capsys,
+                                                              checkpoints):
+    # each used to report both verdicts true with no interval compared
+    model = ["--builtin", "mmn0", "--params", MMN0]
+    assert run(["solve-average"] + model) == 0
+    sol = tmp_path / "solution.json"
+    sol.write_text(capsys.readouterr().out)
+    assert run(["martingale"] + model + ["--solution", str(sol), "--reps",
+                                         "20", "--checkpoints",
+                                         checkpoints]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--checkpoints must list at least two distinct times" in \
+        captured.err
+
+
+@pytest.mark.parametrize("checks", ["drift", "drift,bounds", "monotone"])
+def test_cli_validate_refuses_checks_on_the_continuous_state_builtin(
+        capsys, checks):
+    # the checks used to be echoed in the config, none run, and "ok" true
+    # (golden/validate_potlach.json is the same run without --checks)
+    assert run(["validate", "--builtin", "potlach", "--params",
+                '{"d":2,"lambda":2.0}', "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--checks" in captured.err
+
+
+def test_cli_explicit_actions_of_differing_lengths_exit_2(tmp_path, capsys):
+    doc = dict(EXPLICIT_DOC, actions=[[[0.0]], [[0.0, 1.0]]])
+    assert run(["validate", "--model", write_model(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "actions[1][0] has 2 numbers where the first action has 1" in \
+        captured.err
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("rates", 0, "entries"), 5, "rates[0].entries must be a list"),
     (("rates", 1, "x"), "a", "rates[1].x must be an integer"),

@@ -26,8 +26,7 @@ def restrict_to_policy(model, f):
             for per in rows]
     return ctmdp.CtmdpModel(
         states=model.states,
-        actions=ctmdp.ActionSets(sets=tuple(
-            (model.actions[x][f[x]],) for x in range(model.n))),
+        actions=model.actions[model.kernel.starts + f.choice],
         kernel=oracles.kernel_from_rows(rows),
         r=model.r[model.kernel.starts + f.choice],
         lyapunov=model.lyapunov,
@@ -78,7 +77,7 @@ def test_tie_breaking_prefers_lowest_index():
     # two identical actions everywhere: the argmax must pick index 0
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,), (1.0,)),) * 2),
+        actions=[[0.0], [1.0]] * 2,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -1.0), (1, 1.0)]],
             [[(0, 2.0), (1, -2.0)], [(0, 2.0), (1, -2.0)]],

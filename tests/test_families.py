@@ -38,7 +38,7 @@ def test_birth_death_rates_as_specified():
     ys, rates = m.kernel.row(0, 0)
     assert dict(zip(ys.tolist(), rates.tolist())) == {0: -1.5, 1: 1.5}
     # x=1: death of size one at rate a, birth at rate lambda
-    (a,) = m.actions[1][1]
+    (a,) = m.actions[m.pair_index(1, 1)]
     ys, rates = m.kernel.row(1, 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     assert got[0] == pytest.approx(a)
@@ -56,7 +56,7 @@ def test_birth_death_reward_shapes():
     m = build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p": 2.0,
                               "rc": {"kind": "linear", "kappa": 0.1},
                               "N": 6, "G": 2})
-    (a,) = m.actions[3][1]
+    (a,) = m.actions[m.pair_index(3, 1)]
     assert m.r[m.pair_index(3, 1)] == pytest.approx(2.0 * 3 - 0.1 * a * 3)
     with pytest.raises(ctmdp.ModelError):
         build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
@@ -74,7 +74,7 @@ def test_skip_free_rates_and_validation():
     # interior row matches lambda*x + a1 up, mu*x + d*(1-g2) down,
     # d*g2 double-down
     x = 5
-    a1, a2 = m.actions[x][-1]
+    a1, a2 = m.actions[m.pair_index(x, m.n_actions(x) - 1)]
     ys, rates = m.kernel.row(x, m.n_actions(x) - 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     d = 2.0 * a2 * x
@@ -102,7 +102,7 @@ def test_tandem_transitions():
     assert validate_model(m).ok
     idx = {lab: i for i, lab in enumerate(m.states.labels)}
     x = idx[(1, 1)]
-    a1, a2 = m.actions[x][0]
+    a1, a2 = m.actions[m.pair_index(x, 0)]
     ys, rates = m.kernel.row(x, 0)
     got = {m.states.labels[y]: r for y, r in zip(ys.tolist(), rates.tolist())}
     assert got[(2, 1)] == pytest.approx(1.0)        # arrival
@@ -119,10 +119,10 @@ def test_tandem_parameter_floors_enforced():
 def test_mmn0_boundary_rows():
     m = build("mmn0", {"lambda": 1.2, "mu1": 2, "mu2": 3, "N": 3, "G": 2})
     # state 0 has the single idle action; top state has no arrival
-    assert m.actions[0] == ((0.0,),)
+    assert m.actions[:m.n_actions(0)].tolist() == [[0.0]]
     ys, rates = m.kernel.row(0, 0)
     assert dict(zip(ys.tolist(), rates.tolist())) == {0: -1.2, 1: 1.2}
-    (mu,) = m.actions[3][1]
+    (mu,) = m.actions[m.pair_index(3, 1)]
     ys, rates = m.kernel.row(3, 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     assert got[3] == pytest.approx(-3 * mu)
@@ -182,6 +182,6 @@ def test_drift_identity_matches_closed_form():
     Qw = m.kernel.Q @ m.lyapunov.w
     for x in range(2, m.n - 1):
         for ai in range(m.n_actions(x)):
-            (a,) = m.actions[x][ai]
+            (a,) = m.actions[m.pair_index(x, ai)]
             assert Qw[m.pair_index(x, ai)] == pytest.approx(
                 -(a + a * p1 - lam) * x, abs=1e-12)

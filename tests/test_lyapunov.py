@@ -73,7 +73,7 @@ def test_monotonicity_violation_detected():
     # from 1 you jump down with a much larger tail mass
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=3),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),) * 3),
+        actions=np.zeros((3, 1)),
         kernel=oracles.kernel_from_rows([
             [[(0, -5.0), (2, 5.0)]],
             [[(0, 1.0), (1, -1.0)]],

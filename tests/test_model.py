@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (ActionSets, CtmdpModel, ModelError, StateSpace,
-                   StationaryPolicy, validate_model, weighted_norm)
+from ctmdp import (CtmdpModel, ModelError, ModelFileError, RateKernel,
+                   StateSpace, StationaryPolicy, model_from_dict,
+                   validate_model, weighted_norm)
 
 from oracles import kernel_from_rows
 
@@ -13,7 +16,7 @@ from oracles import kernel_from_rows
 def two_state_model(rate01=1.0, rate10=2.0, r0=1.0, r1=0.0):
     return CtmdpModel(
         states=StateSpace(size=2),
-        actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, -rate01), (1, rate01)]],
                                  [[(0, rate10), (1, -rate10)]]]),
         r=[r0, r1],
@@ -27,7 +30,7 @@ def test_validate_accepts_conservative_rows():
 def test_validate_rejects_negative_offdiagonal():
     m = CtmdpModel(
         states=StateSpace(size=2),
-        actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, 1.0), (1, -1.0)]],
                                  [[(0, 2.0), (1, -2.0)]]]),
         r=[0.0, 0.0],
@@ -42,7 +45,7 @@ def test_validate_rejects_negative_offdiagonal():
 def test_validate_rejects_nonzero_row_sum():
     m = CtmdpModel(
         states=StateSpace(size=2),
-        actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, -1.0), (1, 1.5)]],
                                  [[(0, 2.0), (1, -2.0)]]]),
         r=[0.0, 0.0],
@@ -70,7 +73,7 @@ def test_generator_apply_birth_death_value():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "p1": 0.0, "N": 8, "G": 1})
     w = np.arange(1.0, m.n + 1)
-    assert m.actions[2][0] == (3.0,)
+    assert m.actions[m.pair_index(2, 0)].tolist() == [3.0]
     assert (m.kernel.Q @ w)[m.pair_index(2, 0)] == pytest.approx(-4.0,
                                                                 abs=1e-12)
 
@@ -88,7 +91,7 @@ def test_mismatched_tables_rejected():
     with pytest.raises(ModelError):
         CtmdpModel(
             states=StateSpace(size=2),
-            actions=ActionSets(sets=(((0.0,),),)),
+            actions=np.zeros((1, 1)),
             kernel=kernel_from_rows([[[(0, 0.0)]]]),
             r=[0.0],
         )
@@ -138,18 +141,19 @@ def test_kernel_rejects_duplicate_target():
 
 
 @pytest.mark.parametrize("rows, rewards, message", [
-    # state 1 has too few rate rows, state 2 an out-of-range target
+    # the action array comes first: state 1 has one rate row too few ...
     ([[[(0, 0.0)]], [[(1, 0.0)]], [[(2, -1.0), (9, 1.0)]]],
-     [0.0] * 4, "action count mismatch at state 1"),
-    # an out-of-range target comes before a mismatch at a later state ...
-    ([[[(0, -1.0), (5, 1.0)]], [[(1, 0.0)]], [[(2, 0.0)]]],
+     [0.0] * 3, r"action count mismatch: actions has shape \(4, 1\) for 3 "
+                r"\(state, action\) pairs"),
+    # ... then an out-of-range target ...
+    ([[[(0, -1.0), (5, 1.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
      [0.0] * 4, r"rate target out of range at \(0,0\)"),
-    # ... and before a reward count mismatch
+    # ... before a reward count mismatch
     ([[[(0, 0.0)]], [[(1, 0.0)], [(-1, 1.0), (1, -1.0)]], [[(2, 0.0)]]],
      [0.0] * 5, r"rate target out of range at \(1,1\)"),
-    # at one state the count mismatch is named first
+    # state 1 has one rate row too many
     ([[[(0, 0.0)]], [[(1, 0.0)], [(3, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
-     [0.0] * 4, "action count mismatch at state 1"),
+     [0.0] * 5, r"action count mismatch: actions has shape \(4, 1\) for 5 "),
     ([[[(0, 0.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
      [0.0] * 5, r"reward count mismatch: r has shape \(5,\) for 4 \(state, "
                 r"action\) pairs"),
@@ -157,9 +161,27 @@ def test_kernel_rejects_duplicate_target():
 def test_model_names_first_structural_offender(rows, rewards, message):
     with pytest.raises(ModelError, match=message):
         CtmdpModel(states=StateSpace(size=3),
-                   actions=ActionSets(sets=(((0.0,),), ((0.0,), (1.0,)),
-                                            ((0.0,),))),
+                   actions=[[0.0], [0.0], [1.0], [0.0]],
                    kernel=kernel_from_rows(rows), r=rewards)
+
+
+@pytest.mark.parametrize("rows, actions, message", [
+    ([[[(0, 0.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]], [0.0] * 4,
+     r"action count mismatch: actions has shape \(4,\) for 4"),
+    # empty and duplicate action sets, the first state named ...
+    ([[[(0, 0.0)]], [], [[(2, 0.0)], [(2, 0.0)]]], [[0.0], [0.0], [-0.0]],
+     "state 1 has an empty action set"),
+    ([[[(0, 0.0)], [(0, 0.0)]], [[(1, 0.0)]], []], [[1.0], [1.0], [0.0]],
+     "state 0 has duplicate actions"),
+    # ... before an out-of-range target
+    ([[[(0, -1.0), (5, 1.0)]], [[(1, 0.0)], [(1, 0.0)]], [[(2, 0.0)]]],
+     [[0.0], [1.0], [1.0], [0.0]], "state 1 has duplicate actions"),
+])
+def test_model_names_first_bad_action_set(rows, actions, message):
+    with pytest.raises(ModelError, match=message):
+        CtmdpModel(states=StateSpace(size=3), actions=actions,
+                   kernel=kernel_from_rows(rows),
+                   r=[0.0] * sum(map(len, rows)))
 
 
 @pytest.mark.parametrize("r", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 0.0])
@@ -167,7 +189,7 @@ def test_rewards_are_one_array_over_the_pairs(r):
     with pytest.raises(ModelError, match=r"reward count mismatch: r has "
                        r"shape \(.*\) for 2 \(state, action\) pairs"):
         CtmdpModel(states=StateSpace(size=2),
-                   actions=ActionSets(sets=(((0.0,),), ((0.0,),))),
+                   actions=np.zeros((2, 1)),
                    kernel=two_state_model().kernel, r=r)
     m = two_state_model(r0=1, r1=-2)
     assert m.r.dtype == np.float64 and m.r.tolist() == [1.0, -2.0]
@@ -237,27 +259,78 @@ def test_pairs_are_laid_out_once_per_model(monkeypatch):
     assert len(laid_out) == 1 and laid_out[0] is m
 
 
-ACTION_VALUES = [0.0, -0.0, 0, 1, 1.0, np.float64(1.0), np.float32(0.5), 0.5,
-                 float("nan"), 2.5]
+NAN = float("nan")     # one object: JSON reads every NaN as this one
+ACTION_VALUES = [0.0, -0.0, 0, 1, 1.0, 0.5, NAN, 2.5, 2 ** 53 + 1]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(st.lists(st.sampled_from(ACTION_VALUES),
-                                  min_size=1, max_size=2),
-                         max_size=3), min_size=1, max_size=6),
-       st.lists(st.integers(0, 5), max_size=6))
-@example([[[0.0]], [[-0.0]]], [0, 1])
-@example([[[1, 0.0]], [[1.0, -0.0]]], [0, 1, 0])
-def test_action_sets_convert_each_state_as_given(pool, picks):
-    # states repeat lists from a small pool, so that converted lists are
-    # shared; the result must be the plain per-state float conversion,
-    # signed zeros included, and errors must name the same state
-    sets = [pool[i % len(pool)] for i in picks] or pool
-    ref = [tuple(tuple(float(v) for v in a) for a in acts) for acts in sets]
-    bad = [x for x, acts in enumerate(ref) if len(set(acts)) != len(acts)
-           or not acts]
-    if bad:
-        with pytest.raises(ModelError, match=f"state {bad[0]} has"):
-            ActionSets(sets=sets)
+@st.composite
+def action_lists(draw):
+    """Per-state action lists of JSON numbers, mostly of one length."""
+    k = draw(st.integers(0, 2))
+
+    def action():
+        width = draw(st.sampled_from([k] * 6 + [k + 1]))
+        return draw(st.lists(st.sampled_from(ACTION_VALUES), min_size=width,
+                             max_size=width))
+
+    return [[action() for _ in range(draw(st.integers(0, 3)))]
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def read_actions(sets, k):
+    """The model of an explicit document with these action lists of length
+    k, every pair without rates and with reward 0, as read and as
+    constructed."""
+    pairs = [(x, a) for x, acts in enumerate(sets) for a in range(len(acts))]
+    doc = {"kind": "explicit", "states": len(sets), "actions": sets,
+           "rates": [{"x": x, "a": a, "entries": []} for x, a in pairs],
+           "rewards": [{"x": x, "a": a, "r": 0.0} for x, a in pairs]}
+    yield lambda: model_from_dict(doc)
+    yield lambda: CtmdpModel(
+        states=StateSpace(size=len(sets)),
+        actions=np.array([v for acts in sets for v in acts],
+                         dtype=np.float64).reshape(len(pairs), k),
+        kernel=RateKernel(list(map(len, sets)), [1] * len(pairs),
+                          [x for x, _ in pairs], [0.0] * len(pairs)),
+        r=np.zeros(len(pairs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(action_lists())
+@example([[[0.0]], [[-0.0]]])                      # signed zeros kept
+@example([[[2.5], [0.0], [-0.0]]])                 # ... and equal
+@example([[[1, 0.0]], [[1.0, -0.0], [1, 2.5]]])    # ints converted
+@example([[[1, NAN], [1.0, NAN]], []])             # equal NaN actions
+@example([[[0.0]], [], [[0.0], [-0.0]]])           # empty before duplicate
+@example([[[0.0], [1.0]], [[0.0, 1.0]]])           # lengths differ
+def test_actions_are_read_as_one_array_over_the_pairs(sets):
+    # reference: float() of each number, the first action's length, and
+    # equality of the float tuples (0.0 == -0.0; the one NaN is itself)
+    where = [(x, a) for x, acts in enumerate(sets) for a in range(len(acts))]
+    floats = [[tuple(map(float, a)) for a in acts] for acts in sets]
+    flat = [a for acts in floats for a in acts]
+    k = len(flat[0]) if flat else 0
+    odd = [p for p, a in enumerate(flat) if len(a) != k]
+    if odd:
+        (x, a), p = where[odd[0]], odd[0]
+        with pytest.raises(ModelFileError, match=(
+                rf"^actions\[{x}\]\[{a}\] has {len(flat[p])} numbers where "
+                rf"the first action has {k}: every action must have the same "
+                rf"length$")):
+            model_from_dict({"kind": "explicit", "states": len(sets),
+                             "actions": sets, "rates": [], "rewards": []})
         return
-    assert repr(ActionSets(sets=sets).sets) == repr(tuple(ref))
+    bad = [(x, "duplicate actions" if acts else "an empty action set")
+           for x, acts in enumerate(floats)
+           if not acts or len(set(acts)) < len(acts)]
+    for build in read_actions(sets, k):
+        if bad:
+            with pytest.raises(ModelError,
+                               match=rf"^state {bad[0][0]} has {bad[0][1]}$"):
+                build()
+            continue
+        m = build()
+        assert m.kernel.counts.tolist() == list(map(len, sets))
+        assert m.actions.shape == (len(flat), k)
+        assert m.actions.tobytes() == b"".join(
+            struct.pack("=d", v) for a in flat for v in a)

@@ -10,7 +10,6 @@ import copy
 import random
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,7 +73,7 @@ def contents(m):
     return (m.kernel.indptr.tobytes(), m.kernel.indices.tobytes(),
             m.kernel.data.tobytes(), m.kernel.counts.tobytes(),
             m.r.tobytes(),
-            [np.array(a, dtype=np.float64).tobytes() for a in m.actions.sets],
+            m.actions.shape, m.actions.tobytes(),
             m.states.labels,
             None if lyap is None else (
                 lyap.w.tobytes(),

@@ -41,7 +41,7 @@ def test_different_seeds_differ(mm20):
 def test_absorbing_state_single_segment():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=1),
-        actions=ctmdp.ActionSets(sets=(((0.0,),),)),
+        actions=np.zeros((1, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]]]),
         r=[3.0],
     )
@@ -162,6 +162,24 @@ def test_checkpoint_estimates_refuse_a_single_replication(mm20):
         estimate(2)
 
 
+@pytest.mark.parametrize("checkpoints, estimate", [
+    ([5.0], "martingale"), ([0.0, 0.0], "martingale"),
+    ([2.0, 2.0, 2.0], "martingale"),
+    ([0.0], "ergodicity"), ([], "ergodicity")])
+def test_checkpoint_estimates_refuse_checkpoints_comparing_nothing(
+        mm20, checkpoints, estimate):
+    # one martingale checkpoint compares no interval (both verdicts were
+    # true); an ergodicity run ending at 0 divided an empty occupation
+    f = zero_policy(mm20)
+    with pytest.raises(ctmdp.ModelError, match="checkpoint"):
+        if estimate == "martingale":
+            ctmdp.martingale_diagnostic(mm20, f, np.zeros(mm20.n), 0.0, 0,
+                                        checkpoints, 20, seed=3)
+        else:
+            estimate_ergodicity(mm20, f, [np.arange(mm20.n, dtype=float)],
+                                (0, 1), checkpoints, 20, seed=3)
+
+
 def test_checkpoint_means_ordered_in_start_state():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "N": 25, "G": 1})
@@ -217,7 +235,7 @@ def test_redistribution_process_refuses_tabulated_estimates():
 def test_ergodicity_no_mixing_flagged():
     m = ctmdp.CtmdpModel(
         states=ctmdp.StateSpace(size=2),
-        actions=ctmdp.ActionSets(sets=(((0.0,),), ((0.0,),))),
+        actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 0.0],
     )

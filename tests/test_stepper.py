@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (ActionSets, CtmdpModel, PotlachPolicy, StateSpace,
+from ctmdp import (CtmdpModel, PotlachPolicy, StateSpace,
                    StationaryPolicy, estimate_average_reward, simulate_path)
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run
-from oracles import (kernel_from_rows, reference_policy_chain,
-                     reference_policy_path, reference_redistribution_path)
+from oracles import (index_actions, kernel_from_rows,
+                     reference_policy_chain, reference_policy_path,
+                     reference_redistribution_path)
 
 REL = 1e-12
 # awkward rates make the normalized running sums round below 1
@@ -58,8 +59,7 @@ def explicit_models(draw):
         rewards.extend(draw(st.floats(-3.0, 3.0)) for _ in per_state)
     model = CtmdpModel(
         states=StateSpace(size=n),
-        actions=ActionSets(sets=tuple(tuple((float(a),) for a in range(
-            len(per_state))) for per_state in rows)),
+        actions=index_actions(map(len, rows)),
         kernel=kernel_from_rows(rows), r=rewards)
     f = StationaryPolicy(choice=[draw(st.integers(0, len(per_state) - 1))
                                  for per_state in rows])
@@ -146,7 +146,7 @@ def assert_jumps_match_reference(model, f, states):
 def explicit_model(rows):
     """One action per state, rows[x] = the (target, rate) entries of x."""
     return (CtmdpModel(states=StateSpace(size=len(rows)),
-                       actions=ActionSets(sets=(((0.0,),),) * len(rows)),
+                       actions=np.zeros((len(rows), 1)),
                        kernel=kernel_from_rows([[row] for row in rows]),
                        r=np.zeros(len(rows))),
             StationaryPolicy(choice=[0] * len(rows)))
@@ -267,7 +267,7 @@ def test_top_uniform_draw_lands_on_last_positive_target():
     assert (np.cumsum(rates) / np.sum(rates))[-1] < 1.0
     row = list(enumerate(rates + [0.0], start=1))      # trailing zero rate
     model = CtmdpModel(
-        states=StateSpace(size=11), actions=ActionSets(sets=(((0.0,),),) * 11),
+        states=StateSpace(size=11), actions=np.zeros((11, 1)),
         kernel=kernel_from_rows([[[(0, -sum(rates))] + row]]
                                 + [[[(x, 0.0)]] for x in range(1, 11)]),
         r=np.zeros(11))
