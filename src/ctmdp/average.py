@@ -24,9 +24,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .discounted import (DEFAULT_MAX_ITER, ConvergenceError, _state_max,
-                         _vi_relative, check_positive, check_reference,
-                         extract_policy)
+from .discounted import (ConvergenceError, _state_argmax, _vi_relative,
+                         check_positive, check_reference, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 from .verify import certify_lower, certify_upper
 
@@ -99,8 +98,9 @@ def solve_average(model: CtmdpModel,
     """Optimal (gain, relative values, policy) with a gain bracket <= tol.
 
     Relative value iteration at alpha = 0 with h(x0) = 0 runs until the
-    span bracket closes to `tol`; gain, h and policy are read at the same
-    h, so both optimality residuals are at most tol / 2. A `schedule` first
+    span bracket closes to `tol`; gain, bracket and policy are read off
+    the last sweep's Bellman evaluation, at the returned h, so both
+    optimality residuals are at most tol / 2. A `schedule` first
     runs the vanishing-discount steps (each to an inner tolerance,
     warm-started from the previous one) and starts the alpha = 0 stage
     from their last h. Raises ConvergenceError, carrying the partial trace,
@@ -117,22 +117,20 @@ def solve_average(model: CtmdpModel,
     try:
         for alpha in (schedule.alphas() if schedule is not None else []):
             h_prev = h
-            g, h, sweeps, _ = _vi_relative(model, alpha, x0, inner_tol,
-                                           DEFAULT_MAX_ITER, w, h0=h)
+            g, h, sweeps, *_ = _vi_relative(model, alpha, x0, inner_tol,
+                                            h0=h)
             h_change = (weighted_norm(h - h_prev, w)
                         if h_prev is not None else None)
             trace.append({"alpha": alpha, "alpha_J_x0": g,
                           "h_change": h_change, "sweeps": sweeps})
             tail = (tail + [h])[-(ENVELOPE_STAGES - 1):]
-        g, h, sweeps, _ = _vi_relative(model, 0.0, x0, tol,
-                                       DEFAULT_MAX_ITER, w, h0=h)
+        g, h, sweeps, _, vals, bell = _vi_relative(model, 0.0, x0, tol, h0=h)
     except ConvergenceError as exc:
         exc.trace = trace
         raise
 
-    bell = _state_max(model.r + model.kernel.Q @ h, model)
     lo, hi = float(np.min(bell)), float(np.max(bell))
-    policy = extract_policy(model, h)
+    policy = StationaryPolicy(choice=_state_argmax(vals, bell, model))
     sol = AverageSolution(
         gain=g, gain_lower=lo, gain_upper=hi, sweeps=sweeps, h=h,
         policy=policy, trace=trace,

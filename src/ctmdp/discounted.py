@@ -78,15 +78,18 @@ class DiscountedSolution:
                 "kappa": self.kappa}
 
 
-def _state_max(vals: np.ndarray, model: CtmdpModel) -> np.ndarray:
-    """Per-state maximum of the per-pair values `vals`."""
-    return np.maximum.reduceat(vals, model.kernel.starts)
+def bellman(model: CtmdpModel, u) -> tuple:
+    """(vals, bell): the pair values vals = r + Q u, vals(x, a) = r(x, a) +
+    sum_y u(y) q(y|x, a), and their per-state maximum bell(x) = max_a
+    vals(x, a). Every Bellman image, certificate and Delta is read off it."""
+    vals = model.r + model.kernel.Q @ np.asarray(u, dtype=np.float64)
+    return vals, np.maximum.reduceat(vals, model.kernel.starts)
 
 
 def _state_argmax(vals: np.ndarray, best: np.ndarray,
                   model: CtmdpModel) -> np.ndarray:
-    """Per-state argmax over action values, given their maximum `best` =
-    `_state_max(vals, model)`; ties go to the lowest index."""
+    """Per-state argmax over action values, given their maximum `best`
+    (`bellman`'s pair); ties go to the lowest index."""
     hit = vals >= best[model.x_of_pair]
     cand = np.where(hit, model.a_of_pair, model.n_pairs + 1)
     return np.minimum.reduceat(cand, model.kernel.starts)
@@ -110,11 +113,13 @@ def _restart(model: CtmdpModel, alpha: float, x0: int) -> sp.csr_matrix:
 
 
 def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
-                 max_iter: int, w: np.ndarray, h0=None):
+                 h0=None):
     """Relative value iteration in (gain, bias) coordinates, g = alpha *
-    J(x0) and h = J - J(x0), for every alpha >= 0.
+    J(x0) and h = J - J(x0), for every alpha >= 0, within DEFAULT_MAX_ITER
+    sweeps.
 
-    Returns (g, h, sweeps, residual). At alpha = 0 the stop is the span
+    Returns (g, h, sweeps, residual, vals, bell), the last two `bellman`'s
+    evaluation at the returned h. At alpha = 0 the stop is the span
     bracket [min_x bell, max_x bell], bell(x) = max_a { r + sum_y h q }(x):
     it is `residual` <= tol wide at the returned h and g is its midpoint.
     Both ends are valid at every sweep, so a running bracket [max lo,
@@ -130,7 +135,8 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
     h - g) / (m + alpha), is computed as (bell + m h - g) / (m + alpha)
     from the given model's bell. Policy sweeps run on the restart model's
     rows (`_restart`). g is bell(x0), and the stop is the w-weighted
-    residual max_x |g + alpha h(x) - bell(x)| / w(x) of the discounted
+    residual max_x |g + alpha h(x) - bell(x)| / w(x), w = model.weights(),
+    of the discounted
     equation, the figure `solve_discounted` reports; the span is no stop
     there, since rounding in the unweighted far states can keep it open
     above tol. The bracket of an error report is the span of
@@ -162,6 +168,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
     `sweeps` and STALL_SWEEPS count Bellman and policy sweeps alike.
     """
     h = np.zeros(model.n) if h0 is None else np.array(h0, dtype=np.float64)
+    w, max_iter = model.weights(), DEFAULT_MAX_ITER
     Q = _restart(model, alpha, x0) if alpha > 0 else model.kernel.Q
     start = h
     m = model.qmax + 1.0
@@ -174,8 +181,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
     policy, policy_sweeps = None, True
     with np.errstate(over="ignore", invalid="ignore"):
         while it < max_iter:
-            vals = model.r + model.kernel.Q @ h
-            bell = _state_max(vals, model)
+            vals, bell = bellman(model, h)
             g = bell[x0]
             if alpha > 0:
                 width = float((np.abs(g + alpha * h - bell) / w).max())
@@ -184,7 +190,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                 width = hi - lo
             if width <= tol:
                 return (0.5 * (lo + hi) if alpha == 0 else float(g), h, it,
-                        width)
+                        width, vals, bell)
             if alpha == 0 and np.isfinite(width):
                 best = (max(lo, best[0]), min(hi, best[1]))
             if uniform and alpha == 0:
@@ -221,7 +227,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                     min(POLICY_SWEEPS, max_iter - it))
                 it += k
     if alpha > 0:
-        image = _state_max(model.r + model.kernel.Q @ h, model) - alpha * h
+        image = bellman(model, h)[1] - alpha * h
         best = (float(image.min()), float(image.max()))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
@@ -273,21 +279,18 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     The returned value vector satisfies the fixed-point equation with
     w-weighted residual at most `tol`; the maximizing policy breaks ties
     by lowest action index. The iteration runs on the restart model, but
-    its stop, the gain g = alpha*J(x0) and the residual are read off a
-    Bellman evaluation of the given model at the returned h.
+    its stop, the gain g = alpha*J(x0), the residual and the policy are
+    read off a Bellman evaluation of the given model at the returned h.
     """
     check_positive(alpha=alpha, tol=tol)
     check_reference(model, x0)
-    w = model.weights()
-    g, h, iters, residual = _vi_relative(model, alpha, x0, tol,
-                                         DEFAULT_MAX_ITER, w)
-    J = g / alpha + h
+    g, h, iters, residual, vals, bell = _vi_relative(model, alpha, x0, tol)
     m = model.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))
-    return DiscountedSolution(alpha=alpha, values=J,
-                              policy=extract_policy(model, h),
-                              iterations=iters, residual=residual,
-                              kappa=kappa)
+    return DiscountedSolution(
+        alpha=alpha, values=g / alpha + h,
+        policy=StationaryPolicy(choice=_state_argmax(vals, bell, model)),
+        iterations=iters, residual=residual, kappa=kappa)
 
 
 def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
@@ -296,8 +299,5 @@ def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
     Shifting J by a constant leaves the argmax unchanged (rows sum to
     zero), so the relative value h may be passed instead of J.
     """
-    J = np.asarray(J, dtype=np.float64)
-    vals = model.r + model.kernel.Q @ J
-    return StationaryPolicy(
-        choice=_state_argmax(vals, _state_max(vals, model), model))
+    return StationaryPolicy(choice=_state_argmax(*bellman(model, J), model))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discounted import _state_max
+from .discounted import bellman
 from .model import CtmdpModel, ModelError, StationaryPolicy
 from .simulate import _chain, _checkpoint_run, check_replications, rng_info
 
@@ -43,8 +43,7 @@ def certify_upper(model: CtmdpModel, g: float, u, tol: float = 1e-6
     gain (up to a model-dependent multiple of tol); only the raw residual
     is reported.
     """
-    u = np.asarray(u, dtype=np.float64)
-    residuals = _state_max(model.r + model.kernel.Q @ u, model) - g
+    residuals = bellman(model, u)[1] - g
     worst = float(np.max(residuals))
     return CertificateReport(direction="upper", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -59,9 +58,7 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
     tolerance.
     """
     model.check_policy(f)
-    u = np.asarray(u, dtype=np.float64)
-    vals = model.r + model.kernel.Q @ u
-    residuals = g - vals[model.kernel.starts + f.choice]
+    residuals = g - bellman(model, u)[0][model.kernel.starts + f.choice]
     worst = float(np.max(residuals))
     return CertificateReport(direction="lower", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -70,16 +67,11 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
 
 def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     """Discrepancy r(x,a) + sum_y u(y) q(y|x,a) - g with a = f(x) or a
-    direct action index; its sign sets the sub/supermartingale direction."""
+    direct action index; its sign sets the sub/supermartingale direction.
+    Each call evaluates r + Q u at every pair (`bellman`), so that it
+    reads the same bits as the certificates."""
     a = f[x] if isinstance(f, StationaryPolicy) else int(f)
-    p = model.pair_index(x, a)
-    k = model.kernel
-    lo, hi = k.indptr[p], k.indptr[p + 1]
-    total = 0.0              # from 0.0 in target order, as Q @ u sums a row
-    for term in (np.asarray(u, dtype=np.float64).take(k.indices[lo:hi])
-                 * k.data[lo:hi]).tolist():
-        total += term
-    return model.r[p] + total - g
+    return bellman(model, u)[0][model.pair_index(x, a)] - g
 
 
 @dataclass
@@ -139,8 +131,8 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     sub = bool(np.all(diff_means >= -3.0 * diff_ses))
     sup = bool(np.all(diff_means <= 3.0 * diff_ses))
 
-    vals = model.r + model.kernel.Q @ u    # delta() at every state
-    all_delta = vals[model.kernel.starts + f.choice] - g
+    # delta() at every state
+    all_delta = bellman(model, u)[0][model.kernel.starts + f.choice] - g
     delta_visited = {x: float(all_delta[x])
                      for x in np.flatnonzero(runs.occupation > 0).tolist()}
     return MartingaleReport(

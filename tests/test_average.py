@@ -234,6 +234,42 @@ def test_solve_average_residuals_are_the_certificates(name, params):
     assert sol.residual_lower == certify_lower(m, sol.gain, sol.h,
                                                sol.policy).max_violation
     assert max(sol.residual_upper, sol.residual_lower) <= 1e-6
+    # bracket and policy are the Bellman evaluation at the returned h
+    assert np.array_equal(sol.policy.choice,
+                          ctmdp.extract_policy(m, sol.h).choice)
+    bell = discounted.bellman(m, sol.h)[1]
+    assert (sol.gain_lower, sol.gain_upper) == (bell.min(), bell.max())
+
+
+@pytest.mark.parametrize("solve, evaluations", [
+    (lambda m: solve_average(m), 2),
+    (lambda m: solve_average(m, schedule=VanishingSchedule(steps=3)), 2),
+    (lambda m: ctmdp.solve_discounted(m, 0.05), 0)],
+    ids=["average", "average_scheduled", "discounted"])
+def test_solvers_do_not_evaluate_their_returned_h_again(monkeypatch, solve,
+                                                        evaluations):
+    # after the iteration returns, solve_average evaluates r + Q h only in
+    # its two certificates, and solve_discounted not at all
+    m = ctmdp.build("birth_death", dict(BD, N=30, G=3))
+    log = []
+    evaluate, iterate = discounted.bellman, discounted._vi_relative
+
+    def bellman_spy(model, u):
+        log.append(np.array(u, dtype=np.float64))
+        return evaluate(model, u)
+
+    def vi_spy(*args, **kwargs):
+        out = iterate(*args, **kwargs)
+        log.clear()
+        return out
+
+    for module in (discounted, ctmdp.verify):
+        monkeypatch.setattr(module, "bellman", bellman_spy)
+    for module in (discounted, ctmdp.average):
+        monkeypatch.setattr(module, "_vi_relative", vi_spy)
+    sol = solve(m)
+    assert len(log) == evaluations
+    assert all(np.array_equal(u, sol.h) for u in log)
 
 
 def test_reducible_policy_gain_uses_recurrent_class():
@@ -361,7 +397,7 @@ def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
     assert all(call[0].tolist() == [5.0, 1.0] for call in policy_sweep_calls)
     h = np.zeros(2)
     while True:
-        bell = discounted._state_max(m.r + m.kernel.Q @ h, m)
+        bell = discounted.bellman(m, h)[1]
         if bell.max() - bell.min() <= 1e-8:
             break
         delta = (bell + 5.0 * h - bell[0]) / 5.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import ctmdp
 from ctmdp import (ConvergenceError, StationaryPolicy, extract_policy,
                    model_from_dict, solve_discounted, weighted_norm)
+from ctmdp import discounted
 from ctmdp.discounted import DEFAULT_TOL, _vi_relative
 
 import oracles
@@ -71,6 +72,29 @@ def test_policy_extraction_shift_invariant():
     f1 = extract_policy(m, sol.values)
     f2 = extract_policy(m, sol.values + 123.456)
     assert np.array_equal(f1.choice, f2.choice)
+
+
+@pytest.mark.parametrize("name, params, alpha", [
+    ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "N": 30, "G": 3}, 0.05),
+    ("tandem", {"N": 10, "G": 2}, 0.5),
+    ("skip_free", {"lambda": 1, "mu": 2, "b": 1.0, "beta": 2.0, "N": 20,
+                   "G": 5}, 1e-3)])
+def test_discounted_policy_is_greedy_at_the_returned_h(monkeypatch, name,
+                                                        params, alpha):
+    # the policy is read off the iteration's last evaluation, which is
+    # the Bellman evaluation at the h it returns
+    m = ctmdp.build(name, params)
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(_vi_relative(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(discounted, "_vi_relative", spy)
+    sol = solve_discounted(m, alpha)
+    g, h, *_ = returned[0]
+    assert np.array_equal(sol.policy.choice, extract_policy(m, h).choice)
+    assert np.array_equal(sol.values, g / alpha + h)
 
 
 def test_tie_breaking_prefers_lowest_index():
@@ -153,12 +177,13 @@ def test_discounted_value_within_residual_of_optimum(alpha, doc):
     assert err <= sol.residual + 1e-12
 
 
-def test_discounted_convergence_error_brackets_the_gain():
+def test_discounted_convergence_error_brackets_the_gain(monkeypatch):
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
                              "G": 2})
     alpha = 0.05
+    monkeypatch.setattr(discounted, "DEFAULT_MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as info:
-        _vi_relative(m, alpha, 0, DEFAULT_TOL, 3, m.weights())
+        _vi_relative(m, alpha, 0, DEFAULT_TOL)
     exc = info.value
     assert exc.alpha == alpha and exc.iterations == 3
     lower, upper = exc.bracket
