@@ -24,12 +24,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .discounted import (ConvergenceError, _state_argmax, _vi_relative,
+from .discounted import (ConvergenceError, _greedy, _vi_relative,
                          check_positive, check_reference, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 from .verify import certify_lower, certify_upper
 
 ENUMERATION_LIMIT = 10 ** 6
+POLICY_ROUNDS = 200
 # enumeration evaluates policies in chunks of about this many stacked
 # generator entries (chunk policies x n x n), which bounds its memory
 CHUNK_ENTRIES = 2 ** 20
@@ -108,7 +109,6 @@ def solve_average(model: CtmdpModel,
     """
     check_positive(tol=tol)
     check_reference(model, x0)
-    w = model.weights()
     inner_tol = max(min(tol / 10.0, 1e-10), 1e-13)
 
     trace = []
@@ -117,9 +117,8 @@ def solve_average(model: CtmdpModel,
     try:
         for alpha in (schedule.alphas() if schedule is not None else []):
             h_prev = h
-            g, h, sweeps, *_ = _vi_relative(model, alpha, x0, inner_tol,
-                                            h0=h)
-            h_change = (weighted_norm(h - h_prev, w)
+            g, h, sweeps, *_ = _vi_relative(model, alpha, x0, inner_tol, h0=h)
+            h_change = (weighted_norm(h - h_prev, model.weights())
                         if h_prev is not None else None)
             trace.append({"alpha": alpha, "alpha_J_x0": g,
                           "h_change": h_change, "sweeps": sweeps})
@@ -130,7 +129,7 @@ def solve_average(model: CtmdpModel,
         raise
 
     lo, hi = float(np.min(bell)), float(np.max(bell))
-    policy = StationaryPolicy(choice=_state_argmax(vals, bell, model))
+    policy = _greedy(vals, bell, model)
     sol = AverageSolution(
         gain=g, gain_lower=lo, gain_upper=hi, sweeps=sweeps, h=h,
         policy=policy, trace=trace,
@@ -200,21 +199,21 @@ def _closed_classes(Q_f) -> int:
     return k - len(np.unique(comp[rows[leaving]]))
 
 
-def _policy_iteration(model: CtmdpModel, x0: int = 0, max_rounds: int = 200):
+def _policy_iteration(model: CtmdpModel):
     """Howard's average-reward policy iteration (Puterman 1994, section
-    8.6). Each policy f is evaluated by a sparse LU solve of its bordered
-    Poisson system [[Q_f, -1], [e_x0^T, 0]] (h, g) = (-r_f, 0), which has
-    one solution iff Q_f has one closed class; that is checked first, on
-    the graph of Q_f, since rounding can leave a multichain system with a
-    nonzero pivot."""
+    8.6), for at most POLICY_ROUNDS rounds. Each policy f is evaluated by a
+    sparse LU solve of its bordered Poisson system [[Q_f, -1], [e_0^T, 0]]
+    (h, g) = (-r_f, 0), which has one solution iff Q_f has one closed
+    class; that is checked first, on the graph of Q_f, since rounding can
+    leave a multichain system with a nonzero pivot."""
     from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     n = model.n
     border = sp.csr_matrix(np.full((n, 1), -1.0))
-    anchor = sp.csr_matrix(([1.0], ([0], [x0])), shape=(1, n))
+    anchor = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
     f = StationaryPolicy(choice=np.zeros(n, dtype=np.int64))
     best = None
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, POLICY_ROUNDS + 1):
         pairs = model.kernel.starts + f.choice
         Q_f = model.kernel.Q[pairs]
         closed = _closed_classes(Q_f)
@@ -330,16 +329,15 @@ def _enumeration(model: CtmdpModel) -> OracleResult:
                         method="enumeration", restricted=restricted_any)
 
 
-def brute_force_oracle(model: CtmdpModel,
-                       enumeration_limit: int = ENUMERATION_LIMIT) -> OracleResult:
+def brute_force_oracle(model: CtmdpModel) -> OracleResult:
     """Optimal average gain by full policy enumeration when feasible.
 
     Falls back to average-reward policy iteration (flagged) when the
-    policy space exceeds the enumeration limit. Both routes rest on
+    policy space exceeds ENUMERATION_LIMIT. Both routes rest on
     stationary-distribution / Poisson-equation linear solves and share no
     code with the discounted iteration.
     """
-    if math.prod(model.kernel.counts.tolist()) > enumeration_limit:
+    if math.prod(model.kernel.counts.tolist()) > ENUMERATION_LIMIT:
         gain, f = _policy_iteration(model)
         return OracleResult(gain=gain, policy=f, method="policy_iteration")
     return _enumeration(model)

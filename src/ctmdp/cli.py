@@ -251,14 +251,12 @@ def _cmd_validate(args, stdin_text) -> int:
         primitives = validate_model(model)
         report["primitives"] = primitives.to_dict()
         ok = ok and primitives.ok
-        if "drift" in checks:
-            rep = check_assumption_A(model)
-            report["drift"] = rep.to_dict()
-            ok = ok and rep.ok
-        if "bounds" in checks:
-            rep = check_assumption_B(model)
-            report["bounds"] = rep.to_dict()
-            ok = ok and rep.ok
+        for name, check in (("drift", check_assumption_A),
+                            ("bounds", check_assumption_B)):
+            if name in checks:
+                rep = check(model)
+                report[name] = rep.to_dict()
+                ok = ok and rep.ok
         if "monotone" in checks:
             f = StationaryPolicy(choice=np.zeros(model.n, dtype=np.int64))
             rep = check_monotonicity(model, f)
@@ -398,12 +396,10 @@ def _cmd_simulate(args, stdin_text) -> int:
         if args.mode != "lyapunov":
             raise UsageError("the continuous-state builtin supports "
                              "--mode lyapunov only")
-        if not any(np.array_equal(f.matrix, m) for m in model.matrices):
-            raise UsageError("--policy 'matrix' must be one of the "
-                             "family's admissible 'matrices'")
-        if not np.all((f.q >= 0) & (f.q <= model.qstar)):
-            raise UsageError(f"--policy 'q' must satisfy 0 <= q <= qstar "
-                             f"= {model.qstar.tolist()}, got {q}")
+        try:
+            model.check_policy(f)
+        except ModelError as exc:
+            raise UsageError(f"--policy {exc}") from None
     else:
         _validate_or_die(model)
         f = modelio.policy_from_dict(pol_doc, model)

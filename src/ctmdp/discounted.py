@@ -79,20 +79,18 @@ class DiscountedSolution:
 
 
 def bellman(model: CtmdpModel, u) -> tuple:
-    """(vals, bell): the pair values vals = r + Q u, vals(x, a) = r(x, a) +
-    sum_y u(y) q(y|x, a), and their per-state maximum bell(x) = max_a
-    vals(x, a). Every Bellman image, certificate and Delta is read off it."""
+    """(vals, bell): the pair values r + Q u and their per-state maximum
+    bell(x) = max_a (r + Q u)(x, a), read by every sweep and certificate."""
     vals = model.r + model.kernel.Q @ np.asarray(u, dtype=np.float64)
     return vals, np.maximum.reduceat(vals, model.kernel.starts)
 
 
-def _state_argmax(vals: np.ndarray, best: np.ndarray,
-                  model: CtmdpModel) -> np.ndarray:
+def _greedy(vals, best, model: CtmdpModel) -> StationaryPolicy:
     """Per-state argmax over action values, given their maximum `best`
     (`bellman`'s pair); ties go to the lowest index."""
     hit = vals >= best[model.x_of_pair]
     cand = np.where(hit, model.a_of_pair, model.n_pairs + 1)
-    return np.minimum.reduceat(cand, model.kernel.starts)
+    return StationaryPolicy(np.minimum.reduceat(cand, model.kernel.starts))
 
 
 def _restart(model: CtmdpModel, alpha: float, x0: int) -> sp.csr_matrix:
@@ -115,8 +113,7 @@ def _restart(model: CtmdpModel, alpha: float, x0: int) -> sp.csr_matrix:
 def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                  h0=None):
     """Relative value iteration in (gain, bias) coordinates, g = alpha *
-    J(x0) and h = J - J(x0), for every alpha >= 0, within DEFAULT_MAX_ITER
-    sweeps.
+    J(x0) and h = J - J(x0), for every alpha >= 0.
 
     Returns (g, h, sweeps, residual, vals, bell), the last two `bellman`'s
     evaluation at the returned h. At alpha = 0 the stop is the span
@@ -135,12 +132,11 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
     h - g) / (m + alpha), is computed as (bell + m h - g) / (m + alpha)
     from the given model's bell. Policy sweeps run on the restart model's
     rows (`_restart`). g is bell(x0), and the stop is the w-weighted
-    residual max_x |g + alpha h(x) - bell(x)| / w(x), w = model.weights(),
-    of the discounted
-    equation, the figure `solve_discounted` reports; the span is no stop
-    there, since rounding in the unweighted far states can keep it open
-    above tol. The bracket of an error report is the span of
-    bell - alpha h at the last h.
+    residual max_x |g + alpha h(x) - bell(x)| / w(x) of the discounted
+    equation (w = model.weights()), the figure `solve_discounted` reports;
+    the span is no stop there, since rounding in the unweighted far states
+    can keep it open above tol. The bracket of an error report is the span
+    of bell - alpha h at the last h.
 
     The first pass uses the per-state uniformization m(x) = q(x) + 1, which
     is fast where exit rates differ widely, and is modified policy
@@ -158,7 +154,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
     iteration, which converges on every unichain model (Puterman 1994,
     section 8.5). At alpha > 0 that pass is the iteration J <- (T J +
     m J) / (alpha + m) shifted by a constant, a contraction of modulus
-    m / (alpha + m), so it runs until the stop or the sweep budget. At
+    m / (alpha + m), so it runs until the stop or DEFAULT_MAX_ITER. At
     alpha = 0 the span never grows, but it can stay flat while the states
     inside the bracket still move, so a sweep that moves some bell(x) by
     more than tol, or shrinks some pair's gap bell(x) - (r + Q h)(x, a)
@@ -218,7 +214,7 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
             h = delta - delta[x0]
             it += 1
             if policy_sweeps:
-                f = _state_argmax(vals, bell, model)
+                f = _greedy(vals, bell, model).choice
                 if not np.array_equal(f, policy):
                     policy, rows = f, model.kernel.starts + f
                     Qf, rf = Q[rows], model.r[rows]
@@ -288,8 +284,7 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     m = model.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))
     return DiscountedSolution(
-        alpha=alpha, values=g / alpha + h,
-        policy=StationaryPolicy(choice=_state_argmax(vals, bell, model)),
+        alpha=alpha, values=g / alpha + h, policy=_greedy(vals, bell, model),
         iterations=iters, residual=residual, kappa=kappa)
 
 
@@ -299,5 +294,5 @@ def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:
     Shifting J by a constant leaves the argmax unchanged (rows sum to
     zero), so the relative value h may be passed instead of J.
     """
-    return StationaryPolicy(choice=_state_argmax(*bellman(model, J), model))
+    return _greedy(*bellman(model, J), model)
 

@@ -409,6 +409,18 @@ class PotlachProcess:
     def weight(self, x) -> float:
         return float(np.sum(x))
 
+    def check_policy(self, policy: PotlachPolicy) -> None:
+        """ModelError unless `policy` is admissible (`matrices`, `qstar`)."""
+        if not isinstance(policy, PotlachPolicy):
+            raise ModelError("a PotlachProcess takes a PotlachPolicy")
+        if not any(np.array_equal(policy.matrix, m) for m in self.matrices):
+            raise ModelError("'matrix' must be one of the family's "
+                             "admissible 'matrices'")
+        q = policy.q
+        if q.shape != (self.d,) or not np.all((q >= 0) & (q <= self.qstar)):
+            raise ModelError(f"'q' must satisfy 0 <= q <= qstar = "
+                             f"{self.qstar.tolist()}, got {q.tolist()}")
+
     def reward(self, x, policy: PotlachPolicy) -> float:
         x = np.asarray(x, dtype=np.float64)
         # index pattern q_i p_ij x_j, as printed in the source display

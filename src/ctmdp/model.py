@@ -249,7 +249,10 @@ class CtmdpModel:
         if len(kernel.counts) != n:
             raise ModelError("component tables disagree on the state count")
         n_pairs = kernel.Q.shape[0]
-        acts = self.actions = np.asarray(self.actions, dtype=np.float64)
+        try:
+            acts = self.actions = np.asarray(self.actions, dtype=np.float64)
+        except ValueError:
+            raise ModelError("actions must all have one length") from None
         if acts.ndim != 2 or len(acts) != n_pairs:
             raise ModelError(f"action count mismatch: actions has shape "
                              f"{acts.shape} for {n_pairs} (state, action) "
@@ -436,14 +439,23 @@ def pairs(family: CountableFamily, labels) -> tuple:
     each state, and the pairs in state-major order, X (P, dim) their labels
     and A (P, k) their actions."""
     lists = [family.actions(lab) for lab in labels]
-    # one array per distinct (shared) action list
-    blocks = {id(acts): acts for acts in lists if len(acts)}
-    blocks = {i: np.array(a, dtype=np.float64) for i, a in blocks.items()}
     counts = list(map(len, lists))
     X = np.repeat(np.array(labels, dtype=np.int64).reshape(len(labels), -1),
                   counts, axis=0)
-    A = [blocks[id(acts)] for acts in lists if len(acts)]
-    return counts, X, np.concatenate(A) if A else np.empty((0, 0))
+    # one array per distinct (shared) action list
+    blocks = {id(acts): acts for acts in lists if len(acts)}
+    try:
+        blocks = {i: np.array(a, dtype=np.float64) for i, a in blocks.items()}
+        A = np.concatenate([blocks[id(acts)] for acts in lists if len(acts)]
+                           or [np.empty((0, 0))])
+    except ValueError:
+        k = np.size(next(a for acts in lists for a in acts))
+        for x, acts in enumerate(lists):
+            if any(np.size(a) != k for a in acts):
+                raise ModelError(f"state {labels[x]}: every action must "
+                                 f"have length {k}, as the first") from None
+        raise
+    return counts, X, A
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:

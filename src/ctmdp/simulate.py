@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discounted import check_positive
 from .families import PotlachPolicy, PotlachProcess
 from .model import CtmdpModel, ModelError, StationaryPolicy, _run_sums
 
@@ -187,13 +188,15 @@ class _RedistributionChain:
     n = 0                        # no finite state space to occupy
 
     def __init__(self, proc: PotlachProcess, policy: PotlachPolicy):
-        if not isinstance(policy, PotlachPolicy):
-            raise ModelError("the redistribution process takes a "
-                             "PotlachPolicy")
+        proc.check_policy(policy)
         self.proc, self.policy = proc, policy
 
     def start(self, x0, reps: int) -> np.ndarray:
-        return np.tile(np.asarray(x0, dtype=np.float64), (reps, 1))
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (self.proc.d,):
+            raise ModelError(f"start state must list {self.proc.d} masses, "
+                             f"got {x0.tolist()}")
+        return np.tile(x0, (reps, 1))
 
     def walk(self, x, draws) -> np.ndarray:
         """States before and after each jump of a block, (G, L + 1, d)."""
@@ -235,17 +238,17 @@ class _Runs:
 
 
 def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
-         record=False, max_jumps=None) -> _Runs:
+         record=False) -> _Runs:
     """The stepper: `reps` replications from x0 over [0, horizon].
 
     A checkpoint t is read in the segment between jump times t_j < t <=
-    t_{j+1} (the first segment for t <= 0, the last one ends at the
+    t_{j+1} (the first segment for t = 0, the last one ends at the
     horizon): its state, and the reward integral up to t.
     """
-    max_jumps = MAX_JUMPS if max_jumps is None else max_jumps
     cps = np.asarray(checkpoints, dtype=np.float64)
-    if np.any(np.diff(cps) < 0):
-        raise ValueError("checkpoint times must be non-decreasing")
+    if not np.all((np.diff(cps, prepend=0.0) >= 0) & (cps < np.inf)):
+        raise ModelError(f"checkpoint times must be finite, non-negative and "
+                         f"non-decreasing, got {cps.tolist()}")
     C = len(cps)
     x = chain.start(x0, reps)
     t, reward = np.zeros(reps), np.zeros(reps)
@@ -278,16 +281,16 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
             T = np.cumsum(np.concatenate([t[idx, None], hold], axis=1),
                           axis=1)
             m = np.count_nonzero(T[:, 1:] < horizon, axis=1)
-            over = jumps[idx] + m > max_jumps
+            over = jumps[idx] + m > MAX_JUMPS
             if over.any():
                 row = int(np.argmax(over))
-                j = max_jumps - int(jumps[idx[row]]) + 1
+                j = MAX_JUMPS - int(jumps[idx[row]]) + 1
                 last = S[row, j].tolist()
                 raise SimulationError(
-                    f"jump-count guard ({max_jumps}) exceeded in replication "
+                    f"jump-count guard ({MAX_JUMPS}) exceeded in replication "
                     f"{int(idx[row])} at time {T[row, j]!r}; drift "
                     f"condition likely violated", last_state=last,
-                    rep=int(idx[row]), jumps=max_jumps + 1,
+                    rep=int(idx[row]), jumps=MAX_JUMPS + 1,
                     time=float(T[row, j]))
             ends = np.minimum(T[:, 1:], horizon)
             seg = ends - T[:, :L]
@@ -331,8 +334,7 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
 
 
 def simulate_path(model, f, x0, horizon: float, seed: int,
-                  checkpoints=None, cp_fn=None,
-                  max_jumps: int | None = None) -> PathRecorder:
+                  checkpoints=None, cp_fn=None) -> PathRecorder:
     """Simulate one trajectory (replication 0) under a stationary policy.
 
     Dispatches on the model type: tabulated CTMDP instances take a
@@ -341,10 +343,8 @@ def simulate_path(model, f, x0, horizon: float, seed: int,
     each checkpoint <= horizon (default: the state index, or the weight
     of the redistribution process).
     """
-    cps = np.asarray(checkpoints if checkpoints is not None else [],
-                     dtype=np.float64)
-    runs = _run(_chain(model, f), x0, horizon, 1, seed, cps, record=True,
-                max_jumps=max_jumps)
+    cps = np.asarray([] if checkpoints is None else checkpoints, float)
+    runs = _run(_chain(model, f), x0, horizon, 1, seed, cps, record=True)
     times, states = runs.path
     reached = int(np.searchsorted(cps, horizon, side="right"))
     cp_states = runs.cp_states[0, :reached]
@@ -381,6 +381,7 @@ def estimate_average_reward(model: CtmdpModel, f: StationaryPolicy, x0: int,
                             horizon: float, reps: int,
                             seed: int) -> SimulationReport:
     """Monte Carlo estimate of the long-run average reward under f."""
+    check_positive(horizon=horizon, reps=reps)
     runs = _run(_PolicyChain(model, f), x0, horizon, reps, seed)
     values = runs.reward / horizon
     se = float(values.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
@@ -417,7 +418,6 @@ def check_replications(reps: int) -> None:
 
 def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
     """Replications run just past the last checkpoint."""
-    checkpoints = np.asarray(checkpoints, dtype=np.float64)
     horizon = float(checkpoints[-1]) * (1 + 1e-12)
     return _run(chain, x0, horizon, reps, seed, checkpoints)
 
@@ -506,8 +506,7 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
         diffs[pi] = np.stack(per_start)
     if len(pts) >= 2 and np.ptp(pts) > 0:
         slope, intercept = np.polyfit(pts, vals, 1)
-        rho_hat = float(-slope)
-        R_hat = float(np.exp(intercept))
+        rho_hat, R_hat = float(-slope), float(np.exp(intercept))
         flagged = rho_hat <= 0
     else:
         rho_hat, R_hat, flagged = None, None, True

@@ -66,10 +66,8 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
 
 
 def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
-    """Discrepancy r(x,a) + sum_y u(y) q(y|x,a) - g with a = f(x) or a
-    direct action index; its sign sets the sub/supermartingale direction.
-    Each call evaluates r + Q u at every pair (`bellman`), so that it
-    reads the same bits as the certificates."""
+    """Discrepancy (r + Q u)(x, a) - g, a = f(x) or an action index, read
+    off one full `bellman` evaluation; its sign is the drift direction."""
     a = f[x] if isinstance(f, StationaryPolicy) else int(f)
     return bellman(model, u)[0][model.pair_index(x, a)] - g
 
@@ -131,7 +129,6 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     sub = bool(np.all(diff_means >= -3.0 * diff_ses))
     sup = bool(np.all(diff_means <= 3.0 * diff_ses))
 
-    # delta() at every state
     all_delta = bellman(model, u)[0][model.kernel.starts + f.choice] - g
     delta_visited = {x: float(all_delta[x])
                      for x in np.flatnonzero(runs.occupation > 0).tolist()}

@@ -121,7 +121,7 @@ def test_oracle_agrees_with_solver_at_model_scale(name, params):
     assert solve_average(m).gain == pytest.approx(orc.gain, abs=1e-8)
 
 
-def test_oracle_error_carries_partial_state():
+def test_oracle_error_carries_partial_state(monkeypatch):
     # states 1 and 2 each have an absorbing action, and state 0's action 1
     # leads to both: policy [1, 1, 1] reaches two closed classes from 0
     m = ctmdp.CtmdpModel(
@@ -139,8 +139,9 @@ def test_oracle_error_carries_partial_state():
                                    "policy": [1, 1, 1], "evaluated": 7}
     # round 1 evaluates [0, 0, 0] (gain 0); its greedy improvement
     # [0, 1, 1] has two closed classes, so its Poisson system is singular
+    monkeypatch.setattr(ctmdp.average, "ENUMERATION_LIMIT", 1)
     with pytest.raises(ctmdp.OracleError) as info:
-        brute_force_oracle(m, enumeration_limit=1)
+        brute_force_oracle(m)
     assert info.value.detail() == {"method": "policy_iteration",
                                    "policy": [0, 1, 1], "round": 2,
                                    "best_gain": 0.0}
@@ -165,7 +166,7 @@ def test_enumeration_counts_the_closed_classes_state_0_reaches():
         oracles.dense_brute_force_oracle(m)
 
 
-def test_policy_iteration_refuses_a_multichain_policy():
+def test_policy_iteration_refuses_a_multichain_policy(monkeypatch):
     # under the all-zeros start policy state 0 is absorbing beside the
     # closed class {1, 2}; the bordered Poisson system is singular, but its
     # LU pivots are not exactly zero, so only the structural check sees it
@@ -179,8 +180,9 @@ def test_policy_iteration_refuses_a_multichain_policy():
             [[(1, -0.2977), (2, 0.2977)]], [[(1, 3.3107), (2, -3.3107)]]]),
         r=[-3.3549, -3.3549, -1.2485, -1.8326],
     )
+    monkeypatch.setattr(ctmdp.average, "ENUMERATION_LIMIT", 0)
     with pytest.raises(ctmdp.OracleError, match="2 closed classes") as info:
-        brute_force_oracle(m, enumeration_limit=0)
+        brute_force_oracle(m)
     assert info.value.detail() == {"method": "policy_iteration",
                                    "policy": [0, 0, 0], "round": 1,
                                    "best_gain": None}

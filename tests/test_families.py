@@ -158,9 +158,9 @@ def test_potlach_reward_reduces_without_cost_weights():
 
 
 def test_potlach_jump_preserves_nonnegativity():
-    proc = build("potlach", {"d": 2, "lambda": 2.0})
-    pol = PotlachPolicy(matrix=np.array([[0.2, 0.8], [0.7, 0.3]]),
-                        q=np.zeros(2))
+    matrix = [[0.2, 0.8], [0.7, 0.3]]
+    proc = build("potlach", {"d": 2, "lambda": 2.0, "matrices": [matrix]})
+    pol = PotlachPolicy(matrix=np.array(matrix), q=np.zeros(2))
     rec = simulate_path(proc, pol, np.array([1.0, 1.0]), 100.0, seed=0)
     assert len(rec.states) > 100
     assert np.all(rec.states >= 0)

@@ -184,6 +184,13 @@ def test_model_names_first_bad_action_set(rows, actions, message):
                    r=[0.0] * sum(map(len, rows)))
 
 
+def test_model_refuses_actions_of_differing_lengths():
+    # numpy's conversion used to fail with a ValueError
+    with pytest.raises(ModelError, match="actions must all have one length"):
+        CtmdpModel(states=StateSpace(size=2), actions=[[0.0], [0.0, 1.0]],
+                   kernel=two_state_model().kernel, r=[0.0, 0.0])
+
+
 @pytest.mark.parametrize("r", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 0.0])
 def test_rewards_are_one_array_over_the_pairs(r):
     with pytest.raises(ModelError, match=r"reward count mismatch: r has "

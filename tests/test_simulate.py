@@ -122,12 +122,13 @@ def test_stream_seed_range():
             stream(seed, 0)
 
 
-def test_explosion_guard_raises():
+def test_explosion_guard_raises(monkeypatch):
     m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
                              "G": 1})
-    with pytest.raises(ctmdp.SimulationError):
-        simulate_path(m, zero_policy(m), 0, 1e6, seed=0, max_jumps=100)
     assert MAX_JUMPS == 10 ** 8
+    monkeypatch.setattr(simulate, "MAX_JUMPS", 100)
+    with pytest.raises(ctmdp.SimulationError, match=r"guard \(100\)"):
+        simulate_path(m, zero_policy(m), 0, 1e6, seed=0)
 
 
 def test_lyapunov_bound_trivial_weight(mm20):
@@ -178,6 +179,66 @@ def test_checkpoint_estimates_refuse_checkpoints_comparing_nothing(
         else:
             estimate_ergodicity(mm20, f, [np.arange(mm20.n, dtype=float)],
                                 (0, 1), checkpoints, 20, seed=3)
+
+
+@pytest.mark.parametrize("checkpoints", [[2.0, 1.0], [1.0, float("nan")],
+                                         [-1.0, 1.0]],
+                         ids=["decreasing", "nan", "negative"])
+def test_monte_carlo_runs_refuse_bad_checkpoint_times(checkpoints):
+    # decreasing times raised a bare ValueError; a NaN time failed the
+    # Lyapunov check and a negative one passed it
+    m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
+                                    "N": 10, "G": 1})
+    f = zero_policy(m)
+    probe = np.arange(m.n, dtype=float)
+    for run in (
+            lambda: check_lyapunov_bound(m, f, 0, checkpoints, 4, seed=1),
+            lambda: ctmdp.martingale_diagnostic(m, f, probe, 0.0, 0,
+                                                checkpoints, 4, seed=1),
+            lambda: estimate_ergodicity(m, f, [probe], (0, 1), checkpoints,
+                                        4, seed=1),
+            lambda: simulate_path(m, f, 0, 2.0, seed=1,
+                                  checkpoints=checkpoints)):
+        with pytest.raises(ctmdp.ModelError, match="checkpoint"):
+            run()
+
+
+@pytest.mark.parametrize("horizon, reps, message", [
+    (0.0, 2, "horizon must be finite and > 0"),
+    (float("nan"), 2, "horizon must be finite and > 0"),
+    (1.0, 0, "reps must be finite and > 0")],
+    ids=["horizon_0", "horizon_nan", "reps_0"])
+def test_average_reward_estimate_refuses_empty_runs(mm20, horizon, reps,
+                                                    message):
+    # each returned a NaN mean with RuntimeWarnings
+    with pytest.raises(ctmdp.ModelError, match=message):
+        estimate_average_reward(mm20, zero_policy(mm20), 0, horizon, reps,
+                                seed=1)
+
+
+@pytest.mark.parametrize("matrix, q, x0, message", [
+    (np.full((3, 3), 1 / 3), np.zeros(3), [1.0, 1.0],
+     "'matrix' must be one of the family's admissible 'matrices'"),
+    (np.eye(2), np.zeros(2), [1.0, 1.0],
+     "'matrix' must be one of the family's admissible 'matrices'"),
+    (np.full((2, 2), 0.5), [0.5, 1.5], [1.0, 1.0],
+     r"'q' must satisfy 0 <= q <= qstar = \[1.0, 1.0\], got \[0.5, 1.5\]"),
+    (np.full((2, 2), 0.5), np.zeros(3), [1.0, 1.0], "'q' must satisfy"),
+    (np.full((2, 2), 0.5), np.zeros(2), [1.0, 1.0, 1.0],
+     r"start state must list 2 masses, got \[1.0, 1.0, 1.0\]")],
+    ids=["matrix_3x3", "matrix_inadmissible", "q_above_qstar", "q_of_3",
+         "x0_of_3"])
+def test_redistribution_runs_refuse_inadmissible_input(matrix, q, x0,
+                                                       message):
+    # a policy of the wrong size or a start of 3 masses failed in numpy's
+    # broadcasting; an inadmissible matrix or weight ran silently
+    proc = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
+    pol = PotlachPolicy(matrix=matrix, q=q)
+    for run in (lambda: check_lyapunov_bound(proc, pol, x0, [0.5, 1.0], 4,
+                                             seed=1),
+                lambda: simulate_path(proc, pol, x0, 1.0, seed=1)):
+        with pytest.raises(ctmdp.ModelError, match=message):
+            run()
 
 
 def test_checkpoint_means_ordered_in_start_state():

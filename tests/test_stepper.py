@@ -207,10 +207,10 @@ def test_long_path_crosses_full_blocks():
 
 
 def test_redistribution_matches_scalar_reference():
-    proc = ctmdp.build("potlach", {"d": 3, "lambda": 2.5})
-    pol = PotlachPolicy(matrix=np.array([[0.2, 0.5, 0.3], [0.0, 0.4, 0.6],
-                                         [0.7, 0.1, 0.2]]),
-                        q=np.array([0.3, 0.0, 0.8]))
+    matrix = [[0.2, 0.5, 0.3], [0.0, 0.4, 0.6], [0.7, 0.1, 0.2]]
+    proc = ctmdp.build("potlach", {"d": 3, "lambda": 2.5,
+                                   "matrices": [matrix]})
+    pol = PotlachPolicy(matrix=np.array(matrix), q=np.array([0.3, 0.0, 0.8]))
     x0 = np.array([1.0, 2.0, 0.5])
     cps = [0.5, 3.0, 9.0]
     rec = simulate_path(proc, pol, x0, 40.0, seed=3, checkpoints=cps)
@@ -245,14 +245,14 @@ def test_replication_depends_only_on_seed_and_index(monkeypatch):
     assert np.array_equal(grouped.jumps, seven.jumps)
 
 
-def test_guard_names_replication_time_and_state():
+def test_guard_names_replication_time_and_state(monkeypatch):
     m = ctmdp.build("mmn0", {"lambda": 50, "mu1": 60, "mu2": 61, "N": 2,
                              "G": 1})
     f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
+    monkeypatch.setattr(simulate, "MAX_JUMPS", 100)
     for lookup in LOOKUPS:
         with lookup(), pytest.raises(ctmdp.SimulationError) as err:
-            simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0,
-                          max_jumps=100)
+            simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0)
         exc = err.value
         assert exc.rep == 0 and exc.jumps == 101
         times, states, *_ = reference_policy_path(m, f, 0, 2 * exc.time, 0, 0)

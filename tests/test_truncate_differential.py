@@ -167,6 +167,26 @@ def test_negative_target_names_the_first_offender():
         truncate(family, 4)
 
 
+@pytest.mark.parametrize("actions, message", [
+    # a width that changes from one state to the next ...
+    (lambda lab: [(0.0,)] if lab[0] < 2 else [(0.0, 1.0)],
+     r"^state \(2,\): every action must have length 1, as the first$"),
+    # ... or within one state
+    (lambda lab: [(0.0,), (1.0, 0.0)] if lab[0] == 3 else [(0.0,)],
+     r"^state \(3,\): every action must have length 1")],
+    ids=["across_states", "within_a_state"])
+def test_actions_of_differing_lengths_name_the_first_odd_state(actions,
+                                                               message):
+    # numpy's concatenation used to fail with a ValueError
+    family = CountableFamily(
+        dim=1, actions=actions,
+        entries=lambda X, A: (np.zeros((len(X), 0, 1)), np.zeros((len(X), 0)),
+                              np.zeros((len(X), 0), dtype=bool)),
+        reward=lambda X, A: np.zeros(len(X)))
+    with pytest.raises(ModelError, match=message):
+        truncate(family, 4)
+
+
 BENCHMARK_INSTANCES = [
     ("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0,
                      "N": 2000, "G": 11}),
