@@ -446,8 +446,8 @@ def pairs(family: CountableFamily, labels) -> tuple:
     blocks = {id(acts): acts for acts in lists if len(acts)}
     try:
         blocks = {i: np.array(a, dtype=np.float64) for i, a in blocks.items()}
-        A = np.concatenate([blocks[id(acts)] for acts in lists if len(acts)]
-                           or [np.empty((0, 0))])
+        A = [blocks[id(acts)] for acts in lists if len(acts)]
+        return counts, X, np.concatenate(A) if A else np.empty((0, 0))
     except ValueError:
         k = np.size(next(a for acts in lists for a in acts))
         for x, acts in enumerate(lists):
@@ -455,7 +455,6 @@ def pairs(family: CountableFamily, labels) -> tuple:
                 raise ModelError(f"state {labels[x]}: every action must "
                                  f"have length {k}, as the first") from None
         raise
-    return counts, X, A
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:

@@ -483,11 +483,12 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     if not (len(checkpoints) and checkpoints[-1] > 0):
         raise ModelError(f"the last checkpoint must be > 0, got "
                          f"{checkpoints.tolist()}")
+    # the checkpoint runs first: they refuse bad checkpoint times
+    states = [_checkpoint_run(chain, x0, checkpoints, reps, seed).cp_states
+              for x0 in x0_pair]
     occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,
                (seed + 1) % 2 ** 64).occupation
     occ = occ / occ.sum()
-    states = [_checkpoint_run(chain, x0, checkpoints, reps, seed).cp_states
-              for x0 in x0_pair]
     diffs = {}
     pts, vals = [], []
     for pi, u in enumerate(probes):
