@@ -1,9 +1,11 @@
 """Command-line front end: model ingestion, solving, certification, simulation.
 
 Every report is a single JSON object {format_version, config, report}
-where config echoes the fully-resolved options (defaults included) so a
-run can be reproduced from its own output. Serialization is byte-stable:
-sorted keys, shortest round-trip floats (report format 2).
+where config echoes the fully-resolved options (defaults included) and
+the model: a builtin document whole, an explicit model file as its kind
+and sha256, so a run can be reproduced from its output and the model
+file. Serialization is byte-stable: sorted keys, shortest round-trip
+floats (report format 3).
 
 Exit codes: 0 success, 1 check failure (failed validation or
 certificate) or a numeric failure, 2 usage or malformed input. A numeric
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import re
 import sys
@@ -79,16 +82,23 @@ _FRACTION = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
 
-def _read_text(path: str, stdin_text: dict) -> str:
-    if path == "-":
-        if stdin_text.get("text") is None:
-            stdin_text["text"] = sys.stdin.read()
-        return stdin_text["text"]
+def _read_text(path: str, stdin_text: dict, flag: str) -> str:
+    """The text of the file `path` of option `flag`, or of stdin (read once
+    per run) for "-". Both are read as bytes and decoded as strict UTF-8,
+    so a byte that is not UTF-8 exits 2 naming the flag, path and offset."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, "rb") as fh:
+                return fh.read().decode("utf-8")
+        if stdin_text.get("text") is None:
+            stdin_text["text"] = sys.stdin.buffer.read().decode("utf-8")
+        return stdin_text["text"]
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise UsageError(f"{flag} {where} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
 
 
 def _parse_json(text: str, what: str):
@@ -104,27 +114,41 @@ def _params_arg(raw, stdin_text):
     if raw is None:
         return {}
     inline = raw.strip()[:1] in ("{", "[")
-    return typed(_parse_json(raw if inline else _read_text(raw, stdin_text),
-                             "--params"), dict, "--params")
+    text = raw if inline else _read_text(raw, stdin_text, "--params")
+    return typed(_parse_json(text, "--params"), dict, "--params")
 
 
-def _model_document(args, stdin_text) -> dict:
+def _model_document(args, stdin_text) -> tuple:
+    """(document, echo) of --model or --builtin: the model document and
+    what a report's config echoes of it. An explicit document is echoed
+    as its kind and the sha256 of the bytes it was read from (`sha256sum
+    FILE`); a builtin one, which is small and rebuilds the model, whole. A piped report gives its config.model, which must
+    then be a builtin document."""
     if getattr(args, "model", None):
-        doc = _parse_json(_read_text(args.model, stdin_text), "--model")
-        # a piped report carries the model under config
+        text = _read_text(args.model, stdin_text, "--model")
+        doc = _parse_json(text, "--model")
         if isinstance(doc, dict) and "kind" not in doc and "config" in doc:
             doc = typed(doc["config"], dict, "--model config").get("model", doc)
-        return doc
+            if isinstance(doc, dict) and doc.get("kind") == "explicit":
+                raise UsageError(
+                    "--model: a report's config.model is read back for a "
+                    "builtin model only; pass the explicit model file itself")
+        elif isinstance(doc, dict) and doc.get("kind") == "explicit":
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            return doc, {"kind": "explicit", "sha256": digest}
+        return doc, doc
     if getattr(args, "builtin", None):
-        return {"kind": "builtin", "name": args.builtin,
-                "params": _params_arg(getattr(args, "params", None),
-                                      stdin_text)}
+        doc = {"kind": "builtin", "name": args.builtin,
+               "params": _params_arg(getattr(args, "params", None),
+                                     stdin_text)}
+        return doc, doc
     raise UsageError("one of --model or --builtin is required")
 
 
 def _resolve_model(args, stdin_text):
-    doc = _model_document(args, stdin_text)
-    return doc, modelio.model_from_dict(doc)
+    """(echo, model): `_model_document`'s config echo and the model."""
+    doc, echo = _model_document(args, stdin_text)
+    return echo, modelio.model_from_dict(doc)
 
 
 def _require_tabulated(model):
@@ -158,8 +182,9 @@ def _solution(args, stdin_text) -> tuple:
     """Model document and model, then the gain, relative values (one per
     state) and policy document of --solution."""
     doc, model = _valid_tabulated_model(args, stdin_text)
-    sol = typed(_parse_json(_read_text(args.solution, stdin_text),
-                            "--solution"), dict, "--solution")
+    sol = typed(_parse_json(_read_text(args.solution, stdin_text,
+                                       "--solution"), "--solution"),
+                dict, "--solution")
     if "gain" not in sol and "report" in sol:
         sol = typed(sol["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
@@ -221,10 +246,11 @@ def _emit_series(path, header, rows) -> None:
                              for v in row])
 
 
-def _base_config(args, model_doc) -> dict:
-    """The resolved options; kept on args as well, so that an error report
-    echoes them with whatever the handler adds."""
-    args.config = {"subcommand": args.command, "model": model_doc}
+def _base_config(args, model_echo) -> dict:
+    """The resolved options and `_model_document`'s echo of the model; kept
+    on args as well, so that an error report echoes them with whatever the
+    handler adds."""
+    args.config = {"subcommand": args.command, "model": model_echo}
     return args.config
 
 
@@ -358,7 +384,8 @@ def _cmd_martingale(args, stdin_text) -> int:
         f = modelio.policy_from_dict(pol_doc, model)
     else:
         f = modelio.policy_from_dict(
-            _parse_json(_read_text(args.policy, stdin_text), "--policy"),
+            _parse_json(_read_text(args.policy, stdin_text, "--policy"),
+                        "--policy"),
             model)
     checkpoints = _checkpoints_arg(args.checkpoints,
                                    verify.DEFAULT_CHECKPOINTS)
@@ -380,7 +407,8 @@ def _cmd_martingale(args, stdin_text) -> int:
 def _cmd_simulate(args, stdin_text) -> int:
     doc, model = _resolve_model(args, stdin_text)
     x0 = _parse_json(args.x0, "--x0")
-    pol_doc = _parse_json(_read_text(args.policy, stdin_text), "--policy")
+    pol_doc = _parse_json(_read_text(args.policy, stdin_text, "--policy"),
+                          "--policy")
     if isinstance(model, PotlachProcess):
         d = model.d
         pol_doc = typed(pol_doc, dict, "--policy")

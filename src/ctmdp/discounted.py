@@ -40,21 +40,27 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted, or a stalled gain bracket, before the
     tolerance was met. `bracket` is a (lower, upper) bracket of the gain:
     the running one at alpha = 0, that of the last iterate for
-    alpha*J(x0) at alpha > 0; `trace` is the partial trace of the
-    caller."""
+    alpha*J(x0) at alpha > 0; `rounding_floor` is eps * max_x q(x) *
+    max|h| at the last h, the size of one rounding in (Q h)(x, a), below
+    which no tolerance can be met, and the message ends with it; `trace`
+    is the partial trace of the caller."""
 
     def __init__(self, message, residual=None, iterations=None, alpha=None,
-                 bracket=None):
+                 bracket=None, rounding_floor=None):
+        if rounding_floor is not None:
+            message = f"{message}; rounding floor {rounding_floor:.3e}"
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.alpha = alpha
         self.bracket = bracket
+        self.rounding_floor = rounding_floor
         self.trace = None
 
     def detail(self) -> dict:
         out = {"alpha": self.alpha, "sweeps": self.iterations,
-               "residual": self.residual}
+               "residual": self.residual,
+               "rounding_floor": self.rounding_floor}
         if self.bracket is not None:
             out["gain_lower"], out["gain_upper"] = self.bracket
         if self.trace is not None:
@@ -202,7 +208,8 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                         f"gain bracket [{best[0]:.17g}, {best[1]:.17g}] "
                         f"stalled above tol {tol:.3e}",
                         residual=width, iterations=it, alpha=alpha,
-                        bracket=best)
+                        bracket=best,
+                        rounding_floor=_rounding_floor(model, h))
                 uniform, moved, h, narrowest = True, it, start, np.inf
                 policy_sweeps = False
                 m = np.full(model.n, float(np.max(m)))
@@ -227,7 +234,16 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
         best = (float(image.min()), float(image.max()))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
-        residual=width, iterations=max_iter, alpha=alpha, bracket=best)
+        residual=width, iterations=max_iter, alpha=alpha, bracket=best,
+        rounding_floor=_rounding_floor(model, h))
+
+
+def _rounding_floor(model: CtmdpModel, h) -> float:
+    """eps * max_x q(x) * max|h|: one rounding of (Q h)(x, a); NaN or
+    infinite, without a warning, at an h that is not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.finfo(np.float64).eps * model.qmax.max()
+                     * np.abs(h).max())
 
 
 def _policy_sweeps(Qf, rf, m, h, x0, tol, budget):

@@ -1,7 +1,11 @@
+import hashlib
+import io
 import json
 import math
 import struct
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from ctmdp import dumps, loads_model, model_from_dict, model_to_dict
 from ctmdp.cli import run
 from ctmdp.modelio import ModelFileError
 
+GOLDEN = Path(__file__).parent / "golden"
 
 EXPLICIT_DOC = {
     "kind": "explicit",
@@ -142,6 +147,12 @@ def test_dumps_reads_back_the_plain_value_bit_for_bit(doc):
     assert text.endswith("\n") and text.count("\n") == 1
 
 
+def stdin(text):
+    """A stand-in for sys.stdin holding `text`, read as bytes by the CLI."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                            encoding="utf-8")
+
+
 def write_model(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -152,7 +163,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert run(["validate", "--model", write_model(tmp_path, EXPLICIT_DOC)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["ok"]
-    assert out["format_version"] == "2"
+    assert out["format_version"] == "3"
     bad = dict(EXPLICIT_DOC)
     bad["rates"] = [
         {"x": 0, "a": 0, "entries": [[0, -1.0], [1, 1.5]]},
@@ -183,9 +194,7 @@ def test_cli_solve_and_verify_pipeline(tmp_path, capsys, monkeypatch):
     assert run(["solve-average", "--builtin", "mmn0", "--params", params,
                 "--steps", "20"]) == 0
     solved = capsys.readouterr().out
-    import io
-    import sys
-    monkeypatch.setattr(sys, "stdin", io.StringIO(solved))
+    monkeypatch.setattr(sys, "stdin", stdin(solved))
     assert run(["verify", "--model", "-", "--solution", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["report"]["passed"]
@@ -753,17 +762,96 @@ def test_cli_solve_average_tandem_converges(capsys):
 
 
 def test_cli_bd500_solution_passes_verify(capsys, monkeypatch):
-    import io
-    import sys
     params = json.dumps({"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3,
                          "p": 2.0, "N": 500, "G": 11})
     assert run(["solve-average", "--builtin", "birth_death", "--params",
                 params]) == 0
     solved = capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO(solved))
+    monkeypatch.setattr(sys, "stdin", stdin(solved))
     assert run(["verify", "--builtin", "birth_death", "--params", params,
                 "--solution", "-"]) == 0
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["passed"]
     assert rep["upper"]["max_violation"] <= 5e-9
     assert rep["lower"]["max_violation"] <= 5e-9
+
+
+def test_cli_stalled_bracket_reports_its_rounding_floor(tmp_path):
+    out = tmp_path / "err.json"
+    assert run(["solve-average", "--model",
+                write_model(tmp_path, TWO_ABSORBING), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert sorted(doc["config"]["model"]) == ["kind", "sha256"]
+    err = doc["error"]
+    assert err["rounding_floor"] > 0
+    assert f"rounding floor {err['rounding_floor']:.3e}" in err["message"]
+
+
+# -- report format 3: an explicit model file is echoed as its sha256 --------
+
+def test_cli_same_model_at_two_paths_gives_identical_reports(tmp_path, capsys):
+    first = tmp_path / "a" / "model.json"
+    second = tmp_path / "b" / "other name.json"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_bytes((GOLDEN / "explicit_model.json").read_bytes())
+    for command in ("validate", "solve-average"):
+        outs = []
+        for path in (first, second):
+            assert run([command, "--model", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert str(tmp_path) not in outs[0]
+
+
+def test_cli_explicit_report_read_back_as_model_exits_2(capsys, monkeypatch):
+    assert run(["validate", "--model",
+                str(GOLDEN / "explicit_model.json")]) == 0
+    monkeypatch.setattr(sys, "stdin", stdin(capsys.readouterr().out))
+    assert run(["solve-average", "--model", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config.model" in captured.err
+    assert "model file" in captured.err
+
+
+def test_cli_explicit_model_from_stdin_echoes_its_sha256(capsys,
+                                                         monkeypatch):
+    path = GOLDEN / "explicit_model.json"
+    monkeypatch.setattr(sys, "stdin", stdin(path.read_text(encoding="utf-8")))
+    assert run(["validate", "--model", "-"]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]["model"]
+    assert echo["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_stdin_that_is_not_utf8_exits_2(capsys, monkeypatch):
+    # in a C locale stdin used to decode with surrogateescape: a byte that
+    # is not UTF-8 inside a JSON string was taken, and the run exited 0
+    doc = json.dumps(EXPLICIT_DOC).encode()[:-1] + b', "note": "\xff"}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(doc)))
+    assert run(["validate", "--model", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--model stdin is not UTF-8 text" in captured.err
+
+
+def queue_document(n):
+    """An n-state explicit queue with three service speeds per state."""
+    rates, rewards = [], []
+    for x in range(n):
+        for a in range(3):
+            entries = [[x + 1, 1.0]] * (x + 1 < n) + [[x - 1, 1.5 + a]] * (x > 0)
+            rates.append({"x": x, "a": a, "entries": entries})
+            rewards.append({"x": x, "a": a, "r": -0.01 * x - 0.5 * a})
+    return {"kind": "explicit", "states": n,
+            "actions": [[[0.0], [1.0], [2.0]]] * n, "rates": rates,
+            "rewards": rewards}
+
+
+def test_cli_large_explicit_report_is_sized_to_the_report(tmp_path, capsys):
+    path = write_model(tmp_path, queue_document(3000))
+    assert (tmp_path / "model.json").stat().st_size > 800_000
+    assert run(["solve-average", "--model", path]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode("utf-8")) < 200_000
+    assert len(json.loads(out)["report"]["h"]) == 3000

@@ -27,8 +27,16 @@ re-captured again when the alpha = 0 iteration gained policy-only sweeps
 (modified policy iteration), with the same exit codes and policies, gains
 within 8.4e-10 of the old ones and brackets within tol; birth_death kept
 its bytes. Every stored `solve-average` report must also pass `verify`.
+
+All of them were re-captured in report format 3, which echoes an explicit
+model file in `config.model` as its kind and sha256, not the whole
+document. Each decodes to the same values as its format-2 version except
+`format_version` and, for the six reports of an explicit model file,
+`config.model`; the exit codes are the same. The `verify_solution_*.json`
+inputs stay in format 2, so `verify` is shown to read format-2 reports.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -138,12 +146,29 @@ def test_spec_report_matches_golden(stem, capsys):
     assert capsys.readouterr().out == expected["stdout"]
 
 
-def test_every_golden_report_is_format_2():
+def test_every_golden_report_is_format_3():
     docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
     assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
                             + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS))
-    assert all(rep["format_version"] == "2" for rep in reports)
+    assert all(rep["format_version"] == "3" for rep in reports)
+
+
+def test_explicit_model_is_echoed_as_its_sha256(capsys):
+    path = GOLDEN / "explicit_model.json"
+    assert run(["validate", "--model", str(path)]) == 0
+    echo = json.loads(capsys.readouterr().out)["config"]["model"]
+    assert echo == {"kind": "explicit",
+                    "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_verify_solutions_stay_format_2():
+    # test_pipeline_report_matches_golden feeds them to verify, which so
+    # reads format-2 reports
+    paths = sorted(GOLDEN.glob("verify_solution_*.json"))
+    assert len(paths) == len(PIPELINE_MODELS)
+    assert {json.loads(p.read_text())["format_version"] for p in paths} \
+        == {"2"}
 
 
 def test_violations_model_covers_every_kind():

@@ -393,3 +393,33 @@ def test_bad_start_state_exits_2_naming_the_flag(tmp_path, command, flags,
     assert out.getvalue() == ""
     assert named in err.getvalue(), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# -- input that is not UTF-8 ----------------------------------------------------
+
+# 0xff is never UTF-8; it stands at byte 33
+NOT_UTF8 = b'{"kind": "explicit", "states": 1 \xff}'
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--model"), ("validate", "--params"),
+    ("verify", "--solution"), ("simulate", "--policy")])
+def test_input_that_is_not_utf8_exits_2_naming_the_flag(tmp_path, command,
+                                                         flag):
+    # each used to raise UnicodeDecodeError out of the CLI, exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    mmn0 = ["--builtin", "mmn0", "--params", json.dumps(VALID["mmn0"])]
+    argv = {"--model": ["--model", str(bad)],
+            "--params": ["--builtin", "mmn0", "--params", str(bad)],
+            "--solution": mmn0 + ["--solution", str(bad)],
+            "--policy": mmn0 + ["--policy", str(bad)]}[flag]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command] + argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert f"{flag} {bad} is not UTF-8 text" in err.getvalue()
+    assert "at byte 33" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
