@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discounted import (ConvergenceError, _greedy, _vi_relative,
-                         check_positive, check_reference, extract_policy)
+                         check_positive, extract_policy)
 from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
 from .verify import certify_lower, certify_upper
 
@@ -108,7 +108,7 @@ def solve_average(model: CtmdpModel,
     when a stage fails or the bracket stalls above `tol`.
     """
     check_positive(tol=tol)
-    check_reference(model, x0)
+    x0 = model.check_state(x0)
     inner_tol = max(min(tol / 10.0, 1e-10), 1e-13)
 
     trace = []
@@ -371,8 +371,8 @@ def truncation_sensitivity(builder, params: dict, levels,
     check_positive(tol=tol)
     levels = sorted({int(N) for N in levels})
     if len(levels) < 2:
-        raise ModelError(f"sensitivity needs at least two distinct "
-                         f"truncation levels, got {levels}")
+        raise ModelError(f"levels must list at least two distinct "
+                         f"truncation levels, got {levels}", field="levels")
     runs = []
     for N in levels:
         model = builder(dict(params, N=N))

@@ -274,14 +274,8 @@ def check_positive(**values) -> None:
     discount rate would otherwise run the whole sweep budget."""
     for name, value in values.items():
         if not 0 < value < np.inf:
-            raise ModelError(f"{name} must be finite and > 0, got {value}")
-
-
-def check_reference(model: CtmdpModel, x0: int) -> None:
-    """ModelError unless x0 is a state of `model`."""
-    if not 0 <= x0 < model.n:
-        raise ModelError(f"reference state out of range: x0 must be in "
-                         f"0..{model.n - 1}, got {x0}")
+            raise ModelError(f"{name} must be finite and > 0, got {value}",
+                             field=name)
 
 
 def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
@@ -295,7 +289,7 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     read off a Bellman evaluation of the given model at the returned h.
     """
     check_positive(alpha=alpha, tol=tol)
-    check_reference(model, x0)
+    x0 = model.check_state(x0)
     g, h, iters, residual, vals, bell = _vi_relative(model, alpha, x0, tol)
     m = model.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))

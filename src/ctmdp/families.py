@@ -374,13 +374,19 @@ class PotlachPolicy:
     q: np.ndarray        # component weights, in [0, q*]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
+        for name in ("matrix", "q"):
+            try:
+                value = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ModelError(f"policy {name!r} must be a rectangular "
+                                 f"array of numbers", field="policy") from None
+            object.__setattr__(self, name, value)
+        m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelError("redistribution matrix must be square")
+            raise ModelError("policy 'matrix' must be square", field="policy")
         if not stochastic(m, len(m)):
-            raise ModelError("redistribution matrix must be row-stochastic")
+            raise ModelError("policy 'matrix' must be row-stochastic",
+                             field="policy")
 
 
 @dataclass(frozen=True)
@@ -412,14 +418,15 @@ class PotlachProcess:
     def check_policy(self, policy: PotlachPolicy) -> None:
         """ModelError unless `policy` is admissible (`matrices`, `qstar`)."""
         if not isinstance(policy, PotlachPolicy):
-            raise ModelError("a PotlachProcess takes a PotlachPolicy")
+            raise ModelError("policy must be a PotlachPolicy", field="policy")
         if not any(np.array_equal(policy.matrix, m) for m in self.matrices):
-            raise ModelError("'matrix' must be one of the family's "
-                             "admissible 'matrices'")
+            raise ModelError("policy 'matrix' must be one of the family's "
+                             "admissible 'matrices'", field="policy")
         q = policy.q
         if q.shape != (self.d,) or not np.all((q >= 0) & (q <= self.qstar)):
-            raise ModelError(f"'q' must satisfy 0 <= q <= qstar = "
-                             f"{self.qstar.tolist()}, got {q.tolist()}")
+            raise ModelError(f"policy 'q' must satisfy 0 <= q <= qstar = "
+                             f"{self.qstar.tolist()}, got {q.tolist()}",
+                             field="policy")
 
     def reward(self, x, policy: PotlachPolicy) -> float:
         x = np.asarray(x, dtype=np.float64)

@@ -25,7 +25,13 @@ ROW_SUM_TOL = 1e-12
 
 
 class ModelError(ValueError):
-    """Structurally malformed model input (bad index, shape, or sign)."""
+    """Structurally malformed model input (bad index, shape, or sign).
+    `field`, if given, names the argument at fault, and the message
+    starts with it."""
+
+    def __init__(self, message, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
 _JSON_TYPES = {float: "a number", int: "an integer", str: "a string",
@@ -305,6 +311,15 @@ class CtmdpModel:
         if len(bad):
             raise ModelError(f"policy action index out of range at state "
                              f"{bad[0]}")
+
+    def check_state(self, x, field: str = "x0") -> int:
+        """x as an int, unless it is not a state index: then ModelError
+        naming `field`."""
+        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                or not 0 <= x < self.n):
+            raise ModelError(f"{field} must be in 0..{self.n - 1}, got {x}",
+                             field=field)
+        return int(x)
 
     def pair_index(self, x: int, a: int) -> int:
         """Row of (x, a) in kernel.Q."""

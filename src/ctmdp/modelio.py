@@ -191,8 +191,7 @@ def model_to_dict(model: CtmdpModel) -> dict:
     rewards = [{"x": x, "a": a, "r": r}
                for x, a, r in zip(xs, acts, model.r.tolist())]
     actions = model.actions.tolist()
-    doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
-           "states": model.n,
+    doc = {"kind": "explicit", "states": model.n,
            "actions": [actions[s:s + c] for s, c in zip(
                model.kernel.starts.tolist(), model.kernel.counts.tolist())],
            "rates": rates, "rewards": rewards}

@@ -79,7 +79,8 @@ class SimulationError(RuntimeError):
 def stream(seed: int, rep: int) -> np.random.Generator:
     """Replication RNG: Philox keyed by (seed, rep)."""
     if not 0 <= seed < 2 ** 64:
-        raise ModelError(f"seed must be in [0, 2**64), got {seed}")
+        raise ModelError(f"seed must be in [0, 2**64), got {seed}",
+                         field="seed")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(rep)))
 
 
@@ -120,6 +121,7 @@ class _PolicyChain:
                              f"the redistribution process supports "
                              f"simulate_path and the lyapunov mode only")
         model.check_policy(f)
+        self.model = model
         n = self.n = model.n
         pairs = model.kernel.starts + f.choice
         x_of, ys, rates = model.entries_of(pairs)
@@ -156,10 +158,7 @@ class _PolicyChain:
         self.next = self.to[first]
 
     def start(self, x0, reps: int) -> np.ndarray:
-        x0 = int(x0)
-        if not 0 <= x0 < self.n:
-            raise ModelError(f"start state {x0} out of range")
-        return np.full(reps, x0, dtype=np.int64)
+        return np.full(reps, self.model.check_state(x0), dtype=np.int64)
 
     def walk(self, x, draws) -> np.ndarray:
         """States before and after each jump of a block, (G, L + 1)."""
@@ -194,8 +193,8 @@ class _RedistributionChain:
     def start(self, x0, reps: int) -> np.ndarray:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (self.proc.d,):
-            raise ModelError(f"start state must list {self.proc.d} masses, "
-                             f"got {x0.tolist()}")
+            raise ModelError(f"x0 must list {self.proc.d} masses, got "
+                             f"{x0.tolist()}", field="x0")
         return np.tile(x0, (reps, 1))
 
     def walk(self, x, draws) -> np.ndarray:
@@ -237,6 +236,17 @@ class _Runs:
     path: tuple = None           # (times, states) of replication 0
 
 
+def _checkpoint_times(checkpoints) -> np.ndarray:
+    """The checkpoint times as an array, unless they are not finite,
+    non-negative and non-decreasing: then ModelError."""
+    cps = np.asarray(checkpoints, dtype=np.float64)
+    if not np.all((np.diff(cps, prepend=0.0) >= 0) & (cps < np.inf)):
+        raise ModelError(f"checkpoints must be finite, non-negative and "
+                         f"non-decreasing, got {cps.tolist()}",
+                         field="checkpoints")
+    return cps
+
+
 def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
          record=False) -> _Runs:
     """The stepper: `reps` replications from x0 over [0, horizon].
@@ -245,10 +255,7 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
     t_{j+1} (the first segment for t = 0, the last one ends at the
     horizon): its state, and the reward integral up to t.
     """
-    cps = np.asarray(checkpoints, dtype=np.float64)
-    if not np.all((np.diff(cps, prepend=0.0) >= 0) & (cps < np.inf)):
-        raise ModelError(f"checkpoint times must be finite, non-negative and "
-                         f"non-decreasing, got {cps.tolist()}")
+    cps = _checkpoint_times(checkpoints)
     C = len(cps)
     x = chain.start(x0, reps)
     t, reward = np.zeros(reps), np.zeros(reps)
@@ -413,7 +420,7 @@ class CheckpointReport:
 def check_replications(reps: int) -> None:
     """ModelError unless reps >= 2, as a standard error needs."""
     if reps < 2:
-        raise ModelError(f"reps must be at least 2, got {reps}")
+        raise ModelError(f"reps must be at least 2, got {reps}", field="reps")
 
 
 def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
@@ -427,16 +434,16 @@ def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
     """Empirical check of E w(x(t)) <= exp(-c t) w(x0) + b/c at checkpoints."""
     check_replications(reps)
     if isinstance(model, PotlachProcess):
-        w0 = model.weight(x0)
         c, b = model.drift_constant, 0.0
         weight = lambda states: states.sum(axis=-1)
     else:
         if model.lyapunov is None:
             raise ModelError("model carries no Lyapunov data")
-        w0 = model.lyapunov.w[int(x0)]
         c, b = model.lyapunov.c, model.lyapunov.b
         weight = model.lyapunov.w.take
-    runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)
+    chain = _chain(model, f)
+    w0 = float(weight(chain.start(x0, 1))[0])
+    runs = _checkpoint_run(chain, x0, checkpoints, reps, seed)
     samples = weight(runs.cp_states)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     means = samples.mean(axis=0)
@@ -446,7 +453,7 @@ def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
     return CheckpointReport(checkpoints=checkpoints, means=means, ses=ses,
                             bounds=bounds, passed=passed, rng=rng_info(seed),
                             jumps=runs.jumps,
-                            detail={"c": c, "b": b, "w_x0": float(w0)})
+                            detail={"c": c, "b": b, "w_x0": w0})
 
 
 @dataclass
@@ -479,11 +486,12 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     """
     check_replications(reps)
     chain = _PolicyChain(model, f)
-    checkpoints = np.asarray(checkpoints, dtype=np.float64)
+    checkpoints = _checkpoint_times(checkpoints)
     if not (len(checkpoints) and checkpoints[-1] > 0):
-        raise ModelError(f"the last checkpoint must be > 0, got "
-                         f"{checkpoints.tolist()}")
-    # the checkpoint runs first: they refuse bad checkpoint times
+        raise ModelError(f"checkpoints must end with a time > 0, got "
+                         f"{checkpoints.tolist()}", field="checkpoints")
+    for x0, name in zip(x0_pair, ("x0", "x0b")):
+        model.check_state(x0, name)
     states = [_checkpoint_run(chain, x0, checkpoints, reps, seed).cp_states
               for x0 in x0_pair]
     occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,

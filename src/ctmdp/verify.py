@@ -116,8 +116,9 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     u = np.asarray(u, dtype=np.float64)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     if len(np.unique(checkpoints)) < 2:
-        raise ModelError(f"checkpoints must hold at least two distinct "
-                         f"times, got {checkpoints.tolist()}")
+        raise ModelError(f"checkpoints must list at least two distinct "
+                         f"times, got {checkpoints.tolist()}",
+                         field="checkpoints")
     runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)
     samples = (runs.cp_rewards + u[runs.cp_states]) - checkpoints * g
 

@@ -21,7 +21,7 @@ from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, LyapunovData, ModelError,
                          RateKernel, StateSpace, ValidationReport,
                          boundary_states)
-from ctmdp.modelio import FORMAT_VERSION, ModelFileError
+from ctmdp.modelio import ModelFileError
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
@@ -740,8 +740,7 @@ def model_to_dict_loop(model: CtmdpModel) -> dict:
             rates.append({"x": x, "a": a, "entries": [
                 list(e) for e in zip(ys.tolist(), vals.tolist())]})
             rewards.append({"x": x, "a": a, "r": reward(model, x, a)})
-    doc = {"kind": "explicit", "format_version": FORMAT_VERSION,
-           "states": model.n,
+    doc = {"kind": "explicit", "states": model.n,
            "actions": [[model.actions[model.pair_index(x, a)].tolist()
                         for a in range(model.n_actions(x))]
                        for x in range(model.n)],

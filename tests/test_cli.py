@@ -66,6 +66,14 @@ def test_model_roundtrip():
     assert np.array_equal(m.r, m2.r)
 
 
+def test_model_document_carries_no_format_version():
+    # the stamp was never read back, and a format bump changed the sha256
+    # of a re-written model file
+    m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
+                             "G": 2})
+    assert "format_version" not in model_to_dict(m)
+
+
 def test_malformed_json_names_location():
     with pytest.raises(ModelFileError, match="line"):
         loads_model('{"kind": "explicit",}')
@@ -469,7 +477,7 @@ def test_cli_solve_discounted_rejects_out_of_range_x0(capsys, x0):
                 "--alpha", "0.5", "--x0", x0]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "reference state out of range" in captured.err
+    assert f"ctmdp: error: --x0 must be in 0..2, got {x0}\n" == captured.err
 
 
 @pytest.mark.parametrize("name, params, field", [
@@ -640,7 +648,7 @@ def test_cli_ill_typed_explicit_model_exits_2(tmp_path, capsys, path, value,
     ({"matrix": [[1, 0], [0, 1]], "q": [1, 2, 3]}, "[1,1]", "--policy"),
     ({"matrix": [[1, 0], [0, 1]], "q": ["x", 1]}, "[1,1]", "--policy"),
     ([[1, 0], [0, 1]], "[1,1]", "--policy"),
-    ({"matrix": [[1, 0], [0, 1]]}, "[1,1,1]", "--x0"),
+    ({"matrix": [[0.5, 0.5], [0.5, 0.5]]}, "[1,1,1]", "--x0"),
     ({"matrix": [[1, 0], [0, 1]]}, "1", "--x0"),
 ])
 def test_cli_simulate_redistribution_checks_dimensions(tmp_path, capsys,
@@ -658,6 +666,10 @@ def test_cli_simulate_redistribution_checks_dimensions(tmp_path, capsys,
 @pytest.mark.parametrize("text, field", [
     ('"a config"', "model document must be an object"),
     ('{"config": 5}', "--model config must be an object"),
+    # a report whose config has no model used to be read as the model
+    # itself, and refused as "missing field kind"
+    ('{"config": {"subcommand": "x"}, "report": {}}',
+     "--model: missing field config.model"),
 ])
 def test_cli_model_document_must_be_an_object(tmp_path, capsys, text, field):
     path = tmp_path / "model.json"

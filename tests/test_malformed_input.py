@@ -384,7 +384,7 @@ def test_bad_start_state_exits_2_naming_the_flag(tmp_path, command, flags,
     policy = tmp_path / "policy.json"
     policy.write_text("[0, 0, 0, 0]")
     given = (["--solution", str(solution)] if command == "martingale"
-             else ["--policy", str(policy), "--horizon", "1", "--reps", "1"])
+             else ["--policy", str(policy), "--horizon", "1", "--reps", "2"])
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()) as out:
@@ -392,6 +392,89 @@ def test_bad_start_state_exits_2_naming_the_flag(tmp_path, command, flags,
     assert code == 2
     assert out.getvalue() == ""
     assert named in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# -- refusals made by the library -----------------------------------------------
+
+ADMISSIBLE = [[0.5, 0.5], [0.5, 0.5]]
+NOT_DECREASING = ("--checkpoints must be finite, non-negative and "
+                  "non-decreasing")
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("solve-average", ["--x0", "9"], "--x0 must be in 0..3, got 9"),
+    ("solve-discounted", ["--alpha", "0.5", "--x0", "-1"],
+     "--x0 must be in 0..3, got -1"),
+    ("sensitivity", ["--levels", "3,4", "--x0", "99"],
+     "--x0 must be in 0..3, got 99"),
+    ("sensitivity", ["--levels", "3,3"],
+     "--levels must list at least two distinct truncation levels"),
+    ("martingale", ["--x0", "99"], "--x0 must be in 0..3, got 99"),
+    ("martingale", ["--checkpoints", "5"],
+     "--checkpoints must list at least two distinct times"),
+    ("martingale", ["--checkpoints=-1,1"], NOT_DECREASING),
+    ("simulate", ["--x0", "4"], "--x0 must be in 0..3, got 4"),
+    ("simulate", ["--mode", "lyapunov", "--x0", "-2"],
+     "--x0 must be in 0..3, got -2"),
+    ("simulate", ["--mode", "lyapunov", "--checkpoints", "4,1"],
+     NOT_DECREASING),
+    ("simulate", ["--mode", "ergodicity", "--checkpoints", "1,nan"],
+     NOT_DECREASING),
+    ("simulate", ["--mode", "ergodicity", "--checkpoints=0"],
+     "--checkpoints must end with a time > 0"),
+    ("simulate", ["--mode", "ergodicity", "--x0b", "99"],
+     "--x0b must be in 0..3, got 99"),
+    ("simulate", ["--mode", "lyapunov", "--reps", "1"],
+     "--reps must be at least 2, got 1"),
+    ("simulate", ["--mode", "ergodicity", "--reps", "1"],
+     "--reps must be at least 2, got 1"),
+    ("potlach", [{"matrix": [[1, 0], [0]]}, "[1, 1]"],
+     "--policy 'matrix' must be a rectangular array of numbers"),
+    ("potlach", [{"matrix": [[0.5, 0.5]]}, "[1, 1]"],
+     "--policy 'matrix' must be square"),
+    ("potlach", [{"matrix": [[0.5, 0.6], [0.5, 0.5]]}, "[1, 1]"],
+     "--policy 'matrix' must be row-stochastic"),
+    ("potlach", [{"matrix": [[1, 0], [0, 1]]}, "[1, 1]"],
+     "--policy 'matrix' must be one of the family's admissible"),
+    ("potlach", [{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, "[1, 1]"],
+     "--policy 'matrix' must be one of the family's admissible"),
+    ("potlach", [{"matrix": ADMISSIBLE, "q": [1, 2, 3]}, "[1, 1]"],
+     "--policy 'q' must satisfy 0 <= q <= qstar"),
+    ("potlach", [{"matrix": ADMISSIBLE}, "[1, 1, 1]"],
+     "--x0 must list 2 masses, got [1.0, 1.0, 1.0]")])
+def test_library_refusal_exits_2_naming_the_flag(tmp_path, command, flags,
+                                                 named):
+    # the command line leaves these checks to the library, whose
+    # ModelError.field names the flag
+    policy = tmp_path / "policy.json"
+    if command == "potlach":
+        doc, x0 = flags
+        policy.write_text(json.dumps(doc))
+        argv = ["simulate", "--builtin", "potlach", "--params",
+                json.dumps(VALID["potlach"]), "--policy", str(policy),
+                "--mode", "lyapunov", "--x0", x0]
+    else:
+        argv = [command, "--builtin", "mmn0", "--params",
+                json.dumps(VALID["mmn0"])]
+        if command == "martingale":
+            with contextlib.redirect_stdout(io.StringIO()) as solved:
+                assert run(["solve-average"] + argv[1:]) == 0
+            solution = tmp_path / "solution.json"
+            solution.write_text(solved.getvalue())
+            argv += ["--solution", str(solution)]
+        elif command == "simulate":
+            policy.write_text("[0, 0, 0, 0]")
+            argv += ["--policy", str(policy), "--horizon", "1"]
+        argv += flags
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(f"ctmdp: error: {named}"), \
+        err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

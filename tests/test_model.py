@@ -341,3 +341,92 @@ def test_actions_are_read_as_one_array_over_the_pairs(sets):
         assert m.actions.shape == (len(flat), k)
         assert m.actions.tobytes() == b"".join(
             struct.pack("=d", v) for a in flat for v in a)
+
+
+# -- argument checks: ModelError.field names the argument ---------------------
+
+MMN0 = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3,
+                            "G": 2})
+ZERO = StationaryPolicy(choice=np.zeros(MMN0.n, dtype=np.int64))
+PROBE = np.arange(MMN0.n, dtype=float)
+REDISTRIBUTION = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
+HALF = [[0.5, 0.5], [0.5, 0.5]]
+
+
+def mmn0_at(params):
+    return ctmdp.build("mmn0", dict({"lambda": 1, "mu1": 1.5, "mu2": 3,
+                                     "G": 2}, **params))
+
+
+# every start route, called with start x (the second start for x0b)
+START_ROUTES = {
+    "solve_average": lambda x: ctmdp.solve_average(MMN0, x0=x),
+    "solve_discounted": lambda x: ctmdp.solve_discounted(MMN0, 0.5, x0=x),
+    "truncation_sensitivity": lambda x: ctmdp.truncation_sensitivity(
+        mmn0_at, {}, [3, 4], x0=x),
+    "estimate_average_reward": lambda x: ctmdp.estimate_average_reward(
+        MMN0, ZERO, x, 5.0, 2, seed=1),
+    "check_lyapunov_bound": lambda x: ctmdp.check_lyapunov_bound(
+        MMN0, ZERO, x, [0.5, 1.0], 2, seed=1),
+    "martingale_diagnostic": lambda x: ctmdp.martingale_diagnostic(
+        MMN0, ZERO, PROBE, 0.0, x, [0.5, 1.0], 2, seed=1),
+    "estimate_ergodicity": lambda x: ctmdp.estimate_ergodicity(
+        MMN0, ZERO, [PROBE], (x, 0), [0.5, 1.0], 2, seed=1),
+    "estimate_ergodicity_x0b": lambda x: ctmdp.estimate_ergodicity(
+        MMN0, ZERO, [PROBE], (0, x), [0.5, 1.0], 2, seed=1),
+    "simulate_path": lambda x: ctmdp.simulate_path(MMN0, ZERO, x, 5.0,
+                                                   seed=1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(START_ROUTES))
+@pytest.mark.parametrize("x0", [1.7, 2.0, np.float64(1.0), True, "1", None,
+                                4, -1])
+def test_every_start_route_refuses_what_is_not_a_state_index(route, x0):
+    # 1.7 simulated from state 1, and solve_average raised IndexError
+    field = "x0b" if route.endswith("x0b") else "x0"
+    with pytest.raises(ModelError, match=f"^{field} must be in 0..3, got ") \
+            as info:
+        START_ROUTES[route](x0)
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("route", sorted(START_ROUTES))
+def test_every_start_route_takes_a_numpy_integer(route):
+    START_ROUTES[route](np.int64(1))
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: ctmdp.solve_average(MMN0, x0=99), "x0"),
+    (lambda: ctmdp.truncation_sensitivity(mmn0_at, {}, [3, 3]), "levels"),
+    (lambda: ctmdp.martingale_diagnostic(MMN0, ZERO, PROBE, 0.0, 0, [5.0],
+                                         4, seed=1), "checkpoints"),
+    (lambda: ctmdp.check_lyapunov_bound(MMN0, ZERO, 0, [2.0, 1.0], 4,
+                                        seed=1), "checkpoints"),
+    (lambda: ctmdp.check_lyapunov_bound(MMN0, ZERO, 0, [1.0, 2.0], 1,
+                                        seed=1), "reps"),
+    (lambda: ctmdp.estimate_ergodicity(MMN0, ZERO, [PROBE], (0, 1), [0.0],
+                                       4, seed=1), "checkpoints"),
+    (lambda: ctmdp.estimate_ergodicity(MMN0, ZERO, [PROBE], (0, 99),
+                                       [1.0], 4, seed=1), "x0b"),
+    (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 0.0, 2, seed=1),
+     "horizon"),
+    (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 1.0, 2, seed=-1),
+     "seed"),
+    (lambda: ctmdp.PotlachPolicy(matrix=[[1, 0], [0]], q=[0, 0]), "policy"),
+    (lambda: ctmdp.PotlachPolicy(matrix=HALF, q=[[1], 2]), "policy"),
+    (lambda: ctmdp.PotlachPolicy(matrix=[[0.5, 0.5]], q=[0, 0]), "policy"),
+    (lambda: REDISTRIBUTION.check_policy(
+        ctmdp.PotlachPolicy(matrix=np.eye(2), q=[0, 0])), "policy"),
+    (lambda: ctmdp.check_lyapunov_bound(
+        REDISTRIBUTION, ctmdp.PotlachPolicy(matrix=HALF, q=[0, 0]),
+        [1.0, 1.0, 1.0], [0.5, 1.0], 4, seed=1), "x0"),
+], ids=["x0", "levels", "checkpoints_distinct", "checkpoints_order", "reps",
+        "checkpoints_end", "x0b", "horizon", "seed", "ragged_matrix",
+        "ragged_q", "matrix_not_square", "matrix_inadmissible",
+        "masses"])
+def test_argument_refusals_name_their_field(call, field):
+    with pytest.raises(ModelError) as info:
+        call()
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field} "), str(info.value)

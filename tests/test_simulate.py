@@ -225,7 +225,7 @@ def test_average_reward_estimate_refuses_empty_runs(mm20, horizon, reps,
      r"'q' must satisfy 0 <= q <= qstar = \[1.0, 1.0\], got \[0.5, 1.5\]"),
     (np.full((2, 2), 0.5), np.zeros(3), [1.0, 1.0], "'q' must satisfy"),
     (np.full((2, 2), 0.5), np.zeros(2), [1.0, 1.0, 1.0],
-     r"start state must list 2 masses, got \[1.0, 1.0, 1.0\]")],
+     r"^x0 must list 2 masses, got \[1.0, 1.0, 1.0\]$")],
     ids=["matrix_3x3", "matrix_inadmissible", "q_above_qstar", "q_of_3",
          "x0_of_3"])
 def test_redistribution_runs_refuse_inadmissible_input(matrix, q, x0,
@@ -277,6 +277,21 @@ def test_ergodicity_runs_once_per_start_for_every_probe(mm20, monkeypatch):
     rep = estimate_ergodicity(mm20, f, probes, *args, seed=9)
     assert len(calls) == 3
     assert all(np.array_equal(rep.diffs[i], singles[i]) for i in range(2))
+
+
+def test_ergodicity_refuses_a_bad_second_start_before_any_run(mm20,
+                                                              monkeypatch):
+    # the second start used to be refused only after the first start's
+    # whole checkpoint run, as "start state 99 out of range"
+    calls = []
+    monkeypatch.setattr(simulate, "_checkpoint_run",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ctmdp.ModelError,
+                       match=r"^x0b must be in 0\.\.2, got 99$") as info:
+        estimate_ergodicity(mm20, zero_policy(mm20), [np.ones(mm20.n)],
+                            (0, 99), [1.0, 2000.0], 2000, seed=1)
+    assert info.value.field == "x0b"
+    assert calls == []
 
 
 def test_redistribution_process_refuses_tabulated_estimates():
