@@ -34,6 +34,16 @@ document. Each decodes to the same values as its format-2 version except
 `format_version` and, for the six reports of an explicit model file,
 `config.model`; the exit codes are the same. The `verify_solution_*.json`
 inputs stay in format 2, so `verify` is shown to read format-2 reports.
+
+`REPORTS` covers the other report kinds, captured in format 3 while each
+result class still wrote its own `to_dict`: `solve-discounted`, a scheduled
+`solve-average` (with its trace and h envelope), a `sensitivity` run that
+exits 1, `martingale` with the solution's policy and with a policy file,
+`simulate --mode lyapunov` on a tabulated model and on the
+continuous-state process, `simulate --mode ergodicity`, and the exit-1
+error report of `solve-average` on a model with two absorbing states.
+They run in `tests/golden`, which holds the files they read, by relative
+path, since `martingale` echoes its `--policy` path in the config.
 """
 
 import hashlib
@@ -76,6 +86,35 @@ SPEC_REPORTS = {
        for name in ("birth_death", "skip_free", "tandem", "mmn0", "potlach")},
     "validate_potlach": ["validate", "--builtin", "potlach", "--params",
                          '{"d":2,"lambda":2.0}'],
+}
+
+BIRTH_DEATH_SOLUTION = ["--solution", "verify_solution_birth_death.json",
+                        "--reps", "20"]
+SIMULATE = ["--reps", "20", "--seed", "1"]
+REPORTS = {
+    "solve_discounted_mmn0": ["solve-discounted"] + CASES["mmn0"]
+    + ["--alpha", "0.5"],
+    "solve_average_steps_birth_death": ["solve-average"]
+    + CASES["birth_death"] + ["--steps", "3"],
+    "sensitivity_birth_death": [
+        "sensitivity", "--builtin", "birth_death", "--params", json.dumps(
+            {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0, "G": 2}),
+        "--levels", "5,8"],
+    "martingale_star_birth_death": ["martingale"] + CASES["birth_death"]
+    + BIRTH_DEATH_SOLUTION,
+    "martingale_policy_birth_death": ["martingale"] + CASES["birth_death"]
+    + BIRTH_DEATH_SOLUTION + ["--policy", "policy_birth_death.json"],
+    "simulate_lyapunov_birth_death": ["simulate"] + CASES["birth_death"]
+    + ["--policy", "policy_birth_death.json", "--mode", "lyapunov"]
+    + SIMULATE,
+    "simulate_lyapunov_potlach": [
+        "simulate", "--builtin", "potlach", "--params",
+        '{"d":2,"lambda":2.0}', "--policy", "policy_potlach.json",
+        "--mode", "lyapunov", "--x0", "[1.0, 2.0]"] + SIMULATE,
+    "simulate_ergodicity_mmn0": ["simulate"] + CASES["mmn0"]
+    + ["--policy", "policy_mmn0.json", "--mode", "ergodicity"] + SIMULATE,
+    "solve_average_two_absorbing": ["solve-average", "--model",
+                                    "two_absorbing_model.json"],
 }
 
 
@@ -146,11 +185,21 @@ def test_spec_report_matches_golden(stem, capsys):
     assert capsys.readouterr().out == expected["stdout"]
 
 
+@pytest.mark.parametrize("stem", sorted(REPORTS))
+def test_report_matches_golden(stem, capsys, monkeypatch):
+    expected = golden(stem)
+    monkeypatch.chdir(GOLDEN)
+    code = run(REPORTS[stem])
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
 def test_every_golden_report_is_format_3():
     docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
     assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
-                            + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS))
+                            + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS)
+                            + len(REPORTS))
     assert all(rep["format_version"] == "3" for rep in reports)
 
 
