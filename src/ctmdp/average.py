@@ -26,7 +26,8 @@ import scipy.sparse as sp
 
 from .discounted import (ConvergenceError, _greedy, _vi_relative,
                          check_positive, extract_policy)
-from .model import CtmdpModel, ModelError, StationaryPolicy, weighted_norm
+from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
+                    weighted_norm)
 from .verify import certify_lower, certify_upper
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -63,7 +64,7 @@ class VanishingSchedule:
 
 
 @dataclass
-class AverageSolution:
+class AverageSolution(Report):
     gain: float                      # midpoint of [gain_lower, gain_upper]
     gain_lower: float
     gain_upper: float
@@ -80,16 +81,9 @@ class AverageSolution:
     h_upper: Optional[np.ndarray] = None   # stages; scheduled runs only
 
     def to_dict(self) -> dict:
-        out = {"gain": self.gain, "gain_lower": self.gain_lower,
-               "gain_upper": self.gain_upper, "sweeps": self.sweeps,
-               "h": self.h.tolist(), "policy": self.policy.choice.tolist(),
-               "trace": self.trace,
-               "residual_upper": self.residual_upper,
-               "residual_lower": self.residual_lower,
-               "converged": self.converged, "x0": self.x0}
-        if self.h_lower is not None:
-            out["h_lower"] = self.h_lower.tolist()
-            out["h_upper"] = self.h_upper.tolist()
+        out = super().to_dict()
+        if self.h_lower is None:
+            del out["h_lower"], out["h_upper"]
         return out
 
 
@@ -145,15 +139,11 @@ def solve_average(model: CtmdpModel,
 # -- independent oracle ------------------------------------------------------
 
 @dataclass
-class OracleResult:
+class OracleResult(Report):
     gain: float
     policy: StationaryPolicy
     method: str                      # "enumeration" or "policy_iteration"
     restricted: bool = False         # gain evaluated on a proper subclass
-
-    def to_dict(self) -> dict:
-        return {"gain": self.gain, "policy": self.policy.choice.tolist(),
-                "method": self.method, "restricted": self.restricted}
 
 
 class OracleError(RuntimeError):
@@ -346,16 +336,12 @@ def brute_force_oracle(model: CtmdpModel) -> OracleResult:
 # -- truncation sensitivity --------------------------------------------------
 
 @dataclass
-class SensitivityReport:
+class SensitivityReport(Report):
     levels: list
     gains: list
     gaps: list
     h_inner_gaps: list
     stable: bool
-
-    def to_dict(self) -> dict:
-        return {"levels": self.levels, "gains": self.gains, "gaps": self.gaps,
-                "h_inner_gaps": self.h_inner_gaps, "stable": self.stable}
 
 
 def truncation_sensitivity(builder, params: dict, levels,

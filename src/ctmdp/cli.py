@@ -336,8 +336,6 @@ def _cmd_oracle(args, stdin_text) -> int:
 
 
 def _cmd_sensitivity(args, stdin_text) -> int:
-    if not args.builtin:
-        raise UsageError("sensitivity requires --builtin")
     params = _params_arg(args.params, stdin_text)
     levels = typed(_parse_json(f"[{args.levels}]", "--levels"), [int],
                    "--levels")
@@ -394,7 +392,7 @@ def _cmd_martingale(args, stdin_text) -> int:
 
 def _cmd_simulate(args, stdin_text) -> int:
     doc, model = _resolve_model(args, stdin_text)
-    x0 = _parse_json(args.x0, "--x0")
+    x0 = x0_doc = _parse_json(args.x0, "--x0")
     pol_doc = _parse_json(_read_text(args.policy, stdin_text, "--policy"),
                           "--policy")
     if isinstance(model, PotlachProcess):
@@ -413,7 +411,7 @@ def _cmd_simulate(args, stdin_text) -> int:
         x0 = typed(x0, int, "--x0 (a state index)")
 
     config = _base_config(args, doc)
-    config.update({"mode": args.mode, "x0": _parse_json(args.x0, "--x0"),
+    config.update({"mode": args.mode, "x0": x0_doc,
                    "horizon": args.horizon, "reps": args.reps,
                    "seed": args.seed})
     if args.mode == "average":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .model import CtmdpModel, ModelError, StationaryPolicy
+from .model import CtmdpModel, ModelError, Report, StationaryPolicy
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
@@ -69,7 +69,7 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass
-class DiscountedSolution:
+class DiscountedSolution(Report):
     alpha: float
     values: np.ndarray
     policy: StationaryPolicy
@@ -78,10 +78,9 @@ class DiscountedSolution:
     kappa: float
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "J": self.values.tolist(),
-                "policy": self.policy.choice.tolist(),
-                "iters": self.iterations, "residual": self.residual,
-                "kappa": self.kappa}
+        out = super().to_dict()
+        out["J"], out["iters"] = out.pop("values"), out.pop("iterations")
+        return out
 
 
 def bellman(model: CtmdpModel, u) -> tuple:

@@ -412,9 +412,6 @@ class PotlachProcess:
     def drift_constant(self) -> float:
         return (self.lam - 1.0) / self.lam
 
-    def weight(self, x) -> float:
-        return float(np.sum(x))
-
     def check_policy(self, policy: PotlachPolicy) -> None:
         """ModelError unless `policy` is admissible (`matrices`, `qstar`)."""
         if not isinstance(policy, PotlachPolicy):
@@ -427,12 +424,6 @@ class PotlachProcess:
             raise ModelError(f"policy 'q' must satisfy 0 <= q <= qstar = "
                              f"{self.qstar.tolist()}, got {q.tolist()}",
                              field="policy")
-
-    def reward(self, x, policy: PotlachPolicy) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        # index pattern q_i p_ij x_j, as printed in the source display
-        gain = float(policy.q @ (policy.matrix @ x))
-        return gain - self.lam * float(np.sum(x))
 
     def redistribute(self, x, policy: PotlachPolicy, i, y) -> np.ndarray:
         """The redistribution map on a batch of states x (R, d): in row r,

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .model import (CtmdpModel, ModelError, StationaryPolicy, _run_sums,
-                    boundary_states)
+from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
+                    _run_sums, boundary_states)
 
 SLACK_TOL = -1e-10
 
 
 @dataclass
-class CheckRecord:
+class CheckRecord(Report):
     name: str
     passed: bool
     worst_state: int | None = None
@@ -30,16 +30,9 @@ class CheckRecord:
     slack: float | None = None
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "worst_state": self.worst_state,
-                "worst_action": self.worst_action,
-                "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-                "detail": self.detail}
-
 
 @dataclass
-class DriftReport:
+class DriftReport(Report):
     checks: list
     fitted: dict = field(default_factory=dict)
     status: str = "ok"
@@ -55,9 +48,7 @@ class DriftReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "status": self.status,
-                "fitted": self.fitted,
-                "checks": [c.to_dict() for c in self.checks]}
+        return {"ok": self.ok, **super().to_dict()}
 
 
 def _scan_min(values):

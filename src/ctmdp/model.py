@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -363,13 +363,35 @@ def _flatten(model: CtmdpModel) -> None:
     model.qmax = np.maximum(np.maximum.reduceat(ex, starts), 0.0)
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list
+def plain(value):
+    """`value` as JSON data: a numpy array or scalar by one `tolist()`, a
+    StationaryPolicy as its action list, an object with `to_dict` as that
+    dict, a dict (keys as strings) or list item by item, and anything else
+    as it is."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, StationaryPolicy):
+        return value.choice.tolist()
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(map(plain, value))
+    return value
+
+
+class Report:
+    """A result dataclass whose fields are its report keys."""
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "violations": self.violations}
+        return plain({f.name: getattr(self, f.name) for f in fields(self)})
+
+
+@dataclass
+class ValidationReport(Report):
+    ok: bool
+    violations: list
 
 
 def validate_model(model: CtmdpModel) -> ValidationReport:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import families
 from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
-                    StateSpace, StationaryPolicy, typed)
+                    StateSpace, StationaryPolicy, plain, typed)
 
 FORMAT_VERSION = "3"
 
@@ -31,17 +31,10 @@ class ModelFileError(ModelError):
 _typed = functools.partial(typed, error=ModelFileError)
 
 
-def _plain(obj):
-    """`json.dumps` hook: a numpy scalar or array as plain Python values."""
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, shortest round-trip floats,
     NaN and +-Infinity spelled as in JavaScript, one trailing newline."""
-    return json.dumps(obj, sort_keys=True, default=_plain) + "\n"
+    return json.dumps(obj, sort_keys=True, default=plain) + "\n"
 
 
 def _need(doc: dict, key: str, where: str = "", kind=None,

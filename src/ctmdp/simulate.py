@@ -47,7 +47,8 @@ import numpy as np
 
 from .discounted import check_positive
 from .families import PotlachPolicy, PotlachProcess
-from .model import CtmdpModel, ModelError, StationaryPolicy, _run_sums
+from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
+                    _run_sums)
 
 RNG_FAMILY = "numpy.random.Philox"
 RNG_DRAWS = ("blocks k = 0, 1, ... of min(16 * 2**k, 1024) draws: "
@@ -195,6 +196,9 @@ class _RedistributionChain:
         if x0.shape != (self.proc.d,):
             raise ModelError(f"x0 must list {self.proc.d} masses, got "
                              f"{x0.tolist()}", field="x0")
+        if not np.all((x0 >= 0) & (x0 < np.inf)):
+            raise ModelError(f"x0 masses must be finite and non-negative, "
+                             f"got {x0.tolist()}", field="x0")
         return np.tile(x0, (reps, 1))
 
     def walk(self, x, draws) -> np.ndarray:
@@ -367,7 +371,7 @@ def simulate_path(model, f, x0, horizon: float, seed: int,
 
 
 @dataclass
-class SimulationReport:
+class SimulationReport(Report):
     values: np.ndarray           # per-replication time-averaged reward
     mean: float
     se: float
@@ -376,12 +380,6 @@ class SimulationReport:
     reps: int
     rng: dict
     jumps: np.ndarray            # per-replication jump counts
-
-    def to_dict(self) -> dict:
-        return {"values": self.values.tolist(), "mean": self.mean,
-                "se": self.se, "occupation": self.occupation.tolist(),
-                "horizon": self.horizon, "reps": self.reps, "rng": self.rng,
-                "jumps": self.jumps.tolist()}
 
 
 def estimate_average_reward(model: CtmdpModel, f: StationaryPolicy, x0: int,
@@ -399,7 +397,7 @@ def estimate_average_reward(model: CtmdpModel, f: StationaryPolicy, x0: int,
 
 
 @dataclass
-class CheckpointReport:
+class CheckpointReport(Report):
     checkpoints: np.ndarray
     means: np.ndarray
     ses: np.ndarray
@@ -408,13 +406,6 @@ class CheckpointReport:
     rng: dict
     jumps: np.ndarray            # per-replication jump counts
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"checkpoints": self.checkpoints.tolist(),
-                "means": self.means.tolist(), "ses": self.ses.tolist(),
-                "bounds": self.bounds.tolist(), "passed": self.passed,
-                "rng": self.rng, "jumps": self.jumps.tolist(),
-                "detail": self.detail}
 
 
 def check_replications(reps: int) -> None:
@@ -425,6 +416,9 @@ def check_replications(reps: int) -> None:
 
 def _checkpoint_run(chain, x0, checkpoints, reps, seed) -> _Runs:
     """Replications run just past the last checkpoint."""
+    if not len(checkpoints):
+        raise ModelError("checkpoints must list at least one time, got []",
+                         field="checkpoints")
     horizon = float(checkpoints[-1]) * (1 + 1e-12)
     return _run(chain, x0, horizon, reps, seed, checkpoints)
 
@@ -457,7 +451,7 @@ def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
 
 
 @dataclass
-class ErgodicityReport:
+class ErgodicityReport(Report):
     checkpoints: np.ndarray
     diffs: dict                  # probe index -> per-start mean |E u - mu(u)|
     rho_hat: float | None
@@ -465,13 +459,6 @@ class ErgodicityReport:
     empirical: bool
     flagged: bool
     rng: dict
-
-    def to_dict(self) -> dict:
-        return {"checkpoints": self.checkpoints.tolist(),
-                "diffs": {str(k): v.tolist() for k, v in self.diffs.items()},
-                "rho_hat": self.rho_hat, "R_hat": self.R_hat,
-                "empirical": self.empirical, "flagged": self.flagged,
-                "rng": self.rng}
 
 
 def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discounted import bellman
-from .model import CtmdpModel, ModelError, StationaryPolicy
+from .model import CtmdpModel, ModelError, Report, StationaryPolicy
 from .simulate import _chain, _checkpoint_run, check_replications, rng_info
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
@@ -20,19 +20,13 @@ DEFAULT_REPS = 200
 
 
 @dataclass
-class CertificateReport:
+class CertificateReport(Report):
     direction: str               # "upper" or "lower"
     g: float
     residuals: np.ndarray        # per-state
     max_violation: float
     passed: bool
     tol: float
-
-    def to_dict(self) -> dict:
-        return {"direction": self.direction, "g": self.g,
-                "residuals": self.residuals.tolist(),
-                "max_violation": self.max_violation,
-                "passed": self.passed, "tol": self.tol}
 
 
 def certify_upper(model: CtmdpModel, g: float, u, tol: float = 1e-6
@@ -73,7 +67,7 @@ def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
 
 
 @dataclass
-class MartingaleReport:
+class MartingaleReport(Report):
     checkpoints: np.ndarray
     means: np.ndarray
     ses: np.ndarray
@@ -86,18 +80,6 @@ class MartingaleReport:
     rng: dict
     jumps: np.ndarray            # per-replication jump counts
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"checkpoints": self.checkpoints.tolist(),
-                "means": self.means.tolist(), "ses": self.ses.tolist(),
-                "diff_ses": self.diff_ses.tolist(),
-                "submartingale_consistent": self.submartingale_consistent,
-                "supermartingale_consistent": self.supermartingale_consistent,
-                "delta_visited": {str(k): v for k, v in
-                                  self.delta_visited.items()},
-                "delta_min": self.delta_min, "delta_max": self.delta_max,
-                "rng": self.rng, "jumps": self.jumps.tolist(),
-                "detail": self.detail}
 
 
 def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,

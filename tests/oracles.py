@@ -829,6 +829,20 @@ def reference_policy_path(model: CtmdpModel, f: StationaryPolicy, x0: int,
                           replication_draws(seed, rep, 2), checkpoints)
 
 
+def redistribution_weight(x) -> float:
+    """w(x) = sum_i x_i of one state of the redistribution process."""
+    return float(np.sum(x))
+
+
+def redistribution_reward(proc, x, policy) -> float:
+    """r(x) = sum_i q_i sum_j p_ij x_j - lambda sum_i x_i of one state of
+    the redistribution process under `policy`, with the index pattern
+    q_i p_ij x_j as printed in the source display."""
+    x = np.asarray(x, dtype=np.float64)
+    gain = float(policy.q @ (policy.matrix @ x))
+    return gain - proc.lam * float(np.sum(x))
+
+
 def reference_redistribution_path(proc, policy, x0, horizon: float,
                                   seed: int, rep: int = 0, checkpoints=()):
     """reference_path for the redistribution process, one point at a time."""
@@ -843,6 +857,7 @@ def reference_redistribution_path(proc, policy, x0, horizon: float,
         return x
 
     return reference_path(lambda x: proc.total_rate,
-                          lambda x: proc.reward(x, policy), jump,
+                          lambda x: redistribution_reward(proc, x, policy),
+                          jump,
                           np.asarray(x0, dtype=np.float64), horizon,
                           replication_draws(seed, rep, 3), checkpoints)

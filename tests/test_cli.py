@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -247,6 +248,25 @@ def test_cli_simulate_emits_series(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "rep,value"
     assert len(lines) == 4
+
+
+def test_cli_simulate_ergodicity_emits_series(tmp_path, capsys):
+    # one row per checkpoint: the first probe's gap from the first start
+    csv_path = tmp_path / "series.csv"
+    assert run(["simulate", "--builtin", "mmn0", "--params",
+                '{"N":3,"lambda":1,"mu1":1.5,"mu2":3,"G":2}',
+                "--policy", str(GOLDEN / "policy_mmn0.json"),
+                "--mode", "ergodicity", "--reps", "10", "--seed", "1",
+                "--checkpoints", "0.5,1,2", "--emit-series",
+                str(csv_path)]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "mean", "se", "bound"]
+    assert [list(map(float, row)) for row in rows] == [
+        [t, gap, 0.0, 0.0]
+        for t, gap in zip(rep["checkpoints"], rep["diffs"]["0"][0])]
+    assert len(rows) == 3
 
 
 def test_cli_simulate_lyapunov_mode(tmp_path, capsys):

@@ -5,6 +5,7 @@ import ctmdp
 from ctmdp import (PotlachPolicy, build, describe, simulate_path,
                    validate_model)
 from ctmdp.families import BUILTINS, resolve, tandem_weight
+from oracles import redistribution_reward
 
 
 def test_unknown_family_rejected():
@@ -154,7 +155,8 @@ def test_potlach_reward_reduces_without_cost_weights():
     proc = build("potlach", {"d": 3, "lambda": 2.0})
     pol = PotlachPolicy(matrix=np.full((3, 3), 1.0 / 3.0), q=np.zeros(3))
     x = np.array([1.0, 2.0, 3.0])
-    assert proc.reward(x, pol) == pytest.approx(-2.0 * x.sum())
+    assert redistribution_reward(proc, x, pol) \
+        == pytest.approx(-2.0 * x.sum())
 
 
 def test_potlach_jump_preserves_nonnegativity():

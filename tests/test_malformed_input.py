@@ -442,7 +442,11 @@ NOT_DECREASING = ("--checkpoints must be finite, non-negative and "
     ("potlach", [{"matrix": ADMISSIBLE, "q": [1, 2, 3]}, "[1, 1]"],
      "--policy 'q' must satisfy 0 <= q <= qstar"),
     ("potlach", [{"matrix": ADMISSIBLE}, "[1, 1, 1]"],
-     "--x0 must list 2 masses, got [1.0, 1.0, 1.0]")])
+     "--x0 must list 2 masses, got [1.0, 1.0, 1.0]"),
+    ("potlach", [{"matrix": ADMISSIBLE}, "[-5, 1]"],
+     "--x0 masses must be finite and non-negative, got [-5.0, 1.0]"),
+    ("potlach", [{"matrix": ADMISSIBLE}, "[NaN, 1]"],
+     "--x0 masses must be finite and non-negative, got [nan, 1.0]")])
 def test_library_refusal_exits_2_naming_the_flag(tmp_path, command, flags,
                                                  named):
     # the command line leaves these checks to the library, whose
@@ -476,6 +480,54 @@ def test_library_refusal_exits_2_naming_the_flag(tmp_path, command, flags,
     assert err.getvalue().startswith(f"ctmdp: error: {named}"), \
         err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# -- refusals of the command line ----------------------------------------------
+
+# two states, and no rate row for (1, 0)
+MISSING_ROW = {"kind": "explicit", "states": 2, "actions": [[[0.0]], [[0.0]]],
+               "rates": [{"x": 0, "a": 0, "entries": [[1, 1.0]]}],
+               "rewards": [{"x": 0, "a": 0, "r": 0.0},
+                           {"x": 1, "a": 0, "r": 1.0}]}
+# an explicit model file without a lyapunov block; ZEROS is a policy for it
+NO_LYAPUNOV = ["--model", str(GOLDEN / "two_absorbing_model.json")]
+POTLACH = ["--builtin", "potlach", "--params", '{"lambda":2}']
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve-average"] + POTLACH,
+     "this subcommand needs a tabulated model; the continuous-state "
+     "builtin is simulation-only"),
+    (["validate"] + NO_LYAPUNOV + ["--checks", "foo"],
+     "unknown check 'foo'"),
+    (["validate", "--model", "MISSING_ROW"],
+     "no rate row supplied for (1, 0)"),
+    (["validate"] + NO_LYAPUNOV + ["--checks", "drift"],
+     "model carries no Lyapunov data"),
+    (["validate"] + NO_LYAPUNOV + ["--checks", "bounds"],
+     "model carries no Lyapunov data"),
+    (["simulate"] + NO_LYAPUNOV + ["--policy", "ZEROS", "--mode",
+                                   "lyapunov"],
+     "model carries no Lyapunov data"),
+    (["simulate"] + POTLACH + ["--policy",
+                               str(GOLDEN / "policy_potlach.json"),
+                               "--x0", "[1, 1]", "--mode", "average"],
+     "the continuous-state builtin supports --mode lyapunov only")],
+    ids=["not_tabulated", "unknown_check", "missing_rate_row",
+         "drift_without_lyapunov", "bounds_without_lyapunov",
+         "simulate_without_lyapunov", "potlach_average"])
+def test_command_line_refusal_exits_2(tmp_path, argv, message):
+    files = {"MISSING_ROW": json.dumps(MISSING_ROW), "ZEROS": "[0, 0, 0]"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"ctmdp: error: {message}\n"
 
 
 # -- input that is not UTF-8 ----------------------------------------------------

@@ -421,10 +421,15 @@ def test_every_start_route_takes_a_numpy_integer(route):
     (lambda: ctmdp.check_lyapunov_bound(
         REDISTRIBUTION, ctmdp.PotlachPolicy(matrix=HALF, q=[0, 0]),
         [1.0, 1.0, 1.0], [0.5, 1.0], 4, seed=1), "x0"),
+    (lambda: ctmdp.check_lyapunov_bound(MMN0, ZERO, 0, [], 4, seed=1),
+     "checkpoints"),
+    (lambda: ctmdp.check_lyapunov_bound(
+        REDISTRIBUTION, ctmdp.PotlachPolicy(matrix=HALF, q=[0, 0]),
+        [-5.0, 1.0], [0.5, 1.0], 4, seed=1), "x0"),
 ], ids=["x0", "levels", "checkpoints_distinct", "checkpoints_order", "reps",
         "checkpoints_end", "x0b", "horizon", "seed", "ragged_matrix",
         "ragged_q", "matrix_not_square", "matrix_inadmissible",
-        "masses"])
+        "masses", "checkpoints_empty", "masses_negative"])
 def test_argument_refusals_name_their_field(call, field):
     with pytest.raises(ModelError) as info:
         call()

@@ -225,9 +225,13 @@ def test_average_reward_estimate_refuses_empty_runs(mm20, horizon, reps,
      r"'q' must satisfy 0 <= q <= qstar = \[1.0, 1.0\], got \[0.5, 1.5\]"),
     (np.full((2, 2), 0.5), np.zeros(3), [1.0, 1.0], "'q' must satisfy"),
     (np.full((2, 2), 0.5), np.zeros(2), [1.0, 1.0, 1.0],
-     r"^x0 must list 2 masses, got \[1.0, 1.0, 1.0\]$")],
+     r"^x0 must list 2 masses, got \[1.0, 1.0, 1.0\]$"),
+    (np.full((2, 2), 0.5), np.zeros(2), [-5.0, 1.0],
+     r"^x0 masses must be finite and non-negative, got \[-5.0, 1.0\]$"),
+    (np.full((2, 2), 0.5), np.zeros(2), [np.nan, 1.0],
+     r"^x0 masses must be finite and non-negative, got \[nan, 1.0\]$")],
     ids=["matrix_3x3", "matrix_inadmissible", "q_above_qstar", "q_of_3",
-         "x0_of_3"])
+         "x0_of_3", "x0_negative", "x0_nan"])
 def test_redistribution_runs_refuse_inadmissible_input(matrix, q, x0,
                                                        message):
     # a policy of the wrong size or a start of 3 masses failed in numpy's

@@ -19,8 +19,8 @@ from ctmdp import (CtmdpModel, PotlachPolicy, StateSpace,
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run
 from oracles import (index_actions, kernel_from_rows,
-                     reference_policy_chain, reference_policy_path,
-                     reference_redistribution_path)
+                     redistribution_weight, reference_policy_chain,
+                     reference_policy_path, reference_redistribution_path)
 
 REL = 1e-12
 # awkward rates make the normalized running sums round below 1
@@ -219,14 +219,14 @@ def test_redistribution_matches_scalar_reference():
     assert_matches(ref, rec.times, rec.states, rec.reward_integral,
                    None, None, len(rec.times) - 1)
     assert np.array_equal(rec.checkpoint_values,
-                          [proc.weight(s) for s, _ in ref[3]])
+                          [redistribution_weight(s) for s, _ in ref[3]])
 
     samples = _checkpoint_run(simulate._chain(proc, pol), x0, cps, 4,
                               9).cp_states.sum(axis=-1)
     for rep in range(4):
         ref = reference_redistribution_path(proc, pol, x0, 9.0 * (1 + 1e-12),
                                             9, rep, cps)
-        assert np.array_equal(samples[rep], [proc.weight(s)
+        assert np.array_equal(samples[rep], [redistribution_weight(s)
                                              for s, _ in ref[3]])
 
 
