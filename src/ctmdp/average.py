@@ -75,16 +75,11 @@ class AverageSolution(Report):
                                      # h_change, sweeps}
     residual_upper: float
     residual_lower: float
-    converged: bool                  # gain_upper - gain_lower <= tol
     x0: int
     h_lower: Optional[np.ndarray] = None   # envelope of h over the last
     h_upper: Optional[np.ndarray] = None   # stages; scheduled runs only
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        if self.h_lower is None:
-            del out["h_lower"], out["h_upper"]
-        return out
+    # gain_upper - gain_lower <= tol: any other outcome raises
+    converged = True
 
 
 def solve_average(model: CtmdpModel,
@@ -129,7 +124,7 @@ def solve_average(model: CtmdpModel,
         policy=policy, trace=trace,
         residual_upper=certify_upper(model, g, h).max_violation,
         residual_lower=certify_lower(model, g, h, policy).max_violation,
-        converged=hi - lo <= tol, x0=x0)
+        x0=x0)
     if schedule is not None:
         stack = np.stack(tail + [h])
         sol.h_lower, sol.h_upper = stack.min(axis=0), stack.max(axis=0)

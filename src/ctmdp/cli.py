@@ -2,10 +2,14 @@
 
 Every report is a single JSON object {format_version, config, report}
 where config echoes the fully-resolved options (defaults included) and
-the model: a builtin document whole, an explicit model file as its kind
-and sha256, so a run can be reproduced from its output and the model
-file. Serialization is byte-stable: sorted keys, shortest round-trip
-floats (report format 3).
+every input read: a builtin model document whole, with its --params;
+an explicit model file as its kind and sha256; a --solution or --policy
+file as the sha256 of its bytes (`sha256sum FILE`, stdin's bytes for
+"-"), and `--policy star` as "star"; inline JSON (--params, --x0,
+--levels) as parsed. No path is echoed, so a run can be reproduced from
+its output and the files with those digests, and the same bytes at two
+paths give the same report. Serialization is byte-stable: sorted keys,
+shortest round-trip floats (report format 4).
 
 Exit codes: 0 success, 1 check failure (failed validation or
 certificate) or a numeric failure, 2 usage or malformed input. Here
@@ -85,51 +89,46 @@ _FRACTION = _ranged(float, lambda v: 0 < v < 1, "in (0, 1)")
 _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
 
-def _read_text(path: str, stdin_text: dict, flag: str) -> str:
-    """The text of the file `path` of option `flag`, or of stdin (read once
-    per run) for "-". Both are read as bytes and decoded as strict UTF-8,
-    so a byte that is not UTF-8 exits 2 naming the flag, path and offset."""
+def _read(args, raw: str, flag: str, inline: bool = False) -> tuple:
+    """(document, echo) of the JSON input `raw` of option `flag`. Inline
+    JSON is echoed as parsed. Otherwise `raw` names a file, or stdin (read
+    once per run) for "-", echoed as the sha256 of the bytes read
+    (`sha256sum FILE`); they are decoded as strict UTF-8, so a byte that
+    is not UTF-8 exits 2 naming the flag, the file and the offset."""
+    text = raw
+    if not inline:
+        try:
+            if raw != "-":
+                with open(raw, "rb") as fh:
+                    data = fh.read()
+            else:
+                if args.stdin is None:
+                    args.stdin = sys.stdin.buffer.read()
+                data = args.stdin
+            text = data.decode("utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot read {raw}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            where = "stdin" if raw == "-" else raw
+            raise UsageError(f"{flag} {where} is not UTF-8 text: {exc.reason} "
+                             f"at byte {exc.start}") from None
     try:
-        if path != "-":
-            with open(path, "rb") as fh:
-                return fh.read().decode("utf-8")
-        if stdin_text.get("text") is None:
-            stdin_text["text"] = sys.stdin.buffer.read().decode("utf-8")
-        return stdin_text["text"]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        where = "stdin" if path == "-" else path
-        raise UsageError(f"{flag} {where} is not UTF-8 text: {exc.reason} "
-                         f"at byte {exc.start}") from None
-
-
-def _parse_json(text: str, what: str):
-    try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {what} at line {exc.lineno} "
+        raise UsageError(f"malformed JSON in {flag} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
+    return doc, doc if inline else hashlib.sha256(data).hexdigest()
 
 
-def _params_arg(raw, stdin_text):
-    """--params: a JSON object, inline or in a file."""
-    if raw is None:
-        return {}
-    inline = raw.strip()[:1] in ("{", "[")
-    text = raw if inline else _read_text(raw, stdin_text, "--params")
-    return typed(_parse_json(text, "--params"), dict, "--params")
-
-
-def _model_document(args, stdin_text) -> tuple:
+def _model_document(args) -> tuple:
     """(document, echo) of --model or --builtin: the model document and
     what a report's config echoes of it. An explicit document is echoed
-    as its kind and the sha256 of the bytes it was read from (`sha256sum
-    FILE`); a builtin one, which is small and rebuilds the model, whole. A piped report gives its config.model, which must
-    then be a builtin document."""
+    as its kind and `_read`'s sha256; a builtin one, which is small and
+    rebuilds the model, whole, with its --params (a JSON object, inline
+    or in a file). A piped report gives its config.model, which must then
+    be a builtin document."""
     if getattr(args, "model", None):
-        text = _read_text(args.model, stdin_text, "--model")
-        doc = _parse_json(text, "--model")
+        doc, digest = _read(args, args.model, "--model")
         if isinstance(doc, dict) and "kind" not in doc and "config" in doc:
             config = typed(doc["config"], dict, "--model config")
             if "model" not in config:
@@ -140,20 +139,21 @@ def _model_document(args, stdin_text) -> tuple:
                     "--model: a report's config.model is read back for a "
                     "builtin model only; pass the explicit model file itself")
         elif isinstance(doc, dict) and doc.get("kind") == "explicit":
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             return doc, {"kind": "explicit", "sha256": digest}
         return doc, doc
-    if getattr(args, "builtin", None):
+    if getattr(args, "builtin", None) is not None:
+        raw = "{}" if args.params is None else args.params
+        params = _read(args, raw, "--params",
+                       inline=raw.strip()[:1] in ("{", "["))[0]
         doc = {"kind": "builtin", "name": args.builtin,
-               "params": _params_arg(getattr(args, "params", None),
-                                     stdin_text)}
+               "params": typed(params, dict, "--params")}
         return doc, doc
     raise UsageError("one of --model or --builtin is required")
 
 
-def _resolve_model(args, stdin_text):
+def _resolve_model(args):
     """(echo, model): `_model_document`'s config echo and the model."""
-    doc, echo = _model_document(args, stdin_text)
+    doc, echo = _model_document(args)
     return echo, modelio.model_from_dict(doc)
 
 
@@ -171,19 +171,18 @@ def _validate_or_die(model: CtmdpModel):
                              + dumps(rep.to_dict()).strip())
 
 
-def _valid_tabulated_model(args, stdin_text):
-    doc, model = _resolve_model(args, stdin_text)
+def _valid_tabulated_model(args):
+    doc, model = _resolve_model(args)
     _validate_or_die(_require_tabulated(model))
     return doc, model
 
 
-def _solution(args, stdin_text) -> tuple:
-    """Model document and model, then the gain, relative values (one per
-    state) and policy document of --solution."""
-    doc, model = _valid_tabulated_model(args, stdin_text)
-    sol = typed(_parse_json(_read_text(args.solution, stdin_text,
-                                       "--solution"), "--solution"),
-                dict, "--solution")
+def _solution(args) -> tuple:
+    """The config, which echoes --solution, and the model, then the gain,
+    relative values (one per state) and policy document of --solution."""
+    doc, model = _valid_tabulated_model(args)
+    sol, digest = _read(args, args.solution, "--solution")
+    sol = typed(sol, dict, "--solution")
     if "gain" not in sol and "report" in sol:
         sol = typed(sol["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
@@ -197,7 +196,9 @@ def _solution(args, stdin_text) -> tuple:
     for key, value in (("h", h), ("gain", gain)):
         if not np.all(np.isfinite(value)):
             raise UsageError(f"--solution {key!r} must be finite")
-    return doc, model, gain, h, sol["policy"]
+    config = _base_config(args, doc)
+    config["solution"] = digest
+    return config, model, gain, h, sol["policy"]
 
 
 def _checkpoints_arg(raw, default):
@@ -251,8 +252,8 @@ def _base_config(args, model_echo) -> dict:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_validate(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
+def _cmd_validate(args) -> int:
+    doc, model = _resolve_model(args)
     checks = [c for c in (args.checks or "").split(",") if c]
     for c in checks:
         if c not in ("drift", "bounds", "monotone"):
@@ -292,14 +293,14 @@ def _cmd_validate(args, stdin_text) -> int:
     return 0 if ok else 1
 
 
-def _cmd_describe(args, stdin_text) -> int:
+def _cmd_describe(args) -> int:
     schema = families.describe(args.builtin)
     _emit(args, {"subcommand": "describe", "builtin": args.builtin}, schema)
     return 0
 
 
-def _cmd_solve_discounted(args, stdin_text) -> int:
-    doc, model = _valid_tabulated_model(args, stdin_text)
+def _cmd_solve_discounted(args) -> int:
+    doc, model = _valid_tabulated_model(args)
     config = _base_config(args, doc)
     config.update({"alpha": args.alpha, "tol": args.tol, "x0": args.x0})
     sol = solve_discounted(model, args.alpha, tol=args.tol, x0=args.x0)
@@ -316,8 +317,8 @@ def _schedule(args):
                              steps=args.steps)
 
 
-def _cmd_solve_average(args, stdin_text) -> int:
-    doc, model = _valid_tabulated_model(args, stdin_text)
+def _cmd_solve_average(args) -> int:
+    doc, model = _valid_tabulated_model(args)
     schedule = _schedule(args)
     config = _base_config(args, doc)
     config.update({"alpha0": args.alpha0, "ratio": args.ratio,
@@ -327,18 +328,18 @@ def _cmd_solve_average(args, stdin_text) -> int:
     return 0
 
 
-def _cmd_oracle(args, stdin_text) -> int:
-    doc, model = _valid_tabulated_model(args, stdin_text)
+def _cmd_oracle(args) -> int:
+    doc, model = _valid_tabulated_model(args)
     config = _base_config(args, doc)
     result = brute_force_oracle(model)
     _emit(args, config, result.to_dict())
     return 0
 
 
-def _cmd_sensitivity(args, stdin_text) -> int:
-    params = _params_arg(args.params, stdin_text)
-    levels = typed(_parse_json(f"[{args.levels}]", "--levels"), [int],
-                   "--levels")
+def _cmd_sensitivity(args) -> int:
+    params = _model_document(args)[0]["params"]
+    levels = typed(_read(args, f"[{args.levels}]", "--levels", inline=True)[0],
+                   [int], "--levels")
     schedule = _schedule(args)
     config = args.config = {
         "subcommand": "sensitivity", "builtin": args.builtin,
@@ -355,12 +356,11 @@ def _cmd_sensitivity(args, stdin_text) -> int:
     return 0 if rep.stable else 1
 
 
-def _cmd_verify(args, stdin_text) -> int:
-    doc, model, g, h, pol_doc = _solution(args, stdin_text)
+def _cmd_verify(args) -> int:
+    config, model, g, h, pol_doc = _solution(args)
     f = modelio.policy_from_dict(pol_doc, model)
     upper = certify_upper(model, g, h, tol=args.tol)
     lower = certify_lower(model, g, h, f, tol=args.tol)
-    config = _base_config(args, doc)
     config["tol"] = args.tol
     passed = upper.passed and lower.passed
     _emit(args, config, {"upper": upper.to_dict(), "lower": lower.to_dict(),
@@ -368,19 +368,15 @@ def _cmd_verify(args, stdin_text) -> int:
     return 0 if passed else 1
 
 
-def _cmd_martingale(args, stdin_text) -> int:
-    doc, model, g, h, pol_doc = _solution(args, stdin_text)
-    if args.policy == "star":
-        f = modelio.policy_from_dict(pol_doc, model)
-    else:
-        f = modelio.policy_from_dict(
-            _parse_json(_read_text(args.policy, stdin_text, "--policy"),
-                        "--policy"),
-            model)
+def _cmd_martingale(args) -> int:
+    config, model, g, h, pol_doc = _solution(args)
+    policy = "star"
+    if args.policy != "star":
+        pol_doc, policy = _read(args, args.policy, "--policy")
+    f = modelio.policy_from_dict(pol_doc, model)
     checkpoints = _checkpoints_arg(args.checkpoints,
                                    verify.DEFAULT_CHECKPOINTS)
-    config = _base_config(args, doc)
-    config.update({"policy": args.policy, "reps": args.reps,
+    config.update({"policy": policy, "reps": args.reps,
                    "seed": args.seed, "x0": args.x0,
                    "checkpoints": checkpoints})
     rep = martingale_diagnostic(model, f, h, g, args.x0,
@@ -390,11 +386,10 @@ def _cmd_martingale(args, stdin_text) -> int:
     return 0
 
 
-def _cmd_simulate(args, stdin_text) -> int:
-    doc, model = _resolve_model(args, stdin_text)
-    x0 = x0_doc = _parse_json(args.x0, "--x0")
-    pol_doc = _parse_json(_read_text(args.policy, stdin_text, "--policy"),
-                          "--policy")
+def _cmd_simulate(args) -> int:
+    doc, model = _resolve_model(args)
+    x0 = x0_doc = _read(args, args.x0, "--x0", inline=True)[0]
+    pol_doc, policy = _read(args, args.policy, "--policy")
     if isinstance(model, PotlachProcess):
         pol_doc = typed(pol_doc, dict, "--policy")
         f = PotlachPolicy(matrix=typed(pol_doc.get("matrix"), [[float]],
@@ -411,7 +406,7 @@ def _cmd_simulate(args, stdin_text) -> int:
         x0 = typed(x0, int, "--x0 (a state index)")
 
     config = _base_config(args, doc)
-    config.update({"mode": args.mode, "x0": x0_doc,
+    config.update({"mode": args.mode, "policy": policy, "x0": x0_doc,
                    "horizon": args.horizon, "reps": args.reps,
                    "seed": args.seed})
     if args.mode == "average":
@@ -445,9 +440,8 @@ def _cmd_simulate(args, stdin_text) -> int:
     _emit(args, config, rep.to_dict())
     if args.emit_series:
         gaps = rep.diffs[0][0]
-        _emit_series(args.emit_series, ["t", "mean", "se", "bound"],
-                     zip(rep.checkpoints.tolist(), gaps.tolist(),
-                         [0.0] * len(gaps), [0.0] * len(gaps)))
+        _emit_series(args.emit_series, ["t", "gap"],
+                     zip(rep.checkpoints.tolist(), gaps.tolist()))
     return 0
 
 
@@ -567,9 +561,9 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
-    stdin_text = {"text": None}
+    args.stdin = None            # stdin's bytes, once read
     try:
-        return args.handler(args, stdin_text)
+        return args.handler(args)
     except (UsageError, ModelError) as exc:
         flag = "--" if getattr(exc, "field", None) else ""
         print(f"ctmdp: error: {flag}{exc}", file=sys.stderr)

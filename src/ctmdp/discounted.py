@@ -73,14 +73,9 @@ class DiscountedSolution(Report):
     alpha: float
     values: np.ndarray
     policy: StationaryPolicy
-    iterations: int
+    sweeps: int
     residual: float          # w-weighted sup-norm Bellman residual
     kappa: float
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["J"], out["iters"] = out.pop("values"), out.pop("iterations")
-        return out
 
 
 def bellman(model: CtmdpModel, u) -> tuple:
@@ -289,12 +284,12 @@ def solve_discounted(model: CtmdpModel, alpha: float, tol: float = DEFAULT_TOL,
     """
     check_positive(alpha=alpha, tol=tol)
     x0 = model.check_state(x0)
-    g, h, iters, residual, vals, bell = _vi_relative(model, alpha, x0, tol)
+    g, h, sweeps, residual, vals, bell = _vi_relative(model, alpha, x0, tol)
     m = model.qmax + 1.0
     kappa = float(np.max(m / (alpha + m)))
     return DiscountedSolution(
         alpha=alpha, values=g / alpha + h, policy=_greedy(vals, bell, model),
-        iterations=iters, residual=residual, kappa=kappa)
+        sweeps=sweeps, residual=residual, kappa=kappa)
 
 
 def extract_policy(model: CtmdpModel, J) -> StationaryPolicy:

@@ -36,19 +36,17 @@ class DriftReport(Report):
     checks: list
     fitted: dict = field(default_factory=dict)
     status: str = "ok"
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "unsupported" and all(c.passed for c in self.checks)
+    def __post_init__(self):
+        self.ok = (self.status != "unsupported"
+                   and all(c.passed for c in self.checks))
 
     def check(self, name: str) -> CheckRecord:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, **super().to_dict()}
 
 
 def _scan_min(values):

@@ -366,8 +366,8 @@ def _flatten(model: CtmdpModel) -> None:
 def plain(value):
     """`value` as JSON data: a numpy array or scalar by one `tolist()`, a
     StationaryPolicy as its action list, an object with `to_dict` as that
-    dict, a dict (keys as strings) or list item by item, and anything else
-    as it is."""
+    dict, a dict (keys as strings), list or tuple item by item, and None,
+    a string or a number as it is. Anything else raises TypeError."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, StationaryPolicy):
@@ -376,9 +376,11 @@ def plain(value):
         return value.to_dict()
     if isinstance(value, dict):
         return {str(k): plain(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return list(map(plain, value))
-    return value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON data")
 
 
 class Report:

@@ -339,7 +339,7 @@ def test_default_solve_reports_a_closed_bracket():
     assert sol.gain_lower <= sol.gain <= sol.gain_upper
     assert sol.gain_upper - sol.gain_lower <= 1e-9
     assert sol.trace == [] and sol.sweeps > 0
-    assert sol.h_lower is None and "h_lower" not in sol.to_dict()
+    assert sol.h_lower is None and sol.to_dict()["h_lower"] is None
     # gain, h and policy come from one h: residuals are half the width
     assert max(sol.residual_upper, sol.residual_lower) <= 0.5e-9 + 1e-15
 

@@ -100,6 +100,15 @@ def test_dumps_handles_numpy_types():
     assert doc == {"x": 0.5, "n": 3, "arr": [0.0, 1.0, 2.0], "flag": True}
 
 
+@pytest.mark.parametrize("value", [{1, 2}, object(), b"x"],
+                         ids=["set", "object", "bytes"])
+def test_dumps_refuses_a_value_it_cannot_write_naming_its_type(value):
+    # these used to fail as "ValueError: Circular reference detected"
+    with pytest.raises(TypeError,
+                       match=f"cannot write a {type(value).__name__} as JSON"):
+        dumps({"x": value})
+
+
 def _plain(x):
     """The plain-Python value that `dumps(x)` must read back as."""
     if isinstance(x, (np.generic, np.ndarray)):
@@ -172,7 +181,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert run(["validate", "--model", write_model(tmp_path, EXPLICIT_DOC)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["ok"]
-    assert out["format_version"] == "3"
+    assert out["format_version"] == "4"
     bad = dict(EXPLICIT_DOC)
     bad["rates"] = [
         {"x": 0, "a": 0, "entries": [[0, -1.0], [1, 1.5]]},
@@ -262,10 +271,9 @@ def test_cli_simulate_ergodicity_emits_series(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)["report"]
     with open(csv_path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
-    assert header == ["t", "mean", "se", "bound"]
+    assert header == ["t", "gap"]
     assert [list(map(float, row)) for row in rows] == [
-        [t, gap, 0.0, 0.0]
-        for t, gap in zip(rep["checkpoints"], rep["diffs"]["0"][0])]
+        [t, gap] for t, gap in zip(rep["checkpoints"], rep["diffs"]["0"][0])]
     assert len(rows) == 3
 
 
@@ -771,7 +779,7 @@ FAST_EXIT = {
 
 
 @pytest.mark.parametrize("argv, key, value", [
-    (["solve-discounted", "--alpha", "0.5"], "J", [16.0 / 9.0, 2.0]),
+    (["solve-discounted", "--alpha", "0.5"], "values", [16.0 / 9.0, 2.0]),
     (["solve-average", "--steps", "2"], "gain", 1.0)])
 def test_cli_fast_exit_reference_converges_at_every_alpha(tmp_path, capsys,
                                                           argv, key, value):
@@ -786,10 +794,9 @@ def test_cli_solve_average_tandem_converges(capsys):
     doc = json.loads(capsys.readouterr().out)
     rep = doc["report"]
     assert doc["config"]["steps"] == 0
-    assert rep["converged"] is True
     assert rep["gain_upper"] - rep["gain_lower"] <= doc["config"]["tol"]
     assert rep["gain_lower"] <= rep["gain"] <= rep["gain_upper"]
-    assert rep["trace"] == [] and "h_lower" not in rep
+    assert rep["trace"] == [] and rep["h_lower"] is rep["h_upper"] is None
     assert rep["sweeps"] > 0
 
 
@@ -819,7 +826,53 @@ def test_cli_stalled_bracket_reports_its_rounding_floor(tmp_path):
     assert f"rounding floor {err['rounding_floor']:.3e}" in err["message"]
 
 
-# -- report format 3: an explicit model file is echoed as its sha256 --------
+# -- report formats 3 and 4: every input file is echoed as its sha256 -------
+
+BIRTH_DEATH = ["--builtin", "birth_death", "--params",
+               '{"lambda":1,"mu1":3,"mu2":4,"p1":0.3,"p":2.0,"N":6,"G":3}']
+SOLUTION = GOLDEN / "verify_solution_birth_death.json"
+POLICY = GOLDEN / "policy_birth_death.json"
+# argv, with FILE for the --solution or --policy file that the test varies
+ECHOED_INPUTS = {
+    "verify": ["verify", *BIRTH_DEATH, "--solution", "FILE"],
+    "martingale_star": ["martingale", *BIRTH_DEATH, "--solution", "FILE",
+                        "--reps", "5"],
+    "martingale_policy": ["martingale", *BIRTH_DEATH, "--solution",
+                          str(SOLUTION), "--policy", "FILE", "--reps", "5"],
+    "simulate": ["simulate", *BIRTH_DEATH, "--policy", "FILE",
+                 "--horizon", "5", "--reps", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECHOED_INPUTS))
+def test_cli_input_files_are_echoed_as_their_sha256(name, tmp_path, capsys,
+                                                     monkeypatch):
+    argv = ECHOED_INPUTS[name]
+    key = argv[argv.index("FILE") - 1].lstrip("-")
+    data = (SOLUTION if key == "solution" else POLICY).read_bytes()
+
+    def report(path):
+        assert run([str(path) if arg == "FILE" else arg for arg in argv]) == 0
+        return capsys.readouterr().out
+
+    paths = [tmp_path / "a.json", tmp_path / "other name.json",
+             tmp_path / "changed.json"]
+    for path, content in zip(paths, [data, data,
+                                     data.replace(b" ", b"\n", 1)]):
+        path.write_bytes(content)
+    first, second, changed = map(report, paths)
+    monkeypatch.setattr(sys, "stdin", stdin(data.decode("utf-8")))
+    assert report("-") == first == second
+    config = json.loads(first)["config"]
+    assert config[key] == hashlib.sha256(data).hexdigest()
+    assert json.loads(changed)["config"] != config
+    assert str(tmp_path) not in first
+    if name == "martingale_star":
+        assert config["policy"] == "star"
+    if name == "martingale_policy":
+        assert config["solution"] \
+            == hashlib.sha256(SOLUTION.read_bytes()).hexdigest()
+
 
 def test_cli_same_model_at_two_paths_gives_identical_reports(tmp_path, capsys):
     first = tmp_path / "a" / "model.json"

@@ -42,8 +42,23 @@ exits 1, `martingale` with the solution's policy and with a policy file,
 `simulate --mode lyapunov` on a tabulated model and on the
 continuous-state process, `simulate --mode ergodicity`, and the exit-1
 error report of `solve-average` on a model with two absorbing states.
-They run in `tests/golden`, which holds the files they read, by relative
-path, since `martingale` echoes its `--policy` path in the config.
+
+All 41 reports were re-captured in report format 4, which echoes every
+input file by the sha256 of its bytes and writes every result's fields as
+they are. Each decodes to the same values as its format-3 version, with
+the same exit code, except `format_version` and these key paths:
+
+* `config.solution` added: `verify_*` (5) and `martingale_*` (2);
+* `config.policy` added: `simulate_*` (8); changed from the path to the
+  sha256: `martingale_policy_birth_death`;
+* `report.converged` dropped: `solve_average_*` (6, not the exit-1 error
+  report `solve_average_two_absorbing`), and `report.h_lower` and
+  `report.h_upper` added as null in the five of them run without
+  `--steps`;
+* `report.J` and `report.iters` renamed `report.values` and
+  `report.sweeps`: `solve_discounted_mmn0`.
+
+No path is echoed any more, so every input is passed by absolute path.
 """
 
 import hashlib
@@ -56,6 +71,12 @@ from ctmdp.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def held(name):
+    """The path of an input file kept in tests/golden."""
+    return str(GOLDEN / name)
+
+
 CASES = {
     "birth_death": ["--builtin", "birth_death", "--params", json.dumps(
         {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3, "p": 2.0, "N": 6,
@@ -66,20 +87,20 @@ CASES = {
         {"N": 3, "G": 2})],
     "mmn0": ["--builtin", "mmn0", "--params", json.dumps(
         {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 3, "G": 2})],
-    "violations": ["--model", str(GOLDEN / "violations_model.json")],
+    "violations": ["--model", held("violations_model.json")],
 }
 
 PIPELINE_MODELS = {
     **{name: CASES[name] for name in ("birth_death", "skip_free", "tandem",
                                       "mmn0")},
-    "explicit": ["--model", str(GOLDEN / "explicit_model.json")],
+    "explicit": ["--model", held("explicit_model.json")],
 }
 PIPELINE_COMMANDS = ("solve_average", "verify", "oracle", "simulate")
 # the winning policy [0, 1, 0] has the closed classes {0, 1} and {2}, and
 # only the first is reachable from state 0; 3 of the 4 policies have
 # several closed classes and are evaluated one at a time
 ORACLE_MODELS = {"multichain": ["--model",
-                                str(GOLDEN / "multichain_model.json")]}
+                                held("multichain_model.json")]}
 
 SPEC_REPORTS = {
     **{f"describe_{name}": ["describe", "--builtin", name]
@@ -88,7 +109,9 @@ SPEC_REPORTS = {
                          '{"d":2,"lambda":2.0}'],
 }
 
-BIRTH_DEATH_SOLUTION = ["--solution", "verify_solution_birth_death.json",
+
+BIRTH_DEATH_SOLUTION = ["--solution",
+                        held("verify_solution_birth_death.json"),
                         "--reps", "20"]
 SIMULATE = ["--reps", "20", "--seed", "1"]
 REPORTS = {
@@ -103,18 +126,19 @@ REPORTS = {
     "martingale_star_birth_death": ["martingale"] + CASES["birth_death"]
     + BIRTH_DEATH_SOLUTION,
     "martingale_policy_birth_death": ["martingale"] + CASES["birth_death"]
-    + BIRTH_DEATH_SOLUTION + ["--policy", "policy_birth_death.json"],
+    + BIRTH_DEATH_SOLUTION + ["--policy", held("policy_birth_death.json")],
     "simulate_lyapunov_birth_death": ["simulate"] + CASES["birth_death"]
-    + ["--policy", "policy_birth_death.json", "--mode", "lyapunov"]
+    + ["--policy", held("policy_birth_death.json"), "--mode", "lyapunov"]
     + SIMULATE,
     "simulate_lyapunov_potlach": [
         "simulate", "--builtin", "potlach", "--params",
-        '{"d":2,"lambda":2.0}', "--policy", "policy_potlach.json",
+        '{"d":2,"lambda":2.0}', "--policy", held("policy_potlach.json"),
         "--mode", "lyapunov", "--x0", "[1.0, 2.0]"] + SIMULATE,
     "simulate_ergodicity_mmn0": ["simulate"] + CASES["mmn0"]
-    + ["--policy", "policy_mmn0.json", "--mode", "ergodicity"] + SIMULATE,
+    + ["--policy", held("policy_mmn0.json"), "--mode", "ergodicity"]
+    + SIMULATE,
     "solve_average_two_absorbing": ["solve-average", "--model",
-                                    "two_absorbing_model.json"],
+                                    held("two_absorbing_model.json")],
 }
 
 
@@ -186,21 +210,20 @@ def test_spec_report_matches_golden(stem, capsys):
 
 
 @pytest.mark.parametrize("stem", sorted(REPORTS))
-def test_report_matches_golden(stem, capsys, monkeypatch):
+def test_report_matches_golden(stem, capsys):
     expected = golden(stem)
-    monkeypatch.chdir(GOLDEN)
     code = run(REPORTS[stem])
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
 
 
-def test_every_golden_report_is_format_3():
+def test_every_golden_report_is_format_4():
     docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
     assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
                             + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS)
                             + len(REPORTS))
-    assert all(rep["format_version"] == "3" for rep in reports)
+    assert all(rep["format_version"] == "4" for rep in reports)
 
 
 def test_explicit_model_is_echoed_as_its_sha256(capsys):
