@@ -1,15 +1,19 @@
 """Command-line front end: model ingestion, solving, certification, simulation.
 
-Every report is a single JSON object {format_version, config, report}
-where config echoes the fully-resolved options (defaults included) and
-every input read: a builtin model document whole, with its --params;
-an explicit model file as its kind and sha256; a --solution or --policy
-file as the sha256 of its bytes (`sha256sum FILE`, stdin's bytes for
-"-"), and `--policy star` as "star"; inline JSON (--params, --x0,
---levels) as parsed. No path is echoed, so a run can be reproduced from
-its output and the files with those digests, and the same bytes at two
-paths give the same report. Serialization is byte-stable: sorted keys,
-shortest round-trip floats (report format 4).
+Every report is a single JSON object {format_version, config, report}.
+config is the parsed command line, built once in `run`: it echoes every
+option of the subcommand, defaults included, except the output paths
+(--out, --emit-series), and each input as it is read, in the one place
+it is read. --model, --builtin and --params become config.model: a
+builtin model document whole, with its --params, or an explicit model
+file as its kind and sha256. A --solution or --policy file is echoed as
+the sha256 of its bytes (`sha256sum FILE`, stdin's bytes for "-"), and
+`--policy star` as "star"; --x0 JSON as parsed; a comma list (--checks,
+--levels, --checkpoints) as the list read. Handlers add only what they
+compute: the default --checkpoints and --x0b. No path is echoed, so a
+run can be reproduced from its output and the files with those digests,
+and the same bytes at two paths give the same report. Serialization is
+byte-stable: sorted keys, shortest round-trip floats (report format 5).
 
 Exit codes: 0 success, 1 check failure (failed validation or
 certificate) or a numeric failure, 2 usage or malformed input. Here
@@ -36,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import families, modelio, verify
+from . import families, modelio, simulate, verify
 from .average import (OracleError, VanishingSchedule, brute_force_oracle,
                       solve_average, truncation_sensitivity)
 from .discounted import ConvergenceError, solve_discounted
@@ -90,11 +94,12 @@ _SEED = _ranged(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2**64)")
 
 
 def _read(args, raw: str, flag: str, inline: bool = False) -> tuple:
-    """(document, echo) of the JSON input `raw` of option `flag`. Inline
-    JSON is echoed as parsed. Otherwise `raw` names a file, or stdin (read
-    once per run) for "-", echoed as the sha256 of the bytes read
-    (`sha256sum FILE`); they are decoded as strict UTF-8, so a byte that
-    is not UTF-8 exits 2 naming the flag, the file and the offset."""
+    """(document, echo) of the JSON input `raw` of option `flag`; the echo
+    replaces the option's raw value in config. Inline JSON is echoed as
+    parsed. Otherwise `raw` names a file, or stdin (read once per run) for
+    "-", echoed as the sha256 of the bytes read (`sha256sum FILE`); they
+    are decoded as strict UTF-8, so a byte that is not UTF-8 exits 2
+    naming the flag, the file and the offset."""
     text = raw
     if not inline:
         try:
@@ -117,44 +122,59 @@ def _read(args, raw: str, flag: str, inline: bool = False) -> tuple:
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {flag} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
-    return doc, doc if inline else hashlib.sha256(data).hexdigest()
+    echo = doc if inline else hashlib.sha256(data).hexdigest()
+    args.config[flag[2:]] = echo
+    return doc, echo
 
 
-def _model_document(args) -> tuple:
-    """(document, echo) of --model or --builtin: the model document and
-    what a report's config echoes of it. An explicit document is echoed
+def _comma_list(args, flag: str, kind, default=()) -> list:
+    """The comma list of option `flag` (--levels, --checkpoints), each item
+    read by `kind`, or `default` if the option is not given; config echoes
+    the list. A value out of range, NaN included, is the library's to
+    refuse."""
+    raw = getattr(args, flag[2:])
+    try:
+        items = (list(default) if raw is None
+                 else [kind(v) for v in raw.split(",")])
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    args.config[flag[2:]] = items
+    return items
+
+
+def _model_document(args) -> dict:
+    """The model document of --model or --builtin. Its echo replaces
+    --model, --builtin and --params in config.model: an explicit document
     as its kind and `_read`'s sha256; a builtin one, which is small and
     rebuilds the model, whole, with its --params (a JSON object, inline
     or in a file). A piped report gives its config.model, which must then
     be a builtin document."""
+    config = args.config
     if getattr(args, "model", None):
         doc, digest = _read(args, args.model, "--model")
+        config["model"] = doc
         if isinstance(doc, dict) and "kind" not in doc and "config" in doc:
-            config = typed(doc["config"], dict, "--model config")
-            if "model" not in config:
+            piped = typed(doc["config"], dict, "--model config")
+            if "model" not in piped:
                 raise UsageError("--model: missing field config.model")
-            doc = config["model"]
+            doc = config["model"] = piped["model"]
             if isinstance(doc, dict) and doc.get("kind") == "explicit":
                 raise UsageError(
                     "--model: a report's config.model is read back for a "
                     "builtin model only; pass the explicit model file itself")
         elif isinstance(doc, dict) and doc.get("kind") == "explicit":
-            return doc, {"kind": "explicit", "sha256": digest}
-        return doc, doc
-    if getattr(args, "builtin", None) is not None:
+            config["model"] = {"kind": "explicit", "sha256": digest}
+    elif getattr(args, "builtin", None) is not None:
         raw = "{}" if args.params is None else args.params
         params = _read(args, raw, "--params",
                        inline=raw.strip()[:1] in ("{", "["))[0]
-        doc = {"kind": "builtin", "name": args.builtin,
-               "params": typed(params, dict, "--params")}
-        return doc, doc
-    raise UsageError("one of --model or --builtin is required")
-
-
-def _resolve_model(args):
-    """(echo, model): `_model_document`'s config echo and the model."""
-    doc, echo = _model_document(args)
-    return echo, modelio.model_from_dict(doc)
+        doc = config["model"] = {"kind": "builtin", "name": args.builtin,
+                                 "params": typed(params, dict, "--params")}
+    else:
+        raise UsageError("one of --model or --builtin is required")
+    config.pop("builtin", None)
+    config.pop("params", None)
+    return doc
 
 
 def _require_tabulated(model):
@@ -172,17 +192,17 @@ def _validate_or_die(model: CtmdpModel):
 
 
 def _valid_tabulated_model(args):
-    doc, model = _resolve_model(args)
-    _validate_or_die(_require_tabulated(model))
-    return doc, model
+    model = _require_tabulated(modelio.model_from_dict(_model_document(args)))
+    _validate_or_die(model)
+    return model
 
 
 def _solution(args) -> tuple:
-    """The config, which echoes --solution, and the model, then the gain,
-    relative values (one per state) and policy document of --solution."""
-    doc, model = _valid_tabulated_model(args)
-    sol, digest = _read(args, args.solution, "--solution")
-    sol = typed(sol, dict, "--solution")
+    """The model, then the gain, relative values (one per state) and
+    policy document of --solution."""
+    model = _valid_tabulated_model(args)
+    sol = typed(_read(args, args.solution, "--solution")[0], dict,
+                "--solution")
     if "gain" not in sol and "report" in sol:
         sol = typed(sol["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
@@ -196,18 +216,7 @@ def _solution(args) -> tuple:
     for key, value in (("h", h), ("gain", gain)):
         if not np.all(np.isfinite(value)):
             raise UsageError(f"--solution {key!r} must be finite")
-    config = _base_config(args, doc)
-    config["solution"] = digest
-    return config, model, gain, h, sol["policy"]
-
-
-def _checkpoints_arg(raw, default):
-    if raw is None:
-        return list(default)
-    try:
-        return [float(v) for v in raw.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--checkpoints: {exc}") from exc
+    return model, gain, h, sol["policy"]
 
 
 def _write(args, payload: dict) -> None:
@@ -219,8 +228,8 @@ def _write(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, config: dict, report: dict) -> None:
-    _write(args, {"format_version": FORMAT_VERSION, "config": config,
+def _emit(args, report) -> None:
+    _write(args, {"format_version": FORMAT_VERSION, "config": args.config,
                   "report": report})
 
 
@@ -228,8 +237,8 @@ def _emit_error(args, exc: Exception) -> None:
     error = {"type": type(exc).__name__, "message": str(exc)}
     if hasattr(exc, "detail"):
         error.update(exc.detail())
-    _write(args, {"format_version": FORMAT_VERSION,
-                  "config": getattr(args, "config", None), "error": error})
+    _write(args, {"format_version": FORMAT_VERSION, "config": args.config,
+                  "error": error})
 
 
 def _emit_series(path, header, rows) -> None:
@@ -242,69 +251,49 @@ def _emit_series(path, header, rows) -> None:
                              for v in row])
 
 
-def _base_config(args, model_echo) -> dict:
-    """The resolved options and `_model_document`'s echo of the model; kept
-    on args as well, so that an error report echoes them with whatever the
-    handler adds."""
-    args.config = {"subcommand": args.command, "model": model_echo}
-    return args.config
-
-
 # -- subcommand handlers -----------------------------------------------------
 
+# lambdas, so that each check is looked up by its module-level name when it
+# runs, and a wrapper installed on that name sees the call
+_CHECKS = {
+    "drift": lambda model: check_assumption_A(model),
+    "bounds": lambda model: check_assumption_B(model),
+    "monotone": lambda model: check_monotonicity(
+        model, StationaryPolicy(choice=np.zeros(model.n, dtype=np.int64))),
+}
+
+
 def _cmd_validate(args) -> int:
-    doc, model = _resolve_model(args)
-    checks = [c for c in (args.checks or "").split(",") if c]
+    doc = _model_document(args)
+    model = modelio.model_from_dict(doc)
+    checks = args.config["checks"] = [c for c in args.checks.split(",") if c]
     for c in checks:
-        if c not in ("drift", "bounds", "monotone"):
+        if c not in _CHECKS:
             raise UsageError(f"unknown check {c!r}")
     if checks and isinstance(model, PotlachProcess):
         raise UsageError("--checks: the continuous-state builtin has no "
                          "drift, bounds or monotone check")
-    config = _base_config(args, doc)
-    config["checks"] = checks
     report = {}
-    ok = True
-    if isinstance(model, PotlachProcess):
-        report["primitives"] = {"ok": True, "violations": [],
-                                "note": "continuous-state generator; "
-                                        "rate bound q(x) <= d by construction"}
-    else:
-        primitives = validate_model(model)
-        report["primitives"] = primitives.to_dict()
-        ok = ok and primitives.ok
-        for name, check in (("drift", check_assumption_A),
-                            ("bounds", check_assumption_B)):
-            if name in checks:
-                rep = check(model)
-                report[name] = rep.to_dict()
-                ok = ok and rep.ok
-        if "monotone" in checks:
-            f = StationaryPolicy(choice=np.zeros(model.n, dtype=np.int64))
-            rep = check_monotonicity(model, f)
-            report["monotone"] = rep.to_dict()
-            ok = ok and (rep.status == "unsupported" or rep.ok)
+    if isinstance(model, CtmdpModel):
+        report["primitives"] = validate_model(model)
+    for name in checks:
+        report[name] = _CHECKS[name](model)
     if doc.get("kind") == "builtin":
-        rep = check_example_conditions(doc["name"], doc.get("params", {}))
-        report["family_conditions"] = rep.to_dict()
-        ok = ok and rep.ok
-    report["ok"] = ok
-    _emit(args, config, report)
+        report["family_conditions"] = check_example_conditions(
+            doc["name"], doc.get("params", {}))
+    ok = report["ok"] = all(rep.ok for rep in report.values())
+    _emit(args, report)
     return 0 if ok else 1
 
 
 def _cmd_describe(args) -> int:
-    schema = families.describe(args.builtin)
-    _emit(args, {"subcommand": "describe", "builtin": args.builtin}, schema)
+    _emit(args, families.describe(args.builtin))
     return 0
 
 
 def _cmd_solve_discounted(args) -> int:
-    doc, model = _valid_tabulated_model(args)
-    config = _base_config(args, doc)
-    config.update({"alpha": args.alpha, "tol": args.tol, "x0": args.x0})
-    sol = solve_discounted(model, args.alpha, tol=args.tol, x0=args.x0)
-    _emit(args, config, sol.to_dict())
+    model = _valid_tabulated_model(args)
+    _emit(args, solve_discounted(model, args.alpha, tol=args.tol, x0=args.x0))
     return 0
 
 
@@ -318,78 +307,59 @@ def _schedule(args):
 
 
 def _cmd_solve_average(args) -> int:
-    doc, model = _valid_tabulated_model(args)
-    schedule = _schedule(args)
-    config = _base_config(args, doc)
-    config.update({"alpha0": args.alpha0, "ratio": args.ratio,
-                   "steps": args.steps, "x0": args.x0, "tol": args.tol})
-    sol = solve_average(model, schedule=schedule, tol=args.tol, x0=args.x0)
-    _emit(args, config, sol.to_dict())
+    model = _valid_tabulated_model(args)
+    _emit(args, solve_average(model, schedule=_schedule(args), tol=args.tol,
+                              x0=args.x0))
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    doc, model = _valid_tabulated_model(args)
-    config = _base_config(args, doc)
-    result = brute_force_oracle(model)
-    _emit(args, config, result.to_dict())
+    _emit(args, brute_force_oracle(_valid_tabulated_model(args)))
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    params = _model_document(args)[0]["params"]
-    levels = typed(_read(args, f"[{args.levels}]", "--levels", inline=True)[0],
-                   [int], "--levels")
-    schedule = _schedule(args)
-    config = args.config = {
-        "subcommand": "sensitivity", "builtin": args.builtin,
-        "params": params, "levels": levels, "alpha0": args.alpha0,
-        "ratio": args.ratio, "steps": args.steps, "x0": args.x0,
-        "tol": args.tol}
+    params = _model_document(args)["params"]
+    levels = _comma_list(args, "--levels", int)
 
     def builder(p):
         return _require_tabulated(families.build(args.builtin, p))
 
-    rep = truncation_sensitivity(builder, params, levels, schedule=schedule,
-                                 tol=args.tol, x0=args.x0)
-    _emit(args, config, rep.to_dict())
+    rep = truncation_sensitivity(builder, params, levels,
+                                 schedule=_schedule(args), tol=args.tol,
+                                 x0=args.x0)
+    _emit(args, rep)
     return 0 if rep.stable else 1
 
 
 def _cmd_verify(args) -> int:
-    config, model, g, h, pol_doc = _solution(args)
+    model, g, h, pol_doc = _solution(args)
     f = modelio.policy_from_dict(pol_doc, model)
     upper = certify_upper(model, g, h, tol=args.tol)
     lower = certify_lower(model, g, h, f, tol=args.tol)
-    config["tol"] = args.tol
     passed = upper.passed and lower.passed
-    _emit(args, config, {"upper": upper.to_dict(), "lower": lower.to_dict(),
-                         "passed": passed})
+    _emit(args, {"upper": upper, "lower": lower, "passed": passed})
     return 0 if passed else 1
 
 
 def _cmd_martingale(args) -> int:
-    config, model, g, h, pol_doc = _solution(args)
-    policy = "star"
+    model, g, h, pol_doc = _solution(args)
     if args.policy != "star":
-        pol_doc, policy = _read(args, args.policy, "--policy")
+        pol_doc = _read(args, args.policy, "--policy")[0]
     f = modelio.policy_from_dict(pol_doc, model)
-    checkpoints = _checkpoints_arg(args.checkpoints,
-                                   verify.DEFAULT_CHECKPOINTS)
-    config.update({"policy": policy, "reps": args.reps,
-                   "seed": args.seed, "x0": args.x0,
-                   "checkpoints": checkpoints})
-    rep = martingale_diagnostic(model, f, h, g, args.x0,
-                                checkpoints=checkpoints, reps=args.reps,
-                                seed=args.seed)
-    _emit(args, config, rep.to_dict())
+    rep = martingale_diagnostic(
+        model, f, h, g, args.x0,
+        checkpoints=_comma_list(args, "--checkpoints", float,
+                                verify.DEFAULT_CHECKPOINTS),
+        reps=args.reps, seed=args.seed)
+    _emit(args, rep)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    doc, model = _resolve_model(args)
-    x0 = x0_doc = _read(args, args.x0, "--x0", inline=True)[0]
-    pol_doc, policy = _read(args, args.policy, "--policy")
+    model = modelio.model_from_dict(_model_document(args))
+    x0 = _read(args, args.x0, "--x0", inline=True)[0]
+    pol_doc = _read(args, args.policy, "--policy")[0]
     if isinstance(model, PotlachProcess):
         pol_doc = typed(pol_doc, dict, "--policy")
         f = PotlachPolicy(matrix=typed(pol_doc.get("matrix"), [[float]],
@@ -405,39 +375,33 @@ def _cmd_simulate(args) -> int:
         f = modelio.policy_from_dict(pol_doc, model)
         x0 = typed(x0, int, "--x0 (a state index)")
 
-    config = _base_config(args, doc)
-    config.update({"mode": args.mode, "policy": policy, "x0": x0_doc,
-                   "horizon": args.horizon, "reps": args.reps,
-                   "seed": args.seed})
     if args.mode == "average":
         rep = estimate_average_reward(model, f, x0, args.horizon, args.reps,
                                       args.seed)
-        _emit(args, config, rep.to_dict())
+        _emit(args, rep)
         if args.emit_series:
             _emit_series(args.emit_series, ["rep", "value"],
                          list(enumerate(rep.values.tolist())))
         return 0
-    checkpoints = _checkpoints_arg(args.checkpoints,
-                                   np.geomspace(0.25, 16.0, 8))
-    config["checkpoints"] = checkpoints
-    if args.mode == "ergodicity":
-        x0b = config["x0b"] = (min(model.n - 1, x0 + 1) if args.x0b is None
-                               else args.x0b)
+    checkpoints = _comma_list(args, "--checkpoints", float,
+                              simulate.DEFAULT_CHECKPOINTS)
     if args.mode == "lyapunov":
         rep = check_lyapunov_bound(model, f, x0, checkpoints, args.reps,
                                    args.seed)
-        _emit(args, config, rep.to_dict())
+        _emit(args, rep)
         if args.emit_series:
             _emit_series(args.emit_series, ["t", "mean", "se", "bound"],
                          zip(rep.checkpoints.tolist(), rep.means.tolist(),
                              rep.ses.tolist(), rep.bounds.tolist()))
         return 0 if rep.passed else 1
     # ergodicity: default probe u = w (or state index), starts (x0, x0 + 1)
+    x0b = args.config["x0b"] = (min(model.n - 1, x0 + 1) if args.x0b is None
+                                else args.x0b)
     w = model.weights()
     probe = w if model.lyapunov is not None else np.arange(model.n, dtype=float)
     rep = estimate_ergodicity(model, f, [probe], (x0, x0b), checkpoints,
                               args.reps, args.seed)
-    _emit(args, config, rep.to_dict())
+    _emit(args, rep)
     if args.emit_series:
         gaps = rep.diffs[0][0]
         _emit_series(args.emit_series, ["t", "gap"],
@@ -554,6 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # one parser per process: building it costs milliseconds, parsing reuses it
 _parser = functools.cache(build_parser)
+# argparse's plumbing and the output paths, which config does not echo
+_NOT_ECHOED = ("command", "handler", "out", "emit_series")
 
 
 def run(argv=None) -> int:
@@ -561,6 +527,9 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
+    args.config = {"subcommand": args.command,
+                   **{key: value for key, value in vars(args).items()
+                      if key not in _NOT_ECHOED}}
     args.stdin = None            # stdin's bytes, once read
     try:
         return args.handler(args)

@@ -59,6 +59,7 @@ FIRST_BLOCK, LAST_BLOCK = 16, 1024
 GROUP_CELLS = 1 << 15        # replications x block length stepped at once
 JUMP_TABLE_CELLS = 1 << 20   # states x (cuts + 1) of the jump table, at most
 MAX_JUMPS = 10 ** 8
+DEFAULT_CHECKPOINTS = tuple(np.geomspace(0.25, 16.0, 8))
 
 
 class SimulationError(RuntimeError):

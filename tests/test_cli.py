@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import ctmdp
 from ctmdp import dumps, loads_model, model_from_dict, model_to_dict
-from ctmdp.cli import run
+from ctmdp.cli import build_parser, run
 from ctmdp.modelio import ModelFileError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -181,7 +182,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert run(["validate", "--model", write_model(tmp_path, EXPLICIT_DOC)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["ok"]
-    assert out["format_version"] == "4"
+    assert out["format_version"] == "5"
     bad = dict(EXPLICIT_DOC)
     bad["rates"] = [
         {"x": 0, "a": 0, "entries": [[0, -1.0], [1, 1.5]]},
@@ -940,3 +941,42 @@ def test_cli_large_explicit_report_is_sized_to_the_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.encode("utf-8")) < 200_000
     assert len(json.loads(out)["report"]["h"]) == 3000
+
+
+# -- report format 5: config is the parsed command line --------------------
+
+def test_cli_config_echoes_every_option_of_each_subcommand(tmp_path,
+                                                           capsys):
+    # config holds each option's dest but the output paths, with --model,
+    # --builtin and --params folded into config.model where a model is read
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    model = ["--builtin", "mmn0", "--params", MMN0]
+    policy = tmp_path / "policy.json"
+    policy.write_text("[0, 0, 0]")
+    assert run(["solve-average"] + model) == 0
+    solution = tmp_path / "solution.json"
+    solution.write_text(capsys.readouterr().out)
+    runs = [
+        ["validate"] + model + ["--checks", "drift"],
+        ["describe", "--builtin", "mmn0"],
+        ["solve-discounted"] + model + ["--alpha", "0.5"],
+        ["solve-average"] + model,
+        ["oracle"] + model,
+        ["sensitivity", "--builtin", "birth_death", "--params",
+         '{"lambda":1,"mu1":3,"mu2":4,"G":2}', "--levels", "5,8"],
+        ["verify"] + model + ["--solution", str(solution)],
+        ["martingale"] + model + ["--solution", str(solution), "--reps", "5"],
+    ] + [["simulate"] + model + ["--policy", str(policy), "--mode", mode,
+                                 "--horizon", "5", "--reps", "2"]
+         for mode in ("average", "lyapunov", "ergodicity")]
+    assert {argv[0] for argv in runs} == set(subparsers.choices)
+    for argv in runs:
+        assert run(argv) in (0, 1)
+        config = json.loads(capsys.readouterr().out)["config"]
+        dests = {action.dest for action in subparsers.choices[argv[0]]._actions
+                 if action.dest != "help"} - {"out", "emit_series"}
+        if argv[0] != "describe":
+            dests = dests - {"builtin", "params"} | {"model"}
+        assert set(config) == dests | {"subcommand"}, argv
+        assert config["subcommand"] == argv[0]

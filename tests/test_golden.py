@@ -59,6 +59,21 @@ the same exit code, except `format_version` and these key paths:
   `report.sweeps`: `solve_discounted_mmn0`.
 
 No path is echoed any more, so every input is passed by absolute path.
+
+All 41 reports were re-captured in report format 5, whose config is the
+parsed command line, and whose `validate` report is the library's own
+reports. Each decodes to the same values as its format-4 version, with
+the same exit code, except `format_version` and these key paths:
+
+* `config.builtin` and `config.params` become `config.model`:
+  `sensitivity_birth_death`;
+* `config.checkpoints` and `config.x0b` added as null: `simulate_*` of
+  `--mode average` (5);
+* `config.x0b` added as null: `simulate_lyapunov_*` (2);
+* `report.primitives` dropped: `validate_potlach` (the continuous-state
+  process has no primitives check);
+* `report.monotone.ok` from false to true: `validate_tandem` (an
+  "unsupported" check has no failed check).
 """
 
 import hashlib
@@ -217,13 +232,13 @@ def test_report_matches_golden(stem, capsys):
     assert capsys.readouterr().out == expected["stdout"]
 
 
-def test_every_golden_report_is_format_4():
+def test_every_golden_report_is_format_5():
     docs = [json.loads(path.read_text()) for path in GOLDEN.glob("*.json")]
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
     assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
                             + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS)
                             + len(REPORTS))
-    assert all(rep["format_version"] == "4" for rep in reports)
+    assert all(rep["format_version"] == "5" for rep in reports)
 
 
 def test_explicit_model_is_echoed_as_its_sha256(capsys):

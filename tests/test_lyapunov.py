@@ -91,6 +91,7 @@ def test_monotonicity_multidim_unsupported():
     f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
     rep = check_monotonicity(m, f)
     assert rep.status == "unsupported"
+    assert rep.ok          # no check failed; status says none could run
 
 
 def test_birth_death_parameter_conditions():
