@@ -13,8 +13,7 @@ from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
                     RateKernel, StateSpace, StationaryPolicy,
                     ValidationReport, boundary_states, truncate,
                     validate_model, weighted_norm)
-from .modelio import (FORMAT_VERSION, ModelFileError, dumps, loads_model,
-                      model_from_dict, model_to_dict)
+from .modelio import FORMAT_VERSION, dumps, model_from_dict, model_to_dict
 from .simulate import (CheckpointReport, ErgodicityReport, PathRecorder,
                        SimulationError, SimulationReport,
                        check_lyapunov_bound, estimate_average_reward,

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .discounted import (ConvergenceError, _greedy, _vi_relative,
                          check_positive, extract_policy)
 from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
-                    weighted_norm)
+                    is_integer, weighted_norm)
 from .verify import certify_lower, certify_upper
 
 ENUMERATION_LIMIT = 10 ** 6
@@ -345,11 +345,15 @@ def truncation_sensitivity(builder, params: dict, levels,
     """Gain stability of a builtin family across truncation levels.
 
     `builder` maps a params dict (with the level substituted under "N")
-    to a model; `levels` must hold two distinct levels at least, and
-    repeats are dropped. The h comparison covers the states of the smaller
-    level whose every coordinate lies in its lower half, matched by label.
+    to a model; `levels` must hold two distinct integer levels at least,
+    and repeats are dropped. The h comparison covers the states of the
+    smaller level whose every coordinate lies in its lower half, matched
+    by label.
     """
     check_positive(tol=tol)
+    if not all(map(is_integer, levels)):
+        raise ModelError(f"levels must be integers, got {list(levels)}",
+                         field="levels")
     levels = sorted({int(N) for N in levels})
     if len(levels) < 2:
         raise ModelError(f"levels must list at least two distinct "

@@ -16,10 +16,14 @@ and the same bytes at two paths give the same report. Serialization is
 byte-stable: sorted keys, shortest round-trip floats (report format 5).
 
 Exit codes: 0 success, 1 check failure (failed validation or
-certificate) or a numeric failure, 2 usage or malformed input. Here
-argparse ranges each flag and the JSON input is parsed; the library makes
-every other argument check, and a `ModelError` whose `field` names its
-argument (x0, checkpoints, reps, ...) is printed as that flag. A numeric
+certificate) or a numeric failure, 2 usage or malformed input: an
+argparse usage error or a `ModelError`, nothing else. Here argparse
+ranges each flag and the JSON input is parsed; the library makes every
+other argument check, and a `ModelError` whose `field` names its
+argument (x0, checkpoints, reps, ...) is printed as that flag. The
+command line's own refusals (an unreadable, non-UTF-8 or malformed JSON
+input, a missing --model/--builtin, an unknown --checks name, a model
+that fails validation) are `ModelError`s without a field. A numeric
 failure writes {format_version, config, error} where the report would
 have gone. `solve-average` exits 1 when it cannot close its gain bracket
 to --tol (a stalled bracket, as on a multichain model, or the sweep
@@ -49,16 +53,12 @@ from .lyapunov import (check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
 from .model import (CtmdpModel, ModelError, StationaryPolicy, typed,
                     validate_model)
-from .modelio import ModelFileError, dumps
+from .modelio import dumps
 from .simulate import (SimulationError, check_lyapunov_bound,
                        estimate_average_reward, estimate_ergodicity)
 from .verify import certify_lower, certify_upper, martingale_diagnostic
 
 FORMAT_VERSION = modelio.FORMAT_VERSION
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,15 +112,15 @@ def _read(args, raw: str, flag: str, inline: bool = False) -> tuple:
                 data = args.stdin
             text = data.decode("utf-8")
         except OSError as exc:
-            raise UsageError(f"cannot read {raw}: {exc}") from exc
+            raise ModelError(f"cannot read {raw}: {exc}") from exc
         except UnicodeDecodeError as exc:
             where = "stdin" if raw == "-" else raw
-            raise UsageError(f"{flag} {where} is not UTF-8 text: {exc.reason} "
+            raise ModelError(f"{flag} {where} is not UTF-8 text: {exc.reason} "
                              f"at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {flag} at line {exc.lineno} "
+        raise ModelError(f"malformed JSON in {flag} at line {exc.lineno} "
                          f"column {exc.colno}: {exc.msg}") from exc
     echo = doc if inline else hashlib.sha256(data).hexdigest()
     args.config[flag[2:]] = echo
@@ -137,7 +137,7 @@ def _comma_list(args, flag: str, kind, default=()) -> list:
         items = (list(default) if raw is None
                  else [kind(v) for v in raw.split(",")])
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise ModelError(f"{flag}: {exc}") from None
     args.config[flag[2:]] = items
     return items
 
@@ -156,10 +156,10 @@ def _model_document(args) -> dict:
         if isinstance(doc, dict) and "kind" not in doc and "config" in doc:
             piped = typed(doc["config"], dict, "--model config")
             if "model" not in piped:
-                raise UsageError("--model: missing field config.model")
+                raise ModelError("--model: missing field config.model")
             doc = config["model"] = piped["model"]
             if isinstance(doc, dict) and doc.get("kind") == "explicit":
-                raise UsageError(
+                raise ModelError(
                     "--model: a report's config.model is read back for a "
                     "builtin model only; pass the explicit model file itself")
         elif isinstance(doc, dict) and doc.get("kind") == "explicit":
@@ -171,7 +171,7 @@ def _model_document(args) -> dict:
         doc = config["model"] = {"kind": "builtin", "name": args.builtin,
                                  "params": typed(params, dict, "--params")}
     else:
-        raise UsageError("one of --model or --builtin is required")
+        raise ModelError("one of --model or --builtin is required")
     config.pop("builtin", None)
     config.pop("params", None)
     return doc
@@ -179,7 +179,7 @@ def _model_document(args) -> dict:
 
 def _require_tabulated(model):
     if not isinstance(model, CtmdpModel):
-        raise UsageError("this subcommand needs a tabulated model; the "
+        raise ModelError("this subcommand needs a tabulated model; the "
                          "continuous-state builtin is simulation-only")
     return model
 
@@ -187,8 +187,8 @@ def _require_tabulated(model):
 def _validate_or_die(model: CtmdpModel):
     rep = validate_model(model)
     if not rep.ok:
-        raise ModelFileError("model fails validation: "
-                             + dumps(rep.to_dict()).strip())
+        raise ModelError("model fails validation: "
+                         + dumps(rep.to_dict()).strip())
 
 
 def _valid_tabulated_model(args):
@@ -207,15 +207,15 @@ def _solution(args) -> tuple:
         sol = typed(sol["report"], dict, "--solution 'report'")
     for key in ("gain", "h", "policy"):
         if key not in sol:
-            raise UsageError(f"solution document lacks field {key!r}")
+            raise ModelError(f"solution document lacks field {key!r}")
     h = np.array(typed(sol["h"], [float], "--solution 'h'"))
     if len(h) != model.n:
-        raise UsageError(f"--solution 'h' has {len(h)} entries for "
+        raise ModelError(f"--solution 'h' has {len(h)} entries for "
                          f"{model.n} states")
     gain = typed(sol["gain"], float, "--solution 'gain'")
     for key, value in (("h", h), ("gain", gain)):
         if not np.all(np.isfinite(value)):
-            raise UsageError(f"--solution {key!r} must be finite")
+            raise ModelError(f"--solution {key!r} must be finite")
     return model, gain, h, sol["policy"]
 
 
@@ -269,9 +269,9 @@ def _cmd_validate(args) -> int:
     checks = args.config["checks"] = [c for c in args.checks.split(",") if c]
     for c in checks:
         if c not in _CHECKS:
-            raise UsageError(f"unknown check {c!r}")
+            raise ModelError(f"unknown check {c!r}")
     if checks and isinstance(model, PotlachProcess):
-        raise UsageError("--checks: the continuous-state builtin has no "
+        raise ModelError("--checks: the continuous-state builtin has no "
                          "drift, bounds or monotone check")
     report = {}
     if isinstance(model, CtmdpModel):
@@ -368,7 +368,7 @@ def _cmd_simulate(args) -> int:
                                   "--policy 'q'"))
         x0 = typed(x0, [float], "--x0")
         if args.mode != "lyapunov":
-            raise UsageError("the continuous-state builtin supports "
+            raise ModelError("the continuous-state builtin supports "
                              "--mode lyapunov only")
     else:
         _validate_or_die(model)
@@ -533,8 +533,8 @@ def run(argv=None) -> int:
     args.stdin = None            # stdin's bytes, once read
     try:
         return args.handler(args)
-    except (UsageError, ModelError) as exc:
-        flag = "--" if getattr(exc, "field", None) else ""
+    except ModelError as exc:
+        flag = "--" if exc.field else ""
         print(f"ctmdp: error: {flag}{exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, OracleError, SimulationError) as exc:

@@ -50,15 +50,15 @@ def _is_kind(value, kind) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def typed(value, kind, where: str, error=ModelError):
+def typed(value, kind, where: str):
     """`value`, as read from JSON, checked against `kind`: float, int (an
     integral number), str, list, dict, or [k] for a list of k. Bools are
-    never numbers. Raises `error` naming `where` on a mismatch."""
+    never numbers. Raises ModelError naming `where` on a mismatch."""
     if isinstance(kind, list):
         if _is_kind(value, kind):                    # nothing to convert
             return value
-        items = typed(value, list, where, error)
-        return [typed(v, kind[0], f"{where}[{i}]", error)
+        items = typed(value, list, where)
+        return [typed(v, kind[0], f"{where}[{i}]")
                 for i, v in enumerate(items)]
     if type(value) is kind:
         return value
@@ -66,7 +66,12 @@ def typed(value, kind, where: str, error=ModelError):
             and abs(value) <= sys.float_info.max
             or kind is int and type(value) is float and value.is_integer()):
         return kind(value)
-    raise error(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    raise ModelError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -315,8 +320,7 @@ class CtmdpModel:
     def check_state(self, x, field: str = "x0") -> int:
         """x as an int, unless it is not a state index: then ModelError
         naming `field`."""
-        if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
-                or not 0 <= x < self.n):
+        if not is_integer(x) or not 0 <= x < self.n:
             raise ModelError(f"{field} must be in 0..{self.n - 1}, got {x}",
                              field=field)
         return int(x)

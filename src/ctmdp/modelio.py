@@ -24,13 +24,6 @@ from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
 FORMAT_VERSION = "5"
 
 
-class ModelFileError(ModelError):
-    """Malformed model file; the message names the offending field."""
-
-
-_typed = functools.partial(typed, error=ModelFileError)
-
-
 def dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, shortest round-trip floats,
     NaN and +-Infinity spelled as in JavaScript, one trailing newline."""
@@ -47,8 +40,8 @@ def _need(doc: dict, key: str, where: str = "", kind=None,
         return doc[key]
     path = f"{where}.{key}" if where else key
     if key not in doc:
-        raise ModelFileError(f"missing field {path}")
-    return _typed(doc[key], kind, path)
+        raise ModelError(f"missing field {path}")
+    return typed(doc[key], kind, path)
 
 
 def _per_pair(doc: dict, key: str, starts: list, read, what: str) -> list:
@@ -64,12 +57,12 @@ def _per_pair(doc: dict, key: str, starts: list, read, what: str) -> list:
             where = f"{key}[{i}]"
             x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
         if not (0 <= x < n and 0 <= a < starts[x + 1] - starts[x]):
-            raise ModelFileError(f"(x, a) out of range at {key}[{i}]")
+            raise ModelError(f"(x, a) out of range at {key}[{i}]")
         rows[starts[x] + a] = read(rec, x, i)
     if None in rows:
         p = rows.index(None)
         x = bisect.bisect_right(starts, p) - 1
-        raise ModelFileError(f"no {what} supplied for ({x}, {p - starts[x]})")
+        raise ModelError(f"no {what} supplied for ({x}, {p - starts[x]})")
     return rows
 
 
@@ -84,14 +77,14 @@ def _rate_entries(rec: dict, x: int, i: int) -> dict:
     row = {}
     for j, pair in enumerate(entries):
         if type(pair) is not list or len(pair) != 2:
-            raise ModelFileError(
+            raise ModelError(
                 f"rates[{i}].entries[{j}] is not a [y, rate] pair")
         y, rate = pair
         if type(y) is not int or type(rate) is not float:   # convert, or fail
             at = f"rates[{i}].entries[{j}]"
-            y, rate = _typed(y, int, f"{at}[0]"), _typed(rate, float, f"{at}[1]")
+            y, rate = typed(y, int, f"{at}[0]"), typed(rate, float, f"{at}[1]")
         if y in row:
-            raise ModelFileError(f"duplicate target {y} at rates[{i}]")
+            raise ModelError(f"duplicate target {y} at rates[{i}]")
         row[y] = rate
     if x not in row:
         row[x] = -functools.reduce(operator.add, row.values(), 0)
@@ -107,14 +100,14 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     n = _need(doc, "states", kind=int)
     actions_doc = _need(doc, "actions", kind=[[[float]]])
     if len(actions_doc) != n:
-        raise ModelFileError("'actions' length does not match 'states'")
+        raise ModelError("'actions' length does not match 'states'")
     counts = list(map(len, actions_doc))
     starts = list(itertools.accumulate(counts, initial=0))
     flat = list(itertools.chain.from_iterable(actions_doc))
     k = len(flat[0]) if flat else 0
     for x, a in ((x, a) for x, acts in enumerate(actions_doc)
                  for a, act in enumerate(acts) if len(act) != k):
-        raise ModelFileError(
+        raise ModelError(
             f"actions[{x}][{a}] has {len(actions_doc[x][a])} numbers where "
             f"the first action has {k}: every action must have the same "
             f"length")
@@ -136,7 +129,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
             bprime=get("bprime", required=False),
             Mprime=get("Mprime", required=False))
     except ModelError as exc:
-        raise ModelFileError(f"bad 'lyapunov' block: {exc}") from exc
+        raise ModelError(f"bad 'lyapunov' block: {exc}") from exc
 
     labels = _need(doc, "labels", kind=list, required=False)
     try:
@@ -147,30 +140,18 @@ def _explicit_model(doc: dict) -> CtmdpModel:
             r=rewards,
             lyapunov=lyap)
     except TypeError as exc:       # an unhashable label
-        raise ModelFileError(f"bad 'labels': {exc}") from exc
-    except ModelError as exc:
-        raise ModelFileError(str(exc)) from exc
+        raise ModelError(f"bad 'labels': {exc}") from exc
 
 
 def model_from_dict(doc: dict):
     """Build a model (or simulation process) from a parsed model document."""
-    kind = _need(_typed(doc, dict, "model document"), "kind")
+    kind = _need(typed(doc, dict, "model document"), "kind")
     if kind == "explicit":
         return _explicit_model(doc)
     if kind == "builtin":
         return families.build(_need(doc, "name", kind=str),
                               doc.get("params", {}))
-    raise ModelFileError(f"unknown model kind {kind!r}")
-
-
-def loads_model(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-    return model_from_dict(doc)
+    raise ModelError(f"unknown model kind {kind!r}")
 
 
 def model_to_dict(model: CtmdpModel) -> dict:
@@ -205,14 +186,11 @@ def policy_from_dict(doc, model: CtmdpModel) -> StationaryPolicy:
     """Policy document: either a plain index array or {"policy": [...]}"""
     if isinstance(doc, dict):
         doc = _need(doc, "policy")
-    choice = _typed(doc, [int], "policy")
+    choice = typed(doc, [int], "policy")
     for x, a in enumerate(choice):
         if not 0 <= a < 2 ** 63:         # beyond int64 before check_policy
-            raise ModelFileError(f"policy action index out of range at "
-                                 f"state {x}: {a}")
+            raise ModelError(f"policy action index out of range at "
+                             f"state {x}: {a}")
     f = StationaryPolicy(choice=np.array(choice, dtype=np.int64))
-    try:
-        model.check_policy(f)
-    except ModelError as exc:
-        raise ModelFileError(str(exc)) from exc
+    model.check_policy(f)
     return f

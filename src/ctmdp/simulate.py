@@ -48,7 +48,7 @@ import numpy as np
 from .discounted import check_positive
 from .families import PotlachPolicy, PotlachProcess
 from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
-                    _run_sums)
+                    _run_sums, is_integer)
 
 RNG_FAMILY = "numpy.random.Philox"
 RNG_DRAWS = ("blocks k = 0, 1, ... of min(16 * 2**k, 1024) draws: "
@@ -80,7 +80,7 @@ class SimulationError(RuntimeError):
 
 def stream(seed: int, rep: int) -> np.random.Generator:
     """Replication RNG: Philox keyed by (seed, rep)."""
-    if not 0 <= seed < 2 ** 64:
+    if not is_integer(seed) or not 0 <= seed < 2 ** 64:
         raise ModelError(f"seed must be in [0, 2**64), got {seed}",
                          field="seed")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(rep)))
@@ -260,6 +260,8 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
     t_{j+1} (the first segment for t = 0, the last one ends at the
     horizon): its state, and the reward integral up to t.
     """
+    if not is_integer(reps):
+        raise ModelError(f"reps must be an integer, got {reps}", field="reps")
     cps = _checkpoint_times(checkpoints)
     C = len(cps)
     x = chain.start(x0, reps)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .discounted import bellman
 from .model import CtmdpModel, ModelError, Report, StationaryPolicy
-from .simulate import _chain, _checkpoint_run, check_replications, rng_info
+from .simulate import (_checkpoint_run, _PolicyChain, check_replications,
+                       rng_info)
 
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(1.0, 1000.0, 8))
 DEFAULT_REPS = 200
@@ -95,13 +96,17 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     states are the infinitesimal counterpart.
     """
     check_replications(reps)
+    chain = _PolicyChain(model, f)
     u = np.asarray(u, dtype=np.float64)
+    if u.shape != (model.n,):
+        raise ModelError(f"u must hold one value per state ({model.n}), got "
+                         f"shape {u.shape}", field="u")
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     if len(np.unique(checkpoints)) < 2:
         raise ModelError(f"checkpoints must list at least two distinct "
                          f"times, got {checkpoints.tolist()}",
                          field="checkpoints")
-    runs = _checkpoint_run(_chain(model, f), x0, checkpoints, reps, seed)
+    runs = _checkpoint_run(chain, x0, checkpoints, reps, seed)
     samples = (runs.cp_rewards + u[runs.cp_states]) - checkpoints * g
 
     means = samples.mean(axis=0)

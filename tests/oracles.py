@@ -21,7 +21,6 @@ from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, LyapunovData, ModelError,
                          RateKernel, StateSpace, ValidationReport,
                          boundary_states)
-from ctmdp.modelio import ModelFileError
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
@@ -625,7 +624,7 @@ def _typed_loop(value, kind, where):
             and abs(value) <= sys.float_info.max
             or kind is int and type(value) is float and value.is_integer()):
         return kind(value)
-    raise ModelFileError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    raise ModelError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
 def _need_loop(doc, key, where="", kind=None, required=True):
@@ -633,7 +632,7 @@ def _need_loop(doc, key, where="", kind=None, required=True):
         return None
     path = f"{where}.{key}" if where else key
     if key not in doc:
-        raise ModelFileError(f"missing field {path}")
+        raise ModelError(f"missing field {path}")
     return doc[key] if kind is None else _typed_loop(doc[key], kind, path)
 
 
@@ -644,12 +643,12 @@ def _per_pair_loop(doc, key, actions, read, what):
         x = _need_loop(rec, "x", where, int)
         a = _need_loop(rec, "a", where, int)
         if not (0 <= x < len(rows) and 0 <= a < len(rows[x])):
-            raise ModelFileError(f"(x, a) out of range at {where}")
+            raise ModelError(f"(x, a) out of range at {where}")
         rows[x][a] = read(rec, x, where)
     for x, per_state in enumerate(rows):
         if None in per_state:
-            raise ModelFileError(f"no {what} supplied for "
-                                 f"({x}, {per_state.index(None)})")
+            raise ModelError(f"no {what} supplied for "
+                             f"({x}, {per_state.index(None)})")
     return rows
 
 
@@ -658,11 +657,11 @@ def _rate_entries_loop(rec, x, where):
     for j, pair in enumerate(_need_loop(rec, "entries", where, list)):
         at = f"{where}.entries[{j}]"
         if type(pair) is not list or len(pair) != 2:
-            raise ModelFileError(f"{at} is not a [y, rate] pair")
+            raise ModelError(f"{at} is not a [y, rate] pair")
         y = _typed_loop(pair[0], int, f"{at}[0]")
         rate = _typed_loop(pair[1], float, f"{at}[1]")
         if y in entries:
-            raise ModelFileError(f"duplicate target {y} at {where}")
+            raise ModelError(f"duplicate target {y} at {where}")
         entries[y] = rate
     if x not in entries:
         total = 0                  # left to right in file order, from 0
@@ -678,17 +677,17 @@ def explicit_model_loop(doc) -> CtmdpModel:
     target -> rate dict sorted by target in Python."""
     kind = _need_loop(_typed_loop(doc, dict, "model document"), "kind")
     if kind != "explicit":
-        raise ModelFileError(f"unknown model kind {kind!r}")
+        raise ModelError(f"unknown model kind {kind!r}")
     n = _need_loop(doc, "states", kind=int)
     actions_doc = _need_loop(doc, "actions", kind=[[[float]]])
     if len(actions_doc) != n:
-        raise ModelFileError("'actions' length does not match 'states'")
+        raise ModelError("'actions' length does not match 'states'")
     first, actions = None, []
     for x, acts in enumerate(actions_doc):
         for a, act in enumerate(acts):
             first = act if first is None else first
             if len(act) != len(first):
-                raise ModelFileError(
+                raise ModelError(
                     f"actions[{x}][{a}] has {len(act)} numbers where the "
                     f"first action has {len(first)}: every action must have "
                     f"the same length")
@@ -715,7 +714,7 @@ def explicit_model_loop(doc) -> CtmdpModel:
             bprime=get("bprime", required=False),
             Mprime=get("Mprime", required=False))
     except ModelError as exc:
-        raise ModelFileError(f"bad 'lyapunov' block: {exc}") from exc
+        raise ModelError(f"bad 'lyapunov' block: {exc}") from exc
     labels = _need_loop(doc, "labels", kind=list, required=False)
     try:
         return CtmdpModel(states=StateSpace(size=n, labels=labels),
@@ -726,9 +725,7 @@ def explicit_model_loop(doc) -> CtmdpModel:
                               reward_rows)),
                           lyapunov=lyap)
     except TypeError as exc:
-        raise ModelFileError(f"bad 'labels': {exc}") from exc
-    except ModelError as exc:
-        raise ModelFileError(str(exc)) from exc
+        raise ModelError(f"bad 'labels': {exc}") from exc
 
 
 def model_to_dict_loop(model: CtmdpModel) -> dict:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +229,8 @@ def test_oracle_gain_dominates_every_policy():
     ids=["mm20", "bd30", "skip30", "mmn7", "explicit", "tandem40", "bd500"])
 def test_solve_average_residuals_are_the_certificates(name, params):
     # the report's residuals are the two inequalities as `verify` checks them
-    m = (ctmdp.loads_model((GOLDEN / "explicit_model.json").read_text())
+    explicit = (GOLDEN / "explicit_model.json").read_text()
+    m = (ctmdp.model_from_dict(json.loads(explicit))
          if params is None else ctmdp.build(name, params))
     sol = solve_average(m)
     assert sol.residual_upper == certify_upper(m, sol.gain,

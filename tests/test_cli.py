@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ctmdp
-from ctmdp import dumps, loads_model, model_from_dict, model_to_dict
+from ctmdp import ModelError, dumps, model_from_dict, model_to_dict
 from ctmdp.cli import build_parser, run
-from ctmdp.modelio import ModelFileError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,13 +75,26 @@ def test_model_document_carries_no_format_version():
     assert "format_version" not in model_to_dict(m)
 
 
-def test_malformed_json_names_location():
-    with pytest.raises(ModelFileError, match="line"):
-        loads_model('{"kind": "explicit",}')
+@pytest.mark.parametrize("flag, where", [
+    ("--model", "file"), ("--params", "inline"), ("--params", "file")])
+def test_cli_malformed_json_names_flag_and_location(tmp_path, capsys, flag,
+                                                   where):
+    raw = text = '{"kind": "explicit",}'
+    if where == "file":
+        raw = str(tmp_path / "broken.json")
+        Path(raw).write_text(text)
+    argv = (["validate", "--model", raw] if flag == "--model" else
+            ["validate", "--builtin", "mmn0", "--params", raw])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ctmdp: error: malformed JSON in {flag} at line 1 column 21: "
+        f"Expecting property name enclosed in double quotes\n")
 
 
 def test_missing_field_named():
-    with pytest.raises(ModelFileError, match="actions"):
+    with pytest.raises(ModelError, match="actions"):
         model_from_dict({"kind": "explicit", "states": 1})
 
 

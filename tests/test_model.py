@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (CtmdpModel, ModelError, ModelFileError, RateKernel,
-                   StateSpace, StationaryPolicy, model_from_dict,
-                   validate_model, weighted_norm)
+from ctmdp import (CtmdpModel, ModelError, RateKernel, StateSpace,
+                   StationaryPolicy, model_from_dict, validate_model,
+                   weighted_norm)
 
 from oracles import kernel_from_rows
 
@@ -320,7 +320,7 @@ def test_actions_are_read_as_one_array_over_the_pairs(sets):
     odd = [p for p, a in enumerate(flat) if len(a) != k]
     if odd:
         (x, a), p = where[odd[0]], odd[0]
-        with pytest.raises(ModelFileError, match=(
+        with pytest.raises(ModelError, match=(
                 rf"^actions\[{x}\]\[{a}\] has {len(flat[p])} numbers where "
                 rf"the first action has {k}: every action must have the same "
                 rf"length$")):
@@ -426,10 +426,22 @@ def test_every_start_route_takes_a_numpy_integer(route):
     (lambda: ctmdp.check_lyapunov_bound(
         REDISTRIBUTION, ctmdp.PotlachPolicy(matrix=HALF, q=[0, 0]),
         [-5.0, 1.0], [0.5, 1.0], 4, seed=1), "x0"),
+    # each of these ran the simulation first, or ran with a truncated value
+    (lambda: ctmdp.martingale_diagnostic(MMN0, ZERO, PROBE[:2], 0.0, 0,
+                                         [0.5, 1.0], 4, seed=1), "u"),
+    (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 1.0, 2.5, seed=1),
+     "reps"),
+    (lambda: ctmdp.check_lyapunov_bound(MMN0, ZERO, 0, [0.5, 1.0], 2.5,
+                                        seed=1), "reps"),
+    (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 1.0, 2, seed=1.5),
+     "seed"),
+    (lambda: ctmdp.truncation_sensitivity(mmn0_at, {}, [3, 4.7]), "levels"),
 ], ids=["x0", "levels", "checkpoints_distinct", "checkpoints_order", "reps",
         "checkpoints_end", "x0b", "horizon", "seed", "ragged_matrix",
         "ragged_q", "matrix_not_square", "matrix_inadmissible",
-        "masses", "checkpoints_empty", "masses_negative"])
+        "masses", "checkpoints_empty", "masses_negative", "u_length",
+        "reps_fraction_average", "reps_fraction_lyapunov", "seed_fraction",
+        "levels_fraction"])
 def test_argument_refusals_name_their_field(call, field):
     with pytest.raises(ModelError) as info:
         call()

@@ -304,7 +304,9 @@ def test_redistribution_process_refuses_tabulated_estimates():
     x0 = np.array([1.0, 1.0])
     calls = [lambda: estimate_average_reward(proc, pol, x0, 1.0, 2, seed=1),
              lambda: estimate_ergodicity(proc, pol, [np.ones(2)], (x0, x0),
-                                         [0.5, 1.0], 2, seed=1)]
+                                         [0.5, 1.0], 2, seed=1),
+             lambda: ctmdp.martingale_diagnostic(proc, pol, np.ones(2), 0.0,
+                                                 x0, [0.5, 1.0], 2, seed=1)]
     for call in calls:
         with pytest.raises(ctmdp.ModelError,
                            match="PotlachProcess is not a CtmdpModel.*"
