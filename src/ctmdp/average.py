@@ -26,9 +26,8 @@ import scipy.sparse as sp
 
 from .discounted import (ConvergenceError, _greedy, _vi_relative,
                          check_positive, extract_policy)
-from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
-                    is_integer, weighted_norm)
-from .verify import certify_lower, certify_upper
+from .model import (CtmdpModel, ModelError, NumericError, Report,
+                    StationaryPolicy, is_integer, weighted_norm)
 
 ENUMERATION_LIMIT = 10 ** 6
 POLICY_ROUNDS = 200
@@ -89,12 +88,13 @@ def solve_average(model: CtmdpModel,
 
     Relative value iteration at alpha = 0 with h(x0) = 0 runs until the
     span bracket closes to `tol`; gain, bracket and policy are read off
-    the last sweep's Bellman evaluation, at the returned h, so both
-    optimality residuals are at most tol / 2. A `schedule` first
-    runs the vanishing-discount steps (each to an inner tolerance,
-    warm-started from the previous one) and starts the alpha = 0 stage
-    from their last h. Raises ConvergenceError, carrying the partial trace,
-    when a stage fails or the bracket stalls above `tol`.
+    the last sweep's Bellman evaluation, at the returned h, and so are
+    both optimality residuals, max bell - g and g - min bell (the greedy
+    policy's values at its pairs are bell), each at most tol / 2. A
+    `schedule` first runs the vanishing-discount steps (each to an inner
+    tolerance, warm-started from the previous one) and starts the alpha =
+    0 stage from their last h. Raises ConvergenceError, carrying the
+    partial trace, when a stage fails or the bracket stalls above `tol`.
     """
     check_positive(tol=tol)
     x0 = model.check_state(x0)
@@ -118,13 +118,10 @@ def solve_average(model: CtmdpModel,
         raise
 
     lo, hi = float(np.min(bell)), float(np.max(bell))
-    policy = _greedy(vals, bell, model)
     sol = AverageSolution(
         gain=g, gain_lower=lo, gain_upper=hi, sweeps=sweeps, h=h,
-        policy=policy, trace=trace,
-        residual_upper=certify_upper(model, g, h).max_violation,
-        residual_lower=certify_lower(model, g, h, policy).max_violation,
-        x0=x0)
+        policy=_greedy(vals, bell, model), trace=trace,
+        residual_upper=hi - g, residual_lower=g - lo, x0=x0)
     if schedule is not None:
         stack = np.stack(tail + [h])
         sol.h_lower, sol.h_upper = stack.min(axis=0), stack.max(axis=0)
@@ -141,28 +138,18 @@ class OracleResult(Report):
     restricted: bool = False         # gain evaluated on a proper subclass
 
 
-class OracleError(RuntimeError):
+@dataclass(eq=False)
+class OracleError(NumericError):
     """Singular or ambiguous stationary system for some policy. The route
     that raises sets `method` and the offending `policy`, with the number of
     policies `evaluated` before it (enumeration) or the `round` and the best
     gain so far (policy iteration)."""
 
-    def __init__(self, message, method=None, policy=None, evaluated=None,
-                 round=None, best_gain=None):
-        super().__init__(message)
-        self.method = method
-        self.policy = policy
-        self.evaluated = evaluated
-        self.round = round
-        self.best_gain = best_gain
-
-    def detail(self) -> dict:
-        out = {"method": self.method, "policy": self.policy}
-        if self.method == "enumeration":
-            out["evaluated"] = self.evaluated
-        elif self.method == "policy_iteration":
-            out["round"], out["best_gain"] = self.round, self.best_gain
-        return out
+    method: str
+    policy: list
+    evaluated: Optional[int] = None
+    round: Optional[int] = None
+    best_gain: Optional[float] = None
 
 
 def _dense_q(model: CtmdpModel, f: StationaryPolicy) -> np.ndarray:
@@ -319,8 +306,9 @@ def brute_force_oracle(model: CtmdpModel) -> OracleResult:
 
     Falls back to average-reward policy iteration (flagged) when the
     policy space exceeds ENUMERATION_LIMIT. Both routes rest on
-    stationary-distribution / Poisson-equation linear solves and share no
-    code with the discounted iteration.
+    stationary-distribution / Poisson-equation linear solves; the one code
+    they share with the solver is policy iteration's improvement step,
+    `discounted.extract_policy`.
     """
     if math.prod(model.kernel.counts.tolist()) > ENUMERATION_LIMIT:
         gain, f = _policy_iteration(model)

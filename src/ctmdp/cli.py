@@ -13,24 +13,24 @@ the sha256 of its bytes (`sha256sum FILE`, stdin's bytes for "-"), and
 compute: the default --checkpoints and --x0b. No path is echoed, so a
 run can be reproduced from its output and the files with those digests,
 and the same bytes at two paths give the same report. Serialization is
-byte-stable: sorted keys, shortest round-trip floats (report format 5).
+byte-stable: sorted keys, shortest round-trip floats (report format 6).
 
 Exit codes: 0 success, 1 check failure (failed validation or
-certificate) or a numeric failure, 2 usage or malformed input: an
+certificate) or a `NumericError`, 2 usage or malformed input: an
 argparse usage error or a `ModelError`, nothing else. Here argparse
 ranges each flag and the JSON input is parsed; the library makes every
 other argument check, and a `ModelError` whose `field` names its
 argument (x0, checkpoints, reps, ...) is printed as that flag. The
 command line's own refusals (an unreadable, non-UTF-8 or malformed JSON
 input, a missing --model/--builtin, an unknown --checks name, a model
-that fails validation) are `ModelError`s without a field. A numeric
-failure writes {format_version, config, error} where the report would
-have gone. `solve-average` exits 1 when it cannot close its gain bracket
-to --tol (a stalled bracket, as on a multichain model, or the sweep
-budget); its error names the stage's alpha, sweeps and residual, and
-carries the running bracket and the partial trace. A simulation error
-names the replication, the jumps taken, the time reached and the last
-state.
+that fails validation) are `ModelError`s without a field. A
+`NumericError` writes {format_version, config, error} where the report
+would have gone, error its class name as `type` and all its fields.
+`solve-average` exits 1 when it cannot close its gain bracket to --tol
+(a stalled bracket, as on a multichain model, or the sweep budget); its
+error names the stage's alpha, sweeps and residual, and carries the
+running bracket and the partial trace. A simulation error names the
+replication, the jumps taken, the time reached and the last state.
 """
 
 from __future__ import annotations
@@ -45,17 +45,17 @@ import sys
 import numpy as np
 
 from . import families, modelio, simulate, verify
-from .average import (OracleError, VanishingSchedule, brute_force_oracle,
-                      solve_average, truncation_sensitivity)
-from .discounted import ConvergenceError, solve_discounted
+from .average import (VanishingSchedule, brute_force_oracle, solve_average,
+                      truncation_sensitivity)
+from .discounted import solve_discounted
 from .families import PotlachPolicy, PotlachProcess
 from .lyapunov import (check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
-from .model import (CtmdpModel, ModelError, StationaryPolicy, typed,
-                    validate_model)
+from .model import (CtmdpModel, ModelError, NumericError, StationaryPolicy,
+                    typed, validate_model)
 from .modelio import dumps
-from .simulate import (SimulationError, check_lyapunov_bound,
-                       estimate_average_reward, estimate_ergodicity)
+from .simulate import (check_lyapunov_bound, estimate_average_reward,
+                       estimate_ergodicity)
 from .verify import certify_lower, certify_upper, martingale_diagnostic
 
 FORMAT_VERSION = modelio.FORMAT_VERSION
@@ -233,12 +233,9 @@ def _emit(args, report) -> None:
                   "report": report})
 
 
-def _emit_error(args, exc: Exception) -> None:
-    error = {"type": type(exc).__name__, "message": str(exc)}
-    if hasattr(exc, "detail"):
-        error.update(exc.detail())
+def _emit_error(args, exc: NumericError) -> None:
     _write(args, {"format_version": FORMAT_VERSION, "config": args.config,
-                  "error": error})
+                  "error": {"type": type(exc).__name__, **exc.to_dict()}})
 
 
 def _emit_series(path, header, rows) -> None:
@@ -537,7 +534,7 @@ def run(argv=None) -> int:
         flag = "--" if exc.field else ""
         print(f"ctmdp: error: {flag}{exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, OracleError, SimulationError) as exc:
+    except NumericError as exc:
         _emit_error(args, exc)
         return 1
 

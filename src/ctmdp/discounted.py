@@ -21,11 +21,13 @@ has no stall rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import CtmdpModel, ModelError, Report, StationaryPolicy
+from .model import (CtmdpModel, ModelError, NumericError, Report,
+                    StationaryPolicy)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
@@ -36,36 +38,27 @@ STALL_SWEEPS = 1000
 POLICY_SWEEPS = 30
 
 
-class ConvergenceError(RuntimeError):
+@dataclass(eq=False)
+class ConvergenceError(NumericError):
     """Iteration budget exhausted, or a stalled gain bracket, before the
-    tolerance was met. `bracket` is a (lower, upper) bracket of the gain:
-    the running one at alpha = 0, that of the last iterate for
-    alpha*J(x0) at alpha > 0; `rounding_floor` is eps * max_x q(x) *
-    max|h| at the last h, the size of one rounding in (Q h)(x, a), below
-    which no tolerance can be met, and the message ends with it; `trace`
-    is the partial trace of the caller."""
+    tolerance was met. [gain_lower, gain_upper] brackets the gain: the
+    running bracket at alpha = 0, that of the last iterate for alpha*J(x0)
+    at alpha > 0; `rounding_floor` is eps * max_x q(x) * max|h| at the
+    last h, the size of one rounding in (Q h)(x, a), below which no
+    tolerance can be met, and the message ends with it; `trace` is the
+    partial trace of the caller."""
 
-    def __init__(self, message, residual=None, iterations=None, alpha=None,
-                 bracket=None, rounding_floor=None):
-        if rounding_floor is not None:
-            message = f"{message}; rounding floor {rounding_floor:.3e}"
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-        self.alpha = alpha
-        self.bracket = bracket
-        self.rounding_floor = rounding_floor
-        self.trace = None
+    alpha: float
+    sweeps: int
+    residual: float
+    gain_lower: float
+    gain_upper: float
+    rounding_floor: float
+    trace: Optional[list] = None
 
-    def detail(self) -> dict:
-        out = {"alpha": self.alpha, "sweeps": self.iterations,
-               "residual": self.residual,
-               "rounding_floor": self.rounding_floor}
-        if self.bracket is not None:
-            out["gain_lower"], out["gain_upper"] = self.bracket
-        if self.trace is not None:
-            out["trace"] = self.trace
-        return out
+    def __post_init__(self):
+        self.message += f"; rounding floor {self.rounding_floor:.3e}"
+        super().__post_init__()
 
 
 @dataclass
@@ -200,9 +193,9 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
                 if uniform:
                     raise ConvergenceError(
                         f"gain bracket [{best[0]:.17g}, {best[1]:.17g}] "
-                        f"stalled above tol {tol:.3e}",
-                        residual=width, iterations=it, alpha=alpha,
-                        bracket=best,
+                        f"stalled above tol {tol:.3e}", alpha=alpha,
+                        sweeps=it, residual=width, gain_lower=best[0],
+                        gain_upper=best[1],
                         rounding_floor=_rounding_floor(model, h))
                 uniform, moved, h, narrowest = True, it, start, np.inf
                 policy_sweeps = False
@@ -228,8 +221,8 @@ def _vi_relative(model: CtmdpModel, alpha: float, x0: int, tol: float,
         best = (float(image.min()), float(image.max()))
     raise ConvergenceError(
         f"no convergence after {max_iter} sweeps (residual {width:.3e})",
-        residual=width, iterations=max_iter, alpha=alpha, bracket=best,
-        rounding_floor=_rounding_floor(model, h))
+        alpha=alpha, sweeps=max_iter, residual=width, gain_lower=best[0],
+        gain_upper=best[1], rounding_floor=_rounding_floor(model, h))
 
 
 def _rounding_floor(model: CtmdpModel, h) -> float:

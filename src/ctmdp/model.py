@@ -317,6 +317,14 @@ class CtmdpModel:
             raise ModelError(f"policy action index out of range at state "
                              f"{bad[0]}")
 
+    def check_values(self, u, field: str = "u") -> np.ndarray:
+        """u as a float array of shape (n,), else ModelError naming `field`."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.n,):
+            raise ModelError(f"{field} must hold one value per state "
+                             f"({self.n}), got shape {u.shape}", field=field)
+        return u
+
     def check_state(self, x, field: str = "x0") -> int:
         """x as an int, unless it is not a state index: then ModelError
         naming `field`."""
@@ -392,6 +400,17 @@ class Report:
 
     def to_dict(self) -> dict:
         return plain({f.name: getattr(self, f.name) for f in fields(self)})
+
+
+@dataclass(eq=False)
+class NumericError(Report, RuntimeError):
+    """A numeric failure: the solver, the oracle or the simulator could not
+    finish. A subclass's fields, `message` included, are its report keys."""
+
+    message: str
+
+    def __post_init__(self):
+        RuntimeError.__init__(self, self.message)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 A model file is either {"kind": "explicit", ...} with the full tables or
 {"kind": "builtin", "name": ..., "params": {...}} naming a packaged
 family. Reports are serialized with sorted keys and shortest round-trip
-floats (format 5), so identical runs produce byte-identical output and
+floats (format 6), so identical runs produce byte-identical output and
 every float reads back to the same value.
 """
 
@@ -21,7 +21,7 @@ from . import families
 from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
                     StateSpace, StationaryPolicy, plain, typed)
 
-FORMAT_VERSION = "5"
+FORMAT_VERSION = "6"
 
 
 def dumps(obj) -> str:

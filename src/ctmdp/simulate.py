@@ -47,8 +47,8 @@ import numpy as np
 
 from .discounted import check_positive
 from .families import PotlachPolicy, PotlachProcess
-from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
-                    _run_sums, is_integer)
+from .model import (CtmdpModel, ModelError, NumericError, Report,
+                    StationaryPolicy, _run_sums, is_integer)
 
 RNG_FAMILY = "numpy.random.Philox"
 RNG_DRAWS = ("blocks k = 0, 1, ... of min(16 * 2**k, 1024) draws: "
@@ -62,20 +62,15 @@ MAX_JUMPS = 10 ** 8
 DEFAULT_CHECKPOINTS = tuple(np.geomspace(0.25, 16.0, 8))
 
 
-class SimulationError(RuntimeError):
-    """Explosion suspected: the per-path jump-count guard was exceeded."""
+@dataclass(eq=False)
+class SimulationError(NumericError):
+    """Explosion suspected: the per-path jump-count guard was exceeded.
+    `last_state` is a state index, or the redistribution process's masses."""
 
-    def __init__(self, message, last_state=None, rep=None, jumps=None,
-                 time=None):
-        super().__init__(message)
-        self.last_state = last_state
-        self.rep = rep
-        self.jumps = jumps
-        self.time = time
-
-    def detail(self) -> dict:
-        return {"replication": self.rep, "jumps": self.jumps,
-                "time": self.time, "last_state": self.last_state}
+    replication: int
+    jumps: int
+    time: float
+    last_state: object
 
 
 def stream(seed: int, rep: int) -> np.random.Generator:
@@ -299,13 +294,12 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
             if over.any():
                 row = int(np.argmax(over))
                 j = MAX_JUMPS - int(jumps[idx[row]]) + 1
-                last = S[row, j].tolist()
                 raise SimulationError(
                     f"jump-count guard ({MAX_JUMPS}) exceeded in replication "
                     f"{int(idx[row])} at time {T[row, j]!r}; drift "
-                    f"condition likely violated", last_state=last,
-                    rep=int(idx[row]), jumps=MAX_JUMPS + 1,
-                    time=float(T[row, j]))
+                    f"condition likely violated", replication=int(idx[row]),
+                    jumps=MAX_JUMPS + 1, time=float(T[row, j]),
+                    last_state=S[row, j].tolist())
             ends = np.minimum(T[:, 1:], horizon)
             seg = ends - T[:, :L]
             seg[np.arange(L) > m[:, None]] = 0.0

@@ -38,7 +38,7 @@ def certify_upper(model: CtmdpModel, g: float, u, tol: float = 1e-6
     gain (up to a model-dependent multiple of tol); only the raw residual
     is reported.
     """
-    residuals = bellman(model, u)[1] - g
+    residuals = bellman(model, model.check_values(u))[1] - g
     worst = float(np.max(residuals))
     return CertificateReport(direction="upper", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -53,7 +53,8 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
     tolerance.
     """
     model.check_policy(f)
-    residuals = g - bellman(model, u)[0][model.kernel.starts + f.choice]
+    vals = bellman(model, model.check_values(u))[0]
+    residuals = g - vals[model.kernel.starts + f.choice]
     worst = float(np.max(residuals))
     return CertificateReport(direction="lower", g=float(g),
                              residuals=residuals, max_violation=worst,
@@ -63,6 +64,7 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
 def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     """Discrepancy (r + Q u)(x, a) - g, a = f(x) or an action index, read
     off one full `bellman` evaluation; its sign is the drift direction."""
+    x, u = model.check_state(x, "x"), model.check_values(u)
     a = f[x] if isinstance(f, StationaryPolicy) else int(f)
     return bellman(model, u)[0][model.pair_index(x, a)] - g
 
@@ -97,10 +99,7 @@ def martingale_diagnostic(model: CtmdpModel, f: StationaryPolicy, u, g: float,
     """
     check_replications(reps)
     chain = _PolicyChain(model, f)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (model.n,):
-        raise ModelError(f"u must hold one value per state ({model.n}), got "
-                         f"shape {u.shape}", field="u")
+    u = model.check_values(u)
     checkpoints = np.asarray(checkpoints, dtype=np.float64)
     if len(np.unique(checkpoints)) < 2:
         raise ModelError(f"checkpoints must list at least two distinct "

@@ -139,7 +139,8 @@ def closed_class_gain(model: CtmdpModel, f: StationaryPolicy):
     classes = {frozenset(reach[x]) for x in members}
     if len(classes) != 1:
         raise OracleError(f"{len(classes)} closed classes reachable from "
-                          f"state 0")
+                          f"state 0", method="enumeration",
+                          policy=f.choice.tolist())
     k = len(members)
     A = np.vstack([Q[np.ix_(members, members)].T, np.ones(k)])
     rhs = np.zeros(k + 1)
@@ -147,7 +148,8 @@ def closed_class_gain(model: CtmdpModel, f: StationaryPolicy):
     pi, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     if rank < k or np.any(pi < -1e-9):
         raise OracleError(f"singular stationary system for policy "
-                          f"{f.choice.tolist()}")
+                          f"{f.choice.tolist()}", method="enumeration",
+                          policy=f.choice.tolist())
     return float(pi @ reward_vector(model, f)[members]), k < n
 
 
@@ -174,7 +176,9 @@ def dense_policy_iteration(model: CtmdpModel, x0: int = 0,
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
             raise OracleError(f"singular evaluation system for policy "
-                              f"{f.choice.tolist()}") from exc
+                              f"{f.choice.tolist()}",
+                              method="policy_iteration",
+                              policy=f.choice.tolist()) from exc
         h, g = sol[:n], float(sol[n])
         improved = extract_policy(model, h)
         if best is not None and g <= best[0] + 1e-13:

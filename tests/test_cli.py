@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -194,7 +195,7 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert run(["validate", "--model", write_model(tmp_path, EXPLICIT_DOC)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["report"]["ok"]
-    assert out["format_version"] == "5"
+    assert out["format_version"] == "6"
     bad = dict(EXPLICIT_DOC)
     bad["rates"] = [
         {"x": 0, "a": 0, "entries": [[0, -1.0], [1, 1.5]]},
@@ -779,6 +780,33 @@ def test_cli_oracle_multichain_exits_1_with_partial_state(tmp_path, capsys):
     assert "2 closed classes" in err["message"]
     assert (err["method"], err["policy"], err["evaluated"]) \
         == ("enumeration", [0, 0, 0], 0)
+
+
+@pytest.mark.parametrize("argv, patch, error", [
+    (["solve-average", "--model", "{two_absorbing}"], None,
+     ctmdp.ConvergenceError),
+    (["oracle", "--model", "{two_absorbing}"], None, ctmdp.OracleError),
+    (["simulate", "--builtin", "mmn0", "--params", MMN0, "--policy",
+      "{policy}", "--horizon", "1e4", "--reps", "3"],
+     ("simulate", "MAX_JUMPS", 50), ctmdp.SimulationError),
+    (["solve-discounted", "--builtin", "mmn0", "--params", MMN0, "--alpha",
+      "0.05"], ("discounted", "DEFAULT_MAX_ITER", 3),
+     ctmdp.ConvergenceError),
+], ids=["solve_average", "oracle", "simulate", "solve_discounted"])
+def test_cli_error_report_keys_are_its_fields(tmp_path, capsys, monkeypatch,
+                                              argv, patch, error):
+    # every field is written, a None one as null
+    if patch:
+        module, name, value = patch
+        monkeypatch.setattr(getattr(ctmdp, module), name, value)
+    pol = tmp_path / "policy.json"
+    pol.write_text("[0, 0, 0]")
+    files = {"{two_absorbing}": write_model(tmp_path, TWO_ABSORBING),
+             "{policy}": str(pol)}
+    assert run([files.get(arg, arg) for arg in argv]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == error.__name__
+    assert set(err) == {"type"} | {f.name for f in dataclasses.fields(error)}
 
 
 # x0 = 0 leaves at rate 4 for the absorbing state 1: the per-state

@@ -185,9 +185,9 @@ def test_discounted_convergence_error_brackets_the_gain(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         _vi_relative(m, alpha, 0, DEFAULT_TOL)
     exc = info.value
-    assert exc.alpha == alpha and exc.iterations == 3
-    lower, upper = exc.bracket
+    assert exc.alpha == alpha and exc.sweeps == 3
+    lower, upper = exc.gain_lower, exc.gain_upper
     gain = alpha * optimal_values(m, alpha)[0]
     assert lower - 1e-12 <= gain <= upper + 1e-12
-    assert (exc.detail()["gain_lower"], exc.detail()["gain_upper"]) \
+    assert (exc.to_dict()["gain_lower"], exc.to_dict()["gain_upper"]) \
         == (lower, upper)

@@ -436,12 +436,19 @@ def test_every_start_route_takes_a_numpy_integer(route):
     (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 1.0, 2, seed=1.5),
      "seed"),
     (lambda: ctmdp.truncation_sensitivity(mmn0_at, {}, [3, 4.7]), "levels"),
+    # a short u raised scipy's ValueError, a column u gave a residual
+    # matrix, x = -1 read the last state and x = 99 raised IndexError
+    (lambda: ctmdp.certify_lower(MMN0, 0.0, PROBE[:2], ZERO), "u"),
+    (lambda: ctmdp.certify_upper(MMN0, 0.0, PROBE[:, None]), "u"),
+    (lambda: ctmdp.delta(MMN0, -1, ZERO, PROBE, 0.0), "x"),
+    (lambda: ctmdp.delta(MMN0, 99, 0, PROBE, 0.0), "x"),
 ], ids=["x0", "levels", "checkpoints_distinct", "checkpoints_order", "reps",
         "checkpoints_end", "x0b", "horizon", "seed", "ragged_matrix",
         "ragged_q", "matrix_not_square", "matrix_inadmissible",
         "masses", "checkpoints_empty", "masses_negative", "u_length",
         "reps_fraction_average", "reps_fraction_lyapunov", "seed_fraction",
-        "levels_fraction"])
+        "levels_fraction", "u_short_certificate", "u_column_certificate",
+        "delta_x_negative", "delta_x_beyond"])
 def test_argument_refusals_name_their_field(call, field):
     with pytest.raises(ModelError) as info:
         call()

@@ -82,10 +82,14 @@ def test_solver_brackets_the_oracle_gain(doc):
     except ConvergenceError as exc:
         gains = oracles.optimal_gains(model)
         assert gains.max() - gains.min() > TOL
-        lower, upper = exc.bracket
+        lower, upper = exc.gain_lower, exc.gain_upper
         assert lower <= gains.min() + TOL and gains.max() <= upper + TOL
         return
     assert sol.converged
+    assert sol.residual_upper == certify_upper(model, sol.gain,
+                                               sol.h).max_violation
+    assert sol.residual_lower == certify_lower(model, sol.gain, sol.h,
+                                               sol.policy).max_violation
     assert sol.gain_lower <= sol.gain <= sol.gain_upper
     assert sol.gain_upper - sol.gain_lower <= TOL
     assert abs(sol.gain - oracle.gain) <= TOL

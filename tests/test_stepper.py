@@ -254,7 +254,7 @@ def test_guard_names_replication_time_and_state(monkeypatch):
         with lookup(), pytest.raises(ctmdp.SimulationError) as err:
             simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0)
         exc = err.value
-        assert exc.rep == 0 and exc.jumps == 101
+        assert exc.replication == 0 and exc.jumps == 101
         times, states, *_ = reference_policy_path(m, f, 0, 2 * exc.time, 0, 0)
         assert exc.time == times[101]
         assert exc.last_state == states[101]
