@@ -349,15 +349,15 @@ def truncation_sensitivity(builder, params: dict, levels,
     runs = []
     for N in levels:
         model = builder(dict(params, N=N))
-        runs.append((model.states,
-                     solve_average(model, schedule=schedule, tol=tol, x0=x0)))
+        runs.append((model, solve_average(model, schedule=schedule, tol=tol,
+                                          x0=x0)))
     gains = [s.gain for _, s in runs]
     gaps = [abs(b - a) for a, b in zip(gains, gains[1:])]
     h_gaps = []
-    for (space_a, sa), (space_b, sb) in zip(runs, runs[1:]):
-        half = (space_a.truncation_level + 1) // 2
-        h_b = dict(zip(space_b.labels, sb.h))
-        diffs = [abs(h - h_b[lab]) for lab, h in zip(space_a.labels, sa.h)
+    for (model_a, sa), (model_b, sb) in zip(runs, runs[1:]):
+        half = (model_a.truncation_level + 1) // 2
+        h_b = dict(zip(model_b.labels, sb.h))
+        diffs = [abs(h - h_b[lab]) for lab, h in zip(model_a.labels, sa.h)
                  if max(lab) < half]
         h_gaps.append(float(np.max(diffs)) if diffs else 0.0)
     stable = gaps[-1] <= STABLE_GAP

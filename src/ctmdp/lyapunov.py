@@ -130,7 +130,7 @@ def check_monotonicity(model: CtmdpModel, f: StationaryPolicy) -> DriftReport:
     is the first strict minimum over (x, k) in row-major order, as a scan
     of the dense n x n table finds it.
     """
-    if model.states.dim != 1:
+    if model.labels is not None and len(model.labels[0]) != 1:
         return DriftReport(checks=[], status="unsupported")
     model.check_policy(f)
     n = model.n

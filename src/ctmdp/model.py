@@ -1,14 +1,15 @@
 """Core data types for CTMDP instances on finite state spaces.
 
-A model is the tuple (states, actions, rate kernel, reward per pair)
-plus optional Lyapunov weight data. The rates are stored once, as one CSR
-matrix over the (state, action) pairs with the diagonal entry included,
-and the actions and rewards once each, as arrays over the same pairs
-(every action a vector of the same k numbers). Every solver and check
-reads these and the per-pair arrays (state, action and exit rate of each
-pair) that the model lays out once, at construction. All operations here
-are pure functions of their inputs and models are treated as immutable
-once validated.
+A model is the tuple (actions, rate kernel, reward per pair) plus
+optional state labels, truncation level and Lyapunov weight data; the
+kernel's action counts are the one record of the states. The rates are
+stored once, as one CSR matrix over the (state, action) pairs with the
+diagonal entry included, and the actions and rewards once each, as
+arrays over the same pairs (every action a vector of the same k
+numbers). Every solver and check reads these and the per-pair arrays
+(state, action and exit rate of each pair) that the model lays out
+once, at construction. All operations here are pure functions of their
+inputs and models are treated as immutable once validated.
 """
 
 from __future__ import annotations
@@ -72,33 +73,6 @@ def typed(value, kind, where: str):
 def is_integer(value) -> bool:
     """Whether `value` is an int or a numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite index set 0..size-1, optionally labelled (e.g. queue lengths)."""
-
-    size: int
-    labels: Optional[tuple] = None
-    truncation_level: Optional[int] = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ModelError("state space must contain at least one state")
-        if self.labels is not None:
-            labels = tuple(tuple(lab) if isinstance(lab, (list, tuple)) else (lab,)
-                           for lab in self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ModelError("label count does not match state count")
-            if len(set(labels)) != self.size:
-                raise ModelError("state labels must be pairwise distinct")
-
-    @property
-    def dim(self) -> int:
-        if self.labels is None:
-            return 1
-        return len(self.labels[0])
 
 
 class RateKernel:
@@ -239,14 +213,17 @@ class CtmdpModel:
     Construction checks the structure, then lays the (state, action) pairs
     out once (`_flatten`): pair p = kernel.starts[x] + a is row p of
     kernel.Q and of `actions`, and `r` and the per-pair arrays below are
-    indexed by it. kernel.counts holds the number of actions of each state.
+    indexed by it. kernel.counts holds the number of actions of each state,
+    and its length is the number of states n. `labels` (one per state, a
+    scalar label read as a 1-tuple) and `truncation_level` are optional.
     """
 
-    states: StateSpace
     actions: np.ndarray = field(compare=False)  # (n_pairs, k) action vectors
     kernel: RateKernel
     r: np.ndarray = field(compare=False)       # reward rate per pair
     lyapunov: Optional[LyapunovData] = None
+    labels: Optional[tuple] = None             # e.g. queue lengths
+    truncation_level: Optional[int] = None
     n_pairs: int = _pair_field()
     x_of_pair: np.ndarray = _pair_field()      # state index of each pair
     a_of_pair: np.ndarray = _pair_field()      # action index within the state
@@ -255,10 +232,18 @@ class CtmdpModel:
     qmax: np.ndarray = _pair_field()           # q(x) per state
 
     def __post_init__(self):
-        n = self.states.size
         kernel = self.kernel
-        if len(kernel.counts) != n:
-            raise ModelError("component tables disagree on the state count")
+        n = len(kernel.counts)
+        if n < 1:
+            raise ModelError("state space must contain at least one state")
+        if self.labels is not None:
+            labels = self.labels = tuple(
+                tuple(lab) if isinstance(lab, (list, tuple)) else (lab,)
+                for lab in self.labels)
+            if len(labels) != n:
+                raise ModelError("label count does not match state count")
+            if len(set(labels)) != n:
+                raise ModelError("state labels must be pairwise distinct")
         n_pairs = kernel.Q.shape[0]
         try:
             acts = self.actions = np.asarray(self.actions, dtype=np.float64)
@@ -298,7 +283,7 @@ class CtmdpModel:
 
     @property
     def n(self) -> int:
-        return self.states.size
+        return len(self.kernel.counts)
 
     def n_actions(self, x: int) -> int:
         return int(self.kernel.counts[x])
@@ -549,14 +534,8 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     kernel = _merged_kernel(counts, x_of, key[keep] + pair[keep] * len(labels),
                             rates[keep])
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
-    return CtmdpModel(
-        states=StateSpace(size=len(labels), labels=tuple(labels),
-                          truncation_level=N),
-        actions=A,
-        kernel=kernel,
-        r=family.reward(X, A),
-        lyapunov=lyap,
-    )
+    return CtmdpModel(actions=A, kernel=kernel, r=family.reward(X, A),
+                      lyapunov=lyap, labels=labels, truncation_level=N)
 
 
 def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
@@ -611,7 +590,7 @@ def _run_sums(values, size, zero) -> np.ndarray:
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:
     """Indices whose rows were distorted by truncation (any coordinate at N)."""
-    N = model.states.truncation_level
-    if N is None or model.states.labels is None:
+    N = model.truncation_level
+    if N is None or model.labels is None:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero((np.array(model.states.labels) == N).any(axis=1))
+    return np.flatnonzero((np.array(model.labels) == N).any(axis=1))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import families
 from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
-                    StateSpace, StationaryPolicy, plain, typed)
+                    StationaryPolicy, plain, typed)
 
 FORMAT_VERSION = "6"
 
@@ -133,12 +133,8 @@ def _explicit_model(doc: dict) -> CtmdpModel:
 
     labels = _need(doc, "labels", kind=list, required=False)
     try:
-        return CtmdpModel(
-            states=StateSpace(size=n, labels=labels),
-            actions=actions,
-            kernel=kernel,
-            r=rewards,
-            lyapunov=lyap)
+        return CtmdpModel(actions=actions, kernel=kernel, r=rewards,
+                          lyapunov=lyap, labels=labels)
     except TypeError as exc:       # an unhashable label
         raise ModelError(f"bad 'labels': {exc}") from exc
 
@@ -169,8 +165,8 @@ def model_to_dict(model: CtmdpModel) -> dict:
            "actions": [actions[s:s + c] for s, c in zip(
                model.kernel.starts.tolist(), model.kernel.counts.tolist())],
            "rates": rates, "rewards": rewards}
-    if model.states.labels is not None:
-        doc["labels"] = [list(lab) for lab in model.states.labels]
+    if model.labels is not None:
+        doc["labels"] = [list(lab) for lab in model.labels]
     lyap = model.lyapunov
     if lyap is not None:
         doc["lyapunov"] = {

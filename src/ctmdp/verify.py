@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discounted import bellman
-from .model import CtmdpModel, ModelError, Report, StationaryPolicy
+from .model import (CtmdpModel, ModelError, Report, StationaryPolicy,
+                    is_integer)
 from .simulate import (_checkpoint_run, _PolicyChain, check_replications,
                        rng_info)
 
@@ -39,10 +40,7 @@ def certify_upper(model: CtmdpModel, g: float, u, tol: float = 1e-6
     is reported.
     """
     residuals = bellman(model, model.check_values(u))[1] - g
-    worst = float(np.max(residuals))
-    return CertificateReport(direction="upper", g=float(g),
-                             residuals=residuals, max_violation=worst,
-                             passed=worst <= tol, tol=tol)
+    return _certificate("upper", g, residuals, tol)
 
 
 def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
@@ -55,8 +53,18 @@ def certify_lower(model: CtmdpModel, g: float, u, f: StationaryPolicy,
     model.check_policy(f)
     vals = bellman(model, model.check_values(u))[0]
     residuals = g - vals[model.kernel.starts + f.choice]
+    return _certificate("lower", g, residuals, tol)
+
+
+def _certificate(direction: str, g: float, residuals: np.ndarray,
+                 tol: float) -> CertificateReport:
+    """The report of `residuals`, passed iff none exceeds `tol`; a tol that
+    is not finite and >= 0 passes everything or nothing, and is refused."""
+    if not 0 <= tol < np.inf:
+        raise ModelError(f"tol must be finite and >= 0, got {tol}",
+                         field="tol")
     worst = float(np.max(residuals))
-    return CertificateReport(direction="lower", g=float(g),
+    return CertificateReport(direction=direction, g=float(g),
                              residuals=residuals, max_violation=worst,
                              passed=worst <= tol, tol=tol)
 
@@ -65,8 +73,14 @@ def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     """Discrepancy (r + Q u)(x, a) - g, a = f(x) or an action index, read
     off one full `bellman` evaluation; its sign is the drift direction."""
     x, u = model.check_state(x, "x"), model.check_values(u)
-    a = f[x] if isinstance(f, StationaryPolicy) else int(f)
-    return bellman(model, u)[0][model.pair_index(x, a)] - g
+    count = int(model.kernel.counts[x])
+    if isinstance(f, StationaryPolicy):
+        model.check_policy(f)
+        f = f[x]
+    elif not is_integer(f) or not 0 <= f < count:
+        raise ModelError(f"f must be in 0..{count - 1} at state {x}, got {f}",
+                         field="f")
+    return bellman(model, u)[0][model.pair_index(x, f)] - g
 
 
 @dataclass

@@ -19,8 +19,7 @@ from ctmdp import (CtmdpModel, OracleError, OracleResult, StationaryPolicy,
                    average, extract_policy, families)
 from ctmdp.lyapunov import SLACK_TOL, CheckRecord, DriftReport
 from ctmdp.model import (_JSON_TYPES, ROW_SUM_TOL, LyapunovData, ModelError,
-                         RateKernel, StateSpace, ValidationReport,
-                         boundary_states)
+                         RateKernel, ValidationReport, boundary_states)
 from ctmdp.simulate import FIRST_BLOCK, LAST_BLOCK, stream
 
 
@@ -260,12 +259,12 @@ def truncate_loop(family: ScalarFamily, N: int) -> CtmdpModel:
 
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(
-        states=StateSpace(size=len(labels), labels=tuple(labels),
-                          truncation_level=N),
         actions=actions,
         kernel=RateKernel(counts, lengths, targets, rates),
         r=rewards,
         lyapunov=lyap,
+        labels=tuple(labels),
+        truncation_level=N,
     )
 
 
@@ -587,7 +586,7 @@ def check_assumption_B_loop(model: CtmdpModel) -> DriftReport:
 def check_monotonicity_loop(model: CtmdpModel,
                             f: StationaryPolicy) -> DriftReport:
     """Dense n x n tail-sum table, scanned over (x, k)."""
-    if model.states.dim != 1:
+    if model.labels is not None and len(model.labels[0]) != 1:
         return DriftReport(checks=[], status="unsupported")
     model.check_policy(f)
     n = model.n
@@ -721,13 +720,12 @@ def explicit_model_loop(doc) -> CtmdpModel:
         raise ModelError(f"bad 'lyapunov' block: {exc}") from exc
     labels = _need_loop(doc, "labels", kind=list, required=False)
     try:
-        return CtmdpModel(states=StateSpace(size=n, labels=labels),
-                          actions=np.array(actions, dtype=np.float64).reshape(
+        return CtmdpModel(actions=np.array(actions, dtype=np.float64).reshape(
                               len(actions), len(first or [])),
                           kernel=kernel,
                           r=list(itertools.chain.from_iterable(
                               reward_rows)),
-                          lyapunov=lyap)
+                          lyapunov=lyap, labels=labels)
     except TypeError as exc:
         raise ModelError(f"bad 'labels': {exc}") from exc
 
@@ -746,8 +744,8 @@ def model_to_dict_loop(model: CtmdpModel) -> dict:
                         for a in range(model.n_actions(x))]
                        for x in range(model.n)],
            "rates": rates, "rewards": rewards}
-    if model.states.labels is not None:
-        doc["labels"] = [list(lab) for lab in model.states.labels]
+    if model.labels is not None:
+        doc["labels"] = [list(lab) for lab in model.labels]
     lyap = model.lyapunov
     if lyap is not None:
         doc["lyapunov"] = {

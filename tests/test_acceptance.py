@@ -90,7 +90,6 @@ def test_criterion_03_uniformization_rows_are_probabilities():
         entries.append((i, -float(rates.sum())))
         rows.append([entries])
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=n_rows),
         actions=np.zeros((n_rows, 1)),
         kernel=oracles.kernel_from_rows(rows),
         r=np.zeros(n_rows),
@@ -112,7 +111,6 @@ def test_criterion_04_discounted_vs_linear_oracle(bd30, mm20):
         rows = [[list(zip(*[arr.tolist() for arr in m.kernel.row(x, f[x])]))]
                 for x in range(m.n)]
         single = ctmdp.CtmdpModel(
-            states=m.states,
             actions=m.actions[m.kernel.starts + f.choice],
             kernel=oracles.kernel_from_rows(rows),
             r=m.r[m.kernel.starts + f.choice],
@@ -250,8 +248,8 @@ def test_criterion_12_equivariance(mm20):
     base = solve_average(m)
 
     def with_rewards(r):
-        return ctmdp.CtmdpModel(states=m.states, actions=m.actions,
-                                kernel=m.kernel, r=r, lyapunov=m.lyapunov)
+        return ctmdp.CtmdpModel(actions=m.actions, kernel=m.kernel, r=r,
+                                lyapunov=m.lyapunov)
 
     for s in (0.5, 2.0):
         scaled = with_rewards(s * m.r)

@@ -126,7 +126,6 @@ def test_oracle_error_carries_partial_state(monkeypatch):
     # states 1 and 2 each have an absorbing action, and state 0's action 1
     # leads to both: policy [1, 1, 1] reaches two closed classes from 0
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=3),
         actions=[[0.0], [1.0]] * 3,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -2.0), (1, 1.0), (2, 1.0)]],
@@ -154,7 +153,6 @@ def test_oracle_error_carries_partial_state(monkeypatch):
 def test_enumeration_counts_the_closed_classes_state_0_reaches():
     # state 0 leads to the absorbing states 1 and 2 and to the cycle {3, 4}
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=5),
         actions=np.zeros((5, 1)),
         kernel=oracles.kernel_from_rows([
             [[(0, -1.75), (1, 1.0), (2, 0.5), (3, 0.25)]], [[(1, 0.0)]],
@@ -179,7 +177,6 @@ def test_policy_iteration_refuses_a_multichain_policy(monkeypatch):
     # (without it the oracle returns gain -3.3549 for [0, 0, 0], while
     # action 1 at state 0 leads into {1, 2}, gain about -1.30)
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=3),
         actions=[[0.0], [1.0], [0.0], [0.0]],
         kernel=oracles.kernel_from_rows([
             [[(0, 0.0)], [(0, -3.3335), (2, 3.3335)]],
@@ -201,7 +198,6 @@ def test_enumeration_breaks_rounding_ties_by_product_order():
     # the batched solves give the three policies gains that differ in the
     # last bits (the second one is largest on x86-64 with OpenBLAS)
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=3),
         actions=[[0.0], [1.0], [2.0], [0.0], [0.0]],
         kernel=oracles.kernel_from_rows([
             [[(0, -q), (1, q)] for q in (2.9, 0.16, 3.06)],
@@ -283,7 +279,6 @@ def test_solvers_do_not_evaluate_their_returned_h_again(monkeypatch, solve):
 def test_reducible_policy_gain_uses_recurrent_class():
     # absorbing state 1: the chain restricted to its closed class
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -1.0), (1, 1.0)]],
                                          [[(1, 0.0)]]]),
@@ -327,12 +322,12 @@ def test_truncation_sensitivity_aligns_2d_states_by_label():
     rep = truncation_sensitivity(build, {"G": 2}, [4, 6])
     small, large = build({"N": 4, "G": 2}), build({"N": 6, "G": 2})
     h_small, h_large = solve_average(small).h, solve_average(large).h
-    index = {lab: i for i, lab in enumerate(large.states.labels)}
+    index = {lab: i for i, lab in enumerate(large.labels)}
     # inner region: both queue lengths below half the 5-level grid
-    inner = [i for i, (x1, x2) in enumerate(small.states.labels)
+    inner = [i for i, (x1, x2) in enumerate(small.labels)
              if x1 < 2 and x2 < 2]
     assert len(inner) == 4
-    expected = max(abs(h_small[i] - h_large[index[small.states.labels[i]]])
+    expected = max(abs(h_small[i] - h_large[index[small.labels[i]]])
                    for i in inner)
     assert rep.h_inner_gaps == [expected]
     assert expected < 0.1      # flat-index alignment read 3.94 here
@@ -363,7 +358,6 @@ def test_transient_reference_with_fast_exit_converges():
     # x0 = 0 leaves at rate 4 for the absorbing state 1: the per-state
     # uniformized iteration diverges here and the uniform pass takes over
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
                                          [[(1, 0.0)]]]),
@@ -377,7 +371,6 @@ def test_transient_reference_with_fast_exit_converges():
 
 def test_multichain_model_raises_with_partial_trace():
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 2.0],
@@ -394,7 +387,6 @@ def test_uniform_fallback_runs_no_policy_sweeps(policy_sweep_calls):
     # the fast-exit model: the per-state pass (m = [5, 1]) diverges and the
     # uniform pass (m = [5, 5]) is plain relative value iteration from h = 0
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, -4.0), (1, 4.0)]],
                                          [[(1, 0.0)]]]),
@@ -418,7 +410,6 @@ def test_multichain_model_runs_policy_sweeps_in_one_pass_only(
         policy_sweep_calls):
     # both passes use m = [1, 1] here; the uniform pass makes its own array
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 2.0],
@@ -458,7 +449,6 @@ def test_constant_gain_model_closes_its_bracket():
     # sweeps while h(3) rises, which only the shrinking gap of (0, 1) below
     # bell(0) shows; counting bell alone raised "stalled" after 2413 sweeps
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=5),
         actions=[[0.0], [1.0], [2.0]] + [[0.0]] * 4,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)],

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmdp import (CtmdpModel, LyapunovData, StateSpace,
-                   StationaryPolicy, build, check_assumption_A,
-                   check_assumption_B, check_monotonicity, dumps,
-                   validate_model)
+from ctmdp import (CtmdpModel, LyapunovData, StationaryPolicy, build,
+                   check_assumption_A, check_assumption_B, check_monotonicity,
+                   dumps, validate_model)
 from oracles import (check_assumption_A_loop, check_assumption_B_loop,
                      check_monotonicity_loop, index_actions, kernel_from_rows,
                      validate_model_loop)
@@ -76,10 +75,9 @@ def small_models(draw):
             Mprime=None if wprime is None else draw(
                 st.sampled_from([1.0, 2.0])))
     model = CtmdpModel(
-        states=StateSpace(size=n, labels=labels, truncation_level=level),
         actions=index_actions(n_actions),
         kernel=kernel_from_rows(rows), r=rewards,
-        lyapunov=lyap)
+        lyapunov=lyap, labels=labels, truncation_level=level)
     policy = StationaryPolicy(choice=[draw(st.integers(0, k - 1))
                                       for k in n_actions])
     return model, policy
@@ -128,10 +126,9 @@ def chain(rows):
     """1-D model of one action per state, rows[x] its (target, rate) pairs."""
     n = len(rows)
     return CtmdpModel(
-        states=StateSpace(size=n, labels=tuple((x,) for x in range(n)),
-                          truncation_level=n - 1),
         actions=np.zeros((n, 1)),
-        kernel=kernel_from_rows([[row] for row in rows]), r=np.zeros(n))
+        kernel=kernel_from_rows([[row] for row in rows]), r=np.zeros(n),
+        labels=tuple((x,) for x in range(n)), truncation_level=n - 1)
 
 
 # zero-heavy rows: a tail sum is -0.0 only where every cell from k on holds
@@ -206,9 +203,8 @@ def test_nonfinite_exit_rate_on_any_action_flags_stable_rates(case, data):
         model.n_actions(s))] for s in range(model.n)]
     rows[x][0] = [(y, r) for y, r in rows[x][0] if y != x] + [(x, -1.0)]
     rows[x][a] = [(y, r) for y, r in rows[x][a] if y != x] + [(x, bad)]
-    model = CtmdpModel(states=model.states, actions=model.actions,
-                       kernel=kernel_from_rows(rows), r=model.r,
-                       lyapunov=model.lyapunov)
+    model = CtmdpModel(actions=model.actions, kernel=kernel_from_rows(rows),
+                       r=model.r, lyapunov=model.lyapunov)
     report = validate_model(model)
     assert {"check": "stable_rates", "x": x, "a": None, "y": None,
             "slack": None} in report.violations

@@ -26,7 +26,6 @@ def restrict_to_policy(model, f):
     rows = [[list(zip(ys.tolist(), rates.tolist())) for ys, rates in per]
             for per in rows]
     return ctmdp.CtmdpModel(
-        states=model.states,
         actions=model.actions[model.kernel.starts + f.choice],
         kernel=oracles.kernel_from_rows(rows),
         r=model.r[model.kernel.starts + f.choice],
@@ -100,7 +99,6 @@ def test_discounted_policy_is_greedy_at_the_returned_h(monkeypatch, name,
 def test_tie_breaking_prefers_lowest_index():
     # two identical actions everywhere: the argmax must pick index 0
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=[[0.0], [1.0]] * 2,
         kernel=oracles.kernel_from_rows([
             [[(0, -1.0), (1, 1.0)], [(0, -1.0), (1, 1.0)]],

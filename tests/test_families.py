@@ -101,11 +101,11 @@ def test_tandem_weight_value():
 def test_tandem_transitions():
     m = build("tandem", {"N": 3, "G": 2})
     assert validate_model(m).ok
-    idx = {lab: i for i, lab in enumerate(m.states.labels)}
+    idx = {lab: i for i, lab in enumerate(m.labels)}
     x = idx[(1, 1)]
     a1, a2 = m.actions[m.pair_index(x, 0)]
     ys, rates = m.kernel.row(x, 0)
-    got = {m.states.labels[y]: r for y, r in zip(ys.tolist(), rates.tolist())}
+    got = {m.labels[y]: r for y, r in zip(ys.tolist(), rates.tolist())}
     assert got[(2, 1)] == pytest.approx(1.0)        # arrival
     assert got[(0, 2)] == pytest.approx(a1)         # stage-1 completion
     assert got[(1, 0)] == pytest.approx(a2)         # departure

@@ -52,8 +52,8 @@ def test_reward_bound_violation_reported():
     lyap = m.lyapunov
     shrunk = ctmdp.LyapunovData(w=lyap.w, c=lyap.c, b=lyap.b, M=1e-6,
                                 M_q=lyap.M_q)
-    m2 = ctmdp.CtmdpModel(states=m.states, actions=m.actions, kernel=m.kernel,
-                          r=m.r, lyapunov=shrunk)
+    m2 = ctmdp.CtmdpModel(actions=m.actions, kernel=m.kernel, r=m.r,
+                          lyapunov=shrunk)
     rep = check_assumption_B(m2)
     assert not rep.check("reward_bound").passed
 
@@ -72,7 +72,6 @@ def test_monotonicity_violation_detected():
     # two states whose jump targets are reversed: from 0 you jump up,
     # from 1 you jump down with a much larger tail mass
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=3),
         actions=np.zeros((3, 1)),
         kernel=oracles.kernel_from_rows([
             [[(0, -5.0), (2, 5.0)]],

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import struct
 
 import numpy as np
@@ -6,16 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (CtmdpModel, ModelError, RateKernel, StateSpace,
-                   StationaryPolicy, model_from_dict, validate_model,
-                   weighted_norm)
+from ctmdp import (CtmdpModel, ModelError, RateKernel, StationaryPolicy,
+                   model_from_dict, validate_model, weighted_norm)
+from ctmdp.cli import run
 
 from oracles import kernel_from_rows
 
 
 def two_state_model(rate01=1.0, rate10=2.0, r0=1.0, r1=0.0):
     return CtmdpModel(
-        states=StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, -rate01), (1, rate01)]],
                                  [[(0, rate10), (1, -rate10)]]]),
@@ -29,7 +31,6 @@ def test_validate_accepts_conservative_rows():
 
 def test_validate_rejects_negative_offdiagonal():
     m = CtmdpModel(
-        states=StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, 1.0), (1, -1.0)]],
                                  [[(0, 2.0), (1, -2.0)]]]),
@@ -44,7 +45,6 @@ def test_validate_rejects_negative_offdiagonal():
 
 def test_validate_rejects_nonzero_row_sum():
     m = CtmdpModel(
-        states=StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=kernel_from_rows([[[(0, -1.0), (1, 1.5)]],
                                  [[(0, 2.0), (1, -2.0)]]]),
@@ -87,14 +87,30 @@ def test_weighted_norm_cases():
         weighted_norm([1.0], [0.5])
 
 
-def test_mismatched_tables_rejected():
-    with pytest.raises(ModelError):
-        CtmdpModel(
-            states=StateSpace(size=2),
-            actions=np.zeros((1, 1)),
-            kernel=kernel_from_rows([[[(0, 0.0)]]]),
-            r=[0.0],
-        )
+@pytest.mark.parametrize("states, labels, message", [
+    (0, None, "state space must contain at least one state"),
+    (2, [[0], [1], [2]], "label count does not match state count"),
+    (2, [0, [0]], "state labels must be pairwise distinct"),
+], ids=["no_states", "label_count", "labels_repeat"])
+def test_state_space_refusals(tmp_path, states, labels, message):
+    # the kernel counts the states; labels are checked against its count
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        CtmdpModel(actions=np.zeros((states, 1)),
+                   kernel=kernel_from_rows([[[(x, 0.0)]] for x in
+                                            range(states)]),
+                   r=np.zeros(states), labels=labels)
+    doc = {"kind": "explicit", "states": states,
+           "actions": [[[0.0]]] * states, "labels": labels,
+           "rates": [{"x": x, "a": 0, "entries": []} for x in range(states)],
+           "rewards": [{"x": x, "a": 0, "r": 0.0} for x in range(states)]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(["validate", "--model", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == \
+        (2, "", f"ctmdp: error: {message}\n")
 
 
 def test_kernel_rows_are_views_of_the_pair_csr():
@@ -160,8 +176,7 @@ def test_kernel_rejects_duplicate_target():
 ])
 def test_model_names_first_structural_offender(rows, rewards, message):
     with pytest.raises(ModelError, match=message):
-        CtmdpModel(states=StateSpace(size=3),
-                   actions=[[0.0], [0.0], [1.0], [0.0]],
+        CtmdpModel(actions=[[0.0], [0.0], [1.0], [0.0]],
                    kernel=kernel_from_rows(rows), r=rewards)
 
 
@@ -179,24 +194,22 @@ def test_model_names_first_structural_offender(rows, rewards, message):
 ])
 def test_model_names_first_bad_action_set(rows, actions, message):
     with pytest.raises(ModelError, match=message):
-        CtmdpModel(states=StateSpace(size=3), actions=actions,
-                   kernel=kernel_from_rows(rows),
+        CtmdpModel(actions=actions, kernel=kernel_from_rows(rows),
                    r=[0.0] * sum(map(len, rows)))
 
 
 def test_model_refuses_actions_of_differing_lengths():
     # numpy's conversion used to fail with a ValueError
     with pytest.raises(ModelError, match="actions must all have one length"):
-        CtmdpModel(states=StateSpace(size=2), actions=[[0.0], [0.0, 1.0]],
-                   kernel=two_state_model().kernel, r=[0.0, 0.0])
+        CtmdpModel(actions=[[0.0], [0.0, 1.0]], kernel=two_state_model().kernel,
+                   r=[0.0, 0.0])
 
 
 @pytest.mark.parametrize("r", [[0.0], [0.0, 1.0, 2.0], [[0.0], [1.0]], 0.0])
 def test_rewards_are_one_array_over_the_pairs(r):
     with pytest.raises(ModelError, match=r"reward count mismatch: r has "
                        r"shape \(.*\) for 2 \(state, action\) pairs"):
-        CtmdpModel(states=StateSpace(size=2),
-                   actions=np.zeros((2, 1)),
+        CtmdpModel(actions=np.zeros((2, 1)),
                    kernel=two_state_model().kernel, r=r)
     m = two_state_model(r0=1, r1=-2)
     assert m.r.dtype == np.float64 and m.r.tolist() == [1.0, -2.0]
@@ -231,8 +244,8 @@ def test_truncation_always_validates(N):
 def test_tandem_grid_cardinality():
     m = ctmdp.build("tandem", {"N": 10, "G": 2})
     assert m.n == 121
-    assert m.states.labels[0] == (0, 0)
-    assert m.states.labels[-1] == (10, 10)
+    assert m.labels[0] == (0, 0)
+    assert m.labels[-1] == (10, 10)
 
 
 def test_pair_arrays_consistent_with_rows():
@@ -294,7 +307,6 @@ def read_actions(sets, k):
            "rewards": [{"x": x, "a": a, "r": 0.0} for x, a in pairs]}
     yield lambda: model_from_dict(doc)
     yield lambda: CtmdpModel(
-        states=StateSpace(size=len(sets)),
         actions=np.array([v for acts in sets for v in acts],
                          dtype=np.float64).reshape(len(pairs), k),
         kernel=RateKernel(list(map(len, sets)), [1] * len(pairs),
@@ -442,13 +454,24 @@ def test_every_start_route_takes_a_numpy_integer(route):
     (lambda: ctmdp.certify_upper(MMN0, 0.0, PROBE[:, None]), "u"),
     (lambda: ctmdp.delta(MMN0, -1, ZERO, PROBE, 0.0), "x"),
     (lambda: ctmdp.delta(MMN0, 99, 0, PROBE, 0.0), "x"),
+    # the action raised IndexError, or a fraction or bool read action 1
+    (lambda: ctmdp.delta(MMN0, 2, 5, PROBE, 0.0), "f"),
+    (lambda: ctmdp.delta(MMN0, 2, -1, PROBE, 0.0), "f"),
+    (lambda: ctmdp.delta(MMN0, 2, 1.5, PROBE, 0.0), "f"),
+    (lambda: ctmdp.delta(MMN0, 2, True, PROBE, 0.0), "f"),
+    # a certificate at tol inf passed every residual, at NaN or -1 none
+    (lambda: ctmdp.certify_upper(MMN0, 0.0, PROBE, tol=np.inf), "tol"),
+    (lambda: ctmdp.certify_lower(MMN0, 0.0, PROBE, ZERO, tol=np.nan), "tol"),
+    (lambda: ctmdp.certify_upper(MMN0, 0.0, PROBE, tol=-1.0), "tol"),
 ], ids=["x0", "levels", "checkpoints_distinct", "checkpoints_order", "reps",
         "checkpoints_end", "x0b", "horizon", "seed", "ragged_matrix",
         "ragged_q", "matrix_not_square", "matrix_inadmissible",
         "masses", "checkpoints_empty", "masses_negative", "u_length",
         "reps_fraction_average", "reps_fraction_lyapunov", "seed_fraction",
         "levels_fraction", "u_short_certificate", "u_column_certificate",
-        "delta_x_negative", "delta_x_beyond"])
+        "delta_x_negative", "delta_x_beyond", "delta_action_beyond",
+        "delta_action_negative", "delta_action_fraction", "delta_action_bool",
+        "tol_inf", "tol_nan", "tol_negative"])
 def test_argument_refusals_name_their_field(call, field):
     with pytest.raises(ModelError) as info:
         call()

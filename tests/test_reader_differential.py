@@ -75,7 +75,7 @@ def contents(m):
             m.kernel.data.tobytes(), m.kernel.counts.tobytes(),
             m.r.tobytes(),
             m.actions.shape, m.actions.tobytes(),
-            m.states.labels,
+            m.labels,
             None if lyap is None else (
                 lyap.w.tobytes(),
                 None if lyap.wprime is None else lyap.wprime.tobytes(),

@@ -40,7 +40,6 @@ def test_different_seeds_differ(mm20):
 
 def test_absorbing_state_single_segment():
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=1),
         actions=np.zeros((1, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]]]),
         r=[3.0],
@@ -88,8 +87,7 @@ def test_jump_frequencies_match_rates():
 
 def test_average_reward_constant_is_exact(mm20):
     flat_r = ctmdp.CtmdpModel(
-        states=mm20.states, actions=mm20.actions, kernel=mm20.kernel,
-        r=np.full(mm20.n_pairs, 2.0),
+        actions=mm20.actions, kernel=mm20.kernel, r=np.full(mm20.n_pairs, 2.0),
     )
     rep = estimate_average_reward(flat_r, zero_policy(mm20), 0, 100.0, 5,
                                   seed=1)
@@ -134,8 +132,7 @@ def test_explosion_guard_raises(monkeypatch):
 def test_lyapunov_bound_trivial_weight(mm20):
     lyap = ctmdp.LyapunovData(w=np.ones(mm20.n), c=1.0, b=1.0, M=3.0,
                               M_q=5.0)
-    m = ctmdp.CtmdpModel(states=mm20.states, actions=mm20.actions,
-                         kernel=mm20.kernel, r=mm20.r,
+    m = ctmdp.CtmdpModel(actions=mm20.actions, kernel=mm20.kernel, r=mm20.r,
                          lyapunov=lyap)
     rep = check_lyapunov_bound(m, zero_policy(m), 0, [0.5, 1.0, 2.0], 10,
                                seed=3)
@@ -147,8 +144,8 @@ def test_checkpoint_estimates_refuse_a_single_replication(mm20):
     f, probe = zero_policy(mm20), np.arange(mm20.n, dtype=float)
     lyap = ctmdp.LyapunovData(w=np.ones(mm20.n), c=1.0, b=1.0, M=3.0,
                               M_q=5.0)
-    m = ctmdp.CtmdpModel(states=mm20.states, actions=mm20.actions,
-                         kernel=mm20.kernel, r=mm20.r, lyapunov=lyap)
+    m = ctmdp.CtmdpModel(actions=mm20.actions, kernel=mm20.kernel, r=mm20.r,
+                         lyapunov=lyap)
     for estimate in (
             lambda reps: check_lyapunov_bound(m, f, 0, [1.0], reps, seed=3),
             lambda reps: estimate_ergodicity(mm20, f, [probe], (0, 1),
@@ -316,7 +313,6 @@ def test_redistribution_process_refuses_tabulated_estimates():
 
 def test_ergodicity_no_mixing_flagged():
     m = ctmdp.CtmdpModel(
-        states=ctmdp.StateSpace(size=2),
         actions=np.zeros((2, 1)),
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]], [[(1, 0.0)]]]),
         r=[1.0, 0.0],

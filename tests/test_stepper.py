@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctmdp
-from ctmdp import (CtmdpModel, PotlachPolicy, StateSpace,
-                   StationaryPolicy, estimate_average_reward, simulate_path)
+from ctmdp import (CtmdpModel, PotlachPolicy, StationaryPolicy,
+                   estimate_average_reward, simulate_path)
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run
 from oracles import (index_actions, kernel_from_rows,
@@ -58,7 +58,6 @@ def explicit_models(draw):
         rows.append(per_state)
         rewards.extend(draw(st.floats(-3.0, 3.0)) for _ in per_state)
     model = CtmdpModel(
-        states=StateSpace(size=n),
         actions=index_actions(map(len, rows)),
         kernel=kernel_from_rows(rows), r=rewards)
     f = StationaryPolicy(choice=[draw(st.integers(0, len(per_state) - 1))
@@ -145,8 +144,7 @@ def assert_jumps_match_reference(model, f, states):
 
 def explicit_model(rows):
     """One action per state, rows[x] = the (target, rate) entries of x."""
-    return (CtmdpModel(states=StateSpace(size=len(rows)),
-                       actions=np.zeros((len(rows), 1)),
+    return (CtmdpModel(actions=np.zeros((len(rows), 1)),
                        kernel=kernel_from_rows([[row] for row in rows]),
                        r=np.zeros(len(rows))),
             StationaryPolicy(choice=[0] * len(rows)))
@@ -267,7 +265,7 @@ def test_top_uniform_draw_lands_on_last_positive_target():
     assert (np.cumsum(rates) / np.sum(rates))[-1] < 1.0
     row = list(enumerate(rates + [0.0], start=1))      # trailing zero rate
     model = CtmdpModel(
-        states=StateSpace(size=11), actions=np.zeros((11, 1)),
+        actions=np.zeros((11, 1)),
         kernel=kernel_from_rows([[[(0, -sum(rates))] + row]]
                                 + [[[(x, 0.0)]] for x in range(1, 11)]),
         r=np.zeros(11))

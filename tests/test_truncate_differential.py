@@ -124,7 +124,8 @@ def assert_same_model(new, ref):
     assert canonical_bytes(new.r) == canonical_bytes(ref.r)
     assert new.actions.shape == ref.actions.shape
     assert new.actions.tobytes() == ref.actions.tobytes()
-    assert new.states == ref.states
+    assert (new.labels, new.truncation_level) == \
+        (ref.labels, ref.truncation_level)
     assert (new.lyapunov is None) == (ref.lyapunov is None)
     if ref.lyapunov is not None:
         for name, value in vars(ref.lyapunov).items():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import ctmdp
-from ctmdp import (StationaryPolicy, certify_lower, certify_upper, delta,
-                   martingale_diagnostic, solve_average)
+from ctmdp import (ModelError, StationaryPolicy, certify_lower, certify_upper,
+                   delta, martingale_diagnostic, solve_average)
 
 import oracles
 
@@ -75,8 +75,15 @@ def test_delta_matches_loop_bit_for_bit(name, params):
                    + oracles.generator_apply_loop(m, u, x, a) - 0.37)
             assert np.float64(delta(m, x, a, u, 0.37)).tobytes() == \
                 np.float64(ref).tobytes()
-        with pytest.raises(IndexError, match="out of range"):
+        with pytest.raises(ModelError, match="^f must be in "):
             delta(m, x, m.n_actions(x), u, 0.37)
+
+
+def test_delta_refuses_a_policy_of_another_length(solved):
+    m, sol = solved
+    with pytest.raises(ModelError, match="^policy length"):
+        delta(m, 2, StationaryPolicy(choice=sol.policy.choice[:2]), sol.h,
+              sol.gain)
 
 
 def test_martingale_flat_at_optimum(solved):
