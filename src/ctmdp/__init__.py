@@ -11,8 +11,8 @@ from .lyapunov import (DriftReport, check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
 from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
                     NumericError, RateKernel, StationaryPolicy,
-                    ValidationReport, boundary_states, truncate,
-                    validate_model, weighted_norm)
+                    ValidationReport, boundary_states, require_valid,
+                    truncate, validate_model, weighted_norm)
 from .modelio import FORMAT_VERSION, dumps, model_from_dict, model_to_dict
 from .simulate import (CheckpointReport, ErgodicityReport, PathRecorder,
                        SimulationError, SimulationReport,

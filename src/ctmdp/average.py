@@ -24,10 +24,11 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from . import families
 from .discounted import (ConvergenceError, _greedy, _vi_relative,
                          check_positive, extract_policy)
 from .model import (CtmdpModel, ModelError, NumericError, Report,
-                    StationaryPolicy, is_integer, weighted_norm)
+                    StationaryPolicy, is_integer, require_valid, weighted_norm)
 
 ENUMERATION_LIMIT = 10 ** 6
 POLICY_ROUNDS = 200
@@ -327,16 +328,16 @@ class SensitivityReport(Report):
     stable: bool
 
 
-def truncation_sensitivity(builder, params: dict, levels,
+def truncation_sensitivity(name: str, params: dict, levels,
                            schedule: Optional[VanishingSchedule] = None,
                            tol: float = 1e-8, x0: int = 0) -> SensitivityReport:
-    """Gain stability of a builtin family across truncation levels.
+    """Gain stability of builtin family `name` across truncation levels.
 
-    `builder` maps a params dict (with the level substituted under "N")
-    to a model; `levels` must hold two distinct integer levels at least,
-    and repeats are dropped. The h comparison covers the states of the
-    smaller level whose every coordinate lies in its lower half, matched
-    by label.
+    Each level is `params` with the level substituted under "N"; `levels`
+    must hold two distinct integer levels at least, and repeats are
+    dropped. Every level is built and validated before any is solved. The
+    h comparison covers the states of the smaller level whose every
+    coordinate lies in its lower half, matched by label.
     """
     check_positive(tol=tol)
     if not all(map(is_integer, levels)):
@@ -346,11 +347,11 @@ def truncation_sensitivity(builder, params: dict, levels,
     if len(levels) < 2:
         raise ModelError(f"levels must list at least two distinct "
                          f"truncation levels, got {levels}", field="levels")
-    runs = []
-    for N in levels:
-        model = builder(dict(params, N=N))
-        runs.append((model, solve_average(model, schedule=schedule, tol=tol,
-                                          x0=x0)))
+    models = [families.build(name, dict(params, N=N)) for N in levels]
+    for model in models:
+        require_valid(model)
+    runs = [(model, solve_average(model, schedule=schedule, tol=tol, x0=x0))
+            for model in models]
     gains = [s.gain for _, s in runs]
     gaps = [abs(b - a) for a, b in zip(gains, gains[1:])]
     h_gaps = []

@@ -52,13 +52,11 @@ from .families import PotlachPolicy, PotlachProcess
 from .lyapunov import (check_assumption_A, check_assumption_B,
                        check_example_conditions, check_monotonicity)
 from .model import (CtmdpModel, ModelError, NumericError, StationaryPolicy,
-                    typed, validate_model)
+                    require_valid, typed, validate_model)
 from .modelio import dumps
 from .simulate import (check_lyapunov_bound, estimate_average_reward,
                        estimate_ergodicity)
 from .verify import certify_lower, certify_upper, martingale_diagnostic
-
-FORMAT_VERSION = modelio.FORMAT_VERSION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,23 +175,12 @@ def _model_document(args) -> dict:
     return doc
 
 
-def _require_tabulated(model):
+def _valid_tabulated_model(args):
+    model = modelio.model_from_dict(_model_document(args))
     if not isinstance(model, CtmdpModel):
         raise ModelError("this subcommand needs a tabulated model; the "
                          "continuous-state builtin is simulation-only")
-    return model
-
-
-def _validate_or_die(model: CtmdpModel):
-    rep = validate_model(model)
-    if not rep.ok:
-        raise ModelError("model fails validation: "
-                         + dumps(rep.to_dict()).strip())
-
-
-def _valid_tabulated_model(args):
-    model = _require_tabulated(modelio.model_from_dict(_model_document(args)))
-    _validate_or_die(model)
+    require_valid(model)
     return model
 
 
@@ -229,12 +216,13 @@ def _write(args, payload: dict) -> None:
 
 
 def _emit(args, report) -> None:
-    _write(args, {"format_version": FORMAT_VERSION, "config": args.config,
-                  "report": report})
+    _write(args, {"format_version": modelio.FORMAT_VERSION,
+                  "config": args.config, "report": report})
 
 
 def _emit_error(args, exc: NumericError) -> None:
-    _write(args, {"format_version": FORMAT_VERSION, "config": args.config,
+    _write(args, {"format_version": modelio.FORMAT_VERSION,
+                  "config": args.config,
                   "error": {"type": type(exc).__name__, **exc.to_dict()}})
 
 
@@ -316,13 +304,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    params = _model_document(args)["params"]
-    levels = _comma_list(args, "--levels", int)
-
-    def builder(p):
-        return _require_tabulated(families.build(args.builtin, p))
-
-    rep = truncation_sensitivity(builder, params, levels,
+    rep = truncation_sensitivity(args.builtin, _model_document(args)["params"],
+                                 _comma_list(args, "--levels", int),
                                  schedule=_schedule(args), tol=args.tol,
                                  x0=args.x0)
     _emit(args, rep)
@@ -368,7 +351,7 @@ def _cmd_simulate(args) -> int:
             raise ModelError("the continuous-state builtin supports "
                              "--mode lyapunov only")
     else:
-        _validate_or_die(model)
+        require_valid(model)
         f = modelio.policy_from_dict(pol_doc, model)
         x0 = typed(x0, int, "--x0 (a state index)")
 

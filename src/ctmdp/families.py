@@ -1,9 +1,8 @@
 """Builtin parametric model families, one `FamilySpec` each in `BUILTINS`.
 
 `resolve` is the only reader of raw params. A builder takes resolved params
-and returns a validated `CtmdpModel` on a truncated state space (or, for
-the continuous-state redistribution process, a simulation generator), with
-the Lyapunov data pre-populated.
+and returns a `CountableFamily`, its raw rows and Lyapunov data, which only
+`build` truncates at N (or the continuous-state process, a simulator).
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
-                    pairs, truncate, typed)
+from .model import (CountableFamily, LyapunovData, ModelError, pairs,
+                    truncate, typed)
 
 DEFAULT_GRID = 11
 
@@ -42,7 +41,7 @@ class FamilySpec:
 
     name: str
     params: tuple              # Param, in resolution order
-    build: Callable            # resolved params -> model (or process)
+    build: Callable            # params -> family or process; `build` truncates
     conditions: Callable       # resolved params -> [(name, slack, detail)]
     condition_text: tuple      # the conditions as `describe` lists them
     notes: dict = field(default_factory=dict)   # more describe-only text
@@ -149,7 +148,7 @@ def _first_max(start, values: np.ndarray):
     return above.max() if len(above) else start
 
 
-def _birth_death(s: dict) -> CtmdpModel:
+def _birth_death(s: dict) -> CountableFamily:
     """Controlled birth-death population: constant birth rate, chosen death
     rate a in [mu1, mu2], deaths of size one or two with split (p2, p1)."""
     lam, mu1, mu2, p1, p = (s[k] for k in ("lambda", "mu1", "mu2", "p1", "p"))
@@ -165,14 +164,13 @@ def _birth_death(s: dict) -> CtmdpModel:
                        np.where(x == 0, lam, lam * x), p1 * a * x),
                 _slots(x >= 1, True, (x >= 2) & (p1 > 0)))
 
-    fam = CountableFamily(
+    return CountableFamily(
         dim=1,
         actions=lambda lab: acts,
         entries=entries,
         reward=lambda X, A: p * X[:, 0] - rc(X[:, 0], A[:, 0]),
         lyapunov=_linear_lyapunov(lam, mu1, mu2, p + M_tilde + 1e-12),
     )
-    return truncate(fam, s["N"])
 
 
 def _birth_death_conditions(s: dict) -> list:
@@ -192,7 +190,7 @@ def _birth_death_conditions(s: dict) -> list:
 
 # -- upwardly skip-free process (catastrophes of size one and two) -----------
 
-def _skip_free(s: dict) -> CtmdpModel:
+def _skip_free(s: dict) -> CountableFamily:
     """Birth-death process with controlled immigration a1 in [0, b] and
     catastrophe intensity d(x, a2) = 2*a2*x, a2 in [b, beta]."""
     lam, mu, tau, p, q1, q2, kappa_c, gamma2 = (s[k] for k in (
@@ -237,7 +235,7 @@ def _skip_free(s: dict) -> CtmdpModel:
     fam = CountableFamily(dim=1, actions=lambda lab: acts if lab[0] else
                           at_zero, entries=entries, reward=reward,
                           lyapunov=lyapunov)
-    return truncate(fam, s["N"])
+    return fam
 
 
 def _fit_constants(x, targets, rates, present, r, c):
@@ -293,7 +291,7 @@ def tandem_weight(x1: int, x2: int) -> float:
             * s2 ** (-TANDEM_BETA2 * (x1 + x2 - 1)))
 
 
-def _tandem(s: dict) -> CtmdpModel:
+def _tandem(s: dict) -> CountableFamily:
     """Two exponential queues in series, unit arrival rate, controlled
     service rates (a1, a2); reward must come from a bounded named spec."""
     throughput = s["reward"]["kind"] == "throughput"
@@ -329,14 +327,13 @@ def _tandem(s: dict) -> CtmdpModel:
                             M_q=(1.0 + s["mu1star"] + s["mu2star"])
                             / float(np.min(w)) + 1e-9)
 
-    fam = CountableFamily(dim=2, actions=lambda lab: acts, entries=entries,
-                          reward=reward, lyapunov=lyapunov)
-    return truncate(fam, s["N"])
+    return CountableFamily(dim=2, actions=lambda lab: acts, entries=entries,
+                           reward=reward, lyapunov=lyapunov)
 
 
 # -- M/M/N/0 loss system -----------------------------------------------------
 
-def _mmn0(s: dict) -> CtmdpModel:
+def _mmn0(s: dict) -> CountableFamily:
     """Erlang loss queue with controlled service rate mu in [mu1, mu2];
     intrinsically finite on {0..N}, no truncation artifact."""
     lam, mu1, mu2, N = s["lambda"], s["mu1"], s["mu2"], s["N"]
@@ -348,12 +345,11 @@ def _mmn0(s: dict) -> CtmdpModel:
         return (_slots(x + 1, x - 1)[:, :, None], _slots(lam, A[:, 0] * x),
                 _slots(x < N, x > 0))
 
-    fam = CountableFamily(
+    return CountableFamily(
         dim=1, actions=lambda lab: acts if lab[0] else ((0.0,),),
         entries=entries,
         reward=lambda X, A: p * X[:, 0] - kappa * A[:, 0] * X[:, 0],
         lyapunov=_linear_lyapunov(lam, mu1, mu2, p + kappa * mu2 + 1e-12))
-    return truncate(fam, N)
 
 
 # -- continuous-state mass-redistribution (Potlach) process ------------------
@@ -517,8 +513,15 @@ def spec(name: str) -> FamilySpec:
 
 
 def build(name: str, params: dict):
+    """Builtin `name`: its family truncated at N, or the process."""
     family = spec(name)
-    return family.build(resolve(family, params))
+    s = resolve(family, params)
+    built = family.build(s)
+    if not isinstance(built, CountableFamily):
+        return built
+    # finite params can overflow a rate; validate_model reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return truncate(built, s["N"])
 
 
 def describe(name: str) -> dict:

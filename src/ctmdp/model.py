@@ -15,6 +15,7 @@ inputs and models are treated as immutable once validated.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
@@ -449,6 +450,14 @@ def validate_model(model: CtmdpModel) -> ValidationReport:
                    "y": y, "slack": slack}
                   for p, _, _, check, y, slack in found]
     return ValidationReport(ok=not violations, violations=violations)
+
+
+def require_valid(model: CtmdpModel) -> None:
+    """ModelError, with the validation report, unless `model` validates."""
+    rep = validate_model(model)
+    if not rep.ok:
+        raise ModelError("model fails validation: "
+                         + json.dumps(rep.to_dict(), sort_keys=True))
 
 
 def weighted_norm(u, w) -> float:

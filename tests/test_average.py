@@ -55,7 +55,7 @@ def test_tolerance_never_met_rejected(tol):
         solve_average(m, tol=tol)
     # refused before the first level is built
     with pytest.raises(ctmdp.ModelError, match="tol must be finite and > 0"):
-        truncation_sensitivity(None, MM20_PARAMS, [2, 3], tol=tol)
+        truncation_sensitivity("mmn0", MM20_PARAMS, [2, 3], tol=tol)
 
 
 def test_closed_form_gain_mm20():
@@ -291,9 +291,8 @@ def test_reducible_policy_gain_uses_recurrent_class():
 
 def test_truncation_sensitivity_stabilizes():
     params = {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2}
-    rep = truncation_sensitivity(
-        lambda p: ctmdp.build("birth_death", p), params, [10, 20, 40],
-        schedule=VanishingSchedule(steps=20))
+    rep = truncation_sensitivity("birth_death", params, [10, 20, 40],
+                                 schedule=VanishingSchedule(steps=20))
     assert rep.levels == [10, 20, 40]
     assert rep.stable
     assert rep.gaps[-1] <= 1e-6
@@ -303,24 +302,38 @@ def test_truncation_sensitivity_stabilizes():
 def test_truncation_sensitivity_needs_two_distinct_levels(levels):
     # each used to report "stable" from no gap, or from a gap of 0.0
     with pytest.raises(ctmdp.ModelError, match="two distinct"):
-        truncation_sensitivity(lambda p: ctmdp.build("birth_death", p),
+        truncation_sensitivity("birth_death",
                                {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2},
                                levels)
 
 
 def test_truncation_sensitivity_drops_repeated_levels():
-    rep = truncation_sensitivity(lambda p: ctmdp.build("birth_death", p),
+    rep = truncation_sensitivity("birth_death",
                                  {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2},
                                  [20, 10, 20])
     assert rep.levels == [10, 20]
     assert len(rep.gaps) == 1 and rep.gaps[0] > 0
 
 
+@pytest.mark.parametrize("name, params, levels", [
+    # lambda * x overflows at x = 2 on both levels
+    ("birth_death", {"lambda": 1e308, "mu1": 3, "mu2": 4, "G": 2}, [3, 4]),
+    # mu2 * x overflows at x = 2: level 1 validates, level 2 does not
+    ("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 1e308, "G": 2}, [1, 2])])
+def test_truncation_sensitivity_validates_every_level_before_solving(
+        monkeypatch, name, params, levels):
+    # these were solved with infinite rates
+    solved = []
+    monkeypatch.setattr(ctmdp.average, "solve_average",
+                        lambda model, **kw: solved.append(model))
+    with pytest.raises(ctmdp.ModelError, match="^model fails validation: "):
+        truncation_sensitivity(name, params, levels)
+    assert solved == []
+
+
 def test_truncation_sensitivity_aligns_2d_states_by_label():
-    def build(p):
-        return ctmdp.build("tandem", p)
-    rep = truncation_sensitivity(build, {"G": 2}, [4, 6])
-    small, large = build({"N": 4, "G": 2}), build({"N": 6, "G": 2})
+    rep = truncation_sensitivity("tandem", {"G": 2}, [4, 6])
+    small, large = (ctmdp.build("tandem", {"N": N, "G": 2}) for N in (4, 6))
     h_small, h_large = solve_average(small).h, solve_average(large).h
     index = {lab: i for i, lab in enumerate(large.labels)}
     # inner region: both queue lengths below half the 5-level grid

@@ -565,6 +565,22 @@ def test_cli_sensitivity_rejects_bad_levels(capsys):
     assert "--levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, params, levels, message", [
+    # lambda * x overflows at x = 2: this exited 1 with a ConvergenceError
+    # report, after solving a model with infinite rates
+    ("birth_death", '{"lambda":1e308,"mu1":3,"mu2":4,"G":2}', "3,4",
+     "model fails validation: "),
+    # the continuous-state builtin has no truncation level
+    ("potlach", '{"d":2,"lambda":2.0}', "2,3", "potlach: unknown field N")])
+def test_cli_sensitivity_refuses_a_level_it_cannot_solve(
+        capsys, name, params, levels, message):
+    assert run(["sensitivity", "--builtin", name, "--params", params,
+                "--levels", levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ctmdp: error: {message}")
+
+
 @pytest.mark.parametrize("levels", ["a,b", "30", "", "15,15"])
 def test_cli_sensitivity_rejects_levels_comparing_nothing(capsys, levels):
     # "30", "" and "15,15" used to report "stable" comparing nothing

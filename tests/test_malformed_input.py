@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,34 @@ def test_non_finite_solution_exits_2_naming_the_field(tmp_path, command,
     assert code == 2
     assert out.getvalue() == ""
     assert f"--solution '{field}' must be finite" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
+
+
+# finite params whose rates overflow float64 (lambda * x at x = 2)
+OVERFLOW = ["--builtin", "birth_death", "--params",
+            '{"lambda":1e308,"mu1":3,"mu2":4,"G":2,"N":4}']
+
+
+@pytest.mark.parametrize("command, code", [("validate", 1),
+                                           ("solve-average", 2)])
+def test_overflowing_builtin_reports_without_numpy_warnings(command, code):
+    # numpy's overflow warning used to reach stderr (a traceback under
+    # -W error::RuntimeWarning); here every warning is recorded, not raised
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("always")
+        assert run([command] + OVERFLOW) == code
+    assert [str(w.message) for w in caught] == []
+    if command == "validate":
+        violations = json.loads(out.getvalue())["report"]["primitives"][
+            "violations"]
+        assert {v["check"] for v in violations} >= {"finite_rate"}
+    else:
+        assert out.getvalue() == ""
+        assert "model fails validation: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
 

@@ -365,9 +365,7 @@ REDISTRIBUTION = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
 HALF = [[0.5, 0.5], [0.5, 0.5]]
 
 
-def mmn0_at(params):
-    return ctmdp.build("mmn0", dict({"lambda": 1, "mu1": 1.5, "mu2": 3,
-                                     "G": 2}, **params))
+MMN0_AT = {"lambda": 1, "mu1": 1.5, "mu2": 3, "G": 2}   # any level N
 
 
 # every start route, called with start x (the second start for x0b)
@@ -375,7 +373,7 @@ START_ROUTES = {
     "solve_average": lambda x: ctmdp.solve_average(MMN0, x0=x),
     "solve_discounted": lambda x: ctmdp.solve_discounted(MMN0, 0.5, x0=x),
     "truncation_sensitivity": lambda x: ctmdp.truncation_sensitivity(
-        mmn0_at, {}, [3, 4], x0=x),
+        "mmn0", MMN0_AT, [3, 4], x0=x),
     "estimate_average_reward": lambda x: ctmdp.estimate_average_reward(
         MMN0, ZERO, x, 5.0, 2, seed=1),
     "check_lyapunov_bound": lambda x: ctmdp.check_lyapunov_bound(
@@ -410,7 +408,7 @@ def test_every_start_route_takes_a_numpy_integer(route):
 
 @pytest.mark.parametrize("call, field", [
     (lambda: ctmdp.solve_average(MMN0, x0=99), "x0"),
-    (lambda: ctmdp.truncation_sensitivity(mmn0_at, {}, [3, 3]), "levels"),
+    (lambda: ctmdp.truncation_sensitivity("mmn0", MMN0_AT, [3, 3]), "levels"),
     (lambda: ctmdp.martingale_diagnostic(MMN0, ZERO, PROBE, 0.0, 0, [5.0],
                                          4, seed=1), "checkpoints"),
     (lambda: ctmdp.check_lyapunov_bound(MMN0, ZERO, 0, [2.0, 1.0], 4,
@@ -447,7 +445,8 @@ def test_every_start_route_takes_a_numpy_integer(route):
                                         seed=1), "reps"),
     (lambda: ctmdp.estimate_average_reward(MMN0, ZERO, 0, 1.0, 2, seed=1.5),
      "seed"),
-    (lambda: ctmdp.truncation_sensitivity(mmn0_at, {}, [3, 4.7]), "levels"),
+    (lambda: ctmdp.truncation_sensitivity("mmn0", MMN0_AT, [3, 4.7]),
+     "levels"),
     # a short u raised scipy's ValueError, a column u gave a residual
     # matrix, x = -1 read the last state and x = 99 raised IndexError
     (lambda: ctmdp.certify_lower(MMN0, 0.0, PROBE[:2], ZERO), "u"),
