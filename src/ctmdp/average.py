@@ -333,13 +333,18 @@ def truncation_sensitivity(name: str, params: dict, levels,
                            tol: float = 1e-8, x0: int = 0) -> SensitivityReport:
     """Gain stability of builtin family `name` across truncation levels.
 
-    Each level is `params` with the level substituted under "N"; `levels`
-    must hold two distinct integer levels at least, and repeats are
-    dropped. Every level is built and validated before any is solved. The
-    h comparison covers the states of the smaller level whose every
-    coordinate lies in its lower half, matched by label.
+    Each level is `params` with the level set as "N", so `params` must not
+    give N; `levels` must hold two distinct integer levels at least, each
+    in the family's range of N, and repeats are dropped. Every level is
+    built and validated before any is solved. The h comparison covers the
+    states of the smaller level whose every coordinate lies in its lower
+    half, matched by label.
     """
     check_positive(tol=tol)
+    if "N" in params:
+        raise ModelError(f"params must not give N, which each of the "
+                         f"levels sets; got N = {params['N']!r}",
+                         field="params")
     if not all(map(is_integer, levels)):
         raise ModelError(f"levels must be integers, got {list(levels)}",
                          field="levels")
@@ -347,7 +352,15 @@ def truncation_sensitivity(name: str, params: dict, levels,
     if len(levels) < 2:
         raise ModelError(f"levels must list at least two distinct "
                          f"truncation levels, got {levels}", field="levels")
-    models = [families.build(name, dict(params, N=N)) for N in levels]
+    models = []
+    for N in levels:
+        try:
+            models.append(families.build(name, dict(params, N=N)))
+        except ModelError as exc:
+            # resolve names the family and the field at fault
+            if str(exc).startswith(f"{name}: N "):
+                raise ModelError(f"levels: {exc}", field="levels") from None
+            raise
     for model in models:
         require_valid(model)
     runs = [(model, solve_average(model, schedule=schedule, tol=tol, x0=x0))

@@ -36,7 +36,15 @@ rows, and a sentinel x at 1 closing row x, by x * width + rank in one
 sorted array: a jump is the target of the first key >= x * width + p,
 found by binary search, or by one gather from a table of every (x, p)
 built once per chain (Chen and Asau 1974) where n * width is at most
-JUMP_TABLE_CELLS. Memory is linear in the stored entries, the table aside.
+JUMP_TABLE_CELLS. The ranks lie in 0..B-1 for the B = width - 1 cuts, as
+u < 1, the last cut. Where that table fits, a second one, composed from
+it once per chain, gives the state after k jumps for every x and run of
+k ranks read as one base-B number c: k is the largest power of two up to
+FIRST_BLOCK with n * B**k at most JUMP_TABLE_CELLS. A block then takes
+one gather per k jumps and fills the k - 1 states inside every group with
+k - 1 one-step gathers over the whole block; a block whose length is not
+a multiple of k takes one jump per gather. Memory is linear in the
+stored entries, the tables aside.
 """
 
 from __future__ import annotations
@@ -108,7 +116,10 @@ class _PolicyChain:
     does not move keeps only its sentinel). to[e] is entry e's target times
     `width`, key[e] = x * width + the rank of its normalized running sum,
     and `next` tabulates the first entry of row x ranked >= p for every
-    (x, p), unless that takes more than JUMP_TABLE_CELLS cells."""
+    (x, p), unless that takes more than JUMP_TABLE_CELLS cells. Then
+    next_k[x * stride + c] is the target after the k jumps whose ranks
+    read c in base B, times stride = B**k; next_k is next, and stride is
+    width, for k = 1."""
 
     n_draws = 2
 
@@ -143,8 +154,9 @@ class _PolicyChain:
         W = self.width = len(self.cuts) + 1
         self.to = to * W
         self.key = rows * W + self.cuts.searchsorted(run)
+        self.k, self.stride = 1, W
         if n * W > JUMP_TABLE_CELLS:
-            self.next = None
+            self.next = self.next_k = None
             return
         # the first entry of row x ranked >= p follows every entry keyed
         # below x * W + p; p = W - 1 (u above every cut, never drawn) would
@@ -152,22 +164,47 @@ class _PolicyChain:
         first = np.bincount(self.key + 1, minlength=n * W)
         np.cumsum(first, out=first)
         first[W - 1::W] -= 1
-        self.next = self.to[first]
+        self.next = self.next_k = self.to[first]
+        B = W - 1
+        while (2 * self.k <= FIRST_BLOCK
+               and n * B ** (2 * self.k) <= JUMP_TABLE_CELLS):
+            self.k *= 2
+        if self.k == 1:
+            return
+        # the states after each run of k ranks, the first rank outermost
+        ends = np.arange(0, n * W, W)[:, None]
+        for _ in range(self.k):
+            ends = self.next.take(ends[..., None] + np.arange(B)).reshape(n, -1)
+        self.stride = B ** self.k
+        self.next_k = (ends // W * self.stride).ravel()
 
     def start(self, x0, reps: int) -> np.ndarray:
         return np.full(reps, self.model.check_state(x0), dtype=np.int64)
 
     def walk(self, x, draws) -> np.ndarray:
         """States before and after each jump of a block, (G, L + 1)."""
-        S = np.empty((draws.shape[2] + 1, len(x)), dtype=np.int64)
-        lookup = (self.next.take if self.next is not None else
+        L, W = draws.shape[2], self.width
+        k, stride, table = self.k, self.stride, self.next_k
+        if L % k:
+            k, stride, table = 1, W, self.next
+        lookup = (table.take if table is not None else
                   lambda xWp: self.to.take(self.key.searchsorted(xWp)))
-        # xW = x * width, p = the cuts below u: the next state is entry
-        # xW + p of the table, or the target of the first key >= xW + p
-        xW = S[0] = x * self.width
-        for j, p in enumerate(self.cuts.searchsorted(draws[1]).T):
-            xW = S[j + 1] = lookup(xW + p)
-        S //= self.width
+        # p = the cuts below u, and c = each group of k ranks read as one
+        # base-B number: the state after the group is entry x * stride + c
+        # of the table, or for k = 1 without one the target of the first
+        # key >= x * W + p
+        p = self.cuts.searchsorted(draws[1]).T
+        B = len(self.cuts)
+        c = B ** np.arange(k - 1, -1, -1) @ p.reshape(L // k, k, -1)
+        S = np.empty((L + 1, len(x)), dtype=np.int64)
+        ends = S[::k]
+        xs = ends[0] = x * stride
+        for j, cj in enumerate(c):
+            xs = ends[j + 1] = lookup(xs + cj)
+        ends //= stride
+        # then the k - 1 states inside every group, one jump at a time
+        for i in range(1, k):
+            S[i::k] = self.next.take(S[i - 1:-1:k] * W + p[i - 1::k]) // W
         return S.T
 
     def exit_rate(self, S) -> np.ndarray:

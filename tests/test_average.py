@@ -307,6 +307,16 @@ def test_truncation_sensitivity_needs_two_distinct_levels(levels):
                                levels)
 
 
+@pytest.mark.parametrize("params, levels, field", [
+    ({"lambda": 1, "mu1": 3, "mu2": 4, "G": 2}, [2, 4], "levels"),
+    ({"lambda": 1, "mu1": 3, "mu2": 4, "G": 2, "N": 99}, [3, 4], "params")])
+def test_truncation_sensitivity_refusals_name_what_sets_n(params, levels,
+                                                           field):
+    with pytest.raises(ctmdp.ModelError, match=f"^{field}") as err:
+        truncation_sensitivity("birth_death", params, levels)
+    assert err.value.field == field
+
+
 def test_truncation_sensitivity_drops_repeated_levels():
     rep = truncation_sensitivity("birth_death",
                                  {"lambda": 1, "mu1": 3, "mu2": 4, "G": 2},

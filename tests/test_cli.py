@@ -571,7 +571,13 @@ def test_cli_sensitivity_rejects_bad_levels(capsys):
     ("birth_death", '{"lambda":1e308,"mu1":3,"mu2":4,"G":2}', "3,4",
      "model fails validation: "),
     # the continuous-state builtin has no truncation level
-    ("potlach", '{"d":2,"lambda":2.0}', "2,3", "potlach: unknown field N")])
+    ("potlach", '{"d":2,"lambda":2.0}', "2,3", "potlach: unknown field N"),
+    # a level below the family's least N was refused naming N, not the flag
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"G":2}', "1,4",
+     "--levels: birth_death: N must be >= 3, got 1\n"),
+    # an N in --params was ignored, and echoed in config.model
+    ("birth_death", '{"lambda":1,"mu1":3,"mu2":4,"G":2,"N":99}', "3,4",
+     "--params must not give N, which each of the levels sets; got N = 99")])
 def test_cli_sensitivity_refuses_a_level_it_cannot_solve(
         capsys, name, params, levels, message):
     assert run(["sensitivity", "--builtin", name, "--params", params,

@@ -84,6 +84,12 @@ the same exit code, except `format_version` and these key paths:
 
 * `error.round` and `error.best_gain` added as null:
   `oracle_two_absorbing` (an enumeration error).
+
+`simulate_long_birth_death`, `simulate --mode average --horizon 2000
+--reps 4 --seed 1` on the birth_death case following its stored policy,
+was captured in format 6 while the simulator still took one jump per
+table lookup. Its replications run about 4000 jumps, so it covers the
+1024-draw blocks, which the horizon-50 `simulate_*` reports never reach.
 """
 
 import hashlib
@@ -178,7 +184,7 @@ def validate_argv(name):
             + ["--checks", "drift,bounds,monotone"])
 
 
-def pipeline_argv(command, name, tmp_path):
+def pipeline_argv(command, name, tmp_path, horizon="50"):
     """argv of one pipeline command; verify reads the solve-average report
     it was captured with (`verify_solution_<name>.json`), simulate the
     policy of the stored solve-average report."""
@@ -189,8 +195,8 @@ def pipeline_argv(command, name, tmp_path):
         solution = json.loads(golden(f"solve_average_{name}")["stdout"])
         path = tmp_path / "policy.json"
         path.write_text(json.dumps({"policy": solution["report"]["policy"]}))
-        extra = ["--policy", str(path), "--mode", "average", "--horizon", "50",
-                 "--reps", "4", "--seed", "1"]
+        extra = ["--policy", str(path), "--mode", "average", "--horizon",
+                 horizon, "--reps", "4", "--seed", "1"]
     return [command.replace("_", "-")] + PIPELINE_MODELS[name] + extra
 
 
@@ -207,6 +213,13 @@ def test_validate_report_matches_golden(name, capsys):
 def test_pipeline_report_matches_golden(command, name, tmp_path, capsys):
     expected = golden(f"{command}_{name}")
     code = run(pipeline_argv(command, name, tmp_path))
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
+def test_long_simulation_matches_golden(tmp_path, capsys):
+    expected = golden("simulate_long_birth_death")
+    code = run(pipeline_argv("simulate", "birth_death", tmp_path, "2000"))
     assert code == expected["exit"]
     assert capsys.readouterr().out == expected["stdout"]
 
@@ -249,7 +262,7 @@ def test_every_golden_report_is_format_6():
     reports = [json.loads(doc["stdout"]) for doc in docs if "stdout" in doc]
     assert len(reports) == (len(CASES) + len(SPEC_REPORTS) + len(ORACLE_MODELS)
                             + len(PIPELINE_MODELS) * len(PIPELINE_COMMANDS)
-                            + len(REPORTS))
+                            + len(REPORTS) + 1)
     assert all(rep["format_version"] == "6" for rep in reports)
 
 

@@ -378,7 +378,10 @@ def test_overflowing_builtin_reports_without_numpy_warnings(command, code):
     (["--x0", "99"], "x0 must be in 0..3, got 99")])
 def test_bad_solver_flag_exits_2_naming_the_flag(command, flags, named):
     # each used to exit 2 with a message that named no flag
-    model = ["--builtin", "mmn0", "--params", json.dumps(VALID["mmn0"])]
+    params = dict(VALID["mmn0"])
+    if command == "sensitivity":
+        del params["N"]                # each of the levels sets N
+    model = ["--builtin", "mmn0", "--params", json.dumps(params)]
     if command == "sensitivity":
         model += ["--levels", "3,4"]
     err = io.StringIO()
@@ -488,8 +491,10 @@ def test_library_refusal_exits_2_naming_the_flag(tmp_path, command, flags,
                 json.dumps(VALID["potlach"]), "--policy", str(policy),
                 "--mode", "lyapunov", "--x0", x0]
     else:
-        argv = [command, "--builtin", "mmn0", "--params",
-                json.dumps(VALID["mmn0"])]
+        params = dict(VALID["mmn0"])
+        if command == "sensitivity":
+            del params["N"]            # each of the levels sets N
+        argv = [command, "--builtin", "mmn0", "--params", json.dumps(params)]
         if command == "martingale":
             with contextlib.redirect_stdout(io.StringIO()) as solved:
                 assert run(["solve-average"] + argv[1:]) == 0

@@ -32,8 +32,17 @@ def key_search():
     return mock.patch.object(simulate, "JUMP_TABLE_CELLS", 0)
 
 
-# both lookups of a tabulated chain: the jump table, then the key search
-LOOKUPS = (contextlib.nullcontext, key_search)
+def one_step_table(model, f):
+    """Cap the tables at the one-step table's n * width cells: with B >= 2
+    cuts, n * B**2 is more, so every lookup takes one jump."""
+    cells = model.n * simulate._PolicyChain(model, f).width
+    return mock.patch.object(simulate, "JUMP_TABLE_CELLS", cells)
+
+
+# the three lookups of a tabulated chain, each set up for a (model,
+# policy): the k-step table, the one-step table, then the key search
+LOOKUPS = (lambda model, f: contextlib.nullcontext(), one_step_table,
+           lambda model, f: key_search())
 
 
 @st.composite
@@ -92,7 +101,7 @@ def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
     x0 = x0 % model.n
     cps = sorted(horizon * p for p in fractions)
     for lookup in LOOKUPS:
-        with lookup():
+        with lookup(model, f):
             assert_stepper_matches(model, f, x0, horizon, reps, seed, cps)
 
 
@@ -124,22 +133,46 @@ def assert_stepper_matches(model, f, x0, horizon, reps, seed, cps):
 
 def assert_jumps_match_reference(model, f, states):
     """From each of `states`, draws u = 0, each cut and its neighbours
-    below 1 select the reference target under both lookups: c < u must
+    below 1 select the reference target under every lookup: c < u must
     agree with rank(c) < p."""
     _, _, jump = reference_policy_chain(model, f)
-    cuts = simulate._PolicyChain(model, f).cuts
-    us = np.unique(np.concatenate(([0.0], cuts, np.nextafter(cuts, 0.0),
-                                   np.nextafter(cuts, 2.0))))
-    us = us[(us >= 0.0) & (us < 1.0)]
+    us = edge_draws(model, f)
     x = np.repeat(states, len(us))
     u = np.tile(us, len(states))
     expected = [jump(xi, ui) for xi, ui in zip(x.tolist(), u.tolist())]
     draws = np.stack([np.ones_like(u), u])[:, :, None]
-    for lookup, tabled in zip(LOOKUPS, (True, False)):
-        with lookup():
+    for lookup, tabled in zip(LOOKUPS, (True, True, False)):
+        with lookup(model, f):
             chain = simulate._PolicyChain(model, f)
         assert (chain.next is not None) == tabled
         assert chain.walk(x, draws)[:, 1].tolist() == expected
+
+
+def edge_draws(model, f) -> np.ndarray:
+    """u = 0, and each cut of the chain and its neighbours, below 1."""
+    cuts = simulate._PolicyChain(model, f).cuts
+    us = np.unique(np.concatenate(([0.0], cuts, np.nextafter(cuts, 0.0),
+                                   np.nextafter(cuts, 2.0))))
+    return us[(us >= 0.0) & (us < 1.0)]
+
+
+def assert_walk_matches_reference(model, f, L, seed):
+    """A block of L jumps from every state, each draw on, beside or between
+    the cuts, visits the reference states under every lookup."""
+    _, _, jump = reference_policy_chain(model, f)
+    rng = np.random.default_rng(seed)
+    us = np.concatenate((edge_draws(model, f), rng.random(8)))
+    u = rng.choice(us, size=(model.n, L))
+    expected = []
+    for x, row in enumerate(u.tolist()):
+        expected.append([x])
+        for ui in row:
+            expected[-1].append(jump(expected[-1][-1], ui))
+    draws = np.stack([np.ones_like(u), u])
+    for lookup in LOOKUPS:
+        with lookup(model, f):
+            chain = simulate._PolicyChain(model, f)
+        assert chain.walk(np.arange(model.n), draws).tolist() == expected
 
 
 def explicit_model(rows):
@@ -169,6 +202,52 @@ def test_jumps_on_and_beside_every_cut_match_reference(model_f):
     assert_jumps_match_reference(model, f, np.arange(model.n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(explicit_models(), st.sampled_from([1, 3, 12, 16, 24, 48]),
+       st.integers(0, 2 ** 32))
+@example(ZERO_RATES, 16, 0)
+def test_walk_of_any_block_length_matches_reference(model_f, L, seed):
+    # 3, 12 and 24 are not multiples of every k, 16 and 48 are
+    model, f = model_f
+    assert_walk_matches_reference(model, f, L, seed)
+
+
+def test_walk_of_a_block_that_is_not_a_multiple_of_k():
+    model, f = explicit_model([[(0, -1.0), (1, 0.25), (2, 0.75)],
+                               [(0, 2.0), (1, -3.0), (2, 1.0)],
+                               [(0, 0.5), (1, 0.5), (2, -1.0)]])
+    chain = simulate._PolicyChain(model, f)
+    assert (len(chain.cuts), chain.k) == (4, 8)   # 3 * 4**16 cells: too many
+    for L in (1, 3, chain.k - 1, chain.k + 1, 5 * chain.k // 2):
+        assert L % chain.k
+        assert_walk_matches_reference(model, f, L, L)
+    assert_walk_matches_reference(model, f, 3 * chain.k, 0)
+
+
+def test_one_target_per_moving_row_reads_one_rank():
+    # B = 1: a cycle 0 -> 1 -> 2 -> 0 at three rates, and state 3 absorbing
+    model, f = explicit_model([[(0, -1.0), (1, 1.0)],
+                               [(1, -2.0), (2, 2.0)],
+                               [(0, 0.5), (2, -0.5)],
+                               [(3, 0.0)]])
+    chain = simulate._PolicyChain(model, f)
+    assert chain.cuts.tolist() == [1.0]
+    assert chain.k == simulate.FIRST_BLOCK
+    assert chain.next_k.size == model.n
+    for L in (1, 16, 48):
+        assert_walk_matches_reference(model, f, L, L)
+    ref = reference_policy_path(model, f, 0, 6000.0, 2, 0, [1.0, 999.0])
+    assert ref[4] > 4 * simulate.LAST_BLOCK
+    for lookup in LOOKUPS:
+        with lookup(model, f):
+            rec = simulate_path(model, f, 0, 6000.0, seed=2,
+                                checkpoints=[1.0, 999.0],
+                                cp_fn=lambda s, ri: ri)
+        assert_matches(ref, rec.times, rec.states, rec.reward_integral,
+                       rec.checkpoint_values, [s for s, _ in ref[3]],
+                       len(rec.times) - 1)
+
+
 def test_wide_row_keeps_the_chain_linear_in_its_entries():
     # state 0 reaches every other state, where a padded (state, longest
     # row) layout holds n * (n - 1) cells
@@ -195,7 +274,7 @@ def test_long_path_crosses_full_blocks():
     cps = [1.0, 100.0, 777.7, 2500.0]
     ref = reference_policy_path(m, f, 3, 2500.0, 5, 0, cps)
     for lookup in LOOKUPS:
-        with lookup():
+        with lookup(m, f):
             rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
                                 cp_fn=lambda s, ri: ri)
         assert len(rec.times) > 4 * simulate.LAST_BLOCK
@@ -249,7 +328,7 @@ def test_guard_names_replication_time_and_state(monkeypatch):
     f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
     monkeypatch.setattr(simulate, "MAX_JUMPS", 100)
     for lookup in LOOKUPS:
-        with lookup(), pytest.raises(ctmdp.SimulationError) as err:
+        with lookup(m, f), pytest.raises(ctmdp.SimulationError) as err:
             simulate._run(simulate._PolicyChain(m, f), 0, 1e6, 3, 0)
         exc = err.value
         assert exc.replication == 0 and exc.jumps == 101
@@ -271,11 +350,13 @@ def test_top_uniform_draw_lands_on_last_positive_target():
         r=np.zeros(11))
     f = StationaryPolicy(choice=[0] * 11)
     top = np.nextafter(1.0, 0.0)
-    draws = np.array([[[1.0]], [[top]]])
+    L = simulate.FIRST_BLOCK       # one jump, then a block of k jumps
     for lookup in LOOKUPS:
-        with lookup():
+        with lookup(model, f):
             chain = simulate._PolicyChain(model, f)
-        assert chain.walk(np.array([0]), draws).tolist() == [[0, 9]]
+        for draws in (np.array([[[1.0]], [[top]]]), np.full((2, 1, L), top)):
+            assert chain.walk(np.array([0]), draws).tolist() == [
+                [0] + [9] * draws.shape[2]]
 
 
 def test_jump_table_is_capped_by_one_constant(monkeypatch):
@@ -287,3 +368,30 @@ def test_jump_table_is_capped_by_one_constant(monkeypatch):
     assert simulate._PolicyChain(m, f).next.size == cells
     monkeypatch.setattr(simulate, "JUMP_TABLE_CELLS", cells - 1)
     assert simulate._PolicyChain(m, f).next is None
+
+
+def test_k_is_the_longest_run_whose_table_fits_the_cap(monkeypatch):
+    # bd30 under the zero policy: 31 states and B = 2 cuts
+    m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
+                                    "p1": 0.0, "p": 2.0, "N": 30, "G": 3})
+    f = StationaryPolicy(choice=np.zeros(m.n, dtype=np.int64))
+    chain = simulate._PolicyChain(m, f)
+    B = len(chain.cuts)
+    assert (m.n, B, chain.k) == (31, 2, 8)      # 31 * 2**16 > 2**20
+    assert chain.next_k.size == m.n * B ** 8 <= simulate.JUMP_TABLE_CELLS
+    # k is at most the first block length, however small the chain
+    small, g = explicit_model([[(0, -2.0), (1, 1.0), (2, 1.0)],
+                               [(0, 1.0), (1, -1.0)], [(0, 1.0), (2, -1.0)]])
+    chain = simulate._PolicyChain(small, g)
+    assert (len(chain.cuts), chain.k) == (2, simulate.FIRST_BLOCK)
+    for k in (8, 4, 2):
+        monkeypatch.setattr(simulate, "JUMP_TABLE_CELLS", m.n * B ** k)
+        chain = simulate._PolicyChain(m, f)
+        assert (chain.k, chain.stride) == (k, B ** k)
+        assert chain.next_k.size == m.n * B ** k
+        monkeypatch.setattr(simulate, "JUMP_TABLE_CELLS", m.n * B ** k - 1)
+        assert simulate._PolicyChain(m, f).k == k // 2
+    # at k = 1 the walk reads the one-step table
+    chain = simulate._PolicyChain(m, f)
+    assert chain.k == 1 and chain.next_k is chain.next
+    assert chain.next.size <= simulate.JUMP_TABLE_CELLS
