@@ -14,10 +14,9 @@ from .model import (CountableFamily, CtmdpModel, LyapunovData, ModelError,
                     ValidationReport, boundary_states, require_valid,
                     truncate, validate_model, weighted_norm)
 from .modelio import FORMAT_VERSION, dumps, model_from_dict, model_to_dict
-from .simulate import (CheckpointReport, ErgodicityReport, PathRecorder,
-                       SimulationError, SimulationReport,
-                       check_lyapunov_bound, estimate_average_reward,
-                       estimate_ergodicity, simulate_path)
+from .simulate import (CheckpointReport, ErgodicityReport, SimulationError,
+                       SimulationReport, check_lyapunov_bound,
+                       estimate_average_reward, estimate_ergodicity)
 from .verify import (CertificateReport, MartingaleReport, certify_lower,
                      certify_upper, delta, martingale_diagnostic)
 

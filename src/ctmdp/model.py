@@ -286,9 +286,6 @@ class CtmdpModel:
     def n(self) -> int:
         return len(self.kernel.counts)
 
-    def n_actions(self, x: int) -> int:
-        return int(self.kernel.counts[x])
-
     def weights(self) -> np.ndarray:
         """Lyapunov weight vector, defaulting to all-ones."""
         if self.lyapunov is not None:
@@ -318,12 +315,6 @@ class CtmdpModel:
             raise ModelError(f"{field} must be in 0..{self.n - 1}, got {x}",
                              field=field)
         return int(x)
-
-    def pair_index(self, x: int, a: int) -> int:
-        """Row of (x, a) in kernel.Q."""
-        if not 0 <= a < self.kernel.counts[x]:
-            raise IndexError(f"action {a} out of range at state {x}")
-        return int(self.kernel.starts[x]) + a
 
     def entries_of(self, pairs):
         """(i, target, rate) of each stored entry of row pairs[i] of

@@ -95,18 +95,6 @@ def rng_info(seed: int) -> dict:
             "draws": RNG_DRAWS}
 
 
-@dataclass
-class PathRecorder:
-    """One realized trajectory: jump times and visited states."""
-
-    times: np.ndarray          # segment start times, times[0] = 0
-    states: np.ndarray         # state at each segment (indices, or points)
-    horizon: float
-    reward_integral: float
-    checkpoint_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    checkpoint_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
 # -- the two jump chains: start states, one block of jumps, per-state rates --
 
 class _PolicyChain:
@@ -127,7 +115,8 @@ class _PolicyChain:
         if not isinstance(model, CtmdpModel):
             raise ModelError(f"{type(model).__name__} is not a CtmdpModel; "
                              f"the redistribution process supports "
-                             f"simulate_path and the lyapunov mode only")
+                             f"check_lyapunov_bound (simulate --mode "
+                             f"lyapunov) only")
         model.check_policy(f)
         self.model = model
         n = self.n = model.n
@@ -254,12 +243,6 @@ class _RedistributionChain:
         return (S @ pol.matrix.T) @ pol.q - self.proc.lam * S.sum(axis=-1)
 
 
-def _chain(model, f):
-    if isinstance(model, PotlachProcess):
-        return _RedistributionChain(model, f)
-    return _PolicyChain(model, f)
-
-
 @dataclass
 class _Runs:
     """Per-replication results of one stepper call."""
@@ -270,7 +253,6 @@ class _Runs:
     cp_rewards: np.ndarray       # (reps, C) reward integral up to each
                                  # (both unset past the horizon)
     occupation: np.ndarray       # time per state, pooled (tabulated chains)
-    path: tuple = None           # (times, states) of replication 0
 
 
 def _checkpoint_times(checkpoints) -> np.ndarray:
@@ -284,8 +266,8 @@ def _checkpoint_times(checkpoints) -> np.ndarray:
     return cps
 
 
-def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
-         record=False) -> _Runs:
+def _run(chain, x0, horizon: float, reps: int, seed: int,
+         checkpoints=()) -> _Runs:
     """The stepper: `reps` replications from x0 over [0, horizon].
 
     A checkpoint t is read in the segment between jump times t_j < t <=
@@ -302,7 +284,6 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
     cp_states = np.zeros((reps, C) + x.shape[1:], dtype=x.dtype)
     cp_rewards = np.zeros((reps, C))
     occupation = np.zeros(chain.n)
-    times, states = [np.zeros(1)], [x[:1].copy()]
     gens = {}
     live = np.arange(reps)
     k = 0
@@ -362,9 +343,6 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
                 cp_rewards[idx[rows], ks] = (R[rows, js] + rrate[rows, js]
                                              * (cps[ks] - T[rows, js]))
                 cp_count[idx] = n_seg[:, -1]
-            if record:
-                times.append(T[0, 1:m[0] + 1])
-                states.append(S[0, 1:m[0] + 1])
             jumps[idx] += m
             reward[idx] = R[:, L]
             t[idx], x[idx] = T[:, L], S[:, L]
@@ -373,35 +351,8 @@ def _run(chain, x0, horizon: float, reps: int, seed: int, checkpoints=(),
                 del gens[rep]
         live = np.concatenate(going)
         k += 1
-    path = (np.concatenate(times), np.concatenate(states)) if record else None
     return _Runs(reward=reward, jumps=jumps, cp_states=cp_states,
-                 cp_rewards=cp_rewards, occupation=occupation, path=path)
-
-
-def simulate_path(model, f, x0, horizon: float, seed: int,
-                  checkpoints=None, cp_fn=None) -> PathRecorder:
-    """Simulate one trajectory (replication 0) under a stationary policy.
-
-    Dispatches on the model type: tabulated CTMDP instances take a
-    `StationaryPolicy`; the continuous-state redistribution process takes
-    a `PotlachPolicy`. `cp_fn(state, reward_so_far)` gives the value at
-    each checkpoint <= horizon (default: the state index, or the weight
-    of the redistribution process).
-    """
-    cps = np.asarray([] if checkpoints is None else checkpoints, float)
-    runs = _run(_chain(model, f), x0, horizon, 1, seed, cps, record=True)
-    times, states = runs.path
-    reached = int(np.searchsorted(cps, horizon, side="right"))
-    cp_states = runs.cp_states[0, :reached]
-    if isinstance(model, PotlachProcess):
-        values = cp_states.sum(axis=-1)
-    else:
-        values = (np.array([cp_fn(s, ri) for s, ri in zip(
-            cp_states.tolist(), runs.cp_rewards[0, :reached].tolist())])
-            if cp_fn else cp_states.astype(np.float64))
-    return PathRecorder(times=times, states=states, horizon=horizon,
-                        reward_integral=float(runs.reward[0]),
-                        checkpoint_times=cps, checkpoint_values=values)
+                 cp_rewards=cp_rewards, occupation=occupation)
 
 
 @dataclass
@@ -464,12 +415,13 @@ def check_lyapunov_bound(model, f, x0, checkpoints, reps: int,
     if isinstance(model, PotlachProcess):
         c, b = model.drift_constant, 0.0
         weight = lambda states: states.sum(axis=-1)
+        chain = _RedistributionChain(model, f)
     else:
         if model.lyapunov is None:
             raise ModelError("model carries no Lyapunov data")
         c, b = model.lyapunov.c, model.lyapunov.b
         weight = model.lyapunov.w.take
-    chain = _chain(model, f)
+        chain = _PolicyChain(model, f)
     w0 = float(weight(chain.start(x0, 1))[0])
     runs = _checkpoint_run(chain, x0, checkpoints, reps, seed)
     samples = weight(runs.cp_states)

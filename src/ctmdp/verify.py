@@ -80,7 +80,7 @@ def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     elif not is_integer(f) or not 0 <= f < count:
         raise ModelError(f"f must be in 0..{count - 1} at state {x}, got {f}",
                          field="f")
-    return bellman(model, u)[0][model.pair_index(x, f)] - g
+    return bellman(model, u)[0][model.kernel.starts[x] + f] - g
 
 
 @dataclass

@@ -41,7 +41,7 @@ def index_actions(counts) -> np.ndarray:
 
 def reward(model: CtmdpModel, x: int, a: int) -> float:
     """r(x, a) as a Python float."""
-    return float(model.r[model.pair_index(x, a)])
+    return float(model.r[model.kernel.starts[x] + a])
 
 
 def generator_apply_loop(model: CtmdpModel, u, x: int, a: int) -> float:
@@ -104,7 +104,7 @@ def optimal_gains(model: CtmdpModel) -> np.ndarray:
     after each step, so that rounding cannot compound)."""
     n = model.n
     policies = [StationaryPolicy(choice=np.array(c, dtype=np.int64))
-                for c in itertools.product(*[range(model.n_actions(x))
+                for c in itertools.product(*[range(model.kernel.counts[x])
                                              for x in range(n)])]
     Q = np.stack([dense_generator(model, f) for f in policies])
     r = np.stack([reward_vector(model, f) for f in policies])
@@ -483,7 +483,7 @@ def validate_model_loop(model: CtmdpModel) -> ValidationReport:
                            "slack": None if slack is None else float(slack)})
 
     for x in range(model.n):
-        for a in range(model.n_actions(x)):
+        for a in range(model.kernel.counts[x]):
             ys, rates = model.kernel.row(x, a)
             s = 0.0
             for y, rate in zip(ys.tolist(), rates.tolist()):
@@ -499,13 +499,13 @@ def validate_model_loop(model: CtmdpModel) -> ValidationReport:
             if not np.isfinite(reward(model, x, a)):
                 bad("finite_reward", x, a)
         if not all(np.isfinite(model.kernel.exit_rate(x, a))
-                   for a in range(model.n_actions(x))):
+                   for a in range(model.kernel.counts[x])):
             bad("stable_rates", x)
 
     lyap = model.lyapunov
     if lyap is not None:
         for x in range(model.n):
-            for a in range(model.n_actions(x)):
+            for a in range(model.kernel.counts[x]):
                 rr = abs(reward(model, x, a))
                 bound = lyap.M * lyap.w[x]
                 if rr > bound:
@@ -519,7 +519,7 @@ def pointwise_check_loop(name, model, lhs_fn, rhs_fn) -> CheckRecord:
     worst = (np.inf, None, None, None, None)      # slack, x, a, lhs, rhs
     worst_boundary = np.inf
     for x in range(model.n):
-        for a in range(model.n_actions(x)):
+        for a in range(model.kernel.counts[x]):
             lhs = lhs_fn(x, a)
             rhs = rhs_fn(x, a)
             slack = rhs - lhs
@@ -553,7 +553,7 @@ def check_assumption_A_loop(model: CtmdpModel) -> DriftReport:
     b_hat = -np.inf
     c_hat = np.inf
     for x in range(model.n):
-        for a in range(model.n_actions(x)):
+        for a in range(model.kernel.counts[x]):
             lhs = generator_apply_loop(model, w, x, a)
             b_hat = max(b_hat, lhs + c * w[x])
             c_hat = min(c_hat, (b - lhs) / w[x])
@@ -740,8 +740,8 @@ def model_to_dict_loop(model: CtmdpModel) -> dict:
                 list(e) for e in zip(ys.tolist(), vals.tolist())]})
             rewards.append({"x": x, "a": a, "r": reward(model, x, a)})
     doc = {"kind": "explicit", "states": model.n,
-           "actions": [[model.actions[model.pair_index(x, a)].tolist()
-                        for a in range(model.n_actions(x))]
+           "actions": [[model.actions[model.kernel.starts[x] + a].tolist()
+                        for a in range(model.kernel.counts[x])]
                        for x in range(model.n)],
            "rates": rates, "rewards": rewards}
     if model.labels is not None:

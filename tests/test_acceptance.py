@@ -44,15 +44,15 @@ def test_criterion_01_drift_identities_exact():
         m = ctmdp.build("birth_death", {"lambda": lam, "mu1": 3, "mu2": 4,
                                         "p1": p1, "N": 12, "G": 5})
         Qw = m.kernel.Q @ m.lyapunov.w
-        assert Qw[m.pair_index(0, 0)] == pytest.approx(lam, abs=1e-12)
-        for ai in range(m.n_actions(1)):
-            (a,) = m.actions[m.pair_index(1, ai)]
-            assert Qw[m.pair_index(1, ai)] == pytest.approx(
+        assert Qw[m.kernel.starts[0]] == pytest.approx(lam, abs=1e-12)
+        for ai in range(m.kernel.counts[1]):
+            (a,) = m.actions[m.kernel.starts[1] + ai]
+            assert Qw[m.kernel.starts[1] + ai] == pytest.approx(
                 -(a - lam), abs=1e-12)
         for x in range(2, m.n - 1):
-            for ai in range(m.n_actions(x)):
-                (a,) = m.actions[m.pair_index(x, ai)]
-                assert Qw[m.pair_index(x, ai)] == pytest.approx(
+            for ai in range(m.kernel.counts[x]):
+                (a,) = m.actions[m.kernel.starts[x] + ai]
+                assert Qw[m.kernel.starts[x] + ai] == pytest.approx(
                     -(a + a * p1 - lam) * x, abs=1e-12)
     print("criterion 01 drift identities: PASS")
 
@@ -213,7 +213,7 @@ def test_criterion_10_martingale_diagnostics(bd30, bd30_solution):
                                  reps=120, seed=7)
     assert flat.submartingale_consistent
     assert flat.supermartingale_consistent
-    bad = StationaryPolicy(choice=np.full(bd30.n, bd30.n_actions(1) - 1,
+    bad = StationaryPolicy(choice=np.full(bd30.n, bd30.kernel.counts[1] - 1,
                                           dtype=np.int64))
     drift = martingale_diagnostic(bd30, bad, sol.h, sol.gain, 0,
                                   checkpoints=np.geomspace(5, 500, 6),
@@ -229,9 +229,9 @@ def test_criterion_11_redistribution_drift_regression():
     pol = ctmdp.PotlachPolicy(matrix=np.full((2, 2), 0.5), q=np.zeros(2))
     x0 = np.array([1.0, 1.0])
     ts = np.linspace(0.01, 0.05, 5)
-    from ctmdp.simulate import _chain, _checkpoint_run
-    samples = _checkpoint_run(_chain(proc, pol), x0, ts, 10 ** 4,
-                              2028).cp_states.sum(axis=-1)
+    from ctmdp.simulate import _RedistributionChain, _checkpoint_run
+    samples = _checkpoint_run(_RedistributionChain(proc, pol), x0, ts,
+                              10 ** 4, 2028).cp_states.sum(axis=-1)
     means = samples.mean(axis=0)
     # E w(t) = w(0) * exp(-c t); near zero the slope is -c * w(0)
     slope = np.polyfit(ts, means, 1)[0]

@@ -215,8 +215,8 @@ def test_oracle_gain_dominates_every_policy():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3, "N": 2,
                              "G": 2, "reward": {"p": 1.0, "kappa": 0.2}})
     orc = brute_force_oracle(m)
-    for a1 in range(m.n_actions(1)):
-        for a2 in range(m.n_actions(2)):
+    for a1 in range(m.kernel.counts[1]):
+        for a2 in range(m.kernel.counts[2]):
             f = StationaryPolicy(choice=np.array([0, a1, a2]))
             assert oracles.policy_gain(m, f) <= orc.gain + 1e-10
 

@@ -60,7 +60,7 @@ def test_model_roundtrip():
                              "G": 2})
     m2 = model_from_dict(model_to_dict(m))
     for x in range(m.n):
-        for a in range(m.n_actions(x)):
+        for a in range(m.kernel.counts[x]):
             ys1, r1 = m.kernel.row(x, a)
             ys2, r2 = m2.kernel.row(x, a)
             assert np.array_equal(ys1, ys2)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import ctmdp
-from ctmdp import (PotlachPolicy, build, describe, simulate_path,
-                   validate_model)
+from ctmdp import PotlachPolicy, build, describe, validate_model
 from ctmdp.families import BUILTINS, resolve, tandem_weight
+from ctmdp.simulate import _RedistributionChain
 from oracles import redistribution_reward
 
 
@@ -39,7 +39,7 @@ def test_birth_death_rates_as_specified():
     ys, rates = m.kernel.row(0, 0)
     assert dict(zip(ys.tolist(), rates.tolist())) == {0: -1.5, 1: 1.5}
     # x=1: death of size one at rate a, birth at rate lambda
-    (a,) = m.actions[m.pair_index(1, 1)]
+    (a,) = m.actions[m.kernel.starts[1] + 1]
     ys, rates = m.kernel.row(1, 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     assert got[0] == pytest.approx(a)
@@ -57,8 +57,8 @@ def test_birth_death_reward_shapes():
     m = build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p": 2.0,
                               "rc": {"kind": "linear", "kappa": 0.1},
                               "N": 6, "G": 2})
-    (a,) = m.actions[m.pair_index(3, 1)]
-    assert m.r[m.pair_index(3, 1)] == pytest.approx(2.0 * 3 - 0.1 * a * 3)
+    (a,) = m.actions[m.kernel.starts[3] + 1]
+    assert m.r[m.kernel.starts[3] + 1] == pytest.approx(2.0 * 3 - 0.1 * a * 3)
     with pytest.raises(ctmdp.ModelError):
         build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                               "rc": {"kind": "cubic"}, "N": 6})
@@ -69,14 +69,14 @@ def test_skip_free_rates_and_validation():
                             "N": 12, "G": 2})
     assert validate_model(m).ok
     # from x=1 no size-two catastrophe is possible
-    for a in range(m.n_actions(1)):
+    for a in range(m.kernel.counts[1]):
         ys, _ = m.kernel.row(1, a)
         assert all(y >= 0 for y in ys)
     # interior row matches lambda*x + a1 up, mu*x + d*(1-g2) down,
     # d*g2 double-down
     x = 5
-    a1, a2 = m.actions[m.pair_index(x, m.n_actions(x) - 1)]
-    ys, rates = m.kernel.row(x, m.n_actions(x) - 1)
+    a1, a2 = m.actions[m.kernel.starts[x] + m.kernel.counts[x] - 1]
+    ys, rates = m.kernel.row(x, m.kernel.counts[x] - 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     d = 2.0 * a2 * x
     g2 = min(1.0, 0.5 + 2.0 / (4.0 * 2.0))
@@ -103,7 +103,7 @@ def test_tandem_transitions():
     assert validate_model(m).ok
     idx = {lab: i for i, lab in enumerate(m.labels)}
     x = idx[(1, 1)]
-    a1, a2 = m.actions[m.pair_index(x, 0)]
+    a1, a2 = m.actions[m.kernel.starts[x]]
     ys, rates = m.kernel.row(x, 0)
     got = {m.labels[y]: r for y, r in zip(ys.tolist(), rates.tolist())}
     assert got[(2, 1)] == pytest.approx(1.0)        # arrival
@@ -120,10 +120,10 @@ def test_tandem_parameter_floors_enforced():
 def test_mmn0_boundary_rows():
     m = build("mmn0", {"lambda": 1.2, "mu1": 2, "mu2": 3, "N": 3, "G": 2})
     # state 0 has the single idle action; top state has no arrival
-    assert m.actions[:m.n_actions(0)].tolist() == [[0.0]]
+    assert m.actions[:m.kernel.counts[0]].tolist() == [[0.0]]
     ys, rates = m.kernel.row(0, 0)
     assert dict(zip(ys.tolist(), rates.tolist())) == {0: -1.2, 1: 1.2}
-    (mu,) = m.actions[m.pair_index(3, 1)]
+    (mu,) = m.actions[m.kernel.starts[3] + 1]
     ys, rates = m.kernel.row(3, 1)
     got = dict(zip(ys.tolist(), rates.tolist()))
     assert got[3] == pytest.approx(-3 * mu)
@@ -163,15 +163,19 @@ def test_potlach_jump_preserves_nonnegativity():
     matrix = [[0.2, 0.8], [0.7, 0.3]]
     proc = build("potlach", {"d": 2, "lambda": 2.0, "matrices": [matrix]})
     pol = PotlachPolicy(matrix=np.array(matrix), q=np.zeros(2))
-    rec = simulate_path(proc, pol, np.array([1.0, 1.0]), 100.0, seed=0)
-    assert len(rec.states) > 100
-    assert np.all(rec.states >= 0)
+    chain = _RedistributionChain(proc, pol)
+    rng = np.random.default_rng(0)
+    draws = np.stack([rng.standard_exponential((4, 200)), rng.random((4, 200)),
+                      rng.standard_exponential((4, 200))])
+    states = chain.walk(chain.start([1.0, 1.0], 4), draws)
+    assert states.shape == (4, 201, 2)
+    assert np.all(states >= 0)
 
 
 def test_monotone_condition_holds_on_truncation():
     m = build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4, "p1": 0.3,
                               "N": 10, "G": 2})
-    for choice in range(m.n_actions(1)):
+    for choice in range(m.kernel.counts[1]):
         f = ctmdp.StationaryPolicy(
             choice=np.full(m.n, choice, dtype=np.int64))
         assert ctmdp.check_monotonicity(m, f).ok
@@ -183,7 +187,7 @@ def test_drift_identity_matches_closed_form():
                               "N": 10, "G": 3})
     Qw = m.kernel.Q @ m.lyapunov.w
     for x in range(2, m.n - 1):
-        for ai in range(m.n_actions(x)):
-            (a,) = m.actions[m.pair_index(x, ai)]
-            assert Qw[m.pair_index(x, ai)] == pytest.approx(
+        for ai in range(m.kernel.counts[x]):
+            (a,) = m.actions[m.kernel.starts[x] + ai]
+            assert Qw[m.kernel.starts[x] + ai] == pytest.approx(
                 -(a + a * p1 - lam) * x, abs=1e-12)

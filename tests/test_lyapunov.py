@@ -59,11 +59,11 @@ def test_reward_bound_violation_reported():
 
 
 def test_monotonicity_birth_death(bd_model):
-    for choice in (0, bd_model.n_actions(1) - 1):
+    for choice in (0, bd_model.kernel.counts[1] - 1):
         f = StationaryPolicy(choice=np.full(bd_model.n, choice,
                                             dtype=np.int64))
-        f = StationaryPolicy(choice=np.minimum(
-            f.choice, [bd_model.n_actions(x) - 1 for x in range(bd_model.n)]))
+        f = StationaryPolicy(choice=np.minimum(f.choice,
+                                               bd_model.kernel.counts - 1))
         rep = check_monotonicity(bd_model, f)
         assert rep.ok, rep.checks[0].to_dict()
 

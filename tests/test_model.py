@@ -73,8 +73,8 @@ def test_generator_apply_birth_death_value():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "p1": 0.0, "N": 8, "G": 1})
     w = np.arange(1.0, m.n + 1)
-    assert m.actions[m.pair_index(2, 0)].tolist() == [3.0]
-    assert (m.kernel.Q @ w)[m.pair_index(2, 0)] == pytest.approx(-4.0,
+    assert m.actions[m.kernel.starts[2]].tolist() == [3.0]
+    assert (m.kernel.Q @ w)[m.kernel.starts[2]] == pytest.approx(-4.0,
                                                                 abs=1e-12)
 
 
@@ -117,7 +117,7 @@ def test_kernel_rows_are_views_of_the_pair_csr():
     m = ctmdp.build("tandem", {"N": 3, "G": 2})
     rows = m.kernel.rows
     for x in range(m.n):
-        for a in range(m.n_actions(x)):
+        for a in range(m.kernel.counts[x]):
             ys, rates = m.kernel.row(x, a)
             assert np.shares_memory(rates, m.kernel.Q.data)
             assert np.shares_memory(ys, m.kernel.Q.indices)
@@ -125,7 +125,7 @@ def test_kernel_rows_are_views_of_the_pair_csr():
             assert np.array_equal(rows[x][a][0], ys)
             assert np.array_equal(rows[x][a][1], rates)
         with pytest.raises(IndexError):
-            m.kernel.row(x, m.n_actions(x))
+            m.kernel.row(x, m.kernel.counts[x])
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,7 +227,7 @@ def test_truncation_boundary_row_conserved():
                                     "N": 5, "G": 2})
     assert validate_model(m).ok
     x = m.n - 1
-    for a in range(m.n_actions(x)):
+    for a in range(m.kernel.counts[x]):
         ys, rates = m.kernel.row(x, a)
         assert abs(rates.sum()) <= 1e-12
         assert all(y <= x for y in ys)
@@ -252,8 +252,8 @@ def test_pair_arrays_consistent_with_rows():
     m = ctmdp.build("mmn0", {"lambda": 1, "mu1": 1.5, "mu2": 3,
                              "N": 3, "G": 2})
     for x in range(m.n):
-        for a in range(m.n_actions(x)):
-            p = m.pair_index(x, a)
+        for a in range(m.kernel.counts[x]):
+            p = m.kernel.starts[x] + a
             assert (m.x_of_pair[p], m.a_of_pair[p]) == (x, a)
             assert m.exit[p] == pytest.approx(m.kernel.exit_rate(x, a))
 
@@ -384,8 +384,6 @@ START_ROUTES = {
         MMN0, ZERO, [PROBE], (x, 0), [0.5, 1.0], 2, seed=1),
     "estimate_ergodicity_x0b": lambda x: ctmdp.estimate_ergodicity(
         MMN0, ZERO, [PROBE], (0, x), [0.5, 1.0], 2, seed=1),
-    "simulate_path": lambda x: ctmdp.simulate_path(MMN0, ZERO, x, 5.0,
-                                                   seed=1),
 }
 
 

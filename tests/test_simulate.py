@@ -4,10 +4,9 @@ from scipy import stats
 
 import ctmdp
 from ctmdp import (PotlachPolicy, StationaryPolicy, check_lyapunov_bound,
-                   estimate_average_reward, estimate_ergodicity,
-                   simulate_path)
+                   estimate_average_reward, estimate_ergodicity)
 from ctmdp import simulate
-from ctmdp.simulate import MAX_JUMPS, stream
+from ctmdp.simulate import MAX_JUMPS, _PolicyChain, _run, stream
 
 import oracles
 
@@ -23,19 +22,18 @@ def zero_policy(m):
 
 
 def test_reproducible_paths(mm20):
-    f = zero_policy(mm20)
-    a = simulate_path(mm20, f, 0, 500.0, seed=11)
-    b = simulate_path(mm20, f, 0, 500.0, seed=11)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.states, b.states)
-    assert a.reward_integral == b.reward_integral
+    chain, cps = _PolicyChain(mm20, zero_policy(mm20)), np.linspace(0, 500, 41)
+    a = _run(chain, 0, 500.0, 3, 11, cps)
+    b = _run(chain, 0, 500.0, 3, 11, cps)
+    for name in ("reward", "jumps", "cp_states", "cp_rewards", "occupation"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_different_seeds_differ(mm20):
-    f = zero_policy(mm20)
-    a = simulate_path(mm20, f, 0, 500.0, seed=11)
-    b = simulate_path(mm20, f, 0, 500.0, seed=12)
-    assert not np.array_equal(a.times, b.times)
+    chain = _PolicyChain(mm20, zero_policy(mm20))
+    a = _run(chain, 0, 500.0, 1, 11)
+    b = _run(chain, 0, 500.0, 1, 12)
+    assert a.reward[0] != b.reward[0]
 
 
 def test_absorbing_state_single_segment():
@@ -44,26 +42,29 @@ def test_absorbing_state_single_segment():
         kernel=oracles.kernel_from_rows([[[(0, 0.0)]]]),
         r=[3.0],
     )
-    rec = simulate_path(m, zero_policy(m), 0, 10.0, seed=0)
-    assert rec.times.tolist() == [0.0]
-    assert rec.reward_integral == pytest.approx(30.0)
+    runs = _run(_PolicyChain(m, zero_policy(m)), 0, 10.0, 1, 0)
+    assert runs.jumps.tolist() == [0]
+    assert runs.reward[0] == pytest.approx(30.0)
 
+
+# the path readers below read the reference path, which test_stepper.py
+# pins to the stepper's, jump time for jump time and state for state
 
 def test_reward_integral_matches_segments(mm20):
     f = zero_policy(mm20)
-    rec = simulate_path(mm20, f, 0, 200.0, seed=4)
-    r = np.array([oracles.reward(mm20, int(s), 0) for s in rec.states])
-    ends = np.append(rec.times[1:], rec.horizon)
-    assert rec.reward_integral == pytest.approx(float(r @ (ends - rec.times)))
+    times, states, *_ = oracles.reference_policy_path(mm20, f, 0, 200.0, 4)
+    reward = _run(_PolicyChain(mm20, f), 0, 200.0, 1, 4).reward[0]
+    r = np.array([oracles.reward(mm20, s, 0) for s in states])
+    ends = np.append(times[1:], 200.0)
+    assert reward == pytest.approx(float(r @ (ends - times)))
 
 
 def test_holding_times_exponential(mm20):
     # holding times in state 0 against Exponential(lambda=1), KS at 1%
-    f = zero_policy(mm20)
-    rec = simulate_path(mm20, f, 0, 30000.0, seed=21)
-    ends = np.append(rec.times[1:], rec.horizon)
-    hold = (ends - rec.times)[:-1]          # last segment is censored
-    in0 = hold[np.array(rec.states[:-1]) == 0]
+    times, states, *_ = oracles.reference_policy_path(
+        mm20, zero_policy(mm20), 0, 30000.0, 21)
+    hold = np.diff(times)                   # last segment is censored
+    in0 = hold[np.array(states[:-1]) == 0]
     assert len(in0) >= 10 ** 4
     d, _ = stats.kstest(in0[:10 ** 4], "expon", args=(0, 1.0))
     assert d < 1.63 / np.sqrt(10 ** 4)      # 1% critical value
@@ -73,8 +74,8 @@ def test_jump_frequencies_match_rates():
     m = ctmdp.build("birth_death", {"lambda": 1, "mu1": 3, "mu2": 4,
                                     "p1": 0.4, "N": 10, "G": 1})
     f = zero_policy(m)
-    rec = simulate_path(m, f, 2, 20000.0, seed=13)
-    st_, nxt = np.array(rec.states[:-1]), np.array(rec.states[1:])
+    _, states, *_ = oracles.reference_policy_path(m, f, 2, 20000.0, 13)
+    st_, nxt = np.array(states[:-1]), np.array(states[1:])
     from2 = nxt[st_ == 2]
     counts = {y: int(np.sum(from2 == y)) for y in (0, 1, 3)}
     total = len(from2)
@@ -126,7 +127,7 @@ def test_explosion_guard_raises(monkeypatch):
     assert MAX_JUMPS == 10 ** 8
     monkeypatch.setattr(simulate, "MAX_JUMPS", 100)
     with pytest.raises(ctmdp.SimulationError, match=r"guard \(100\)"):
-        simulate_path(m, zero_policy(m), 0, 1e6, seed=0)
+        estimate_average_reward(m, zero_policy(m), 0, 1e6, 1, seed=0)
 
 
 def test_lyapunov_bound_trivial_weight(mm20):
@@ -193,9 +194,7 @@ def test_monte_carlo_runs_refuse_bad_checkpoint_times(checkpoints):
             lambda: ctmdp.martingale_diagnostic(m, f, probe, 0.0, 0,
                                                 checkpoints, 4, seed=1),
             lambda: estimate_ergodicity(m, f, [probe], (0, 1), checkpoints,
-                                        4, seed=1),
-            lambda: simulate_path(m, f, 0, 2.0, seed=1,
-                                  checkpoints=checkpoints)):
+                                        4, seed=1)):
         with pytest.raises(ctmdp.ModelError, match="checkpoint"):
             run()
 
@@ -235,11 +234,8 @@ def test_redistribution_runs_refuse_inadmissible_input(matrix, q, x0,
     # broadcasting; an inadmissible matrix or weight ran silently
     proc = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
     pol = PotlachPolicy(matrix=matrix, q=q)
-    for run in (lambda: check_lyapunov_bound(proc, pol, x0, [0.5, 1.0], 4,
-                                             seed=1),
-                lambda: simulate_path(proc, pol, x0, 1.0, seed=1)):
-        with pytest.raises(ctmdp.ModelError, match=message):
-            run()
+    with pytest.raises(ctmdp.ModelError, match=message):
+        check_lyapunov_bound(proc, pol, x0, [0.5, 1.0], 4, seed=1)
 
 
 def test_checkpoint_means_ordered_in_start_state():
@@ -306,8 +302,10 @@ def test_redistribution_process_refuses_tabulated_estimates():
                                                  x0, [0.5, 1.0], 2, seed=1)]
     for call in calls:
         with pytest.raises(ctmdp.ModelError,
-                           match="PotlachProcess is not a CtmdpModel.*"
-                                 "simulate_path and the lyapunov mode"):
+                           match=r"^PotlachProcess is not a CtmdpModel; "
+                                 r"the redistribution process supports "
+                                 r"check_lyapunov_bound \(simulate --mode "
+                                 r"lyapunov\) only$"):
             call()
 
 
@@ -326,7 +324,7 @@ def test_transient_mean_matrix_exponential_crosscheck(mm20):
     # simulated E x(t) against the matrix-exponential oracle
     f = zero_policy(mm20)
     probe = np.arange(mm20.n, dtype=float)
-    from ctmdp.simulate import _PolicyChain, _checkpoint_run
+    from ctmdp.simulate import _checkpoint_run
     samples = probe[_checkpoint_run(_PolicyChain(mm20, f), 2, [0.5], 600,
                                     17).cp_states]
     ref = oracles.transient_mean(mm20, f, 2, probe, 0.5)
@@ -337,9 +335,13 @@ def test_transient_mean_matrix_exponential_crosscheck(mm20):
 def test_potlach_path_and_drift():
     proc = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
     pol = PotlachPolicy(matrix=np.full((2, 2), 0.5), q=np.zeros(2))
-    rec = simulate_path(proc, pol, [1.0, 1.0], 3.0, seed=14)
-    assert rec.states.shape[1] == 2
-    assert np.all(rec.states >= 0)
+    chain = simulate._RedistributionChain(proc, pol)
+    rng = np.random.default_rng(14)
+    draws = np.stack([rng.standard_exponential((50, 64)), rng.random((50, 64)),
+                      rng.standard_exponential((50, 64))])
+    states = chain.walk(chain.start([1.0, 1.0], 50), draws)
+    assert states.shape == (50, 65, 2)
+    assert np.all(states >= 0)
     assert proc.total_rate == 2.0
     assert proc.drift_constant == pytest.approx(0.5)
     rep = check_lyapunov_bound(proc, pol, np.array([5.0, 5.0]),

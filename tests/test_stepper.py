@@ -1,7 +1,8 @@
 """Differential tests: the replication-batched simulation stepper against
 the scalar reference in oracles.py, which reads each replication's draws
 in the documented block layout and takes one jump at a time. Visited
-states and jump times must be identical; reward integrals and checkpoint
+states and jump times must be identical, which the stepper's own
+checkpoints show by pinning (see `pins`); reward integrals and checkpoint
 values must agree to 1e-12 relative.
 """
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import ctmdp
 from ctmdp import (CtmdpModel, PotlachPolicy, StationaryPolicy,
-                   estimate_average_reward, simulate_path)
+                   estimate_average_reward)
 from ctmdp import simulate
 from ctmdp.simulate import _checkpoint_run
 from oracles import (index_actions, kernel_from_rows,
@@ -74,21 +75,45 @@ def explicit_models(draw):
     return model, f
 
 
-def assert_matches(ref, times, states, reward, at_checkpoints_values,
-                   at_checkpoints_states, jumps):
-    ref_times, ref_states, ref_reward, ref_cps, ref_jumps = ref
-    if times is not None:
-        assert np.array_equal(times, ref_times)
-        assert np.array_equal(states, ref_states)
-    assert reward == pytest.approx(ref_reward, rel=REL, abs=1e-300)
-    assert jumps == ref_jumps
-    if at_checkpoints_values is None:
-        return
-    assert len(at_checkpoints_values) == len(ref_cps)
-    for value, state, (ref_state, ref_value) in zip(
-            at_checkpoints_values, at_checkpoints_states, ref_cps):
+def pins(times) -> np.ndarray:
+    """A checkpoint at each jump time t_j of a path, then one at the next
+    float after it. A checkpoint reads the segment that ends at or after
+    it, so the first reads the state before jump j and the second the
+    state after it: both read what the path says only if the stepper
+    jumps at t_j, to the bit."""
+    t = np.asarray(times[1:], dtype=np.float64)
+    return np.column_stack((t, np.nextafter(t, np.inf))).ravel()
+
+
+def assert_matches(ref, runs, rep=0):
+    """Replication `rep` of a stepper run against one reference path: the
+    jump count, the reward integral and, at each checkpoint, the state
+    and the reward up to it."""
+    _, _, ref_reward, ref_cps, ref_jumps = ref
+    assert runs.jumps[rep] == ref_jumps
+    assert runs.reward[rep] == pytest.approx(ref_reward, rel=REL, abs=1e-300)
+    assert len(ref_cps) == runs.cp_states.shape[1]
+    for state, value, (ref_state, ref_value) in zip(
+            runs.cp_states[rep], runs.cp_rewards[rep], ref_cps):
         assert np.array_equal(state, ref_state)
         assert value == pytest.approx(ref_value, rel=REL, abs=1e-300)
+
+
+def assert_pinned(chain, x0, horizon, seed, reference, checkpoints=()):
+    """Replication 0 of the stepper against `reference(cps)`, the
+    reference path with checkpoints cps: its path pinned by `pins`, then
+    its reads at `checkpoints`. Returns the pins."""
+    times, states, *_ = reference(())
+    at = pins(times)
+    runs = simulate._run(chain, x0, horizon, 1, seed, at)
+    # before and after each jump: S_0, S_1, S_1, S_2, ..., S_m
+    assert np.array_equal(runs.cp_states[0],
+                          np.repeat(np.array(states), 2, axis=0)[1:-1])
+    assert_matches(reference(at), runs)
+    if len(checkpoints):
+        assert_matches(reference(checkpoints), simulate._run(
+            chain, x0, horizon, 1, seed, checkpoints))
+    return at
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,29 +131,31 @@ def test_stepper_matches_scalar_reference(model_f, x0, horizon, reps, seed,
 
 
 def assert_stepper_matches(model, f, x0, horizon, reps, seed, cps):
-    rec = simulate_path(model, f, x0, horizon, seed, checkpoints=cps,
-                        cp_fn=lambda s, ri: ri)
-    ref = reference_policy_path(model, f, x0, horizon, seed, 0, cps)
-    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
-                   rec.checkpoint_values, [s for s, _ in ref[3]],
-                   len(rec.times) - 1)
+    chain = simulate._PolicyChain(model, f)
+    at = assert_pinned(chain, x0, horizon, seed, lambda checkpoints:
+                       reference_policy_path(model, f, x0, horizon, seed, 0,
+                                             checkpoints))
+    # pinning's precondition: checkpoints take no draws, so the pins leave
+    # every replication's path as it is
+    runs = simulate._run(chain, x0, horizon, reps, seed, cps)
+    pinned = simulate._run(chain, x0, horizon, reps, seed, at)
+    for name in ("reward", "jumps", "occupation"):
+        assert np.array_equal(getattr(pinned, name), getattr(runs, name))
 
     avg = estimate_average_reward(model, f, x0, horizon, reps, seed)
     for rep in range(reps):
-        ref = reference_policy_path(model, f, x0, horizon, seed, rep)
+        ref = reference_policy_path(model, f, x0, horizon, seed, rep, cps)
         assert avg.values[rep] * horizon == pytest.approx(ref[2], rel=REL,
                                                           abs=1e-300)
         assert avg.jumps[rep] == ref[4]
+        assert_matches(ref, runs, rep)
 
     if cps:
-        runs = _checkpoint_run(simulate._PolicyChain(model, f), x0, cps,
-                               reps, seed)
+        runs = _checkpoint_run(chain, x0, cps, reps, seed)
         for rep in range(reps):
             ref = reference_policy_path(model, f, x0, cps[-1] * (1 + 1e-12),
                                         seed, rep, cps)
-            assert_matches(ref, None, None, runs.reward[rep],
-                           runs.cp_rewards[rep], runs.cp_states[rep],
-                           runs.jumps[rep])
+            assert_matches(ref, runs, rep)
 
 
 def assert_jumps_match_reference(model, f, states):
@@ -236,16 +263,13 @@ def test_one_target_per_moving_row_reads_one_rank():
     assert chain.next_k.size == model.n
     for L in (1, 16, 48):
         assert_walk_matches_reference(model, f, L, L)
-    ref = reference_policy_path(model, f, 0, 6000.0, 2, 0, [1.0, 999.0])
-    assert ref[4] > 4 * simulate.LAST_BLOCK
+    reference = lambda cps: reference_policy_path(model, f, 0, 6000.0, 2, 0,
+                                                  cps)
+    assert reference(())[4] > 4 * simulate.LAST_BLOCK
     for lookup in LOOKUPS:
         with lookup(model, f):
-            rec = simulate_path(model, f, 0, 6000.0, seed=2,
-                                checkpoints=[1.0, 999.0],
-                                cp_fn=lambda s, ri: ri)
-        assert_matches(ref, rec.times, rec.states, rec.reward_integral,
-                       rec.checkpoint_values, [s for s, _ in ref[3]],
-                       len(rec.times) - 1)
+            chain = simulate._PolicyChain(model, f)
+        assert_pinned(chain, 0, 6000.0, 2, reference, [1.0, 999.0])
 
 
 def test_wide_row_keeps_the_chain_linear_in_its_entries():
@@ -272,15 +296,12 @@ def test_long_path_crosses_full_blocks():
                                     "N": 12, "G": 2})
     f = StationaryPolicy(choice=np.ones(m.n, dtype=np.int64))
     cps = [1.0, 100.0, 777.7, 2500.0]
-    ref = reference_policy_path(m, f, 3, 2500.0, 5, 0, cps)
+    reference = lambda at: reference_policy_path(m, f, 3, 2500.0, 5, 0, at)
+    assert reference(())[4] > 4 * simulate.LAST_BLOCK
     for lookup in LOOKUPS:
         with lookup(m, f):
-            rec = simulate_path(m, f, 3, 2500.0, seed=5, checkpoints=cps,
-                                cp_fn=lambda s, ri: ri)
-        assert len(rec.times) > 4 * simulate.LAST_BLOCK
-        assert_matches(ref, rec.times, rec.states, rec.reward_integral,
-                       rec.checkpoint_values, [s for s, _ in ref[3]],
-                       len(rec.times) - 1)
+            chain = simulate._PolicyChain(m, f)
+        assert_pinned(chain, 3, 2500.0, 5, reference, cps)
 
 
 def test_redistribution_matches_scalar_reference():
@@ -290,16 +311,13 @@ def test_redistribution_matches_scalar_reference():
     pol = PotlachPolicy(matrix=np.array(matrix), q=np.array([0.3, 0.0, 0.8]))
     x0 = np.array([1.0, 2.0, 0.5])
     cps = [0.5, 3.0, 9.0]
-    rec = simulate_path(proc, pol, x0, 40.0, seed=3, checkpoints=cps)
-    ref = reference_redistribution_path(proc, pol, x0, 40.0, 3, 0, cps)
-    assert len(rec.times) > simulate.FIRST_BLOCK * 3
-    assert_matches(ref, rec.times, rec.states, rec.reward_integral,
-                   None, None, len(rec.times) - 1)
-    assert np.array_equal(rec.checkpoint_values,
-                          [redistribution_weight(s) for s, _ in ref[3]])
+    chain = simulate._RedistributionChain(proc, pol)
+    reference = lambda at: reference_redistribution_path(proc, pol, x0, 40.0,
+                                                         3, 0, at)
+    assert reference(())[4] > simulate.FIRST_BLOCK * 3
+    assert_pinned(chain, x0, 40.0, 3, reference, cps)
 
-    samples = _checkpoint_run(simulate._chain(proc, pol), x0, cps, 4,
-                              9).cp_states.sum(axis=-1)
+    samples = _checkpoint_run(chain, x0, cps, 4, 9).cp_states.sum(axis=-1)
     for rep in range(4):
         ref = reference_redistribution_path(proc, pol, x0, 9.0 * (1 + 1e-12),
                                             9, rep, cps)

@@ -70,13 +70,13 @@ def test_delta_matches_loop_bit_for_bit(name, params):
     m = ctmdp.build(name, params)
     u = np.random.default_rng(7).normal(scale=100.0, size=m.n)
     for x in range(m.n):
-        for a in range(m.n_actions(x)):
+        for a in range(m.kernel.counts[x]):
             ref = (oracles.reward(m, x, a)
                    + oracles.generator_apply_loop(m, u, x, a) - 0.37)
             assert np.float64(delta(m, x, a, u, 0.37)).tobytes() == \
                 np.float64(ref).tobytes()
         with pytest.raises(ModelError, match="^f must be in "):
-            delta(m, x, m.n_actions(x), u, 0.37)
+            delta(m, x, m.kernel.counts[x], u, 0.37)
 
 
 def test_delta_refuses_a_policy_of_another_length(solved):
@@ -99,7 +99,7 @@ def test_martingale_flat_at_optimum(solved):
 
 def test_martingale_suboptimal_policy_drifts_down(solved):
     m, sol = solved
-    bad = StationaryPolicy(choice=np.full(m.n, m.n_actions(1) - 1,
+    bad = StationaryPolicy(choice=np.full(m.n, m.kernel.counts[1] - 1,
                                           dtype=np.int64))
     rep = martingale_diagnostic(m, bad, sol.h, sol.gain, 0,
                                 checkpoints=np.geomspace(5, 500, 6),
