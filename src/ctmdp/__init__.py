@@ -17,8 +17,9 @@ from .modelio import FORMAT_VERSION, dumps, model_from_dict, model_to_dict
 from .simulate import (CheckpointReport, ErgodicityReport, SimulationError,
                        SimulationReport, check_lyapunov_bound,
                        estimate_average_reward, estimate_ergodicity)
-from .verify import (CertificateReport, MartingaleReport, certify_lower,
-                     certify_upper, delta, martingale_diagnostic)
+from .verify import (CertificateReport, MartingaleReport, VerificationReport,
+                     certify, certify_lower, certify_upper, delta,
+                     martingale_diagnostic)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

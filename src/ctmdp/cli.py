@@ -56,7 +56,7 @@ from .model import (CtmdpModel, ModelError, NumericError, StationaryPolicy,
 from .modelio import dumps
 from .simulate import (check_lyapunov_bound, estimate_average_reward,
                        estimate_ergodicity)
-from .verify import certify_lower, certify_upper, martingale_diagnostic
+from .verify import certify, martingale_diagnostic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,12 +314,10 @@ def _cmd_sensitivity(args) -> int:
 
 def _cmd_verify(args) -> int:
     model, g, h, pol_doc = _solution(args)
-    f = modelio.policy_from_dict(pol_doc, model)
-    upper = certify_upper(model, g, h, tol=args.tol)
-    lower = certify_lower(model, g, h, f, tol=args.tol)
-    passed = upper.passed and lower.passed
-    _emit(args, {"upper": upper, "lower": lower, "passed": passed})
-    return 0 if passed else 1
+    rep = certify(model, g, h, modelio.policy_from_dict(pol_doc, model),
+                  tol=args.tol)
+    _emit(args, rep)
+    return 0 if rep.passed else 1
 
 
 def _cmd_martingale(args) -> int:
@@ -338,7 +336,13 @@ def _cmd_martingale(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = modelio.model_from_dict(_model_document(args))
-    x0 = _read(args, args.x0, "--x0", inline=True)[0]
+    if args.x0 is not None:
+        x0 = _read(args, args.x0, "--x0", inline=True)[0]
+    elif isinstance(model, PotlachProcess):
+        raise ModelError(f"x0 is required for the continuous-state builtin: "
+                         f"a list of its {model.d} masses", field="x0")
+    else:
+        x0 = args.config["x0"] = 0       # a tabulated model starts at 0
     pol_doc = _read(args, args.policy, "--policy")[0]
     if isinstance(model, PotlachProcess):
         pol_doc = typed(pol_doc, dict, "--policy")
@@ -481,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy JSON file")
     p.add_argument("--mode", choices=["average", "lyapunov", "ergodicity"],
                    default="average")
-    p.add_argument("--x0", default="0", help="start state (JSON)")
+    p.add_argument("--x0", help="start state (JSON): a state index "
+                                "(default 0), or the masses of the "
+                                "continuous-state builtin (required there)")
     p.add_argument("--x0b", type=int, default=None,
                    help="second start for ergodicity runs")
     p.add_argument("--horizon", type=_POSITIVE, default=1e5)

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import (CountableFamily, LyapunovData, ModelError, pairs,
-                    truncate, typed)
+from .model import (CountableFamily, LyapunovData, ModelError, label_rows,
+                    pairs, truncate, typed)
 
 DEFAULT_GRID = 11
 
@@ -108,12 +108,17 @@ def _grid(lo: float, hi: float, G: int) -> list:
     return [lo] if G == 1 else list(np.linspace(lo, hi, G))
 
 
+def _linear_weights(labels) -> tuple:
+    """w = x + 1 and w' = (x + 1)(x + 2) of the 1-D labels (x,)."""
+    x = label_rows(labels, 1)[:, 0]
+    return x + 1.0, (x + 1.0) * (x + 2.0)
+
+
 def _linear_lyapunov(lam, mu1, mu2, M):
     """Lyapunov data of a 1-D queue with arrivals lam and service in
     [mu1, mu2] per customer, on w = x + 1 and w' = (x + 1)(x + 2)."""
     def lyapunov(labels):
-        w = np.array([x + 1.0 for (x,) in labels])
-        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
+        w, wp = _linear_weights(labels)
         return LyapunovData(w=w, c=0.5 * (mu1 - lam) if mu1 > lam else 1e-12,
                             b=mu1 + lam, M=M, M_q=mu2 + lam, wprime=wp,
                             cprime=6.0 * lam, bprime=0.0, Mprime=mu2 + lam)
@@ -222,8 +227,7 @@ def _skip_free(s: dict) -> CountableFamily:
     def lyapunov(labels):
         # constants fitted on the truncation: the defining inequalities are
         # then re-checked exhaustively by the drift module
-        w = np.array([x + 1.0 for (x,) in labels])
-        wp = np.array([(x + 1.0) * (x + 2.0) for (x,) in labels])
+        w, wp = _linear_weights(labels)
         c = 0.5 * (mu - lam) if mu > lam else 1e-12
         _, X, A = pairs(fam, labels)
         b_fit, M, M_q, cprime, Mprime = _fit_constants(
@@ -284,11 +288,22 @@ TANDEM_BETA1 = 1.5
 TANDEM_BETA2 = 0.3
 
 
-def tandem_weight(x1: int, x2: int) -> float:
-    s1, s2 = TANDEM_SIGMA1, TANDEM_SIGMA2
-    return (s1 ** (x1 - 1) + s2 ** (x1 + x2 - 1)
-            + TANDEM_GAMMA * s1 ** (-TANDEM_BETA1 * (x1 - 1))
-            * s2 ** (-TANDEM_BETA2 * (x1 + x2 - 1)))
+def tandem_weight(x1, x2) -> np.ndarray:
+    """s1^(x1-1) + s2^(x1+x2-1) + gamma s1^(-beta1 (x1-1))
+    s2^(-beta2 (x1+x2-1)) at each (x1, x2), as an array of their shape.
+    Each distinct power is taken once by Python's float `**` and looked
+    up, and the rest is numpy's elementwise * and +, so every weight has
+    the bits of the scalar expression."""
+    def power(base, scale, e):
+        values, at = np.unique(e, return_inverse=True)
+        return np.array([base ** (scale * v) for v in values.tolist()]
+                        )[at.reshape(e.shape)]
+
+    e1 = np.asarray(x1, dtype=np.int64) - 1
+    e2 = e1 + x2
+    return (power(TANDEM_SIGMA1, 1, e1) + power(TANDEM_SIGMA2, 1, e2)
+            + TANDEM_GAMMA * power(TANDEM_SIGMA1, -TANDEM_BETA1, e1)
+            * power(TANDEM_SIGMA2, -TANDEM_BETA2, e2))
 
 
 def _tandem(s: dict) -> CountableFamily:
@@ -315,9 +330,10 @@ def _tandem(s: dict) -> CountableFamily:
                 _slots(True, X[:, 0] > 0, X[:, 1] > 0))
 
     def lyapunov(labels):
-        w = np.array([tandem_weight(x1, x2) for x1, x2 in labels])
+        X = label_rows(labels, 2)
+        w = tandem_weight(X[:, 0], X[:, 1])
         # |r| at the lowest and the highest action of each state, in turn
-        r = np.abs(reward(np.repeat(np.array(labels), 2, axis=0),
+        r = np.abs(reward(np.repeat(X, 2, axis=0),
                           np.tile([acts[0], acts[-1]], (len(labels), 1))))
         sup_r = float(_first_max(r[0], r[1:]))
         # an arrival at the empty system raises w by ~0.0453, so a small

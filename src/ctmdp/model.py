@@ -14,6 +14,7 @@ inputs and models are treated as immutable once validated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -87,28 +88,34 @@ class RateKernel:
     def __init__(self, counts, lengths, targets, rates):
         """State x has counts[x] actions, pair p (state-major order)
         lengths[p] entries, and targets/rates hold the entries of all pairs
-        in pair order (any order within a pair)."""
+        in pair order (any order within a pair; rows whose targets already
+        ascend, as `truncate` lays them out, are stored as given)."""
         self.counts = np.asarray(counts, dtype=np.int64)   # actions per state
         self.starts = np.cumsum(self.counts) - self.counts
         n = len(counts)
-        pair = np.repeat(np.arange(len(lengths)), lengths)
-        ys = np.asarray(targets, dtype=np.int64)
-        # one stable sort by (pair, target) on the int64 key pair * (2B + 1)
-        # + target + B; targets beyond +-B (where CtmdpModel rejects any
-        # outside 0..n-1) tie at +-B, so the key of a pair never reaches
-        # into the next one
-        bound = 2 ** 61 // max(len(lengths), 1)
-        order = np.argsort(pair * (2 * bound + 1) + np.clip(ys, -bound, bound)
-                           + bound, kind="stable")
-        ys = ys[order]
-        dup = (ys[1:] == ys[:-1]) & (pair[1:] == pair[:-1])
-        if dup.any():
-            x = self.state_of(pair[np.argmax(dup)])
-            raise ModelError(f"duplicate target in rate row ({x})")
-        self.Q = sp.csr_matrix(
-            (np.asarray(rates, dtype=np.float64)[order], ys,
-             np.concatenate(([0], np.cumsum(lengths)))),
-            shape=(len(lengths), n))
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        ys = np.array(targets, dtype=np.int64)
+        rates = np.array(rates, dtype=np.float64)
+        # ascending within each row: every step up, or a step to a new row
+        cut = indptr[1:-1]
+        up = ys[1:] > ys[:-1]
+        up[cut[(cut > 0) & (cut < len(ys))] - 1] = True
+        if not up.all():
+            pair = np.repeat(np.arange(len(lengths)), lengths)
+            # one stable sort by (pair, target) on the int64 key
+            # pair * (2B + 1) + target + B; targets beyond +-B (where
+            # CtmdpModel rejects any outside 0..n-1) tie at +-B, so the key
+            # of a pair never reaches into the next one
+            bound = 2 ** 61 // max(len(lengths), 1)
+            order = np.argsort(pair * (2 * bound + 1)
+                               + np.clip(ys, -bound, bound) + bound,
+                               kind="stable")
+            ys, rates = ys[order], rates[order]
+            dup = (ys[1:] == ys[:-1]) & (pair[1:] == pair[:-1])
+            if dup.any():
+                x = self.state_of(pair[np.argmax(dup)])
+                raise ModelError(f"duplicate target in rate row ({x})")
+        self.Q = sp.csr_matrix((rates, ys, indptr), shape=(len(lengths), n))
         self.indptr, self.indices, self.data = self.Q.indptr, self.Q.indices, \
             self.Q.data
 
@@ -201,6 +208,17 @@ class StationaryPolicy:
         return len(self.choice)
 
 
+def _next_row_above(rows: np.ndarray) -> tuple:
+    """(above, equal): whether each row of `rows` after the first is
+    lexicographically above, and whether it equals, the row before it."""
+    above = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+    equal = np.ones_like(above)
+    for col in rows.T:
+        above |= equal & (col[1:] > col[:-1])
+        equal &= col[1:] == col[:-1]
+    return above, equal
+
+
 def _pair_field():
     """A field that `_flatten` sets: not an __init__ parameter, and left
     out of repr and equality."""
@@ -239,8 +257,9 @@ class CtmdpModel:
             raise ModelError("state space must contain at least one state")
         if self.labels is not None:
             labels = self.labels = tuple(
-                tuple(lab) if isinstance(lab, (list, tuple)) else (lab,)
-                for lab in self.labels)
+                self.labels if set(map(type, self.labels)) <= {tuple} else
+                (tuple(lab) if isinstance(lab, (list, tuple)) else (lab,)
+                 for lab in self.labels))
             if len(labels) != n:
                 raise ModelError("label count does not match state count")
             if len(set(labels)) != n:
@@ -256,13 +275,16 @@ class CtmdpModel:
                              f"pairs")
         # equal actions have equal bits once -0.0 is +0.0 (a NaN equals a
         # NaN of its bits); sorted by state, then bits, equal actions of a
-        # state are adjacent
+        # state are adjacent. Actions whose bits already ascend within each
+        # state, as the builtins list them, need no sort.
         x_of = np.repeat(np.arange(n), kernel.counts)
+        same = x_of[1:] == x_of[:-1]
         bits = (acts + 0.0).view(np.int64)
-        order = np.lexsort((*bits.T, x_of))
-        x_of, bits = x_of[order], bits[order]
-        dup = (x_of[1:] == x_of[:-1]) & (bits[1:] == bits[:-1]).all(axis=1)
-        bad = np.append(x_of[1:][dup], np.flatnonzero(kernel.counts == 0))
+        up, dup = _next_row_above(bits)
+        if not (up | ~same).all():
+            up, dup = _next_row_above(bits[np.lexsort((*bits.T, x_of))])
+        bad = np.append(x_of[1:][same & dup],
+                        np.flatnonzero(kernel.counts == 0))
         if len(bad):
             x = int(bad.min())
             raise ModelError(f"state {x} has " + ("duplicate actions" if
@@ -285,6 +307,11 @@ class CtmdpModel:
     @property
     def n(self) -> int:
         return len(self.kernel.counts)
+
+    @functools.cached_property
+    def label_array(self) -> np.ndarray:
+        """The labels as one array, row x the label of state x."""
+        return np.array(self.labels)
 
     def weights(self) -> np.ndarray:
         """Lyapunov weight vector, defaulting to all-ones."""
@@ -481,20 +508,30 @@ class CountableFamily:
     lyapunov: Optional[Callable] = None   # labels -> LyapunovData
 
 
+def label_rows(labels, dim: int) -> np.ndarray:
+    """`labels`, each a tuple of `dim` ints, as one int64 array (n, dim)."""
+    return np.fromiter(itertools.chain.from_iterable(labels), dtype=np.int64,
+                       count=len(labels) * dim).reshape(len(labels), dim)
+
+
 def pairs(family: CountableFamily, labels) -> tuple:
     """(counts, X, A) of `labels` under `family`: the number of actions of
     each state, and the pairs in state-major order, X (P, dim) their labels
     and A (P, k) their actions."""
     lists = [family.actions(lab) for lab in labels]
-    counts = list(map(len, lists))
-    X = np.repeat(np.array(labels, dtype=np.int64).reshape(len(labels), -1),
-                  counts, axis=0)
-    # one array per distinct (shared) action list
-    blocks = {id(acts): acts for acts in lists if len(acts)}
+    # one array per distinct (shared) action list; each state's rows are
+    # read from the table of them all
+    ids = np.fromiter(map(id, lists), dtype=np.uint64, count=len(lists))
+    _, first, which = np.unique(ids, return_index=True, return_inverse=True)
+    blocks = [lists[i] for i in first.tolist()]
+    sizes = np.array(list(map(len, blocks)), dtype=np.int64)
+    which = which.reshape(-1)
+    counts = sizes[which]
+    X = np.repeat(label_rows(labels, family.dim), counts, axis=0)
     try:
-        blocks = {i: np.array(a, dtype=np.float64) for i, a in blocks.items()}
-        A = [blocks[id(acts)] for acts in lists if len(acts)]
-        return counts, X, np.concatenate(A) if A else np.empty((0, 0))
+        table = [np.array(acts, dtype=np.float64) for acts in blocks
+                 if len(acts)]
+        table = np.concatenate(table) if table else np.empty((0, 0))
     except ValueError:
         k = np.size(next(a for acts in lists for a in acts))
         for x, acts in enumerate(lists):
@@ -502,6 +539,9 @@ def pairs(family: CountableFamily, labels) -> tuple:
                 raise ModelError(f"state {labels[x]}: every action must "
                                  f"have length {k}, as the first") from None
         raise
+    # state x's actions are rows block start - pair start + p of the table
+    shift = (np.cumsum(sizes) - sizes)[which] - (np.cumsum(counts) - counts)
+    return counts, X, table[np.repeat(shift, counts) + np.arange(counts.sum())]
 
 
 def truncate(family: CountableFamily, N: int) -> CtmdpModel:
@@ -511,65 +551,77 @@ def truncate(family: CountableFamily, N: int) -> CtmdpModel:
     the grid {0..N}^dim in state-major order. Rate mass aimed beyond the
     boundary is clamped componentwise onto it; clamped self-loops are
     dropped and the diagonal recomputed so every row sums to zero exactly.
-    The rates of one target of a pair add up in entry order, and the
-    diagonal is minus their sequential sum in order of first appearance
-    (+0.0 for a row without off-diagonal mass).
+    The rates of one target of a pair add up in entry order from 0.0, and
+    the diagonal is minus their sequential sum in order of first
+    appearance (+0.0 for a row without off-diagonal mass).
+
+    The kernel is laid out in one sort of each row's slots, the diagonal
+    among them: equal targets are then adjacent, in entry order, and the
+    row is in CSR order.
     """
     labels = list(itertools.product(range(N + 1), repeat=family.dim))
+    n = len(labels)
     counts, X, A = pairs(family, labels)
     targets, rates, present = family.entries(X, A)
+    targets = np.asarray(targets, dtype=np.int64)
+    rates = np.asarray(rates, dtype=np.float64)
     present = np.asarray(present, dtype=bool)
-    pair = np.nonzero(present)[0]           # pair of each entry, entry order
-    coords = np.asarray(targets, dtype=np.int64)[present]
-    rates = np.asarray(rates, dtype=np.float64)[present]
-    negative = np.flatnonzero((coords < 0).any(axis=1))
-    if len(negative):
-        k = int(negative[0])
-        raise ModelError(f"negative target {tuple(coords[k].tolist())} "
-                         f"from {tuple(X[pair[k]].tolist())}")
-    # target index: mixed radix of the itertools.product grid
-    key = np.ravel_multi_index(np.minimum(coords, N).T, (N + 1,) * family.dim)
-    x_of = np.repeat(np.arange(len(labels)), counts)         # state of a pair
-    keep = key != x_of[pair]                # clamped self-loops are dropped
-    kernel = _merged_kernel(counts, x_of, key[keep] + pair[keep] * len(labels),
-                            rates[keep])
+    P, K = present.shape
+    # target index: mixed radix of the itertools.product grid, each
+    # coordinate clamped onto {0..N} (in absent slots too, so that every
+    # slot has an index)
+    key, negative = np.zeros((P, K), dtype=np.int64), np.zeros((P, K), bool)
+    for coord in np.moveaxis(targets, 2, 0):
+        negative |= coord < 0
+        key = key * (N + 1) + np.clip(coord, 0, N)
+    negative &= present
+    if negative.any():
+        p, k = divmod(int(np.argmax(negative)), K)
+        raise ModelError(f"negative target {tuple(targets[p, k].tolist())} "
+                         f"from {tuple(X[p].tolist())}")
+    x_of = np.repeat(np.arange(n), counts)
+    live = present & (key != x_of[:, None])  # clamped self-loops are dropped
+    # running sums start at 0.0, which makes a -0.0 rate +0.0
+    first = np.where(live, rates, 0.0) + 0.0
+    vals = np.column_stack((first, np.zeros(P)))   # slot K: the diagonal
+    # an absent or dropped slot keys n, after every state
+    keys = np.column_stack((np.where(live, key, n), x_of))
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    dup = (keys[:, 1:] == keys[:, :-1]) & (keys[:, 1:] < n)
+    if dup.any():
+        # fold each run of equal targets into its last slot, in entry
+        # order, and count the sum where the target first appears
+        rows = np.flatnonzero(dup.any(axis=1))
+        slot, d = order[rows], dup[rows]
+        v, head = np.take_along_axis(vals[rows], slot, axis=1), slot.copy()
+        for k in range(1, K + 1):
+            v[:, k] = np.where(d[:, k - 1], v[:, k - 1] + v[:, k], v[:, k])
+            head[:, k] = np.where(d[:, k - 1], head[:, k - 1], head[:, k])
+        i, k = np.nonzero(~np.column_stack((d, np.zeros(len(rows), bool)))
+                          & (keys[rows] < n) & (slot < K))
+        vals[rows[i], slot[i, k]] = v[i, k]
+        live[rows] = False
+        live[rows[i], head[i, k]] = True
+        first[rows[i], head[i, k]] = v[i, k]
+    # the diagonal adds the merged rates in order of first appearance
+    total, moves = np.zeros(P), np.zeros(P, dtype=bool)
+    for k in range(K):
+        total = np.where(live[:, k], total + first[:, k], total)
+        moves |= live[:, k]
+    vals[:, K] = np.where(moves, -total, 0.0)
+    # each row's slots in target order, the last of each run of a target
+    keep = keys < n
+    keep[:, :-1] &= ~dup
+    # counted column by column: over a few columns, 4x faster than sum(1)
+    size = keep[:, 0].astype(np.int64)
+    for k in range(1, K + 1):
+        size += keep[:, k]
+    at = (order + np.arange(0, P * (K + 1), K + 1)[:, None])[keep]
+    kernel = RateKernel(counts, size, keys[keep], vals.ravel()[at])
     lyap = family.lyapunov(labels) if family.lyapunov is not None else None
     return CtmdpModel(actions=A, kernel=kernel, r=family.reward(X, A),
                       lyapunov=lyap, labels=labels, truncation_level=N)
-
-
-def _merged_kernel(counts, x_of, key, rate) -> RateKernel:
-    """Kernel of the off-diagonal entries key[k] = pair * n + target with
-    rates rate[k], k in entry order: duplicate targets of a pair summed in
-    entry order from 0.0, and a diagonal entry added to each pair."""
-    n_pairs, n = len(x_of), len(counts)
-    # equal keys in runs, each run in entry order
-    order = np.argsort(key, kind="stable")
-    key, rate = key[order], rate[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    head = np.flatnonzero(new)
-    first = order[head]                   # first entry of each merged key
-    del order, new
-    end = np.append(head, len(key))[1:]
-    merged = _run_sums(rate, end - head, 0.0)[end - 1]
-    del rate
-    key = key[head]
-    owner = key // n                      # pair of each merged entry
-    size = np.bincount(owner, minlength=n_pairs)
-    # the diagonal adds each pair's merged rates in order of first appearance
-    end = np.cumsum(size)
-    total = _run_sums(merged[np.argsort(first)], size, 0.0)
-    del first
-    # each pair's merged entries, then its diagonal
-    targets = np.empty(len(key) + n_pairs, dtype=np.int64)
-    values = np.zeros(len(key) + n_pairs)
-    at = np.arange(len(key)) + owner
-    targets[at], values[at] = key - owner * n, merged
-    at = end + np.arange(n_pairs)
-    targets[at], values[at[size > 0]] = x_of, -total[end[size > 0] - 1]
-    del key, merged, owner, total, head
-    return RateKernel(counts, size + 1, targets, values)
 
 
 def _run_sums(values, size, zero) -> np.ndarray:
@@ -589,8 +641,9 @@ def _run_sums(values, size, zero) -> np.ndarray:
 
 
 def boundary_states(model: CtmdpModel) -> np.ndarray:
-    """Indices whose rows were distorted by truncation (any coordinate at N)."""
+    """Indices whose rows were distorted by truncation (any coordinate at N).
+    The labels are read as an array once per model."""
     N = model.truncation_level
     if N is None or model.labels is None:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero((np.array(model.labels) == N).any(axis=1))
+    return np.flatnonzero((model.label_array == N).any(axis=1))

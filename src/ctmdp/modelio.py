@@ -9,17 +9,15 @@ every float reads back to the same value.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
-import operator
 
 import numpy as np
 
 from . import families
 from .model import (CtmdpModel, LyapunovData, ModelError, RateKernel,
-                    StationaryPolicy, plain, typed)
+                    StationaryPolicy, _run_sums, plain, typed)
 
 FORMAT_VERSION = "6"
 
@@ -44,56 +42,189 @@ def _need(doc: dict, key: str, where: str = "", kind=None,
     return typed(doc[key], kind, path)
 
 
-def _per_pair(doc: dict, key: str, starts: list, read, what: str) -> list:
-    """read(rec, x, i) of each record rec = doc[key][i], in pair order: state
-    x has the pairs starts[x] <= p < starts[x + 1]. Every (x, a) needs a
-    record, and a later record of a pair replaces an earlier one. Paths
-    are built for error messages only."""
-    n = len(starts) - 1
-    rows = [None] * starts[-1]
-    for i, rec in enumerate(_need(doc, key, kind=[dict])):
-        x, a = rec.get("x"), rec.get("a")
-        if type(x) is not int or type(a) is not int:     # convert, or fail
-            where = f"{key}[{i}]"
-            x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
-        if not (0 <= x < n and 0 <= a < starts[x + 1] - starts[x]):
-            raise ModelError(f"(x, a) out of range at {key}[{i}]")
-        rows[starts[x] + a] = read(rec, x, i)
-    if None in rows:
-        p = rows.index(None)
-        x = bisect.bisect_right(starts, p) - 1
-        raise ModelError(f"no {what} supplied for ({x}, {p - starts[x]})")
-    return rows
-
-
-def _rate_entries(rec: dict, x: int, i: int) -> dict:
-    """target -> rate of the record rates[i] of state x, in file order, the
-    diagonal completed if absent so that the row is conservative: minus
-    the rates added left to right from 0 (`sum` adds floats with
-    compensation from Python 3.12 on, which changes the last bits)."""
-    entries = rec.get("entries")
-    if type(entries) is not list:
-        entries = _need(rec, "entries", f"rates[{i}]", list)
+def _rate_record(rec: dict, where: str, pair) -> tuple:
+    """(x, a, entries) of the record `where` = rates[i] with every value
+    converted to its exact type (an int rate, an integral-float x, ...),
+    or ModelError at its first fault: x, a, `pair(x, a, where)`'s range
+    check, then the entries in order, a repeated target at its repeat."""
+    x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
+    pair(x, a, where)
     row = {}
-    for j, pair in enumerate(entries):
-        if type(pair) is not list or len(pair) != 2:
-            raise ModelError(
-                f"rates[{i}].entries[{j}] is not a [y, rate] pair")
-        y, rate = pair
-        if type(y) is not int or type(rate) is not float:   # convert, or fail
-            at = f"rates[{i}].entries[{j}]"
-            y, rate = typed(y, int, f"{at}[0]"), typed(rate, float, f"{at}[1]")
+    for j, entry in enumerate(_need(rec, "entries", where, list)):
+        if type(entry) is not list or len(entry) != 2:
+            raise ModelError(f"{where}.entries[{j}] is not a [y, rate] pair")
+        at = f"{where}.entries[{j}]"
+        y, rate = typed(entry[0], int, f"{at}[0]"), typed(entry[1], float,
+                                                           f"{at}[1]")
         if y in row:
-            raise ModelError(f"duplicate target {y} at rates[{i}]")
+            raise ModelError(f"duplicate target {y} at {where}")
         row[y] = rate
-    if x not in row:
-        row[x] = -functools.reduce(operator.add, row.values(), 0)
-    return row
+    return x, a, list(map(list, row.items()))
 
 
-def _reward(rec: dict, x: int, i: int) -> float:
-    r = rec.get("r")
-    return r if type(r) is float else _need(rec, "r", f"rewards[{i}]", float)
+def _reward_record(rec: dict, where: str, pair) -> tuple:
+    """(x, a, r) of the record `where` = rewards[i], converted as
+    `_rate_record` converts a rate record."""
+    x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
+    pair(x, a, where)
+    return x, a, _need(rec, "r", where, float)
+
+
+def _exact_rate(rec: dict) -> bool:
+    """Whether the rate record has every value of its exact type."""
+    entries = rec.get("entries")
+    return (type(rec.get("x")) is int and type(rec.get("a")) is int
+            and type(entries) is list
+            and all(type(e) is list and len(e) == 2 and type(e[0]) is int
+                    and type(e[1]) is float for e in entries))
+
+
+def _exact_reward(rec: dict) -> bool:
+    """Whether the reward record has every value of its exact type."""
+    return (type(rec.get("x")) is int and type(rec.get("a")) is int
+            and type(rec.get("r")) is float)
+
+
+def _all(values: list, kind) -> bool:
+    """Whether every value is of type `kind` exactly."""
+    return set(map(type, values)) <= {kind}
+
+
+def _entry_table(rows: list):
+    """(lengths, targets, rates) of the entry lists `rows` as arrays, the
+    entries flattened; None unless every entry is a [y, rate] list of an
+    int and a float."""
+    if not _all(rows, list):
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if not (_all(flat, list) and set(map(len, flat)) <= {2}):
+        return None
+    both = list(itertools.chain.from_iterable(flat))
+    ys, rates = both[0::2], both[1::2]
+    if not (_all(ys, int) and _all(rates, float)):
+        return None
+    return (np.array(list(map(len, rows)), dtype=np.int64),
+            np.array(ys, dtype=np.int64), np.array(rates, dtype=np.float64))
+
+
+def _reward_table(values: list):
+    """The rewards `values` as an array; None unless every one is a float."""
+    return np.array(values, dtype=np.float64) if _all(values, float) else None
+
+
+class _Records:
+    """The records doc[key] of one table (rates or rewards), read as
+    columns: x and a, and `table`, `tabulate` of the values. When x, a or
+    the values are not all of their exact types, each record that `exact`
+    refuses goes through `convert`, in record order, which converts it or
+    raises its first fault; the records from that one on are dropped, and
+    the fault is kept, to be raised unless an earlier record has one.
+    Records 0..m-1 have an (x, a) in range, and `pair` = starts[x] + a."""
+
+    def __init__(self, doc: dict, key: str, value: str, tabulate, exact,
+                 convert, starts: list):
+        recs = _need(doc, key, kind=[dict])
+        self.key, self.starts, self.fault = key, starts, None
+        cols = [list(map(dict.get, recs, itertools.repeat(name)))
+                for name in ("x", "a", value)]
+        self.table = tabulate(cols[2])
+        if self.table is None or not (_all(cols[0], int)
+                                      and _all(cols[1], int)):
+            for i, rec in enumerate(recs):
+                if exact(rec):
+                    continue
+                try:
+                    row = convert(rec, f"{key}[{i}]", self.check_pair)
+                except ModelError as exc:
+                    cols, self.fault = [c[:i] for c in cols], exc
+                    break
+                for col, v in zip(cols, row):
+                    col[i] = v
+            self.table = tabulate(cols[2])
+        self.count = len(cols[0])
+        starts = np.asarray(starts)
+        try:
+            x, a = (np.array(c, dtype=np.int64) for c in cols[:2])
+        except OverflowError:          # beyond int64, so out of range
+            self.m = next(i for i, (x, a) in enumerate(zip(*cols[:2]))
+                          if not 0 <= x < len(starts) - 1
+                          or not 0 <= a < starts[x + 1] - starts[x])
+            x, a = (np.array(c[:self.m], dtype=np.int64) for c in cols[:2])
+        else:
+            inside = (x >= 0) & (x < len(starts) - 1)
+            inside[inside] = (a[inside] >= 0) & (
+                a[inside] < np.diff(starts)[x[inside]])
+            self.m = len(x) if inside.all() else int(np.argmin(inside))
+        self.pair = starts[x[:self.m]] + a[:self.m]
+
+    def check_pair(self, x: int, a: int, where: str) -> None:
+        starts = self.starts
+        if not (0 <= x < len(starts) - 1
+                and 0 <= a < starts[x + 1] - starts[x]):
+            raise ModelError(f"(x, a) out of range at {where}")
+
+    def rows(self, fault, what: str) -> np.ndarray:
+        """The record that each pair takes, its last one, after raising the
+        first fault in record order: `fault` (one of records 0..m-1, or
+        None), record m's (x, a) out of range, the converter's fault, a
+        pair without a record."""
+        if fault is None and self.m < self.count:
+            fault = ModelError(f"(x, a) out of range at {self.key}[{self.m}]")
+        if fault is not None or self.fault is not None:
+            raise fault or self.fault
+        starts = np.asarray(self.starts)
+        rec = np.full(starts[-1], -1)
+        np.maximum.at(rec, self.pair, np.arange(self.m))
+        if (rec < 0).any():
+            p = int(np.argmax(rec < 0))
+            x = int(np.searchsorted(starts, p, side="right")) - 1
+            raise ModelError(f"no {what} supplied for ({x}, {p - starts[x]})")
+        return rec
+
+
+def _rate_kernel(doc: dict, counts: list, starts: list) -> RateKernel:
+    """The kernel of the rate records: each pair's row from its last
+    record, the diagonal completed if absent so that the row is
+    conservative: minus the record's rates added left to right in file
+    order from 0 (`sum` adds floats with compensation from Python 3.12
+    on, which changes the last bits)."""
+    recs = _Records(doc, "rates", "entries", _entry_table, _exact_rate,
+                    _rate_record, starts)
+    m = recs.m
+    lengths = recs.table[0][:m]
+    end = np.cumsum(lengths)
+    ys, rates = (column[:int(lengths.sum())] for column in recs.table[1:])
+    rec = np.repeat(np.arange(m), lengths)
+    # one stable sort of the entries by (record, target): a repeated
+    # target follows the entry it repeats, and each record's entries come
+    # in CSR order
+    lo, span = (int(ys.min()), int(ys.max()) - int(ys.min()) + 1) \
+        if len(ys) else (0, 1)
+    order = (np.argsort(rec * span + (ys - lo), kind="stable")
+             if m * span < 2 ** 62 else np.lexsort((ys, rec)))
+    again = order[1:][(ys[order[1:]] == ys[order[:-1]])
+                      & (rec[order[1:]] == rec[order[:-1]])]
+    fault = None
+    if len(again):
+        e = again.min()             # the first repeat in record order
+        fault = ModelError(f"duplicate target {ys[e]} at rates[{rec[e]}]")
+    row = recs.rows(fault, "rate row")
+    filled = lengths > 0            # +0.0 for a record without entries
+    fill = np.zeros(m)
+    fill[filled] = -_run_sums(rates.copy(), lengths, 0.0)[end[filled] - 1]
+    # each pair's record, in pair order
+    size = lengths[row]
+    at = np.cumsum(size) - size
+    take = order[np.repeat((end - lengths)[row] - at, size)
+                 + np.arange(size.sum())]
+    ys, rates = ys[take], rates[take]
+    pair = np.repeat(np.arange(len(row)), size)
+    x = np.repeat(np.arange(len(counts)), counts)
+    # the diagonal, where absent, after the targets below it
+    lack = np.bincount(pair[ys == x[pair]], minlength=len(row)) == 0
+    at = (at + np.bincount(pair[ys < x[pair]], minlength=len(row)))[lack]
+    return RateKernel(counts, size + lack, np.insert(ys, at, x[lack]),
+                      np.insert(rates, at, fill[row][lack]))
 
 
 def _explicit_model(doc: dict) -> CtmdpModel:
@@ -105,19 +236,20 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     starts = list(itertools.accumulate(counts, initial=0))
     flat = list(itertools.chain.from_iterable(actions_doc))
     k = len(flat[0]) if flat else 0
-    for x, a in ((x, a) for x, acts in enumerate(actions_doc)
-                 for a, act in enumerate(acts) if len(act) != k):
+    if not set(map(len, flat)) <= {k}:
+        x, a = next((x, a) for x, acts in enumerate(actions_doc)
+                    for a, act in enumerate(acts) if len(act) != k)
         raise ModelError(
             f"actions[{x}][{a}] has {len(actions_doc[x][a])} numbers where "
             f"the first action has {k}: every action must have the same "
             f"length")
-    actions = np.array(flat, dtype=np.float64).reshape(len(flat), k)
-    rate_rows = _per_pair(doc, "rates", starts, _rate_entries, "rate row")
-    kernel = RateKernel(
-        counts, [len(row) for row in rate_rows],
-        list(itertools.chain.from_iterable(rate_rows)),
-        list(itertools.chain.from_iterable(map(dict.values, rate_rows))))
-    rewards = _per_pair(doc, "rewards", starts, _reward, "reward")
+    actions = np.fromiter(itertools.chain.from_iterable(flat),
+                          dtype=np.float64, count=len(flat) * k
+                          ).reshape(len(flat), k)
+    kernel = _rate_kernel(doc, counts, starts)
+    rewards = _Records(doc, "rewards", "r", _reward_table, _exact_reward,
+                       _reward_record, starts)
+    r = rewards.table[rewards.rows(None, "reward")]
 
     ld = _need(doc, "lyapunov", kind=dict, required=False)
     get = functools.partial(_need, ld, where="lyapunov", kind=float)
@@ -133,7 +265,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
 
     labels = _need(doc, "labels", kind=list, required=False)
     try:
-        return CtmdpModel(actions=actions, kernel=kernel, r=rewards,
+        return CtmdpModel(actions=actions, kernel=kernel, r=r,
                           lyapunov=lyap, labels=labels)
     except TypeError as exc:       # an unhashable label
         raise ModelError(f"bad 'labels': {exc}") from exc

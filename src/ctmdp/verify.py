@@ -69,6 +69,23 @@ def _certificate(direction: str, g: float, residuals: np.ndarray,
                              passed=worst <= tol, tol=tol)
 
 
+@dataclass
+class VerificationReport(Report):
+    upper: CertificateReport
+    lower: CertificateReport
+    passed: bool                 # both certificates pass
+
+
+def certify(model: CtmdpModel, g: float, h, f: StationaryPolicy,
+            tol: float = 1e-6) -> VerificationReport:
+    """Both certificates of a candidate solution (g, h, f): g bounds every
+    stationary policy's gain from above, and f achieves it, up to tol."""
+    upper = certify_upper(model, g, h, tol=tol)
+    lower = certify_lower(model, g, h, f, tol=tol)
+    return VerificationReport(upper=upper, lower=lower,
+                              passed=upper.passed and lower.passed)
+
+
 def delta(model: CtmdpModel, x: int, f, u, g: float) -> float:
     """Discrepancy (r + Q u)(x, a) - g, a = f(x) or an action index, read
     off one full `bellman` evaluation; its sign is the drift direction."""

@@ -379,6 +379,14 @@ def _fit_constants(labels, actions, entries, reward, w, wp, c):
     return b, M, M_q, cprime, Mprime
 
 
+def tandem_weight(x1: int, x2: int) -> float:
+    """`families.tandem_weight` of one state, by Python's float `**`."""
+    s1, s2 = families.TANDEM_SIGMA1, families.TANDEM_SIGMA2
+    return (s1 ** (x1 - 1) + s2 ** (x1 + x2 - 1)
+            + families.TANDEM_GAMMA * s1 ** (-families.TANDEM_BETA1 * (x1 - 1))
+            * s2 ** (-families.TANDEM_BETA2 * (x1 + x2 - 1)))
+
+
 def _tandem(s: dict) -> ScalarFamily:
     throughput = s["reward"]["kind"] == "throughput"
     c1, c2, cap = (s["reward"][k] for k in ("c1", "c2", "cap"))
@@ -403,7 +411,7 @@ def _tandem(s: dict) -> ScalarFamily:
         return out
 
     def lyapunov(labels):
-        w = np.array([families.tandem_weight(x1, x2) for x1, x2 in labels])
+        w = np.array([tandem_weight(x1, x2) for x1, x2 in labels])
         sup_r = max(abs(reward(lab, act)) for lab in labels
                     for act in [(g1[0], g2[0]), (g1[-1], g2[-1])])
         # a Python float, as the array build gives it (a numpy float64

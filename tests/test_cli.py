@@ -727,6 +727,32 @@ def test_cli_simulate_redistribution_checks_dimensions(tmp_path, capsys,
     assert flag in captured.err
 
 
+def test_cli_simulate_without_x0_starts_a_tabulated_model_at_0(tmp_path):
+    # config.x0 echoes 0, so the report has the bytes of an explicit --x0 0
+    argv = ["simulate", "--builtin", "mmn0", "--params",
+            '{"lambda":1,"mu1":1.5,"mu2":3,"N":3,"G":2}', "--policy",
+            str(GOLDEN / "policy_mmn0.json"), "--horizon", "10", "--reps",
+            "3", "--out"]
+    assert run(argv + [str(tmp_path / "default.json")]) == 0
+    assert run(argv + [str(tmp_path / "zero.json"), "--x0", "0"]) == 0
+    default = (tmp_path / "default.json").read_bytes()
+    assert default == (tmp_path / "zero.json").read_bytes()
+    assert json.loads(default)["config"]["x0"] == 0
+
+
+def test_cli_simulate_redistribution_requires_x0(capsys):
+    # no default start fits the masses: the flag is required, not "got 0"
+    assert run(["simulate", "--builtin", "potlach", "--params",
+                '{"d":2,"lambda":2.0}', "--policy",
+                str(GOLDEN / "policy_potlach.json"), "--mode", "lyapunov",
+                "--reps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ctmdp: error: --x0 is required for the "
+                            "continuous-state builtin: a list of its 2 "
+                            "masses\n")
+
+
 @pytest.mark.parametrize("text, field", [
     ('"a config"', "model document must be an object"),
     ('{"config": 5}', "--model config must be an object"),

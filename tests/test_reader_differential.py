@@ -11,6 +11,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,9 +84,11 @@ def contents(m):
                       lyap.bprime, lyap.Mprime))))
 
 
-def outcome(read, doc):
+def outcome(read, doc, fresh=True):
+    """The model `read` builds from a copy of `doc` (from `doc` itself if
+    not `fresh`: neither reader writes to its document), or its error."""
     try:
-        return contents(read(copy.deepcopy(doc)))
+        return contents(read(copy.deepcopy(doc) if fresh else doc))
     except Exception as exc:       # compared as type and message
         return type(exc), str(exc)
 
@@ -148,3 +151,150 @@ def test_reader_errors_in_entry_order(entries, expect):
     assert got == outcome(explicit_model_loop, doc)
     assert (expect is None) == (not isinstance(got[0], type))
     assert expect is None or expect in got[1]
+
+
+# -- documents of the benchmark's size ----------------------------------------
+
+def benchmark_document(seed: int, n: int = 3000) -> dict:
+    """An explicit model of the shape the benchmark reads: 3 actions per
+    state, 1-8 distinct random targets per row, rates in [0.1, 2),
+    rewards in [-1, 1), Lyapunov data with w = 1."""
+    rng = np.random.default_rng(seed)
+    rates, rewards, max_exit = [], [], 0.0
+    for x in range(n):
+        for a in range(3):
+            ys = rng.choice(n - 1, size=int(rng.integers(1, 9)),
+                            replace=False)
+            ys = np.where(ys >= x, ys + 1, ys)
+            rs = rng.uniform(0.1, 2.0, size=len(ys))
+            max_exit = max(max_exit, float(rs.sum()))
+            rates.append({"x": x, "a": a, "entries": [
+                [int(y), float(r)] for y, r in zip(ys, rs)]})
+            rewards.append({"x": x, "a": a,
+                            "r": float(rng.uniform(-1.0, 1.0))})
+    return {"kind": "explicit", "states": n,
+            "actions": [[[0.0], [1.0], [2.0]] for _ in range(n)],
+            "rates": rates, "rewards": rewards,
+            "lyapunov": {"w": [1.0] * n, "c": 1.0, "b": 1.0, "M": 1.0,
+                         "Mq": max_exit + 1.0}}
+
+
+@pytest.fixture(scope="module")
+def large():
+    return benchmark_document(2024)
+
+
+def copy_of(doc: dict) -> dict:
+    """A copy of `doc` whose tables are new lists of the same records, so
+    that `record` can replace one without touching `doc`."""
+    return {**doc, "rates": list(doc["rates"]),
+            "rewards": list(doc["rewards"])}
+
+
+def record(doc: dict, table: str, i: int) -> dict:
+    """doc[table][i], made a copy of its own (see `copy_of`)."""
+    rec = doc[table][i] = copy.deepcopy(doc[table][i])
+    return rec
+
+
+def convertible(doc: dict) -> dict:
+    """A copy of `doc` with records that convert but are not exact: an int
+    rate, an integral-float x and a, an int reward, and a repeated (x, a)
+    record (the later one, whose rates differ, replaces the earlier)."""
+    doc = copy_of(doc)
+    record(doc, "rates", 10)["entries"][0][1] = 1
+    rec = record(doc, "rates", 40)
+    rec["x"] = float(rec["x"])
+    rec = record(doc, "rates", 41)
+    rec["a"] = float(rec["a"])
+    record(doc, "rewards", 12)["r"] = -1
+    again = copy.deepcopy(doc["rates"][300])
+    for entry in again["entries"]:
+        entry[1] = entry[1] / 3.0
+    doc["rates"].insert(8000, again)
+    return doc
+
+
+def same_outcome(doc: dict):
+    """The loop's outcome on `doc`, after checking the reader's equals it."""
+    expected = outcome(explicit_model_loop, doc, fresh=False)
+    assert outcome(model_from_dict, doc, fresh=False) == expected
+    return expected
+
+
+def test_reader_matches_loop_on_a_benchmark_sized_document(large):
+    exact = same_outcome(large)
+    assert not isinstance(exact[0], type), exact
+    converted = same_outcome(convertible(large))
+    assert not isinstance(converted[0], type), converted
+    assert converted != exact         # the repeated record took over
+
+
+def repeat_target(doc: dict, i: int) -> None:
+    """Make the second entry of rates[i] repeat the target of its first."""
+    entries = record(doc, "rates", i)["entries"]
+    if len(entries) < 2:
+        entries.append([0, 0.5])
+    entries[1][0] = entries[0][0]
+
+
+def repeat_two_targets(doc: dict, i: int) -> None:
+    """Give rates[i] the targets y, z, z, y in this order: its first repeat
+    is z, the target it repeats first, though y sorts first."""
+    entries = record(doc, "rates", i)["entries"]
+    y, z = sorted({entries[0][0], (entries[0][0] + 1) % 3000})[::-1]
+    entries[:] = [[y, 0.5], [z, 0.25], [z, 1.5], [y, 2.0]]
+
+
+def set_field(doc, table, i, *path, value):
+    host = record(doc, table, i)
+    for key in path[:-1]:
+        host = host[key]
+    host[path[-1]] = value
+
+
+# faults placed late in the document, one or two, in this order
+LATE_FAULTS = {
+    "duplicate_target": [lambda d: repeat_target(d, 8990)],
+    "target_type": [lambda d: set_field(d, "rates", 8990, "entries", 0, 0,
+                                        value="7")],
+    "rate_type": [lambda d: set_field(d, "rates", 8990, "entries", 0, 1,
+                                      value=True)],
+    "not_a_pair": [lambda d: set_field(d, "rates", 8990, "entries", 0,
+                                       value=[1, 2.0, 3])],
+    "x_out_of_range": [lambda d: set_field(d, "rates", 8990, "x",
+                                           value=3000)],
+    "x_beyond_int64": [lambda d: set_field(d, "rates", 8990, "x",
+                                           value=2 ** 70)],
+    "a_fraction": [lambda d: set_field(d, "rates", 8990, "a", value=1.5)],
+    "a_negative": [lambda d: set_field(d, "rates", 8990, "a", value=-1)],
+    "x_negative": [lambda d: set_field(d, "rewards", 8990, "x", value=-1)],
+    "two_repeats_in_a_record": [lambda d: repeat_two_targets(d, 8990)],
+    "repeats_in_two_records": [lambda d: repeat_target(d, 8995),
+                               lambda d: repeat_target(d, 8990)],
+    "missing_entries": [lambda d: record(d, "rates", 8990).pop("entries")],
+    "missing_row": [lambda d: d["rates"].pop(8990)],
+    "reward_type": [lambda d: set_field(d, "rewards", 8990, "r",
+                                        value="0.5")],
+    "missing_reward": [lambda d: d["rewards"].pop(8990)],
+    "range_then_duplicate": [
+        lambda d: set_field(d, "rates", 8990, "a", value=3),
+        lambda d: repeat_target(d, 8995)],
+    "duplicate_then_type": [
+        lambda d: repeat_target(d, 8990),
+        lambda d: set_field(d, "rates", 8995, "x", value="7")],
+    "type_then_duplicate": [
+        lambda d: set_field(d, "rates", 8990, "x", value="7"),
+        lambda d: repeat_target(d, 8995)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+def test_reader_matches_loop_on_late_faults(large, fault):
+    # an earlier record converts (an int rate at rates[10]), so the reader
+    # takes its per-record path before the fault is reached; then the same
+    # faults with every earlier record exact
+    for doc in (convertible(large), copy_of(large)):
+        for make in LATE_FAULTS[fault]:
+            make(doc)
+        assert isinstance(same_outcome(doc)[0], type), fault

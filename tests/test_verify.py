@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import ctmdp
-from ctmdp import (ModelError, StationaryPolicy, certify_lower, certify_upper,
-                   delta, martingale_diagnostic, solve_average)
+from ctmdp import (ModelError, StationaryPolicy, certify, certify_lower,
+                   certify_upper, delta, dumps, martingale_diagnostic,
+                   solve_average)
 
 import oracles
 
@@ -32,6 +33,20 @@ def test_perturbed_gain_flips_one_certificate(solved):
     up_lo = certify_upper(m, sol.gain - 0.1, sol.h)
     lo_lo = certify_lower(m, sol.gain - 0.1, sol.h, sol.policy)
     assert not up_lo.passed and lo_lo.passed
+
+
+@pytest.mark.parametrize("shift, passed", [(0.0, True), (0.1, False),
+                                           (-0.1, False)])
+def test_certify_reports_both_certificates(solved, shift, passed):
+    # the verify report: both certificates, passed iff both pass
+    m, sol = solved
+    g = sol.gain + shift
+    rep = certify(m, g, sol.h, sol.policy, tol=1e-6)
+    assert rep.passed is passed
+    assert dumps(rep) == dumps({
+        "upper": certify_upper(m, g, sol.h, tol=1e-6),
+        "lower": certify_lower(m, g, sol.h, sol.policy, tol=1e-6),
+        "passed": passed})
 
 
 def test_certificate_residuals_shift_linearly(solved):
