@@ -77,12 +77,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _target_out_of_range(indptr, starts, e: int) -> ModelError:
+    """The refusal of rate entry e's target, naming its pair (x,a)."""
+    p = int(np.searchsorted(indptr, e, side="right")) - 1
+    x = int(np.searchsorted(starts, p, side="right")) - 1
+    return ModelError(f"rate target out of range at ({x},{p - starts[x]})")
+
+
 class RateKernel:
     """Sparse transition-rate rows q(.|x,a), diagonal entry included, as
     one CSR matrix `Q` over the (state, action) pairs: row starts[x] + a
     holds the entries of (x, a), sorted by target state so that sparse dot
     products have a fixed summation order. `row` and `rows` return views
-    of it. CtmdpModel range-checks the targets.
+    of it. A target beyond int64 is refused here and the others are
+    range-checked by CtmdpModel, each naming its pair.
     """
 
     def __init__(self, counts, lengths, targets, rates):
@@ -94,7 +102,12 @@ class RateKernel:
         self.starts = np.cumsum(self.counts) - self.counts
         n = len(counts)
         indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        ys = np.array(targets, dtype=np.int64)
+        try:
+            ys = np.array(targets, dtype=np.int64)
+        except OverflowError:
+            raise _target_out_of_range(indptr, self.starts, next(
+                e for e, y in enumerate(targets)
+                if not -2 ** 63 <= y < 2 ** 63)) from None
         rates = np.array(rates, dtype=np.float64)
         # ascending within each row: every step up, or a step to a new row
         cut = indptr[1:-1]
@@ -291,10 +304,7 @@ class CtmdpModel:
                              kernel.counts[x] else "an empty action set"))
         off = np.flatnonzero((kernel.indices < 0) | (kernel.indices >= n))
         if len(off):
-            p = int(np.searchsorted(kernel.indptr, off[0], side="right")) - 1
-            x = kernel.state_of(p)
-            raise ModelError(f"rate target out of range at "
-                             f"({x},{p - int(kernel.starts[x])})")
+            raise _target_out_of_range(kernel.indptr, kernel.starts, off[0])
         self.r = np.asarray(self.r, dtype=np.float64)
         if self.r.shape != (n_pairs,):
             raise ModelError(f"reward count mismatch: r has shape "

@@ -5,6 +5,12 @@ A model file is either {"kind": "explicit", ...} with the full tables or
 family. Reports are serialized with sorted keys and shortest round-trip
 floats (format 6), so identical runs produce byte-identical output and
 every float reads back to the same value.
+
+An explicit file's rate and reward tables are read in bulk: the x, a and
+value columns of all records at once, each value converted inside its
+column as `model.typed` converts it. When a column does not convert, an
+(x, a) is out of range, or a record repeats a target, the records are
+checked one at a time in file order and the first fault is raised.
 """
 
 from __future__ import annotations
@@ -42,158 +48,109 @@ def _need(doc: dict, key: str, where: str = "", kind=None,
     return typed(doc[key], kind, path)
 
 
-def _rate_record(rec: dict, where: str, pair) -> tuple:
-    """(x, a, entries) of the record `where` = rates[i] with every value
-    converted to its exact type (an int rate, an integral-float x, ...),
-    or ModelError at its first fault: x, a, `pair(x, a, where)`'s range
-    check, then the entries in order, a repeated target at its repeat."""
-    x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
-    pair(x, a, where)
-    row = {}
+def _rate_record(rec: dict, where: str) -> None:
+    """Raise the first fault of the entries of the rate record `where`, if
+    any: the entries in order, a repeated target at its repeat."""
+    seen = set()
     for j, entry in enumerate(_need(rec, "entries", where, list)):
         if type(entry) is not list or len(entry) != 2:
             raise ModelError(f"{where}.entries[{j}] is not a [y, rate] pair")
         at = f"{where}.entries[{j}]"
-        y, rate = typed(entry[0], int, f"{at}[0]"), typed(entry[1], float,
-                                                           f"{at}[1]")
-        if y in row:
+        y = typed(entry[0], int, f"{at}[0]")
+        typed(entry[1], float, f"{at}[1]")
+        if y in seen:
             raise ModelError(f"duplicate target {y} at {where}")
-        row[y] = rate
-    return x, a, list(map(list, row.items()))
+        seen.add(y)
 
 
-def _reward_record(rec: dict, where: str, pair) -> tuple:
-    """(x, a, r) of the record `where` = rewards[i], converted as
-    `_rate_record` converts a rate record."""
-    x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
-    pair(x, a, where)
-    return x, a, _need(rec, "r", where, float)
+def _reward_record(rec: dict, where: str) -> None:
+    """Raise the fault of the reward of the record `where`, if any."""
+    _need(rec, "r", where, float)
 
 
-def _exact_rate(rec: dict) -> bool:
-    """Whether the rate record has every value of its exact type."""
-    entries = rec.get("entries")
-    return (type(rec.get("x")) is int and type(rec.get("a")) is int
-            and type(entries) is list
-            and all(type(e) is list and len(e) == 2 and type(e[0]) is int
-                    and type(e[1]) is float for e in entries))
+def _field(recs: list, name: str) -> list:
+    """The field `name` of each record, None where it is absent."""
+    return list(map(dict.get, recs, itertools.repeat(name)))
 
 
-def _exact_reward(rec: dict) -> bool:
-    """Whether the reward record has every value of its exact type."""
-    return (type(rec.get("x")) is int and type(rec.get("a")) is int
-            and type(rec.get("r")) is float)
+def _column(values: list, kind) -> np.ndarray:
+    """The JSON values `values` as one float64 (`kind` float) or int64
+    (`kind` int) array, each converted as `typed` converts it (ModelError
+    if one does not), or an object array of ints if one is beyond int64."""
+    if not set(map(type, values)) <= {kind}:
+        values = [v if type(v) is kind else typed(v, kind, "")
+                  for v in values]
+    try:
+        return np.array(values, dtype=np.float64 if kind is float
+                        else np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _all(values: list, kind) -> bool:
-    """Whether every value is of type `kind` exactly."""
-    return set(map(type, values)) <= {kind}
+def _pairs(recs: list, starts: np.ndarray) -> np.ndarray:
+    """The pair starts[x] + a of each record; ModelError unless every x
+    and a converts and (x, a) is in range (OverflowError if one is beyond
+    int64)."""
+    x, a = (np.asarray(_column(_field(recs, name), int), dtype=np.int64)
+            for name in "xa")
+    inside = (x >= 0) & (x < len(starts) - 1)
+    inside[inside] = (a[inside] >= 0) & (a[inside]
+                                         < np.diff(starts)[x[inside]])
+    if not inside.all():
+        raise ModelError("(x, a) out of range")
+    return starts[x] + a
 
 
-def _entry_table(rows: list):
+def _entry_table(rows: list) -> tuple:
     """(lengths, targets, rates) of the entry lists `rows` as arrays, the
-    entries flattened; None unless every entry is a [y, rate] list of an
-    int and a float."""
-    if not _all(rows, list):
-        return None
-    flat = list(itertools.chain.from_iterable(rows))
-    if not (_all(flat, list) and set(map(len, flat)) <= {2}):
-        return None
+    entries flattened and converted by `_column`; ModelError unless every
+    entry is a [y, rate] list whose y and rate convert."""
+    flat = list(itertools.chain.from_iterable(typed(rows, [list], "")))
+    if not set(map(len, typed(flat, [list], ""))) <= {2}:
+        raise ModelError("not a [y, rate] pair")
     both = list(itertools.chain.from_iterable(flat))
-    ys, rates = both[0::2], both[1::2]
-    if not (_all(ys, int) and _all(rates, float)):
-        return None
     return (np.array(list(map(len, rows)), dtype=np.int64),
-            np.array(ys, dtype=np.int64), np.array(rates, dtype=np.float64))
+            _column(both[0::2], int), _column(both[1::2], float))
 
 
-def _reward_table(values: list):
-    """The rewards `values` as an array; None unless every one is a float."""
-    return np.array(values, dtype=np.float64) if _all(values, float) else None
-
-
-class _Records:
-    """The records doc[key] of one table (rates or rewards), read as
-    columns: x and a, and `table`, `tabulate` of the values. When x, a or
-    the values are not all of their exact types, each record that `exact`
-    refuses goes through `convert`, in record order, which converts it or
-    raises its first fault; the records from that one on are dropped, and
-    the fault is kept, to be raised unless an earlier record has one.
-    Records 0..m-1 have an (x, a) in range, and `pair` = starts[x] + a."""
-
-    def __init__(self, doc: dict, key: str, value: str, tabulate, exact,
-                 convert, starts: list):
-        recs = _need(doc, key, kind=[dict])
-        self.key, self.starts, self.fault = key, starts, None
-        cols = [list(map(dict.get, recs, itertools.repeat(name)))
-                for name in ("x", "a", value)]
-        self.table = tabulate(cols[2])
-        if self.table is None or not (_all(cols[0], int)
-                                      and _all(cols[1], int)):
-            for i, rec in enumerate(recs):
-                if exact(rec):
-                    continue
-                try:
-                    row = convert(rec, f"{key}[{i}]", self.check_pair)
-                except ModelError as exc:
-                    cols, self.fault = [c[:i] for c in cols], exc
-                    break
-                for col, v in zip(cols, row):
-                    col[i] = v
-            self.table = tabulate(cols[2])
-        self.count = len(cols[0])
-        starts = np.asarray(starts)
-        try:
-            x, a = (np.array(c, dtype=np.int64) for c in cols[:2])
-        except OverflowError:          # beyond int64, so out of range
-            self.m = next(i for i, (x, a) in enumerate(zip(*cols[:2]))
-                          if not 0 <= x < len(starts) - 1
-                          or not 0 <= a < starts[x + 1] - starts[x])
-            x, a = (np.array(c[:self.m], dtype=np.int64) for c in cols[:2])
-        else:
-            inside = (x >= 0) & (x < len(starts) - 1)
-            inside[inside] = (a[inside] >= 0) & (
-                a[inside] < np.diff(starts)[x[inside]])
-            self.m = len(x) if inside.all() else int(np.argmin(inside))
-        self.pair = starts[x[:self.m]] + a[:self.m]
-
-    def check_pair(self, x: int, a: int, where: str) -> None:
-        starts = self.starts
-        if not (0 <= x < len(starts) - 1
-                and 0 <= a < starts[x + 1] - starts[x]):
+def _first_fault(recs: list, key: str, check, counts: list):
+    """Raise the first fault of the records doc[key] in file order: in
+    each record its x, a, the range of (x, a), then what `check` finds."""
+    for i, rec in enumerate(recs):
+        where = f"{key}[{i}]"
+        x, a = _need(rec, "x", where, int), _need(rec, "a", where, int)
+        if not (0 <= x < len(counts) and 0 <= a < counts[x]):
             raise ModelError(f"(x, a) out of range at {where}")
-
-    def rows(self, fault, what: str) -> np.ndarray:
-        """The record that each pair takes, its last one, after raising the
-        first fault in record order: `fault` (one of records 0..m-1, or
-        None), record m's (x, a) out of range, the converter's fault, a
-        pair without a record."""
-        if fault is None and self.m < self.count:
-            fault = ModelError(f"(x, a) out of range at {self.key}[{self.m}]")
-        if fault is not None or self.fault is not None:
-            raise fault or self.fault
-        starts = np.asarray(self.starts)
-        rec = np.full(starts[-1], -1)
-        np.maximum.at(rec, self.pair, np.arange(self.m))
-        if (rec < 0).any():
-            p = int(np.argmax(rec < 0))
-            x = int(np.searchsorted(starts, p, side="right")) - 1
-            raise ModelError(f"no {what} supplied for ({x}, {p - starts[x]})")
-        return rec
+        check(rec, where)
+    raise AssertionError(f"no record of {key} has the bulk read's fault")
 
 
-def _rate_kernel(doc: dict, counts: list, starts: list) -> RateKernel:
+def _last_records(pairs: np.ndarray, starts: np.ndarray, what: str):
+    """The record that each pair takes, its last one; ModelError naming
+    the first pair without one."""
+    rec = np.full(starts[-1], -1)
+    np.maximum.at(rec, pairs, np.arange(len(pairs)))
+    if (rec < 0).any():
+        p = int(np.argmax(rec < 0))
+        x = int(np.searchsorted(starts, p, side="right")) - 1
+        raise ModelError(f"no {what} supplied for ({x}, {p - starts[x]})")
+    return rec
+
+
+def _rate_kernel(doc: dict, counts: list, starts: np.ndarray) -> RateKernel:
     """The kernel of the rate records: each pair's row from its last
     record, the diagonal completed if absent so that the row is
     conservative: minus the record's rates added left to right in file
     order from 0 (`sum` adds floats with compensation from Python 3.12
     on, which changes the last bits)."""
-    recs = _Records(doc, "rates", "entries", _entry_table, _exact_rate,
-                    _rate_record, starts)
-    m = recs.m
-    lengths = recs.table[0][:m]
+    recs = _need(doc, "rates", kind=[dict])
+    try:
+        pairs = _pairs(recs, starts)
+        lengths, ys, rates = _entry_table(_field(recs, "entries"))
+    except (ModelError, OverflowError):
+        _first_fault(recs, "rates", _rate_record, counts)
+    m = len(lengths)
     end = np.cumsum(lengths)
-    ys, rates = (column[:int(lengths.sum())] for column in recs.table[1:])
     rec = np.repeat(np.arange(m), lengths)
     # one stable sort of the entries by (record, target): a repeated
     # target follows the entry it repeats, and each record's entries come
@@ -202,13 +159,10 @@ def _rate_kernel(doc: dict, counts: list, starts: list) -> RateKernel:
         if len(ys) else (0, 1)
     order = (np.argsort(rec * span + (ys - lo), kind="stable")
              if m * span < 2 ** 62 else np.lexsort((ys, rec)))
-    again = order[1:][(ys[order[1:]] == ys[order[:-1]])
-                      & (rec[order[1:]] == rec[order[:-1]])]
-    fault = None
-    if len(again):
-        e = again.min()             # the first repeat in record order
-        fault = ModelError(f"duplicate target {ys[e]} at rates[{rec[e]}]")
-    row = recs.rows(fault, "rate row")
+    if ((ys[order[1:]] == ys[order[:-1]])
+            & (rec[order[1:]] == rec[order[:-1]])).any():
+        _first_fault(recs, "rates", _rate_record, counts)
+    row = _last_records(pairs, starts, "rate row")
     filled = lengths > 0            # +0.0 for a record without entries
     fill = np.zeros(m)
     fill[filled] = -_run_sums(rates.copy(), lengths, 0.0)[end[filled] - 1]
@@ -233,7 +187,7 @@ def _explicit_model(doc: dict) -> CtmdpModel:
     if len(actions_doc) != n:
         raise ModelError("'actions' length does not match 'states'")
     counts = list(map(len, actions_doc))
-    starts = list(itertools.accumulate(counts, initial=0))
+    starts = np.array(list(itertools.accumulate(counts, initial=0)))
     flat = list(itertools.chain.from_iterable(actions_doc))
     k = len(flat[0]) if flat else 0
     if not set(map(len, flat)) <= {k}:
@@ -247,9 +201,12 @@ def _explicit_model(doc: dict) -> CtmdpModel:
                           dtype=np.float64, count=len(flat) * k
                           ).reshape(len(flat), k)
     kernel = _rate_kernel(doc, counts, starts)
-    rewards = _Records(doc, "rewards", "r", _reward_table, _exact_reward,
-                       _reward_record, starts)
-    r = rewards.table[rewards.rows(None, "reward")]
+    recs = _need(doc, "rewards", kind=[dict])
+    try:
+        pairs, r = _pairs(recs, starts), _column(_field(recs, "r"), float)
+    except (ModelError, OverflowError):
+        _first_fault(recs, "rewards", _reward_record, counts)
+    r = r[_last_records(pairs, starts, "reward")]
 
     ld = _need(doc, "lyapunov", kind=dict, required=False)
     get = functools.partial(_need, ld, where="lyapunov", kind=float)

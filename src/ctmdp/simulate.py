@@ -465,6 +465,7 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
                          f"{checkpoints.tolist()}", field="checkpoints")
     for x0, name in zip(x0_pair, ("x0", "x0b")):
         model.check_state(x0, name)
+    probes = [model.check_values(u, "probes") for u in probes]
     states = [_checkpoint_run(chain, x0, checkpoints, reps, seed).cp_states
               for x0 in x0_pair]
     occ = _run(chain, x0_pair[0], float(checkpoints[-1]) * 10, 4,
@@ -473,7 +474,6 @@ def estimate_ergodicity(model: CtmdpModel, f: StationaryPolicy, probes,
     diffs = {}
     pts, vals = [], []
     for pi, u in enumerate(probes):
-        u = np.asarray(u, dtype=np.float64)
         mu_u = float(occ @ u)
         per_start = []
         for cp_states in states:

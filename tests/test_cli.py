@@ -683,6 +683,17 @@ def test_cli_explicit_actions_of_differing_lengths_exit_2(tmp_path, capsys):
         captured.err
 
 
+@pytest.mark.parametrize("y", [2 ** 70, 1e300])
+def test_cli_rate_target_beyond_int64_exits_2(tmp_path, capsys, y):
+    # it raised numpy's OverflowError: a traceback and exit 1
+    doc = json.loads(json.dumps(EXPLICIT_DOC))
+    doc["rates"][0]["entries"][0][0] = y
+    assert run(["validate", "--model", write_model(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ctmdp: error: rate target out of range at (0,0)\n"
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("rates", 0, "entries"), 5, "rates[0].entries must be a list"),
     (("rates", 1, "x"), "a", "rates[1].x must be an integer"),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import struct
 
 import numpy as np
@@ -154,6 +155,18 @@ def test_kernel_rejects_duplicate_target():
         kernel_from_rows([[[(0, 0.0)]],
                           [[(0, 1.0), (1, -1.0)], [(1, 2.0), (1, 1.0)]],
                           [[(0, 1.0), (0, 1.0)]]])
+
+
+@pytest.mark.parametrize("targets, pair", [
+    ([2 ** 70], "(0,0)"), ([0, 1, -2 ** 63 - 1, 0], "(0,1)"),
+    ([0, 1, 0, 2 ** 63], "(1,0)")])
+def test_kernel_refuses_a_target_beyond_int64_naming_its_pair(targets, pair):
+    # it raised numpy's OverflowError
+    counts, lengths = ([1], [1]) if len(targets) == 1 else ([2, 1], [1, 2, 1])
+    with pytest.raises(ModelError, match=r"^rate target out of range at "
+                                         + re.escape(pair) + "$"):
+        RateKernel(counts=counts, lengths=lengths, targets=targets,
+                   rates=[0.0] * len(targets))
 
 
 @pytest.mark.parametrize("rows, rewards, message", [

@@ -8,6 +8,7 @@ reference `model_to_dict_loop`."""
 
 import copy
 import json
+import math
 import random
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctmdp import build, dumps, model_from_dict, model_to_dict
+from ctmdp import build, dumps, model_from_dict, model_to_dict, modelio
 from oracles import explicit_model_loop, model_to_dict_loop
 from test_malformed_input import EXPLICIT, VALID, mutated_model
 
@@ -215,6 +216,18 @@ def convertible(doc: dict) -> dict:
     return doc
 
 
+def loosened(doc: dict) -> dict:
+    """A copy of `doc` with every x a float and the first rate of every
+    rate record rounded up to an int (1 or 2), so that no record is exact
+    and each converts."""
+    doc = copy.deepcopy(doc)
+    for rec in doc["rates"] + doc["rewards"]:
+        rec["x"] = float(rec["x"])
+    for rec in doc["rates"]:
+        rec["entries"][0][1] = math.ceil(rec["entries"][0][1])
+    return doc
+
+
 def same_outcome(doc: dict):
     """The loop's outcome on `doc`, after checking the reader's equals it."""
     expected = outcome(explicit_model_loop, doc, fresh=False)
@@ -228,6 +241,32 @@ def test_reader_matches_loop_on_a_benchmark_sized_document(large):
     converted = same_outcome(convertible(large))
     assert not isinstance(converted[0], type), converted
     assert converted != exact         # the repeated record took over
+    loose = same_outcome(loosened(large))
+    assert not isinstance(loose[0], type), loose
+    assert loose != exact             # the rounded rates
+
+
+@pytest.mark.parametrize("make", [lambda d: d, convertible, loosened],
+                         ids=["exact", "convertible", "loosened"])
+def test_reader_checks_no_record_on_its_own_when_all_convert(large, make,
+                                                             monkeypatch):
+    # the per-record checks run only on the way to a fault; a document
+    # whose values all convert is read in bulk
+    calls = []
+    for name in ("_rate_record", "_reward_record"):
+        monkeypatch.setattr(modelio, name, lambda *a: calls.append(a))
+    model_from_dict(make(large))
+    assert calls == []
+
+
+def test_target_beyond_int64_in_a_replaced_record_is_read(large):
+    # the record that names 2**70 is replaced by a later one of its pair,
+    # so no kernel row holds it
+    doc = copy_of(large)
+    again = copy.deepcopy(doc["rates"][300])
+    set_field(doc, "rates", 300, "entries", 0, 0, value=2 ** 70)
+    doc["rates"].append(again)
+    assert same_outcome(doc) == same_outcome(large)
 
 
 def repeat_target(doc: dict, i: int) -> None:
@@ -266,6 +305,14 @@ LATE_FAULTS = {
                                            value=3000)],
     "x_beyond_int64": [lambda d: set_field(d, "rates", 8990, "x",
                                            value=2 ** 70)],
+    "target_beyond_int64": [lambda d: set_field(d, "rates", 8990, "entries",
+                                                0, 0, value=2 ** 70)],
+    "target_1e300": [lambda d: set_field(d, "rates", 8990, "entries", 0, 0,
+                                         value=1e300)],
+    "target_beyond_int64_then_type": [
+        lambda d: set_field(d, "rates", 8990, "entries", 0, 0,
+                            value=-2 ** 70),
+        lambda d: set_field(d, "rewards", 8995, "r", value="0.5")],
     "a_fraction": [lambda d: set_field(d, "rates", 8990, "a", value=1.5)],
     "a_negative": [lambda d: set_field(d, "rates", 8990, "a", value=-1)],
     "x_negative": [lambda d: set_field(d, "rewards", 8990, "x", value=-1)],

@@ -291,6 +291,22 @@ def test_ergodicity_refuses_a_bad_second_start_before_any_run(mm20,
     assert calls == []
 
 
+def test_ergodicity_refuses_a_probe_of_another_length_before_any_run(
+        mm20, monkeypatch):
+    # a probe of the wrong length used to fail in numpy's matmul, after
+    # every run
+    calls = []
+    monkeypatch.setattr(simulate, "_run", lambda *a, **k: calls.append(a))
+    with pytest.raises(ctmdp.ModelError,
+                       match=r"^probes must hold one value per state \(3\), "
+                             r"got shape \(2,\)$") as info:
+        estimate_ergodicity(mm20, zero_policy(mm20),
+                            [np.ones(mm20.n), np.ones(2)], (0, 1),
+                            [1.0, 2.0], 20, seed=1)
+    assert info.value.field == "probes"
+    assert calls == []
+
+
 def test_redistribution_process_refuses_tabulated_estimates():
     proc = ctmdp.build("potlach", {"d": 2, "lambda": 2.0})
     pol = PotlachPolicy(matrix=np.full((2, 2), 0.5), q=np.zeros(2))
